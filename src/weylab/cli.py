@@ -188,6 +188,7 @@ def _run_schatten_sweep(cfg, out):
     w = _weight(cfg)
     Q = float(_need(cfg, "Q"))
     rows, checks, verdicts = [], [], []
+    critical = None  # depends on (w, Q, band_npts) only: the first cell computes it
     for cell in _need(cfg, "cells"):
         rep = schatten_criterion_experiment(
             w, float(_need(cell, "mu")), float(_need(cell, "r")), Q,
@@ -195,7 +196,8 @@ def _run_schatten_sweep(cfg, out):
             box_L=[float(v) for v in cfg.get("box_L", (8.0, 12.0, 16.0))],
             box_npts=int(cfg.get("box_npts", 100)),
             band_npts=int(cfg.get("band_npts", 100)),
-            operator=w.name)
+            operator=w.name, critical_slope=critical)
+        critical = rep.critical_slope
         rows.extend(rep.csv_rows())
         verdicts.append({"mu": rep.mu, "r": rep.r, "verdict": rep.verdict,
                          "slope": rep.slope, "critical_slope": rep.critical_slope,
@@ -374,7 +376,6 @@ def run_config(cfg: dict, out_dir: str) -> dict:
         "config_hash": _hash_config(cfg),
         "artifact_version": __version__,
         "wall_time_s": round(time.monotonic() - t0, 3),
-        "workers": os.environ.get("WEYLAB_WORKERS", "1"),
         "checks": [{"name": n, "passed": bool(p)} for n, p, _ in checks],
         "outputs": outputs,
         "passed": all(p for _, p, _ in checks),

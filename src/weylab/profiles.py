@@ -34,46 +34,80 @@ def smoothstep(u):
     return float(out[0]) if scalar else out
 
 
-@lru_cache(maxsize=1)
-def _bridge_table():
-    # sympy builds the bridge integrand and its t-derivatives once; the
-    # mixing weight gamma stays symbolic so one table serves every c'.
-    import sympy as sy
+# -- truncated Taylor series ------------------------------------------------
+# A series is an array of shape (K, ...) whose row k holds f^(k)(t) / k!.
+# Products, quotients and exp follow the usual Taylor-mode recurrences
+# (Griewank & Walther, Evaluating Derivatives, 2008, ch. 13); row 0 of
+# every result is computed exactly as the plain formula would be.
 
-    t = sy.Symbol("t", positive=True)
-    u = (t - 2) / 2
-    phi = sy.exp(-1 / u)
-    phic = sy.exp(-1 / (1 - u))
-    s = phi / (phi + phic)
-    rho = 4 * s * (1 - s)
-    gam = sy.Symbol("g", real=True)
-    beta = 2 * t * (1 - s) * (1 + gam * rho)
-    funcs = []
-    expr = beta
-    for _ in range(PROFILE_DERIV_ORDERS):
-        funcs.append(sy.lambdify((t, gam), expr, "numpy"))
-        expr = sy.diff(expr, t)
-    return tuple(funcs)
+def _tmul(a, b):
+    return np.stack([sum(a[j] * b[k - j] for j in range(k + 1))
+                     for k in range(len(a))])
+
+
+def _tdiv(a, b):
+    q = [a[0] / b[0]]
+    for k in range(1, len(a)):
+        q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0])
+    return np.stack(q)
+
+
+def _texp(a):
+    e = [np.exp(a[0])]
+    for k in range(1, len(a)):
+        e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return np.stack(e)
+
+
+def _tvar(c0, c1, depth):
+    """Series of c0 + c1 (t - t0), truncated after order depth."""
+    x = np.zeros((depth + 1,) + np.shape(c0))
+    x[0] = c0
+    if depth:
+        x[1] = c1
+    return x
+
+
+def _beta_jet(t, gamma, depth):
+    """beta = 2t(1 - s)(1 + gamma rho) and its t-derivatives 0..depth.
+
+    Returns shape (depth + 1,) + t.shape.  The clip keeps exp(-1/u) away
+    from the 0/0 endpoints; the integrand is flat to all orders there so
+    the clip is exact to machine precision.
+    """
+    t = np.clip(np.asarray(t, dtype=float), 2 + 1e-9, 4 - 1e-9)
+    one = _tvar(np.ones_like(t), 0.0, depth)
+    phi = _texp(_tdiv(-one, _tvar(0.5 * t - 1, 0.5, depth)))
+    phic = _texp(_tdiv(-one, _tvar(2 - 0.5 * t, -0.5, depth)))
+    total = phi + phic
+    rest = one - _tdiv(phi, total)
+    # 1 + gamma rho with rho = 4 s (1 - s), s = phi / (phi + phic)
+    mix = _tdiv(_tmul(4 * gamma * rest, phi), total) + one
+    beta = _tmul(_tmul(_tvar(2 * t, 2.0, depth), rest), mix)
+    fact = np.cumprod([1.0] + list(range(1, depth + 1)))
+    return beta * fact.reshape((-1,) + (1,) * t.ndim)
 
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(64)
-
-
-def _beta_eval(t, gamma, order=0):
-    # clip keeps the lambdified exp(-1/u) away from the 0/0 endpoints;
-    # the integrand is flat to all orders there so the clip is exact
-    # to machine precision.
-    tc = np.clip(np.asarray(t, dtype=float), 2 + 1e-9, 4 - 1e-9)
-    return np.asarray(_bridge_table()[order](tc, gamma), dtype=float)
+_CHUNK = 4096  # bridge points per quadrature block: caps the node array at 2 MB
 
 
 def _bridge_cumint(t, gamma):
-    """int_2^t beta, Gauss-Legendre, vectorized over t in [2, 4]."""
+    """int_2^t beta, 64-node Gauss-Legendre per t in [2, 4], in fixed chunks."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    half = (t - 2) / 2
-    nodes = 2 + half[:, None] * (_GLX[None, :] + 1)
-    vals = _beta_eval(nodes, gamma)
-    return (vals * _GLW[None, :]).sum(axis=1) * half
+    out = np.empty_like(t)
+    for lo in range(0, t.size, _CHUNK):
+        half = (t[lo:lo + _CHUNK] - 2) / 2
+        nodes = 2 + half[:, None] * (_GLX[None, :] + 1)
+        vals = _beta_jet(nodes, gamma, 0)[0]
+        out[lo:lo + _CHUNK] = (vals * _GLW[None, :]).sum(axis=1) * half
+    return out
+
+
+def _per_distinct(fn, a):
+    """fn applied once per distinct value of a, scattered back."""
+    vals, inv = np.unique(a, return_inverse=True)
+    return fn(vals)[inv]
 
 
 @lru_cache(maxsize=1)
@@ -120,7 +154,8 @@ class CutoffProfileSquared:
         mask = (a > 2.0) & (a < 4.0)
         if mask.any():
             out = np.array(out, dtype=float)
-            out[mask] = 4.0 + _bridge_cumint(a[mask], self.gamma)
+            out[mask] = 4.0 + _per_distinct(
+                lambda v: _bridge_cumint(v, self.gamma), a[mask])
         return float(out[0]) if scalar else out
 
     def derivative(self, t, order: int = 1):
@@ -143,7 +178,8 @@ class CutoffProfileSquared:
             out = np.array(out, dtype=float)
             # F' = beta on the bridge; even extension picks up sgn^order
             sgn = np.sign(t[mask]) ** order
-            out[mask] = sgn * _beta_eval(a[mask], self.gamma, order - 1)
+            out[mask] = sgn * _per_distinct(
+                lambda v: _beta_jet(v, self.gamma, order - 1)[-1], a[mask])
         return float(out[0]) if scalar else out
 
 

@@ -328,13 +328,17 @@ def schatten_criterion_experiment(w: WeightEvaluator, mu: float, r: float, Q: fl
                                   matrix_N: Sequence[int] = (32, 48),
                                   box_L: Sequence[float] = (8.0, 12.0, 16.0),
                                   box_npts: int = 100, band_npts: int = 100,
-                                  operator: str = "") -> SchattenTrendReport:
+                                  operator: str = "",
+                                  critical_slope: float | None = None) -> SchattenTrendReport:
     """Run the full trend protocol for m^{-mu} in Schatten-r.
 
     Q is the homogeneous-dimension calibration: the critical band slope
     is measured at exponent Q (the borderline of the sufficient
     condition mu > Q/r), and the verdict compares the actual slope at
-    s = mu r against it.  All ladders are reported raw.
+    s = mu r against it.  All ladders are reported raw.  A sweep over
+    many (mu, r) cells may pass ``critical_slope``, the slope
+    ``band_slope(w, Q, npts=band_npts)`` it computed once, instead of
+    having every cell recompute it.
     """
     if mu <= 0 or r < 1:
         raise ValueError("mu must be positive and r at least 1")
@@ -347,10 +351,11 @@ def schatten_criterion_experiment(w: WeightEvaluator, mu: float, r: float, Q: fl
     box = [(L, phase_box_integral(w, mu * r, L, box_npts)) for L in box_L]
     growth = [box[i + 1][1] / max(box[i][1], 1e-300) for i in range(len(box) - 1)]
     slope, bands = band_slope(w, mu * r, npts=band_npts)
-    critical, _ = band_slope(w, Q, npts=band_npts)
-    verdict = "converges" if slope < critical else "diverges"
+    if critical_slope is None:
+        critical_slope, _ = band_slope(w, Q, npts=band_npts)
+    verdict = "converges" if slope < critical_slope else "diverges"
     return SchattenTrendReport(operator=operator or w.name, mu=mu, r=r, Q=Q,
                                matrix_cells=cells, matrix_rel_change=rel,
                                box_cells=box, box_growth=growth, slope=slope,
-                               critical_slope=critical, bands=list(bands),
+                               critical_slope=critical_slope, bands=list(bands),
                                verdict=verdict, shift_used=shifts)

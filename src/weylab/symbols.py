@@ -20,7 +20,7 @@ import numpy as np
 
 from ._jets import (JProd, JPowerSum, JScale, JSum, JUni, JetExpr, JetSymbol,
                     UnsupportedOrderError, fd_deriv_eval)
-from .profiles import (CutoffProfileSquared, DyadicPartition, band_bump, eta,
+from .profiles import (CutoffProfileSquared, DyadicPartition, band_bump,
                        PROFILE_DERIV_ORDERS)
 
 __all__ = [

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from weylab.builders import get_weight
 from weylab.cli import main
+from weylab.spectral import band_slope
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -165,6 +167,19 @@ def test_schatten_sweep_cell_gates(tmp_path):
     cell = report["report"]["cells"][0]
     assert cell["verdict"] == "converges"
     assert cell["matrix_rel_change"] < 0.10
+
+
+def test_schatten_sweep_cells_share_critical_slope(tmp_path):
+    code, out = run(tmp_path, "ss2.json", {
+        "schema": 1, "kind": "schatten-sweep",
+        "weight": {"name": "harmonic", "params": {"n": 1}},
+        "Q": 2.0, "cells": [{"mu": 2.0, "r": 1.5}, {"mu": 0.9, "r": 2.0}],
+        "matrix_N": [12], "box_L": [4.0], "box_npts": 20, "band_npts": 60})
+    assert code == 0
+    cells = read_json(os.path.join(out, "report.json"))["report"]["cells"]
+    critical = band_slope(get_weight("harmonic", {"n": 1}), 2.0, npts=60)[0]
+    assert [c["critical_slope"] for c in cells] == [critical, critical]
+    assert [c["verdict"] for c in cells] == ["converges", "diverges"]
 
 
 def test_band_probe_spread_gate(tmp_path):

@@ -1,8 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylab
+from weylab import profiles
 from weylab.profiles import (PROFILE_DERIV_ORDERS, CutoffProfileSquared,
                              DyadicPartition, band_bump, eta, smoothstep)
 
@@ -151,3 +160,79 @@ def test_band_bump_support_and_plateau():
     inner = (v >= 1.2) & (v <= 2.5)
     assert np.array_equal(b[inner], np.ones(inner.sum()))
     assert np.all((b >= 0.0) & (b <= 1.0))
+
+
+@lru_cache(maxsize=1)
+def _sympy_beta_table():
+    """Bridge integrand and its t-derivatives, differentiated symbolically.
+
+    The mixing weight g stays symbolic so one table serves every c'.
+    """
+    t, g = sp.Symbol("t"), sp.Symbol("g")
+    u = (t - 2) / 2
+    phi, phic = sp.exp(-1 / u), sp.exp(-1 / (1 - u))
+    s = phi / (phi + phic)
+    expr = 2 * t * (1 - s) * (1 + g * 4 * s * (1 - s))
+    fns = [sp.lambdify((t, g), expr, "numpy")]
+    for _ in range(PROFILE_DERIV_ORDERS - 1):
+        expr = sp.diff(expr, t)
+        fns.append(sp.lambdify((t, g), expr, "numpy"))
+    return fns
+
+
+def _beta_oracle(order, t, gamma):
+    t = np.asarray(t, dtype=float)
+    return np.asarray(_sympy_beta_table()[order](t, gamma), dtype=float) * np.ones_like(t)
+
+
+@pytest.mark.parametrize("c_prime", [0.5, 3.0, 10.0])
+def test_profile_jets_match_symbolic_table(c_prime):
+    p = CutoffProfileSquared(c_prime)
+    near = np.array([1e-7, 5e-8, 1e-8])
+    t = np.concatenate([np.linspace(2.0, 4.0, 203)[1:-1], 2.0 + near, 4.0 - near])
+    for order in range(1, PROFILE_DERIV_ORDERS + 1):
+        ref = _beta_oracle(order - 1, t, p.gamma)
+        got = p.derivative(t, order)
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
+
+
+@pytest.mark.parametrize("c_prime", [0.5, 2.5, 3.0, 10.0])
+def test_bridge_values_match_direct_quadrature(c_prime):
+    p = CutoffProfileSquared(c_prime)
+    rng = np.random.default_rng(7)
+    distinct = rng.uniform(2.0, 4.0, profiles._CHUNK + 904)
+    t = np.concatenate([distinct, distinct[:1500], -distinct[2000:2600]])
+    t = t[rng.permutation(t.size)]  # unsorted, with duplicates and mirrored signs
+    assert np.unique(np.abs(t)).size > profiles._CHUNK
+    glx, glw = np.polynomial.legendre.leggauss(64)
+    a = np.abs(t)
+    half = (a - 2.0) / 2.0
+    nodes = np.clip(2.0 + half[:, None] * (glx + 1.0), 2 + 1e-9, 4 - 1e-9)
+    direct = 4.0 + (_beta_oracle(0, nodes, p.gamma) * glw).sum(axis=1) * half
+    got = p(t)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * max(1.0, c_prime**2)
+
+
+def test_daho_runs_do_not_load_sympy(tmp_path):
+    cfgs = [
+        {"schema": 1, "kind": "schatten-sweep", "weight": {"name": "daho"},
+         "Q": 3.0, "cells": [{"mu": 2.0, "r": 2.0}, {"mu": 1.2, "r": 2.0}],
+         "matrix_N": [8, 12], "box_L": [4.0], "box_npts": 10, "band_npts": 14},
+        {"schema": 1, "kind": "class-check", "seed": 0,
+         "symbol": {"name": "daho"}, "target": "a", "order": 4,
+         "halves": [10.0, 20.0], "n_grid": 3, "n_random": 50},
+    ]
+    code = (
+        "import json, os, sys\n"
+        "from weylab.cli import run_config\n"
+        "for i, cfg in enumerate(json.loads(sys.argv[1])):\n"
+        "    run_config(cfg, os.path.join(sys.argv[2], str(i)))\n"
+        "print('sympy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(cfgs), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+    assert sorted(os.listdir(tmp_path)) == ["0", "1"]

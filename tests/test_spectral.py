@@ -181,6 +181,18 @@ def test_trend_experiment_consistency():
     assert all(s >= 0.0 for s in rep.shift_used)
 
 
+def test_trend_experiment_uses_given_critical_slope():
+    w = harmonic_1d_weight()
+    kw = dict(matrix_N=(12,), box_L=(4.0,), box_npts=20, band_npts=60)
+    own = schatten_criterion_experiment(w, 2.0, 1.5, 2.0, **kw)
+    assert own.critical_slope == band_slope(w, 2.0, npts=60)[0]
+    given = schatten_criterion_experiment(w, 2.0, 1.5, 2.0,
+                                          critical_slope=own.critical_slope, **kw)
+    assert given.csv_rows() == own.csv_rows()
+    steep = schatten_criterion_experiment(w, 2.0, 1.5, 2.0, critical_slope=-10.0, **kw)
+    assert steep.verdict == "diverges"
+
+
 def test_trend_experiment_validation():
     w = harmonic_1d_weight()
     with pytest.raises(ValueError):
