@@ -30,7 +30,8 @@ from .hamiltonians import DirichletGrid, hamiltonian_with_potential
 from .metric import (check_gweight, check_slowness, check_temperateness,
                      check_uncertainty, pair_sample)
 from .quantize import Grid, identity_symbol_matrix, weyl_quantize
-from .spectral import eigensolve, growth_fit, schatten_criterion_experiment
+from .spectral import (SolverError, eigensolve, growth_fit,
+                       schatten_criterion_experiment)
 from .symbols import class_membership, weight_symbol_evaluator, with_confinement
 
 SCHEMA = 1
@@ -402,6 +403,9 @@ def _cmd_run(path: str) -> int:
     except (ConfigError, builders.UnknownBuilderError, KeyError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except SolverError as e:
+        print(f"run error: {e}", file=sys.stderr)
+        return 2
     for c in manifest["checks"]:
         mark = "pass" if c["passed"] else "FAIL"
         print(f"[{mark}] {c['name']}")
@@ -427,7 +431,8 @@ def _cmd_reproduce(path: str) -> int:
     out_dir = os.path.join(base, "reproduce")
     try:
         new_manifest = run_config(cfg, out_dir)
-    except (ConfigError, builders.UnknownBuilderError, KeyError, ValueError) as e:
+    except (ConfigError, builders.UnknownBuilderError, KeyError, ValueError,
+            SolverError) as e:
         print(f"run error: {e}", file=sys.stderr)
         return 2
     old = {o["path"]: o["sha256"] for o in manifest.get("outputs", [])}

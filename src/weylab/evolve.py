@@ -59,20 +59,30 @@ class Propagator:
         self.kind = kind
         self.A = 0.5 * (A + A.T)
         self.lam, self.Q = np.linalg.eigh(self.A)
+        self.Qt = np.ascontiguousarray(self.Q.T)
         if kind == "heat" and self.lam[0] < HEAT_FLOOR:
             raise ValueError(
                 f"contraction requires spectrum above {HEAT_FLOOR}: found {self.lam[0]:.3e}")
 
     def apply(self, f: np.ndarray, t: float) -> np.ndarray:
-        c = self.Q.conj().T @ np.asarray(f, dtype=complex)
+        """e^{-itH} f or e^{-tH} f.  Q is real, so it acts on the real and
+        imaginary parts of f as two real columns, never on a complex copy
+        of itself."""
+        f = np.asarray(f)
+        C = self.Qt @ np.stack([f.real, np.imag(f)], axis=1)
         if self.kind == "schrodinger":
-            c = np.exp(-1j * t * self.lam) * c
+            c = (C[:, 0] + 1j * C[:, 1]) * np.exp(-1j * t * self.lam)
+            C = np.stack([c.real, c.imag], axis=1)
         else:
-            c = np.exp(-t * self.lam) * c
-        return self.Q @ c
+            C *= np.exp(-t * self.lam)[:, None]
+        U = self.Q @ C
+        return U[:, 0] + 1j * U[:, 1]
 
     def energy(self, u: np.ndarray) -> float:
-        return float(np.real(np.vdot(u, self.A @ u)))
+        """<u, A u>, from the real and imaginary parts of u."""
+        u = np.asarray(u)
+        U = np.stack([u.real, np.imag(u)], axis=1)
+        return float(np.sum(U * (self.A @ U)))
 
 
 def _trace(prop: Propagator, f, times, method: str, meta: str,
@@ -95,20 +105,30 @@ def _trace(prop: Propagator, f, times, method: str, meta: str,
 
 
 def _cn_trace(H, f, times, kind: str, meta: str) -> EvolutionTrace:
-    A = H.data if isinstance(H, HamiltonianMatrix) else np.asarray(H, dtype=float)
+    """Crank-Nicolson steps, with one sparse LU of I + (i) dt/2 A per
+    distinct step dt.  Steps are rounded to 12 significant digits first,
+    so the steps of a uniform time grid, which differ in their last bits,
+    share one factorization."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    if isinstance(H, HamiltonianMatrix):
+        A = H.sparse
+    else:
+        A = sparse.csr_array(np.asarray(H, dtype=float))
     times = np.asarray(times, dtype=float)
     u = np.asarray(f, dtype=complex).copy()
+    c = 0.5j if kind == "schrodinger" else 0.5
+    I = sparse.eye_array(A.shape[0])
+    factors = {}
     norms, energies = [], []
     prev = 0.0
-    I = np.eye(A.shape[0])
     for t in times:
-        dt = t - prev
+        dt = float(f"{t - prev:.12g}")
         if dt > 0:
-            if kind == "schrodinger":
-                B = np.linalg.solve(I + 0.5j * dt * A, (I - 0.5j * dt * A))
-            else:
-                B = np.linalg.solve(I + 0.5 * dt * A, (I - 0.5 * dt * A))
-            u = B @ u
+            if dt not in factors:
+                factors[dt] = splu(sparse.csc_array(I + c * dt * A, dtype=complex))
+            u = factors[dt].solve(u - c * dt * (A @ u))
         prev = t
         norms.append(np.linalg.norm(u))
         energies.append(float(np.real(np.vdot(u, A @ u))))

@@ -1,6 +1,7 @@
 """Finite-difference Hamiltonians on Dirichlet boxes.
 
-Kinetic parts are sums of squares of axis-aligned vector fields.  Two
+Kinetic parts are sums of squares of axis-aligned vector fields,
+assembled as scipy sparse matrices (Kronecker sums plus diagonals).  Two
 assembly routes, chosen per field:
 
 * tensor stencils (order 6 default) when the field coefficient does not
@@ -78,31 +79,51 @@ class DirichletGrid:
         return self.N ** self.n
 
 
-@dataclass
 class HamiltonianMatrix:
-    data: np.ndarray
-    grid: DirichletGrid
-    provenance: str
-    potential: Optional[np.ndarray] = None
+    """A grid operator kept in the form it was built in.
 
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        side = self.grid.side()
-        if self.data.shape != (side, side):
+    The stencil builders store scipy sparse matrices; spectral functions
+    such as ``fractional_power`` store dense arrays.  ``sparse`` gives
+    CSR, converting only a dense input; ``data`` gives a dense array,
+    materialised on each access of a sparse one.
+    """
+
+    def __init__(self, data, grid: DirichletGrid, provenance: str,
+                 potential: Optional[np.ndarray] = None):
+        from scipy import sparse
+        if sparse.issparse(data):
+            matrix = sparse.csr_array(data, dtype=float)
+        else:
+            matrix = np.asarray(data, dtype=float)
+        side = grid.side()
+        if matrix.shape != (side, side):
             raise ValueError("matrix shape does not match the grid")
+        self._matrix = matrix
+        self.grid = grid
+        self.provenance = provenance
+        self.potential = potential
+
+    @property
+    def data(self) -> np.ndarray:
+        m = self._matrix
+        return m if isinstance(m, np.ndarray) else m.toarray()
+
+    @property
+    def sparse(self):
+        from scipy import sparse
+        m = self._matrix
+        return sparse.csr_array(m) if isinstance(m, np.ndarray) else m
 
     def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.data - self.data.T)))
-
-    def norm_estimate(self) -> float:
-        return float(np.linalg.norm(self.data, ord=1))
+        m = self._matrix
+        return float(abs(m - m.T).max())
 
     def min_ritz(self, trials: int = 1000, seed: int = 0) -> float:
         """Cheap PSD witness: smallest Rayleigh quotient over random vectors."""
         rng = np.random.default_rng(seed)
-        v = rng.normal(size=(self.data.shape[0], trials))
+        v = rng.normal(size=(self._matrix.shape[0], trials))
         v /= np.linalg.norm(v, axis=0)
-        return float(np.min(np.einsum("ij,ij->j", v, self.data @ v)))
+        return float(np.min(np.einsum("ij,ij->j", v, self._matrix @ v)))
 
 
 def second_derivative(N: int, h: float, order: int = 6, bc: str = "dirichlet") -> np.ndarray:
@@ -137,37 +158,17 @@ def periodic_mode_symbol(N: int, h: float, order: int = 6) -> np.ndarray:
     return vals / h**2
 
 
+def _staggered_bands(c_half: np.ndarray, h: float) -> tuple:
+    """Main and upper diagonals of D^T M D along axis 0 of c_half, whose
+    N+1 rows are the coefficient at the half points."""
+    return (c_half[:-1] + c_half[1:]) / h**2, -c_half[1:-1] / h**2
+
+
 def staggered_divergence_form(c_half: np.ndarray, h: float) -> np.ndarray:
     """Tridiagonal D^T M D for -d/dx (c(x) d/dx) with c given at the N+1
     half points; symmetric and PSD whenever c >= 0."""
-    c_half = np.asarray(c_half, dtype=float)
-    N = c_half.size - 1
-    A = np.zeros((N, N))
-    idx = np.arange(N)
-    A[idx, idx] = (c_half[:-1] + c_half[1:]) / h**2
-    A[idx[:-1], idx[1:]] = -c_half[1:-1] / h**2
-    A[idx[1:], idx[:-1]] = -c_half[1:-1] / h**2
-    return A
-
-
-def _axis_matrix(grid: DirichletGrid, axis: int, line: np.ndarray) -> np.ndarray:
-    """Embed a per-line operator acting along `axis` into the full space.
-    line may be a single (N, N) matrix or a stack (lines, N, N)."""
-    N = grid.N
-    if grid.n == 1:
-        return np.asarray(line) if line.ndim == 2 else line[0]
-    full = np.zeros((N * N, N * N))
-    if axis == 0:
-        # lines indexed by i2; entries couple (i1, i2) to (j1, i2)
-        for i2 in range(N):
-            M = line if line.ndim == 2 else line[i2]
-            full[i2::N, i2::N] = M
-    else:
-        for i1 in range(N):
-            M = line if line.ndim == 2 else line[i1]
-            s = slice(i1 * N, (i1 + 1) * N)
-            full[s, s] = M
-    return full
+    diag, off = _staggered_bands(np.asarray(c_half, dtype=float), h)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def sum_of_squares_matrix(fields, grid: DirichletGrid, order: int = 2) -> HamiltonianMatrix:
@@ -179,28 +180,30 @@ def sum_of_squares_matrix(fields, grid: DirichletGrid, order: int = 2) -> Hamilt
     with coeff_fn mapping node-coordinate rows to values; coeff_fn None
     means the constant field d/dx_axis.
     """
-    N, h = grid.N, grid.h
+    from scipy import sparse
+    N, h, n = grid.N, grid.h, grid.n
     pts = grid.points
     half = np.concatenate([[pts[0] - h / 2.0], pts + h / 2.0])  # N+1 half points
-    total = np.zeros((grid.side(), grid.side()))
+    total = sparse.csr_array((grid.side(), grid.side()))
     for axis, coeff in fields:
+        # c2[a, o]: b^2 at half point a of `axis`, node o of the other axis
         if coeff is None:
-            line = staggered_divergence_form(np.ones(N + 1), h)
-            total += _axis_matrix(grid, axis, line)
-            continue
-        if grid.n == 1:
-            c2 = np.asarray(coeff(half[:, None]), dtype=float) ** 2
-            total += staggered_divergence_form(c2, h)
-            continue
-        other = 1 - axis
-        lines = np.empty((N, N, N))
-        for io, xo in enumerate(pts):
-            X = np.empty((N + 1, 2))
-            X[:, axis] = half
-            X[:, other] = xo
-            c2 = np.asarray(coeff(X), dtype=float) ** 2
-            lines[io] = staggered_divergence_form(c2, h)
-        total += _axis_matrix(grid, axis, lines)
+            c2 = np.ones((N + 1, N ** (n - 1)))
+        else:
+            X = np.empty((N + 1, N ** (n - 1), n))
+            X[..., axis] = half[:, None]
+            if n == 2:
+                X[..., 1 - axis] = pts[None, :]
+            c2 = np.asarray(coeff(X.reshape(-1, n)), dtype=float).reshape(N + 1, -1) ** 2
+        # one staggered_divergence_form per line, on the flat node index:
+        # stride N^(n-1) along axis 0; along axis 1 stride 1, no coupling
+        # from one line to the next
+        diag, off = _staggered_bands(c2, h)
+        if axis == 0:
+            stride, diag, off = c2.shape[1], diag.ravel(), off.ravel()
+        else:
+            stride, diag, off = 1, diag.T.ravel(), np.pad(off, ((0, 1), (0, 0))).T.ravel()[:-1]
+        total = total + sparse.diags_array([off, diag, off], offsets=[-stride, 0, stride])
     return HamiltonianMatrix(total, grid, provenance=f"sum_of_squares[{len(list(fields))} fields]")
 
 
@@ -209,15 +212,24 @@ def _confinement(grid: DirichletGrid) -> np.ndarray:
     return (m * m).sum(axis=1)
 
 
-def harmonic_matrix(grid: DirichletGrid, order: int = 6) -> HamiltonianMatrix:
-    D2 = second_derivative(grid.N, grid.h, order)
+def _kron_sum(grid: DirichletGrid, order: int, coeff: Optional[np.ndarray]):
+    """Sparse -d2/dx1^2 - diag(coeff(x1)) d2/dx2^2 in two dimensions (the
+    x2 term dropped when coeff is None), or -d2/dx^2 in one."""
+    from scipy import sparse
+    D2 = sparse.csr_array(second_derivative(grid.N, grid.h, order))
     if grid.n == 1:
-        K = D2
-    else:
-        I = np.eye(grid.N)
-        K = np.kron(D2, I) + np.kron(I, D2)
+        return D2
+    K = sparse.kron(D2, sparse.eye_array(grid.N), format="csr")
+    if coeff is None:
+        return K
+    return K + sparse.kron(sparse.diags_array(coeff), D2, format="csr")
+
+
+def harmonic_matrix(grid: DirichletGrid, order: int = 6) -> HamiltonianMatrix:
+    from scipy import sparse
+    K = _kron_sum(grid, order, np.ones(grid.N))
     V = _confinement(grid)
-    return HamiltonianMatrix(K + np.diag(V), grid, provenance="harmonic", potential=V)
+    return HamiltonianMatrix(K + sparse.diags_array(V), grid, provenance="harmonic", potential=V)
 
 
 def daho_matrix(grid: DirichletGrid, c_prime: float = 3.0, order: int = 6) -> HamiltonianMatrix:
@@ -227,15 +239,13 @@ def daho_matrix(grid: DirichletGrid, c_prime: float = 3.0, order: int = 6) -> Ha
     stencil keeps exact symmetry, and positivity follows from the PSD
     Kronecker factors.
     """
+    from scipy import sparse
     if grid.n != 2:
         raise ValueError("defined on two dimensions")
     profile = CutoffProfileSquared(c_prime)
-    D2 = second_derivative(grid.N, grid.h, order)
-    I = np.eye(grid.N)
-    P = np.diag(profile(grid.points))
-    K = np.kron(D2, I) + np.kron(P, D2)
+    K = _kron_sum(grid, order, profile(grid.points))
     V = _confinement(grid)
-    return HamiltonianMatrix(K + np.diag(V), grid,
+    return HamiltonianMatrix(K + sparse.diags_array(V), grid,
                              provenance=f"daho(c_prime={c_prime:g})", potential=V)
 
 
@@ -243,20 +253,15 @@ def grushin_kinetic(grid: DirichletGrid, order: int = 6) -> HamiltonianMatrix:
     """Kinetic-only untruncated model: coefficient x1^2 on the x2 axis."""
     if grid.n != 2:
         raise ValueError("defined on two dimensions")
-    D2 = second_derivative(grid.N, grid.h, order)
-    I = np.eye(grid.N)
-    P = np.diag(grid.points**2)
-    K = np.kron(D2, I) + np.kron(P, D2)
-    return HamiltonianMatrix(K, grid, provenance="grushin_pure")
+    return HamiltonianMatrix(_kron_sum(grid, order, grid.points**2), grid,
+                             provenance="grushin_pure")
 
 
 def single_field_kinetic(grid: DirichletGrid, order: int = 6) -> HamiltonianMatrix:
     """One field d/dx1 in two dimensions; deliberately non-spanning."""
     if grid.n != 2:
         raise ValueError("defined on two dimensions")
-    D2 = second_derivative(grid.N, grid.h, order)
-    K = np.kron(D2, np.eye(grid.N))
-    return HamiltonianMatrix(K, grid, provenance="single_field")
+    return HamiltonianMatrix(_kron_sum(grid, order, None), grid, provenance="single_field")
 
 
 # -- potentials -------------------------------------------------------------
@@ -353,6 +358,14 @@ class P2ValidationError(ValueError):
     pass
 
 
+def _plus_diagonal(H: HamiltonianMatrix, d: np.ndarray):
+    """H + diag(d), in the form H is stored in."""
+    from scipy import sparse
+    if isinstance(H._matrix, np.ndarray):
+        return H.data + np.diag(d)
+    return H.sparse + sparse.diags_array(d)
+
+
 def hamiltonian_with_potential(kinetic: HamiltonianMatrix, V: Potential,
                                override: bool = False) -> HamiltonianMatrix:
     grid = kinetic.grid
@@ -364,13 +377,13 @@ def hamiltonian_with_potential(kinetic: HamiltonianMatrix, V: Potential,
     if ratio > CONDITIONING_LIMIT:
         raise ValueError(f"h^2 * max|V| = {ratio:.3g} exceeds conditioning limit")
     base = kinetic.potential if kinetic.potential is not None else 0.0
-    return HamiltonianMatrix(kinetic.data + np.diag(V.values), grid,
+    return HamiltonianMatrix(_plus_diagonal(kinetic, V.values), grid,
                              provenance=f"{kinetic.provenance}+{V.descriptor}",
                              potential=np.asarray(base) + V.values)
 
 
 def constant_shift(H: HamiltonianMatrix, c: float) -> HamiltonianMatrix:
-    return HamiltonianMatrix(H.data + c * np.eye(H.data.shape[0]), H.grid,
+    return HamiltonianMatrix(_plus_diagonal(H, np.full(H.grid.side(), float(c))), H.grid,
                              provenance=f"{H.provenance}+({c:g})", potential=H.potential)
 
 

@@ -30,7 +30,9 @@ __all__ = [
 ]
 
 RESIDUAL_REL_TOL = 1e-8
+GAP_REL_TOL = 1e-6
 DENSE_LIMIT = 4096
+EXTRA_PAIRS = 4
 
 
 class SolverError(RuntimeError):
@@ -50,32 +52,57 @@ class SpectralResult:
             raise ValueError("eigenvalues must be ascending")
 
 
-def _as_matrix(H) -> np.ndarray:
-    return H.data if isinstance(H, HamiltonianMatrix) else np.asarray(H)
-
-
 def eigensolve(H, k: int, want_vectors: bool = True, seed: int = 0) -> SpectralResult:
-    """Lowest k eigenpairs with an enforced residual contract.
+    """Lowest k eigenpairs of a symmetric (or Hermitian) matrix, certified.
 
-    Dense below the size limit; above it, Lanczos with full
-    reorthogonalization (the matrices here are stiff enough that
-    selective schemes lose orthogonality long before convergence).
+    H is a HamiltonianMatrix, a scipy sparse matrix or an array.  Up to
+    ``DENSE_LIMIT`` rows: one subset ``scipy.linalg.eigh``.  Above it:
+    shift-invert Lanczos (``scipy.sparse.linalg.eigsh``, start vector
+    drawn from ``seed``) around a Gershgorin lower bound sigma, so that
+    A - sigma I is positive definite and the eigenvalues nearest sigma
+    are the lowest ones whatever the sign of the spectrum.
+
+    Both paths compute p >= 1 extra pairs and raise SolverError unless
+    every residual is at most 1e-8 |A|_2, |A|_2 = max(|lambda_1|,
+    lambda_max), and the computed count is complete: tau goes in the
+    first gap at or after lambda_k wider than ``GAP_REL_TOL`` |A|_2 (p
+    doubles until there is one), and the negative pivots of an LDL^T of
+    A - tau I, which count the eigenvalues below tau (Sylvester), must
+    equal the number computed below tau.  A skipped eigenvalue passes
+    the residual gate; it fails this count.
     """
-    A = _as_matrix(H)
-    side = A.shape[0]
-    if k > side:
-        raise ValueError("k exceeds dimension")
-    A = 0.5 * (A + (A.conj().T if np.iscomplexobj(A) else A.T))
+    from scipy import sparse
+
+    S = H.sparse if isinstance(H, HamiltonianMatrix) else sparse.csr_array(H)
+    side = S.shape[0]
+    if not 0 < k <= side:
+        raise ValueError("k must lie between 1 and the dimension")
+    S = 0.5 * (S + S.conj().T)
+    p = min(EXTRA_PAIRS, side - k)
     if side <= DENSE_LIMIT:
-        lam, Q = np.linalg.eigh(A)
-        lam, Q = lam[:k], Q[:, :k]
-        normH = float(np.max(np.abs(lam))) if k == side else float(
-            np.max(np.abs(np.linalg.eigvalsh(A)[[0, -1]])))
-        res = np.linalg.norm(A @ Q - Q * lam, axis=0)
-        _enforce_residuals(res, normH, "dense")
-        return SpectralResult(lam, res, "dense",
-                              eigenvectors=Q if want_vectors else None)
-    return _lanczos_lowest(A, k, want_vectors, seed)
+        pairs = _dense_pairs(S)
+        lam_max = None if k + p == side else _top_eigenvalue(S, seed)
+    else:
+        pairs = _shift_invert_pairs(S, seed)
+        lam_max = _top_eigenvalue(S, seed)
+    while True:
+        lam, V, solver = pairs(k + p)
+        normA = max(abs(float(lam[0])), float(lam[-1] if lam_max is None else lam_max))
+        cut = _first_gap(lam, k, GAP_REL_TOL * normA)
+        if cut is not None or k + p == side:
+            break
+        p = min(2 * p, side - k)
+    below = lam.size if cut is None else cut
+    res = np.linalg.norm(S @ V[:, :below] - V[:, :below] * lam[:below], axis=0)
+    _enforce_residuals(res, normA, solver)
+    if cut is not None:
+        tau = 0.5 * (lam[cut - 1] + lam[cut])
+        count = _count_below(S, tau)
+        if count != cut:
+            raise SolverError(f"{solver}: {cut} eigenvalues computed below {tau:.10g}, "
+                              f"inertia of A - tau I counts {count}")
+    return SpectralResult(lam[:k], res[:k], solver,
+                          eigenvectors=V[:, :k] if want_vectors else None)
 
 
 def _enforce_residuals(res, normH, solver):
@@ -85,64 +112,72 @@ def _enforce_residuals(res, normH, solver):
         raise SolverError(f"{solver}: residual {worst:.3e} above {gate:.3e}")
 
 
-def _lanczos_lowest(A, k: int, want_vectors: bool, seed: int) -> SpectralResult:
-    """Shift-inverted Lanczos for the low end of a semibounded operator.
+def _first_gap(lam, k: int, width: float):
+    """Smallest j >= k with lam[j] - lam[j-1] > width, or None."""
+    gaps = np.nonzero(np.diff(lam[k - 1:]) > width)[0]
+    return int(k + gaps[0]) if gaps.size else None
 
-    Plain Krylov iteration resolves the stiff top of these stencil
-    matrices long before the bottom, so the low Ritz pairs stall with
-    O(1) residuals.  Inverting once makes the wanted eigenvalues the
-    extremal ones; the factorization is a third of a dense eigh and the
-    iterations cost O(side^2) each.  Assumes the spectrum is bounded
-    below by -1/2 (true for every operator this module builds); anything
-    else fails the residual contract rather than returning junk.
-    """
-    side = A.shape[0]
-    shift = 1.0
+
+def _top_eigenvalue(S, seed: int) -> float:
+    from scipy.sparse.linalg import eigsh
+    v0 = np.random.default_rng(seed).normal(size=S.shape[0])
+    return float(eigsh(S, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+
+
+def _dense_pairs(S):
+    from scipy.linalg import eigh
+    A = S.toarray()
+
+    def pairs(count):
+        lam, V = eigh(A, subset_by_index=[0, count - 1])
+        return lam, V, "dense"
+    return pairs
+
+
+def _shift_invert_pairs(S, seed: int):
+    from scipy import sparse
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+
+    side = S.shape[0]
+    d = S.diagonal().real
+    gersh = float(np.min(d - (abs(S).sum(axis=1) - np.abs(d))))
+    sigma = gersh - 1e-3 * max(1.0, abs(gersh))
     try:
-        B = np.linalg.inv(A + shift * np.eye(side))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"lanczos: shifted operator is singular: {exc}")
-    B = 0.5 * (B + B.T)
-    m = min(side, max(2 * k + 30, 60))
-    rng = np.random.default_rng(seed)
-    Q = np.zeros((side, m))
-    alpha = np.zeros(m)
-    beta = np.zeros(m)
-    q = rng.normal(size=side)
-    q /= np.linalg.norm(q)
-    trace = []
-    for j in range(m):
-        Q[:, j] = q
-        w = B @ q
-        if j:
-            w -= beta[j - 1] * Q[:, j - 1]
-        alpha[j] = q @ w
-        w -= alpha[j] * q
-        # full reorthogonalization, twice for safety
-        for _ in range(2):
-            w -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ w)
-        beta[j] = np.linalg.norm(w)
-        trace.append((j, float(beta[j])))
-        if beta[j] < 1e-14:
-            m = j + 1
-            Q, alpha, beta = Q[:, :m], alpha[:m], beta[:m]
-            break
-        q = w / beta[j]
-    T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-    tl, tv = np.linalg.eigh(T)
-    if k > m:
-        raise SolverError(f"lanczos: basis collapsed at {m} < k; trace tail {trace[-3:]}")
-    # largest Ritz values of the inverse are the lowest eigenvalues of A
-    theta = tl[::-1][:k]
-    lam = 1.0 / theta - shift
-    order = np.argsort(lam)
-    lam = lam[order]
-    V = Q @ tv[:, ::-1][:, :k][:, order]
-    normH = float(np.linalg.norm(A, 1))
-    res = np.linalg.norm(A @ V - V * lam, axis=0)
-    _enforce_residuals(res, normH, "lanczos")
-    return SpectralResult(lam, res, f"lanczos(m={m})",
-                          eigenvectors=V if want_vectors else None)
+        lu = splu(sparse.csc_array(S - sigma * sparse.eye_array(side)))
+    except RuntimeError as exc:
+        raise SolverError(f"shift-invert: A - sigma I is singular: {exc}") from exc
+    OPinv = LinearOperator(S.shape, matvec=lu.solve, dtype=S.dtype)
+    v0 = np.random.default_rng(seed).normal(size=side)
+
+    def pairs(count):
+        if count >= side:
+            raise SolverError(f"shift-invert: {count} pairs asked of dimension {side}")
+        ncv = min(side, max(2 * count + 1, 20))
+        try:
+            lam, V = eigsh(S, k=count, sigma=sigma, which="LM", OPinv=OPinv,
+                           v0=v0, ncv=ncv)
+        except ArpackError as exc:
+            raise SolverError(f"shift-invert: {exc}") from exc
+        order = np.argsort(lam)
+        return lam[order], V[:, order], f"shift-invert(m={ncv})"
+    return pairs
+
+
+def _count_below(S, tau: float) -> int:
+    """Eigenvalues of S below tau, as the negative pivots of a symmetric
+    LU (LDL^T) of S - tau I: Sylvester's law of inertia."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    M = sparse.csc_array(S - tau * sparse.eye_array(S.shape[0]))
+    try:
+        lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"inertia: A - tau I is singular: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError("inertia: the factorization pivoted off the diagonal")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
 def singular_values(T) -> np.ndarray:

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from weylab.builders import get_weight
 from weylab.cli import main
@@ -259,6 +260,28 @@ def test_config_error_paths(tmp_path):
     assert code == 2
     code, _ = run(tmp_path, "sc.json", {"schema": 7, "kind": "spectrum"})
     assert code == 2
+
+
+def test_solver_failure_is_a_run_error(tmp_path, capsys, monkeypatch):
+    # the run and its reproduction both meet a solver that drops the
+    # lowest eigenpair; the inertia certificate turns that into exit 2
+    cfg = {"schema": 1, "kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 6.0},
+           "operator": {"name": "harmonic"}, "k": 4}
+    code, out = run(tmp_path, "sp.json", cfg)
+    assert code == 0
+    orig = scipy.linalg.eigh
+
+    def drop_lowest(*args, **kwargs):
+        lam, V = orig(*args, **kwargs)
+        return lam[1:], V[:, 1:]
+
+    monkeypatch.setattr(scipy.linalg, "eigh", drop_lowest)
+    capsys.readouterr()
+    assert main(["run", write_cfg(tmp_path, "sp2.json", cfg)]) == 2
+    assert main(["reproduce", os.path.join(out, "manifest.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("run error: dense:") and "inertia" in line for line in err)
 
 
 def test_output_dir_override(tmp_path):

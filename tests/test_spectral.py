@@ -1,11 +1,18 @@
 """Eigensolvers, Schatten estimates, growth fits, phase-space quadrature."""
+import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import weylab
+from weylab import spectral
 from weylab.hamiltonians import (
     DirichletGrid,
+    constant_shift,
     harmonic_matrix,
     second_derivative,
 )
@@ -40,16 +47,91 @@ def test_dense_path_matches_continuum_oscillator():
     assert np.max(res.residuals) < 1e-8
 
 
+def harmonic_tensor_oracle(g, k):
+    H1 = second_derivative(g.N, g.h, 6) + np.diag(g.points**2)
+    l1 = np.linalg.eigvalsh(H1)
+    return np.sort((l1[:, None] + l1[None, :]).ravel())[:k]
+
+
 def test_iterative_path_matches_tensor_oracle():
     # side 4356 crosses the dense limit; the transverse modes decouple,
     # so the pairwise sums of the 1d spectrum are exact for this matrix
     g = DirichletGrid(2, 66, 8.0)
     res = eigensolve(harmonic_matrix(g), 6)
-    assert res.solver.startswith("lanczos")
-    H1 = second_derivative(66, g.h, 6) + np.diag(g.points**2)
-    l1 = np.linalg.eigvalsh(H1)
-    oracle = np.sort((l1[:, None] + l1[None, :]).ravel())[:6]
-    assert np.max(np.abs(res.eigenvalues - oracle)) < 1e-10
+    assert res.solver.startswith("shift-invert(m=")
+    assert np.max(np.abs(res.eigenvalues - harmonic_tensor_oracle(g, 6))) < 1e-10
+
+
+def test_shifted_spectrum_on_the_sparse_path(monkeypatch):
+    # a spectrum reaching below zero: the lowest eigenvalues of the 1d
+    # oscillator minus 5 are about -4, -2, 0; a solver that assumes the
+    # spectrum lies above -1/2 returns 0, 2, 4, genuine pairs all
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
+    H = constant_shift(harmonic_matrix(DirichletGrid(1, 64, 8.0)), -5.0)
+    res = eigensolve(H, 3)
+    assert res.solver.startswith("shift-invert(m=")
+    assert np.allclose(res.eigenvalues, [-4.0, -2.0, 0.0], atol=1e-3)
+
+
+def test_shifted_2d_oscillator_matches_tensor_oracle():
+    g = DirichletGrid(2, 66, 8.0)
+    res = eigensolve(constant_shift(harmonic_matrix(g), -5.0), 6)
+    assert res.solver.startswith("shift-invert(m=")
+    assert np.max(np.abs(res.eigenvalues - (harmonic_tensor_oracle(g, 6) - 5.0))) < 1e-10
+
+
+@pytest.mark.parametrize("dense_limit,solver", [(4096, "scipy.linalg.eigh"),
+                                                 (16, "scipy.sparse.linalg.eigsh")])
+def test_inertia_certificate_catches_a_missed_eigenvalue(monkeypatch, dense_limit, solver):
+    # a solver that silently drops its lowest pair returns genuine
+    # eigenpairs that pass the residual gate; only the count catches it
+    module, name = solver.rsplit(".", 1)
+    module = importlib.import_module(module)
+    orig = getattr(module, name)
+
+    def drop_lowest(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        if name == "eigsh" and kwargs.get("sigma") is None:
+            return out
+        lam, V = out
+        i = int(np.argmin(lam))
+        return np.delete(lam, i), np.delete(V, i, axis=1)
+
+    monkeypatch.setattr(module, name, drop_lowest)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+    H = harmonic_matrix(DirichletGrid(1, 64, 8.0))
+    with pytest.raises(SolverError, match="inertia"):
+        eigensolve(H, 5)
+
+
+def test_certificate_cut_skips_a_degenerate_pair(monkeypatch):
+    # the 2d oscillator's eigenvalues come in exact pairs; k = 2 splits
+    # the pair at 4, so tau has to go past both copies, into (4, 6)
+    taus = []
+    count_below = spectral._count_below
+    monkeypatch.setattr(spectral, "_count_below",
+                        lambda S, tau: taus.append(tau) or count_below(S, tau))
+    res = eigensolve(harmonic_matrix(DirichletGrid(2, 24, 6.0)), 2)
+    assert res.eigenvalues[1] == pytest.approx(4.0, abs=1e-2)
+    assert taus == [pytest.approx(5.0, abs=0.1)]
+
+
+def test_setup_does_not_import_scipy():
+    # scipy.sparse.linalg alone takes about as long to import as the
+    # whole package set-up; only the assembly and solver calls load it
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import weylab\n"
+            "from weylab.builders import get_weight\n"
+            "get_weight('daho').m_values(np.linspace(-5.0, 5.0, 400).reshape(100, 4))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_eigensolve_k_exceeds_dimension():
