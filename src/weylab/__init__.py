@@ -3,13 +3,14 @@ Schrodinger operators.
 
 The package is organized around the pipeline symbol -> metric -> operator:
 
-* profiles, geometry: the smooth cutoff profile, vector-field systems,
-  anisotropic dilations;
+* profiles: the smooth cutoff profile and dyadic partitions;
 * symbols, metric: symbol classes with exact jets, order functions,
   split metrics and their admissibility gates;
 * quantize: discrete quantization on periodic grids, convention
   transport, star products;
-* hamiltonians, spectral, evolve: Dirichlet finite-difference operators,
+* builders: one table of models, each giving its principal symbol,
+  weight and grid operators;
+* hamiltonians, spectral, evolve: finite-difference operators,
   eigenvalue machinery, growth fits, compactness trend experiments,
   unitary and heat flows;
 * bounds: sup-norm band probes, p-norm window brackets, subellipticity
@@ -20,13 +21,11 @@ The package is organized around the pipeline symbol -> metric -> operator:
 
 __version__ = "0.1.0"
 
-from .geometry import (HormanderSystem, NilpotentData, PhasePoint,
-                       check_hormander_order2, commutator_value, dilate,
-                       homogeneous_norm, nilpotent_data, pointwise_diagonalize)
+from .builders import get_a2, get_operator, get_weight
 from .hamiltonians import (DirichletGrid, HamiltonianMatrix, Potential,
-                           daho_matrix, fractional_power, grushin_kinetic,
-                           hamiltonian_with_potential, harmonic_matrix,
-                           sum_of_squares_matrix, validate_p2)
+                           fractional_power, hamiltonian_with_potential,
+                           sum_of_squares_matrix, tensor_stencil_matrix,
+                           validate_p2)
 from .metric import (MetricCheckReport, WeightEvaluator, check_gweight,
                      check_slowness, check_temperateness, check_uncertainty,
                      eval_dual_metric, eval_metric, eval_weight, planck)
@@ -38,8 +37,8 @@ from .spectral import (GrowthFit, SchattenEstimate, SpectralResult, eigensolve,
                        growth_fit, schatten_criterion_experiment, schatten_norm,
                        singular_values, weyl_inequality_check)
 from .symbols import (PolySymbol, SeminormEstimate, SymbolEvaluator,
-                      class_membership, daho_symbol, grushin_a2, harmonic_a2,
-                      smg_seminorm, weight_symbol_evaluator, with_confinement)
+                      class_membership, smg_seminorm, weight_symbol_evaluator,
+                      with_confinement)
 from .evolve import (EvolutionTrace, fractional_evolve, heat_evolve,
                      schrodinger_evolve)
 

@@ -15,17 +15,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hamiltonians import (DirichletGrid, HamiltonianMatrix, fractional_power,
-                           second_derivative)
+from .hamiltonians import DirichletGrid, HamiltonianMatrix, fractional_power
 from .metric import WeightEvaluator
 from .profiles import smoothstep
 from .quantize import Grid, kn_quantize, sobolev_norm
-from .symbols import band_restrict, box_sample, smg_seminorm
+from .symbols import SymbolEvaluator, band_restrict, smg_seminorm
 
 __all__ = [
     "BandProbeResult", "linf_band_probe", "LpProbeResult", "lp_window_probe",
     "SubellipticityResult", "subellipticity_probe", "CalibrationError",
-    "periodic_grushin", "periodic_single_field", "periodic_laplacian",
     "STABILITY_GATE",
 ]
 
@@ -52,17 +50,6 @@ class BandProbeResult:
     def csv_row(self, epsilon):
         return (self.operator, self.grid, "", epsilon, self.R,
                 self.trial_ratio, self.op_norm, f"{self.quotient:.6g}")
-
-
-class _PowerWeightSymbol:
-    def __init__(self, w: WeightEvaluator, power: float):
-        self.w = w
-        self.n = w.n
-        self.power = power
-        self.name = f"m^{power:g}"
-
-    def eval(self, Z):
-        return self.w.m_values(Z) ** self.power
 
 
 def _band_sample(w: WeightEvaluator, R: float, count: int, seed: int) -> np.ndarray:
@@ -105,6 +92,7 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
         raise ValueError("R values must exceed 1")
     n = w.n
     power = -(n / 2.0) * epsilon
+    M = SymbolEvaluator(n, lambda Z: w.m_values(Z) ** power, name=f"m^{power:g}")
     rng = np.random.default_rng(seed)
     results = []
     for R in R_list:
@@ -113,7 +101,7 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
             raise ValueError(
                 f"grid too coarse: shell at R={R} reaches |xi|~{xi_need:.2f} "
                 f"but modes stop at {grid.xi_max:.2f}")
-        q = band_restrict(_PowerWeightSymbol(w, power), w, R)
+        q = band_restrict(M, w, R)
         A = kn_quantize(q, grid).data
         row_l1 = np.abs(A).sum(axis=1)
         op_norm = float(np.max(row_l1))
@@ -131,7 +119,6 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
             ratio = float(np.max(np.abs(A @ f)) / np.max(np.abs(f)))
             best = max(best, ratio)
         sample = _band_sample(w, R, sample_count, seed + int(R))
-        M = _PowerWeightSymbol(w, power)
         est = smg_seminorm(q, M.eval, w, seminorm_order, sample,
                            descriptor=f"shell R={R}")
         supM = float(np.max(M.eval(sample)))
@@ -282,28 +269,6 @@ def lp_window_probe(builder: Callable, grids: Sequence[DirichletGrid],
 
 
 # -- subellipticity ---------------------------------------------------------
-
-def periodic_laplacian(grid: Grid, order: int = 6) -> np.ndarray:
-    h = 2.0 * grid.L / grid.N
-    D2 = second_derivative(grid.N, h, order, bc="periodic")
-    I = np.eye(grid.N)
-    return np.kron(D2, I) + np.kron(I, D2)
-
-
-def periodic_grushin(grid: Grid, order: int = 6) -> np.ndarray:
-    """Periodic companion of the degenerate model: coefficient x1^2 on
-    the second axis, sampled on the periodic box."""
-    h = 2.0 * grid.L / grid.N
-    D2 = second_derivative(grid.N, h, order, bc="periodic")
-    I = np.eye(grid.N)
-    return np.kron(D2, I) + np.kron(np.diag(grid.points**2), D2)
-
-
-def periodic_single_field(grid: Grid, order: int = 6) -> np.ndarray:
-    h = 2.0 * grid.L / grid.N
-    D2 = second_derivative(grid.N, h, order, bc="periodic")
-    return np.kron(D2, np.eye(grid.N))
-
 
 @dataclass
 class SubellipticityResult:

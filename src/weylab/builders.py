@@ -1,41 +1,92 @@
 """Named builders addressable from config files.
 
-Four registries: principal symbols, weights derived from them, grid
-operators, potentials.  Each entry carries a parameter schema used by
-the command-line listing; params arrive as plain dicts from config.
+One table states each model once: its dimension, its axis-aligned fields
+b(x) d/dx_axis as (axis, c) with c = b^2 a jet expression in x, and
+whether |x|^2 confinement is added.  Its principal symbol, weight and
+grid operators derive from that entry.  Each entry carries the parameter
+schema the command-line listing prints; params are plain config dicts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from . import hamiltonians as ham
+from ._jets import JPowerSum, JUni, UnsupportedOrderError
 from .metric import WeightEvaluator
-from .symbols import (daho_symbol, grushin_a2, harmonic_a2, with_confinement)
+from .profiles import PROFILE_DERIV_ORDERS, CutoffProfileSquared
+from .symbols import PolySymbol
 
-__all__ = ["symbol_names", "weight_names", "operator_names", "potential_names",
-           "get_a2", "get_weight", "get_operator", "get_potential",
-           "describe_builders", "UnknownBuilderError"]
+__all__ = ["Model", "symbol_names", "weight_names", "operator_names",
+           "potential_names", "get_a2", "get_weight", "get_operator",
+           "get_kinetic", "get_potential", "describe_builders", "UnknownBuilderError"]
 
 
 class UnknownBuilderError(KeyError):
     pass
 
 
-_SYMBOLS = {
-    "daho": ("c_prime: float = 3", lambda p: daho_symbol(float(p.get("c_prime", 3.0)))),
-    "harmonic": ("n: int = 2", lambda p: harmonic_a2(int(p.get("n", 2)))),
-    "grushin_pure": ("", lambda p: grushin_a2()),
+@dataclass(frozen=True)
+class Model:
+    """Sum of squares of axis-aligned fields on R^n, plus |x|^2 when confined."""
+    label: str
+    n: int
+    fields: tuple   # (axis, c): c = b^2 as a JetExpr over (x, xi), None for b = 1
+    confined: bool
+
+    def a2(self) -> PolySymbol:
+        """The principal symbol sum_j c_j(x) xi_axis^2."""
+        nv = 2 * self.n
+        return PolySymbol(self.n, {
+            tuple(2 if j == axis else 0 for j in range(self.n)):
+                JPowerSum.constant(nv, 1.0) if c is None else c
+            for axis, c in self.fields})
+
+    def operator(self, grid, order: int = 6) -> ham.HamiltonianMatrix:
+        if grid.n != self.n:
+            raise ValueError(f"{self.label} is defined on {self.n} dimension(s)")
+        return ham.tensor_stencil_matrix(self.fields, grid, order, self.confined,
+                                         provenance=self.label)
+
+
+def _profile_table(profile: CutoffProfileSquared):
+    def table(order, t):
+        if order == 0:
+            return profile(t)
+        if order > PROFILE_DERIV_ORDERS:
+            raise UnsupportedOrderError(f"profile jets stop at order {PROFILE_DERIV_ORDERS}")
+        return profile.derivative(t, order)
+
+    return table
+
+
+def _harmonic(p):
+    n = int(p.get("n", 2))
+    return Model("harmonic", n, tuple((j, None) for j in range(n)), confined=True)
+
+
+def _daho(p):
+    c_prime = float(p.get("c_prime", 3.0))
+    c = JUni(4, 0, _profile_table(CutoffProfileSquared(c_prime)))
+    return Model(f"daho(c_prime={c_prime:g})", 2, ((0, None), (1, c)), confined=True)
+
+
+_MODELS = {
+    # the elliptic control: every field constant
+    "harmonic": ("n: int = 2", _harmonic),
+    # the degenerate oscillator: c on the x2 axis is the squared plateau
+    # profile of x1, with jets from the exact bridge derivative table
+    "daho": ("c_prime: float = 3", _daho),
+    # the untruncated degenerate model: c = x1^2 on the x2 axis
+    "grushin_pure": ("", lambda p: Model(
+        "grushin_pure", 2, ((0, None), (1, JPowerSum.monomial(4, (2, 0, 0, 0)))),
+        confined=False)),
+    # one field d/dx1 in two dimensions; deliberately non-spanning
+    "single_field": ("", lambda p: Model("single_field", 2, ((0, None),), confined=False)),
 }
 
 _WEIGHTS = {
-    "daho": ("c_prime: float = 3",
-             lambda p: WeightEvaluator.from_a2(daho_symbol(float(p.get("c_prime", 3.0))), name="daho")),
-    "harmonic": ("n: int = 2",
-                 lambda p: WeightEvaluator.from_a2(harmonic_a2(int(p.get("n", 2))), name="harmonic")),
-    "grushin_pure": ("", lambda p: WeightEvaluator.from_a2(grushin_a2(), name="grushin_pure")),
     "broken_half_bracket": ("n: int = 2; fails the uncertainty gate by design",
                             lambda p: WeightEvaluator.half_bracket(int(p.get("n", 2)))),
 }
@@ -54,11 +105,6 @@ def _sum_of_squares_op(grid, p):
 
 
 _OPERATORS = {
-    "harmonic": ("order: int = 6", lambda g, p: ham.harmonic_matrix(g, int(p.get("order", 6)))),
-    "daho": ("c_prime: float = 3, order: int = 6",
-             lambda g, p: ham.daho_matrix(g, float(p.get("c_prime", 3.0)), int(p.get("order", 6)))),
-    "grushin_pure": ("order: int = 6", lambda g, p: ham.grushin_kinetic(g, int(p.get("order", 6)))),
-    "single_field": ("order: int = 6", lambda g, p: ham.single_field_kinetic(g, int(p.get("order", 6)))),
     "sum_of_squares": ("fields: list of [axis, coeff] with coeff in {1, x1}", _sum_of_squares_op),
 }
 
@@ -74,40 +120,65 @@ _POTENTIALS = {
 }
 
 
+def _lookup(table, kind, name, others=()):
+    if name not in table:
+        raise UnknownBuilderError(f"unknown {kind} builder {name!r}; "
+                                  f"available: {', '.join(sorted([*table, *others]))}")
+    return table[name]
+
+
+def _model(name, params, kind, others=()) -> Model:
+    return _lookup(_MODELS, kind, name, others)[1](params or {})
+
+
 def symbol_names():
-    return sorted(_SYMBOLS)
+    """The models with a field on every axis; the non-spanning single
+    field is an operator control."""
+    models = {name: make({}) for name, (_, make) in _MODELS.items()}
+    return sorted(name for name, m in models.items()
+                  if {axis for axis, _ in m.fields} == set(range(m.n)))
 
 
 def weight_names():
-    return sorted(_WEIGHTS)
+    return sorted(symbol_names() + list(_WEIGHTS))
 
 
 def operator_names():
-    return sorted(_OPERATORS)
+    return sorted([*_MODELS, *_OPERATORS])
 
 
 def potential_names():
     return sorted(_POTENTIALS)
 
 
-def _lookup(table, kind, name):
-    try:
-        return table[name]
-    except KeyError:
-        raise UnknownBuilderError(f"unknown {kind} builder {name!r}; "
-                                  f"available: {', '.join(sorted(table))}") from None
-
-
-def get_a2(name: str, params: Optional[dict] = None):
-    return _lookup(_SYMBOLS, "symbol", name)[1](params or {})
+def get_a2(name: str, params: Optional[dict] = None) -> PolySymbol:
+    return _model(name, params, "symbol").a2()
 
 
 def get_weight(name: str, params: Optional[dict] = None) -> WeightEvaluator:
-    return _lookup(_WEIGHTS, "weight", name)[1](params or {})
+    if name in _WEIGHTS:
+        return _WEIGHTS[name][1](params or {})
+    return WeightEvaluator.from_a2(_model(name, params, "weight", _WEIGHTS).a2(), name=name)
 
 
 def get_operator(name: str, grid, params: Optional[dict] = None):
-    return _lookup(_OPERATORS, "operator", name)[1](grid, params or {})
+    """A DirichletGrid gives the Dirichlet operator, a periodic
+    quantize.Grid the periodic one (models only)."""
+    params = params or {}
+    if name in _OPERATORS:
+        return _OPERATORS[name][1](grid, params)
+    # a model's dimension, where it has a choice, is its grid's
+    model = _model(name, {**params, "n": grid.n}, "operator", _OPERATORS)
+    return model.operator(grid, int(params.get("order", 6)))
+
+
+def get_kinetic(name: str, grid):
+    """A kinetic operator for periodic boxes, where |x|^2 has no periodic
+    meaning: an unconfined model, or "laplacian", the harmonic model's
+    kinetic part."""
+    kinetic = {key: make for key, (_, make) in _MODELS.items() if not make({}).confined}
+    kinetic["laplacian"] = lambda p: replace(_harmonic(p), confined=False)
+    return _lookup(kinetic, "kinetic operator", name)({"n": grid.n}).operator(grid)
 
 
 def get_potential(name: str, grid, params: Optional[dict] = None):
@@ -116,7 +187,8 @@ def get_potential(name: str, grid, params: Optional[dict] = None):
 
 def describe_builders() -> str:
     lines = []
-    for title, table in (("symbols", _SYMBOLS), ("weights", _WEIGHTS),
+    for title, table in (("models (symbol, weight and operator; an operator also takes "
+                           "order: int = 6)", _MODELS), ("weights", _WEIGHTS),
                          ("operators", _OPERATORS), ("potentials", _POTENTIALS)):
         lines.append(f"{title}:")
         for name in sorted(table):

@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__, builders
 from ._output import (canonical_json, sha256_file, write_csv_atomic,
                       write_json_atomic)
-from .bounds import (linf_band_probe, lp_window_probe, periodic_grushin,
-                     periodic_laplacian, periodic_single_field,
+from .bounds import (CalibrationError, linf_band_probe, lp_window_probe,
                      subellipticity_probe)
 from .evolve import heat_evolve, schrodinger_evolve
 from .hamiltonians import DirichletGrid, hamiltonian_with_potential
@@ -302,16 +301,11 @@ def _run_band_probe(cfg, out):
     return checks, report, CSV_PROBE_HEADER, rows
 
 
-_PERIODIC_OPS = {"grushin_pure": periodic_grushin,
-                 "single_field": periodic_single_field,
-                 "laplacian": periodic_laplacian}
-
-
 def _run_subellipticity(cfg, out):
     opname = _need(cfg, "operator")["name"]
-    if opname not in _PERIODIC_OPS:
-        raise ConfigError(f"subellipticity operator must be one of {sorted(_PERIODIC_OPS)}")
-    res = subellipticity_probe(_PERIODIC_OPS[opname], float(_need(cfg, "tau")),
+    # dense: the probe's P @ v must not change with the storage format
+    res = subellipticity_probe(lambda g: builders.get_kinetic(opname, g).data,
+                               float(_need(cfg, "tau")),
                                N_list=[int(v) for v in cfg.get("N_list", (32, 48, 64))],
                                L=float(cfg.get("L", 4.0)),
                                trials=int(cfg.get("trials", 24)),
@@ -403,7 +397,7 @@ def _cmd_run(path: str) -> int:
     except (ConfigError, builders.UnknownBuilderError, KeyError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except SolverError as e:
+    except (SolverError, CalibrationError) as e:
         print(f"run error: {e}", file=sys.stderr)
         return 2
     for c in manifest["checks"]:
@@ -432,7 +426,7 @@ def _cmd_reproduce(path: str) -> int:
     try:
         new_manifest = run_config(cfg, out_dir)
     except (ConfigError, builders.UnknownBuilderError, KeyError, ValueError,
-            SolverError) as e:
+            SolverError, CalibrationError) as e:
         print(f"run error: {e}", file=sys.stderr)
         return 2
     old = {o["path"]: o["sha256"] for o in manifest.get("outputs", [])}

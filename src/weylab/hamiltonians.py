@@ -1,4 +1,4 @@
-"""Finite-difference Hamiltonians on Dirichlet boxes.
+"""Finite-difference Hamiltonians on Dirichlet (and periodic) boxes.
 
 Kinetic parts are sums of squares of axis-aligned vector fields,
 assembled as scipy sparse matrices (Kronecker sums plus diagonals).  Two
@@ -16,18 +16,16 @@ harmonic reference spectrum is {2(k1+k2)+2}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-from .profiles import CutoffProfileSquared
 
 __all__ = [
     "DirichletGrid", "HamiltonianMatrix", "Potential", "P2Report",
     "second_derivative", "periodic_mode_symbol", "staggered_divergence_form",
-    "sum_of_squares_matrix", "harmonic_matrix", "daho_matrix",
-    "grushin_kinetic", "single_field_kinetic", "quadratic_potential",
+    "sum_of_squares_matrix", "tensor_stencil_matrix", "quadratic_potential",
     "bounded_noise_potential", "step_potential", "table_potential",
     "validate_p2", "hamiltonian_with_potential", "constant_shift",
     "fractional_power", "P2ValidationError",
@@ -69,11 +67,7 @@ class DirichletGrid:
 
     def mesh(self) -> np.ndarray:
         """Flattened node coordinates, first axis major; shape (N^n, n)."""
-        if self.n == 1:
-            return self.points[:, None]
-        p = self.points
-        X1, X2 = np.meshgrid(p, p, indexing="ij")
-        return np.stack([X1.ravel(), X2.ravel()], axis=1)
+        return _mesh(self.points, self.n)
 
     def side(self) -> int:
         return self.N ** self.n
@@ -181,6 +175,7 @@ def sum_of_squares_matrix(fields, grid: DirichletGrid, order: int = 2) -> Hamilt
     means the constant field d/dx_axis.
     """
     from scipy import sparse
+    fields = list(fields)
     N, h, n = grid.N, grid.h, grid.n
     pts = grid.points
     half = np.concatenate([[pts[0] - h / 2.0], pts + h / 2.0])  # N+1 half points
@@ -204,64 +199,47 @@ def sum_of_squares_matrix(fields, grid: DirichletGrid, order: int = 2) -> Hamilt
         else:
             stride, diag, off = 1, diag.T.ravel(), np.pad(off, ((0, 1), (0, 0))).T.ravel()[:-1]
         total = total + sparse.diags_array([off, diag, off], offsets=[-stride, 0, stride])
-    return HamiltonianMatrix(total, grid, provenance=f"sum_of_squares[{len(list(fields))} fields]")
+    return HamiltonianMatrix(total, grid, provenance=f"sum_of_squares[{len(fields)} fields]")
 
 
-def _confinement(grid: DirichletGrid) -> np.ndarray:
-    m = grid.mesh()
+def _mesh(points: np.ndarray, n: int) -> np.ndarray:
+    if n == 1:
+        return points[:, None]
+    X1, X2 = np.meshgrid(points, points, indexing="ij")
+    return np.stack([X1.ravel(), X2.ravel()], axis=1)
+
+
+def _confinement(grid) -> np.ndarray:
+    m = _mesh(grid.points, grid.n)
     return (m * m).sum(axis=1)
 
 
-def _kron_sum(grid: DirichletGrid, order: int, coeff: Optional[np.ndarray]):
-    """Sparse -d2/dx1^2 - diag(coeff(x1)) d2/dx2^2 in two dimensions (the
-    x2 term dropped when coeff is None), or -d2/dx^2 in one."""
+def tensor_stencil_matrix(fields, grid, order: int = 6, confined: bool = False,
+                          provenance: str = "") -> HamiltonianMatrix:
+    """sum_j c_j(x) (-d^2/dx_axis^2), plus |x|^2 when confined, as a
+    Kronecker sum: Dirichlet stencils on a DirichletGrid, periodic ones on
+    a quantize.Grid.  fields holds (axis, c), c = b^2 of the field
+    b(x) d/dx_axis as a JetExpr over (x, xi), None for b = 1; c must not
+    vary along its own axis, which keeps the sum symmetric and PSD."""
     from scipy import sparse
-    D2 = sparse.csr_array(second_derivative(grid.N, grid.h, order))
-    if grid.n == 1:
-        return D2
-    K = sparse.kron(D2, sparse.eye_array(grid.N), format="csr")
-    if coeff is None:
-        return K
-    return K + sparse.kron(sparse.diags_array(coeff), D2, format="csr")
-
-
-def harmonic_matrix(grid: DirichletGrid, order: int = 6) -> HamiltonianMatrix:
-    from scipy import sparse
-    K = _kron_sum(grid, order, np.ones(grid.N))
-    V = _confinement(grid)
-    return HamiltonianMatrix(K + sparse.diags_array(V), grid, provenance="harmonic", potential=V)
-
-
-def daho_matrix(grid: DirichletGrid, c_prime: float = 3.0, order: int = 6) -> HamiltonianMatrix:
-    """Degenerate oscillator: -d2/dx1^2 - profile^2(x1) d2/dx2^2 + |x|^2.
-
-    The x2-coefficient is constant along x2, so the high-order tensor
-    stencil keeps exact symmetry, and positivity follows from the PSD
-    Kronecker factors.
-    """
-    from scipy import sparse
-    if grid.n != 2:
-        raise ValueError("defined on two dimensions")
-    profile = CutoffProfileSquared(c_prime)
-    K = _kron_sum(grid, order, profile(grid.points))
-    V = _confinement(grid)
-    return HamiltonianMatrix(K + sparse.diags_array(V), grid,
-                             provenance=f"daho(c_prime={c_prime:g})", potential=V)
-
-
-def grushin_kinetic(grid: DirichletGrid, order: int = 6) -> HamiltonianMatrix:
-    """Kinetic-only untruncated model: coefficient x1^2 on the x2 axis."""
-    if grid.n != 2:
-        raise ValueError("defined on two dimensions")
-    return HamiltonianMatrix(_kron_sum(grid, order, grid.points**2), grid,
-                             provenance="grushin_pure")
-
-
-def single_field_kinetic(grid: DirichletGrid, order: int = 6) -> HamiltonianMatrix:
-    """One field d/dx1 in two dimensions; deliberately non-spanning."""
-    if grid.n != 2:
-        raise ValueError("defined on two dimensions")
-    return HamiltonianMatrix(_kron_sum(grid, order, None), grid, provenance="single_field")
+    bc = "dirichlet" if isinstance(grid, DirichletGrid) else "periodic"
+    D2 = sparse.csr_array(second_derivative(grid.N, grid.h, order, bc))
+    X = _mesh(grid.points, grid.n)
+    Z = np.hstack([X, np.zeros_like(X)])
+    total = None
+    for axis, c in fields:
+        factors = [sparse.eye_array(grid.N)] * grid.n
+        factors[axis] = D2
+        K = functools.reduce(lambda A, B: sparse.kron(A, B, format="csr"), factors)
+        if c is not None:
+            # the product leaves rows unsorted; sorting restores the entry
+            # order the solvers sum in
+            K = (sparse.diags_array(np.asarray(c.eval(Z), dtype=float)) @ K).sorted_indices()
+        total = K if total is None else total + K
+    V = _confinement(grid) if confined else None
+    if confined:
+        total = total + sparse.diags_array(V)
+    return HamiltonianMatrix(total, grid, provenance=provenance, potential=V)
 
 
 # -- potentials -------------------------------------------------------------
@@ -393,7 +371,8 @@ def fractional_power(H: HamiltonianMatrix, beta: float, shift: float = 0.0) -> H
     Negative beta is allowed (resolvent powers); the shifted operator
     must be PD either way.
     """
-    lam, Q = np.linalg.eigh(0.5 * (H.data + H.data.T))
+    A = H.data  # one densification of a sparse H
+    lam, Q = np.linalg.eigh(0.5 * (A + A.T))
     lam = lam + shift
     if np.min(lam) <= 0.0:
         raise ValueError(f"shift too small: min shifted eigenvalue {np.min(lam):.3e}")

@@ -198,6 +198,19 @@ def check_slowness(w: WeightEvaluator, X, Y, ball_radius: float = 0.25,
                              witnesses=witnesses)
 
 
+def _frontier(ratio, s, max_order: int, order_gate: int) -> tuple:
+    """(J, C_J) for J = 1..max_order with C_J = sup ratio / s^J, and the
+    smallest (C_J, J) with J <= order_gate."""
+    frontier = []
+    best: tuple = (np.inf, None)
+    for J in range(1, max_order + 1):
+        cJ = float(np.max(ratio / s**J))
+        frontier.append((J, cJ))
+        if J <= order_gate and cJ < best[0]:
+            best = (cJ, J)
+    return frontier, best
+
+
 def check_temperateness(w: WeightEvaluator, X, Y, gate: float = 1e3,
                         max_order: int = 8, order_gate: int = 4) -> MetricCheckReport:
     """Far-field comparison against powers of the dual distance.
@@ -210,13 +223,7 @@ def check_temperateness(w: WeightEvaluator, X, Y, gate: float = 1e3,
     Y = np.atleast_2d(np.asarray(Y, float))
     ratio = _component_ratio(eval_metric(w, X), eval_metric(w, Y))
     s = 1.0 + metric_apply(eval_dual_metric(w, X), w.n, Y - X)
-    frontier = []
-    best: tuple = (np.inf, None)
-    for J in range(1, max_order + 1):
-        cJ = float(np.max(ratio / s**J))
-        frontier.append((J, cJ))
-        if J <= order_gate and cJ < best[0]:
-            best = (cJ, J)
+    frontier, best = _frontier(ratio, s, max_order, order_gate)
     passed = best[0] <= gate
     witnesses = []
     if not passed:
@@ -243,13 +250,7 @@ def check_gweight(w: WeightEvaluator, X, Y, ball_radius: float = 0.25,
     qual = metric_apply(gX, w.n, d) <= ball_radius**2
     slow_c = float(np.max(np.where(qual, ratio, 0.0))) if np.any(qual) else np.inf
     s = 1.0 + metric_apply(eval_dual_metric(w, X), w.n, d)
-    frontier = []
-    best: tuple = (np.inf, None)
-    for J in range(1, max_order + 1):
-        cJ = float(np.max(ratio / s**J))
-        frontier.append((J, cJ))
-        if J <= order_gate and cJ < best[0]:
-            best = (cJ, J)
+    frontier, best = _frontier(ratio, s, max_order, order_gate)
     passed = slow_c <= gate and best[0] <= gate
     return MetricCheckReport(kind="gweight", passed=passed,
                              constant=max(slow_c, best[0]), order=best[1],

@@ -21,6 +21,7 @@ import numpy as np
 from .hamiltonians import HamiltonianMatrix
 from .metric import WeightEvaluator
 from .quantize import Grid, weyl_quantize
+from .symbols import SymbolEvaluator
 
 __all__ = [
     "SpectralResult", "SchattenEstimate", "GrowthFit", "SolverError",
@@ -306,18 +307,6 @@ def band_slope(w: WeightEvaluator, s: float, base: float = 3.0, kmin: int = 1,
 
 # -- the trend experiment ---------------------------------------------------
 
-class _WeightSymbol:
-    """Adapter: a weight as a quantizable symbol."""
-
-    def __init__(self, w: WeightEvaluator, power: float = 1.0):
-        self.w = w
-        self.n = w.n
-        self.power = power
-
-    def eval(self, Z):
-        return self.w.m_values(Z) ** self.power
-
-
 @dataclass
 class SchattenTrendReport:
     operator: str
@@ -350,7 +339,7 @@ def _matrix_cell(w: WeightEvaluator, mu: float, r: float, N: int) -> tuple:
     # so neither end of the shell population is starved as N grows
     L = np.sqrt(N) / 2.0
     grid = Grid(w.n, N, L)
-    M = weyl_quantize(_WeightSymbol(w), grid).data
+    M = weyl_quantize(SymbolEvaluator(w.n, w.m_values, name=w.name), grid).data
     M = 0.5 * (M + M.conj().T)
     lam, Q = np.linalg.eigh(M)
     shift = max(0.0, 1.0 - float(lam[0]))  # PD floor at 1, matching m >= 1

@@ -5,8 +5,8 @@ x-coefficients (exact derivatives, exact transport between quantization
 conventions, exact star products), and SymbolEvaluator wraps anything
 pointwise-evaluable, with finite-difference jets as the fallback.
 
-Seminorm estimation, class-membership gates, band restriction, dyadic
-partitions and the squared-profile live here too.
+Seminorm estimation, class-membership gates and band restriction live
+here too.
 """
 
 from __future__ import annotations
@@ -18,35 +18,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._jets import (JProd, JPowerSum, JScale, JSum, JUni, JetExpr, JetSymbol,
+from ._jets import (JProd, JPowerSum, JScale, JSum, JetExpr, JetSymbol,
                     UnsupportedOrderError, fd_deriv_eval)
-from .profiles import (CutoffProfileSquared, DyadicPartition, band_bump,
-                       PROFILE_DERIV_ORDERS)
+from .profiles import band_bump
 
 __all__ = [
-    "SymbolEvaluator", "PolySymbol", "SeminormEstimate", "CutoffProfileSquared",
-    "DyadicPartition", "cutoff_profile_squared", "daho_symbol", "harmonic_a2",
-    "grushin_a2", "with_confinement", "quadratic_confinement",
-    "weight_symbol_evaluator", "derivative", "smg_seminorm", "class_membership",
-    "band_restrict", "check_prop32", "box_sample", "dyadic_partition",
+    "SymbolEvaluator", "PolySymbol", "SeminormEstimate", "with_confinement",
+    "quadratic_confinement", "weight_symbol_evaluator", "derivative",
+    "smg_seminorm", "class_membership", "band_restrict", "check_prop32",
+    "box_sample",
 ]
 
 MAX_DERIV_ORDER = 4
-
-
-def cutoff_profile_squared(c_prime: float = 3.0) -> CutoffProfileSquared:
-    return CutoffProfileSquared(c_prime)
-
-
-def _profile_table(profile: CutoffProfileSquared):
-    def table(order, t):
-        if order == 0:
-            return profile(t)
-        if order > PROFILE_DERIV_ORDERS:
-            raise UnsupportedOrderError(f"profile jets stop at order {PROFILE_DERIV_ORDERS}")
-        return profile.derivative(t, order)
-
-    return table
 
 
 class SymbolEvaluator:
@@ -323,41 +306,6 @@ class PolySymbol:
 
 # -- concrete symbols -------------------------------------------------------
 
-def daho_symbol(c_prime: float = 3.0, profile: Optional[CutoffProfileSquared] = None) -> PolySymbol:
-    """Principal symbol xi_1^2 + profile(x_1) xi_2^2 on R^2 x R^2.
-
-    The x_1-coefficient is the squared plateau profile; its jets come
-    from the exact bridge derivative table.
-    """
-    profile = profile if profile is not None else CutoffProfileSquared(c_prime)
-    nv = 4
-    coeff = JUni(nv, 0, _profile_table(profile))
-    return PolySymbol(2, {
-        (2, 0): JPowerSum.constant(nv, 1.0),
-        (0, 2): coeff,
-    })
-
-
-def harmonic_a2(n: int = 2) -> PolySymbol:
-    """|xi|^2: principal symbol of the elliptic control."""
-    nv = 2 * n
-    mono = {}
-    for j in range(n):
-        a = [0] * n
-        a[j] = 2
-        mono[tuple(a)] = JPowerSum.constant(nv, 1.0)
-    return PolySymbol(n, mono)
-
-
-def grushin_a2() -> PolySymbol:
-    """xi_1^2 + x_1^2 xi_2^2: the untruncated degenerate principal symbol."""
-    nv = 4
-    return PolySymbol(2, {
-        (2, 0): JPowerSum.constant(nv, 1.0),
-        (0, 2): JPowerSum.monomial(nv, (2, 0, 0, 0)),
-    })
-
-
 def quadratic_confinement(n: int) -> PolySymbol:
     """|x|^2 as a xi-degree-0 symbol."""
     nv = 2 * n
@@ -527,10 +475,6 @@ def band_restrict(s, w, R: float) -> SymbolEvaluator:
 
     name = f"band[{getattr(s, 'name', '') or 'symbol'}, R={R}]"
     return SymbolEvaluator(n, value, jet=None, name=name)
-
-
-def dyadic_partition(levels: int) -> DyadicPartition:
-    return DyadicPartition(levels)
 
 
 @dataclass

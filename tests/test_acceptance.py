@@ -19,8 +19,7 @@ from weylab._jets import JPowerSum
 from weylab.bounds import linf_band_probe
 from weylab.cli import main
 from weylab.evolve import Propagator, heat_evolve, schrodinger_evolve
-from weylab.hamiltonians import (DirichletGrid, hamiltonian_with_potential,
-                                 harmonic_matrix, daho_matrix)
+from weylab.hamiltonians import DirichletGrid, hamiltonian_with_potential
 from weylab.metric import (WeightEvaluator, check_gweight, check_slowness,
                            check_temperateness, check_uncertainty,
                            eval_dual_metric, eval_metric, pair_sample, planck)
@@ -29,8 +28,7 @@ from weylab.spectral import (eigensolve, growth_fit,
                              schatten_criterion_experiment,
                              weyl_inequality_check)
 from weylab.symbols import (PolySymbol, SymbolEvaluator, class_membership,
-                            harmonic_a2, weight_symbol_evaluator,
-                            with_confinement)
+                            weight_symbol_evaluator, with_confinement)
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +43,12 @@ def grid_2d():
 
 @pytest.fixture(scope="module")
 def harmonic_2d_eigs(grid_2d):
-    return eigensolve(harmonic_matrix(grid_2d), 410, want_vectors=True)
+    return eigensolve(bld.get_operator("harmonic", grid_2d), 410, want_vectors=True)
 
 
 @pytest.fixture(scope="module")
 def daho_2d_eigs(grid_2d):
-    return eigensolve(daho_matrix(grid_2d), 410, want_vectors=False)
+    return eigensolve(bld.get_operator("daho", grid_2d), 410, want_vectors=False)
 
 
 # -- uncertainty principle in closed form -----------------------------------
@@ -179,7 +177,7 @@ def test_order_four_growth_measured_and_controls():
     assert rep2.growth[0] == pytest.approx(1.0, abs=1e-6)
 
     # a fully elliptic model passes at order 4
-    a2h = harmonic_a2(2)
+    a2h = bld.get_a2("harmonic", {"n": 2})
     wh = WeightEvaluator.from_a2(a2h)
     reph = class_membership(with_confinement(a2h).as_evaluator(), wh, wh, 4,
                             [10.0, 20.0], **CLASS_KW)
@@ -265,7 +263,7 @@ def test_composition_defect_vanishes_under_refinement():
     action defect 0.374 -> 3.11e-7 -> 5.3e-14, an observed order of 20+
     at each halving (gate: order >= 2 and a machine-level endpoint).
     """
-    a = with_confinement(harmonic_a2(1))
+    a = with_confinement(bld.get_a2("harmonic", {"n": 1}))
     b = PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0))})
     ab = a.sharp(b)
     defects = []
@@ -319,7 +317,7 @@ def test_evolution_surrogates_with_discontinuous_potential():
     the oscillator plus a discontinuous two-level potential."""
     grid = DirichletGrid(1, 64, 12.0)
     pot = bld.get_potential("step", grid, {})
-    H = hamiltonian_with_potential(harmonic_matrix(grid), pot)
+    H = hamiltonian_with_potential(bld.get_operator("harmonic", grid), pot)
     f = np.exp(-(grid.points - 0.5) ** 2)
     times = np.linspace(0.0, 5.0, 1001)
 

@@ -11,15 +11,20 @@ from weylab.bounds import (
     _lp_lower,
     linf_band_probe,
     lp_window_probe,
-    periodic_grushin,
-    periodic_laplacian,
-    periodic_single_field,
     subellipticity_probe,
 )
-from weylab.hamiltonians import DirichletGrid, harmonic_matrix
+from weylab.builders import get_a2, get_kinetic, get_operator
+from weylab.hamiltonians import DirichletGrid
 from weylab.metric import WeightEvaluator
 from weylab.quantize import Grid
-from weylab.symbols import harmonic_a2
+
+
+def harmonic_matrix(grid):
+    return get_operator("harmonic", grid)
+
+
+def periodic(name):
+    return lambda grid: get_kinetic(name, grid).data
 
 
 def harmonic_1d_weight():
@@ -73,7 +78,7 @@ def lp_grids():
 
 
 def test_lp_window_probe_runs_calibrated():
-    w = WeightEvaluator.from_a2(harmonic_a2())
+    w = WeightEvaluator.from_a2(get_a2("harmonic"))
     res = lp_window_probe(harmonic_matrix, lp_grids(), w, beta=1.0,
                           p_list=[2.0, 4.0], trials=16, seed=0)
     assert len(res) == 4
@@ -88,7 +93,7 @@ def test_lp_window_probe_runs_calibrated():
 
 
 def test_lp_window_probe_validation():
-    w = WeightEvaluator.from_a2(harmonic_a2())
+    w = WeightEvaluator.from_a2(get_a2("harmonic"))
     with pytest.raises(ValueError, match="beta"):
         lp_window_probe(harmonic_matrix, lp_grids(), w, beta=-1.0, p_list=[2.0])
 
@@ -101,7 +106,7 @@ def test_calibration_refuses_flat_target():
 
 
 def test_calibration_residual_gate():
-    w = WeightEvaluator.from_a2(harmonic_a2())
+    w = WeightEvaluator.from_a2(get_a2("harmonic"))
     with pytest.raises(CalibrationError, match="residual"):
         lp_window_probe(harmonic_matrix, lp_grids(), w, beta=1.0,
                         p_list=[2.0], calibration_gate=1e-9)
@@ -155,7 +160,7 @@ def test_bump_profile_shape():
 
 def test_periodic_builders_annihilate_constants():
     g = Grid(2, 16, 4.0)
-    for b in (periodic_laplacian, periodic_grushin, periodic_single_field):
+    for b in (periodic("laplacian"), periodic("grushin_pure"), periodic("single_field")):
         P = b(g)
         assert np.max(np.abs(P - P.T)) < 1e-10
         assert np.max(np.abs(P @ np.ones(256))) < 1e-9
@@ -163,13 +168,13 @@ def test_periodic_builders_annihilate_constants():
 
 def test_subellipticity_probe_validation():
     with pytest.raises(ValueError, match="tau"):
-        subellipticity_probe(periodic_laplacian, 0.0)
+        subellipticity_probe(periodic("laplacian"), 0.0)
     with pytest.raises(ValueError, match="tau"):
-        subellipticity_probe(periodic_laplacian, 2.5)
+        subellipticity_probe(periodic("laplacian"), 2.5)
 
 
 def test_spanning_brackets_give_stable_constant():
-    r = subellipticity_probe(periodic_grushin, 1.0, trials=12, seed=0,
+    r = subellipticity_probe(periodic("grushin_pure"), 1.0, trials=12, seed=0,
                              operator="grushin")
     assert r.stable
     assert [N for N, _ in r.ladder] == [32, 48, 64]
@@ -180,7 +185,7 @@ def test_spanning_brackets_give_stable_constant():
 
 
 def test_elliptic_control_is_stable():
-    r = subellipticity_probe(periodic_laplacian, 1.0, trials=12, seed=0)
+    r = subellipticity_probe(periodic("laplacian"), 1.0, trials=12, seed=0)
     assert r.stable
     assert r.ladder[-1][1] == pytest.approx(0.2225, rel=1e-3)
 
@@ -188,6 +193,6 @@ def test_elliptic_control_is_stable():
 def test_nonspanning_field_constant_escapes():
     # one missing direction: near-Nyquist probes along it push the fitted
     # constant up with every refinement
-    r = subellipticity_probe(periodic_single_field, 1.0, trials=12, seed=0)
+    r = subellipticity_probe(periodic("single_field"), 1.0, trials=12, seed=0)
     assert not r.stable
     assert r.ladder[-1][1] > 1.2 * r.ladder[0][1]

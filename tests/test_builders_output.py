@@ -16,6 +16,7 @@ from weylab.builders import (
     UnknownBuilderError,
     describe_builders,
     get_a2,
+    get_kinetic,
     get_operator,
     get_potential,
     get_weight,
@@ -24,8 +25,10 @@ from weylab.builders import (
     symbol_names,
     weight_names,
 )
-from weylab.hamiltonians import DirichletGrid, grushin_kinetic
+from weylab.hamiltonians import DirichletGrid, second_derivative
 from weylab.metric import WeightEvaluator
+from weylab.profiles import CutoffProfileSquared
+from weylab.quantize import Grid
 
 
 def test_registry_names():
@@ -43,7 +46,7 @@ def test_get_dispatch():
     assert isinstance(w, WeightEvaluator) and w.n == 1
     g = DirichletGrid(2, 12, 4.0)
     H = get_operator("grushin_pure", g, {"order": 2})
-    assert np.allclose(H.data, grushin_kinetic(g, order=2).data)
+    assert np.allclose(H.data, get_operator("grushin_pure", g, {"order": 2}).data)
     V = get_potential("quadratic", g)
     assert V.values.shape == (144,)
 
@@ -56,9 +59,74 @@ def test_unknown_builder_lists_alternatives():
 def test_sum_of_squares_coefficient_whitelist():
     g = DirichletGrid(2, 12, 4.0)
     H = get_operator("sum_of_squares", g, {"fields": [[0, "1"], [1, "x1"]]})
-    assert np.allclose(H.data, grushin_kinetic(g, order=2).data, atol=1e-12)
+    assert np.allclose(H.data, get_operator("grushin_pure", g, {"order": 2}).data, atol=1e-12)
     with pytest.raises(UnknownBuilderError, match="coefficient"):
         get_operator("sum_of_squares", g, {"fields": [[0, "x2"]]})
+
+
+# (coefficient on the x2 axis, |x|^2 added) of each model, by hand
+MODEL_FORMULAS = {
+    "harmonic": (lambda p: np.ones_like(p), True),
+    "daho": (lambda p: CutoffProfileSquared(3.0)(p), True),
+    "grushin_pure": (lambda p: p**2, False),
+    "single_field": (None, False),
+}
+
+
+@pytest.mark.parametrize("grid", [DirichletGrid(1, 16, 6.0), DirichletGrid(2, 16, 6.0),
+                                  DirichletGrid(2, 33, 6.0), Grid(1, 16, 4.0),
+                                  Grid(2, 16, 4.0)], ids=repr)
+@pytest.mark.parametrize("order", [2, 6])
+@pytest.mark.parametrize("name", sorted(MODEL_FORMULAS))
+def test_model_operator_matches_explicit_kronecker_sum(name, order, grid):
+    # the table's one assembly, entry for entry against np.kron; Dirichlet
+    # or periodic stencils by grid type, N=33 puts a node on x1 = 0
+    coeff, confined = MODEL_FORMULAS[name]
+    if grid.n == 1 and name != "harmonic":
+        with pytest.raises(ValueError, match="dimension"):
+            get_operator(name, grid)
+        return
+    bc = "dirichlet" if isinstance(grid, DirichletGrid) else "periodic"
+    D2 = second_derivative(grid.N, grid.h, order, bc)
+    p = grid.points
+    if grid.n == 1:
+        want, V = D2, p * p
+    else:
+        want = np.kron(D2, np.eye(grid.N))
+        if coeff is not None:
+            want = want + np.kron(np.diag(coeff(p)), D2)
+        X1, X2 = np.meshgrid(p, p, indexing="ij")
+        V = (X1 * X1 + X2 * X2).ravel()
+    if confined:
+        want = want + np.diag(V)
+    H = get_operator(name, grid, {"order": order})
+    assert np.array_equal(H.data, want)
+    assert H.sparse.has_sorted_indices  # the entry order the solvers sum in
+    assert np.array_equal(H.potential, V) if confined else H.potential is None
+
+
+def test_every_name_accepted_before_the_table_still_resolves():
+    g1, g2, per = DirichletGrid(1, 12, 4.0), DirichletGrid(2, 12, 4.0), Grid(2, 16, 4.0)
+    for name in ("daho", "grushin_pure", "harmonic"):
+        assert get_a2(name).n == 2
+        assert get_weight(name).name == name
+    assert get_a2("harmonic", {"n": 1}).n == 1
+    assert get_weight("broken_half_bracket").name == "half-bracket"
+    for name in ("daho", "grushin_pure", "harmonic", "single_field", "sum_of_squares"):
+        assert get_operator(name, g2).data.shape == (144, 144)
+    assert get_operator("harmonic", g1).provenance == "harmonic"
+    assert get_operator("daho", g2, {"c_prime": 2.5}).provenance == "daho(c_prime=2.5)"
+    # subellipticity operators: "laplacian" is the harmonic model's kinetic part
+    for name in ("daho", "harmonic"):
+        with pytest.raises(UnknownBuilderError,
+                           match="available: grushin_pure, laplacian, single_field"):
+            get_kinetic(name, per)
+    D2 = second_derivative(16, per.h, 6, "periodic")
+    I = np.eye(16)
+    assert np.array_equal(get_kinetic("laplacian", per).data,
+                          np.kron(D2, I) + np.kron(I, D2))
+    for name in ("grushin_pure", "single_field"):
+        assert np.array_equal(get_kinetic(name, per).data, get_operator(name, per).data)
 
 
 def test_bounded_noise_requires_seed():

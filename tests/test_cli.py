@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from weylab import __version__
 from weylab.builders import get_weight
-from weylab.cli import main
+from weylab.cli import _hash_config, main
 from weylab.spectral import band_slope
 
 
@@ -341,3 +342,20 @@ def test_reproduce_rejects_broken_manifest(tmp_path):
     p = tmp_path / "m.json"
     p.write_text("{}")
     assert main(["reproduce", str(p)]) == 2
+
+
+def test_calibration_failure_is_a_run_error(tmp_path, capsys):
+    # the non-spanning operator cannot track the harmonic weight's decay;
+    # run and reproduce both report it as exit 2, not a traceback
+    cfg = {"schema": 1, "kind": "lp-probe", "seed": 1, "weight": {"name": "harmonic"},
+           "operator": {"name": "single_field"}, "grids": [{"n": 2, "N": 12, "L": 6.0}],
+           "beta": 1.0, "p_list": [2.0], "trials": 2}
+    code, _ = run(tmp_path, "lp.json", cfg)
+    assert code == 2
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": cfg, "config_hash": _hash_config(cfg),
+                                    "artifact_version": __version__}))
+    assert main(["reproduce", str(manifest)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("run error: power calibration residual") for line in err)

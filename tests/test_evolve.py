@@ -9,12 +9,13 @@ from weylab.evolve import (
     heat_evolve,
     schrodinger_evolve,
 )
-from weylab.hamiltonians import DirichletGrid, harmonic_matrix
+from weylab.builders import get_operator
+from weylab.hamiltonians import DirichletGrid
 
 
 @pytest.fixture(scope="module")
 def H():
-    return harmonic_matrix(DirichletGrid(1, 64, 8.0))
+    return get_operator("harmonic", DirichletGrid(1, 64, 8.0))
 
 
 @pytest.fixture(scope="module")

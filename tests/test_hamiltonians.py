@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from weylab.builders import get_operator
 from weylab.hamiltonians import (
     DirichletGrid,
     HamiltonianMatrix,
@@ -9,15 +10,11 @@ from weylab.hamiltonians import (
     Potential,
     bounded_noise_potential,
     constant_shift,
-    daho_matrix,
     fractional_power,
-    grushin_kinetic,
     hamiltonian_with_potential,
-    harmonic_matrix,
     periodic_mode_symbol,
     quadratic_potential,
     second_derivative,
-    single_field_kinetic,
     staggered_divergence_form,
     step_potential,
     sum_of_squares_matrix,
@@ -112,7 +109,7 @@ def test_staggered_random_coefficient_stays_psd(rng):
 
 def test_harmonic_2d_kronecker_eigenvalues():
     g = DirichletGrid(2, 24, 6.0)
-    H = harmonic_matrix(g)
+    H = get_operator("harmonic", g)
     H1 = second_derivative(24, g.h, 6) + np.diag(g.points**2)
     l1 = np.linalg.eigvalsh(H1)
     oracle = np.sort((l1[:, None] + l1[None, :]).ravel())
@@ -124,7 +121,7 @@ def test_grushin_decouples_over_transverse_modes():
     # conjugating by the x2 eigenbasis splits the operator into one
     # Sturm-Liouville block per transverse eigenvalue, at any stencil order
     g = DirichletGrid(2, 20, 5.0)
-    G = grushin_kinetic(g)
+    G = get_operator("grushin_pure", g)
     D2 = second_derivative(20, g.h, 6)
     mus = np.linalg.eigvalsh(D2)
     oracle = np.sort(np.concatenate(
@@ -135,7 +132,7 @@ def test_grushin_decouples_over_transverse_modes():
 
 def test_single_field_spectrum_is_degenerate_lift():
     g = DirichletGrid(2, 12, 4.0)
-    K = single_field_kinetic(g)
+    K = get_operator("single_field", g)
     D2 = second_derivative(12, g.h, 6)
     lam = np.linalg.eigvalsh(D2)
     oracle = np.sort(np.repeat(lam, 12))
@@ -145,23 +142,23 @@ def test_single_field_spectrum_is_degenerate_lift():
 
 def test_daho_matrix_structure(profile):
     g = DirichletGrid(2, 16, 6.0)
-    H = daho_matrix(g)
+    H = get_operator("daho", g)
     assert H.symmetry_defect() == 0.0
     assert H.min_ritz(trials=200) >= 0.0
     assert "daho" in H.provenance
     assert np.allclose(H.potential, (g.mesh() ** 2).sum(axis=1))
     with pytest.raises(ValueError):
-        daho_matrix(DirichletGrid(1, 16, 6.0))
+        get_operator("daho", DirichletGrid(1, 16, 6.0))
     with pytest.raises(ValueError):
-        grushin_kinetic(DirichletGrid(1, 16, 6.0))
+        get_operator("grushin_pure", DirichletGrid(1, 16, 6.0))
     with pytest.raises(ValueError):
-        single_field_kinetic(DirichletGrid(1, 16, 6.0))
+        get_operator("single_field", DirichletGrid(1, 16, 6.0))
 
 
 def test_daho_plateau_matches_scaled_laplacian_far_out():
     # beyond the bridge the x1-coefficient is exactly c'^2
     g = DirichletGrid(2, 16, 6.0)
-    H = daho_matrix(g, c_prime=2.0)
+    H = get_operator("daho", g, {"c_prime": 2.0})
     top = np.abs(g.points) >= 4.0
     assert np.any(top)
     D2 = second_derivative(16, g.h, 6)
@@ -181,10 +178,18 @@ def test_sum_of_squares_constant_field():
 def test_sum_of_squares_matches_grushin():
     g = DirichletGrid(2, 20, 5.0)
     H = sum_of_squares_matrix([(0, None), (1, lambda X: X[:, 0])], g)
-    G2 = grushin_kinetic(g, order=2)
+    G2 = get_operator("grushin_pure", g, {"order": 2})
     assert np.max(np.abs(H.data - G2.data)) < 1e-12
     assert H.symmetry_defect() == 0.0
     assert np.min(np.linalg.eigvalsh(H.data)) > -1e-9
+
+
+def test_sum_of_squares_accepts_a_generator():
+    g = DirichletGrid(2, 12, 4.0)
+    fields = [(0, None), (1, lambda X: X[:, 0])]
+    H = sum_of_squares_matrix((f for f in fields), g)
+    assert H.provenance == "sum_of_squares[2 fields]"
+    assert np.array_equal(H.data, sum_of_squares_matrix(fields, g).data)
 
 
 # -- potentials -------------------------------------------------------------
@@ -266,7 +271,7 @@ def test_validate_p2_needs_far_sample():
 
 def test_hamiltonian_with_potential_gates():
     g = DirichletGrid(1, 64, 12.0)
-    kin = harmonic_matrix(g)
+    kin = get_operator("harmonic", g)
     V = bounded_noise_potential(g, amplitude=0.5, seed=1)
     H = hamiltonian_with_potential(kin, V)
     assert np.allclose(H.data, kin.data + np.diag(V.values))
@@ -293,7 +298,7 @@ def test_conditioning_limit():
 
 def test_constant_shift():
     g = DirichletGrid(1, 16, 4.0)
-    H = harmonic_matrix(g)
+    H = get_operator("harmonic", g)
     S = constant_shift(H, 2.5)
     assert np.allclose(S.data, H.data + 2.5 * np.eye(16))
     assert "+(2.5)" in S.provenance
@@ -301,7 +306,7 @@ def test_constant_shift():
 
 def test_fractional_power_identity_and_roots():
     g = DirichletGrid(1, 24, 5.0)
-    H = harmonic_matrix(g)
+    H = get_operator("harmonic", g)
     assert np.max(np.abs(fractional_power(H, 1.0).data - H.data)) < 1e-9
     R = fractional_power(H, 0.5)
     assert np.max(np.abs(R.data @ R.data - H.data)) < 1e-8
@@ -311,6 +316,6 @@ def test_fractional_power_identity_and_roots():
 
 def test_fractional_power_requires_positive_shifted_spectrum():
     g = DirichletGrid(1, 16, 4.0)
-    H = harmonic_matrix(g)
+    H = get_operator("harmonic", g)
     with pytest.raises(ValueError, match="shift too small"):
         fractional_power(H, 0.5, shift=-1e6)

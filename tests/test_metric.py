@@ -17,11 +17,12 @@ from weylab.metric import (
     pair_sample,
     planck,
 )
-from weylab.symbols import box_sample, daho_symbol, harmonic_a2
+from weylab.builders import get_a2
+from weylab.symbols import box_sample
 
 
 def daho_weight():
-    return WeightEvaluator.from_a2(daho_symbol(), name="daho")
+    return WeightEvaluator.from_a2(get_a2("daho"), name="daho")
 
 
 def test_bracket_sq_value():
@@ -30,7 +31,7 @@ def test_bracket_sq_value():
 
 
 def test_weight_closed_form(rng):
-    a2 = daho_symbol()
+    a2 = get_a2("daho")
     w = WeightEvaluator.from_a2(a2)
     Z = rng.uniform(-8.0, 8.0, size=(40, 4))
     manual = (np.asarray(a2.eval(Z)).real
@@ -163,7 +164,7 @@ def test_gweight_admissible():
 
 
 def test_harmonic_weight_planck_peaks_at_origin():
-    w = WeightEvaluator.from_a2(harmonic_a2())
+    w = WeightEvaluator.from_a2(get_a2("harmonic"))
     assert planck(w, np.zeros((1, 4)))[0] == pytest.approx(1.0)
     far = planck(w, np.array([[3.0, 0.0, 0.0, 0.0]]))[0]
     assert far < 0.5

@@ -4,6 +4,7 @@ import pytest
 
 import weylab.quantize as qz
 from weylab._jets import JPowerSum
+from weylab.builders import get_a2
 from weylab.quantize import (
     Grid,
     OperatorMatrix,
@@ -20,7 +21,6 @@ from weylab.quantize import (
 from weylab.symbols import (
     PolySymbol,
     SymbolEvaluator,
-    harmonic_a2,
     with_confinement,
 )
 
@@ -32,7 +32,7 @@ def xxi_symbol():
 
 
 def harmonic_1d():
-    return with_confinement(harmonic_a2(1))
+    return with_confinement(get_a2("harmonic", {"n": 1}))
 
 
 # -- grids ------------------------------------------------------------------

@@ -10,10 +10,10 @@ import pytest
 
 import weylab
 from weylab import spectral
+from weylab.builders import get_operator
 from weylab.hamiltonians import (
     DirichletGrid,
     constant_shift,
-    harmonic_matrix,
     second_derivative,
 )
 from weylab.metric import WeightEvaluator
@@ -40,7 +40,7 @@ def harmonic_1d_weight():
 # -- eigensolve -------------------------------------------------------------
 
 def test_dense_path_matches_continuum_oscillator():
-    res = eigensolve(harmonic_matrix(DirichletGrid(1, 64, 8.0)), 5)
+    res = eigensolve(get_operator("harmonic", DirichletGrid(1, 64, 8.0)), 5)
     assert res.solver == "dense"
     assert np.allclose(res.eigenvalues, 2.0 * np.arange(5) + 1.0, atol=1e-3)
     assert res.eigenvectors.shape == (64, 5)
@@ -57,7 +57,7 @@ def test_iterative_path_matches_tensor_oracle():
     # side 4356 crosses the dense limit; the transverse modes decouple,
     # so the pairwise sums of the 1d spectrum are exact for this matrix
     g = DirichletGrid(2, 66, 8.0)
-    res = eigensolve(harmonic_matrix(g), 6)
+    res = eigensolve(get_operator("harmonic", g), 6)
     assert res.solver.startswith("shift-invert(m=")
     assert np.max(np.abs(res.eigenvalues - harmonic_tensor_oracle(g, 6))) < 1e-10
 
@@ -67,7 +67,7 @@ def test_shifted_spectrum_on_the_sparse_path(monkeypatch):
     # oscillator minus 5 are about -4, -2, 0; a solver that assumes the
     # spectrum lies above -1/2 returns 0, 2, 4, genuine pairs all
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
-    H = constant_shift(harmonic_matrix(DirichletGrid(1, 64, 8.0)), -5.0)
+    H = constant_shift(get_operator("harmonic", DirichletGrid(1, 64, 8.0)), -5.0)
     res = eigensolve(H, 3)
     assert res.solver.startswith("shift-invert(m=")
     assert np.allclose(res.eigenvalues, [-4.0, -2.0, 0.0], atol=1e-3)
@@ -75,7 +75,7 @@ def test_shifted_spectrum_on_the_sparse_path(monkeypatch):
 
 def test_shifted_2d_oscillator_matches_tensor_oracle():
     g = DirichletGrid(2, 66, 8.0)
-    res = eigensolve(constant_shift(harmonic_matrix(g), -5.0), 6)
+    res = eigensolve(constant_shift(get_operator("harmonic", g), -5.0), 6)
     assert res.solver.startswith("shift-invert(m=")
     assert np.max(np.abs(res.eigenvalues - (harmonic_tensor_oracle(g, 6) - 5.0))) < 1e-10
 
@@ -99,7 +99,7 @@ def test_inertia_certificate_catches_a_missed_eigenvalue(monkeypatch, dense_limi
 
     monkeypatch.setattr(module, name, drop_lowest)
     monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
-    H = harmonic_matrix(DirichletGrid(1, 64, 8.0))
+    H = get_operator("harmonic", DirichletGrid(1, 64, 8.0))
     with pytest.raises(SolverError, match="inertia"):
         eigensolve(H, 5)
 
@@ -111,7 +111,7 @@ def test_certificate_cut_skips_a_degenerate_pair(monkeypatch):
     count_below = spectral._count_below
     monkeypatch.setattr(spectral, "_count_below",
                         lambda S, tau: taus.append(tau) or count_below(S, tau))
-    res = eigensolve(harmonic_matrix(DirichletGrid(2, 24, 6.0)), 2)
+    res = eigensolve(get_operator("harmonic", DirichletGrid(2, 24, 6.0)), 2)
     assert res.eigenvalues[1] == pytest.approx(4.0, abs=1e-2)
     assert taus == [pytest.approx(5.0, abs=0.1)]
 

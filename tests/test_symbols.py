@@ -3,11 +3,11 @@ import pytest
 import sympy as sp
 
 from weylab._jets import JPowerSum, JetSymbol, UnsupportedOrderError
+from weylab.builders import get_a2
 from weylab.metric import WeightEvaluator
 from weylab.symbols import (MAX_DERIV_ORDER, PolySymbol, SymbolEvaluator,
                             band_restrict, box_sample, check_prop32,
-                            class_membership, daho_symbol, derivative,
-                            grushin_a2, harmonic_a2, quadratic_confinement,
+                            class_membership, derivative, quadratic_confinement,
                             smg_seminorm, weight_symbol_evaluator,
                             with_confinement)
 
@@ -19,7 +19,7 @@ def rand_phase(rng, count=40, scale=3.0, n=2):
 
 
 def test_daho_symbol_values(profile, rng):
-    a2 = daho_symbol()
+    a2 = get_a2("daho")
     Z = rand_phase(rng, scale=6.0)
     want = Z[:, 2] ** 2 + profile(Z[:, 0]) * Z[:, 3] ** 2
     assert np.allclose(np.asarray(a2.eval(Z)).real, want, rtol=1e-14)
@@ -28,23 +28,23 @@ def test_daho_symbol_values(profile, rng):
 
 def test_builtin_quadratic_symbols(rng):
     Z = rand_phase(rng)
-    got = np.asarray(grushin_a2().eval(Z)).real
+    got = np.asarray(get_a2("grushin_pure").eval(Z)).real
     assert np.allclose(got, Z[:, 2] ** 2 + Z[:, 0] ** 2 * Z[:, 3] ** 2)
-    got = np.asarray(harmonic_a2(2).eval(Z)).real
+    got = np.asarray(get_a2("harmonic", {"n": 2}).eval(Z)).real
     assert np.allclose(got, Z[:, 2] ** 2 + Z[:, 3] ** 2)
     got = np.asarray(quadratic_confinement(2).eval(Z)).real
     assert np.allclose(got, Z[:, 0] ** 2 + Z[:, 1] ** 2)
 
 
 def test_with_confinement_adds_x_square(rng):
-    a = with_confinement(harmonic_a2(2))
+    a = with_confinement(get_a2("harmonic", {"n": 2}))
     Z = rand_phase(rng)
     want = (Z**2).sum(axis=1)
     assert np.allclose(np.asarray(a.eval(Z)).real, want)
 
 
 def test_polysymbol_derivatives_match_sympy(rng):
-    a = with_confinement(grushin_a2())
+    a = with_confinement(get_a2("grushin_pure"))
     expr = XI1**2 + X1**2 * XI2**2 + X1**2 + X2**2
     Z = rand_phase(rng, count=25)
     for beta, alpha in (((1, 0), (0, 0)), ((0, 0), (2, 0)), ((1, 0), (0, 1)),
@@ -60,7 +60,7 @@ def test_polysymbol_derivatives_match_sympy(rng):
 
 def test_evaluator_exact_jets_agree_with_finite_differences(rng):
     # the contract that makes the exact path trustworthy
-    s = with_confinement(daho_symbol()).as_evaluator("a")
+    s = with_confinement(get_a2("daho")).as_evaluator("a")
     fd = SymbolEvaluator(2, s.eval, jet=None, name="fd twin")
     Z = rand_phase(rng, count=100, scale=5.0)
     for beta, alpha in (((1, 0), (0, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1)),
@@ -72,14 +72,14 @@ def test_evaluator_exact_jets_agree_with_finite_differences(rng):
 
 
 def test_evaluator_order_gate():
-    s = with_confinement(daho_symbol()).as_evaluator("a")
+    s = with_confinement(get_a2("daho")).as_evaluator("a")
     assert MAX_DERIV_ORDER == 4
     with pytest.raises(UnsupportedOrderError):
         s.derivative((3, 0), (0, 2), np.zeros((1, 4)))
 
 
 def test_at_and_scaling(rng):
-    a = harmonic_a2(2)
+    a = get_a2("harmonic", {"n": 2})
     assert a.at(np.array([0.0, 0.0]), np.array([2.0, 1.0])) == pytest.approx(5.0)
     b = a.copy_scaled(-2.0)
     Z = rand_phase(rng, count=10)
@@ -214,7 +214,7 @@ def test_sharp_commutator_of_real_symbols_is_imaginary(rng):
 
 def test_sharp_square_second_order_constant():
     # (x^2 + xi^2) # (x^2 + xi^2) picks up exactly -1/(4 pi^2)
-    a = with_confinement(harmonic_a2(1))
+    a = with_confinement(get_a2("harmonic", {"n": 1}))
     terms = a.sharp(a).coefficient_terms()[(0,)]
     const = [c for c, e, p in terms.terms if e == (0, 0) and p == 0.0]
     assert len(const) == 1
@@ -226,7 +226,7 @@ def test_sharp_square_second_order_constant():
 
 def test_sharp_dimension_mismatch():
     with pytest.raises(ValueError):
-        harmonic_a2(2).sharp(harmonic_a2(1))
+        get_a2("harmonic", {"n": 2}).sharp(get_a2("harmonic", {"n": 1}))
 
 
 # -- seminorms and membership ------------------------------------------------
@@ -244,7 +244,7 @@ def test_box_sample_structure():
 def test_seminorm_constant_symbol():
     s = SymbolEvaluator(2, lambda Z: np.ones(np.atleast_2d(Z).shape[0]),
                         name="one")
-    w = WeightEvaluator.from_a2(daho_symbol())
+    w = WeightEvaluator.from_a2(get_a2("daho"))
     sample = box_sample(2, 5.0, n_random=50)
     one = lambda Z: np.ones(np.atleast_2d(Z).shape[0])
     est0 = smg_seminorm(s, one, w, 0, sample)
@@ -254,8 +254,8 @@ def test_seminorm_constant_symbol():
 
 
 def test_seminorm_monotone_under_refinement():
-    s = with_confinement(daho_symbol()).as_evaluator("a")
-    w = WeightEvaluator.from_a2(daho_symbol())
+    s = with_confinement(get_a2("daho")).as_evaluator("a")
+    w = WeightEvaluator.from_a2(get_a2("daho"))
     sample = box_sample(2, 10.0, n_random=200, seed=2)
     small = smg_seminorm(s, w, w, 2, sample[: len(sample) // 2]).value
     full = smg_seminorm(s, w, w, 2, sample).value
@@ -266,7 +266,7 @@ def test_bracket_weight_is_self_class(rng):
     jet = JetSymbol(JPowerSum.bracket_power(4, 1.0))
     s = SymbolEvaluator(2, lambda Z: jet.deriv_eval((0, 0, 0, 0), np.atleast_2d(Z)),
                         jet=jet, name="bracket")
-    w = WeightEvaluator.from_a2(daho_symbol())
+    w = WeightEvaluator.from_a2(get_a2("daho"))
     # the sup saturates slowly along the anisotropic directions; a 15% gate
     # still separates this cleanly from the unbounded negative control below
     rep = class_membership(s, s.eval, w, 2, [10.0, 20.0], growth_factor=1.15,
@@ -276,14 +276,14 @@ def test_bracket_weight_is_self_class(rng):
 
 
 def test_membership_requires_two_boxes():
-    s = with_confinement(daho_symbol()).as_evaluator("a")
-    w = WeightEvaluator.from_a2(daho_symbol())
+    s = with_confinement(get_a2("daho")).as_evaluator("a")
+    w = WeightEvaluator.from_a2(get_a2("daho"))
     with pytest.raises(ValueError):
         class_membership(s, w, w, 2, [10.0])
 
 
 def test_membership_negative_control_blows_up():
-    w = WeightEvaluator.from_a2(daho_symbol())
+    w = WeightEvaluator.from_a2(get_a2("daho"))
     neg = SymbolEvaluator(
         2, lambda Z: np.exp(np.linalg.norm(np.atleast_2d(Z)[:, :2], axis=1)),
         name="exp|x|")
@@ -293,7 +293,7 @@ def test_membership_negative_control_blows_up():
 
 
 def test_weight_symbol_evaluator_matches_weight(rng):
-    a2 = daho_symbol()
+    a2 = get_a2("daho")
     m_sym = weight_symbol_evaluator(a2)
     w = WeightEvaluator.from_a2(a2)
     Z = rand_phase(rng, count=60, scale=8.0)
@@ -307,7 +307,7 @@ def test_weight_symbol_evaluator_matches_weight(rng):
 
 
 def test_derivative_convenience(rng):
-    a2 = daho_symbol()
+    a2 = get_a2("daho")
     Z = rand_phase(rng, count=1)
     got = derivative(a2, (1, 0), (0, 1), Z[0, :2], Z[0, 2:])
     want = np.asarray(a2.derivative((1, 0), (0, 1), Z))[0]
@@ -315,7 +315,7 @@ def test_derivative_convenience(rng):
 
 
 def test_band_restrict_support(profile, rng):
-    a2 = daho_symbol()
+    a2 = get_a2("daho")
     w = WeightEvaluator.from_a2(a2)
     s = with_confinement(a2).as_evaluator("a")
     R = 9.0
