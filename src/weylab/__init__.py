@@ -22,7 +22,7 @@ The package is organized around the pipeline symbol -> metric -> operator:
 __version__ = "0.1.0"
 
 from .builders import get_a2, get_operator, get_weight
-from .hamiltonians import (DirichletGrid, HamiltonianMatrix, Potential,
+from .hamiltonians import (DirichletGrid, HamiltonianMatrix, Potential, Spectrum,
                            fractional_power, hamiltonian_with_potential,
                            sum_of_squares_matrix, tensor_stencil_matrix,
                            validate_p2)
@@ -34,7 +34,7 @@ from .quantize import (Grid, OperatorMatrix, jt_transport, kn_quantize,
                        load_operator, moyal_sharp, save_operator, tau_quantize,
                        weyl_quantize)
 from .spectral import (GrowthFit, SchattenEstimate, SpectralResult, eigensolve,
-                       growth_fit, schatten_criterion_experiment, schatten_norm,
+                       growth_fit, schatten_norm, schatten_sweep,
                        singular_values, weyl_inequality_check)
 from .symbols import (PolySymbol, SeminormEstimate, SymbolEvaluator,
                       class_membership, smg_seminorm, weight_symbol_evaluator,

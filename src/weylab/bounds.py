@@ -10,12 +10,12 @@ reported as point values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .hamiltonians import DirichletGrid, HamiltonianMatrix, fractional_power
+from .hamiltonians import DirichletGrid, Spectrum
 from .metric import WeightEvaluator
 from .profiles import smoothstep
 from .quantize import Grid, kn_quantize, sobolev_norm
@@ -196,8 +196,8 @@ def _lp_lower(A: np.ndarray, p: float, trials: int, rng) -> float:
     return best
 
 
-def _calibrate_beta_prime(H: HamiltonianMatrix, w: WeightEvaluator, beta: float,
-                          shift: float, residual_gate: float) -> tuple:
+def _calibrate_beta_prime(spec: Spectrum, grid: DirichletGrid, w: WeightEvaluator,
+                          beta: float, shift: float, residual_gate: float) -> tuple:
     """Pick the spectral power whose diagonal decay tracks the symbol decay.
 
     Target profile: the frequency-averaged class weight m^{-(n/2) beta}
@@ -206,7 +206,6 @@ def _calibrate_beta_prime(H: HamiltonianMatrix, w: WeightEvaluator, beta: float,
     driven to 1; the winning residual must clear the gate or the
     experiment refuses to run.
     """
-    grid = H.grid
     mesh = grid.mesh()
     n = grid.n
     rng = np.random.default_rng(7)
@@ -225,8 +224,7 @@ def _calibrate_beta_prime(H: HamiltonianMatrix, w: WeightEvaluator, beta: float,
         raise CalibrationError("target profile too flat to calibrate against")
     best = (np.inf, None, None)
     for b in np.linspace(0.1, 2.0, 39) * max(beta, 0.5):
-        T = fractional_power(H, -b, shift)
-        ld = np.log(np.diag(T.data)[sel])
+        ld = np.log(np.diag(spec.power(-b, shift))[sel])
         slope = np.polyfit(lt, ld, 1)[0]
         resid = abs(slope - 1.0)
         if resid < best[0]:
@@ -252,12 +250,11 @@ def lp_window_probe(builder: Callable, grids: Sequence[DirichletGrid],
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     rng = np.random.default_rng(seed)
-    H0 = builder(grids[0])
-    beta_prime, resid = _calibrate_beta_prime(H0, w, beta, shift, calibration_gate)
+    spec = Spectrum(builder(grids[0]))
+    beta_prime, resid = _calibrate_beta_prime(spec, grids[0], w, beta, shift, calibration_gate)
     out = []
-    for grid in grids:
-        H = builder(grid)
-        T = fractional_power(H, -beta_prime, shift).data
+    for i, grid in enumerate(grids):
+        T = (spec if i == 0 else Spectrum(builder(grid))).power(-beta_prime, shift)
         for p in p_list:
             upper = _interp_upper(T, p)
             lower = _lp_lower(T, p, trials, rng) if p != 2 else upper

@@ -20,17 +20,14 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, builders
-from ._output import (canonical_json, sha256_file, write_csv_atomic,
-                      write_json_atomic)
-from .bounds import (CalibrationError, linf_band_probe, lp_window_probe,
-                     subellipticity_probe)
+from ._output import canonical_json, write_csv_atomic, write_json_atomic
+from .bounds import linf_band_probe, lp_window_probe, subellipticity_probe
 from .evolve import heat_evolve, schrodinger_evolve
 from .hamiltonians import DirichletGrid, hamiltonian_with_potential
 from .metric import (check_gweight, check_slowness, check_temperateness,
                      check_uncertainty, pair_sample)
 from .quantize import Grid, identity_symbol_matrix, weyl_quantize
-from .spectral import (SolverError, eigensolve, growth_fit,
-                       schatten_criterion_experiment)
+from .spectral import eigensolve, growth_fit, schatten_sweep
 from .symbols import class_membership, weight_symbol_evaluator, with_confinement
 
 SCHEMA = 1
@@ -112,8 +109,7 @@ def _run_class_check(cfg, out):
         s = weight_symbol_evaluator(a2)
     else:
         raise ConfigError("target must be 'a' or 'm'")
-    from .metric import WeightEvaluator
-    w = WeightEvaluator.from_a2(a2)
+    w = builders.get_weight(spec["name"], spec.get("params"))
     rep = class_membership(s, w, w, int(cfg.get("order", 4)),
                            [float(h) for h in cfg.get("halves", [10.0, 20.0])],
                            growth_factor=float(cfg.get("growth_factor", 1.05)),
@@ -187,17 +183,14 @@ def _run_growth_fit(cfg, out):
 def _run_schatten_sweep(cfg, out):
     w = _weight(cfg)
     Q = float(_need(cfg, "Q"))
+    reports = schatten_sweep(
+        w, [(float(_need(c, "mu")), float(_need(c, "r"))) for c in _need(cfg, "cells")], Q,
+        matrix_N=[int(v) for v in cfg.get("matrix_N", (32, 48))],
+        box_L=[float(v) for v in cfg.get("box_L", (8.0, 12.0, 16.0))],
+        box_npts=int(cfg.get("box_npts", 100)), band_npts=int(cfg.get("band_npts", 100)),
+        operator=w.name)
     rows, checks, verdicts = [], [], []
-    critical = None  # depends on (w, Q, band_npts) only: the first cell computes it
-    for cell in _need(cfg, "cells"):
-        rep = schatten_criterion_experiment(
-            w, float(_need(cell, "mu")), float(_need(cell, "r")), Q,
-            matrix_N=[int(v) for v in cfg.get("matrix_N", (32, 48))],
-            box_L=[float(v) for v in cfg.get("box_L", (8.0, 12.0, 16.0))],
-            box_npts=int(cfg.get("box_npts", 100)),
-            band_npts=int(cfg.get("band_npts", 100)),
-            operator=w.name, critical_slope=critical)
-        critical = rep.critical_slope
+    for cell, rep in zip(cfg["cells"], reports):
         rows.extend(rep.csv_rows())
         verdicts.append({"mu": rep.mu, "r": rep.r, "verdict": rep.verdict,
                          "slope": rep.slope, "critical_slope": rep.critical_slope,
@@ -397,7 +390,7 @@ def _cmd_run(path: str) -> int:
     except (ConfigError, builders.UnknownBuilderError, KeyError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (SolverError, CalibrationError) as e:
+    except RuntimeError as e:
         print(f"run error: {e}", file=sys.stderr)
         return 2
     for c in manifest["checks"]:
@@ -425,8 +418,7 @@ def _cmd_reproduce(path: str) -> int:
     out_dir = os.path.join(base, "reproduce")
     try:
         new_manifest = run_config(cfg, out_dir)
-    except (ConfigError, builders.UnknownBuilderError, KeyError, ValueError,
-            SolverError, CalibrationError) as e:
+    except (KeyError, ValueError, RuntimeError) as e:  # every config or run error
         print(f"run error: {e}", file=sys.stderr)
         return 2
     old = {o["path"]: o["sha256"] for o in manifest.get("outputs", [])}

@@ -14,12 +14,12 @@ flow evolves e^{-tH}, the unitary flow e^{-itH}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .hamiltonians import HamiltonianMatrix, fractional_power
+from .hamiltonians import HamiltonianMatrix, Spectrum
 
 __all__ = ["Propagator", "EvolutionTrace", "schrodinger_evolve", "heat_evolve",
            "fractional_evolve"]
@@ -47,18 +47,19 @@ class EvolutionTrace:
 
 
 class Propagator:
-    """Cached spectral data for one operator, shared across evolutions."""
+    """Cached spectral data for one operator or Spectrum, shared across evolutions."""
 
     def __init__(self, H, kind: str):
         if kind not in ("schrodinger", "heat"):
             raise ValueError("kind must be schrodinger or heat")
-        A = H.data if isinstance(H, HamiltonianMatrix) else np.asarray(H, dtype=float)
-        defect = float(np.max(np.abs(A - A.T)))
-        if defect > SYMMETRY_GATE * max(1.0, float(np.max(np.abs(A)))):
-            raise ValueError(f"operator not symmetric: defect {defect:.3e}")
+        if not isinstance(H, Spectrum):
+            A = H.data if isinstance(H, HamiltonianMatrix) else np.asarray(H, dtype=float)
+            defect = float(np.max(np.abs(A - A.T)))
+            if defect > SYMMETRY_GATE * max(1.0, float(np.max(np.abs(A)))):
+                raise ValueError(f"operator not symmetric: defect {defect:.3e}")
+            H = Spectrum(A)
         self.kind = kind
-        self.A = 0.5 * (A + A.T)
-        self.lam, self.Q = np.linalg.eigh(self.A)
+        self.A, self.lam, self.Q = H.A, H.lam, H.Q
         self.Qt = np.ascontiguousarray(self.Q.T)
         if kind == "heat" and self.lam[0] < HEAT_FLOOR:
             raise ValueError(
@@ -164,8 +165,9 @@ def fractional_evolve(H, beta: float, shift: float, f, times, kind: str,
         raise ValueError("beta must be positive")
     if not isinstance(H, HamiltonianMatrix):
         raise TypeError("fractional evolution needs a HamiltonianMatrix")
-    Hb = fractional_power(H, beta, shift)
+    spec = Spectrum(H)  # becomes the power's spectrum: same Q, lam -> (lam + shift)^beta
+    spec.A, spec.lam = spec.power(beta, shift), (spec.lam + shift) ** beta
     fn = schrodinger_evolve if kind == "schrodinger" else heat_evolve
-    tr = fn(Hb, f, times, keep_snapshots=keep_snapshots)
+    tr = fn(spec, f, times, keep_snapshots=keep_snapshots)
     tr.meta += f"; fractional beta={beta:g}, shift={shift:g}"
     return tr

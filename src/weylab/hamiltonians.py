@@ -28,7 +28,7 @@ __all__ = [
     "sum_of_squares_matrix", "tensor_stencil_matrix", "quadratic_potential",
     "bounded_noise_potential", "step_potential", "table_potential",
     "validate_p2", "hamiltonian_with_potential", "constant_shift",
-    "fractional_power", "P2ValidationError",
+    "Spectrum", "fractional_power", "P2ValidationError",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -365,17 +365,24 @@ def constant_shift(H: HamiltonianMatrix, c: float) -> HamiltonianMatrix:
                              provenance=f"{H.provenance}+({c:g})", potential=H.potential)
 
 
-def fractional_power(H: HamiltonianMatrix, beta: float, shift: float = 0.0) -> HamiltonianMatrix:
-    """(H + shift)^beta through the full eigendecomposition.
+class Spectrum:
+    """One eigendecomposition A = Q diag(lam) Q^T of the symmetric part of a real operator."""
 
-    Negative beta is allowed (resolvent powers); the shifted operator
-    must be PD either way.
-    """
-    A = H.data  # one densification of a sparse H
-    lam, Q = np.linalg.eigh(0.5 * (A + A.T))
-    lam = lam + shift
-    if np.min(lam) <= 0.0:
-        raise ValueError(f"shift too small: min shifted eigenvalue {np.min(lam):.3e}")
-    M = (Q * lam**beta) @ Q.T
-    return HamiltonianMatrix(0.5 * (M + M.T), H.grid,
+    def __init__(self, H):
+        A = H.data if isinstance(H, HamiltonianMatrix) else np.asarray(H, dtype=float)
+        self.A = 0.5 * (A + A.T)
+        self.lam, self.Q = np.linalg.eigh(self.A)
+
+    def power(self, beta: float, shift: float = 0.0) -> np.ndarray:
+        """(A + shift)^beta, symmetrized; A + shift must be PD (beta < 0: resolvent powers)."""
+        lam = self.lam + shift
+        if np.min(lam) <= 0.0:
+            raise ValueError(f"shift too small: min shifted eigenvalue {np.min(lam):.3e}")
+        M = (self.Q * lam**beta) @ self.Q.T
+        return 0.5 * (M + M.T)
+
+
+def fractional_power(H: HamiltonianMatrix, beta: float, shift: float = 0.0) -> HamiltonianMatrix:
+    """(H + shift)^beta through the full eigendecomposition: Spectrum.power."""
+    return HamiltonianMatrix(Spectrum(H).power(beta, shift), H.grid,
                              provenance=f"({H.provenance}+{shift:g})^{beta:g}")

@@ -27,7 +27,7 @@ __all__ = [
     "SpectralResult", "SchattenEstimate", "GrowthFit", "SolverError",
     "eigensolve", "singular_values", "schatten_norm", "weyl_inequality_check",
     "WeylInequalityReport", "growth_fit", "phase_box_integral",
-    "band_slope", "SchattenTrendReport", "schatten_criterion_experiment",
+    "band_slope", "SchattenTrendReport", "schatten_sweep",
 ]
 
 RESIDUAL_REL_TOL = 1e-8
@@ -275,12 +275,35 @@ def _chunked_weight(w: WeightEvaluator, L: float, npts: int):
         yield w.m_values(Z), cell
 
 
+def _box_integrals(w: WeightEvaluator, exps: Sequence[float], L: float, npts: int) -> list:
+    """phase_box_integral for each exponent in exps, from one pass of m."""
+    totals = [0.0] * len(exps)
+    for m, cell in _chunked_weight(w, L, npts):
+        for i, s in enumerate(exps):
+            totals[i] += float(np.sum(m**(-s))) * cell
+    return totals
+
+
 def phase_box_integral(w: WeightEvaluator, s: float, L: float, npts: int = 100) -> float:
     """Midpoint quadrature of m^{-s} over [-L, L]^{2n}, fixed summation order."""
-    total = 0.0
+    return _box_integrals(w, [s], L, npts)[0]
+
+
+def _band_fits(w: WeightEvaluator, exps: Sequence[float], npts: int, base: float = 3.0,
+               kmin: int = 1, kmax: int = 4, box_factor: float = 1.02) -> list:
+    """band_slope for each exponent in exps, from one pass of m."""
+    L = base ** ((kmax + 1) / 2.0) * box_factor
+    B = np.zeros((len(exps), kmax + 2))
+    logb = np.log(base)
     for m, cell in _chunked_weight(w, L, npts):
-        total += float(np.sum(m**(-s))) * cell
-    return total
+        k = np.clip(np.floor(np.log(m) / logb).astype(int), 0, kmax + 1)
+        for i, s in enumerate(exps):
+            B[i] += np.bincount(k, weights=m**(-s), minlength=kmax + 2) * cell
+    bands = B[:, kmin:kmax + 1]
+    if np.min(bands) <= 0:
+        raise SolverError("empty band in slope fit; box too small")
+    ks = np.arange(kmin, kmax + 1, dtype=float)
+    return [(float(np.polyfit(ks, np.log(b) / logb, 1)[0]), b) for b in bands]
 
 
 def band_slope(w: WeightEvaluator, s: float, base: float = 3.0, kmin: int = 1,
@@ -291,18 +314,7 @@ def band_slope(w: WeightEvaluator, s: float, base: float = 3.0, kmin: int = 1,
     margin; shells outside [kmin, kmax] are binned but not fitted.
     Returns (slope, band sums for k = kmin..kmax).
     """
-    L = base ** ((kmax + 1) / 2.0) * box_factor
-    B = np.zeros(kmax + 2)
-    logb = np.log(base)
-    for m, cell in _chunked_weight(w, L, npts):
-        k = np.clip(np.floor(np.log(m) / logb).astype(int), 0, kmax + 1)
-        B += np.bincount(k, weights=m**(-s), minlength=kmax + 2) * cell
-    bands = B[kmin:kmax + 1]
-    if np.min(bands) <= 0:
-        raise SolverError("empty band in slope fit; box too small")
-    ks = np.arange(kmin, kmax + 1, dtype=float)
-    slope = float(np.polyfit(ks, np.log(bands) / logb, 1)[0])
-    return slope, bands
+    return _band_fits(w, [s], npts, base, kmin, kmax, box_factor)[0]
 
 
 # -- the trend experiment ---------------------------------------------------
@@ -334,52 +346,42 @@ class SchattenTrendReport:
         return rows
 
 
-def _matrix_cell(w: WeightEvaluator, mu: float, r: float, N: int) -> tuple:
-    # balanced box: position and frequency extents both ~ sqrt(N)/2,
-    # so neither end of the shell population is starved as N grows
-    L = np.sqrt(N) / 2.0
-    grid = Grid(w.n, N, L)
-    M = weyl_quantize(SymbolEvaluator(w.n, w.m_values, name=w.name), grid).data
-    M = 0.5 * (M + M.conj().T)
-    lam, Q = np.linalg.eigh(M)
-    shift = max(0.0, 1.0 - float(lam[0]))  # PD floor at 1, matching m >= 1
-    T = (Q * (lam + shift) ** (-mu)) @ Q.conj().T
-    est = schatten_norm(T, r)
-    return L, est.value, shift
-
-
-def schatten_criterion_experiment(w: WeightEvaluator, mu: float, r: float, Q: float,
-                                  matrix_N: Sequence[int] = (32, 48),
-                                  box_L: Sequence[float] = (8.0, 12.0, 16.0),
-                                  box_npts: int = 100, band_npts: int = 100,
-                                  operator: str = "",
-                                  critical_slope: float | None = None) -> SchattenTrendReport:
-    """Run the full trend protocol for m^{-mu} in Schatten-r.
-
-    Q is the homogeneous-dimension calibration: the critical band slope
-    is measured at exponent Q (the borderline of the sufficient
-    condition mu > Q/r), and the verdict compares the actual slope at
-    s = mu r against it.  All ladders are reported raw.  A sweep over
-    many (mu, r) cells may pass ``critical_slope``, the slope
-    ``band_slope(w, Q, npts=band_npts)`` it computed once, instead of
-    having every cell recompute it.
+def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
+                   matrix_N: Sequence[int] = (32, 48),
+                   box_L: Sequence[float] = (8.0, 12.0, 16.0),
+                   box_npts: int = 100, band_npts: int = 100, operator: str = "") -> list:
+    """Run the full trend protocol for m^{-mu} in Schatten-r, one report
+    per (mu, r) in cells.  Q is the homogeneous-dimension calibration:
+    the critical band slope is measured at exponent Q (the borderline of
+    the sufficient condition mu > Q/r), and each verdict compares the
+    actual slope at s = mu r against it.  All ladders are reported raw.
+    The cells share one quantization and eigvalsh per N (m^{-mu}(M) has
+    singular values (lam + shift)^{-mu}) and one m pass per quadrature box.
     """
-    if mu <= 0 or r < 1:
+    if any(mu <= 0 or r < 1 for mu, r in cells):
         raise ValueError("mu must be positive and r at least 1")
-    cells, shifts = [], []
-    for N in matrix_N:
-        L, val, shift = _matrix_cell(w, mu, r, int(N))
-        cells.append((int(N), L, val))
-        shifts.append(shift)
-    rel = abs(cells[-1][2] - cells[0][2]) / max(abs(cells[0][2]), 1e-300)
-    box = [(L, phase_box_integral(w, mu * r, L, box_npts)) for L in box_L]
-    growth = [box[i + 1][1] / max(box[i][1], 1e-300) for i in range(len(box) - 1)]
-    slope, bands = band_slope(w, mu * r, npts=band_npts)
-    if critical_slope is None:
-        critical_slope, _ = band_slope(w, Q, npts=band_npts)
-    verdict = "converges" if slope < critical_slope else "diverges"
-    return SchattenTrendReport(operator=operator or w.name, mu=mu, r=r, Q=Q,
-                               matrix_cells=cells, matrix_rel_change=rel,
-                               box_cells=box, box_growth=growth, slope=slope,
-                               critical_slope=critical_slope, bands=list(bands),
-                               verdict=verdict, shift_used=shifts)
+    if not cells:
+        return []
+    ladder = []
+    for N in map(int, matrix_N):
+        # balanced box: x and xi extents both ~ sqrt(N)/2 starve neither end of the shells
+        L = np.sqrt(N) / 2.0
+        M = weyl_quantize(SymbolEvaluator(w.n, w.m_values, name=w.name), Grid(w.n, N, L)).data
+        lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+        ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0]))))  # PD floor at 1, as m
+    exps = [mu * r for mu, r in cells]
+    boxes = [_box_integrals(w, exps, L, box_npts) for L in box_L]
+    *fits, (critical, _) = _band_fits(w, exps + [Q], band_npts)
+    reports = []
+    for c, ((mu, r), (slope, bands)) in enumerate(zip(cells, fits)):
+        vals = [(N, L, float(np.sum((lam + sh) ** (-mu * r)) ** (1.0 / r)))
+                for N, L, lam, sh in ladder]
+        box = [(L, totals[c]) for L, totals in zip(box_L, boxes)]
+        reports.append(SchattenTrendReport(
+            operator=operator or w.name, mu=mu, r=r, Q=Q, matrix_cells=vals,
+            matrix_rel_change=abs(vals[-1][2] - vals[0][2]) / max(abs(vals[0][2]), 1e-300),
+            box_cells=box, slope=slope, critical_slope=critical, bands=list(bands),
+            box_growth=[box[i + 1][1] / max(box[i][1], 1e-300) for i in range(len(box) - 1)],
+            verdict="converges" if slope < critical else "diverges",
+            shift_used=[sh for *_, sh in ladder]))
+    return reports

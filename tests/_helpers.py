@@ -1,4 +1,5 @@
-"""Shared oracles: symbolic derivative tables and localized trial states."""
+"""Shared oracles: symbolic derivative tables, localized trial states and
+call counters."""
 import numpy as np
 import sympy as sp
 
@@ -32,3 +33,17 @@ def gaussian_packets(grid, count=6, seed=0):
              * np.exp(2j * np.pi * k * pts / (2.0 * grid.L)))
         out.append(u / np.linalg.norm(u))
     return out
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the test; returns the list of the shapes of
+    the first argument of each call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls

@@ -24,8 +24,7 @@ from weylab.metric import (WeightEvaluator, check_gweight, check_slowness,
                            check_temperateness, check_uncertainty,
                            eval_dual_metric, eval_metric, pair_sample, planck)
 from weylab.quantize import Grid, identity_symbol_matrix, weyl_quantize
-from weylab.spectral import (eigensolve, growth_fit,
-                             schatten_criterion_experiment,
+from weylab.spectral import (eigensolve, growth_fit, schatten_sweep,
                              weyl_inequality_check)
 from weylab.symbols import (PolySymbol, SymbolEvaluator, class_membership,
                             weight_symbol_evaluator, with_confinement)
@@ -401,7 +400,7 @@ def test_experiments_reproduce_bitwise(tmp_path, capsys):
         assert "[DIFFER]" not in text and "[match]" in text
 
 
-# -- trace-class trend experiments (slow: ~4 minutes total) -----------------
+# -- trace-class trend experiments (slow: ~15 s total on 2 cores) -----------
 
 def test_schatten_trend_elliptic_control():
     """Near-critical elliptic family: mu = 1.01 converges (band slope
@@ -409,14 +408,13 @@ def test_schatten_trend_elliptic_control():
     across N = 32 -> 48; mu = 0.9 diverges with a monotone box ladder."""
     w = bld.get_weight("harmonic", {"n": 1})
 
-    conv = schatten_criterion_experiment(w, 1.01, 2.0, 2.0, operator="elliptic")
+    conv, div = schatten_sweep(w, [(1.01, 2.0), (0.9, 2.0)], 2.0, operator="elliptic")
     assert conv.verdict == "converges"
     assert conv.slope == pytest.approx(-0.9691, abs=5e-3)
     assert conv.slope < conv.critical_slope
     assert conv.matrix_rel_change == pytest.approx(0.0144, abs=5e-3)
     assert conv.matrix_rel_change < 0.10
 
-    div = schatten_criterion_experiment(w, 0.9, 2.0, 2.0, operator="elliptic")
     assert div.verdict == "diverges"
     assert div.slope == pytest.approx(-0.7484, abs=5e-3)
     assert all(g > 1.0 for g in div.box_growth)
@@ -432,9 +430,8 @@ def test_schatten_trend_degenerate_model(daho_weight):
     convergent there (the sufficient threshold is not sharp for this
     operator), so only the slope classification is meaningful.
     """
-    conv = schatten_criterion_experiment(daho_weight, 2.0, 2.0, 3.0,
-                                         box_npts=40, band_npts=48,
-                                         operator="daho")
+    conv, div = schatten_sweep(daho_weight, [(2.0, 2.0), (1.2, 2.0)], 3.0,
+                               box_npts=40, band_npts=48, operator="daho")
     assert conv.verdict == "converges"
     assert conv.slope == pytest.approx(-2.1131, abs=5e-3)
     assert conv.slope < conv.critical_slope
@@ -442,9 +439,6 @@ def test_schatten_trend_degenerate_model(daho_weight):
     assert conv.matrix_rel_change < 0.10
     assert conv.shift_used == [0.0, 0.0]   # both matrices already PD
 
-    div = schatten_criterion_experiment(daho_weight, 1.2, 2.0, 3.0,
-                                        box_npts=40, band_npts=48,
-                                        operator="daho")
     assert div.verdict == "diverges"
     assert div.slope == pytest.approx(-0.5356, abs=5e-3)
     assert div.slope > div.critical_slope

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from _helpers import count_calls
 from weylab.bounds import (
     CalibrationError,
     LpProbeResult,
@@ -90,6 +91,15 @@ def test_lp_window_probe_runs_calibrated():
         if r.p == 2.0:
             assert r.lower == r.upper
     assert {r.N for r in res} == {12, 16}
+
+
+def test_lp_window_probe_decomposes_each_grid_once(monkeypatch):
+    # the calibration's 39 candidate powers and grid 0's probe share one eigh
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    w = WeightEvaluator.from_a2(get_a2("harmonic"))
+    lp_window_probe(harmonic_matrix, lp_grids(), w, beta=1.0, p_list=[2.0, 4.0],
+                    trials=4, seed=0)
+    assert calls == [(144, 144), (256, 256)]
 
 
 def test_lp_window_probe_validation():

@@ -344,6 +344,18 @@ def test_reproduce_rejects_broken_manifest(tmp_path):
     assert main(["reproduce", str(p)]) == 2
 
 
+def test_starved_band_sample_is_a_run_error(tmp_path, capsys):
+    # the broken weight leaves the shell R <= m <= 3R empty, so the band
+    # sampler raises a plain RuntimeError: exit 2, not a traceback
+    code, _ = run(tmp_path, "bp.json", {
+        "schema": 1, "kind": "band-probe", "seed": 1,
+        "weight": {"name": "broken_half_bracket", "params": {"n": 1}},
+        "grid": {"n": 1, "N": 128, "L": 6.0}, "epsilon": 0.5,
+        "R_list": [3.0, 30.0], "trials": 4})
+    assert code == 2
+    assert capsys.readouterr().err.startswith("run error: band sampling starved at R=3")
+
+
 def test_calibration_failure_is_a_run_error(tmp_path, capsys):
     # the non-spanning operator cannot track the harmonic weight's decay;
     # run and reproduce both report it as exit 2, not a traceback

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import weylab
+from _helpers import count_calls
 from weylab import spectral
 from weylab.builders import get_operator
 from weylab.hamiltonians import (
@@ -25,8 +26,8 @@ from weylab.spectral import (
     eigensolve,
     growth_fit,
     phase_box_integral,
-    schatten_criterion_experiment,
     schatten_norm,
+    schatten_sweep,
     singular_values,
     weyl_inequality_check,
 )
@@ -250,9 +251,9 @@ def test_band_slope_rejects_concentrated_weight():
 # -- trend experiment -------------------------------------------------------
 
 def test_trend_experiment_consistency():
-    rep = schatten_criterion_experiment(
-        harmonic_1d_weight(), 2.0, 1.5, 2.0, matrix_N=(16, 24),
-        box_L=(4.0, 6.0), box_npts=40, band_npts=60, operator="h1")
+    rep = schatten_sweep(
+        harmonic_1d_weight(), [(2.0, 1.5)], 2.0, matrix_N=(16, 24),
+        box_L=(4.0, 6.0), box_npts=40, band_npts=60, operator="h1")[0]
     assert rep.verdict == "converges"
     assert rep.slope < rep.critical_slope
     assert rep.slope == pytest.approx(-2.0, abs=0.05)
@@ -263,21 +264,58 @@ def test_trend_experiment_consistency():
     assert all(s >= 0.0 for s in rep.shift_used)
 
 
-def test_trend_experiment_uses_given_critical_slope():
+def test_sweep_shares_one_quantization_and_one_m_pass_per_box(monkeypatch):
+    # two cells, two N, two boxes: one quantization and one eigvalsh per
+    # N, no SVD, and one m pass per box plus one for the band box
     w = harmonic_1d_weight()
-    kw = dict(matrix_N=(12,), box_L=(4.0,), box_npts=20, band_npts=60)
-    own = schatten_criterion_experiment(w, 2.0, 1.5, 2.0, **kw)
-    assert own.critical_slope == band_slope(w, 2.0, npts=60)[0]
-    given = schatten_criterion_experiment(w, 2.0, 1.5, 2.0,
-                                          critical_slope=own.critical_slope, **kw)
-    assert given.csv_rows() == own.csv_rows()
-    steep = schatten_criterion_experiment(w, 2.0, 1.5, 2.0, critical_slope=-10.0, **kw)
-    assert steep.verdict == "diverges"
+    quantized = count_calls(monkeypatch, spectral, "weyl_quantize")
+    decomposed = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    m_passes = count_calls(monkeypatch, spectral, "_chunked_weight")
+    reps = schatten_sweep(w, [(2.0, 1.5), (0.9, 2.0)], 2.0, matrix_N=(12, 16),
+                          box_L=(4.0, 6.0), box_npts=20, band_npts=60)
+    assert len(reps) == 2
+    assert decomposed == [(12, 12), (16, 16)]
+    assert (len(quantized), len(svd), len(m_passes)) == (2, 0, 3)
+    # and a sweep without cells does none of it
+    assert schatten_sweep(w, [], 2.0) == []
+    assert (len(quantized), len(decomposed), len(m_passes)) == (2, 2, 3)
+
+
+def test_sweep_quadratures_equal_the_one_exponent_calls():
+    # the shared m pass sums each exponent in the one-exponent order
+    w = harmonic_1d_weight()
+    cells = [(2.0, 1.5), (0.9, 2.0)]
+    reps = schatten_sweep(w, cells, 2.0, matrix_N=(12,), box_L=(4.0, 6.0),
+                          box_npts=20, band_npts=60)
+    critical = band_slope(w, 2.0, npts=60)[0]
+    for (mu, r), rep in zip(cells, reps):
+        assert rep.box_cells == [(L, phase_box_integral(w, mu * r, L, 20)) for L in (4.0, 6.0)]
+        slope, bands = band_slope(w, mu * r, npts=60)
+        assert rep.slope == slope and np.array_equal(rep.bands, bands)
+        assert rep.critical_slope == critical
+
+
+def test_sweep_schatten_values_match_the_operator_path():
+    # reference: form T = m^{-mu}(M) from the full decomposition and take
+    # the Schatten norm of its singular values
+    w = harmonic_1d_weight()
+    cells = [(2.0, 1.5), (0.9, 2.0)]
+    reps = schatten_sweep(w, cells, 2.0, matrix_N=(12, 20), box_L=(4.0,),
+                          box_npts=20, band_npts=60)
+    for (mu, r), rep in zip(cells, reps):
+        for (N, L, value), shift in zip(rep.matrix_cells, rep.shift_used):
+            grid = spectral.Grid(1, N, L)
+            M = spectral.weyl_quantize(spectral.SymbolEvaluator(1, w.m_values), grid).data
+            lam, Q = np.linalg.eigh(0.5 * (M + M.conj().T))
+            assert shift == pytest.approx(max(0.0, 1.0 - lam[0]), abs=1e-12)
+            T = (Q * (lam + shift) ** (-mu)) @ Q.conj().T
+            assert value == pytest.approx(schatten_norm(T, r).value, rel=1e-12)
 
 
 def test_trend_experiment_validation():
     w = harmonic_1d_weight()
     with pytest.raises(ValueError):
-        schatten_criterion_experiment(w, -1.0, 2.0, 2.0)
+        schatten_sweep(w, [(-1.0, 2.0)], 2.0)
     with pytest.raises(ValueError):
-        schatten_criterion_experiment(w, 1.0, 0.5, 2.0)
+        schatten_sweep(w, [(1.0, 0.5)], 2.0)

@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 
 from weylab._jets import JPowerSum, JetSymbol, UnsupportedOrderError
-from weylab.builders import get_a2
+from weylab.builders import get_a2, get_weight, symbol_names
 from weylab.metric import WeightEvaluator
 from weylab.symbols import (MAX_DERIV_ORDER, PolySymbol, SymbolEvaluator,
                             band_restrict, box_sample, check_prop32,
@@ -292,10 +292,11 @@ def test_membership_negative_control_blows_up():
     assert rep.growth[0] > 100.0
 
 
-def test_weight_symbol_evaluator_matches_weight(rng):
-    a2 = get_a2("daho")
+@pytest.mark.parametrize("name", symbol_names())
+def test_weight_symbol_evaluator_matches_weight(rng, name):
+    a2 = get_a2(name)
     m_sym = weight_symbol_evaluator(a2)
-    w = WeightEvaluator.from_a2(a2)
+    w = get_weight(name)
     Z = rand_phase(rng, count=60, scale=8.0)
     assert np.allclose(np.asarray(m_sym.eval(Z)).real, w.m_values(Z), rtol=1e-13)
     # its exact derivative path survives the finite-difference cross-check
