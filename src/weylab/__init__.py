@@ -3,15 +3,14 @@ Schrodinger operators.
 
 The package is organized around the pipeline symbol -> metric -> operator:
 
-* profiles: the smooth cutoff profile and dyadic partitions;
+* profiles: the smooth cutoff profile and the weight-shell bump;
 * symbols, metric: symbol classes with exact jets, order functions,
   split metrics and their admissibility gates;
-* quantize: discrete quantization on periodic grids, convention
-  transport, star products;
+* quantize: discrete quantization on periodic grids;
 * builders: one table of models, each giving its principal symbol,
   weight and grid operators;
 * hamiltonians, spectral, evolve: finite-difference operators,
-  eigenvalue machinery, growth fits, compactness trend experiments,
+  certified eigensolves, growth fits, compactness trend experiments,
   unitary and heat flows;
 * bounds: sup-norm band probes, p-norm window brackets, subellipticity
   ladders;
@@ -23,23 +22,18 @@ __version__ = "0.1.0"
 
 from .builders import get_a2, get_operator, get_weight
 from .hamiltonians import (DirichletGrid, HamiltonianMatrix, Potential, Spectrum,
-                           fractional_power, hamiltonian_with_potential,
-                           sum_of_squares_matrix, tensor_stencil_matrix,
-                           validate_p2)
+                           hamiltonian_with_potential, sum_of_squares_matrix,
+                           tensor_stencil_matrix, validate_p2)
 from .metric import (MetricCheckReport, WeightEvaluator, check_gweight,
                      check_slowness, check_temperateness, check_uncertainty,
-                     eval_dual_metric, eval_metric, eval_weight, planck)
-from .profiles import CutoffProfileSquared, DyadicPartition, band_bump
-from .quantize import (Grid, OperatorMatrix, jt_transport, kn_quantize,
-                       load_operator, moyal_sharp, save_operator, tau_quantize,
-                       weyl_quantize)
-from .spectral import (GrowthFit, SchattenEstimate, SpectralResult, eigensolve,
-                       growth_fit, schatten_norm, schatten_sweep,
-                       singular_values, weyl_inequality_check)
+                     eval_dual_metric, eval_metric, planck)
+from .profiles import CutoffProfileSquared, band_bump
+from .quantize import Grid, kn_quantize, tau_quantize, weyl_quantize
+from .spectral import (GrowthFit, SpectralResult, eigensolve, growth_fit,
+                       schatten_sweep)
 from .symbols import (PolySymbol, SeminormEstimate, SymbolEvaluator,
                       class_membership, smg_seminorm, weight_symbol_evaluator,
                       with_confinement)
-from .evolve import (EvolutionTrace, fractional_evolve, heat_evolve,
-                     schrodinger_evolve)
+from .evolve import EvolutionTrace, heat_evolve, schrodinger_evolve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

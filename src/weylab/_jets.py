@@ -49,16 +49,6 @@ class JetExpr:
     def is_zero(self) -> bool:
         return False
 
-    def __add__(self, other):
-        return JSum([self, other])
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return JScale(other, self)
-        return JProd([self, other])
-
-    __rmul__ = __mul__
-
 
 class JPowerSum(JetExpr):
     """sum_T c_T * z^{e_T} * u^{p_T} with u = 1 + |z|^2.

@@ -102,7 +102,7 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
                 f"grid too coarse: shell at R={R} reaches |xi|~{xi_need:.2f} "
                 f"but modes stop at {grid.xi_max:.2f}")
         q = band_restrict(M, w, R)
-        A = kn_quantize(q, grid).data
+        A = kn_quantize(q, grid)
         row_l1 = np.abs(A).sum(axis=1)
         op_norm = float(np.max(row_l1))
         i_star = int(np.argmax(row_l1))
@@ -152,10 +152,11 @@ class LpProbeResult:
                 f"{self.lower:.12g}", f"{self.upper:.12g}", "")
 
 
-def _interp_upper(A: np.ndarray, p: float) -> float:
+def _interp_upper(A: np.ndarray, p: float, n2: float) -> float:
+    """Riesz-Thorin bound on the p -> p norm of A from its 1, 2 and inf
+    norms; n2 = |A|_2 comes from the caller, who knows A's spectrum."""
     n1 = float(np.max(np.abs(A).sum(axis=0)))     # columns: 1 -> 1
     ninf = float(np.max(np.abs(A).sum(axis=1)))   # rows: inf -> inf
-    n2 = float(np.linalg.norm(A, 2))
     if p == 2:
         return n2
     if p == 1:
@@ -254,9 +255,13 @@ def lp_window_probe(builder: Callable, grids: Sequence[DirichletGrid],
     beta_prime, resid = _calibrate_beta_prime(spec, grids[0], w, beta, shift, calibration_gate)
     out = []
     for i, grid in enumerate(grids):
-        T = (spec if i == 0 else Spectrum(builder(grid))).power(-beta_prime, shift)
+        if i:
+            spec = Spectrum(builder(grid))
+        T = spec.power(-beta_prime, shift)
+        # T is SPD with eigenvalues (lam + shift)^(-beta'): the lowest lam gives |T|_2
+        n2 = float((spec.lam[0] + shift) ** -beta_prime)
         for p in p_list:
-            upper = _interp_upper(T, p)
+            upper = _interp_upper(T, p, n2)
             lower = _lp_lower(T, p, trials, rng) if p != 2 else upper
             out.append(LpProbeResult(p=float(p), upper=upper, lower=lower,
                                      N=grid.N, beta_prime=beta_prime,

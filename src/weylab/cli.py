@@ -81,7 +81,8 @@ def _report_entry(rep):
     return d
 
 
-# -- kind handlers: each returns (checks, report dict, csv rows or None) ----
+# -- kind handlers: each returns (checks, report dict, csv header, csv rows);
+# header and rows are None for kinds that write no data.csv --------------
 
 def _run_metric_check(cfg, out):
     w = _weight(cfg)
@@ -96,7 +97,7 @@ def _run_metric_check(cfg, out):
                check_temperateness(w, X, Y),
                check_gweight(w, X, Y)]
     checks = [(r.kind, r.passed, r.summary()) for r in reports]
-    return checks, {"weight": w.name, "reports": [_report_entry(r) for r in reports]}, None
+    return checks, {"weight": w.name, "reports": [_report_entry(r) for r in reports]}, None, None
 
 
 def _run_class_check(cfg, out):
@@ -123,23 +124,23 @@ def _run_class_check(cfg, out):
               "estimates": [{"order": e.order, "value": e.value,
                              "sample_size": e.sample_size, "box": e.descriptor}
                             for e in rep.estimates]}
-    return [(f"class-membership[{target}]", ok, detail)], report, None
+    return [(f"class-membership[{target}]", ok, detail)], report, None, None
 
 
 def _run_quantize_identity(cfg, out):
     grid = _periodic_grid(cfg)
     one = identity_symbol_matrix(grid, tau=float(cfg.get("tau", 1.0)))
-    defect_id = float(np.max(np.abs(one.data - np.eye(grid.side()))))
+    defect_id = float(np.max(np.abs(one - np.eye(grid.side()))))
     checks = [("op-of-one-is-identity", defect_id <= 1e-12, f"defect={defect_id:.3e}")]
     report = {"identity_defect": defect_id}
     spec = cfg.get("symbol")
     if spec:
         a2 = builders.get_a2(_need(spec, "name"), spec.get("params"))
         A = weyl_quantize(a2, grid)
-        hd = A.hermitian_defect()
+        hd = float(np.max(np.abs(A - A.conj().T)))
         checks.append(("weyl-real-symbol-hermitian", hd <= 1e-10, f"defect={hd:.3e}"))
         report["hermitian_defect"] = hd
-    return checks, report, None
+    return checks, report, None, None
 
 
 def _run_spectrum(cfg, out):
@@ -341,12 +342,7 @@ def run_config(cfg: dict, out_dir: str) -> dict:
         raise ConfigError(f"kind {kind!r} is randomized and requires a seed")
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.monotonic()
-    result = _HANDLERS[kind](cfg, out_dir)
-    if len(result) == 3:
-        checks, report, _ = result
-        header = rows = None
-    else:
-        checks, report, header, rows = result
+    checks, report, header, rows = _HANDLERS[kind](cfg, out_dir)
     outputs = []
     if rows is not None:
         csv_path = os.path.join(out_dir, "data.csv")

@@ -1,4 +1,4 @@
-"""Time evolution: unitary group, contraction semigroup, fractional flows.
+"""Time evolution: unitary group and contraction semigroup.
 
 Propagation goes through the eigendecomposition by default.  That choice
 is what makes the conservation monitors meaningful: norm drift and group
@@ -21,8 +21,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianMatrix, Spectrum
 
-__all__ = ["Propagator", "EvolutionTrace", "schrodinger_evolve", "heat_evolve",
-           "fractional_evolve"]
+__all__ = ["Propagator", "EvolutionTrace", "schrodinger_evolve", "heat_evolve"]
 
 SYMMETRY_GATE = 1e-10
 HEAT_FLOOR = -1e-9
@@ -47,19 +46,18 @@ class EvolutionTrace:
 
 
 class Propagator:
-    """Cached spectral data for one operator or Spectrum, shared across evolutions."""
+    """Cached spectral data for one operator, shared across evolutions."""
 
     def __init__(self, H, kind: str):
         if kind not in ("schrodinger", "heat"):
             raise ValueError("kind must be schrodinger or heat")
-        if not isinstance(H, Spectrum):
-            A = H.data if isinstance(H, HamiltonianMatrix) else np.asarray(H, dtype=float)
-            defect = float(np.max(np.abs(A - A.T)))
-            if defect > SYMMETRY_GATE * max(1.0, float(np.max(np.abs(A)))):
-                raise ValueError(f"operator not symmetric: defect {defect:.3e}")
-            H = Spectrum(A)
+        A = H.data if isinstance(H, HamiltonianMatrix) else np.asarray(H, dtype=float)
+        defect = float(np.max(np.abs(A - A.T)))
+        if defect > SYMMETRY_GATE * max(1.0, float(np.max(np.abs(A)))):
+            raise ValueError(f"operator not symmetric: defect {defect:.3e}")
+        spec = Spectrum(A)
         self.kind = kind
-        self.A, self.lam, self.Q = H.A, H.lam, H.Q
+        self.A, self.lam, self.Q = spec.A, spec.lam, spec.Q
         self.Qt = np.ascontiguousarray(self.Q.T)
         if kind == "heat" and self.lam[0] < HEAT_FLOOR:
             raise ValueError(
@@ -156,18 +154,3 @@ def heat_evolve(H, f, times, method: str = "eig",
         return _cn_trace(H, f, times, "heat", meta)
     prop = Propagator(H, "heat")
     return _trace(prop, f, times, "eig", meta, keep_snapshots)
-
-
-def fractional_evolve(H, beta: float, shift: float, f, times, kind: str,
-                      keep_snapshots: bool = False) -> EvolutionTrace:
-    """Evolution under (H + shift)^beta, same contracts as beta = 1."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if not isinstance(H, HamiltonianMatrix):
-        raise TypeError("fractional evolution needs a HamiltonianMatrix")
-    spec = Spectrum(H)  # becomes the power's spectrum: same Q, lam -> (lam + shift)^beta
-    spec.A, spec.lam = spec.power(beta, shift), (spec.lam + shift) ** beta
-    fn = schrodinger_evolve if kind == "schrodinger" else heat_evolve
-    tr = fn(spec, f, times, keep_snapshots=keep_snapshots)
-    tr.meta += f"; fractional beta={beta:g}, shift={shift:g}"
-    return tr

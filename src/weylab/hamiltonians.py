@@ -24,14 +24,12 @@ import numpy as np
 
 __all__ = [
     "DirichletGrid", "HamiltonianMatrix", "Potential", "P2Report",
-    "second_derivative", "periodic_mode_symbol", "staggered_divergence_form",
-    "sum_of_squares_matrix", "tensor_stencil_matrix", "quadratic_potential",
-    "bounded_noise_potential", "step_potential", "table_potential",
-    "validate_p2", "hamiltonian_with_potential", "constant_shift",
-    "Spectrum", "fractional_power", "P2ValidationError",
+    "second_derivative", "staggered_divergence_form", "sum_of_squares_matrix",
+    "tensor_stencil_matrix", "quadratic_potential", "bounded_noise_potential",
+    "step_potential", "table_potential", "validate_p2",
+    "hamiltonian_with_potential", "Spectrum", "P2ValidationError",
 ]
 
-SYMMETRY_TOL = 1e-12
 CONDITIONING_LIMIT = 50.0
 
 # second-difference weights, interior rows, by order
@@ -74,50 +72,24 @@ class DirichletGrid:
 
 
 class HamiltonianMatrix:
-    """A grid operator kept in the form it was built in.
-
-    The stencil builders store scipy sparse matrices; spectral functions
-    such as ``fractional_power`` store dense arrays.  ``sparse`` gives
-    CSR, converting only a dense input; ``data`` gives a dense array,
-    materialised on each access of a sparse one.
-    """
+    """A grid operator, stored as a scipy CSR matrix (``sparse``);
+    ``data`` gives a dense copy, materialised on each access."""
 
     def __init__(self, data, grid: DirichletGrid, provenance: str,
                  potential: Optional[np.ndarray] = None):
         from scipy import sparse
-        if sparse.issparse(data):
-            matrix = sparse.csr_array(data, dtype=float)
-        else:
-            matrix = np.asarray(data, dtype=float)
+        matrix = sparse.csr_array(data, dtype=float)
         side = grid.side()
         if matrix.shape != (side, side):
             raise ValueError("matrix shape does not match the grid")
-        self._matrix = matrix
+        self.sparse = matrix
         self.grid = grid
         self.provenance = provenance
         self.potential = potential
 
     @property
     def data(self) -> np.ndarray:
-        m = self._matrix
-        return m if isinstance(m, np.ndarray) else m.toarray()
-
-    @property
-    def sparse(self):
-        from scipy import sparse
-        m = self._matrix
-        return sparse.csr_array(m) if isinstance(m, np.ndarray) else m
-
-    def symmetry_defect(self) -> float:
-        m = self._matrix
-        return float(abs(m - m.T).max())
-
-    def min_ritz(self, trials: int = 1000, seed: int = 0) -> float:
-        """Cheap PSD witness: smallest Rayleigh quotient over random vectors."""
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=(self._matrix.shape[0], trials))
-        v /= np.linalg.norm(v, axis=0)
-        return float(np.min(np.einsum("ij,ij->j", v, self._matrix @ v)))
+        return self.sparse.toarray()
 
 
 def second_derivative(N: int, h: float, order: int = 6, bc: str = "dirichlet") -> np.ndarray:
@@ -139,17 +111,6 @@ def second_derivative(N: int, h: float, order: int = 6, bc: str = "dirichlet") -
         else:
             raise ValueError("bc must be dirichlet or periodic")
     return A / h**2
-
-
-def periodic_mode_symbol(N: int, h: float, order: int = 6) -> np.ndarray:
-    """Eigenvalues of the periodic second-difference matrix, indexed by
-    FFT mode: the Fourier multiplier of the stencil."""
-    w = _W2[order]
-    theta = 2.0 * np.pi * np.arange(N) / N
-    vals = np.full(N, w[0])
-    for k in range(1, len(w)):
-        vals = vals + 2.0 * w[k] * np.cos(k * theta)
-    return vals / h**2
 
 
 def _staggered_bands(c_half: np.ndarray, h: float) -> tuple:
@@ -336,16 +297,9 @@ class P2ValidationError(ValueError):
     pass
 
 
-def _plus_diagonal(H: HamiltonianMatrix, d: np.ndarray):
-    """H + diag(d), in the form H is stored in."""
-    from scipy import sparse
-    if isinstance(H._matrix, np.ndarray):
-        return H.data + np.diag(d)
-    return H.sparse + sparse.diags_array(d)
-
-
 def hamiltonian_with_potential(kinetic: HamiltonianMatrix, V: Potential,
                                override: bool = False) -> HamiltonianMatrix:
+    from scipy import sparse
     grid = kinetic.grid
     if not override:
         report = validate_p2(V, grid.mesh())
@@ -355,14 +309,9 @@ def hamiltonian_with_potential(kinetic: HamiltonianMatrix, V: Potential,
     if ratio > CONDITIONING_LIMIT:
         raise ValueError(f"h^2 * max|V| = {ratio:.3g} exceeds conditioning limit")
     base = kinetic.potential if kinetic.potential is not None else 0.0
-    return HamiltonianMatrix(_plus_diagonal(kinetic, V.values), grid,
+    return HamiltonianMatrix(kinetic.sparse + sparse.diags_array(V.values), grid,
                              provenance=f"{kinetic.provenance}+{V.descriptor}",
                              potential=np.asarray(base) + V.values)
-
-
-def constant_shift(H: HamiltonianMatrix, c: float) -> HamiltonianMatrix:
-    return HamiltonianMatrix(_plus_diagonal(H, np.full(H.grid.side(), float(c))), H.grid,
-                             provenance=f"{H.provenance}+({c:g})", potential=H.potential)
 
 
 class Spectrum:
@@ -380,9 +329,3 @@ class Spectrum:
             raise ValueError(f"shift too small: min shifted eigenvalue {np.min(lam):.3e}")
         M = (self.Q * lam**beta) @ self.Q.T
         return 0.5 * (M + M.T)
-
-
-def fractional_power(H: HamiltonianMatrix, beta: float, shift: float = 0.0) -> HamiltonianMatrix:
-    """(H + shift)^beta through the full eigendecomposition: Spectrum.power."""
-    return HamiltonianMatrix(Spectrum(H).power(beta, shift), H.grid,
-                             provenance=f"({H.provenance}+{shift:g})^{beta:g}")

@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = [
     "WeightEvaluator", "MetricValues", "MetricCheckReport", "phase_split",
-    "bracket_sq", "eval_weight", "eval_metric", "eval_dual_metric", "planck",
+    "bracket_sq", "eval_metric", "eval_dual_metric", "planck",
     "metric_apply", "pair_sample", "check_uncertainty", "check_slowness",
     "check_temperateness", "check_gweight",
 ]
@@ -40,8 +40,9 @@ class WeightEvaluator:
     """Order function m on phase space, vectorized.
 
     The canonical construction is m = a2 + |x|^2 + <X> from a principal
-    symbol; custom() admits arbitrary weights, including deliberately
-    broken ones used to exercise the failure paths of the checks.
+    symbol; the constructor admits any vectorized m, including
+    deliberately broken ones used to exercise the failure paths of the
+    checks.
     """
 
     def __init__(self, n: int, m_values: Callable, name: str = ""):
@@ -53,9 +54,6 @@ class WeightEvaluator:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         out = np.asarray(self._fn(Z), dtype=float)
         return out
-
-    def __call__(self, Z):
-        return self.m_values(Z)
 
     @classmethod
     def from_a2(cls, a2, name: str = "") -> "WeightEvaluator":
@@ -71,10 +69,6 @@ class WeightEvaluator:
         return cls(n, fn, name=name or f"m[{getattr(a2, 'name', 'a2')}]")
 
     @classmethod
-    def custom(cls, n: int, fn: Callable, name: str = "") -> "WeightEvaluator":
-        return cls(n, fn, name=name)
-
-    @classmethod
     def half_bracket(cls, n: int) -> "WeightEvaluator":
         """m = <X>/2.  Violates the uncertainty gate everywhere; kept as
         the standard counterexample input."""
@@ -86,10 +80,6 @@ class MetricValues:
     """Diagonal metric coefficients at a batch of points."""
     ax: np.ndarray
     axi: np.ndarray
-
-
-def eval_weight(w: WeightEvaluator, Z) -> np.ndarray:
-    return w.m_values(Z)
 
 
 def eval_metric(w: WeightEvaluator, Z) -> MetricValues:

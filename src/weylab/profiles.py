@@ -1,9 +1,9 @@
 """Smooth cutoff machinery.
 
 Everything here is built from the exponential smoothstep: the plateau
-profile that caps the oscillator coefficient, the dyadic partition of
-unity, and the band bump used to localize symbols to a weight shell.
-All transitions are C-infinity with exactly matched boundary jets.
+profile that caps the oscillator coefficient and the band bump used to
+localize symbols to a weight shell.  All transitions are C-infinity with
+exactly matched boundary jets.
 """
 
 from __future__ import annotations
@@ -181,42 +181,6 @@ class CutoffProfileSquared:
             out[mask] = sgn * _per_distinct(
                 lambda v: _beta_jet(v, self.gamma, order - 1)[-1], a[mask])
         return float(out[0]) if scalar else out
-
-
-def eta(t):
-    """Dyadic mother cutoff: 0 for |t| <= 1, 1 for |t| >= 2, smooth between."""
-    return smoothstep(np.abs(np.asarray(t, dtype=float)) - 1.0)
-
-
-class DyadicPartition:
-    """rho(t) = eta(t) - eta(t/2) and its dyadic dilates rho(2^j t).
-
-    The telescoping identity eta(t) + sum_{j<=l} rho(2^j t) = eta(2^l t)
-    holds exactly: it is a cancellation of identical terms, not an
-    approximation, so tests can demand 1e-12.
-    """
-
-    def __init__(self, levels: int):
-        if levels < 1:
-            raise ValueError("levels must be >= 1")
-        self.levels = int(levels)
-
-    @staticmethod
-    def rho(t):
-        t = np.asarray(t, dtype=float)
-        return eta(t) - eta(t / 2.0)
-
-    def term(self, j: int, t):
-        if not 1 <= j <= self.levels:
-            raise ValueError("level out of range")
-        return self.rho(np.asarray(t, dtype=float) * (2.0**j))
-
-    def partial_sum(self, t):
-        t = np.asarray(t, dtype=float)
-        total = eta(t)
-        for j in range(1, self.levels + 1):
-            total = total + self.term(j, t)
-        return total
 
 
 def band_bump(v):

@@ -9,28 +9,24 @@ where p_ij = tau x_i + (1 - tau) x_j.  tau = 1 evaluates at the output
 point, tau = 1/2 at the midpoint; the midpoint rule lands exactly on the
 half-step grid, which is what makes the assembly below O(N^2 log N)
 instead of O(N^3), and it produces exactly Hermitian matrices for real
-symbols.  Between conventions the transport operator acts on symbols,
-not matrices: tau-quantization of s equals output-point quantization of
-the transported symbol.
+symbols.  Between conventions the transport (PolySymbol.jt) acts on
+symbols, not matrices: tau-quantization of s equals output-point
+quantization of the transported symbol.  Quantizers return plain dense
+complex arrays.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "Grid", "OperatorMatrix", "kn_quantize", "weyl_quantize", "tau_quantize",
-    "jt_transport", "moyal_sharp", "identity_symbol_matrix", "sobolev_norm",
-    "save_operator", "load_operator",
+    "Grid", "kn_quantize", "weyl_quantize", "tau_quantize",
+    "identity_symbol_matrix", "sobolev_norm",
 ]
 
 DENSE_SIDE_LIMIT = 4096
-HERMITIAN_TOL = 1e-10
-_MAGIC = b"WLOP"
 
 
 @dataclass(frozen=True)
@@ -72,40 +68,6 @@ class Grid:
         return self.N ** self.n
 
 
-class OperatorMatrix:
-    """Dense operator on the grid, with the quantization stamp attached."""
-
-    def __init__(self, grid: Grid, data: np.ndarray, tau: float):
-        side = grid.side()
-        if side > DENSE_SIDE_LIMIT:
-            raise ValueError(f"dense side {side} exceeds limit {DENSE_SIDE_LIMIT}")
-        data = np.asarray(data, dtype=complex)
-        if data.shape != (side, side):
-            raise ValueError("matrix shape does not match the grid")
-        self.grid = grid
-        self.data = data
-        self.tau = tau
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.data @ np.asarray(u, dtype=complex).ravel()
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self.data - self.data.conj().T)) <= tol)
-
-    def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.data - self.data.conj().T)))
-
-    def __sub__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.grid, self.data - other.data, self.tau)
-        return NotImplemented
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.grid, self.data @ other.data, self.tau)
-        return NotImplemented
-
-
 def _eval_symbol(s, X, XI):
     """Evaluate on broadcast position/frequency blocks, flattening to rows."""
     shape = np.broadcast_shapes(*(a.shape for a in X + XI))
@@ -115,17 +77,22 @@ def _eval_symbol(s, X, XI):
     return vals.reshape(shape)
 
 
-def kn_quantize(s, grid: Grid) -> OperatorMatrix:
+def kn_quantize(s, grid: Grid) -> np.ndarray:
     """Output-point quantization (tau = 1)."""
     return tau_quantize(s, grid, 1.0)
 
 
-def weyl_quantize(s, grid: Grid) -> OperatorMatrix:
+def weyl_quantize(s, grid: Grid) -> np.ndarray:
     """Midpoint quantization (tau = 1/2); exactly Hermitian for real symbols."""
     return tau_quantize(s, grid, 0.5)
 
 
-def tau_quantize(s, grid: Grid, tau: float) -> OperatorMatrix:
+def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
+    """The dense complex matrix of s in the tau convention.  The side
+    limit is checked before s is evaluated or anything allocated."""
+    side = grid.side()
+    if side > DENSE_SIDE_LIMIT:
+        raise ValueError(f"dense side {side} exceeds limit {DENSE_SIDE_LIMIT}")
     if grid.n == 1:
         return _tau_quantize_1d(s, grid, tau)
     if tau == 1.0:
@@ -135,7 +102,7 @@ def tau_quantize(s, grid: Grid, tau: float) -> OperatorMatrix:
     raise NotImplementedError("two dimensions: only tau = 1 and tau = 1/2")
 
 
-def _tau_quantize_1d(s, grid: Grid, tau: float) -> OperatorMatrix:
+def _tau_quantize_1d(s, grid: Grid, tau: float) -> np.ndarray:
     N, L, h = grid.N, grid.L, grid.h
     xs, ks = grid.points, grid.modes
     idx = np.arange(N)
@@ -148,13 +115,13 @@ def _tau_quantize_1d(s, grid: Grid, tau: float) -> OperatorMatrix:
             A = np.take_along_axis(G, d, axis=1)      # A[i, j] = G[i, (i-j) % N]
         else:
             A = G[idx[None, :], d]                    # A[i, j] = G[j, (i-j) % N]
-        return OperatorMatrix(grid, A, tau)
+        return A
     if tau == 0.5:
         mids = -L + (h / 2.0) * np.arange(2 * N - 1)
         S = _eval_symbol(s, (mids[:, None],), (ks[None, :],))
         G = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)
         A = G[idx[:, None] + idx[None, :], d]
-        return OperatorMatrix(grid, A, tau)
+        return A
     # generic tau: row-by-row, evaluation point depends on both indices
     A = np.empty((N, N), dtype=complex)
     for i in range(N):
@@ -162,10 +129,10 @@ def _tau_quantize_1d(s, grid: Grid, tau: float) -> OperatorMatrix:
         S = _eval_symbol(s, (p[:, None],), (ks[None, :],))
         G = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)
         A[i, :] = G[idx, (i - idx) % N]
-    return OperatorMatrix(grid, A, tau)
+    return A
 
 
-def _kn_quantize_2d(s, grid: Grid) -> OperatorMatrix:
+def _kn_quantize_2d(s, grid: Grid) -> np.ndarray:
     N, L = grid.N, grid.L
     xs, ks = grid.points, grid.modes
     idx = np.arange(N)
@@ -182,10 +149,10 @@ def _kn_quantize_2d(s, grid: Grid) -> OperatorMatrix:
         for j1 in range(N):
             blk = G[:, d[i1, j1], :]  # rows i2, frequency-shift axis
             A[i1 * N:(i1 + 1) * N, j1 * N:(j1 + 1) * N] = np.take_along_axis(blk, d, axis=1)
-    return OperatorMatrix(grid, A, 1.0)
+    return A
 
 
-def _weyl_quantize_2d(s, grid: Grid) -> OperatorMatrix:
+def _weyl_quantize_2d(s, grid: Grid) -> np.ndarray:
     N, L, h = grid.N, grid.L, grid.h
     ks = grid.modes
     idx = np.arange(N)
@@ -204,10 +171,10 @@ def _weyl_quantize_2d(s, grid: Grid) -> OperatorMatrix:
         for p1, q1 in zip(*pairs):
             block = G[mid_idx, d[p1, q1], d]
             A[p1 * N:(p1 + 1) * N, q1 * N:(q1 + 1) * N] = block
-    return OperatorMatrix(grid, A, 0.5)
+    return A
 
 
-def identity_symbol_matrix(grid: Grid, tau: float = 1.0) -> OperatorMatrix:
+def identity_symbol_matrix(grid: Grid, tau: float = 1.0) -> np.ndarray:
     """Quantization of the constant symbol 1; must be the identity."""
 
     class _One:
@@ -218,20 +185,6 @@ def identity_symbol_matrix(grid: Grid, tau: float = 1.0) -> OperatorMatrix:
             return np.ones(np.atleast_2d(Z).shape[0])
 
     return tau_quantize(_One(), grid, tau)
-
-
-def jt_transport(s, t: float):
-    """Transport a polynomial symbol between conventions (exact)."""
-    if not hasattr(s, "jt"):
-        raise TypeError("exact transport needs a polynomial-in-xi symbol")
-    return s.jt(t)
-
-
-def moyal_sharp(a, b):
-    """Star product of two polynomial symbols (exact)."""
-    if not hasattr(a, "sharp"):
-        raise TypeError("star product needs polynomial-in-xi symbols")
-    return a.sharp(b)
 
 
 def sobolev_norm(u: np.ndarray, grid: Grid, tau: float) -> float:
@@ -246,28 +199,3 @@ def sobolev_norm(u: np.ndarray, grid: Grid, tau: float) -> float:
         w = 1.0 + ks[:, None] ** 2 + ks[None, :] ** 2
     val = np.sum(w**tau * np.abs(uhat) ** 2) / (2.0 * grid.L) ** grid.n
     return float(np.sqrt(val))
-
-
-def save_operator(path, op: OperatorMatrix) -> None:
-    """Fixed binary layout: magic, version, n, N, then L and tau as
-    little-endian doubles, then the row-major complex128 entries."""
-    header = _MAGIC + struct.pack("<III", 1, op.grid.n, op.grid.N)
-    header += struct.pack("<dd", op.grid.L, op.tau)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(op.data.astype("<c16")).tobytes())
-
-
-def load_operator(path) -> OperatorMatrix:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ValueError("bad magic")
-    ver, n, N = struct.unpack("<III", raw[4:16])
-    if ver != 1:
-        raise ValueError(f"unknown version {ver}")
-    L, tau = struct.unpack("<dd", raw[16:32])
-    grid = Grid(n, N, L)
-    side = grid.side()
-    data = np.frombuffer(raw[32:], dtype="<c16").reshape(side, side).copy()
-    return OperatorMatrix(grid, data, tau)

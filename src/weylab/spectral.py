@@ -1,5 +1,5 @@
-"""Spectra, singular values, Schatten sums, growth fits, and the
-compactness trend experiment.
+"""Certified eigensolves, growth fits, and the compactness trend
+experiment.
 
 The trend experiment is the one place where a continuum question (does a
 negative power of the weight lie in a Schatten class) meets finite
@@ -24,10 +24,8 @@ from .quantize import Grid, weyl_quantize
 from .symbols import SymbolEvaluator
 
 __all__ = [
-    "SpectralResult", "SchattenEstimate", "GrowthFit", "SolverError",
-    "eigensolve", "singular_values", "schatten_norm", "weyl_inequality_check",
-    "WeylInequalityReport", "growth_fit", "phase_box_integral",
-    "band_slope", "SchattenTrendReport", "schatten_sweep",
+    "SpectralResult", "GrowthFit", "SolverError", "eigensolve", "growth_fit",
+    "phase_box_integral", "band_slope", "SchattenTrendReport", "schatten_sweep",
 ]
 
 RESIDUAL_REL_TOL = 1e-8
@@ -181,48 +179,6 @@ def _count_below(S, tau: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def singular_values(T) -> np.ndarray:
-    return np.linalg.svd(np.asarray(T), compute_uv=False)
-
-
-@dataclass
-class SchattenEstimate:
-    r: float
-    value: float
-    count: int
-    descriptor: str = ""
-
-
-def schatten_norm(T, r: float, descriptor: str = "") -> SchattenEstimate:
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    s = singular_values(T)
-    return SchattenEstimate(r=r, value=float(np.sum(s**r) ** (1.0 / r)),
-                            count=s.size, descriptor=descriptor)
-
-
-@dataclass
-class WeylInequalityReport:
-    p: float
-    eig_side: float
-    sv_side: float
-    holds: bool
-    margin: float
-
-
-def weyl_inequality_check(T, p: float, tol: float = 1e-10) -> WeylInequalityReport:
-    """Sum of |eigenvalue|^p against sum of singular value^p."""
-    T = np.asarray(T)
-    lam = np.linalg.eigvals(T)
-    s = singular_values(T)
-    lhs = float(np.sum(np.abs(lam) ** p))
-    rhs = float(np.sum(s**p))
-    scale = max(rhs, 1.0)
-    return WeylInequalityReport(p=p, eig_side=lhs, sv_side=rhs,
-                                holds=lhs <= rhs + tol * scale,
-                                margin=rhs - lhs)
-
-
 @dataclass
 class GrowthFit:
     exponent: float
@@ -332,7 +288,7 @@ class SchattenTrendReport:
     slope: float
     critical_slope: float
     bands: list
-    verdict: str                  # "converges" | "diverges"
+    verdict: str                  # "converges": slope below critical, read as mu r > Q
     shift_used: list = field(default_factory=list)
 
     def csv_rows(self):
@@ -354,7 +310,10 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     per (mu, r) in cells.  Q is the homogeneous-dimension calibration:
     the critical band slope is measured at exponent Q (the borderline of
     the sufficient condition mu > Q/r), and each verdict compares the
-    actual slope at s = mu r against it.  All ladders are reported raw.
+    actual slope at s = mu r against it.  So "converges" reads mu r > Q,
+    the sufficient condition; it does not decide whether m^{-mu} lies in
+    S_r, and "diverges" only says the condition fails.  All ladders are
+    reported raw.
     The cells share one quantization and eigvalsh per N (m^{-mu}(M) has
     singular values (lam + shift)^{-mu}) and one m pass per quadrature box.
     """
@@ -366,7 +325,7 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     for N in map(int, matrix_N):
         # balanced box: x and xi extents both ~ sqrt(N)/2 starve neither end of the shells
         L = np.sqrt(N) / 2.0
-        M = weyl_quantize(SymbolEvaluator(w.n, w.m_values, name=w.name), Grid(w.n, N, L)).data
+        M = weyl_quantize(SymbolEvaluator(w.n, w.m_values, name=w.name), Grid(w.n, N, L))
         lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
         ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0]))))  # PD floor at 1, as m
     exps = [mu * r for mu, r in cells]

@@ -25,8 +25,7 @@ from .profiles import band_bump
 __all__ = [
     "SymbolEvaluator", "PolySymbol", "SeminormEstimate", "with_confinement",
     "quadratic_confinement", "weight_symbol_evaluator", "derivative",
-    "smg_seminorm", "class_membership", "band_restrict", "check_prop32",
-    "box_sample",
+    "smg_seminorm", "class_membership", "band_restrict", "box_sample",
 ]
 
 MAX_DERIV_ORDER = 4
@@ -51,10 +50,6 @@ class SymbolEvaluator:
     def eval(self, Z):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         return self.value_fn(Z)
-
-    def at(self, x, xi):
-        Z = np.concatenate([np.atleast_1d(x), np.atleast_1d(xi)])
-        return complex(np.asarray(self.eval(Z[None, :]))[0])
 
     def derivative(self, beta, alpha, Z):
         """d_x^beta d_xi^alpha at the rows of Z; exact when a jet exists."""
@@ -475,48 +470,3 @@ def band_restrict(s, w, R: float) -> SymbolEvaluator:
 
     name = f"band[{getattr(s, 'name', '') or 'symbol'}, R={R}]"
     return SymbolEvaluator(n, value, jet=None, name=name)
-
-
-@dataclass
-class Prop32Report:
-    passed: bool
-    constant: float
-    second_deriv_sup: float
-    violations: list
-    checked: int
-
-
-def check_prop32(f: Callable, sample, cover=None, constant: float = 2.0) -> Prop32Report:
-    """Check (f')^2 <= constant * ||f''||_inf * f for nonnegative C^2 f.
-
-    The printed inequality with constant 1 fails already on f(t) = t^2
-    (4 t^2 against 2 t^2); the Taylor argument gives constant 2 and the
-    quadratic then saturates it exactly.  Derivatives are one-variable
-    central differences with a Richardson pass.
-    """
-    sample = np.atleast_1d(np.asarray(sample, dtype=float))
-    cover = sample if cover is None else np.atleast_1d(np.asarray(cover, dtype=float))
-
-    def d1(t):
-        h = 1e-4 * np.maximum(1.0, np.abs(t))
-        a = (f(t + h) - f(t - h)) / (2 * h)
-        b = (f(t + h / 2) - f(t - h / 2)) / h
-        return b + (b - a) / 3.0
-
-    def d2(t):
-        h = 1e-3 * np.maximum(1.0, np.abs(t))
-        a = (f(t + h) - 2 * f(t) + f(t - h)) / h**2
-        b = (f(t + h / 2) - 2 * f(t) + f(t - h / 2)) / (h / 2) ** 2
-        return b + (b - a) / 3.0
-
-    fv = np.asarray(f(sample), dtype=float)
-    if np.any(fv < -1e-12):
-        raise ValueError("f must be nonnegative on the sample")
-    sup2 = float(np.max(np.abs(d2(cover))))
-    lhs = np.asarray(d1(sample)) ** 2
-    rhs = constant * sup2 * np.maximum(fv, 0.0)
-    slack = 1e-6 * np.maximum(1.0, rhs)  # FD noise allowance
-    bad = lhs > rhs + slack
-    violations = [(float(sample[i]), float(lhs[i]), float(rhs[i])) for i in np.nonzero(bad)[0]]
-    return Prop32Report(passed=not violations, constant=constant, second_deriv_sup=sup2,
-                        violations=violations, checked=sample.size)

@@ -1,9 +1,11 @@
-"""Shared oracles: symbolic derivative tables, localized trial states and
+"""Shared oracles: symbolic derivative tables, localized trial states,
+Schatten norms, stencil symbols, symmetry and positivity witnesses, and
 call counters."""
 import numpy as np
 import sympy as sp
 
 from weylab._jets import UnsupportedOrderError
+from weylab.hamiltonians import _W2
 
 
 def uni_table(expr, var, depth=8):
@@ -47,3 +49,31 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def schatten_norm(T, r):
+    """(sum of singular value^r)^(1/r), from a full SVD."""
+    return float(np.sum(np.linalg.svd(np.asarray(T), compute_uv=False) ** r) ** (1.0 / r))
+
+
+def periodic_mode_symbol(N, h, order=6):
+    """Eigenvalues of the periodic second-difference matrix, indexed by
+    FFT mode: the Fourier multiplier of the stencil."""
+    w = _W2[order]
+    theta = 2.0 * np.pi * np.arange(N) / N
+    vals = np.full(N, w[0])
+    for k in range(1, len(w)):
+        vals = vals + 2.0 * w[k] * np.cos(k * theta)
+    return vals / h**2
+
+
+def symmetry_defect(H):
+    """max |A - A^T| of a HamiltonianMatrix, on its sparse form."""
+    return float(abs(H.sparse - H.sparse.T).max())
+
+
+def min_ritz(H, trials=1000, seed=0):
+    """Cheap PSD witness: smallest Rayleigh quotient over random vectors."""
+    v = np.random.default_rng(seed).normal(size=(H.sparse.shape[0], trials))
+    v /= np.linalg.norm(v, axis=0)
+    return float(np.min(np.einsum("ij,ij->j", v, H.sparse @ v)))

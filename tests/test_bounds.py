@@ -14,8 +14,8 @@ from weylab.bounds import (
     lp_window_probe,
     subellipticity_probe,
 )
-from weylab.builders import get_a2, get_kinetic, get_operator
-from weylab.hamiltonians import DirichletGrid
+from weylab.builders import get_a2, get_kinetic, get_operator, get_weight
+from weylab.hamiltonians import DirichletGrid, Spectrum
 from weylab.metric import WeightEvaluator
 from weylab.quantize import Grid
 
@@ -29,7 +29,7 @@ def periodic(name):
 
 
 def harmonic_1d_weight():
-    return WeightEvaluator.custom(
+    return WeightEvaluator(
         1, lambda Z: 1.0 + (np.atleast_2d(Z) ** 2).sum(axis=1), "harmonic-1d")
 
 
@@ -37,16 +37,17 @@ def harmonic_1d_weight():
 
 def test_interp_upper_exact_endpoints(rng):
     A = rng.normal(size=(10, 10))
-    assert _interp_upper(A, 1.0) == pytest.approx(np.linalg.norm(A, 1))
-    assert _interp_upper(A, np.inf) == pytest.approx(np.linalg.norm(A, np.inf))
-    assert _interp_upper(A, 2.0) == pytest.approx(np.linalg.norm(A, 2))
+    n2 = np.linalg.norm(A, 2)
+    assert _interp_upper(A, 1.0, n2) == pytest.approx(np.linalg.norm(A, 1))
+    assert _interp_upper(A, np.inf, n2) == pytest.approx(np.linalg.norm(A, np.inf))
+    assert _interp_upper(A, 2.0, n2) == pytest.approx(np.linalg.norm(A, 2))
 
 
 def test_interp_upper_diagonal_is_tight(rng):
     d = rng.uniform(0.5, 3.0, size=12)
     A = np.diag(d)
     for p in (1.0, 1.5, 2.0, 4.0, np.inf):
-        assert _interp_upper(A, p) == pytest.approx(np.max(d), rel=1e-12)
+        assert _interp_upper(A, p, np.max(d)) == pytest.approx(np.max(d), rel=1e-12)
 
 
 def test_lp_lower_reaches_diagonal_norm(rng):
@@ -61,7 +62,7 @@ def test_lp_lower_reaches_diagonal_norm(rng):
 def test_lp_bracket_consistency(rng):
     A = rng.normal(size=(16, 16))
     for p in (1.5, 2.0, 4.0):
-        upper = _interp_upper(A, p)
+        upper = _interp_upper(A, p, np.linalg.norm(A, 2))
         lower = _lp_lower(A, p, 32, np.random.default_rng(1))
         assert lower <= upper * (1.0 + 1e-9)
 
@@ -102,6 +103,25 @@ def test_lp_window_probe_decomposes_each_grid_once(monkeypatch):
     assert calls == [(144, 144), (256, 256)]
 
 
+def test_lp_probe_takes_the_two_norm_from_the_spectrum(monkeypatch):
+    # T = (H + C)^{-b} is SPD, so |T|_2 = (lam_1 + C)^{-b} and no SVD is
+    # needed; the bound agrees with the SVD-based one to rounding
+    import numpy.linalg._linalg as la
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    svd_inner = count_calls(monkeypatch, la, "svd")
+    builder = lambda g: get_operator("daho", g)
+    grids = [DirichletGrid(2, 16, 6.0), DirichletGrid(2, 20, 6.0)]
+    w = get_weight("daho")
+    res = lp_window_probe(builder, grids, w, beta=1.0, p_list=[2.0, 4.0], trials=8, seed=5)
+    assert svd == [] and svd_inner == []
+    monkeypatch.undo()
+    for r, (grid, p) in zip(res, [(g, p) for g in grids for p in (2.0, 4.0)]):
+        T = Spectrum(builder(grid)).power(-r.beta_prime, 1.0)
+        want = _interp_upper(T, p, np.linalg.norm(T, 2))
+        assert (r.N, r.p) == (grid.N, p)
+        assert r.upper == pytest.approx(want, rel=1e-13)
+
+
 def test_lp_window_probe_validation():
     w = WeightEvaluator.from_a2(get_a2("harmonic"))
     with pytest.raises(ValueError, match="beta"):
@@ -109,7 +129,7 @@ def test_lp_window_probe_validation():
 
 
 def test_calibration_refuses_flat_target():
-    flat = WeightEvaluator.custom(
+    flat = WeightEvaluator(
         2, lambda Z: np.ones(np.atleast_2d(Z).shape[0]), "flat")
     with pytest.raises(CalibrationError, match="flat"):
         lp_window_probe(harmonic_matrix, lp_grids(), flat, beta=1.0, p_list=[2.0])
@@ -125,7 +145,7 @@ def test_calibration_residual_gate():
 # -- shell probes -----------------------------------------------------------
 
 def test_band_sample_starves_on_concentrated_weight():
-    flat = WeightEvaluator.custom(
+    flat = WeightEvaluator(
         1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]), "flat")
     with pytest.raises(RuntimeError, match="starved"):
         _band_sample(flat, 3.0, 100, seed=0)

@@ -2,16 +2,14 @@
 import numpy as np
 import pytest
 
-from _helpers import count_calls
 from weylab.evolve import (
     EvolutionTrace,
     Propagator,
-    fractional_evolve,
     heat_evolve,
     schrodinger_evolve,
 )
 from weylab.builders import get_operator
-from weylab.hamiltonians import DirichletGrid, fractional_power
+from weylab.hamiltonians import DirichletGrid
 
 
 @pytest.fixture(scope="module")
@@ -92,35 +90,6 @@ def test_crank_nicolson_heat_monotone(H, f0):
     times = np.linspace(0.0, 0.4, 81)
     tr = heat_evolve(H, f0, times, method="cn")
     assert np.all(np.diff(tr.norms) <= 1e-12)
-
-
-def test_fractional_beta_one_matches_plain(H, f0):
-    times = np.linspace(0.0, 0.8, 9)
-    a = schrodinger_evolve(H, f0, times)
-    b = fractional_evolve(H, 1.0, 0.0, f0, times, "schrodinger")
-    assert np.allclose(a.norms, b.norms, rtol=1e-9)
-    assert np.allclose(a.energies, b.energies, rtol=1e-7)
-    assert "beta=1" in b.meta
-
-
-def test_fractional_evolve_decomposes_once(H, f0, monkeypatch):
-    calls = count_calls(monkeypatch, np.linalg, "eigh")
-    times = np.linspace(0.0, 0.8, 9)
-    tr = fractional_evolve(H, 0.5, 1.0, f0, times, "heat")
-    assert calls == [(64, 64)]
-    # the power's spectrum reused from H equals a direct evolution under
-    # the formed power, which decomposes it a second time
-    Hb = fractional_power(H, 0.5, 1.0)
-    ref = heat_evolve(Hb, f0, times)
-    assert np.allclose(tr.norms, ref.norms, rtol=1e-12)
-    assert np.allclose(tr.energies, ref.energies, rtol=1e-12)
-
-
-def test_fractional_validation(H, f0):
-    with pytest.raises(ValueError, match="beta"):
-        fractional_evolve(H, 0.0, 0.0, f0, [0.0, 1.0], "heat")
-    with pytest.raises(TypeError):
-        fractional_evolve(np.eye(4), 0.5, 0.0, np.ones(4), [0.0, 1.0], "heat")
 
 
 def test_csv_rows(H, f0):

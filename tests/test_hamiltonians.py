@@ -8,11 +8,9 @@ from weylab.hamiltonians import (
     HamiltonianMatrix,
     P2ValidationError,
     Potential,
+    Spectrum,
     bounded_noise_potential,
-    constant_shift,
-    fractional_power,
     hamiltonian_with_potential,
-    periodic_mode_symbol,
     quadratic_potential,
     second_derivative,
     staggered_divergence_form,
@@ -21,6 +19,8 @@ from weylab.hamiltonians import (
     table_potential,
     validate_p2,
 )
+
+from _helpers import min_ritz, periodic_mode_symbol, symmetry_defect
 
 
 # -- grids and wrapper ------------------------------------------------------
@@ -143,8 +143,8 @@ def test_single_field_spectrum_is_degenerate_lift():
 def test_daho_matrix_structure(profile):
     g = DirichletGrid(2, 16, 6.0)
     H = get_operator("daho", g)
-    assert H.symmetry_defect() == 0.0
-    assert H.min_ritz(trials=200) >= 0.0
+    assert symmetry_defect(H) == 0.0
+    assert min_ritz(H, trials=200) >= 0.0
     assert "daho" in H.provenance
     assert np.allclose(H.potential, (g.mesh() ** 2).sum(axis=1))
     with pytest.raises(ValueError):
@@ -180,7 +180,7 @@ def test_sum_of_squares_matches_grushin():
     H = sum_of_squares_matrix([(0, None), (1, lambda X: X[:, 0])], g)
     G2 = get_operator("grushin_pure", g, {"order": 2})
     assert np.max(np.abs(H.data - G2.data)) < 1e-12
-    assert H.symmetry_defect() == 0.0
+    assert symmetry_defect(H) == 0.0
     assert np.min(np.linalg.eigvalsh(H.data)) > -1e-9
 
 
@@ -294,28 +294,21 @@ def test_conditioning_limit():
         hamiltonian_with_potential(kin, huge, override=True)
 
 
-# -- shifts and powers ------------------------------------------------------
-
-def test_constant_shift():
-    g = DirichletGrid(1, 16, 4.0)
-    H = get_operator("harmonic", g)
-    S = constant_shift(H, 2.5)
-    assert np.allclose(S.data, H.data + 2.5 * np.eye(16))
-    assert "+(2.5)" in S.provenance
-
+# -- powers -----------------------------------------------------------------
 
 def test_fractional_power_identity_and_roots():
     g = DirichletGrid(1, 24, 5.0)
     H = get_operator("harmonic", g)
-    assert np.max(np.abs(fractional_power(H, 1.0).data - H.data)) < 1e-9
-    R = fractional_power(H, 0.5)
-    assert np.max(np.abs(R.data @ R.data - H.data)) < 1e-8
-    Inv = fractional_power(H, -1.0)
-    assert np.max(np.abs(Inv.data @ H.data - np.eye(24))) < 1e-10
+    spec = Spectrum(H)
+    assert np.max(np.abs(spec.power(1.0) - H.data)) < 1e-9
+    R = spec.power(0.5)
+    assert np.max(np.abs(R @ R - H.data)) < 1e-8
+    Inv = spec.power(-1.0)
+    assert np.max(np.abs(Inv @ H.data - np.eye(24))) < 1e-10
 
 
 def test_fractional_power_requires_positive_shifted_spectrum():
     g = DirichletGrid(1, 16, 4.0)
     H = get_operator("harmonic", g)
     with pytest.raises(ValueError, match="shift too small"):
-        fractional_power(H, 0.5, shift=-1e6)
+        Spectrum(H).power(0.5, shift=-1e6)

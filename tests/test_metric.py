@@ -12,7 +12,6 @@ from weylab.metric import (
     check_uncertainty,
     eval_dual_metric,
     eval_metric,
-    eval_weight,
     metric_apply,
     pair_sample,
     planck,
@@ -38,13 +37,10 @@ def test_weight_closed_form(rng):
               + (Z[:, :2] ** 2).sum(axis=1)
               + np.sqrt(bracket_sq(Z, 2)))
     assert np.allclose(w.m_values(Z), manual, rtol=1e-14)
-    assert np.allclose(w(Z), manual, rtol=1e-14)
-    assert np.allclose(eval_weight(w, Z), manual, rtol=1e-14)
 
 
 def test_custom_weight_wraps_callable():
-    w = WeightEvaluator.custom(1, lambda Z: np.full(len(np.atleast_2d(Z)), 7.0),
-                               name="const")
+    w = WeightEvaluator(1, lambda Z: np.full(len(np.atleast_2d(Z)), 7.0), name="const")
     assert w.n == 1
     assert w.m_values(np.zeros((3, 2)))[0] == 7.0
 

@@ -7,13 +7,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import weylab
 from weylab import profiles
-from weylab.profiles import (PROFILE_DERIV_ORDERS, CutoffProfileSquared,
-                             DyadicPartition, band_bump, eta, smoothstep)
+from weylab.profiles import (PROFILE_DERIV_ORDERS, CutoffProfileSquared, band_bump,
+                             smoothstep)
 
 THRESHOLD = 6.9453607293  # 4 + I_1 - I_rho, 64-node quadrature, converged
 
@@ -115,42 +113,6 @@ def test_nonnegative_everywhere():
         p = CutoffProfileSquared(c)
         t = np.linspace(-6.0, 6.0, 2001)
         assert np.min(p(t)) >= 0.0
-
-
-def test_eta_plateaus():
-    t = np.linspace(-1.0, 1.0, 101)
-    assert np.array_equal(eta(t), np.zeros_like(t))
-    assert np.array_equal(eta(np.array([-5.0, -2.0, 2.0, 30.0])), np.ones(4))
-    mid = eta(np.linspace(1.05, 1.95, 50))
-    assert np.all((mid >= 0.0) & (mid <= 1.0))
-
-
-def test_rho_support():
-    t = np.linspace(-1.0, 1.0, 101)
-    assert np.array_equal(DyadicPartition.rho(t), np.zeros_like(t))
-    far = np.array([-10.0, -4.0, 4.0, 1e3])
-    assert np.array_equal(DyadicPartition.rho(far), np.zeros(4))
-    assert DyadicPartition.rho(1.5) > 0.0
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-       st.integers(min_value=1, max_value=8))
-def test_telescoping_exact(t, levels):
-    part = DyadicPartition(levels)
-    lhs = part.partial_sum(np.array([t]))
-    rhs = eta(np.array([t]) * 2.0**levels)
-    assert abs(float(lhs[0]) - float(rhs[0])) < 1e-12
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        DyadicPartition(0)
-    part = DyadicPartition(3)
-    with pytest.raises(ValueError):
-        part.term(0, 1.0)
-    with pytest.raises(ValueError):
-        part.term(4, 1.0)
 
 
 def test_band_bump_support_and_plateau():

@@ -1,4 +1,4 @@
-"""Quantization rules, convention transport, norms, and serialization."""
+"""Quantization rules, convention transport and Sobolev norms."""
 import numpy as np
 import pytest
 
@@ -7,22 +7,13 @@ from weylab._jets import JPowerSum
 from weylab.builders import get_a2
 from weylab.quantize import (
     Grid,
-    OperatorMatrix,
     identity_symbol_matrix,
-    jt_transport,
     kn_quantize,
-    load_operator,
-    moyal_sharp,
-    save_operator,
     sobolev_norm,
     tau_quantize,
     weyl_quantize,
 )
-from weylab.symbols import (
-    PolySymbol,
-    SymbolEvaluator,
-    with_confinement,
-)
+from weylab.symbols import PolySymbol, with_confinement
 
 from _helpers import gaussian_packets
 
@@ -65,7 +56,7 @@ def test_grid_geometry():
 @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
 def test_identity_symbol_1d(tau):
     op = identity_symbol_matrix(Grid(1, 16, 4.0), tau)
-    defect = np.max(np.abs(op.data - np.eye(16)))
+    defect = np.max(np.abs(op - np.eye(16)))
     assert defect <= 1e-12
 
 
@@ -73,7 +64,7 @@ def test_identity_symbol_1d(tau):
 def test_identity_symbol_2d(tau):
     g = Grid(2, 8, 3.0)
     op = identity_symbol_matrix(g, tau)
-    defect = np.max(np.abs(op.data - np.eye(g.side())))
+    defect = np.max(np.abs(op - np.eye(g.side())))
     assert defect <= 1e-12
 
 
@@ -84,15 +75,14 @@ def test_generic_tau_2d_unsupported():
 
 def test_weyl_of_real_symbol_is_hermitian():
     op = weyl_quantize(harmonic_1d(), Grid(1, 32, 6.0))
-    assert op.is_hermitian()
-    assert op.hermitian_defect() < 1e-12
+    assert np.max(np.abs(op - op.conj().T)) < 1e-12
 
 
 def test_kn_equals_weyl_for_separable_symbol():
     # no mixed x-xi monomials, so every ordering convention coincides
     g = Grid(1, 32, 6.0)
     diff = weyl_quantize(harmonic_1d(), g) - kn_quantize(harmonic_1d(), g)
-    assert np.max(np.abs(diff.data)) < 1e-10
+    assert np.max(np.abs(diff)) < 1e-10
 
 
 def test_dense_side_limit(monkeypatch):
@@ -101,19 +91,26 @@ def test_dense_side_limit(monkeypatch):
         identity_symbol_matrix(Grid(1, 32, 4.0))
 
 
-def test_operator_matrix_shape_check():
-    g = Grid(1, 16, 4.0)
-    with pytest.raises(ValueError, match="shape"):
-        OperatorMatrix(g, np.eye(8), tau=0.5)
+def test_dense_side_limit_checked_before_the_symbol(monkeypatch):
+    # an oversized grid fails on entry: the symbol is never evaluated
+    monkeypatch.setattr(qz, "DENSE_SIDE_LIMIT", 16)
+    calls = []
 
+    class Counting:
+        n = 2
 
-def test_apply_and_sub():
-    g = Grid(1, 16, 4.0)
-    op = weyl_quantize(harmonic_1d(), g)
-    u = np.sin(g.points)
-    assert np.allclose(op.apply(u), op.data @ u)
-    zero = op - op
-    assert np.max(np.abs(zero.data)) == 0.0
+        @staticmethod
+        def eval(Z):
+            calls.append(np.shape(Z))
+            return np.ones(np.atleast_2d(Z).shape[0])
+
+    for tau in (0.5, 1.0):
+        with pytest.raises(ValueError, match="dense side"):
+            tau_quantize(Counting(), Grid(2, 8, 3.0), tau)
+    Counting.n = 1
+    with pytest.raises(ValueError, match="dense side"):
+        tau_quantize(Counting(), Grid(1, 32, 4.0), 0.3)
+    assert calls == []
 
 
 # -- convention transport ---------------------------------------------------
@@ -124,8 +121,8 @@ def test_transport_matches_weakly_but_not_entrywise():
     # the periodic wrap acts differently on the two kernels.
     g = Grid(1, 32, 6.0)
     a = xxi_symbol()
-    W = weyl_quantize(a, g).data
-    K = kn_quantize(jt_transport(a, -0.5), g).data
+    W = weyl_quantize(a, g)
+    K = kn_quantize(a.jt(-0.5), g)
     xs = g.points
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -138,22 +135,6 @@ def test_transport_matches_weakly_but_not_entrywise():
         worst = max(worst, abs(phi @ (W - K) @ psi))
     assert worst <= 1e-10
     assert np.max(np.abs(W - K)) > 0.5
-
-
-def test_transport_requires_polynomial_layer():
-    s = SymbolEvaluator(1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]))
-    with pytest.raises(TypeError):
-        jt_transport(s, 0.5)
-    with pytest.raises(TypeError):
-        moyal_sharp(s, s)
-
-
-def test_moyal_sharp_delegates():
-    a = xxi_symbol()
-    prod = moyal_sharp(a, a)
-    direct = a.sharp(a)
-    Z = np.array([[0.3, -1.2], [1.0, 2.0]])
-    assert np.allclose(np.asarray(prod.eval(Z)), np.asarray(direct.eval(Z)))
 
 
 # -- Sobolev norms ----------------------------------------------------------
@@ -176,39 +157,6 @@ def test_sobolev_plane_wave_closed_form(tau):
     u = np.exp(2j * np.pi * k * g.points)
     want = (1.0 + k**2) ** (tau / 2.0) * np.sqrt(2.0 * g.L)
     assert sobolev_norm(u, g, tau) == pytest.approx(want, rel=1e-12)
-
-
-# -- serialization ----------------------------------------------------------
-
-def test_save_load_roundtrip(tmp_path, rng):
-    g = Grid(1, 16, 4.0)
-    data = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    op = OperatorMatrix(g, data, tau=0.5)
-    path = tmp_path / "op.bin"
-    save_operator(path, op)
-    back = load_operator(path)
-    assert back.grid == g
-    assert back.tau == 0.5
-    assert np.array_equal(back.data, op.data)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"nope" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="magic"):
-        load_operator(path)
-
-
-def test_load_rejects_unknown_version(tmp_path):
-    g = Grid(1, 16, 4.0)
-    op = identity_symbol_matrix(g)
-    path = tmp_path / "op.bin"
-    save_operator(path, op)
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = (2).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version"):
-        load_operator(path)
 
 
 def test_gaussian_packets_are_normalized():

@@ -1,4 +1,4 @@
-"""Eigensolvers, Schatten estimates, growth fits, phase-space quadrature."""
+"""Eigensolvers, growth fits, phase-space quadrature, the trend sweep."""
 import importlib
 import math
 import os
@@ -7,14 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import weylab
-from _helpers import count_calls
+from _helpers import count_calls, schatten_norm
 from weylab import spectral
 from weylab.builders import get_operator
 from weylab.hamiltonians import (
     DirichletGrid,
-    constant_shift,
     second_derivative,
 )
 from weylab.metric import WeightEvaluator
@@ -26,15 +26,12 @@ from weylab.spectral import (
     eigensolve,
     growth_fit,
     phase_box_integral,
-    schatten_norm,
     schatten_sweep,
-    singular_values,
-    weyl_inequality_check,
 )
 
 
 def harmonic_1d_weight():
-    return WeightEvaluator.custom(
+    return WeightEvaluator(
         1, lambda Z: 1.0 + (np.atleast_2d(Z) ** 2).sum(axis=1), "harmonic-1d")
 
 
@@ -68,15 +65,16 @@ def test_shifted_spectrum_on_the_sparse_path(monkeypatch):
     # oscillator minus 5 are about -4, -2, 0; a solver that assumes the
     # spectrum lies above -1/2 returns 0, 2, 4, genuine pairs all
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
-    H = constant_shift(get_operator("harmonic", DirichletGrid(1, 64, 8.0)), -5.0)
-    res = eigensolve(H, 3)
+    H = get_operator("harmonic", DirichletGrid(1, 64, 8.0)).sparse
+    res = eigensolve(H - 5.0 * sparse.eye_array(64), 3)
     assert res.solver.startswith("shift-invert(m=")
     assert np.allclose(res.eigenvalues, [-4.0, -2.0, 0.0], atol=1e-3)
 
 
 def test_shifted_2d_oscillator_matches_tensor_oracle():
     g = DirichletGrid(2, 66, 8.0)
-    res = eigensolve(constant_shift(get_operator("harmonic", g), -5.0), 6)
+    H = get_operator("harmonic", g).sparse
+    res = eigensolve(H - 5.0 * sparse.eye_array(g.side()), 6)
     assert res.solver.startswith("shift-invert(m=")
     assert np.max(np.abs(res.eigenvalues - (harmonic_tensor_oracle(g, 6) - 5.0))) < 1e-10
 
@@ -152,42 +150,6 @@ def test_eigensolve_accepts_raw_arrays():
     assert res.eigenvectors is None
 
 
-# -- Schatten ---------------------------------------------------------------
-
-def test_singular_values_against_gram(rng):
-    T = rng.normal(size=(7, 7))
-    s = singular_values(T)
-    gram = np.sqrt(np.sort(np.linalg.eigvalsh(T.T @ T))[::-1])
-    assert np.allclose(s, gram, atol=1e-10)
-
-
-def test_schatten_two_is_frobenius(rng):
-    T = rng.normal(size=(9, 9))
-    est = schatten_norm(T, 2.0, descriptor="t")
-    assert est.value == pytest.approx(np.linalg.norm(T, "fro"), rel=1e-12)
-    assert est.count == 9 and est.descriptor == "t"
-
-
-def test_schatten_one_is_trace_norm(rng):
-    T = rng.normal(size=(6, 6))
-    est = schatten_norm(T, 1.0)
-    assert est.value == pytest.approx(np.sum(singular_values(T)), rel=1e-12)
-    with pytest.raises(ValueError):
-        schatten_norm(T, 0.5)
-
-
-def test_weyl_inequality(rng):
-    T = rng.normal(size=(8, 8))
-    for p in (1.0, 2.0):
-        rep = weyl_inequality_check(T, p)
-        assert rep.holds and rep.margin >= -1e-9
-    sym = T + T.T
-    rep = weyl_inequality_check(sym, 1.5)
-    # normal matrices achieve equality: moduli of eigenvalues ARE the
-    # singular values
-    assert rep.holds and abs(rep.margin) < 1e-8
-
-
 # -- growth fits ------------------------------------------------------------
 
 def test_growth_fit_recovers_power_law():
@@ -219,14 +181,14 @@ def test_growth_fit_validation():
 # -- phase-space quadrature -------------------------------------------------
 
 def test_box_integral_constant_weight_is_volume():
-    w = WeightEvaluator.custom(1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]))
+    w = WeightEvaluator(1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]))
     got = phase_box_integral(w, 3.0, 2.5, npts=50)
     assert got == pytest.approx(25.0, rel=1e-13)
 
 
 def test_box_integral_gaussian_closed_form():
     # separable integrand, so the product of 1d error functions is exact
-    w = WeightEvaluator.custom(
+    w = WeightEvaluator(
         1, lambda Z: np.exp((np.atleast_2d(Z) ** 2).sum(axis=1)))
     got = phase_box_integral(w, 1.0, 6.0, npts=100)
     want = (math.sqrt(math.pi) * math.erf(6.0)) ** 2
@@ -243,7 +205,7 @@ def test_band_slope_closed_form(s):
 
 
 def test_band_slope_rejects_concentrated_weight():
-    w = WeightEvaluator.custom(1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]))
+    w = WeightEvaluator(1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]))
     with pytest.raises(SolverError, match="empty band"):
         band_slope(w, 2.0)
 
@@ -306,11 +268,11 @@ def test_sweep_schatten_values_match_the_operator_path():
     for (mu, r), rep in zip(cells, reps):
         for (N, L, value), shift in zip(rep.matrix_cells, rep.shift_used):
             grid = spectral.Grid(1, N, L)
-            M = spectral.weyl_quantize(spectral.SymbolEvaluator(1, w.m_values), grid).data
+            M = spectral.weyl_quantize(spectral.SymbolEvaluator(1, w.m_values), grid)
             lam, Q = np.linalg.eigh(0.5 * (M + M.conj().T))
             assert shift == pytest.approx(max(0.0, 1.0 - lam[0]), abs=1e-12)
             T = (Q * (lam + shift) ** (-mu)) @ Q.conj().T
-            assert value == pytest.approx(schatten_norm(T, r).value, rel=1e-12)
+            assert value == pytest.approx(schatten_norm(T, r), rel=1e-12)
 
 
 def test_trend_experiment_validation():
