@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from _helpers import count_calls
 from weylab.evolve import (
     EvolutionTrace,
     Propagator,
@@ -90,6 +91,18 @@ def test_crank_nicolson_heat_monotone(H, f0):
     times = np.linspace(0.0, 0.4, 81)
     tr = heat_evolve(H, f0, times, method="cn")
     assert np.all(np.diff(tr.norms) <= 1e-12)
+
+
+def test_evolution_decomposes_once(H, f0, monkeypatch):
+    # one eigendecomposition serves every time of the trace; the energies
+    # reuse the symmetric part the Spectrum already formed
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    times = np.linspace(0.0, 0.8, 9)
+    for evolve in (schrodinger_evolve, heat_evolve):
+        calls.clear()
+        tr = evolve(H, f0, times)
+        assert calls == [(64, 64)]
+        assert len(tr.norms) == len(tr.energies) == 9
 
 
 def test_csv_rows(H, f0):

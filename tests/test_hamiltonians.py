@@ -49,6 +49,20 @@ def test_matrix_shape_check():
         HamiltonianMatrix(np.eye(8), DirichletGrid(1, 16, 4.0), "x")
 
 
+def test_matrix_stores_csr_only():
+    # a dense input is converted on entry; .data is a fresh dense copy
+    # that cannot write back into the stored operator
+    g = DirichletGrid(1, 16, 4.0)
+    A = second_derivative(16, g.h)
+    H = HamiltonianMatrix(A, g, "x")
+    assert H.sparse.format == "csr"
+    assert np.array_equal(H.data, A)
+    D = H.data
+    D[0, 0] = 1e9
+    assert H.data[0, 0] == A[0, 0]
+    assert H.data is not H.data
+
+
 # -- stencils ---------------------------------------------------------------
 
 def test_dirichlet_order2_eigenvalues_closed_form():

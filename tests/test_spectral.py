@@ -150,6 +150,35 @@ def test_eigensolve_accepts_raw_arrays():
     assert res.eigenvectors is None
 
 
+# -- Schatten oracle ----------------------------------------------------------
+# schatten_norm in _helpers is the SVD reference the sweep's values are
+# checked against; these pin it to closed forms.
+
+def test_schatten_two_is_frobenius(rng):
+    T = rng.normal(size=(9, 9))
+    assert schatten_norm(T, 2.0) == pytest.approx(np.linalg.norm(T, "fro"), rel=1e-12)
+
+
+def test_schatten_one_is_trace_norm(rng):
+    # trace norm tr sqrt(T^T T), from the eigenvalues of the Gram matrix
+    T = rng.normal(size=(6, 6))
+    gram = np.sqrt(np.clip(np.linalg.eigvalsh(T.T @ T), 0.0, None))
+    assert schatten_norm(T, 1.0) == pytest.approx(np.sum(gram), rel=1e-12)
+
+
+def test_weyl_inequality(rng):
+    # sum |lambda|^p <= sum s^p, with equality on normal matrices: the
+    # sweep's eigenvalue route to the Schatten value of a Hermitian T
+    T = rng.normal(size=(8, 8))
+    for p in (1.0, 2.0):
+        lhs = np.sum(np.abs(np.linalg.eigvals(T)) ** p)
+        assert lhs <= schatten_norm(T, p) ** p * (1.0 + 1e-12)
+    sym = T + T.T
+    lam = np.linalg.eigvalsh(sym)
+    assert np.sum(np.abs(lam) ** 1.5) ** (1.0 / 1.5) == pytest.approx(
+        schatten_norm(sym, 1.5), rel=1e-12)
+
+
 # -- growth fits ------------------------------------------------------------
 
 def test_growth_fit_recovers_power_law():
