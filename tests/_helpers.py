@@ -1,5 +1,5 @@
 """Shared oracles: symbolic derivative tables, localized trial states,
-Schatten norms, stencil symbols, symmetry and positivity witnesses, and
+the direct-sum quantizer, Schatten norms, stencil symbols, symmetry and positivity witnesses, and
 call counters."""
 import numpy as np
 import sympy as sp
@@ -35,6 +35,24 @@ def gaussian_packets(grid, count=6, seed=0):
              * np.exp(2j * np.pi * k * pts / (2.0 * grid.L)))
         out.append(u / np.linalg.norm(u))
     return out
+
+
+def direct_quantize(s, grid, tau):
+    """The plain sum A[i, j] = N^-n sum_k s(tau x_i + (1 - tau) x_j, xi_k)
+    e^{2 pi i (x_i - x_j) . xi_k}, one row at a time with no FFT; grid
+    points and modes are flattened with the first axis outermost."""
+    def flat(axis):
+        return np.stack([a.ravel() for a in np.meshgrid(*([axis] * grid.n), indexing="ij")], axis=-1)
+
+    X, K = flat(grid.points), flat(grid.modes)
+    side = X.shape[0]
+    A = np.empty((side, side), dtype=complex)
+    for i in range(side):
+        P = tau * X[i] + (1.0 - tau) * X
+        Z = np.concatenate([np.repeat(P, side, axis=0), np.tile(K, (side, 1))], axis=1)
+        S = np.asarray(s.eval(Z)).reshape(side, side)  # [j, k]
+        A[i] = np.sum(S * np.exp(2j * np.pi * ((X[i] - X) @ K.T)), axis=1) / side
+    return A
 
 
 def count_calls(monkeypatch, owner, name):

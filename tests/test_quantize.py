@@ -4,7 +4,7 @@ import pytest
 
 import weylab.quantize as qz
 from weylab._jets import JPowerSum
-from weylab.builders import get_a2
+from weylab.builders import get_a2, get_weight
 from weylab.quantize import (
     Grid,
     identity_symbol_matrix,
@@ -13,13 +13,24 @@ from weylab.quantize import (
     tau_quantize,
     weyl_quantize,
 )
-from weylab.symbols import PolySymbol, with_confinement
+from weylab.symbols import PolySymbol, SymbolEvaluator, with_confinement
 
-from _helpers import gaussian_packets
+from _helpers import direct_quantize, gaussian_packets
 
 
 def xxi_symbol():
     return PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0))})
+
+
+def mixed_2d_symbol():
+    """x1 xi2 + x2^2 xi1: x-dependent and odd in xi, unlike every model."""
+    return PolySymbol(2, {(0, 1): JPowerSum.monomial(4, (1, 0, 0, 0)),
+                          (1, 0): JPowerSum.monomial(4, (0, 2, 0, 0))})
+
+
+def daho_weight():
+    w = get_weight("daho")
+    return SymbolEvaluator(w.n, w.m_values, name=w.name)
 
 
 def harmonic_1d():
@@ -111,6 +122,24 @@ def test_dense_side_limit_checked_before_the_symbol(monkeypatch):
     with pytest.raises(ValueError, match="dense side"):
         tau_quantize(Counting(), Grid(1, 32, 4.0), 0.3)
     assert calls == []
+
+
+# -- entries against the direct sum ----------------------------------------
+
+def _direct_defect(s, grid, tau):
+    want = direct_quantize(s, grid, tau)
+    return np.max(np.abs(tau_quantize(s, grid, tau) - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
+def test_1d_matches_direct_sum(tau):
+    assert _direct_defect(xxi_symbol(), Grid(1, 16, 4.0), tau) <= 1e-13
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+@pytest.mark.parametrize("symbol", [mixed_2d_symbol, daho_weight])
+def test_2d_matches_direct_sum(symbol, tau):
+    assert _direct_defect(symbol(), Grid(2, 8, 3.0), tau) <= 1e-13
 
 
 # -- convention transport ---------------------------------------------------
