@@ -48,14 +48,9 @@ def _need(cfg, key):
     return cfg[key]
 
 
-def _dirichlet_grid(cfg) -> DirichletGrid:
-    g = _need(cfg, "grid")
-    return DirichletGrid(int(g.get("n", 2)), int(_need(g, "N")), float(_need(g, "L")))
-
-
-def _periodic_grid(cfg) -> Grid:
-    g = _need(cfg, "grid")
-    return Grid(int(g.get("n", 2)), int(_need(g, "N")), float(_need(g, "L")))
+def _grid(g, grid_type=DirichletGrid):
+    """A grid dict {"n": 2 by default, "N", "L"}, Dirichlet unless told otherwise."""
+    return grid_type(int(g.get("n", 2)), int(_need(g, "N")), float(_need(g, "L")))
 
 
 def _weight(cfg):
@@ -128,7 +123,7 @@ def _run_class_check(cfg, out):
 
 
 def _run_quantize_identity(cfg, out):
-    grid = _periodic_grid(cfg)
+    grid = _grid(_need(cfg, "grid"), Grid)
     one = identity_symbol_matrix(grid, tau=float(cfg.get("tau", 1.0)))
     defect_id = float(np.max(np.abs(one - np.eye(grid.side()))))
     checks = [("op-of-one-is-identity", defect_id <= 1e-12, f"defect={defect_id:.3e}")]
@@ -144,7 +139,7 @@ def _run_quantize_identity(cfg, out):
 
 
 def _run_spectrum(cfg, out):
-    grid = _dirichlet_grid(cfg)
+    grid = _grid(_need(cfg, "grid"))
     H = _operator(cfg, grid)
     k = int(cfg.get("k", 10))
     res = eigensolve(H, k, want_vectors=False)
@@ -163,7 +158,7 @@ def _run_spectrum(cfg, out):
 
 
 def _run_growth_fit(cfg, out):
-    grid = _dirichlet_grid(cfg)
+    grid = _grid(_need(cfg, "grid"))
     H = _operator(cfg, grid)
     window = tuple(int(v) for v in cfg.get("window", (50, 400)))
     k = max(window[1] + 10, int(cfg.get("k", window[1] + 10)))
@@ -228,7 +223,7 @@ def _initial_state(cfg, grid):
 
 
 def _run_evolve(cfg, out):
-    grid = _dirichlet_grid(cfg)
+    grid = _grid(_need(cfg, "grid"))
     H = _operator(cfg, grid)
     kind = cfg.get("evolution", "schrodinger")
     t = cfg.get("times", {})
@@ -257,8 +252,7 @@ def _run_lp_probe(cfg, out):
     w = _weight(cfg)
     opname = _need(cfg, "operator")["name"]
     params = cfg["operator"].get("params")
-    grids = [DirichletGrid(int(g.get("n", 2)), int(g["N"]), float(g["L"]))
-             for g in _need(cfg, "grids")]
+    grids = [_grid(g) for g in _need(cfg, "grids")]
     results = lp_window_probe(
         lambda g: builders.get_operator(opname, g, params), grids, w,
         float(_need(cfg, "beta")), [float(p) for p in _need(cfg, "p_list")],
@@ -277,11 +271,10 @@ def _run_lp_probe(cfg, out):
 
 def _run_band_probe(cfg, out):
     w = _weight(cfg)
-    grid = _periodic_grid(cfg)
+    grid = _grid(_need(cfg, "grid"), Grid)
     eps = float(_need(cfg, "epsilon"))
     results = linf_band_probe(w, eps, [float(R) for R in _need(cfg, "R_list")],
-                              grid, trials=int(cfg.get("trials", 64)),
-                              seed=int(cfg["seed"]), operator=w.name)
+                              grid, seed=int(cfg["seed"]), operator=w.name)
     rows = [r.csv_row(eps) for r in results]
     quots = [r.quotient for r in results]
     spread = max(quots) / min(quots)

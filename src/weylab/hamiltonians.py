@@ -2,12 +2,14 @@
 
 Kinetic parts are sums of squares of axis-aligned vector fields,
 assembled as scipy sparse matrices (Kronecker sums plus diagonals).  Two
-assembly routes, chosen per field:
+assembly routes; the builder picks one for the whole operator:
 
-* tensor stencils (order 6 default) when the field coefficient does not
-  vary along its own differencing axis: the per-axis matrix is PSD and
-  the Kronecker assembly keeps both symmetry and positivity exactly;
-* staggered divergence form D^T M D (order 2) otherwise, PSD by
+* tensor stencils (tensor_stencil_matrix, order 6 default) for every
+  model of the builders table, whose field coefficients do not vary
+  along their own differencing axis: the per-axis matrix is PSD and the
+  Kronecker assembly keeps both symmetry and positivity exactly;
+* staggered divergence form D^T M D (sum_of_squares_matrix, order 2)
+  for the sum_of_squares operator, whatever its coefficients: PSD by
   construction without differentiating the coefficient.
 
 Spectra here use the plain convention -Laplacian + |x|^2, whose 2D

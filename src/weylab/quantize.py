@@ -5,12 +5,15 @@ with h = 2L/N, modes xi_k = k/(2L) for k = -N/2 .. N/2-1, and
 
     A[i, j] = N^{-n} sum_k s(p_ij, xi_k) e^{2 pi i (x_i - x_j) . xi_k},
 
-where p_ij = tau x_i + (1 - tau) x_j.  tau = 1 evaluates at the output
-point, tau = 1/2 at the midpoint; the midpoint rule lands exactly on the
-half-step grid, which is what makes the assembly below O(N^2 log N)
-instead of O(N^3), and it produces exactly Hermitian matrices for real
-symbols.  Between conventions the transport (PolySymbol.jt) acts on
-symbols, not matrices: tau-quantization of s equals output-point
+where p_ij = tau x_i + (1 - tau) x_j.  At tau = 1, 0 and 1/2 one routine
+serves both dimensions: per axis p_ij = nodes[at[i, j]] (the grid at
+tau = 1 or 0, the half-step grid at the midpoint) and the phase depends
+only on d = (i - j) mod N, so the inverse FFT G of the symbol on the
+nodes gives A = G[at, d], O(N^2 log N) instead of O(N^3); in 2-D, one
+block and one ifft2 per first-axis node.  The midpoint rule gives exactly
+Hermitian matrices for real symbols.  Other tau take one transform per
+row, in 1-D only.  Between conventions the transport (PolySymbol.jt)
+acts on symbols, not matrices: tau-quantization of s equals output-point
 quantization of the transported symbol.  Quantizers return plain dense
 complex arrays.
 """
@@ -93,84 +96,36 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     side = grid.side()
     if side > DENSE_SIDE_LIMIT:
         raise ValueError(f"dense side {side} exceeds limit {DENSE_SIDE_LIMIT}")
+    N, ks = grid.N, grid.modes
+    idx = np.arange(N)
+    d = (idx[:, None] - idx[None, :]) % N
+    # per axis, p_ij = nodes[at[i, j]]: half-step nodes at tau = 1/2
+    if tau == 0.5:
+        nodes, at = -grid.L + (grid.h / 2.0) * np.arange(2 * N - 1), idx[:, None] + idx[None, :]
+    elif tau == 1.0 or tau == 0.0:
+        nodes, at = grid.points, np.broadcast_to(idx[:, None] if tau else idx[None, :], (N, N))
+    elif grid.n == 2:
+        raise NotImplementedError("two dimensions: only tau = 0, 1/2 and 1")
+    else:
+        # generic tau: the point depends on both indices, one transform per row
+        A = np.empty((N, N), dtype=complex)
+        for i in range(N):
+            p = tau * grid.points[i] + (1.0 - tau) * grid.points
+            S = _eval_symbol(s, (p[:, None],), (ks[None, :],))
+            A[i, :] = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)[idx, d[i]]
+        return A
     if grid.n == 1:
-        return _tau_quantize_1d(s, grid, tau)
-    if tau == 1.0:
-        return _kn_quantize_2d(s, grid)
-    if tau == 0.5:
-        return _weyl_quantize_2d(s, grid)
-    raise NotImplementedError("two dimensions: only tau = 1 and tau = 1/2")
-
-
-def _tau_quantize_1d(s, grid: Grid, tau: float) -> np.ndarray:
-    N, L, h = grid.N, grid.L, grid.h
-    xs, ks = grid.points, grid.modes
-    idx = np.arange(N)
-    d = (idx[:, None] - idx[None, :]) % N
-    if tau == 1.0 or tau == 0.0:
-        # symbol constant along one matrix index: one batched transform
-        S = _eval_symbol(s, (xs[:, None],), (ks[None, :],))  # [point, mode]
+        S = _eval_symbol(s, (nodes[:, None],), (ks[None, :],))  # [node, mode]
         G = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)
-        if tau == 1.0:
-            A = np.take_along_axis(G, d, axis=1)      # A[i, j] = G[i, (i-j) % N]
-        else:
-            A = G[idx[None, :], d]                    # A[i, j] = G[j, (i-j) % N]
-        return A
-    if tau == 0.5:
-        mids = -L + (h / 2.0) * np.arange(2 * N - 1)
-        S = _eval_symbol(s, (mids[:, None],), (ks[None, :],))
-        G = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)
-        A = G[idx[:, None] + idx[None, :], d]
-        return A
-    # generic tau: row-by-row, evaluation point depends on both indices
-    A = np.empty((N, N), dtype=complex)
-    for i in range(N):
-        p = tau * xs[i] + (1.0 - tau) * xs
-        S = _eval_symbol(s, (p[:, None],), (ks[None, :],))
-        G = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)
-        A[i, :] = G[idx, (i - idx) % N]
-    return A
-
-
-def _kn_quantize_2d(s, grid: Grid) -> np.ndarray:
-    N, L = grid.N, grid.L
-    xs, ks = grid.points, grid.modes
-    idx = np.arange(N)
-    d = (idx[:, None] - idx[None, :]) % N
-    side = N * N
+        return G[at, d]
     A = np.empty((side, side), dtype=complex)
-    K1 = ks[:, None]
-    K2 = ks[None, :]
-    for i1 in range(N):
-        # all rows sharing x_{i1}: one symbol block, one batched ifft2
-        S = _eval_symbol(s, (np.full((N, 1, 1), xs[i1]), xs[:, None, None]),
-                         (K1[None, :, :], K2[None, :, :]))
+    for v, node in enumerate(nodes):
+        # every block whose first-axis point is node: one symbol block, one ifft2
+        S = _eval_symbol(s, (np.full((1, 1, 1), node), nodes[:, None, None]),
+                         (ks[None, :, None], ks[None, None, :]))
         G = np.fft.ifft2(np.fft.ifftshift(S, axes=(1, 2)), axes=(1, 2))
-        for j1 in range(N):
-            blk = G[:, d[i1, j1], :]  # rows i2, frequency-shift axis
-            A[i1 * N:(i1 + 1) * N, j1 * N:(j1 + 1) * N] = np.take_along_axis(blk, d, axis=1)
-    return A
-
-
-def _weyl_quantize_2d(s, grid: Grid) -> np.ndarray:
-    N, L, h = grid.N, grid.L, grid.h
-    ks = grid.modes
-    idx = np.arange(N)
-    mids = -L + (h / 2.0) * np.arange(2 * N - 1)
-    mid_idx = idx[:, None] + idx[None, :]
-    d = (idx[:, None] - idx[None, :]) % N
-    side = N * N
-    A = np.empty((side, side), dtype=complex)
-    K1 = ks[None, :, None]
-    K2 = ks[None, None, :]
-    for a in range(2 * N - 1):
-        S = _eval_symbol(s, (np.full((1, 1, 1), mids[a]), mids[:, None, None]),
-                         (K1, K2))
-        G = np.fft.ifft2(np.fft.ifftshift(S, axes=(1, 2)), axes=(1, 2))
-        pairs = np.nonzero(mid_idx == a)
-        for p1, q1 in zip(*pairs):
-            block = G[mid_idx, d[p1, q1], d]
-            A[p1 * N:(p1 + 1) * N, q1 * N:(q1 + 1) * N] = block
+        for i1, j1 in zip(*np.nonzero(at == v)):
+            A[i1 * N:(i1 + 1) * N, j1 * N:(j1 + 1) * N] = G[at, d[i1, j1], d]
     return A
 
 
@@ -192,10 +147,7 @@ def sobolev_norm(u: np.ndarray, grid: Grid, tau: float) -> float:
     shape = (grid.N,) * grid.n
     u = np.asarray(u, dtype=complex).reshape(shape)
     uhat = np.fft.fftshift(np.fft.fftn(u)) * grid.h ** grid.n
-    ks = grid.modes
-    if grid.n == 1:
-        w = 1.0 + ks**2
-    else:
-        w = 1.0 + ks[:, None] ** 2 + ks[None, :] ** 2
+    # 1 + sum over axes of k_axis^2, summed left to right
+    w = sum(np.meshgrid(*[grid.modes ** 2] * grid.n, indexing="ij", sparse=True), 1.0)
     val = np.sum(w**tau * np.abs(uhat) ** 2) / (2.0 * grid.L) ** grid.n
     return float(np.sqrt(val))

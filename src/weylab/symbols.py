@@ -1,9 +1,10 @@
 """Symbol representations and symbol-class machinery.
 
 Two layers: PolySymbol holds symbols polynomial in xi with jet-capable
-x-coefficients (exact derivatives, exact transport between quantization
-conventions, exact star products), and SymbolEvaluator wraps anything
-pointwise-evaluable, with finite-difference jets as the fallback.
+x-coefficients (exact derivatives through the jets of as_evaluator(),
+exact transport between quantization conventions, exact star products),
+and SymbolEvaluator wraps anything pointwise-evaluable, with
+finite-difference jets as the fallback.
 
 Seminorm estimation, class-membership gates and band restriction live
 here too.
@@ -24,7 +25,7 @@ from .profiles import band_bump
 
 __all__ = [
     "SymbolEvaluator", "PolySymbol", "SeminormEstimate", "with_confinement",
-    "quadratic_confinement", "weight_symbol_evaluator", "derivative",
+    "quadratic_confinement", "weight_symbol_evaluator",
     "smg_seminorm", "class_membership", "band_restrict", "box_sample",
 ]
 
@@ -138,13 +139,6 @@ class PolySymbol:
         self.n = n
         self.monomials = {tuple(a): c for a, c in monomials.items() if not c.is_zero}
 
-    @property
-    def xi_degree(self) -> int:
-        return max((sum(a) for a in self.monomials), default=0)
-
-    def copy_scaled(self, s):
-        return PolySymbol(self.n, {a: JScale(s, c) for a, c in self.monomials.items()})
-
     def __add__(self, other):
         if not isinstance(other, PolySymbol):
             return NotImplemented
@@ -163,37 +157,6 @@ class PolySymbol:
                 if aj:
                     mono = mono * xi[:, j] ** aj
             acc = acc + np.asarray(c.eval(Z)) * mono
-        if np.allclose(acc.imag, 0.0):
-            return acc.real
-        return acc
-
-    def at(self, x, xi):
-        Z = np.concatenate([np.atleast_1d(np.asarray(x, float)),
-                            np.atleast_1d(np.asarray(xi, float))])
-        v = np.asarray(self.eval(Z[None, :]))[0]
-        return complex(v)
-
-    def derivative(self, beta, alpha, Z):
-        beta, alpha = tuple(beta), tuple(alpha)
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        xi = Z[:, self.n:]
-        acc = np.zeros(Z.shape[0], dtype=complex)
-        for gamma, coeff in self.monomials.items():
-            fall = _falling(gamma, alpha)
-            if fall == 0:
-                continue
-            cexpr = coeff
-            for axis, b in enumerate(beta):
-                for _ in range(b):
-                    cexpr = cexpr.diff(axis)
-            if cexpr.is_zero:
-                continue
-            mono = np.ones(Z.shape[0])
-            for j in range(self.n):
-                e = gamma[j] - alpha[j]
-                if e:
-                    mono = mono * xi[:, j] ** e
-            acc = acc + fall * np.asarray(cexpr.eval(Z)) * mono
         if np.allclose(acc.imag, 0.0):
             return acc.real
         return acc
@@ -332,15 +295,6 @@ def weight_symbol_evaluator(a2: PolySymbol, name: str = "m") -> SymbolEvaluator:
         return v.real if np.iscomplexobj(v) else v
 
     return SymbolEvaluator(n, value, jet=jet, name=name)
-
-
-def derivative(s, beta, alpha, x, xi):
-    """Single-point derivative convenience over either symbol layer."""
-    Z = np.concatenate([np.atleast_1d(np.asarray(x, float)),
-                        np.atleast_1d(np.asarray(xi, float))])[None, :]
-    out = s.derivative(tuple(beta), tuple(alpha), Z)
-    v = np.asarray(out)[0]
-    return complex(v) if np.iscomplexobj(out) else float(v)
 
 
 # -- sampling and seminorms -------------------------------------------------

@@ -342,7 +342,7 @@ def test_shell_quotient_stable_across_bands():
     factor 2 across R in {3, 9, 27} (measured spread 1.027)."""
     w = bld.get_weight("harmonic", {"n": 1})
     rows = linf_band_probe(w, 0.8, [3.0, 9.0, 27.0], Grid(1, 512, 10.5),
-                           trials=64, seed=9, operator="h1")
+                           seed=9, operator="h1")
     q = [r.quotient for r in rows]
     assert all(v > 0 and np.isfinite(v) for v in q)
     assert max(q) / min(q) < 2.0

@@ -165,8 +165,8 @@ def test_linf_band_probe_validation():
 
 def test_linf_band_probe_single_shell():
     w = harmonic_1d_weight()
-    res = linf_band_probe(w, 0.8, [3.0], Grid(1, 256, 10.5), trials=8,
-                          seed=9, sample_count=500, operator="h1")
+    res = linf_band_probe(w, 0.8, [3.0], Grid(1, 256, 10.5), seed=9,
+                          sample_count=500, operator="h1")
     assert len(res) == 1
     r = res[0]
     assert r.R == 3.0

@@ -9,6 +9,7 @@ import scipy.linalg
 from weylab import __version__
 from weylab.builders import get_weight
 from weylab.cli import _hash_config, main
+from weylab.hamiltonians import DirichletGrid
 from weylab.spectral import band_slope
 
 
@@ -28,6 +29,17 @@ def run(tmp_path, name, cfg):
     code = main(["run", path])
     out = os.path.splitext(path)[0] + ".out"
     return code, out
+
+
+def run_and_reproduce(tmp_path, capsys, name, cfg):
+    """Run cfg, re-run it from its manifest, and require every output to match."""
+    code, out = run(tmp_path, name, cfg)
+    assert code == 0
+    capsys.readouterr()
+    assert main(["reproduce", os.path.join(out, "manifest.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("[match] ") for line in lines)
+    return out
 
 
 def test_list_builders(capsys):
@@ -106,6 +118,29 @@ def test_spectrum_with_validated_potential(tmp_path):
     assert code == 0
     report = read_json(os.path.join(out, "report.json"))
     assert "bounded_noise" in report["report"]["operator"]
+
+
+def test_spectrum_of_sum_of_squares_reproduces(tmp_path, capsys):
+    out = run_and_reproduce(tmp_path, capsys, "sos.json", {
+        "schema": 1, "kind": "spectrum",
+        "grid": {"n": 2, "N": 12, "L": 4.0},
+        "operator": {"name": "sum_of_squares", "params": {"fields": [[0, "1"], [1, "x1"]]}},
+        "k": 3})
+    report = read_json(os.path.join(out, "report.json"))
+    assert report["report"]["operator"] == "sum_of_squares[2 fields]"
+
+
+def test_spectrum_with_table_potential_reproduces(tmp_path, capsys):
+    table = tmp_path / "v.csv"
+    np.savetxt(table, 0.3 * np.sin(DirichletGrid(1, 32, 12.0).points), delimiter=",")
+    out = run_and_reproduce(tmp_path, capsys, "tp.json", {
+        "schema": 1, "kind": "spectrum",
+        "grid": {"n": 1, "N": 32, "L": 12.0},
+        "operator": {"name": "harmonic"},
+        "potential": {"name": "table", "params": {"file": str(table)}},
+        "k": 3})
+    report = read_json(os.path.join(out, "report.json"))
+    assert report["report"]["operator"].endswith(f"+table({table})")
 
 
 def test_growth_fit_window_gate(tmp_path):
@@ -209,6 +244,15 @@ def test_lp_probe(tmp_path):
     assert len(report["report"]["cells"]) == 4
 
 
+def test_lp_probe_grid_without_N_is_a_config_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "lp.json", {
+        "schema": 1, "kind": "lp-probe", "seed": 0,
+        "weight": {"name": "harmonic"}, "operator": {"name": "harmonic"},
+        "grids": [{"n": 2, "L": 6.0}], "beta": 1.0, "p_list": [2.0]})
+    assert code == 2
+    assert capsys.readouterr().err == "config error: config missing required key 'N'\n"
+
+
 def test_subellipticity_growing_control(tmp_path):
     code, out = run(tmp_path, "se.json", {
         "schema": 1, "kind": "subellipticity", "seed": 0,
@@ -235,6 +279,16 @@ def test_class_check_expected_pass(tmp_path):
     assert code == 0
     report = read_json(os.path.join(out, "report.json"))
     assert report["report"]["passed"] is True
+
+
+def test_class_check_of_the_weight_reproduces(tmp_path, capsys):
+    out = run_and_reproduce(tmp_path, capsys, "ccm.json", {
+        "schema": 1, "kind": "class-check", "seed": 0,
+        "symbol": {"name": "harmonic"}, "target": "m",
+        "order": 2, "halves": [10.0, 20.0],
+        "n_grid": 3, "n_random": 100})
+    report = read_json(os.path.join(out, "report.json"))["report"]
+    assert report["target"] == "m" and report["passed"] is True
 
 
 def test_class_check_expected_fail_is_reported_faithfully(tmp_path):

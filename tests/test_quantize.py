@@ -136,7 +136,7 @@ def test_1d_matches_direct_sum(tau):
     assert _direct_defect(xxi_symbol(), Grid(1, 16, 4.0), tau) <= 1e-13
 
 
-@pytest.mark.parametrize("tau", [0.5, 1.0])
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("symbol", [mixed_2d_symbol, daho_weight])
 def test_2d_matches_direct_sum(symbol, tau):
     assert _direct_defect(symbol(), Grid(2, 8, 3.0), tau) <= 1e-13

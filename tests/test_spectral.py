@@ -257,17 +257,20 @@ def test_trend_experiment_consistency():
 
 def test_sweep_shares_one_quantization_and_one_m_pass_per_box(monkeypatch):
     # two cells, two N, two boxes: one quantization and one eigvalsh per
-    # N, no SVD, and one m pass per box plus one for the band box
+    # N, no SVD, and one m pass per box plus one for the band box; the
+    # inner name counts the SVD that np.linalg.norm(A, 2) calls directly
+    import numpy.linalg._linalg as la
     w = harmonic_1d_weight()
     quantized = count_calls(monkeypatch, spectral, "weyl_quantize")
     decomposed = count_calls(monkeypatch, np.linalg, "eigvalsh")
     svd = count_calls(monkeypatch, np.linalg, "svd")
+    svd_inner = count_calls(monkeypatch, la, "svd")
     m_passes = count_calls(monkeypatch, spectral, "_chunked_weight")
     reps = schatten_sweep(w, [(2.0, 1.5), (0.9, 2.0)], 2.0, matrix_N=(12, 16),
                           box_L=(4.0, 6.0), box_npts=20, band_npts=60)
     assert len(reps) == 2
     assert decomposed == [(12, 12), (16, 16)]
-    assert (len(quantized), len(svd), len(m_passes)) == (2, 0, 3)
+    assert (len(quantized), len(svd), len(svd_inner), len(m_passes)) == (2, 0, 0, 3)
     # and a sweep without cells does none of it
     assert schatten_sweep(w, [], 2.0) == []
     assert (len(quantized), len(decomposed), len(m_passes)) == (2, 2, 3)
