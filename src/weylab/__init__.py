@@ -32,8 +32,7 @@ from .quantize import Grid, kn_quantize, tau_quantize, weyl_quantize
 from .spectral import (GrowthFit, SpectralResult, eigensolve, growth_fit,
                        schatten_sweep)
 from .symbols import (PolySymbol, SeminormEstimate, SymbolEvaluator,
-                      class_membership, smg_seminorm, weight_symbol_evaluator,
-                      with_confinement)
+                      class_membership, smg_seminorm, with_confinement)
 from .evolve import EvolutionTrace, heat_evolve, schrodinger_evolve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

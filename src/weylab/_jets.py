@@ -102,13 +102,16 @@ class JPowerSum(JetExpr):
         Z = np.asarray(Z, dtype=float)
         need_u = any(p != 0.0 for _, _, p in self.terms)
         u = 1.0 + (Z * Z).sum(axis=-1) if need_u else None
-        acc = np.zeros(Z.shape[:-1], dtype=complex)
+        # real coefficients sum in real arithmetic: the same values as the
+        # real part of a complex sum, without its temporaries
+        real = all(np.isrealobj(c) for c, _, _ in self.terms)
+        acc = np.zeros(Z.shape[:-1], dtype=float if real else complex)
         for c, e, p in self.terms:
             t = c * _zpow(Z, e)
             if p != 0.0:
                 t = t * u**p
             acc = acc + t
-        if np.allclose(acc.imag, 0.0):
+        if not real and np.allclose(acc.imag, 0.0):
             return acc.real
         return acc
 
@@ -230,7 +233,10 @@ class JetSymbol:
         return self.expr(multi).eval(np.asarray(Z, dtype=float))
 
 
-def fd_deriv_eval(value_fn, multi, Z, rel_step=1e-3, richardson=True):
+FD_REL_STEP = 1e-3
+
+
+def fd_deriv_eval(value_fn, multi, Z):
     """Central finite-difference jet for evaluator-only symbols.
 
     Per-variable steps scale with the coordinate magnitude to control
@@ -241,7 +247,7 @@ def fd_deriv_eval(value_fn, multi, Z, rel_step=1e-3, richardson=True):
     multi = tuple(int(v) for v in multi)
 
     def central(h_scale):
-        steps = rel_step * h_scale * np.maximum(1.0, np.abs(Z))
+        steps = FD_REL_STEP * h_scale * np.maximum(1.0, np.abs(Z))
         acc = np.zeros(Z.shape[:-1], dtype=complex)
         offsets = [[(k, comb(m, k)) for k in range(m + 1)] for m in multi]
         idx = [0] * len(multi)
@@ -276,12 +282,8 @@ def fd_deriv_eval(value_fn, multi, Z, rel_step=1e-3, richardson=True):
 
     if sum(multi) == 0:
         return np.asarray(value_fn(Z))
-    d1 = central(1.0)
-    if not richardson:
-        out = d1
-    else:
-        d2 = central(0.5)
-        out = d2 + (d2 - d1) / 3.0
+    d1, d2 = central(1.0), central(0.5)
+    out = d2 + (d2 - d1) / 3.0
     if np.allclose(np.asarray(out).imag, 0.0):
         return np.asarray(out).real
     return out

@@ -19,7 +19,7 @@ from .hamiltonians import DirichletGrid, Spectrum
 from .metric import WeightEvaluator
 from .profiles import smoothstep
 from .quantize import Grid, kn_quantize, sobolev_norm
-from .symbols import SymbolEvaluator, band_restrict, smg_seminorm
+from .symbols import band_restrict, smg_seminorm
 
 __all__ = [
     "BandProbeResult", "linf_band_probe", "LpProbeResult", "lp_window_probe",
@@ -92,7 +92,7 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
         raise ValueError("R values must exceed 1")
     n = w.n
     power = -(n / 2.0) * epsilon
-    M = SymbolEvaluator(n, lambda Z: w.m_values(Z) ** power, name=f"m^{power:g}")
+    M = WeightEvaluator(n, lambda Z: w.m_values(Z) ** power, name=f"m^{power:g}")
     results = []
     for R in R_list:
         xi_need = np.sqrt(3.0 * R)
@@ -108,9 +108,8 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
         f = np.where(np.abs(row) > 0, np.conj(row) / np.maximum(np.abs(row), 1e-300), 1.0)
         trial_ratio = float(np.max(np.abs(A @ f)) / np.max(np.abs(f)))
         sample = _band_sample(w, R, sample_count, seed + int(R))
-        est = smg_seminorm(q, M.eval, w, seminorm_order, sample,
-                           descriptor=f"shell R={R}")
-        supM = float(np.max(M.eval(sample)))
+        est = smg_seminorm(q, M, w, seminorm_order, sample, descriptor=f"shell R={R}")
+        supM = float(np.max(M.m_values(sample)))
         quotient = op_norm / max(est.value * supM, 1e-300)
         results.append(BandProbeResult(R=float(R), op_norm=op_norm, trial_ratio=trial_ratio,
                                        seminorm=est.value, sup_band_weight=supM,

@@ -28,7 +28,7 @@ from .metric import (check_gweight, check_slowness, check_temperateness,
                      check_uncertainty, pair_sample)
 from .quantize import Grid, identity_symbol_matrix, weyl_quantize
 from .spectral import eigensolve, growth_fit, schatten_sweep
-from .symbols import class_membership, weight_symbol_evaluator, with_confinement
+from .symbols import class_membership, with_confinement
 
 SCHEMA = 1
 SEEDED_KINDS = {"metric-check", "class-check", "lp-probe", "band-probe",
@@ -99,13 +99,10 @@ def _run_class_check(cfg, out):
     spec = _need(cfg, "symbol")
     a2 = builders.get_a2(_need(spec, "name"), spec.get("params"))
     target = cfg.get("target", "a")
-    if target == "a":
-        s = with_confinement(a2).as_evaluator(name="a")
-    elif target == "m":
-        s = weight_symbol_evaluator(a2)
-    else:
+    if target not in ("a", "m"):
         raise ConfigError("target must be 'a' or 'm'")
     w = builders.get_weight(spec["name"], spec.get("params"))
+    s = with_confinement(a2).as_evaluator(name="a") if target == "a" else w
     rep = class_membership(s, w, w, int(cfg.get("order", 4)),
                            [float(h) for h in cfg.get("halves", [10.0, 20.0])],
                            growth_factor=float(cfg.get("growth_factor", 1.05)),
@@ -250,8 +247,8 @@ def _run_evolve(cfg, out):
 
 def _run_lp_probe(cfg, out):
     w = _weight(cfg)
-    opname = _need(cfg, "operator")["name"]
-    params = cfg["operator"].get("params")
+    spec = _need(cfg, "operator")
+    opname, params = _need(spec, "name"), spec.get("params")
     grids = [_grid(g) for g in _need(cfg, "grids")]
     results = lp_window_probe(
         lambda g: builders.get_operator(opname, g, params), grids, w,
@@ -289,7 +286,7 @@ def _run_band_probe(cfg, out):
 
 
 def _run_subellipticity(cfg, out):
-    opname = _need(cfg, "operator")["name"]
+    opname = _need(_need(cfg, "operator"), "name")
     # dense: the probe's P @ v must not change with the storage format
     res = subellipticity_probe(lambda g: builders.get_kinetic(opname, g).data,
                                float(_need(cfg, "tau")),

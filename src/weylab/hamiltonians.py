@@ -128,7 +128,7 @@ def staggered_divergence_form(c_half: np.ndarray, h: float) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def sum_of_squares_matrix(fields, grid: DirichletGrid, order: int = 2) -> HamiltonianMatrix:
+def sum_of_squares_matrix(fields, grid: DirichletGrid) -> HamiltonianMatrix:
     """Kinetic part sum_j X_j^T X_j for axis-aligned fields b(x) d/dx_axis.
 
     Each field is assembled in staggered divergence form with b^2 sampled

@@ -13,9 +13,12 @@ explicit witnesses rather than bare booleans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+
+from ._jets import JPowerSum, JSum, JetSymbol
+from .symbols import SymbolEvaluator, quadratic_confinement
 
 __all__ = [
     "WeightEvaluator", "MetricValues", "MetricCheckReport", "phase_split",
@@ -36,24 +39,18 @@ def bracket_sq(Z, n: int):
     return 1.0 + (x * x).sum(axis=1) + (xi * xi).sum(axis=1)
 
 
-class WeightEvaluator:
-    """Order function m on phase space, vectorized.
+class WeightEvaluator(SymbolEvaluator):
+    """Order function m on phase space: a symbol whose values are real.
 
     The canonical construction is m = a2 + |x|^2 + <X> from a principal
-    symbol; the constructor admits any vectorized m, including
-    deliberately broken ones used to exercise the failure paths of the
-    checks.
+    symbol (from_a2), which carries exact jets, so the weight's own
+    seminorms never touch finite differences.  The constructor admits any
+    vectorized m, including deliberately broken ones used to exercise the
+    failure paths of the checks.
     """
 
-    def __init__(self, n: int, m_values: Callable, name: str = ""):
-        self.n = n
-        self._fn = m_values
-        self.name = name
-
     def m_values(self, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        out = np.asarray(self._fn(Z), dtype=float)
-        return out
+        return np.asarray(self.eval(Z), dtype=float)
 
     @classmethod
     def from_a2(cls, a2, name: str = "") -> "WeightEvaluator":
@@ -66,7 +63,9 @@ class WeightEvaluator:
                 vals = vals.real
             return vals + (x * x).sum(axis=1) + np.sqrt(bracket_sq(Z, n))
 
-        return cls(n, fn, name=name or f"m[{getattr(a2, 'name', 'a2')}]")
+        conf = quadratic_confinement(n).monomials[(0,) * n]
+        jet = JetSymbol(JSum([a2.as_jet(), conf, JPowerSum.bracket_power(2 * n, 1)]))
+        return cls(n, fn, jet=jet, name=name or f"m[{getattr(a2, 'name', 'a2')}]")
 
     @classmethod
     def half_bracket(cls, n: int) -> "WeightEvaluator":

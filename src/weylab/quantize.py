@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .symbols import SymbolEvaluator
+
 __all__ = [
     "Grid", "kn_quantize", "weyl_quantize", "tau_quantize",
     "identity_symbol_matrix", "sobolev_norm",
@@ -131,15 +133,8 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
 
 def identity_symbol_matrix(grid: Grid, tau: float = 1.0) -> np.ndarray:
     """Quantization of the constant symbol 1; must be the identity."""
-
-    class _One:
-        n = grid.n
-
-        @staticmethod
-        def eval(Z):
-            return np.ones(np.atleast_2d(Z).shape[0])
-
-    return tau_quantize(_One(), grid, tau)
+    one = SymbolEvaluator(grid.n, lambda Z: np.ones(Z.shape[0]))
+    return tau_quantize(one, grid, tau)
 
 
 def sobolev_norm(u: np.ndarray, grid: Grid, tau: float) -> float:

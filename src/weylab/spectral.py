@@ -21,7 +21,6 @@ import numpy as np
 from .hamiltonians import HamiltonianMatrix
 from .metric import WeightEvaluator
 from .quantize import Grid, weyl_quantize
-from .symbols import SymbolEvaluator
 
 __all__ = [
     "SpectralResult", "GrowthFit", "SolverError", "eigensolve", "growth_fit",
@@ -32,6 +31,10 @@ RESIDUAL_REL_TOL = 1e-8
 GAP_REL_TOL = 1e-6
 DENSE_LIMIT = 4096
 EXTRA_PAIRS = 4
+START_SEED = 0          # Lanczos start vectors are drawn from this seed
+BAND_BASE = 3.0         # band_slope shells: BAND_BASE^k <= m < BAND_BASE^(k+1)
+BAND_KMIN, BAND_KMAX = 1, 4
+BAND_BOX_FACTOR = 1.02  # box margin past the last counted shell
 
 
 class SolverError(RuntimeError):
@@ -51,15 +54,15 @@ class SpectralResult:
             raise ValueError("eigenvalues must be ascending")
 
 
-def eigensolve(H, k: int, want_vectors: bool = True, seed: int = 0) -> SpectralResult:
+def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     """Lowest k eigenpairs of a symmetric (or Hermitian) matrix, certified.
 
     H is a HamiltonianMatrix, a scipy sparse matrix or an array.  Up to
     ``DENSE_LIMIT`` rows: one subset ``scipy.linalg.eigh``.  Above it:
     shift-invert Lanczos (``scipy.sparse.linalg.eigsh``, start vector
-    drawn from ``seed``) around a Gershgorin lower bound sigma, so that
-    A - sigma I is positive definite and the eigenvalues nearest sigma
-    are the lowest ones whatever the sign of the spectrum.
+    drawn from ``START_SEED``) around a Gershgorin lower bound sigma, so
+    that A - sigma I is positive definite and the eigenvalues nearest
+    sigma are the lowest ones whatever the sign of the spectrum.
 
     Both paths compute p >= 1 extra pairs and raise SolverError unless
     every residual is at most 1e-8 |A|_2, |A|_2 = max(|lambda_1|,
@@ -80,10 +83,10 @@ def eigensolve(H, k: int, want_vectors: bool = True, seed: int = 0) -> SpectralR
     p = min(EXTRA_PAIRS, side - k)
     if side <= DENSE_LIMIT:
         pairs = _dense_pairs(S)
-        lam_max = None if k + p == side else _top_eigenvalue(S, seed)
+        lam_max = None if k + p == side else _top_eigenvalue(S)
     else:
-        pairs = _shift_invert_pairs(S, seed)
-        lam_max = _top_eigenvalue(S, seed)
+        pairs = _shift_invert_pairs(S)
+        lam_max = _top_eigenvalue(S)
     while True:
         lam, V, solver = pairs(k + p)
         normA = max(abs(float(lam[0])), float(lam[-1] if lam_max is None else lam_max))
@@ -117,9 +120,9 @@ def _first_gap(lam, k: int, width: float):
     return int(k + gaps[0]) if gaps.size else None
 
 
-def _top_eigenvalue(S, seed: int) -> float:
+def _top_eigenvalue(S) -> float:
     from scipy.sparse.linalg import eigsh
-    v0 = np.random.default_rng(seed).normal(size=S.shape[0])
+    v0 = np.random.default_rng(START_SEED).normal(size=S.shape[0])
     return float(eigsh(S, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
 
@@ -133,7 +136,7 @@ def _dense_pairs(S):
     return pairs
 
 
-def _shift_invert_pairs(S, seed: int):
+def _shift_invert_pairs(S):
     from scipy import sparse
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
@@ -146,7 +149,7 @@ def _shift_invert_pairs(S, seed: int):
     except RuntimeError as exc:
         raise SolverError(f"shift-invert: A - sigma I is singular: {exc}") from exc
     OPinv = LinearOperator(S.shape, matvec=lu.solve, dtype=S.dtype)
-    v0 = np.random.default_rng(seed).normal(size=side)
+    v0 = np.random.default_rng(START_SEED).normal(size=side)
 
     def pairs(count):
         if count >= side:
@@ -245,32 +248,30 @@ def phase_box_integral(w: WeightEvaluator, s: float, L: float, npts: int = 100) 
     return _box_integrals(w, [s], L, npts)[0]
 
 
-def _band_fits(w: WeightEvaluator, exps: Sequence[float], npts: int, base: float = 3.0,
-               kmin: int = 1, kmax: int = 4, box_factor: float = 1.02) -> list:
+def _band_fits(w: WeightEvaluator, exps: Sequence[float], npts: int) -> list:
     """band_slope for each exponent in exps, from one pass of m."""
-    L = base ** ((kmax + 1) / 2.0) * box_factor
-    B = np.zeros((len(exps), kmax + 2))
-    logb = np.log(base)
+    L = BAND_BASE ** ((BAND_KMAX + 1) / 2.0) * BAND_BOX_FACTOR
+    B = np.zeros((len(exps), BAND_KMAX + 2))
+    logb = np.log(BAND_BASE)
     for m, cell in _chunked_weight(w, L, npts):
-        k = np.clip(np.floor(np.log(m) / logb).astype(int), 0, kmax + 1)
+        k = np.clip(np.floor(np.log(m) / logb).astype(int), 0, BAND_KMAX + 1)
         for i, s in enumerate(exps):
-            B[i] += np.bincount(k, weights=m**(-s), minlength=kmax + 2) * cell
-    bands = B[:, kmin:kmax + 1]
+            B[i] += np.bincount(k, weights=m**(-s), minlength=BAND_KMAX + 2) * cell
+    bands = B[:, BAND_KMIN:BAND_KMAX + 1]
     if np.min(bands) <= 0:
         raise SolverError("empty band in slope fit; box too small")
-    ks = np.arange(kmin, kmax + 1, dtype=float)
+    ks = np.arange(BAND_KMIN, BAND_KMAX + 1, dtype=float)
     return [(float(np.polyfit(ks, np.log(b) / logb, 1)[0]), b) for b in bands]
 
 
-def band_slope(w: WeightEvaluator, s: float, base: float = 3.0, kmin: int = 1,
-               kmax: int = 4, npts: int = 100, box_factor: float = 1.02) -> tuple:
+def band_slope(w: WeightEvaluator, s: float, npts: int = 100) -> tuple:
     """Slope of log-base band sums of m^{-s} over dyadic-in-base shells.
 
     The box covers the closure of the last counted shell with a small
-    margin; shells outside [kmin, kmax] are binned but not fitted.
-    Returns (slope, band sums for k = kmin..kmax).
+    margin; shells outside [BAND_KMIN, BAND_KMAX] are binned but not
+    fitted.  Returns (slope, band sums for k = BAND_KMIN..BAND_KMAX).
     """
-    return _band_fits(w, [s], npts, base, kmin, kmax, box_factor)[0]
+    return _band_fits(w, [s], npts)[0]
 
 
 # -- the trend experiment ---------------------------------------------------
@@ -325,7 +326,7 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     for N in map(int, matrix_N):
         # balanced box: x and xi extents both ~ sqrt(N)/2 starve neither end of the shells
         L = np.sqrt(N) / 2.0
-        M = weyl_quantize(SymbolEvaluator(w.n, w.m_values, name=w.name), Grid(w.n, N, L))
+        M = weyl_quantize(w, Grid(w.n, N, L))
         lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
         ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0]))))  # PD floor at 1, as m
     exps = [mu * r for mu, r in cells]

@@ -3,8 +3,10 @@
 Two layers: PolySymbol holds symbols polynomial in xi with jet-capable
 x-coefficients (exact derivatives through the jets of as_evaluator(),
 exact transport between quantization conventions, exact star products),
-and SymbolEvaluator wraps anything pointwise-evaluable, with
-finite-difference jets as the fallback.
+and SymbolEvaluator is the one phase-space function type: a vectorized
+value with exact jets when it has them, finite differences otherwise.
+Weights are SymbolEvaluators too (metric.WeightEvaluator), so the
+weight m and the class weight M of a seminorm are symbols with jets.
 
 Seminorm estimation, class-membership gates and band restriction live
 here too.
@@ -25,8 +27,8 @@ from .profiles import band_bump
 
 __all__ = [
     "SymbolEvaluator", "PolySymbol", "SeminormEstimate", "with_confinement",
-    "quadratic_confinement", "weight_symbol_evaluator",
-    "smg_seminorm", "class_membership", "band_restrict", "box_sample",
+    "quadratic_confinement", "smg_seminorm", "class_membership", "band_restrict",
+    "box_sample",
 ]
 
 MAX_DERIV_ORDER = 4
@@ -41,12 +43,11 @@ class SymbolEvaluator:
     """
 
     def __init__(self, n: int, value_fn: Callable, jet: Optional[JetSymbol] = None,
-                 name: str = "", max_order: int = MAX_DERIV_ORDER):
+                 name: str = ""):
         self.n = n
         self.value_fn = value_fn
         self.jet = jet
         self.name = name
-        self.max_order = max_order
 
     def eval(self, Z):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -57,9 +58,9 @@ class SymbolEvaluator:
         beta, alpha = tuple(beta), tuple(alpha)
         if len(beta) != self.n or len(alpha) != self.n:
             raise ValueError("multi-index length must equal the dimension")
-        if sum(beta) + sum(alpha) > self.max_order:
+        if sum(beta) + sum(alpha) > MAX_DERIV_ORDER:
             raise UnsupportedOrderError(
-                f"derivative order {sum(beta) + sum(alpha)} beyond configured max {self.max_order}")
+                f"derivative order {sum(beta) + sum(alpha)} beyond the maximum {MAX_DERIV_ORDER}")
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         multi = beta + alpha
         if self.jet is not None:
@@ -148,18 +149,7 @@ class PolySymbol:
         return PolySymbol(self.n, out)
 
     def eval(self, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        acc = np.zeros(Z.shape[0], dtype=complex)
-        xi = Z[:, self.n:]
-        for a, c in self.monomials.items():
-            mono = np.ones(Z.shape[0])
-            for j, aj in enumerate(a):
-                if aj:
-                    mono = mono * xi[:, j] ** aj
-            acc = acc + np.asarray(c.eval(Z)) * mono
-        if np.allclose(acc.imag, 0.0):
-            return acc.real
-        return acc
+        return self.as_jet().eval(np.atleast_2d(np.asarray(Z, dtype=float)))
 
     def as_evaluator(self, name: str = "") -> SymbolEvaluator:
         jet = JetSymbol(self.as_jet())
@@ -276,27 +266,6 @@ def with_confinement(a2: PolySymbol) -> PolySymbol:
     return a2 + quadratic_confinement(a2.n)
 
 
-def weight_symbol_evaluator(a2: PolySymbol, name: str = "m") -> SymbolEvaluator:
-    """The order function a2 + |x|^2 + <X> as a symbol with exact jets.
-
-    The bracket term makes this fall outside the polynomial layer, but
-    its derivative algebra is still closed, so seminorms of the weight
-    itself never touch finite differences.
-    """
-    n = a2.n
-    nv = 2 * n
-    conf = quadratic_confinement(n).monomials[(0,) * n]
-    expr = JSum([a2.as_jet(), conf, JPowerSum.bracket_power(nv, 1)])
-    jet = JetSymbol(expr)
-
-    def value(Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        v = np.asarray(expr.eval(Z))
-        return v.real if np.iscomplexobj(v) else v
-
-    return SymbolEvaluator(n, value, jet=jet, name=name)
-
-
 # -- sampling and seminorms -------------------------------------------------
 
 def box_sample(n: int, half: float, n_grid: int = 7, n_random: int = 2000,
@@ -343,25 +312,20 @@ class SeminormEstimate:
     descriptor: str = ""
 
 
-def _weight_fn(w):
-    # accept a WeightEvaluator-like object or a plain callable on Z
-    if hasattr(w, "m_values"):
-        return w.m_values
-    return w
-
-
 def smg_seminorm(s, M, w, k: int, sample: np.ndarray, descriptor: str = "") -> SeminormEstimate:
-    """Estimate the order-k class seminorm of s against weight M.
+    """Estimate the order-k class seminorm of s in S(M, g), g the metric
+    of the weight m.
 
-    Field maximized: |d_x^beta d_xi^alpha s| * m^{(|a|+|b|)/2}
+    M and w are weights (metric.WeightEvaluator; w gives m).  Field
+    maximized: |d_x^beta d_xi^alpha s| * m^{(|a|+|b|)/2}
     * (<xi>^2 + |x|^2)^{-|b|/2} / M, over the sample and all orders <= k.
     A sup over a finite sample only ever certifies growth, never a bound;
     callers gate on stability across nested boxes for that reason.
     """
     Z = np.atleast_2d(np.asarray(sample, dtype=float))
     n = getattr(s, "n")
-    m_vals = np.asarray(_weight_fn(w)(Z), dtype=float)
-    M_vals = np.asarray(_weight_fn(M)(Z), dtype=float)
+    m_vals = w.m_values(Z)
+    M_vals = M.m_values(Z)
     x, xi = Z[:, :n], Z[:, n:]
     bx2 = 1.0 + (xi * xi).sum(axis=1) + (x * x).sum(axis=1)  # <xi>^2 + |x|^2
     best, arg = -np.inf, Z[0]
@@ -412,15 +376,15 @@ def class_membership(s, M, w, k: int, halves: Sequence[float], growth_factor: fl
 
 
 def band_restrict(s, w, R: float) -> SymbolEvaluator:
-    """Multiply by the shell bump chi(m/R): support exactly R <= m <= 3R."""
+    """Multiply by the shell bump chi(m/R) of the weight w: support
+    exactly R <= m <= 3R."""
     if R <= 1:
         raise ValueError("R must exceed 1")
-    m_fn = _weight_fn(w)
     n = getattr(s, "n")
 
     def value(Z):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return np.asarray(s.eval(Z)) * band_bump(np.asarray(m_fn(Z)) / R)
+        return np.asarray(s.eval(Z)) * band_bump(w.m_values(Z) / R)
 
     name = f"band[{getattr(s, 'name', '') or 'symbol'}, R={R}]"
     return SymbolEvaluator(n, value, jet=None, name=name)

@@ -1,6 +1,6 @@
 """Shared oracles: symbolic derivative tables, localized trial states,
-the direct-sum quantizer, Schatten norms, stencil symbols, symmetry and positivity witnesses, and
-call counters."""
+the direct-sum quantizer, the weight formula, Schatten norms, stencil
+symbols, symmetry and positivity witnesses, and call counters."""
 import numpy as np
 import sympy as sp
 
@@ -53,6 +53,24 @@ def direct_quantize(s, grid, tau):
         S = np.asarray(s.eval(Z)).reshape(side, side)  # [j, k]
         A[i] = np.sum(S * np.exp(2j * np.pi * ((X[i] - X) @ K.T)), axis=1) / side
     return A
+
+
+def weight_values(a2, Z):
+    """m = a2 + |x|^2 + <X> at the rows of Z, in the operation order of
+    WeightEvaluator.from_a2, with a2 summed monomial by monomial as
+    sum_alpha c_alpha(x) xi^alpha; the weight must match it bit for bit."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    n = a2.n
+    x, xi = Z[:, :n], Z[:, n:]
+    acc = np.zeros(Z.shape[0], dtype=complex)
+    for alpha, c in a2.monomials.items():
+        mono = np.ones(Z.shape[0])
+        for j, aj in enumerate(alpha):
+            if aj:
+                mono = mono * xi[:, j] ** aj
+        acc = acc + np.asarray(c.eval(Z)) * mono
+    bracket = np.sqrt(1.0 + (x * x).sum(axis=1) + (xi * xi).sum(axis=1))
+    return acc.real + (x * x).sum(axis=1) + bracket
 
 
 def count_calls(monkeypatch, owner, name):

@@ -26,7 +26,7 @@ from weylab.metric import (WeightEvaluator, check_gweight, check_slowness,
 from weylab.quantize import Grid, identity_symbol_matrix, weyl_quantize
 from weylab.spectral import eigensolve, growth_fit, schatten_sweep
 from weylab.symbols import (PolySymbol, SymbolEvaluator, class_membership,
-                            weight_symbol_evaluator, with_confinement)
+                            with_confinement)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +136,7 @@ def _class_setup():
     a2 = bld.get_a2("daho")
     w = WeightEvaluator.from_a2(a2)
     s_a = with_confinement(a2).as_evaluator(name="a")
-    s_m = weight_symbol_evaluator(a2)
-    return w, s_a, s_m
+    return w, s_a, w
 
 
 CLASS_KW = dict(n_grid=3, n_random=100, seed=0)

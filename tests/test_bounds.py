@@ -30,7 +30,7 @@ def periodic(name):
 
 def harmonic_1d_weight():
     return WeightEvaluator(
-        1, lambda Z: 1.0 + (np.atleast_2d(Z) ** 2).sum(axis=1), "harmonic-1d")
+        1, lambda Z: 1.0 + (np.atleast_2d(Z) ** 2).sum(axis=1), name="harmonic-1d")
 
 
 # -- interpolation brackets -------------------------------------------------
@@ -130,7 +130,7 @@ def test_lp_window_probe_validation():
 
 def test_calibration_refuses_flat_target():
     flat = WeightEvaluator(
-        2, lambda Z: np.ones(np.atleast_2d(Z).shape[0]), "flat")
+        2, lambda Z: np.ones(np.atleast_2d(Z).shape[0]), name="flat")
     with pytest.raises(CalibrationError, match="flat"):
         lp_window_probe(harmonic_matrix, lp_grids(), flat, beta=1.0, p_list=[2.0])
 
@@ -146,7 +146,7 @@ def test_calibration_residual_gate():
 
 def test_band_sample_starves_on_concentrated_weight():
     flat = WeightEvaluator(
-        1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]), "flat")
+        1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]), name="flat")
     with pytest.raises(RuntimeError, match="starved"):
         _band_sample(flat, 3.0, 100, seed=0)
 

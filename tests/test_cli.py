@@ -253,6 +253,18 @@ def test_lp_probe_grid_without_N_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: config missing required key 'N'\n"
 
 
+@pytest.mark.parametrize("kind,extra", [
+    ("lp-probe", {"weight": {"name": "harmonic"}, "grids": [{"n": 2, "N": 12, "L": 6.0}],
+                  "beta": 1.0, "p_list": [2.0]}),
+    ("subellipticity", {"tau": 1.0}),
+])
+def test_operator_without_name_is_a_config_error(tmp_path, capsys, kind, extra):
+    code, _ = run(tmp_path, "op.json", {"schema": 1, "kind": kind, "seed": 0,
+                                        "operator": {}, **extra})
+    assert code == 2
+    assert capsys.readouterr().err == "config error: config missing required key 'name'\n"
+
+
 def test_subellipticity_growing_control(tmp_path):
     code, out = run(tmp_path, "se.json", {
         "schema": 1, "kind": "subellipticity", "seed": 0,

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _helpers import weight_values
 from weylab.metric import (
     WeightEvaluator,
     bracket_sq,
@@ -16,7 +17,7 @@ from weylab.metric import (
     pair_sample,
     planck,
 )
-from weylab.builders import get_a2
+from weylab.builders import get_a2, get_weight, symbol_names
 from weylab.symbols import box_sample
 
 
@@ -37,6 +38,15 @@ def test_weight_closed_form(rng):
               + (Z[:, :2] ** 2).sum(axis=1)
               + np.sqrt(bracket_sq(Z, 2)))
     assert np.allclose(w.m_values(Z), manual, rtol=1e-14)
+
+
+@pytest.mark.parametrize("name", symbol_names())
+def test_weight_values_equal_the_formula(rng, name):
+    # the weight is a symbol with jets, but its values keep the formula's
+    # operation order, bit for bit
+    Z = np.concatenate([rng.uniform(-8.0, 8.0, size=(200, 4)),
+                        box_sample(2, 10.0, n_random=0)])
+    assert np.array_equal(get_weight(name).m_values(Z), weight_values(get_a2(name), Z))
 
 
 def test_custom_weight_wraps_callable():

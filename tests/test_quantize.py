@@ -13,7 +13,7 @@ from weylab.quantize import (
     tau_quantize,
     weyl_quantize,
 )
-from weylab.symbols import PolySymbol, SymbolEvaluator, with_confinement
+from weylab.symbols import PolySymbol, with_confinement
 
 from _helpers import direct_quantize, gaussian_packets
 
@@ -29,8 +29,7 @@ def mixed_2d_symbol():
 
 
 def daho_weight():
-    w = get_weight("daho")
-    return SymbolEvaluator(w.n, w.m_values, name=w.name)
+    return get_weight("daho")
 
 
 def harmonic_1d():

@@ -32,7 +32,7 @@ from weylab.spectral import (
 
 def harmonic_1d_weight():
     return WeightEvaluator(
-        1, lambda Z: 1.0 + (np.atleast_2d(Z) ** 2).sum(axis=1), "harmonic-1d")
+        1, lambda Z: 1.0 + (np.atleast_2d(Z) ** 2).sum(axis=1), name="harmonic-1d")
 
 
 # -- eigensolve -------------------------------------------------------------
@@ -300,7 +300,7 @@ def test_sweep_schatten_values_match_the_operator_path():
     for (mu, r), rep in zip(cells, reps):
         for (N, L, value), shift in zip(rep.matrix_cells, rep.shift_used):
             grid = spectral.Grid(1, N, L)
-            M = spectral.weyl_quantize(spectral.SymbolEvaluator(1, w.m_values), grid)
+            M = spectral.weyl_quantize(w, grid)
             lam, Q = np.linalg.eigh(0.5 * (M + M.conj().T))
             assert shift == pytest.approx(max(0.0, 1.0 - lam[0]), abs=1e-12)
             T = (Q * (lam + shift) ** (-mu)) @ Q.conj().T

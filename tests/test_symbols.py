@@ -7,8 +7,7 @@ from weylab.builders import get_a2, get_weight, symbol_names
 from weylab.metric import WeightEvaluator
 from weylab.symbols import (MAX_DERIV_ORDER, PolySymbol, SymbolEvaluator,
                             band_restrict, box_sample, class_membership,
-                            quadratic_confinement, smg_seminorm,
-                            weight_symbol_evaluator, with_confinement)
+                            quadratic_confinement, smg_seminorm, with_confinement)
 
 X1, X2, XI1, XI2 = sp.symbols("x1 x2 xi1 xi2")
 
@@ -241,7 +240,7 @@ def test_seminorm_constant_symbol():
                         name="one")
     w = WeightEvaluator.from_a2(get_a2("daho"))
     sample = box_sample(2, 5.0, n_random=50)
-    one = lambda Z: np.ones(np.atleast_2d(Z).shape[0])
+    one = WeightEvaluator(2, lambda Z: np.ones(Z.shape[0]), name="one")
     est0 = smg_seminorm(s, one, w, 0, sample)
     assert est0.value == pytest.approx(1.0, abs=1e-12)
     est2 = smg_seminorm(s, one, w, 2, sample)
@@ -259,12 +258,12 @@ def test_seminorm_monotone_under_refinement():
 
 def test_bracket_weight_is_self_class(rng):
     jet = JetSymbol(JPowerSum.bracket_power(4, 1.0))
-    s = SymbolEvaluator(2, lambda Z: jet.deriv_eval((0, 0, 0, 0), np.atleast_2d(Z)),
-                        jet=jet, name="bracket")
+    s = WeightEvaluator(2, lambda Z: jet.deriv_eval((0, 0, 0, 0), Z), jet=jet,
+                        name="bracket")
     w = WeightEvaluator.from_a2(get_a2("daho"))
     # the sup saturates slowly along the anisotropic directions; a 15% gate
     # still separates this cleanly from the unbounded negative control below
-    rep = class_membership(s, s.eval, w, 2, [10.0, 20.0], growth_factor=1.15,
+    rep = class_membership(s, s, w, 2, [10.0, 20.0], growth_factor=1.15,
                            n_random=300, seed=4)
     assert rep.passed
     assert rep.growth[0] < 1.15
@@ -288,16 +287,16 @@ def test_membership_negative_control_blows_up():
 
 
 @pytest.mark.parametrize("name", symbol_names())
-def test_weight_symbol_evaluator_matches_weight(rng, name):
-    a2 = get_a2(name)
-    m_sym = weight_symbol_evaluator(a2)
+def test_weight_jet_matches_weight_values(rng, name):
     w = get_weight(name)
+    assert isinstance(w, SymbolEvaluator) and w.jet is not None
     Z = rand_phase(rng, count=60, scale=8.0)
-    assert np.allclose(np.asarray(m_sym.eval(Z)).real, w.m_values(Z), rtol=1e-13)
+    exact0 = np.asarray(w.derivative((0, 0), (0, 0), Z)).real
+    assert np.allclose(exact0, w.m_values(Z), rtol=1e-13)
     # its exact derivative path survives the finite-difference cross-check
-    fd = SymbolEvaluator(2, m_sym.eval, jet=None)
+    fd = SymbolEvaluator(2, w.eval, jet=None)
     for beta, alpha in (((1, 0), (0, 0)), ((0, 1), (0, 1))):
-        exact = np.asarray(m_sym.derivative(beta, alpha, Z)).real
+        exact = np.asarray(w.derivative(beta, alpha, Z)).real
         approx = np.asarray(fd.derivative(beta, alpha, Z)).real
         assert np.max(np.abs(exact - approx) / np.maximum(np.abs(exact), 1.0)) < 1e-5
 
