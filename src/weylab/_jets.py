@@ -8,8 +8,13 @@ sums and products of them admit machine-exact jets to any implemented
 order.  Symbol-class seminorm checks are threshold-sensitive enough that
 this exactness is worth the bookkeeping.
 
-Evaluation convention: points are passed as Z with shape (m, 2n),
-columns ordered x_1..x_n, xi_1..xi_n.
+Evaluation convention: points are passed as a tuple P of per-coordinate
+arrays, ordered x_1..x_n, xi_1..xi_n, that broadcast against each other;
+values come back in their broadcast shape.  Rows Z of shape (m, 2n) are
+the special case P = tuple(Z.T), and any non-tuple argument is read as
+such rows (see coords).  A coordinate that is constant over a block
+(x_1 in a Weyl block or a quadrature chunk) is then one value, and
+everything that depends on it alone is computed once.
 """
 
 from __future__ import annotations
@@ -23,15 +28,45 @@ class UnsupportedOrderError(ValueError):
     pass
 
 
-def _zpow(Z, e):
+def coords(P) -> tuple:
+    """The evaluation argument as a tuple of float coordinate arrays: a
+    tuple is taken as coordinates, anything else as rows Z, which become
+    tuple(Z.T).  A scalar coordinate becomes shape (1,): numpy scalars
+    take other power routines than arrays (x**2 is not always x*x), so
+    no value may depend on whether a coordinate was passed as a scalar."""
+    if isinstance(P, tuple):
+        return tuple(np.atleast_1d(np.asarray(p, dtype=float)) for p in P)
+    return tuple(np.atleast_2d(np.asarray(P, dtype=float)).T)
+
+
+def shape_of(P) -> tuple:
+    """The broadcast shape of the coordinates in P."""
+    return np.broadcast_shapes(*(np.shape(p) for p in P))
+
+
+def in_shape(v, P):
+    """Values v in the broadcast shape of P: an array that has it is
+    returned as it is, anything else as a read-only broadcast view."""
+    v, shape = np.asarray(v), shape_of(P)
+    return v if v.shape == shape else np.broadcast_to(v, shape)
+
+
+def sqsum(P):
+    """Sum of squares of the coordinates in P, added left to right (the
+    order of numpy's row sum (Z * Z).sum(axis=-1), so the bits agree)."""
+    out = P[0] * P[0]
+    for p in P[1:]:
+        out = out + p * p
+    return out
+
+
+def _zpow(P, e):
     out = None
     for i, ei in enumerate(e):
         if ei:
-            f = Z[..., i] ** ei
+            f = P[i] ** ei
             out = f if out is None else out * f
-    if out is None:
-        return np.ones(Z.shape[:-1])
-    return out
+    return 1.0 if out is None else out
 
 
 class JetExpr:
@@ -42,7 +77,16 @@ class JetExpr:
     def diff(self, axis: int) -> "JetExpr":
         raise NotImplementedError
 
-    def eval(self, Z: np.ndarray):
+    def eval(self, P):
+        """Values on the coordinate tuple P (or rows, see coords), in
+        the broadcast shape of P."""
+        P = coords(P)
+        return in_shape(self._eval(P), P)
+
+    def _eval(self, P: tuple):
+        """Values on a tuple that coords has already normalized, in the
+        broadcast shape of the coordinates they depend on: a term that
+        does not depend on x_2 is not repeated along it."""
         raise NotImplementedError
 
     @property
@@ -98,16 +142,15 @@ class JPowerSum(JetExpr):
                 out.append((2.0 * p * c, tuple(e2), p - 1.0))
         return JPowerSum(self.nvars, out)
 
-    def eval(self, Z):
-        Z = np.asarray(Z, dtype=float)
+    def _eval(self, P):
         need_u = any(p != 0.0 for _, _, p in self.terms)
-        u = 1.0 + (Z * Z).sum(axis=-1) if need_u else None
+        u = 1.0 + sqsum(P) if need_u else None
         # real coefficients sum in real arithmetic: the same values as the
         # real part of a complex sum, without its temporaries
         real = all(np.isrealobj(c) for c, _, _ in self.terms)
-        acc = np.zeros(Z.shape[:-1], dtype=float if real else complex)
+        acc = 0.0 if real else 0j
         for c, e, p in self.terms:
-            t = c * _zpow(Z, e)
+            t = c * _zpow(P, e)
             if p != 0.0:
                 t = t * u**p
             acc = acc + t
@@ -134,9 +177,8 @@ class JUni(JetExpr):
             return JPowerSum(self.nvars, [])
         return JUni(self.nvars, self.axis, self.table, self.order + 1)
 
-    def eval(self, Z):
-        Z = np.asarray(Z, dtype=float)
-        return np.asarray(self.table(self.order, Z[..., self.axis]), dtype=float)
+    def _eval(self, P):
+        return np.asarray(self.table(self.order, P[self.axis]), dtype=float)
 
 
 class JSum(JetExpr):
@@ -152,13 +194,12 @@ class JSum(JetExpr):
     def diff(self, axis):
         return JSum([p.diff(axis) for p in self.parts])
 
-    def eval(self, Z):
-        Z = np.asarray(Z, dtype=float)
+    def _eval(self, P):
         if not self.parts:
-            return np.zeros(Z.shape[:-1])
-        acc = self.parts[0].eval(Z)
+            return 0.0
+        acc = self.parts[0]._eval(P)
         for p in self.parts[1:]:
-            acc = acc + p.eval(Z)
+            acc = acc + p._eval(P)
         return acc
 
 
@@ -180,13 +221,12 @@ class JProd(JetExpr):
             parts.append(JProd(self.factors[:i] + [df] + self.factors[i + 1:]))
         return JSum(parts)
 
-    def eval(self, Z):
-        Z = np.asarray(Z, dtype=float)
+    def _eval(self, P):
         if self.is_zero:
-            return np.zeros(Z.shape[:-1])
-        acc = self.factors[0].eval(Z)
+            return 0.0
+        acc = self.factors[0]._eval(P)
         for f in self.factors[1:]:
-            acc = acc * f.eval(Z)
+            acc = acc * f._eval(P)
         return acc
 
 
@@ -203,8 +243,8 @@ class JScale(JetExpr):
     def diff(self, axis):
         return JScale(self.c, self.expr.diff(axis))
 
-    def eval(self, Z):
-        return self.c * self.expr.eval(Z)
+    def _eval(self, P):
+        return self.c * self.expr._eval(P)
 
 
 class JetSymbol:
@@ -229,30 +269,31 @@ class JetSymbol:
         self._cache[multi] = got
         return got
 
-    def deriv_eval(self, multi, Z):
-        return self.expr(multi).eval(np.asarray(Z, dtype=float))
+    def deriv_eval(self, multi, P):
+        return self.expr(multi).eval(P)
 
 
 FD_REL_STEP = 1e-3
 
 
-def fd_deriv_eval(value_fn, multi, Z):
-    """Central finite-difference jet for evaluator-only symbols.
+def fd_deriv_eval(value_fn, multi, P):
+    """Central finite-difference jet for evaluator-only symbols, in the
+    broadcast shape of P; value_fn takes a coordinate tuple.
 
     Per-variable steps scale with the coordinate magnitude to control
     cancellation where the symbol is large; one Richardson pass upgrades
     the O(h^2) stencil to O(h^4).
     """
-    Z = np.asarray(Z, dtype=float)
+    P = coords(P)
     multi = tuple(int(v) for v in multi)
 
     def central(h_scale):
-        steps = FD_REL_STEP * h_scale * np.maximum(1.0, np.abs(Z))
-        acc = np.zeros(Z.shape[:-1], dtype=complex)
+        steps = [FD_REL_STEP * h_scale * np.maximum(1.0, np.abs(p)) for p in P]
+        acc = np.zeros(shape_of(P), dtype=complex)
         offsets = [[(k, comb(m, k)) for k in range(m + 1)] for m in multi]
         idx = [0] * len(multi)
         while True:
-            shift = np.zeros_like(Z)
+            shift = [0.0] * len(P)
             coeff = 1.0
             parity = 0
             for i, m in enumerate(multi):
@@ -261,8 +302,8 @@ def fd_deriv_eval(value_fn, multi, Z):
                 k, binom = offsets[i][idx[i]]
                 coeff *= binom
                 parity += k
-                shift[..., i] = (m / 2.0 - k) * steps[..., i]
-            vals = value_fn(Z + shift)
+                shift[i] = (m / 2.0 - k) * steps[i]
+            vals = value_fn(tuple(p + d for p, d in zip(P, shift)))
             acc = acc + ((-1) ** parity) * coeff * np.asarray(vals)
             # odometer over the per-variable stencil nodes
             for i in range(len(multi)):
@@ -274,14 +315,14 @@ def fd_deriv_eval(value_fn, multi, Z):
                 idx[i] = 0
             else:
                 break
-        denom = np.ones(Z.shape[:-1])
+        denom = np.ones(shape_of(P))
         for i, m in enumerate(multi):
             if m:
-                denom = denom * steps[..., i] ** m
+                denom = denom * steps[i] ** m
         return acc / denom
 
     if sum(multi) == 0:
-        return np.asarray(value_fn(Z))
+        return in_shape(value_fn(P), P)
     d1, d2 = central(1.0), central(0.5)
     out = d2 + (d2 - d1) / 3.0
     if np.allclose(np.asarray(out).imag, 0.0):

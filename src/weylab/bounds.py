@@ -92,7 +92,7 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
         raise ValueError("R values must exceed 1")
     n = w.n
     power = -(n / 2.0) * epsilon
-    M = WeightEvaluator(n, lambda Z: w.m_values(Z) ** power, name=f"m^{power:g}")
+    M = WeightEvaluator(n, lambda P: w.m_values(P) ** power, name=f"m^{power:g}")
     results = []
     for R in R_list:
         xi_need = np.sqrt(3.0 * R)

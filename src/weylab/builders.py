@@ -20,11 +20,29 @@ from .symbols import PolySymbol
 
 __all__ = ["Model", "symbol_names", "weight_names", "operator_names",
            "potential_names", "get_a2", "get_weight", "get_operator",
-           "get_kinetic", "get_potential", "describe_builders", "UnknownBuilderError"]
+           "get_kinetic", "get_potential", "describe_builders", "UnknownBuilderError",
+           "ConfigError", "MissingKeyError", "need"]
 
 
 class UnknownBuilderError(KeyError):
     pass
+
+
+class ConfigError(ValueError):
+    pass
+
+
+class MissingKeyError(ConfigError, KeyError):
+    """A required key is absent: a KeyError, as the plain lookup was,
+    whose message prints unquoted."""
+    __str__ = ValueError.__str__
+
+
+def need(cfg, key):
+    """cfg[key] from a config or params dict."""
+    if key not in cfg:
+        raise MissingKeyError(f"config missing required key {key!r}")
+    return cfg[key]
 
 
 @dataclass(frozen=True)
@@ -112,7 +130,7 @@ _POTENTIALS = {
     "quadratic": ("", lambda g, p: ham.quadratic_potential(g)),
     "bounded_noise": ("amplitude: float = 1, seed: int",
                       lambda g, p: ham.bounded_noise_potential(
-                          g, float(p.get("amplitude", 1.0)), int(p["seed"]))),
+                          g, float(p.get("amplitude", 1.0)), int(need(p, "seed")))),
     "step": ("amplitude: float = 1, base: float = 0",
              lambda g, p: ham.step_potential(g, float(p.get("amplitude", 1.0)),
                                              float(p.get("base", 0.0)))),

@@ -20,6 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, builders
+from .builders import ConfigError, need as _need
 from ._output import canonical_json, write_csv_atomic, write_json_atomic
 from .bounds import linf_band_probe, lp_window_probe, subellipticity_probe
 from .evolve import heat_evolve, schrodinger_evolve
@@ -36,16 +37,6 @@ SEEDED_KINDS = {"metric-check", "class-check", "lp-probe", "band-probe",
 
 CSV_PROBE_HEADER = ("operator", "N", "L", "epsilon_or_beta", "p_R_tau",
                     "lower", "upper", "verdict")
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _need(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"config missing required key {key!r}")
-    return cfg[key]
 
 
 def _grid(g, grid_type=DirichletGrid):
@@ -214,7 +205,7 @@ def _initial_state(cfg, grid):
         width = float(spec.get("width", 1.0))
         return np.exp(-((mesh - c) ** 2).sum(axis=1) / (2.0 * width**2))
     if kind == "random":
-        rng = np.random.default_rng(int(spec["seed"]))
+        rng = np.random.default_rng(int(_need(spec, "seed")))
         return rng.normal(size=mesh.shape[0]) + 1j * rng.normal(size=mesh.shape[0])
     raise ConfigError(f"unknown state kind {kind!r}")
 

@@ -17,26 +17,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._jets import JPowerSum, JSum, JetSymbol
+from ._jets import JPowerSum, JSum, JetSymbol, coords, sqsum
 from .symbols import SymbolEvaluator, quadratic_confinement
 
 __all__ = [
-    "WeightEvaluator", "MetricValues", "MetricCheckReport", "phase_split",
-    "bracket_sq", "eval_metric", "eval_dual_metric", "planck",
+    "WeightEvaluator", "MetricValues", "MetricCheckReport", "bracket_sq",
+    "eval_metric", "eval_dual_metric", "planck",
     "metric_apply", "pair_sample", "check_uncertainty", "check_slowness",
     "check_temperateness", "check_gweight",
 ]
 
 
-def phase_split(Z, n: int):
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    return Z[:, :n], Z[:, n:]
-
-
-def bracket_sq(Z, n: int):
-    """<X>^2 = 1 + |x|^2 + |xi|^2; equals <xi>^2 + |x|^2 identically."""
-    x, xi = phase_split(Z, n)
-    return 1.0 + (x * x).sum(axis=1) + (xi * xi).sum(axis=1)
+def bracket_sq(P, n: int):
+    """<X>^2 = 1 + |x|^2 + |xi|^2; equals <xi>^2 + |x|^2 identically.
+    P is a coordinate tuple or rows, as for SymbolEvaluator.eval."""
+    P = coords(P)
+    return 1.0 + sqsum(P[:n]) + sqsum(P[n:])
 
 
 class WeightEvaluator(SymbolEvaluator):
@@ -50,18 +46,21 @@ class WeightEvaluator(SymbolEvaluator):
     """
 
     def m_values(self, Z):
+        """m at a coordinate tuple or at rows Z, as eval."""
         return np.asarray(self.eval(Z), dtype=float)
 
     @classmethod
     def from_a2(cls, a2, name: str = "") -> "WeightEvaluator":
         n = a2.n
 
-        def fn(Z):
-            x, _ = phase_split(Z, n)
-            vals = np.asarray(a2.eval(Z))
+        def fn(P):
+            # a2, then + |x|^2, then + sqrt(1 + |x|^2 + |xi|^2): the order
+            # every weight value is pinned to
+            x2 = sqsum(P[:n])
+            vals = np.asarray(a2.eval(P))
             if np.iscomplexobj(vals):
                 vals = vals.real
-            return vals + (x * x).sum(axis=1) + np.sqrt(bracket_sq(Z, n))
+            return vals + x2 + np.sqrt(1.0 + x2 + sqsum(P[n:]))
 
         conf = quadratic_confinement(n).monomials[(0,) * n]
         jet = JetSymbol(JSum([a2.as_jet(), conf, JPowerSum.bracket_power(2 * n, 1)]))
@@ -71,7 +70,7 @@ class WeightEvaluator(SymbolEvaluator):
     def half_bracket(cls, n: int) -> "WeightEvaluator":
         """m = <X>/2.  Violates the uncertainty gate everywhere; kept as
         the standard counterexample input."""
-        return cls(n, lambda Z: 0.5 * np.sqrt(bracket_sq(Z, n)), name="half-bracket")
+        return cls(n, lambda P: 0.5 * np.sqrt(bracket_sq(P, n)), name="half-bracket")
 
 
 @dataclass

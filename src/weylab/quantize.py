@@ -12,10 +12,12 @@ only on d = (i - j) mod N, so the inverse FFT G of the symbol on the
 nodes gives A = G[at, d], O(N^2 log N) instead of O(N^3); in 2-D, one
 block and one ifft2 per first-axis node.  The midpoint rule gives exactly
 Hermitian matrices for real symbols.  Other tau take one transform per
-row, in 1-D only.  Between conventions the transport (PolySymbol.jt)
-acts on symbols, not matrices: tau-quantization of s equals output-point
-quantization of the transported symbol.  Quantizers return plain dense
-complex arrays.
+row, in 1-D only.  The symbol is evaluated on per-axis node and mode
+arrays that broadcast into the block, never on flattened (rows, 2n)
+points: in a 2-D block the first-axis point is one value.  Between
+conventions the transport (PolySymbol.jt) acts on symbols, not matrices:
+tau-quantization of s equals output-point quantization of the
+transported symbol.  Quantizers return plain dense complex arrays.
 """
 
 from __future__ import annotations
@@ -73,15 +75,6 @@ class Grid:
         return self.N ** self.n
 
 
-def _eval_symbol(s, X, XI):
-    """Evaluate on broadcast position/frequency blocks, flattening to rows."""
-    shape = np.broadcast_shapes(*(a.shape for a in X + XI))
-    cols = [np.broadcast_to(a, shape).ravel() for a in X + XI]
-    Z = np.stack(cols, axis=-1)
-    vals = np.asarray(s.eval(Z))
-    return vals.reshape(shape)
-
-
 def kn_quantize(s, grid: Grid) -> np.ndarray:
     """Output-point quantization (tau = 1)."""
     return tau_quantize(s, grid, 1.0)
@@ -113,27 +106,26 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
         A = np.empty((N, N), dtype=complex)
         for i in range(N):
             p = tau * grid.points[i] + (1.0 - tau) * grid.points
-            S = _eval_symbol(s, (p[:, None],), (ks[None, :],))
+            S = s.eval((p[:, None], ks[None, :]))
             A[i, :] = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)[idx, d[i]]
         return A
     if grid.n == 1:
-        S = _eval_symbol(s, (nodes[:, None],), (ks[None, :],))  # [node, mode]
+        S = s.eval((nodes[:, None], ks[None, :]))  # [node, mode]
         G = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)
         return G[at, d]
-    A = np.empty((side, side), dtype=complex)
+    A = np.empty((N, N, N, N), dtype=complex)  # [i1, i2, j1, j2]
     for v, node in enumerate(nodes):
         # every block whose first-axis point is node: one symbol block, one ifft2
-        S = _eval_symbol(s, (np.full((1, 1, 1), node), nodes[:, None, None]),
-                         (ks[None, :, None], ks[None, None, :]))
+        S = s.eval((node, nodes[:, None, None], ks[None, :, None], ks[None, None, :]))
         G = np.fft.ifft2(np.fft.ifftshift(S, axes=(1, 2)), axes=(1, 2))
-        for i1, j1 in zip(*np.nonzero(at == v)):
-            A[i1 * N:(i1 + 1) * N, j1 * N:(j1 + 1) * N] = G[at, d[i1, j1], d]
-    return A
+        i1, j1 = np.nonzero(at == v)
+        A[i1, :, j1, :] = G[at, d[i1, j1][:, None, None], d]
+    return A.reshape(side, side)
 
 
 def identity_symbol_matrix(grid: Grid, tau: float = 1.0) -> np.ndarray:
     """Quantization of the constant symbol 1; must be the identity."""
-    one = SymbolEvaluator(grid.n, lambda Z: np.ones(Z.shape[0]))
+    one = SymbolEvaluator(grid.n, lambda P: 1.0)
     return tau_quantize(one, grid, tau)
 
 

@@ -222,16 +222,15 @@ def _midpoint_axis(L: float, npts: int) -> np.ndarray:
 
 
 def _chunked_weight(w: WeightEvaluator, L: float, npts: int):
-    """Yield (m values, cell volume) in fixed chunk order over the box."""
+    """Yield (m values, cell volume) in fixed chunk order over the box:
+    one chunk per first-coordinate node, the other coordinates broadcast
+    from per-axis arrays and raveled in C order."""
     d = 2 * w.n
     g = _midpoint_axis(L, npts)
     cell = (2.0 * L / npts) ** d
-    rest = np.stack(np.meshgrid(*([g] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
-    Z = np.empty((rest.shape[0], d))
-    Z[:, 1:] = rest
+    rest = np.meshgrid(*([g] * (d - 1)), indexing="ij", sparse=True)
     for v in g:
-        Z[:, 0] = v
-        yield w.m_values(Z), cell
+        yield w.m_values((v, *rest)).ravel(), cell
 
 
 def _box_integrals(w: WeightEvaluator, exps: Sequence[float], L: float, npts: int) -> list:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._jets import (JProd, JPowerSum, JScale, JSum, JetExpr, JetSymbol,
-                    UnsupportedOrderError, fd_deriv_eval)
+                    UnsupportedOrderError, coords, fd_deriv_eval, in_shape)
 from .profiles import band_bump
 
 __all__ = [
@@ -37,9 +37,13 @@ MAX_DERIV_ORDER = 4
 class SymbolEvaluator:
     """A symbol on R^n x R^n: vectorized value plus optional exact jets.
 
-    value_fn maps Z of shape (m, 2n) to values; jet, when present, is a
-    JetSymbol over the same 2n variables.  derivative() dispatches to the
-    jet and falls back to scaled central differences otherwise.
+    Points are a tuple P = (x_1..x_n, xi_1..xi_n) of coordinate arrays
+    that broadcast against each other; eval and derivative return values
+    in the broadcast shape.  Rows Z of shape (m, 2n) are the special case
+    tuple(Z.T) and may be passed as they are.  value_fn maps such a tuple
+    (always a tuple) to values; jet, when present, is a JetSymbol over the
+    same 2n variables.  derivative() dispatches to the jet and falls back
+    to scaled central differences otherwise.
     """
 
     def __init__(self, n: int, value_fn: Callable, jet: Optional[JetSymbol] = None,
@@ -49,23 +53,29 @@ class SymbolEvaluator:
         self.jet = jet
         self.name = name
 
-    def eval(self, Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return self.value_fn(Z)
+    def _points(self, P) -> tuple:
+        P = coords(P)
+        if len(P) != 2 * self.n:
+            raise ValueError(f"{len(P)} coordinates given, the phase space has {2 * self.n}")
+        return P
 
-    def derivative(self, beta, alpha, Z):
-        """d_x^beta d_xi^alpha at the rows of Z; exact when a jet exists."""
+    def eval(self, P):
+        P = self._points(P)
+        return in_shape(self.value_fn(P), P)
+
+    def derivative(self, beta, alpha, P):
+        """d_x^beta d_xi^alpha at the points P; exact when a jet exists."""
         beta, alpha = tuple(beta), tuple(alpha)
         if len(beta) != self.n or len(alpha) != self.n:
             raise ValueError("multi-index length must equal the dimension")
         if sum(beta) + sum(alpha) > MAX_DERIV_ORDER:
             raise UnsupportedOrderError(
                 f"derivative order {sum(beta) + sum(alpha)} beyond the maximum {MAX_DERIV_ORDER}")
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        P = self._points(P)
         multi = beta + alpha
         if self.jet is not None:
-            return self.jet.deriv_eval(multi, Z)
-        return fd_deriv_eval(self.value_fn, multi, Z)
+            return self.jet.deriv_eval(multi, P)
+        return fd_deriv_eval(self.value_fn, multi, P)
 
 
 def _iter_multi(bound):
@@ -148,8 +158,8 @@ class PolySymbol:
             out[a] = JSum([out[a], c]) if a in out else c
         return PolySymbol(self.n, out)
 
-    def eval(self, Z):
-        return self.as_jet().eval(np.atleast_2d(np.asarray(Z, dtype=float)))
+    def eval(self, P):
+        return self.as_jet().eval(P)
 
     def as_evaluator(self, name: str = "") -> SymbolEvaluator:
         jet = JetSymbol(self.as_jet())
@@ -382,9 +392,8 @@ def band_restrict(s, w, R: float) -> SymbolEvaluator:
         raise ValueError("R must exceed 1")
     n = getattr(s, "n")
 
-    def value(Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return np.asarray(s.eval(Z)) * band_bump(w.m_values(Z) / R)
+    def value(P):
+        return np.asarray(s.eval(P)) * band_bump(w.m_values(P) / R)
 
     name = f"band[{getattr(s, 'name', '') or 'symbol'}, R={R}]"
     return SymbolEvaluator(n, value, jet=None, name=name)

@@ -182,7 +182,7 @@ def test_order_four_growth_measured_and_controls():
 
     # exponential growth is rejected by the same gate, loudly; the
     # smoothed radius keeps the finite-difference probes meaningful
-    bad = SymbolEvaluator(2, lambda Z: np.exp(np.sqrt(1.0 + (Z[:, :2] ** 2).sum(axis=1))))
+    bad = SymbolEvaluator(2, lambda P: np.exp(np.sqrt(1.0 + (P[0] ** 2 + P[1] ** 2))))
     repb = class_membership(bad, w, w, 4, [10.0, 20.0], **CLASS_KW)
     assert not repb.passed
     assert repb.growth[0] > 2.0

@@ -265,6 +265,20 @@ def test_operator_without_name_is_a_config_error(tmp_path, capsys, kind, extra):
     assert capsys.readouterr().err == "config error: config missing required key 'name'\n"
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "evolve", "grid": {"n": 1, "N": 32, "L": 6.0},
+     "operator": {"name": "harmonic"}, "times": {"t1": 0.1, "count": 3},
+     "state": {"kind": "random"}},
+    {"kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 12.0},
+     "operator": {"name": "harmonic"}, "k": 3,
+     "potential": {"name": "bounded_noise", "params": {"amplitude": 0.3}}},
+], ids=["random-state", "bounded-noise"])
+def test_randomized_part_without_seed_is_a_config_error(tmp_path, capsys, cfg):
+    code, _ = run(tmp_path, "noseed.json", {"schema": 1, **cfg})
+    assert code == 2
+    assert capsys.readouterr().err == "config error: config missing required key 'seed'\n"
+
+
 def test_subellipticity_growing_control(tmp_path):
     code, out = run(tmp_path, "se.json", {
         "schema": 1, "kind": "subellipticity", "seed": 0,

@@ -93,27 +93,25 @@ def test_jsum_jscale():
 
 
 def test_fd_deriv_eval_accuracy():
-    def gauss(Z):
-        Z = np.atleast_2d(Z)
-        return np.exp(-0.5 * np.sum(Z**2, axis=1))
+    def gauss(P):
+        return np.exp(-0.5 * (P[0] ** 2 + P[1] ** 2))
 
     Z = np.random.default_rng(3).normal(size=(20, 2))
-    exact = -Z[:, 0] * gauss(Z)
+    exact = -Z[:, 0] * gauss(tuple(Z.T))
     got = fd_deriv_eval(gauss, (1, 0), Z)
     assert np.allclose(got, exact, rtol=1e-7, atol=1e-9)
-    exact2 = (Z[:, 0] ** 2 - 1.0) * gauss(Z)
+    exact2 = (Z[:, 0] ** 2 - 1.0) * gauss(tuple(Z.T))
     got2 = fd_deriv_eval(gauss, (2, 0), Z)
     assert np.allclose(got2, exact2, rtol=1e-5, atol=1e-7)
-    mixed = Z[:, 0] * Z[:, 1] * gauss(Z)
+    mixed = Z[:, 0] * Z[:, 1] * gauss(tuple(Z.T))
     gotm = fd_deriv_eval(gauss, (1, 1), Z)
     assert np.allclose(gotm, mixed, rtol=1e-4, atol=1e-6)
 
 
 def test_fd_deriv_scales_step_with_magnitude():
     # relative stepping keeps large-coordinate evaluation conditioned
-    def quad(Z):
-        Z = np.atleast_2d(Z)
-        return Z[:, 0] ** 2
+    def quad(P):
+        return P[0] ** 2
 
     Z = np.array([[1e6, 0.0]])
     got = fd_deriv_eval(quad, (1, 0), Z)

@@ -50,7 +50,7 @@ def test_weight_values_equal_the_formula(rng, name):
 
 
 def test_custom_weight_wraps_callable():
-    w = WeightEvaluator(1, lambda Z: np.full(len(np.atleast_2d(Z)), 7.0), name="const")
+    w = WeightEvaluator(1, lambda P: 7.0, name="const")
     assert w.n == 1
     assert w.m_values(np.zeros((3, 2)))[0] == 7.0
 

@@ -110,9 +110,9 @@ def test_dense_side_limit_checked_before_the_symbol(monkeypatch):
         n = 2
 
         @staticmethod
-        def eval(Z):
-            calls.append(np.shape(Z))
-            return np.ones(np.atleast_2d(Z).shape[0])
+        def eval(P):
+            calls.append(len(P))
+            return np.ones(np.broadcast(*P).shape)
 
     for tau in (0.5, 1.0):
         with pytest.raises(ValueError, match="dense side"):

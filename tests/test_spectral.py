@@ -12,12 +12,13 @@ from scipy import sparse
 import weylab
 from _helpers import count_calls, schatten_norm
 from weylab import spectral
-from weylab.builders import get_operator
+from weylab.builders import get_operator, get_weight
 from weylab.hamiltonians import (
     DirichletGrid,
     second_derivative,
 )
 from weylab.metric import WeightEvaluator
+from weylab.profiles import CutoffProfileSquared
 from weylab.spectral import (
     GrowthFit,
     SolverError,
@@ -32,7 +33,7 @@ from weylab.spectral import (
 
 def harmonic_1d_weight():
     return WeightEvaluator(
-        1, lambda Z: 1.0 + (np.atleast_2d(Z) ** 2).sum(axis=1), name="harmonic-1d")
+        1, lambda P: 1.0 + (P[0] ** 2 + P[1] ** 2), name="harmonic-1d")
 
 
 # -- eigensolve -------------------------------------------------------------
@@ -210,7 +211,7 @@ def test_growth_fit_validation():
 # -- phase-space quadrature -------------------------------------------------
 
 def test_box_integral_constant_weight_is_volume():
-    w = WeightEvaluator(1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]))
+    w = WeightEvaluator(1, lambda P: 1.0)
     got = phase_box_integral(w, 3.0, 2.5, npts=50)
     assert got == pytest.approx(25.0, rel=1e-13)
 
@@ -218,7 +219,7 @@ def test_box_integral_constant_weight_is_volume():
 def test_box_integral_gaussian_closed_form():
     # separable integrand, so the product of 1d error functions is exact
     w = WeightEvaluator(
-        1, lambda Z: np.exp((np.atleast_2d(Z) ** 2).sum(axis=1)))
+        1, lambda P: np.exp(P[0] ** 2 + P[1] ** 2))
     got = phase_box_integral(w, 1.0, 6.0, npts=100)
     want = (math.sqrt(math.pi) * math.erf(6.0)) ** 2
     assert got == pytest.approx(want, rel=1e-12)
@@ -234,7 +235,7 @@ def test_band_slope_closed_form(s):
 
 
 def test_band_slope_rejects_concentrated_weight():
-    w = WeightEvaluator(1, lambda Z: np.ones(np.atleast_2d(Z).shape[0]))
+    w = WeightEvaluator(1, lambda P: 1.0)
     with pytest.raises(SolverError, match="empty band"):
         band_slope(w, 2.0)
 
@@ -305,6 +306,24 @@ def test_sweep_schatten_values_match_the_operator_path():
             assert shift == pytest.approx(max(0.0, 1.0 - lam[0]), abs=1e-12)
             T = (Q * (lam + shift) ** (-mu)) @ Q.conj().T
             assert value == pytest.approx(schatten_norm(T, r), rel=1e-12)
+
+
+def test_daho_sweep_never_evaluates_the_profile_on_rows(monkeypatch):
+    # x1 is one value per Weyl block and per quadrature chunk, so no call
+    # of the profile sees more values than there are half-step nodes,
+    # 2N - 1; flattened (rows, 4) points would pass it whole blocks
+    N = 24
+    sizes = []
+    call = CutoffProfileSquared.__call__
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return call(self, t)
+
+    monkeypatch.setattr(CutoffProfileSquared, "__call__", counted)
+    schatten_sweep(get_weight("daho"), [(2.0, 2.0)], 3.0, matrix_N=(N,),
+                   box_L=(8.0,), box_npts=24, band_npts=28)
+    assert sizes and max(sizes) <= 2 * N - 1
 
 
 def test_trend_experiment_validation():

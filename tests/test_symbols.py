@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 
 from weylab._jets import JPowerSum, JetSymbol, UnsupportedOrderError
-from weylab.builders import get_a2, get_weight, symbol_names
+from weylab.builders import get_a2, get_weight, symbol_names, weight_names
 from weylab.metric import WeightEvaluator
 from weylab.symbols import (MAX_DERIV_ORDER, PolySymbol, SymbolEvaluator,
                             band_restrict, box_sample, class_membership,
@@ -66,6 +66,67 @@ def test_evaluator_exact_jets_agree_with_finite_differences(rng):
         approx = np.asarray(fd.derivative(beta, alpha, Z)).real
         denom = np.maximum(np.abs(exact), 1.0)
         assert np.max(np.abs(exact - approx) / denom) < 1e-5
+
+
+# -- coordinate tuples against rows ------------------------------------------
+
+
+def _dims(get, names):
+    """(name, n) for every dimension a builder takes; the daho and
+    Grushin models are two-dimensional only."""
+    return [(name, n) for name in names for n in (1, 2) if get(name, {"n": n}).n == n]
+
+
+X1S = [0.3, 2.5, -3.1, 5.0]  # plateau, both sides of the bridge 2 < |x1| < 4, far field
+
+
+def _block(n, x1):
+    """Coordinates as the quantizer and the quadrature pass them, x1 one
+    value and every other axis its own array, and the same points as the
+    flattened rows Z."""
+    axes = [np.linspace(-6.0, 6.0, 7), np.linspace(-5.0, 5.0, 6),
+            np.linspace(-4.0, 4.0, 5)][:2 * n - 1]
+    P = (x1, *np.meshgrid(*axes, indexing="ij", sparse=True))
+    shape = np.broadcast_shapes(*(np.shape(p) for p in P))
+    Z = np.stack([np.broadcast_to(p, shape).ravel() for p in P], axis=-1)
+    return P, Z, shape
+
+
+@pytest.mark.parametrize("x1", X1S)
+@pytest.mark.parametrize("name,n", _dims(get_weight, weight_names()))
+def test_weight_on_coordinates_equals_rows(name, n, x1):
+    w = get_weight(name, {"n": n})
+    P, Z, shape = _block(n, x1)
+    got = w.m_values(P)
+    assert got.shape == shape
+    assert np.array_equal(got.ravel(), w.m_values(Z))
+
+
+@pytest.mark.parametrize("x1", X1S)
+@pytest.mark.parametrize("name,n", _dims(get_a2, symbol_names()))
+def test_symbol_on_coordinates_equals_rows(name, n, x1):
+    a2 = get_a2(name, {"n": n})
+    P, Z, shape = _block(n, x1)
+    got = np.asarray(a2.eval(P))
+    assert got.shape == shape
+    assert np.array_equal(got.ravel(), a2.eval(Z))
+
+
+@pytest.mark.parametrize("x1", X1S)
+@pytest.mark.parametrize("name,n", _dims(get_weight, weight_names()))
+def test_derivatives_on_coordinates_equal_rows(name, n, x1):
+    # through the weight's jets where it has them, and through finite
+    # differences of its values always
+    w = get_weight(name, {"n": n})
+    paths = [w, SymbolEvaluator(n, w.value_fn)] if w.jet is not None else [w]
+    P, Z, shape = _block(n, x1)
+    multis = [m for m in np.ndindex(*(3,) * 2 * n) if 0 < sum(m) <= 2]
+    for s in paths:
+        for m in multis:
+            beta, alpha = m[:n], m[n:]
+            got = np.asarray(s.derivative(beta, alpha, P))
+            assert got.shape == shape
+            assert np.array_equal(got.ravel(), s.derivative(beta, alpha, Z))
 
 
 def test_evaluator_order_gate():
@@ -236,11 +297,10 @@ def test_box_sample_structure():
 
 
 def test_seminorm_constant_symbol():
-    s = SymbolEvaluator(2, lambda Z: np.ones(np.atleast_2d(Z).shape[0]),
-                        name="one")
+    s = SymbolEvaluator(2, lambda P: 1.0, name="one")
     w = WeightEvaluator.from_a2(get_a2("daho"))
     sample = box_sample(2, 5.0, n_random=50)
-    one = WeightEvaluator(2, lambda Z: np.ones(Z.shape[0]), name="one")
+    one = WeightEvaluator(2, lambda P: 1.0, name="one")
     est0 = smg_seminorm(s, one, w, 0, sample)
     assert est0.value == pytest.approx(1.0, abs=1e-12)
     est2 = smg_seminorm(s, one, w, 2, sample)
@@ -258,7 +318,7 @@ def test_seminorm_monotone_under_refinement():
 
 def test_bracket_weight_is_self_class(rng):
     jet = JetSymbol(JPowerSum.bracket_power(4, 1.0))
-    s = WeightEvaluator(2, lambda Z: jet.deriv_eval((0, 0, 0, 0), Z), jet=jet,
+    s = WeightEvaluator(2, lambda P: jet.deriv_eval((0, 0, 0, 0), P), jet=jet,
                         name="bracket")
     w = WeightEvaluator.from_a2(get_a2("daho"))
     # the sup saturates slowly along the anisotropic directions; a 15% gate
@@ -279,7 +339,7 @@ def test_membership_requires_two_boxes():
 def test_membership_negative_control_blows_up():
     w = WeightEvaluator.from_a2(get_a2("daho"))
     neg = SymbolEvaluator(
-        2, lambda Z: np.exp(np.linalg.norm(np.atleast_2d(Z)[:, :2], axis=1)),
+        2, lambda P: np.exp(np.sqrt(P[0] * P[0] + P[1] * P[1])),
         name="exp|x|")
     rep = class_membership(neg, w, w, 2, [10.0, 20.0], n_random=200, seed=4)
     assert not rep.passed
