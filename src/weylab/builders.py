@@ -40,6 +40,8 @@ class MissingKeyError(ConfigError, KeyError):
 
 def need(cfg, key):
     """cfg[key] from a config or params dict."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected an object holding {key!r}, got {type(cfg).__name__}")
     if key not in cfg:
         raise MissingKeyError(f"config missing required key {key!r}")
     return cfg[key]

@@ -41,7 +41,8 @@ CSV_PROBE_HEADER = ("operator", "N", "L", "epsilon_or_beta", "p_R_tau",
 
 def _grid(g, grid_type=DirichletGrid):
     """A grid dict {"n": 2 by default, "N", "L"}, Dirichlet unless told otherwise."""
-    return grid_type(int(g.get("n", 2)), int(_need(g, "N")), float(_need(g, "L")))
+    N, L = int(_need(g, "N")), float(_need(g, "L"))
+    return grid_type(int(g.get("n", 2)), N, L)
 
 
 def _weight(cfg):
@@ -360,6 +361,10 @@ def _cmd_run(path: str) -> int:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    if not isinstance(cfg, dict):
+        print(f"config error: the config must be a JSON object, not a {type(cfg).__name__}",
+              file=sys.stderr)
         return 2
     out_dir = cfg.get("output_dir") or os.path.splitext(path)[0] + ".out"
     try:

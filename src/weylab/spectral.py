@@ -47,6 +47,8 @@ class SpectralResult:
     residuals: np.ndarray
     solver: str
     eigenvectors: Optional[np.ndarray] = None
+    sigma: Optional[float] = None     # the certified shift; None on the dense path
+    inertia: Optional[tuple] = None   # (tau, eigenvalues below tau) of the final count
 
     def __post_init__(self):
         d = np.diff(self.eigenvalues)
@@ -60,9 +62,12 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     H is a HamiltonianMatrix, a scipy sparse matrix or an array.  Up to
     ``DENSE_LIMIT`` rows: one subset ``scipy.linalg.eigh``.  Above it:
     shift-invert Lanczos (``scipy.sparse.linalg.eigsh``, start vector
-    drawn from ``START_SEED``) around a Gershgorin lower bound sigma, so
-    that A - sigma I is positive definite and the eigenvalues nearest
-    sigma are the lowest ones whatever the sign of the spectrum.
+    drawn from ``START_SEED``) around a shift sigma certified below the
+    spectrum, so that the eigenvalues nearest sigma are the lowest ones
+    whatever the sign of the spectrum.  The candidates are 0, then g/8,
+    g/4, g/2 of the Gershgorin lower bound g, then a point just below g;
+    the first whose LDL^T of A - sigma I has no negative pivot (A - sigma
+    I positive definite) is taken, and that one LDL^T is the solve.
 
     Both paths compute p >= 1 extra pairs and raise SolverError unless
     every residual is at most 1e-8 |A|_2, |A|_2 = max(|lambda_1|,
@@ -71,7 +76,8 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     doubles until there is one), and the negative pivots of an LDL^T of
     A - tau I, which count the eigenvalues below tau (Sylvester), must
     equal the number computed below tau.  A skipped eigenvalue passes
-    the residual gate; it fails this count.
+    the residual gate; it fails this count.  The result carries sigma
+    (None on the dense path) and the pair (tau, count) when counted.
     """
     from scipy import sparse
 
@@ -82,10 +88,10 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     S = 0.5 * (S + S.conj().T)
     p = min(EXTRA_PAIRS, side - k)
     if side <= DENSE_LIMIT:
-        pairs = _dense_pairs(S)
+        pairs, sigma = _dense_pairs(S), None
         lam_max = None if k + p == side else _top_eigenvalue(S)
     else:
-        pairs = _shift_invert_pairs(S)
+        pairs, sigma = _shift_invert_pairs(S)
         lam_max = _top_eigenvalue(S)
     while True:
         lam, V, solver = pairs(k + p)
@@ -94,17 +100,21 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
         if cut is not None or k + p == side:
             break
         p = min(2 * p, side - k)
+    del pairs  # the sigma factorization, freed before the one at tau
     below = lam.size if cut is None else cut
     res = np.linalg.norm(S @ V[:, :below] - V[:, :below] * lam[:below], axis=0)
     _enforce_residuals(res, normA, solver)
+    inertia = None
     if cut is not None:
         tau = 0.5 * (lam[cut - 1] + lam[cut])
         count = _count_below(S, tau)
         if count != cut:
             raise SolverError(f"{solver}: {cut} eigenvalues computed below {tau:.10g}, "
                               f"inertia of A - tau I counts {count}")
+        inertia = (float(tau), count)
     return SpectralResult(lam[:k], res[:k], solver,
-                          eigenvectors=V[:, :k] if want_vectors else None)
+                          eigenvectors=V[:, :k] if want_vectors else None,
+                          sigma=sigma, inertia=inertia)
 
 
 def _enforce_residuals(res, normH, solver):
@@ -128,26 +138,44 @@ def _top_eigenvalue(S) -> float:
 
 def _dense_pairs(S):
     from scipy.linalg import eigh
-    A = S.toarray()
 
     def pairs(count):
-        lam, V = eigh(A, subset_by_index=[0, count - 1])
+        # a fresh Fortran-ordered array per call that LAPACK may overwrite:
+        # one dense copy of A alive at a time, not two
+        lam, V = eigh(S.toarray(order="F"), subset_by_index=[0, count - 1],
+                      overwrite_a=True)
         return lam, V, "dense"
     return pairs
 
 
 def _shift_invert_pairs(S):
-    from scipy import sparse
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+    """Lanczos pairs around the first certified shift, and that shift.
+
+    The candidates run from 0 down to the Gershgorin floor, below which
+    A - sigma I is diagonally dominant; the first whose LDL^T has no
+    negative pivot (so A - sigma I is positive definite) is used, and
+    its factorization is the shift-invert solve."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     side = S.shape[0]
     d = S.diagonal().real
     gersh = float(np.min(d - (abs(S).sum(axis=1) - np.abs(d))))
-    sigma = gersh - 1e-3 * max(1.0, abs(gersh))
-    try:
-        lu = splu(sparse.csc_array(S - sigma * sparse.eye_array(side)))
-    except RuntimeError as exc:
-        raise SolverError(f"shift-invert: A - sigma I is singular: {exc}") from exc
+    floor = gersh - 1e-3 * max(1.0, abs(gersh))
+    last = np.inf
+    for sigma in (0.0, gersh / 8, gersh / 4, gersh / 2, floor):
+        if sigma >= last:
+            continue
+        last = sigma
+        try:
+            lu = _ldlt(S, sigma)
+        except SolverError:
+            continue
+        if _negative_pivots(lu) == 0:
+            break
+        del lu  # a rejected factorization goes before the next is made
+    else:
+        raise SolverError(f"shift-invert: no shift down to {floor:.10g} "
+                          "certified below the spectrum")
     OPinv = LinearOperator(S.shape, matvec=lu.solve, dtype=S.dtype)
     v0 = np.random.default_rng(START_SEED).normal(size=side)
 
@@ -162,24 +190,34 @@ def _shift_invert_pairs(S):
             raise SolverError(f"shift-invert: {exc}") from exc
         order = np.argsort(lam)
         return lam[order], V[:, order], f"shift-invert(m={ncv})"
-    return pairs
+    return pairs, sigma
 
 
-def _count_below(S, tau: float) -> int:
-    """Eigenvalues of S below tau, as the negative pivots of a symmetric
-    LU (LDL^T) of S - tau I: Sylvester's law of inertia."""
+def _ldlt(S, shift: float):
+    """Symmetric LU (LDL^T) of S - shift I: no off-diagonal pivoting, so
+    the signs of the pivots are the inertia of S - shift I."""
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    M = sparse.csc_array(S - tau * sparse.eye_array(S.shape[0]))
+    M = sparse.csc_array(S - shift * sparse.eye_array(S.shape[0]))
     try:
         lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise SolverError(f"inertia: A - tau I is singular: {exc}") from exc
+        raise SolverError(f"inertia: A - {shift:.10g} I is singular: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError("inertia: the factorization pivoted off the diagonal")
+    return lu
+
+
+def _negative_pivots(lu) -> int:
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _count_below(S, tau: float) -> int:
+    """Eigenvalues of S below tau, as the negative pivots of an LDL^T of
+    S - tau I: Sylvester's law of inertia."""
+    return _negative_pivots(_ldlt(S, tau))
 
 
 @dataclass

@@ -279,6 +279,18 @@ def test_randomized_part_without_seed_is_a_config_error(tmp_path, capsys, cfg):
     assert capsys.readouterr().err == "config error: config missing required key 'seed'\n"
 
 
+@pytest.mark.parametrize("cfg,err", [
+    ([{"schema": 1, "kind": "spectrum"}],
+     "config error: the config must be a JSON object, not a list\n"),
+    ({"schema": 1, "kind": "spectrum", "grid": 5, "operator": {"name": "harmonic"}, "k": 3},
+     "config error: expected an object holding 'N', got int\n"),
+], ids=["top-level-list", "grid-number"])
+def test_non_object_config_is_a_config_error(tmp_path, capsys, cfg, err):
+    code, _ = run(tmp_path, "shape.json", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == err
+
+
 def test_subellipticity_growing_control(tmp_path):
     code, out = run(tmp_path, "se.json", {
         "schema": 1, "kind": "subellipticity", "seed": 0,

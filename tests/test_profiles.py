@@ -135,10 +135,10 @@ def _sympy_beta_table():
     phi, phic = sp.exp(-1 / u), sp.exp(-1 / (1 - u))
     s = phi / (phi + phic)
     expr = 2 * t * (1 - s) * (1 + g * 4 * s * (1 - s))
-    fns = [sp.lambdify((t, g), expr, "numpy")]
+    fns = [sp.lambdify((t, g), expr, "numpy", cse=True)]
     for _ in range(PROFILE_DERIV_ORDERS - 1):
         expr = sp.diff(expr, t)
-        fns.append(sp.lambdify((t, g), expr, "numpy"))
+        fns.append(sp.lambdify((t, g), expr, "numpy", cse=True))
     return fns
 
 

@@ -52,13 +52,49 @@ def harmonic_tensor_oracle(g, k):
     return np.sort((l1[:, None] + l1[None, :]).ravel())[:k]
 
 
+def factor_shifts(monkeypatch, A):
+    """Wrap splu; returns the list of the shifts s of the factored A - s I."""
+    import scipy.sparse.linalg as sla
+    orig, shifts = sla.splu, []
+    d = A.diagonal()[0]
+
+    def splu(M, *args, **kwargs):
+        shifts.append(float(d - M.diagonal()[0]))
+        return orig(M, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "splu", splu)
+    return shifts
+
+
+def gershgorin_floor(A):
+    d = A.diagonal()
+    g = float(np.min(d - (abs(A).sum(axis=1) - np.abs(d))))
+    return g - 1e-3 * max(1.0, abs(g))
+
+
 def test_iterative_path_matches_tensor_oracle():
     # side 4356 crosses the dense limit; the transverse modes decouple,
-    # so the pairwise sums of the 1d spectrum are exact for this matrix
+    # so the pairwise sums of the 1d spectrum are exact for this matrix.
+    # The operator is positive definite, so the first candidate shift,
+    # 0, is certified.
     g = DirichletGrid(2, 66, 8.0)
     res = eigensolve(get_operator("harmonic", g), 6)
     assert res.solver.startswith("shift-invert(m=")
+    assert res.sigma == 0.0
     assert np.max(np.abs(res.eigenvalues - harmonic_tensor_oracle(g, 6))) < 1e-10
+
+
+def test_psd_shift_invert_factors_once_per_shift(monkeypatch):
+    # one LDL^T at sigma = 0 is both the certificate and the solve; the
+    # only other factorization is the final count at tau
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
+    H = get_operator("harmonic", DirichletGrid(1, 64, 8.0)).sparse
+    shifts = factor_shifts(monkeypatch, H)
+    res = eigensolve(H, 3)
+    tau, count = res.inertia
+    assert res.sigma == 0.0
+    assert shifts == [0.0, pytest.approx(tau)]
+    assert count == 3 and res.eigenvalues[2] < tau
 
 
 def test_shifted_spectrum_on_the_sparse_path(monkeypatch):
@@ -72,12 +108,43 @@ def test_shifted_spectrum_on_the_sparse_path(monkeypatch):
     assert np.allclose(res.eigenvalues, [-4.0, -2.0, 0.0], atol=1e-3)
 
 
-def test_shifted_2d_oscillator_matches_tensor_oracle():
+def test_shifted_2d_oscillator_matches_tensor_oracle(monkeypatch):
+    # lambda_1 = 2 - 5 < 0: the LDL^T at 0 has negative pivots, so the
+    # shift comes from further down the ladder, not below its floor
     g = DirichletGrid(2, 66, 8.0)
-    H = get_operator("harmonic", g).sparse
-    res = eigensolve(H - 5.0 * sparse.eye_array(g.side()), 6)
+    A = get_operator("harmonic", g).sparse - 5.0 * sparse.eye_array(g.side())
+    shifts = factor_shifts(monkeypatch, A)
+    res = eigensolve(A, 6)
     assert res.solver.startswith("shift-invert(m=")
+    assert shifts[0] == 0.0 and len(shifts) >= 3
+    assert shifts[-2] == pytest.approx(res.sigma) and shifts[-1] == pytest.approx(res.inertia[0])
+    assert gershgorin_floor(A) <= res.sigma < 0.0
+    assert res.sigma < res.eigenvalues[0]
     assert np.max(np.abs(res.eigenvalues - (harmonic_tensor_oracle(g, 6) - 5.0))) < 1e-10
+
+
+def test_singular_candidate_shift_is_rejected(monkeypatch):
+    # an exact zero eigenvalue makes the LDL^T at 0 singular; the Gershgorin
+    # bound is 0 as well, so g/8, g/4, g/2 are no lower and the floor is next
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
+    A = np.diag(np.arange(64.0))
+    shifts = factor_shifts(monkeypatch, sparse.csr_array(A))
+    res = eigensolve(A, 3)
+    assert res.solver.startswith("shift-invert(m=")
+    assert shifts == [0.0, pytest.approx(-1e-3), pytest.approx(2.5)]
+    assert res.sigma == pytest.approx(-1e-3)
+    assert res.inertia == (pytest.approx(2.5), 3)
+    assert np.allclose(res.eigenvalues, [0.0, 1.0, 2.0], atol=1e-12)
+
+
+def test_no_certified_shift_is_a_solver_error(monkeypatch):
+    # a shift is used only after its own LDL^T shows no negative pivot;
+    # when no candidate does, down to the Gershgorin floor, nothing runs
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
+    monkeypatch.setattr(spectral, "_negative_pivots", lambda lu: 1)
+    H = get_operator("harmonic", DirichletGrid(1, 64, 8.0))
+    with pytest.raises(SolverError, match="no shift"):
+        eigensolve(H, 3)
 
 
 @pytest.mark.parametrize("dense_limit,solver", [(4096, "scipy.linalg.eigh"),
@@ -149,6 +216,7 @@ def test_eigensolve_accepts_raw_arrays():
     res = eigensolve(A, 2, want_vectors=False)
     assert np.allclose(res.eigenvalues, [1.0, 2.0])
     assert res.eigenvectors is None
+    assert res.sigma is None and res.inertia == (2.5, 2)
 
 
 # -- Schatten oracle ----------------------------------------------------------
