@@ -21,7 +21,7 @@ The package is organized around the pipeline symbol -> metric -> operator:
 __version__ = "0.1.0"
 
 from .builders import get_a2, get_operator, get_weight
-from .hamiltonians import (DirichletGrid, HamiltonianMatrix, Potential, Spectrum,
+from .hamiltonians import (DirichletGrid, HamiltonianMatrix, Potential,
                            hamiltonian_with_potential, sum_of_squares_matrix,
                            tensor_stencil_matrix, validate_p2)
 from .metric import (MetricCheckReport, WeightEvaluator, check_gweight,
@@ -29,7 +29,7 @@ from .metric import (MetricCheckReport, WeightEvaluator, check_gweight,
                      eval_dual_metric, eval_metric, planck)
 from .profiles import CutoffProfileSquared, band_bump
 from .quantize import Grid, kn_quantize, tau_quantize, weyl_quantize
-from .spectral import (GrowthFit, SpectralResult, eigensolve, growth_fit,
+from .spectral import (GrowthFit, SpectralResult, Spectrum, eigensolve, growth_fit,
                        schatten_sweep)
 from .symbols import (PolySymbol, SeminormEstimate, SymbolEvaluator,
                       class_membership, smg_seminorm, with_confinement)

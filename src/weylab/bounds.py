@@ -15,10 +15,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hamiltonians import DirichletGrid, Spectrum
+from .hamiltonians import DirichletGrid
 from .metric import WeightEvaluator
 from .profiles import smoothstep
 from .quantize import Grid, kn_quantize, sobolev_norm
+from .spectral import Spectrum
 from .symbols import band_restrict, smg_seminorm
 
 __all__ = [
@@ -193,7 +194,8 @@ def _calibrate_beta_prime(spec: Spectrum, grid: DirichletGrid, w: WeightEvaluato
     along the grid diagonal.  Candidate powers are scanned and the
     log-log regression slope of diag((H+C)^{-b}) against the target is
     driven to 1; the winning residual must clear the gate or the
-    experiment refuses to run.
+    experiment refuses to run.  Only the diagonal is formed, from the
+    spectrum, never the power itself.
     """
     mesh = grid.mesh()
     n = grid.n
@@ -213,7 +215,7 @@ def _calibrate_beta_prime(spec: Spectrum, grid: DirichletGrid, w: WeightEvaluato
         raise CalibrationError("target profile too flat to calibrate against")
     best = (np.inf, None, None)
     for b in np.linspace(0.1, 2.0, 39) * max(beta, 0.5):
-        ld = np.log(np.diag(spec.power(-b, shift))[sel])
+        ld = np.log(spec.power_diagonal(-b, shift)[sel])
         slope = np.polyfit(lt, ld, 1)[0]
         resid = abs(slope - 1.0)
         if resid < best[0]:

@@ -147,8 +147,17 @@ def _lookup(table, kind, name, others=()):
     return table[name]
 
 
+def _params(params) -> dict:
+    """A builder's params: None for no parameters, else a config object."""
+    if params is None:
+        return {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be an object, got {type(params).__name__}")
+    return params
+
+
 def _model(name, params, kind, others=()) -> Model:
-    return _lookup(_MODELS, kind, name, others)[1](params or {})
+    return _lookup(_MODELS, kind, name, others)[1](_params(params))
 
 
 def symbol_names():
@@ -177,14 +186,14 @@ def get_a2(name: str, params: Optional[dict] = None) -> PolySymbol:
 
 def get_weight(name: str, params: Optional[dict] = None) -> WeightEvaluator:
     if name in _WEIGHTS:
-        return _WEIGHTS[name][1](params or {})
+        return _WEIGHTS[name][1](_params(params))
     return WeightEvaluator.from_a2(_model(name, params, "weight", _WEIGHTS).a2(), name=name)
 
 
 def get_operator(name: str, grid, params: Optional[dict] = None):
     """A DirichletGrid gives the Dirichlet operator, a periodic
     quantize.Grid the periodic one (models only)."""
-    params = params or {}
+    params = _params(params)
     if name in _OPERATORS:
         return _OPERATORS[name][1](grid, params)
     # a model's dimension, where it has a choice, is its grid's
@@ -202,7 +211,7 @@ def get_kinetic(name: str, grid):
 
 
 def get_potential(name: str, grid, params: Optional[dict] = None):
-    return _lookup(_POTENTIALS, "potential", name)[1](grid, params or {})
+    return _lookup(_POTENTIALS, "potential", name)[1](grid, _params(params))
 
 
 def describe_builders() -> str:

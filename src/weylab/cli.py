@@ -45,6 +45,14 @@ def _grid(g, grid_type=DirichletGrid):
     return grid_type(int(g.get("n", 2)), N, L)
 
 
+def _section(cfg, key, default):
+    """cfg[key], an optional sub-object, or default when it is absent."""
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _weight(cfg):
     spec = _need(cfg, "weight")
     return builders.get_weight(_need(spec, "name"), spec.get("params"))
@@ -198,7 +206,7 @@ def _run_schatten_sweep(cfg, out):
 
 
 def _initial_state(cfg, grid):
-    spec = cfg.get("state", {"kind": "gaussian"})
+    spec = _section(cfg, "state", {"kind": "gaussian"})
     mesh = grid.mesh()
     kind = spec.get("kind", "gaussian")
     if kind == "gaussian":
@@ -215,7 +223,7 @@ def _run_evolve(cfg, out):
     grid = _grid(_need(cfg, "grid"))
     H = _operator(cfg, grid)
     kind = cfg.get("evolution", "schrodinger")
-    t = cfg.get("times", {})
+    t = _section(cfg, "times", {})
     times = np.linspace(float(t.get("t0", 0.0)), float(t.get("t1", 1.0)),
                         int(t.get("count", 100)))
     f = _initial_state(cfg, grid)
@@ -279,8 +287,7 @@ def _run_band_probe(cfg, out):
 
 def _run_subellipticity(cfg, out):
     opname = _need(_need(cfg, "operator"), "name")
-    # dense: the probe's P @ v must not change with the storage format
-    res = subellipticity_probe(lambda g: builders.get_kinetic(opname, g).data,
+    res = subellipticity_probe(lambda g: builders.get_kinetic(opname, g).sparse,
                                float(_need(cfg, "tau")),
                                N_list=[int(v) for v in cfg.get("N_list", (32, 48, 64))],
                                L=float(cfg.get("L", 4.0)),

@@ -1,12 +1,16 @@
 """Time evolution: unitary group and contraction semigroup.
 
-Propagation goes through the eigendecomposition by default.  That choice
-is what makes the conservation monitors meaningful: norm drift and group
-law defects sit at rounding level instead of integrator level, so a
-1e-10 gate actually tests the operator and not the time stepper.  A
-Crank-Nicolson path exists behind a flag for sizes where a full
-decomposition is unreasonable; its tolerances are looser (1e-6) and that
-is documented in the trace metadata.
+Propagation goes through the eigendecomposition by default: one
+certified ``spectral.Spectrum`` per operator, the coefficients Q^T f
+once, and every output time in one real product Q @ [Re C | Im C].
+Norms are measured on the propagated states and energies come from one
+product with the sparse operator, so the conservation monitors test the
+states that were computed: norm drift and group law defects sit at
+rounding level instead of integrator level, and a 1e-10 gate tests the
+operator and not the time stepper.  A Crank-Nicolson path exists behind
+a flag for sizes where a full decomposition is unreasonable; its
+tolerances are looser (1e-6) and that is documented in the trace
+metadata.
 
 Sign bookkeeping: the stored operator is the nonnegative H; the heat
 flow evolves e^{-tH}, the unitary flow e^{-itH}.
@@ -19,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .hamiltonians import HamiltonianMatrix, Spectrum
+from .hamiltonians import HamiltonianMatrix
+from .spectral import Spectrum
 
 __all__ = ["Propagator", "EvolutionTrace", "schrodinger_evolve", "heat_evolve"]
 
@@ -45,17 +50,26 @@ class EvolutionTrace:
                 for t, n, e in zip(self.times, self.norms, self.energies)]
 
 
+def _csr(H):
+    """The stored operator of a HamiltonianMatrix, or a real array as CSR."""
+    from scipy import sparse
+
+    if isinstance(H, HamiltonianMatrix):
+        return H.sparse
+    return sparse.csr_array(np.asarray(H, dtype=float))
+
+
 class Propagator:
     """Cached spectral data for one operator, shared across evolutions."""
 
     def __init__(self, H, kind: str):
         if kind not in ("schrodinger", "heat"):
             raise ValueError("kind must be schrodinger or heat")
-        A = H.data if isinstance(H, HamiltonianMatrix) else np.asarray(H, dtype=float)
-        defect = float(np.max(np.abs(A - A.T)))
-        if defect > SYMMETRY_GATE * max(1.0, float(np.max(np.abs(A)))):
+        S = _csr(H)
+        defect = float(abs(S - S.T).max())
+        if defect > SYMMETRY_GATE * max(1.0, float(abs(S).max())):
             raise ValueError(f"operator not symmetric: defect {defect:.3e}")
-        spec = Spectrum(A)
+        spec = Spectrum(S)
         self.kind = kind
         self.A, self.lam, self.Q = spec.A, spec.lam, spec.Q
         self.Qt = np.ascontiguousarray(self.Q.T)
@@ -63,25 +77,26 @@ class Propagator:
             raise ValueError(
                 f"contraction requires spectrum above {HEAT_FLOOR}: found {self.lam[0]:.3e}")
 
-    def apply(self, f: np.ndarray, t: float) -> np.ndarray:
-        """e^{-itH} f or e^{-tH} f.  Q is real, so it acts on the real and
-        imaginary parts of f as two real columns, never on a complex copy
-        of itself."""
+    def _parts(self, f: np.ndarray, times) -> np.ndarray:
+        """[Re U | Im U], U the states e^{-itH} f or e^{-tH} f as columns,
+        one per time.  Q is real, so Q^T acts once on the real and
+        imaginary parts of f, and Q once on all the times together, never
+        on a complex copy of itself."""
         f = np.asarray(f)
+        t = np.asarray(times, dtype=float)
         C = self.Qt @ np.stack([f.real, np.imag(f)], axis=1)
         if self.kind == "schrodinger":
-            c = (C[:, 0] + 1j * C[:, 1]) * np.exp(-1j * t * self.lam)
-            C = np.stack([c.real, c.imag], axis=1)
+            c = (C[:, :1] + 1j * C[:, 1:]) * np.exp(-1j * np.outer(self.lam, t))
+            C = np.hstack([c.real, c.imag])
         else:
-            C *= np.exp(-t * self.lam)[:, None]
-        U = self.Q @ C
-        return U[:, 0] + 1j * U[:, 1]
+            E = np.exp(-np.outer(self.lam, t))
+            C = np.hstack([C[:, :1] * E, C[:, 1:] * E])
+        return self.Q @ C
 
-    def energy(self, u: np.ndarray) -> float:
-        """<u, A u>, from the real and imaginary parts of u."""
-        u = np.asarray(u)
-        U = np.stack([u.real, np.imag(u)], axis=1)
-        return float(np.sum(U * (self.A @ U)))
+    def apply(self, f: np.ndarray, t: float) -> np.ndarray:
+        """e^{-itH} f or e^{-tH} f."""
+        U = self._parts(f, [t])
+        return U[:, 0] + 1j * U[:, 1]
 
 
 def _trace(prop: Propagator, f, times, method: str, meta: str,
@@ -90,17 +105,14 @@ def _trace(prop: Propagator, f, times, method: str, meta: str,
     f = np.asarray(f, dtype=complex)
     if not np.any(np.abs(f) > 0):
         raise ValueError("initial state must be nonzero")
-    norms = np.empty(times.size)
-    energies = np.empty(times.size)
-    snaps = [] if keep_snapshots else None
-    for i, t in enumerate(times):
-        u = prop.apply(f, float(t))
-        norms[i] = np.linalg.norm(u)
-        energies[i] = prop.energy(u)
-        if keep_snapshots:
-            snaps.append(u)
-    return EvolutionTrace(times=times, norms=norms, energies=energies,
-                          method=method, meta=meta, snapshots=snaps)
+    U = prop._parts(f, times)
+    nt = times.size
+    sq = np.sum(U * U, axis=0)
+    e = np.sum(U * (prop.A @ U), axis=0)
+    snaps = [U[:, i] + 1j * U[:, nt + i] for i in range(nt)] if keep_snapshots else None
+    return EvolutionTrace(times=times, norms=np.sqrt(sq[:nt] + sq[nt:]),
+                          energies=e[:nt] + e[nt:], method=method, meta=meta,
+                          snapshots=snaps)
 
 
 def _cn_trace(H, f, times, kind: str, meta: str) -> EvolutionTrace:
@@ -111,10 +123,7 @@ def _cn_trace(H, f, times, kind: str, meta: str) -> EvolutionTrace:
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    if isinstance(H, HamiltonianMatrix):
-        A = H.sparse
-    else:
-        A = sparse.csr_array(np.asarray(H, dtype=float))
+    A = _csr(H)
     times = np.asarray(times, dtype=float)
     u = np.asarray(f, dtype=complex).copy()
     c = 0.5j if kind == "schrodinger" else 0.5

@@ -29,7 +29,7 @@ __all__ = [
     "second_derivative", "staggered_divergence_form", "sum_of_squares_matrix",
     "tensor_stencil_matrix", "quadratic_potential", "bounded_noise_potential",
     "step_potential", "table_potential", "validate_p2",
-    "hamiltonian_with_potential", "Spectrum", "P2ValidationError",
+    "hamiltonian_with_potential", "P2ValidationError",
 ]
 
 CONDITIONING_LIMIT = 50.0
@@ -315,19 +315,3 @@ def hamiltonian_with_potential(kinetic: HamiltonianMatrix, V: Potential,
                              provenance=f"{kinetic.provenance}+{V.descriptor}",
                              potential=np.asarray(base) + V.values)
 
-
-class Spectrum:
-    """One eigendecomposition A = Q diag(lam) Q^T of the symmetric part of a real operator."""
-
-    def __init__(self, H):
-        A = H.data if isinstance(H, HamiltonianMatrix) else np.asarray(H, dtype=float)
-        self.A = 0.5 * (A + A.T)
-        self.lam, self.Q = np.linalg.eigh(self.A)
-
-    def power(self, beta: float, shift: float = 0.0) -> np.ndarray:
-        """(A + shift)^beta, symmetrized; A + shift must be PD (beta < 0: resolvent powers)."""
-        lam = self.lam + shift
-        if np.min(lam) <= 0.0:
-            raise ValueError(f"shift too small: min shifted eigenvalue {np.min(lam):.3e}")
-        M = (self.Q * lam**beta) @ self.Q.T
-        return 0.5 * (M + M.T)

@@ -1,6 +1,10 @@
 """Certified eigensolves, growth fits, and the compactness trend
 experiment.
 
+This is the one module that decomposes a matrix: ``eigensolve`` for the
+lowest pairs, its full-spectrum case ``Spectrum`` for the propagators and
+the fractional powers, and the trend sweep's eigenvalues.
+
 The trend experiment is the one place where a continuum question (does a
 negative power of the weight lie in a Schatten class) meets finite
 matrices.  No single matrix decides it; the protocol is a bundle of
@@ -23,13 +27,14 @@ from .metric import WeightEvaluator
 from .quantize import Grid, weyl_quantize
 
 __all__ = [
-    "SpectralResult", "GrowthFit", "SolverError", "eigensolve", "growth_fit",
+    "SpectralResult", "Spectrum", "GrowthFit", "SolverError", "eigensolve", "growth_fit",
     "phase_box_integral", "band_slope", "SchattenTrendReport", "schatten_sweep",
 ]
 
 RESIDUAL_REL_TOL = 1e-8
 GAP_REL_TOL = 1e-6
 DENSE_LIMIT = 4096
+DENSE_KRYLOV_RATIO = 8  # below DENSE_LIMIT, dense while side < this times the Krylov size
 EXTRA_PAIRS = 4
 START_SEED = 0          # Lanczos start vectors are drawn from this seed
 BAND_BASE = 3.0         # band_slope shells: BAND_BASE^k <= m < BAND_BASE^(k+1)
@@ -59,35 +64,36 @@ class SpectralResult:
 def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     """Lowest k eigenpairs of a symmetric (or Hermitian) matrix, certified.
 
-    H is a HamiltonianMatrix, a scipy sparse matrix or an array.  Up to
-    ``DENSE_LIMIT`` rows: one subset ``scipy.linalg.eigh``.  Above it:
-    shift-invert Lanczos (``scipy.sparse.linalg.eigsh``, start vector
-    drawn from ``START_SEED``) around a shift sigma certified below the
-    spectrum, so that the eigenvalues nearest sigma are the lowest ones
+    H is a HamiltonianMatrix, a scipy sparse matrix or an array.  The
+    dense path runs when the side is at most ``DENSE_LIMIT`` and below
+    ``DENSE_KRYLOV_RATIO`` times the Krylov size the Lanczos path would
+    use: one ``np.linalg.eigh`` when every pair is asked for (k = side,
+    the ``Spectrum`` case), one subset ``scipy.linalg.eigh`` otherwise.
+    Else: shift-invert Lanczos (``scipy.sparse.linalg.eigsh``, start
+    vector drawn from ``START_SEED``) around a shift sigma certified below
+    the spectrum, so that the eigenvalues nearest sigma are the lowest ones
     whatever the sign of the spectrum.  The candidates are 0, then g/8,
     g/4, g/2 of the Gershgorin lower bound g, then a point just below g;
     the first whose LDL^T of A - sigma I has no negative pivot (A - sigma
     I positive definite) is taken, and that one LDL^T is the solve.
 
-    Both paths compute p >= 1 extra pairs and raise SolverError unless
-    every residual is at most 1e-8 |A|_2, |A|_2 = max(|lambda_1|,
-    lambda_max), and the computed count is complete: tau goes in the
-    first gap at or after lambda_k wider than ``GAP_REL_TOL`` |A|_2 (p
-    doubles until there is one), and the negative pivots of an LDL^T of
-    A - tau I, which count the eigenvalues below tau (Sylvester), must
-    equal the number computed below tau.  A skipped eigenvalue passes
-    the residual gate; it fails this count.  The result carries sigma
-    (None on the dense path) and the pair (tau, count) when counted.
+    Both paths compute p >= 1 extra pairs (none when k = side) and raise
+    SolverError unless every residual |A q - lambda q|, with the sparse A,
+    is at most 1e-8 |A|_2, |A|_2 = max(|lambda_1|, lambda_max), and the
+    computed count is complete: tau goes in the first gap at or after
+    lambda_k wider than ``GAP_REL_TOL`` |A|_2 (p doubles until there is
+    one), and the negative pivots of an LDL^T of A - tau I, which count
+    the eigenvalues below tau (Sylvester), must equal the number computed
+    below tau.  A skipped eigenvalue passes the residual gate; it fails
+    this count.  The result carries sigma (None on the dense path) and the
+    pair (tau, count) when counted.
     """
-    from scipy import sparse
-
-    S = H.sparse if isinstance(H, HamiltonianMatrix) else sparse.csr_array(H)
+    S = _symmetric_part(H)
     side = S.shape[0]
     if not 0 < k <= side:
         raise ValueError("k must lie between 1 and the dimension")
-    S = 0.5 * (S + S.conj().T)
     p = min(EXTRA_PAIRS, side - k)
-    if side <= DENSE_LIMIT:
+    if side <= DENSE_LIMIT and side < DENSE_KRYLOV_RATIO * _krylov_size(k + p, side):
         pairs, sigma = _dense_pairs(S), None
         lam_max = None if k + p == side else _top_eigenvalue(S)
     else:
@@ -117,6 +123,42 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
                           sigma=sigma, inertia=inertia)
 
 
+class Spectrum:
+    """Every eigenpair A = Q diag(lam) Q^T of the symmetric part A of a
+    real operator, kept sparse: eigensolve's full-spectrum case, so the
+    pairs pass the same residual gate."""
+
+    def __init__(self, H):
+        self.A = _symmetric_part(H)
+        res = eigensolve(self.A, self.A.shape[0])
+        self.lam, self.Q = res.eigenvalues, res.eigenvectors
+
+    def _shifted(self, shift: float) -> np.ndarray:
+        lam = self.lam + shift
+        if np.min(lam) <= 0.0:
+            raise SolverError(f"shift too small: min shifted eigenvalue {np.min(lam):.3e}")
+        return lam
+
+    def power(self, beta: float, shift: float = 0.0) -> np.ndarray:
+        """(A + shift)^beta, symmetrized; A + shift must be PD (beta < 0: resolvent powers)."""
+        M = (self.Q * self._shifted(shift) ** beta) @ self.Q.T
+        return 0.5 * (M + M.T)
+
+    def power_diagonal(self, beta: float, shift: float = 0.0) -> np.ndarray:
+        """diag((A + shift)^beta) = (Q o Q)(lam + shift)^beta, one
+        matrix-vector product instead of the whole power."""
+        return (self.Q * self.Q) @ self._shifted(shift) ** beta
+
+
+def _symmetric_part(H):
+    """0.5 (A + A^*) as a CSR array, from a HamiltonianMatrix, a sparse
+    matrix or an array."""
+    from scipy import sparse
+
+    S = H.sparse if isinstance(H, HamiltonianMatrix) else sparse.csr_array(H)
+    return 0.5 * (S + S.conj().T)
+
+
 def _enforce_residuals(res, normH, solver):
     gate = RESIDUAL_REL_TOL * max(normH, 1e-300)
     worst = float(np.max(res)) if res.size else 0.0
@@ -136,10 +178,17 @@ def _top_eigenvalue(S) -> float:
     return float(eigsh(S, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
 
+def _krylov_size(count: int, side: int) -> int:
+    return min(side, max(2 * count + 1, 20))
+
+
 def _dense_pairs(S):
     from scipy.linalg import eigh
 
     def pairs(count):
+        if count == S.shape[0]:
+            lam, V = np.linalg.eigh(S.toarray())  # LAPACK evd: the whole spectrum
+            return lam, V, "dense"
         # a fresh Fortran-ordered array per call that LAPACK may overwrite:
         # one dense copy of A alive at a time, not two
         lam, V = eigh(S.toarray(order="F"), subset_by_index=[0, count - 1],
@@ -182,7 +231,7 @@ def _shift_invert_pairs(S):
     def pairs(count):
         if count >= side:
             raise SolverError(f"shift-invert: {count} pairs asked of dimension {side}")
-        ncv = min(side, max(2 * count + 1, 20))
+        ncv = _krylov_size(count, side)
         try:
             lam, V = eigsh(S, k=count, sigma=sigma, which="LM", OPinv=OPinv,
                            v0=v0, ncv=ncv)

@@ -15,9 +15,10 @@ from weylab.bounds import (
     subellipticity_probe,
 )
 from weylab.builders import get_a2, get_kinetic, get_operator, get_weight
-from weylab.hamiltonians import DirichletGrid, Spectrum
+from weylab.hamiltonians import DirichletGrid
 from weylab.metric import WeightEvaluator
 from weylab.quantize import Grid
+from weylab.spectral import Spectrum
 
 
 def harmonic_matrix(grid):
@@ -25,7 +26,7 @@ def harmonic_matrix(grid):
 
 
 def periodic(name):
-    return lambda grid: get_kinetic(name, grid).data
+    return lambda grid: get_kinetic(name, grid).sparse
 
 
 def harmonic_1d_weight():
@@ -101,6 +102,15 @@ def test_lp_window_probe_decomposes_each_grid_once(monkeypatch):
     lp_window_probe(harmonic_matrix, lp_grids(), w, beta=1.0, p_list=[2.0, 4.0],
                     trials=4, seed=0)
     assert calls == [(144, 144), (256, 256)]
+
+
+def test_calibration_diagonal_matches_the_dense_power():
+    # the calibration reads diag((H + C)^(-b)) as (Q o Q)(lam + C)^(-b),
+    # for every candidate power, without forming the power
+    spec = Spectrum(get_operator("daho", DirichletGrid(2, 12, 6.0)))
+    for b in np.linspace(0.1, 2.0, 39):
+        want = np.diag(spec.power(-b, 1.0))
+        assert np.max(np.abs(spec.power_diagonal(-b, 1.0) / want - 1.0)) < 1e-13
 
 
 def test_lp_probe_takes_the_two_norm_from_the_spectrum(monkeypatch):

@@ -291,6 +291,27 @@ def test_non_object_config_is_a_config_error(tmp_path, capsys, cfg, err):
     assert capsys.readouterr().err == err
 
 
+EVOLVE = {"kind": "evolve", "grid": {"n": 1, "N": 32, "L": 6.0}, "operator": {"name": "harmonic"}}
+
+
+@pytest.mark.parametrize("cfg,err", [
+    ({"kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 6.0},
+      "operator": {"name": "harmonic", "params": 5}, "k": 3}, "params must be an object, got int"),
+    ({"kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 12.0}, "operator": {"name": "harmonic"},
+      "k": 3, "potential": {"name": "step", "params": 5}}, "params must be an object, got int"),
+    ({"kind": "metric-check", "seed": 0, "weight": {"name": "daho", "params": 5}},
+     "params must be an object, got int"),
+    ({"kind": "class-check", "seed": 0, "symbol": {"name": "daho", "params": [1]}},
+     "params must be an object, got list"),
+    (dict(EVOLVE, state=5), "state must be an object, got int"),
+    (dict(EVOLVE, times=[0.0, 1.0]), "times must be an object, got list"),
+], ids=["operator", "potential", "weight", "symbol", "state", "times"])
+def test_non_object_section_is_a_config_error(tmp_path, capsys, cfg, err):
+    code, _ = run(tmp_path, "section.json", {"schema": 1, **cfg})
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+
+
 def test_subellipticity_growing_control(tmp_path):
     code, out = run(tmp_path, "se.json", {
         "schema": 1, "kind": "subellipticity", "seed": 0,
@@ -463,3 +484,14 @@ def test_calibration_failure_is_a_run_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert all(line.startswith("run error: power calibration residual") for line in err)
+
+
+def test_lp_probe_shift_below_the_spectrum_is_a_run_error(tmp_path, capsys):
+    # (H + shift)^(-b) needs H + shift positive definite; a shift that
+    # leaves it indefinite is a failed run (exit 2), not a config error
+    code, _ = run(tmp_path, "lp.json", {
+        "schema": 1, "kind": "lp-probe", "seed": 0, "weight": {"name": "harmonic"},
+        "operator": {"name": "harmonic"}, "grids": [{"n": 2, "N": 12, "L": 6.0}],
+        "beta": 1.0, "p_list": [2.0], "shift": -1000})
+    assert code == 2
+    assert capsys.readouterr().err.startswith("run error: shift too small")

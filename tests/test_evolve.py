@@ -39,6 +39,23 @@ def test_propagator_group_law(H, f0):
     assert np.max(np.abs(direct - composed)) < 1e-10
 
 
+@pytest.mark.parametrize("evolve,kind", [(schrodinger_evolve, "schrodinger"),
+                                          (heat_evolve, "heat")])
+def test_batched_trace_matches_per_time_apply(H, f0, evolve, kind):
+    # every time of a trace comes out of one product with Q; each snapshot,
+    # norm and energy must agree with one apply per time
+    f = f0 * np.exp(1j * H.grid.points)
+    times = np.linspace(0.0, 0.8, 9)
+    tr = evolve(H, f, times, keep_snapshots=True)
+    prop = Propagator(H, kind)
+    A = H.data
+    for t, u, norm, energy in zip(times, tr.snapshots, tr.norms, tr.energies):
+        v = prop.apply(f, t)
+        assert np.linalg.norm(u - v) <= 1e-13 * np.linalg.norm(v)
+        assert norm == pytest.approx(np.linalg.norm(v), rel=1e-13)
+        assert energy == pytest.approx(np.vdot(v, A @ v).real, rel=1e-13)
+
+
 def test_heat_is_a_contraction(H, f0):
     times = np.linspace(0.0, 1.0, 21)
     tr = heat_evolve(H, f0, times)

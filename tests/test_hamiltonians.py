@@ -8,7 +8,6 @@ from weylab.hamiltonians import (
     HamiltonianMatrix,
     P2ValidationError,
     Potential,
-    Spectrum,
     bounded_noise_potential,
     hamiltonian_with_potential,
     quadratic_potential,
@@ -19,6 +18,7 @@ from weylab.hamiltonians import (
     table_potential,
     validate_p2,
 )
+from weylab.spectral import SolverError, Spectrum
 
 from _helpers import min_ritz, periodic_mode_symbol, symmetry_defect
 
@@ -324,5 +324,5 @@ def test_fractional_power_identity_and_roots():
 def test_fractional_power_requires_positive_shifted_spectrum():
     g = DirichletGrid(1, 16, 4.0)
     H = get_operator("harmonic", g)
-    with pytest.raises(ValueError, match="shift too small"):
+    with pytest.raises(SolverError, match="shift too small"):
         Spectrum(H).power(0.5, shift=-1e6)

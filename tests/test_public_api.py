@@ -1,4 +1,5 @@
 """The export lists: every name a module advertises must exist."""
+import ast
 import importlib
 import os
 import pkgutil
@@ -32,3 +33,25 @@ def test_star_import_runs():
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "True"
+
+
+def test_only_spectral_decomposes():
+    # one module owns every eigendecomposition, so each one passes the
+    # same certificate: no other module calls or imports an eigensolver
+    solvers = {"eigh", "eigvalsh", "eigsh"}
+    root = os.path.dirname(os.path.abspath(weylab.__file__))
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py") or name == "spectral.py":
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if called in solvers:
+                    found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{name}:{node.lineno}" for a in node.names if a.name in solvers]
+    assert found == []

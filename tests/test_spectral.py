@@ -46,6 +46,39 @@ def test_dense_path_matches_continuum_oscillator():
     assert np.max(res.residuals) < 1e-8
 
 
+@pytest.mark.parametrize("grid,k,path", [
+    (DirichletGrid(1, 64, 8.0), 5, "dense"),
+    (DirichletGrid(2, 40, 8.0), 10, "shift-invert"),
+    (DirichletGrid(2, 48, 8.0), 410, "dense"),
+], ids=["side64-k5", "side1600-k10", "side2304-k410"])
+def test_dense_path_only_below_eight_krylov_sizes(grid, k, path):
+    # under DENSE_LIMIT the dense path still needs side < 8 ncv,
+    # ncv = max(2 (k + p) + 1, 20): a few pairs of a large matrix go to
+    # shift-invert, a large share of them stays dense
+    res = eigensolve(get_operator("harmonic", grid), k, want_vectors=False)
+    assert res.solver.split("(")[0] == path
+    assert (res.sigma is None) == (path == "dense")
+
+
+def test_spectrum_is_certified(monkeypatch):
+    # Spectrum is eigensolve's full case: one np.linalg.eigh, then the
+    # same per-column residual gate, which a perturbed eigenvector fails
+    H = get_operator("harmonic", DirichletGrid(1, 32, 6.0))
+    spec = spectral.Spectrum(H)
+    assert spec.lam.shape == (32,) and spec.Q.shape == (32, 32)
+    orig = np.linalg.eigh
+
+    def perturbed(a, *args, **kwargs):
+        lam, V = orig(a, *args, **kwargs)
+        V = V.copy()
+        V[0, 3] += 1e-6
+        return lam, V
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(SolverError, match="residual"):
+        spectral.Spectrum(H)
+
+
 def harmonic_tensor_oracle(g, k):
     H1 = second_derivative(g.N, g.h, 6) + np.diag(g.points**2)
     l1 = np.linalg.eigvalsh(H1)
