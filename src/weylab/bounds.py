@@ -186,6 +186,16 @@ def _lp_lower(A: np.ndarray, p: float, trials: int, rng) -> float:
     return best
 
 
+def _target_profile(mesh: np.ndarray, w: WeightEvaluator, beta: float) -> np.ndarray:
+    """Per mesh node, the mean of m^{-(n/2) beta} over 256 fixed xi samples:
+    one evaluation over (node, sample), x along axis 0 and xi along axis 1."""
+    n = mesh.shape[1]
+    xi = np.random.default_rng(7).normal(scale=2.0, size=(256, n))
+    P = tuple(mesh[:, j:j + 1] for j in range(n)) + tuple(xi.T)
+    m = np.broadcast_to(w.m_values(P), (mesh.shape[0], 256))   # a constant m is a scalar
+    return np.mean(m ** (-(n / 2.0) * beta), axis=1)
+
+
 def _calibrate_beta_prime(spec: Spectrum, grid: DirichletGrid, w: WeightEvaluator,
                           beta: float, shift: float, residual_gate: float) -> tuple:
     """Pick the spectral power whose diagonal decay tracks the symbol decay.
@@ -198,13 +208,7 @@ def _calibrate_beta_prime(spec: Spectrum, grid: DirichletGrid, w: WeightEvaluato
     spectrum, never the power itself.
     """
     mesh = grid.mesh()
-    n = grid.n
-    rng = np.random.default_rng(7)
-    xi = rng.normal(scale=2.0, size=(256, n))
-    target = np.empty(mesh.shape[0])
-    for i, x in enumerate(mesh):
-        Z = np.concatenate([np.broadcast_to(x, (256, n)), xi], axis=1)
-        target[i] = np.mean(w.m_values(Z) ** (-(n / 2.0) * beta))
+    target = _target_profile(mesh, w, beta)
     # restrict to a radial annulus: center rows are resolution-limited,
     # edge rows boundary-limited
     r = np.linalg.norm(mesh, axis=1)

@@ -1,14 +1,16 @@
-"""Named builders addressable from config files.
+"""Named builders addressable from config files, and the config reader.
 
 One table states each model once: its dimension, its axis-aligned fields
 b(x) d/dx_axis as (axis, c) with c = b^2 a jet expression in x, and
 whether |x|^2 confinement is added.  Its principal symbol, weight and
-grid operators derive from that entry.  Each entry carries the parameter
-schema the command-line listing prints; params are plain config dicts.
+grid operators derive from that entry.  Each entry declares its params
+as a spec that ``read`` checks and the command-line listing prints.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -21,11 +23,12 @@ from .symbols import PolySymbol
 __all__ = ["Model", "symbol_names", "weight_names", "operator_names",
            "potential_names", "get_a2", "get_weight", "get_operator",
            "get_kinetic", "get_potential", "describe_builders", "UnknownBuilderError",
-           "ConfigError", "MissingKeyError", "need"]
+           "ConfigError", "MissingKeyError", "REQUIRED", "Tagged", "read",
+           "SYMBOL", "WEIGHT", "OPERATOR", "KINETIC", "POTENTIAL"]
 
 
 class UnknownBuilderError(KeyError):
-    pass
+    __str__ = ValueError.__str__
 
 
 class ConfigError(ValueError):
@@ -38,13 +41,78 @@ class MissingKeyError(ConfigError, KeyError):
     __str__ = ValueError.__str__
 
 
-def need(cfg, key):
-    """cfg[key] from a config or params dict."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"expected an object holding {key!r}, got {type(cfg).__name__}")
-    if key not in cfg:
-        raise MissingKeyError(f"config missing required key {key!r}")
-    return cfg[key]
+REQUIRED = object()   # the default of a key that has none
+_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+@dataclass(frozen=True)
+class Tagged:
+    """A config object whose tag key names the spec of its other keys."""
+    tag: str
+    variants: dict   # tag value -> spec
+    what: str        # what an unknown tag value is called in the error
+    default: object = REQUIRED
+    error: type = ConfigError
+
+
+def _expect(ok, at, what, value):
+    if not ok:
+        got = "a list" if isinstance(value, list) else \
+            "an object" if isinstance(value, dict) else json.dumps(value)
+        raise ConfigError(f"{at or 'the config'} must be {what}, got {got}")
+
+
+def read(t, value, at: str = ""):
+    """The checked copy of the config value under type t; at names the
+    value in error messages.
+
+    A type is a spec {key: (type, default)} (an object), int (a JSON
+    integer, not a boolean), float (any finite JSON number, stored as a float),
+    bool, str, a tuple of the allowed values, [T] (a list of T),
+    [T1, T2, ...] (a list of exactly those) or a Tagged.  A default of
+    REQUIRED makes the key required, and null counts as absent.  Keys
+    outside a spec are ignored.
+    """
+    if isinstance(t, dict):
+        _expect(isinstance(value, dict), at, "an object", value)
+        out = {}
+        for key, (kt, default) in t.items():
+            v = value.get(key)
+            if v is None and default is REQUIRED:
+                raise MissingKeyError(f"config missing required key {key!r}")
+            v = default if v is None else v
+            out[key] = None if v is None else read(kt, v, f"{at}.{key}" if at else key)
+        return out
+    if isinstance(t, Tagged):
+        name = read({t.tag: (str, t.default)}, value, at)[t.tag]
+        if name not in t.variants:
+            raise t.error(f"unknown {t.what} {name!r}; "
+                          f"available: {', '.join(sorted(t.variants))}")
+        return {t.tag: name, **read(t.variants[name], value, at)}
+    if isinstance(t, list):
+        _expect(isinstance(value, list) and len(t) in (1, len(value)), at,
+                "a list" if len(t) == 1 else f"a list of {len(t)}", value)
+        return [read(ti, v, f"{at}[{i}]") for i, (ti, v) in enumerate(zip(t * len(value), value))]
+    if isinstance(t, tuple):
+        _expect(any(type(value) is type(c) and value == c for c in t), at,
+                " or ".join(map(json.dumps, t)), value)
+        return value
+    ok = type(value) is t or (t is float and type(value) is int)
+    # json reads the non-JSON literals NaN and Infinity as floats
+    _expect(ok and (t is not float or math.isfinite(value)), at, _NAMES[t], value)
+    return float(value) if t is float else value
+
+
+def _described(t) -> str:
+    """The type t as the command-line listing prints it."""
+    if isinstance(t, dict):
+        return ", ".join(f"{key}: {_described(kt)}"
+                         + ("" if d is REQUIRED else f" = {json.dumps(d)}")
+                         for key, (kt, d) in t.items()) or "(no parameters)"
+    if isinstance(t, list):
+        return f"[{_described(t[0])}, ...]" if len(t) == 1 else \
+            f"[{', '.join(map(_described, t))}]"
+    return "|".join(map(json.dumps, t)) if isinstance(t, tuple) else t.__name__
 
 
 @dataclass(frozen=True)
@@ -82,88 +150,85 @@ def _profile_table(profile: CutoffProfileSquared):
 
 
 def _harmonic(p):
-    n = int(p.get("n", 2))
-    return Model("harmonic", n, tuple((j, None) for j in range(n)), confined=True)
+    return Model("harmonic", p["n"], tuple((j, None) for j in range(p["n"])), confined=True)
 
 
 def _daho(p):
-    c_prime = float(p.get("c_prime", 3.0))
-    c = JUni(4, 0, _profile_table(CutoffProfileSquared(c_prime)))
-    return Model(f"daho(c_prime={c_prime:g})", 2, ((0, None), (1, c)), confined=True)
+    c = JUni(4, 0, _profile_table(CutoffProfileSquared(p["c_prime"])))
+    return Model(f"daho(c_prime={p['c_prime']:g})", 2, ((0, None), (1, c)), confined=True)
 
 
+# each entry: name -> (params spec, make)
 _MODELS = {
     # the elliptic control: every field constant
-    "harmonic": ("n: int = 2", _harmonic),
+    "harmonic": ({"n": (int, 2)}, _harmonic),
     # the degenerate oscillator: c on the x2 axis is the squared plateau
     # profile of x1, with jets from the exact bridge derivative table
-    "daho": ("c_prime: float = 3", _daho),
+    "daho": ({"c_prime": (float, 3.0)}, _daho),
     # the untruncated degenerate model: c = x1^2 on the x2 axis
-    "grushin_pure": ("", lambda p: Model(
+    "grushin_pure": ({}, lambda p: Model(
         "grushin_pure", 2, ((0, None), (1, JPowerSum.monomial(4, (2, 0, 0, 0)))),
         confined=False)),
     # one field d/dx1 in two dimensions; deliberately non-spanning
-    "single_field": ("", lambda p: Model("single_field", 2, ((0, None),), confined=False)),
+    "single_field": ({}, lambda p: Model("single_field", 2, ((0, None),), confined=False)),
 }
+_ORDER = {"order": (int, 6)}   # a model operator's stencil order
 
 _WEIGHTS = {
-    "broken_half_bracket": ("n: int = 2; fails the uncertainty gate by design",
-                            lambda p: WeightEvaluator.half_bracket(int(p.get("n", 2)))),
+    "broken_half_bracket": ({"n": (int, 2)}, lambda p: WeightEvaluator.half_bracket(p["n"])),
 }
 
-
-def _sum_of_squares_op(grid, p):
-    fields = []
-    for axis, coeff in p.get("fields", [[0, "1"], [1, "1"]]):
-        if coeff == "1":
-            fields.append((int(axis), None))
-        elif coeff == "x1":
-            fields.append((int(axis), lambda X: X[:, 0]))
-        else:
-            raise UnknownBuilderError(f"unknown field coefficient {coeff!r}")
-    return ham.sum_of_squares_matrix(fields, grid)
-
+_COEFFICIENTS = {"1": None, "x1": lambda X: X[:, 0]}
 
 _OPERATORS = {
-    "sum_of_squares": ("fields: list of [axis, coeff] with coeff in {1, x1}", _sum_of_squares_op),
+    "sum_of_squares": (
+        {"fields": ([[int, tuple(_COEFFICIENTS)]], [[0, "1"], [1, "1"]])},
+        lambda grid, p: ham.sum_of_squares_matrix(
+            [(axis, _COEFFICIENTS[c]) for axis, c in p["fields"]], grid)),
 }
 
 _POTENTIALS = {
-    "quadratic": ("", lambda g, p: ham.quadratic_potential(g)),
-    "bounded_noise": ("amplitude: float = 1, seed: int",
-                      lambda g, p: ham.bounded_noise_potential(
-                          g, float(p.get("amplitude", 1.0)), int(need(p, "seed")))),
-    "step": ("amplitude: float = 1, base: float = 0",
-             lambda g, p: ham.step_potential(g, float(p.get("amplitude", 1.0)),
-                                             float(p.get("base", 0.0)))),
-    "table": ("file: path to CSV of grid values", lambda g, p: ham.table_potential(g, p["file"])),
+    "quadratic": ({}, lambda g, p: ham.quadratic_potential(g)),
+    "bounded_noise": ({"amplitude": (float, 1.0), "seed": (int, REQUIRED)},
+                      lambda g, p: ham.bounded_noise_potential(g, p["amplitude"], p["seed"])),
+    "step": ({"amplitude": (float, 1.0), "base": (float, 0.0)},
+             lambda g, p: ham.step_potential(g, p["amplitude"], p["base"])),
+    "table": ({"file": (str, REQUIRED)}, lambda g, p: ham.table_potential(g, p["file"])),
 }
 
 
-def _lookup(table, kind, name, others=()):
-    if name not in table:
-        raise UnknownBuilderError(f"unknown {kind} builder {name!r}; "
-                                  f"available: {', '.join(sorted([*table, *others]))}")
-    return table[name]
+def _model(name, params=None) -> Model:
+    spec, make = _MODELS[name]
+    return make(read(spec, params or {}, "params"))
 
 
-def _params(params) -> dict:
-    """A builder's params: None for no parameters, else a config object."""
-    if params is None:
-        return {}
-    if not isinstance(params, dict):
-        raise ConfigError(f"params must be an object, got {type(params).__name__}")
-    return params
+def _ref(what, table, extra=None) -> Tagged:
+    """The config type of a {name, params} reference into table."""
+    return Tagged("name", {name: {"params": (spec, {}), **(extra or {})}
+                           for name, (spec, _) in table.items()},
+                  f"{what} builder", error=UnknownBuilderError)
 
 
-def _model(name, params, kind, others=()) -> Model:
-    return _lookup(_MODELS, kind, name, others)[1](_params(params))
+SYMBOL = _ref("symbol", _MODELS)
+WEIGHT = _ref("weight", {**_MODELS, **_WEIGHTS})
+OPERATOR = _ref("operator", {**{name: ({**spec, **_ORDER}, make)
+                                for name, (spec, make) in _MODELS.items()}, **_OPERATORS})
+# periodic boxes, where |x|^2 has no periodic meaning: the unconfined
+# models, and "laplacian", the harmonic model's kinetic part
+KINETIC = _ref("kinetic operator", {name: ({}, None) for name in [*_MODELS, "laplacian"]
+                                    if name == "laplacian" or not _model(name).confined})
+POTENTIAL = _ref("potential", _POTENTIALS, {"override": (bool, False)})
+
+
+def _params(ref: Tagged, name, params) -> dict:
+    """The named builder's params, checked against the spec it declares."""
+    return read(ref, {"name": name, "params": params})["params"]
 
 
 def symbol_names():
     """The models with a field on every axis; the non-spanning single
     field is an operator control."""
-    models = {name: make({}) for name, (_, make) in _MODELS.items()}
+    models = {name: _model(name) for name in _MODELS}
     return sorted(name for name, m in models.items()
                   if {axis for axis, _ in m.fields} == set(range(m.n)))
 
@@ -173,7 +238,7 @@ def weight_names():
 
 
 def operator_names():
-    return sorted([*_MODELS, *_OPERATORS])
+    return sorted(OPERATOR.variants)
 
 
 def potential_names():
@@ -181,46 +246,44 @@ def potential_names():
 
 
 def get_a2(name: str, params: Optional[dict] = None) -> PolySymbol:
-    return _model(name, params, "symbol").a2()
+    return _MODELS[name][1](_params(SYMBOL, name, params)).a2()
 
 
 def get_weight(name: str, params: Optional[dict] = None) -> WeightEvaluator:
+    p = _params(WEIGHT, name, params)
     if name in _WEIGHTS:
-        return _WEIGHTS[name][1](_params(params))
-    return WeightEvaluator.from_a2(_model(name, params, "weight", _WEIGHTS).a2(), name=name)
+        return _WEIGHTS[name][1](p)
+    return WeightEvaluator.from_a2(_MODELS[name][1](p).a2(), name=name)
 
 
 def get_operator(name: str, grid, params: Optional[dict] = None):
     """A DirichletGrid gives the Dirichlet operator, a periodic
     quantize.Grid the periodic one (models only)."""
-    params = _params(params)
+    p = _params(OPERATOR, name, params)
     if name in _OPERATORS:
-        return _OPERATORS[name][1](grid, params)
+        return _OPERATORS[name][1](grid, p)
     # a model's dimension, where it has a choice, is its grid's
-    model = _model(name, {**params, "n": grid.n}, "operator", _OPERATORS)
-    return model.operator(grid, int(params.get("order", 6)))
+    return _MODELS[name][1]({**p, "n": grid.n}).operator(grid, p["order"])
 
 
 def get_kinetic(name: str, grid):
-    """A kinetic operator for periodic boxes, where |x|^2 has no periodic
-    meaning: an unconfined model, or "laplacian", the harmonic model's
-    kinetic part."""
-    kinetic = {key: make for key, (_, make) in _MODELS.items() if not make({}).confined}
-    kinetic["laplacian"] = lambda p: replace(_harmonic(p), confined=False)
-    return _lookup(kinetic, "kinetic operator", name)({"n": grid.n}).operator(grid)
+    """A kinetic operator for periodic boxes (see KINETIC)."""
+    read(KINETIC, {"name": name})   # raises on an unknown name
+    model = _model("harmonic" if name == "laplacian" else name, {"n": grid.n})
+    return replace(model, confined=False).operator(grid)
 
 
 def get_potential(name: str, grid, params: Optional[dict] = None):
-    return _lookup(_POTENTIALS, "potential", name)[1](grid, _params(params))
+    return _POTENTIALS[name][1](grid, _params(POTENTIAL, name, params))
 
 
 def describe_builders() -> str:
     lines = []
     for title, table in (("models (symbol, weight and operator; an operator also takes "
-                           "order: int = 6)", _MODELS), ("weights", _WEIGHTS),
+                           f"{_described(_ORDER)})", _MODELS),
+                         ("weights (each fails the uncertainty gate by design)", _WEIGHTS),
                          ("operators", _OPERATORS), ("potentials", _POTENTIALS)):
         lines.append(f"{title}:")
         for name in sorted(table):
-            schema = table[name][0] or "(no parameters)"
-            lines.append(f"  {name:22s} {schema}")
+            lines.append(f"  {name:22s} {_described(table[name][0])}")
     return "\n".join(lines)

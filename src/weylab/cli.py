@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, builders
-from .builders import ConfigError, need as _need
+from .builders import KINETIC, OPERATOR, POTENTIAL, REQUIRED, SYMBOL, WEIGHT, Tagged, read
 from ._output import canonical_json, write_csv_atomic, write_json_atomic
 from .bounds import linf_band_probe, lp_window_probe, subellipticity_probe
 from .evolve import heat_evolve, schrodinger_evolve
@@ -32,85 +32,45 @@ from .spectral import eigensolve, growth_fit, schatten_sweep
 from .symbols import class_membership, with_confinement
 
 SCHEMA = 1
-SEEDED_KINDS = {"metric-check", "class-check", "lp-probe", "band-probe",
-                "subellipticity"}
 
 CSV_PROBE_HEADER = ("operator", "N", "L", "epsilon_or_beta", "p_R_tau",
                     "lower", "upper", "verdict")
 
 
-def _grid(g, grid_type=DirichletGrid):
-    """A grid dict {"n": 2 by default, "N", "L"}, Dirichlet unless told otherwise."""
-    N, L = int(_need(g, "N")), float(_need(g, "L"))
-    return grid_type(int(g.get("n", 2)), N, L)
-
-
-def _section(cfg, key, default):
-    """cfg[key], an optional sub-object, or default when it is absent."""
-    value = cfg.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _weight(cfg):
-    spec = _need(cfg, "weight")
-    return builders.get_weight(_need(spec, "name"), spec.get("params"))
-
-
 def _operator(cfg, grid):
-    spec = _need(cfg, "operator")
-    H = builders.get_operator(_need(spec, "name"), grid, spec.get("params"))
-    pot = cfg.get("potential")
-    if pot:
-        V = builders.get_potential(_need(pot, "name"), grid, pot.get("params"))
-        H = hamiltonian_with_potential(H, V, override=bool(pot.get("override", False)))
+    op, pot = cfg["operator"], cfg["potential"]
+    H = builders.get_operator(grid=grid, **op)
+    if pot is not None:
+        V = builders.get_potential(pot["name"], grid, pot["params"])
+        H = hamiltonian_with_potential(H, V, override=pot["override"])
     return H
 
 
-def _report_entry(rep):
-    d = asdict(rep)
-    for k, v in d.items():
-        if isinstance(v, np.ndarray):
-            d[k] = v.tolist()
-    return d
+# -- kind handlers: each reads a config checked against its _KINDS spec and
+# returns (checks, report dict, csv header, csv rows); header and rows are
+# None for kinds that write no data.csv -----------------------------------
 
-
-# -- kind handlers: each returns (checks, report dict, csv header, csv rows);
-# header and rows are None for kinds that write no data.csv --------------
-
-def _run_metric_check(cfg, out):
-    w = _weight(cfg)
-    seed = int(cfg["seed"])
-    rng = np.random.default_rng(seed)
-    box = float(cfg.get("box", 100.0))
-    npts = int(cfg.get("n_points", 20000))
-    Z = rng.uniform(-box, box, size=(npts, 2 * w.n))
-    X, Y = pair_sample(w.n, int(cfg.get("n_pairs", 10000)), seed + 1)
+def _run_metric_check(cfg):
+    w = builders.get_weight(**cfg["weight"])
+    rng = np.random.default_rng(cfg["seed"])
+    Z = rng.uniform(-cfg["box"], cfg["box"], size=(cfg["n_points"], 2 * w.n))
+    X, Y = pair_sample(w.n, cfg["n_pairs"], cfg["seed"] + 1)
     reports = [check_uncertainty(w, Z),
                check_slowness(w, X, Y),
                check_temperateness(w, X, Y),
                check_gweight(w, X, Y)]
     checks = [(r.kind, r.passed, r.summary()) for r in reports]
-    return checks, {"weight": w.name, "reports": [_report_entry(r) for r in reports]}, None, None
+    return checks, {"weight": w.name, "reports": [asdict(r) for r in reports]}, None, None
 
 
-def _run_class_check(cfg, out):
-    spec = _need(cfg, "symbol")
-    a2 = builders.get_a2(_need(spec, "name"), spec.get("params"))
-    target = cfg.get("target", "a")
-    if target not in ("a", "m"):
-        raise ConfigError("target must be 'a' or 'm'")
-    w = builders.get_weight(spec["name"], spec.get("params"))
+def _run_class_check(cfg):
+    spec, target = cfg["symbol"], cfg["target"]
+    a2, w = builders.get_a2(**spec), builders.get_weight(**spec)
     s = with_confinement(a2).as_evaluator(name="a") if target == "a" else w
-    rep = class_membership(s, w, w, int(cfg.get("order", 4)),
-                           [float(h) for h in cfg.get("halves", [10.0, 20.0])],
-                           growth_factor=float(cfg.get("growth_factor", 1.05)),
-                           n_grid=int(cfg.get("n_grid", 7)),
-                           n_random=int(cfg.get("n_random", 2000)),
-                           seed=int(cfg["seed"]))
-    expect_pass = bool(cfg.get("expect_pass", True))
-    ok = rep.passed == expect_pass
+    rep = class_membership(s, w, w, cfg["order"], cfg["halves"],
+                           growth_factor=cfg["growth_factor"], n_grid=cfg["n_grid"],
+                           n_random=cfg["n_random"], seed=cfg["seed"])
+    ok = rep.passed == cfg["expect_pass"]
     detail = f"growth={['%.5f' % g for g in rep.growth]}, gate={rep.gate}"
     report = {"target": target, "passed": rep.passed, "growth": rep.growth,
               "estimates": [{"order": e.order, "value": e.value,
@@ -119,69 +79,62 @@ def _run_class_check(cfg, out):
     return [(f"class-membership[{target}]", ok, detail)], report, None, None
 
 
-def _run_quantize_identity(cfg, out):
-    grid = _grid(_need(cfg, "grid"), Grid)
-    one = identity_symbol_matrix(grid, tau=float(cfg.get("tau", 1.0)))
+def _run_quantize_identity(cfg):
+    grid = Grid(**cfg["grid"])
+    one = identity_symbol_matrix(grid, tau=cfg["tau"])
     defect_id = float(np.max(np.abs(one - np.eye(grid.side()))))
     checks = [("op-of-one-is-identity", defect_id <= 1e-12, f"defect={defect_id:.3e}")]
     report = {"identity_defect": defect_id}
-    spec = cfg.get("symbol")
-    if spec:
-        a2 = builders.get_a2(_need(spec, "name"), spec.get("params"))
-        A = weyl_quantize(a2, grid)
+    spec = cfg["symbol"]
+    if spec is not None:
+        A = weyl_quantize(builders.get_a2(**spec), grid)
         hd = float(np.max(np.abs(A - A.conj().T)))
         checks.append(("weyl-real-symbol-hermitian", hd <= 1e-10, f"defect={hd:.3e}"))
         report["hermitian_defect"] = hd
     return checks, report, None, None
 
 
-def _run_spectrum(cfg, out):
-    grid = _grid(_need(cfg, "grid"))
+def _run_spectrum(cfg):
+    grid = DirichletGrid(**cfg["grid"])
     H = _operator(cfg, grid)
-    k = int(cfg.get("k", 10))
-    res = eigensolve(H, k, want_vectors=False)
+    res = eigensolve(H, cfg["k"], want_vectors=False)
     rows = [(i + 1, float(v), float(r))
             for i, (v, r) in enumerate(zip(res.eigenvalues, res.residuals))]
     report = {"operator": H.provenance, "solver": res.solver,
               "lowest": float(res.eigenvalues[0]),
               "max_residual": float(np.max(res.residuals))}
     checks = [("spectrum-residuals", True, f"solver={res.solver}")]
-    floor = cfg.get("eigenvalue_floor")
+    floor = cfg["eigenvalue_floor"]
     if floor is not None:
-        ok = bool(res.eigenvalues[0] >= float(floor) - 1e-9)
+        ok = bool(res.eigenvalues[0] >= floor - 1e-9)
         checks.append(("eigenvalue-floor", ok,
                        f"lowest={res.eigenvalues[0]:.6g} floor={floor}"))
     return checks, report, ("index", "eigenvalue", "residual"), rows
 
 
-def _run_growth_fit(cfg, out):
-    grid = _grid(_need(cfg, "grid"))
+def _run_growth_fit(cfg):
+    grid = DirichletGrid(**cfg["grid"])
     H = _operator(cfg, grid)
-    window = tuple(int(v) for v in cfg.get("window", (50, 400)))
-    k = max(window[1] + 10, int(cfg.get("k", window[1] + 10)))
-    res = eigensolve(H, k, want_vectors=False)
+    window = tuple(cfg["window"])
+    res = eigensolve(H, max(window[1] + 10, cfg["k"]), want_vectors=False)
     fit = growth_fit(res, window)
     rows = [(i + 1, float(v)) for i, v in enumerate(res.eigenvalues)]
     report = {"operator": H.provenance, "exponent": fit.exponent,
               "window": list(fit.window), "fit_residual": fit.residual}
     checks = [("growth-fit", True, f"exponent={fit.exponent:.4f}")]
-    lo, hi = cfg.get("expect_min"), cfg.get("expect_max")
+    lo, hi = cfg["expect_min"], cfg["expect_max"]
     if lo is not None or hi is not None:
-        ok = (lo is None or fit.exponent >= float(lo)) and \
-             (hi is None or fit.exponent <= float(hi))
+        ok = (lo is None or fit.exponent >= lo) and (hi is None or fit.exponent <= hi)
         checks.append(("exponent-window", ok, f"{lo} <= {fit.exponent:.4f} <= {hi}"))
     return checks, report, ("index", "eigenvalue"), rows
 
 
-def _run_schatten_sweep(cfg, out):
-    w = _weight(cfg)
-    Q = float(_need(cfg, "Q"))
-    reports = schatten_sweep(
-        w, [(float(_need(c, "mu")), float(_need(c, "r"))) for c in _need(cfg, "cells")], Q,
-        matrix_N=[int(v) for v in cfg.get("matrix_N", (32, 48))],
-        box_L=[float(v) for v in cfg.get("box_L", (8.0, 12.0, 16.0))],
-        box_npts=int(cfg.get("box_npts", 100)), band_npts=int(cfg.get("band_npts", 100)),
-        operator=w.name)
+def _run_schatten_sweep(cfg):
+    w = builders.get_weight(**cfg["weight"])
+    reports = schatten_sweep(w, [(c["mu"], c["r"]) for c in cfg["cells"]], cfg["Q"],
+                             matrix_N=cfg["matrix_N"], box_L=cfg["box_L"],
+                             box_npts=cfg["box_npts"], band_npts=cfg["band_npts"],
+                             operator=w.name)
     rows, checks, verdicts = [], [], []
     for cell, rep in zip(cfg["cells"], reports):
         rows.extend(rep.csv_rows())
@@ -189,12 +142,12 @@ def _run_schatten_sweep(cfg, out):
                          "slope": rep.slope, "critical_slope": rep.critical_slope,
                          "matrix_rel_change": rep.matrix_rel_change,
                          "box_growth": rep.box_growth})
-        expect = cell.get("expect")
+        expect = cell["expect"]
         if expect:
             checks.append((f"verdict[mu={rep.mu},r={rep.r}]", rep.verdict == expect,
                            f"{rep.verdict} (expected {expect})"))
-        if cell.get("check_matrix", False):
-            gate = float(cfg.get("matrix_gate", 0.10))
+        if cell["check_matrix"]:
+            gate = cfg["matrix_gate"]
             checks.append((f"matrix-stability[mu={rep.mu}]",
                            rep.matrix_rel_change < gate,
                            f"rel_change={rep.matrix_rel_change:.4f} gate={gate}"))
@@ -202,60 +155,45 @@ def _run_schatten_sweep(cfg, out):
         checks = [("schatten-sweep", True, f"{len(verdicts)} cells")]
     header = ("operator", "N", "L", "mu", "r", "schatten_value", "box_integral",
               "fit_exponent", "residual")
-    return checks, {"weight": w.name, "Q": Q, "cells": verdicts}, header, rows
+    return checks, {"weight": w.name, "Q": cfg["Q"], "cells": verdicts}, header, rows
 
 
-def _initial_state(cfg, grid):
-    spec = _section(cfg, "state", {"kind": "gaussian"})
+def _initial_state(spec, grid):
     mesh = grid.mesh()
-    kind = spec.get("kind", "gaussian")
-    if kind == "gaussian":
-        c = np.asarray(spec.get("center", [0.0] * grid.n), dtype=float)
-        width = float(spec.get("width", 1.0))
-        return np.exp(-((mesh - c) ** 2).sum(axis=1) / (2.0 * width**2))
-    if kind == "random":
-        rng = np.random.default_rng(int(_need(spec, "seed")))
-        return rng.normal(size=mesh.shape[0]) + 1j * rng.normal(size=mesh.shape[0])
-    raise ConfigError(f"unknown state kind {kind!r}")
+    if spec["kind"] == "gaussian":
+        c = np.asarray(spec["center"])
+        return np.exp(-((mesh - c) ** 2).sum(axis=1) / (2.0 * spec["width"]**2))
+    rng = np.random.default_rng(spec["seed"])
+    return rng.normal(size=mesh.shape[0]) + 1j * rng.normal(size=mesh.shape[0])
 
 
-def _run_evolve(cfg, out):
-    grid = _grid(_need(cfg, "grid"))
+def _run_evolve(cfg):
+    grid = DirichletGrid(**cfg["grid"])
     H = _operator(cfg, grid)
-    kind = cfg.get("evolution", "schrodinger")
-    t = _section(cfg, "times", {})
-    times = np.linspace(float(t.get("t0", 0.0)), float(t.get("t1", 1.0)),
-                        int(t.get("count", 100)))
-    f = _initial_state(cfg, grid)
-    method = cfg.get("method", "eig")
+    kind, method, t = cfg["evolution"], cfg["method"], cfg["times"]
+    times = np.linspace(t["t0"], t["t1"], t["count"])
+    f = _initial_state(cfg["state"], grid)
     if kind == "schrodinger":
         tr = schrodinger_evolve(H, f, times, method=method)
         drift = float(np.max(np.abs(tr.norms / tr.norms[0] - 1.0)))
         gate = 1e-10 if method == "eig" else 1e-6
         checks = [("norm-conservation", drift <= gate, f"drift={drift:.3e}")]
-    elif kind == "heat":
+    else:
         tr = heat_evolve(H, f, times, method=method)
         inc = float(np.max(np.diff(tr.norms)))
         checks = [("norm-nonincreasing", inc <= 0.0, f"max increment={inc:.3e}")]
-    else:
-        raise ConfigError("evolution must be schrodinger or heat")
     report = {"operator": H.provenance, "evolution": kind, "method": tr.method,
               "meta": tr.meta, "first_norm": float(tr.norms[0]),
               "last_norm": float(tr.norms[-1])}
     return checks, report, ("time", "norm", "energy"), tr.csv_rows()
 
 
-def _run_lp_probe(cfg, out):
-    w = _weight(cfg)
-    spec = _need(cfg, "operator")
-    opname, params = _need(spec, "name"), spec.get("params")
-    grids = [_grid(g) for g in _need(cfg, "grids")]
+def _run_lp_probe(cfg):
+    w, op, beta = builders.get_weight(**cfg["weight"]), cfg["operator"], cfg["beta"]
     results = lp_window_probe(
-        lambda g: builders.get_operator(opname, g, params), grids, w,
-        float(_need(cfg, "beta")), [float(p) for p in _need(cfg, "p_list")],
-        shift=float(cfg.get("shift", 1.0)), trials=int(cfg.get("trials", 48)),
-        seed=int(cfg["seed"]), operator=opname)
-    beta = float(cfg["beta"])
+        lambda g: builders.get_operator(grid=g, **op),
+        [DirichletGrid(**g) for g in cfg["grids"]], w, beta, cfg["p_list"], shift=cfg["shift"],
+        trials=cfg["trials"], seed=cfg["seed"], operator=op["name"])
     rows = [r.csv_row(beta) for r in results]
     checks = [("bracket-order", all(r.lower <= r.upper * (1 + 1e-9) for r in results),
                f"{len(results)} cells")]
@@ -266,34 +204,28 @@ def _run_lp_probe(cfg, out):
     return checks, report, CSV_PROBE_HEADER, rows
 
 
-def _run_band_probe(cfg, out):
-    w = _weight(cfg)
-    grid = _grid(_need(cfg, "grid"), Grid)
-    eps = float(_need(cfg, "epsilon"))
-    results = linf_band_probe(w, eps, [float(R) for R in _need(cfg, "R_list")],
-                              grid, seed=int(cfg["seed"]), operator=w.name)
+def _run_band_probe(cfg):
+    w = builders.get_weight(**cfg["weight"])
+    eps = cfg["epsilon"]
+    results = linf_band_probe(w, eps, cfg["R_list"], Grid(**cfg["grid"]),
+                              seed=cfg["seed"], operator=w.name)
     rows = [r.csv_row(eps) for r in results]
     quots = [r.quotient for r in results]
     spread = max(quots) / min(quots)
     checks = [("band-probe", True, f"quotient spread {spread:.4f}")]
-    gate = cfg.get("spread_gate")
+    gate = cfg["spread_gate"]
     if gate is not None:
-        checks.append(("quotient-spread", spread < float(gate),
-                       f"{spread:.4f} < {gate}"))
+        checks.append(("quotient-spread", spread < gate, f"{spread:.4f} < {gate}"))
     report = {"epsilon": eps, "spread": spread,
-              "cells": [_report_entry(r) for r in results]}
+              "cells": [asdict(r) for r in results]}
     return checks, report, CSV_PROBE_HEADER, rows
 
 
-def _run_subellipticity(cfg, out):
-    opname = _need(_need(cfg, "operator"), "name")
+def _run_subellipticity(cfg):
+    opname, expect = cfg["operator"]["name"], cfg["expect"]
     res = subellipticity_probe(lambda g: builders.get_kinetic(opname, g).sparse,
-                               float(_need(cfg, "tau")),
-                               N_list=[int(v) for v in cfg.get("N_list", (32, 48, 64))],
-                               L=float(cfg.get("L", 4.0)),
-                               trials=int(cfg.get("trials", 24)),
-                               seed=int(cfg["seed"]), operator=opname)
-    expect = cfg.get("expect")
+                               cfg["tau"], N_list=cfg["N_list"], L=cfg["L"],
+                               trials=cfg["trials"], seed=cfg["seed"], operator=opname)
     checks = [("subellipticity-ladder", True,
                f"C1 ladder {[f'{c:.4g}' for _, c in res.ladder]}")]
     if expect == "stable":
@@ -306,32 +238,70 @@ def _run_subellipticity(cfg, out):
     return checks, report, CSV_PROBE_HEADER, res.csv_rows()
 
 
-_HANDLERS = {
-    "metric-check": _run_metric_check,
-    "class-check": _run_class_check,
-    "quantize-identity": _run_quantize_identity,
-    "spectrum": _run_spectrum,
-    "growth-fit": _run_growth_fit,
-    "schatten-sweep": _run_schatten_sweep,
-    "evolve": _run_evolve,
-    "lp-probe": _run_lp_probe,
-    "band-probe": _run_band_probe,
-    "subellipticity": _run_subellipticity,
+# -- the declared config table: every key of every kind, as
+# {key: (type, default)} (see builders.read) -------------------------------
+
+_GRID = {"n": (int, 2), "N": (int, REQUIRED), "L": (float, REQUIRED)}
+_MODEL = {"grid": (_GRID, REQUIRED), "operator": (OPERATOR, REQUIRED),
+          "potential": (POTENTIAL, None)}
+_SEED = {"seed": (int, REQUIRED)}
+
+_KINDS = {
+    "metric-check": (_run_metric_check, {
+        **_SEED, "weight": (WEIGHT, REQUIRED), "box": (float, 100.0),
+        "n_points": (int, 20000), "n_pairs": (int, 10000)}),
+    "class-check": (_run_class_check, {
+        **_SEED, "symbol": (SYMBOL, REQUIRED), "target": (("a", "m"), "a"),
+        "order": (int, 4), "halves": ([float], [10.0, 20.0]),
+        "growth_factor": (float, 1.05), "n_grid": (int, 7), "n_random": (int, 2000),
+        "expect_pass": (bool, True)}),
+    "quantize-identity": (_run_quantize_identity, {
+        "grid": (_GRID, REQUIRED), "tau": (float, 1.0), "symbol": (SYMBOL, None)}),
+    "spectrum": (_run_spectrum, {
+        **_MODEL, "k": (int, 10), "eigenvalue_floor": (float, None)}),
+    # k is raised to window[1] + 10 when smaller
+    "growth-fit": (_run_growth_fit, {
+        **_MODEL, "window": ([int, int], [50, 400]), "k": (int, 0),
+        "expect_min": (float, None), "expect_max": (float, None)}),
+    "schatten-sweep": (_run_schatten_sweep, {
+        "weight": (WEIGHT, REQUIRED), "Q": (float, REQUIRED),
+        "cells": ([{"mu": (float, REQUIRED), "r": (float, REQUIRED),
+                    "expect": (("converges", "diverges"), None),
+                    "check_matrix": (bool, False)}], REQUIRED),
+        "matrix_N": ([int], [32, 48]), "box_L": ([float], [8.0, 12.0, 16.0]),
+        "box_npts": (int, 100), "band_npts": (int, 100), "matrix_gate": (float, 0.10)}),
+    "evolve": (_run_evolve, {
+        **_MODEL, "evolution": (("schrodinger", "heat"), "schrodinger"),
+        "method": (("eig", "cn"), "eig"),
+        "times": ({"t0": (float, 0.0), "t1": (float, 1.0), "count": (int, 100)}, {}),
+        # a center of one coordinate broadcasts over every axis
+        "state": (Tagged("kind", {"gaussian": {"center": ([float], [0.0]),
+                                               "width": (float, 1.0)},
+                                  "random": _SEED}, "state kind", "gaussian"), {})}),
+    "lp-probe": (_run_lp_probe, {
+        **_SEED, "weight": (WEIGHT, REQUIRED), "operator": (OPERATOR, REQUIRED),
+        "grids": ([_GRID], REQUIRED), "beta": (float, REQUIRED),
+        "p_list": ([float], REQUIRED), "shift": (float, 1.0), "trials": (int, 48)}),
+    "band-probe": (_run_band_probe, {
+        **_SEED, "weight": (WEIGHT, REQUIRED), "grid": (_GRID, REQUIRED),
+        "epsilon": (float, REQUIRED), "R_list": ([float], REQUIRED),
+        "spread_gate": (float, None)}),
+    "subellipticity": (_run_subellipticity, {
+        **_SEED, "operator": (KINETIC, REQUIRED), "tau": (float, REQUIRED),
+        "N_list": ([int], [32, 48, 64]), "L": (float, 4.0), "trials": (int, 24),
+        "expect": (("stable", "growing"), None)}),
 }
+CONFIG = Tagged("kind", {kind: {"schema": ((SCHEMA,), REQUIRED), "output_dir": (str, None),
+                                 **spec} for kind, (_, spec) in _KINDS.items()}, "kind")
 
 
 def run_config(cfg: dict, out_dir: str) -> dict:
     """Execute one experiment config; returns the manifest dict."""
-    if int(cfg.get("schema", -1)) != SCHEMA:
-        raise ConfigError(f"schema must be {SCHEMA}")
-    kind = _need(cfg, "kind")
-    if kind not in _HANDLERS:
-        raise ConfigError(f"unknown kind {kind!r}; known: {', '.join(sorted(_HANDLERS))}")
-    if kind in SEEDED_KINDS and "seed" not in cfg:
-        raise ConfigError(f"kind {kind!r} is randomized and requires a seed")
+    checked = read(CONFIG, cfg)
+    kind = checked["kind"]
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.monotonic()
-    checks, report, header, rows = _HANDLERS[kind](cfg, out_dir)
+    checks, report, header, rows = _KINDS[kind][0](checked)
     outputs = []
     if rows is not None:
         csv_path = os.path.join(out_dir, "data.csv")
@@ -362,6 +332,17 @@ def _hash_config(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
 
 
+def _classified(run) -> int:
+    """run()'s exit code, or 2 after printing one classified error line."""
+    try:
+        return run()
+    except (KeyError, ValueError) as e:  # ConfigError and UnknownBuilderError among them
+        print(f"config error: {e}", file=sys.stderr)
+    except Exception as e:  # any other failure of a checked run; never a traceback
+        print(f"run error: {e}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(path: str) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -369,24 +350,16 @@ def _cmd_run(path: str) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if not isinstance(cfg, dict):
-        print(f"config error: the config must be a JSON object, not a {type(cfg).__name__}",
-              file=sys.stderr)
-        return 2
-    out_dir = cfg.get("output_dir") or os.path.splitext(path)[0] + ".out"
-    try:
+
+    def run() -> int:
+        out_dir = read(CONFIG, cfg)["output_dir"] or os.path.splitext(path)[0] + ".out"
         manifest = run_config(cfg, out_dir)
-    except (ConfigError, builders.UnknownBuilderError, KeyError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except RuntimeError as e:
-        print(f"run error: {e}", file=sys.stderr)
-        return 2
-    for c in manifest["checks"]:
-        mark = "pass" if c["passed"] else "FAIL"
-        print(f"[{mark}] {c['name']}")
-    print(f"outputs in {out_dir}")
-    return 0 if manifest["passed"] else 1
+        for c in manifest["checks"]:
+            print(f"[{'pass' if c['passed'] else 'FAIL'}] {c['name']}")
+        print(f"outputs in {out_dir}")
+        return 0 if manifest["passed"] else 1
+
+    return _classified(run)
 
 
 def _cmd_reproduce(path: str) -> int:
@@ -394,7 +367,8 @@ def _cmd_reproduce(path: str) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         cfg = manifest["config"]
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+        old = {o["path"]: o["sha256"] for o in manifest.get("outputs", [])}
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
         print(f"manifest error: {e}", file=sys.stderr)
         return 2
     if manifest.get("artifact_version") != __version__:
@@ -403,22 +377,18 @@ def _cmd_reproduce(path: str) -> int:
     if _hash_config(cfg) != manifest.get("config_hash"):
         print("warning: embedded config does not match recorded hash; "
               "this is not a reproduction", file=sys.stderr)
-    base = os.path.dirname(os.path.abspath(path))
-    out_dir = os.path.join(base, "reproduce")
-    try:
-        new_manifest = run_config(cfg, out_dir)
-    except (KeyError, ValueError, RuntimeError) as e:  # every config or run error
-        print(f"run error: {e}", file=sys.stderr)
-        return 2
-    old = {o["path"]: o["sha256"] for o in manifest.get("outputs", [])}
-    ok = True
-    for o in new_manifest["outputs"]:
-        want = old.get(o["path"])
-        match = want == o["sha256"]
-        # the manifest itself differs (wall time); only payload files count
-        print(f"[{'match' if match else 'DIFFER'}] {o['path']}")
-        ok &= match
-    return 0 if ok else 1
+
+    def rerun() -> int:
+        new = run_config(cfg, os.path.join(os.path.dirname(os.path.abspath(path)), "reproduce"))
+        ok = True
+        for o in new["outputs"]:
+            match = old.get(o["path"]) == o["sha256"]
+            # the manifest itself differs (wall time); only payload files count
+            print(f"[{'match' if match else 'DIFFER'}] {o['path']}")
+            ok &= match
+        return 0 if ok else 1
+
+    return _classified(rerun)
 
 
 def main(argv=None) -> int:

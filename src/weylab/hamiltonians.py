@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -77,8 +76,7 @@ class HamiltonianMatrix:
     """A grid operator, stored as a scipy CSR matrix (``sparse``);
     ``data`` gives a dense copy, materialised on each access."""
 
-    def __init__(self, data, grid: DirichletGrid, provenance: str,
-                 potential: Optional[np.ndarray] = None):
+    def __init__(self, data, grid: DirichletGrid, provenance: str):
         from scipy import sparse
         matrix = sparse.csr_array(data, dtype=float)
         side = grid.side()
@@ -87,7 +85,6 @@ class HamiltonianMatrix:
         self.sparse = matrix
         self.grid = grid
         self.provenance = provenance
-        self.potential = potential
 
     @property
     def data(self) -> np.ndarray:
@@ -199,10 +196,9 @@ def tensor_stencil_matrix(fields, grid, order: int = 6, confined: bool = False,
             # order the solvers sum in
             K = (sparse.diags_array(np.asarray(c.eval(Z), dtype=float)) @ K).sorted_indices()
         total = K if total is None else total + K
-    V = _confinement(grid) if confined else None
     if confined:
-        total = total + sparse.diags_array(V)
-    return HamiltonianMatrix(total, grid, provenance=provenance, potential=V)
+        total = total + sparse.diags_array(_confinement(grid))
+    return HamiltonianMatrix(total, grid, provenance=provenance)
 
 
 # -- potentials -------------------------------------------------------------
@@ -310,8 +306,6 @@ def hamiltonian_with_potential(kinetic: HamiltonianMatrix, V: Potential,
     ratio = grid.h**2 * float(np.max(np.abs(V.values)))
     if ratio > CONDITIONING_LIMIT:
         raise ValueError(f"h^2 * max|V| = {ratio:.3g} exceeds conditioning limit")
-    base = kinetic.potential if kinetic.potential is not None else 0.0
     return HamiltonianMatrix(kinetic.sparse + sparse.diags_array(V.values), grid,
-                             provenance=f"{kinetic.provenance}+{V.descriptor}",
-                             potential=np.asarray(base) + V.values)
+                             provenance=f"{kinetic.provenance}+{V.descriptor}")
 

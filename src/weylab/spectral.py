@@ -389,6 +389,23 @@ class SchattenTrendReport:
         return rows
 
 
+def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
+    """The eigenvalues of Hermitian S, certified by the trace identities:
+    SolverError unless sum(lam) = tr S to side * eps * |S|_F and
+    sum(lam^2) = |S|_F^2 to side * eps * |S|_F^2."""
+    lam = np.linalg.eigvalsh(S)
+    # a pairwise sum: the BLAS dot in np.linalg.norm missed |S|_F^2 by
+    # twice the gate on daho's side-1024 sweep matrix
+    fro2 = float(np.sum(S.real ** 2) + np.sum(S.imag ** 2))
+    gate = len(S) * np.finfo(float).eps
+    d1 = abs(float(np.sum(lam)) - float(np.trace(S).real)) / np.sqrt(fro2)
+    d2 = abs(float(np.sum(lam * lam)) - fro2) / fro2
+    if max(d1, d2) > gate:
+        raise SolverError(f"eigvalsh fails its trace identities at side {len(S)}: relative "
+                          f"defects {d1:.3e}, {d2:.3e} > side * eps = {gate:.3e}")
+    return lam
+
+
 def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
                    matrix_N: Sequence[int] = (32, 48),
                    box_L: Sequence[float] = (8.0, 12.0, 16.0),
@@ -413,7 +430,7 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
         # balanced box: x and xi extents both ~ sqrt(N)/2 starve neither end of the shells
         L = np.sqrt(N) / 2.0
         M = weyl_quantize(w, Grid(w.n, N, L))
-        lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+        lam = _certified_eigvalsh(0.5 * (M + M.conj().T))
         ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0]))))  # PD floor at 1, as m
     exps = [mu * r for mu, r in cells]
     boxes = [_box_integrals(w, exps, L, box_npts) for L in box_L]

@@ -10,6 +10,7 @@ from weylab.bounds import (
     _bump1,
     _interp_upper,
     _lp_lower,
+    _target_profile,
     linf_band_probe,
     lp_window_probe,
     subellipticity_probe,
@@ -111,6 +112,19 @@ def test_calibration_diagonal_matches_the_dense_power():
     for b in np.linspace(0.1, 2.0, 39):
         want = np.diag(spec.power(-b, 1.0))
         assert np.max(np.abs(spec.power_diagonal(-b, 1.0) / want - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("name,n", [("daho", 2), ("harmonic", 2), ("harmonic", 1),
+                                    ("broken_half_bracket", 2)])
+@pytest.mark.parametrize("N", [16, 20, 32])
+def test_target_profile_matches_the_per_node_loop(name, n, N):
+    # one broadcast evaluation over (node, sample) gives the per-node
+    # means of the loop it replaced, bit for bit
+    w, mesh, beta = get_weight(name, {"n": n}), DirichletGrid(n, N, 6.0).mesh(), 1.0
+    xi = np.random.default_rng(7).normal(scale=2.0, size=(256, n))
+    want = [np.mean(w.m_values(np.concatenate([np.broadcast_to(x, (256, n)), xi], axis=1))
+                    ** (-(n / 2.0) * beta)) for x in mesh]
+    assert np.array_equal(_target_profile(mesh, w, beta), want)
 
 
 def test_lp_probe_takes_the_two_norm_from_the_spectrum(monkeypatch):

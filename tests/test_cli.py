@@ -1,14 +1,17 @@
 """End-to-end runs of the experiment runner on small configs."""
 import json
 import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from weylab import __version__
-from weylab.builders import get_weight
-from weylab.cli import _hash_config, main
+from weylab.builders import get_weight, read
+from weylab.cli import CONFIG, _hash_config, main
 from weylab.hamiltonians import DirichletGrid
 from weylab.spectral import band_slope
 
@@ -281,9 +284,9 @@ def test_randomized_part_without_seed_is_a_config_error(tmp_path, capsys, cfg):
 
 @pytest.mark.parametrize("cfg,err", [
     ([{"schema": 1, "kind": "spectrum"}],
-     "config error: the config must be a JSON object, not a list\n"),
+     "config error: the config must be an object, got a list\n"),
     ({"schema": 1, "kind": "spectrum", "grid": 5, "operator": {"name": "harmonic"}, "k": 3},
-     "config error: expected an object holding 'N', got int\n"),
+     "config error: grid must be an object, got 5\n"),
 ], ids=["top-level-list", "grid-number"])
 def test_non_object_config_is_a_config_error(tmp_path, capsys, cfg, err):
     code, _ = run(tmp_path, "shape.json", cfg)
@@ -296,15 +299,17 @@ EVOLVE = {"kind": "evolve", "grid": {"n": 1, "N": 32, "L": 6.0}, "operator": {"n
 
 @pytest.mark.parametrize("cfg,err", [
     ({"kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 6.0},
-      "operator": {"name": "harmonic", "params": 5}, "k": 3}, "params must be an object, got int"),
+      "operator": {"name": "harmonic", "params": 5}, "k": 3},
+     "operator.params must be an object, got 5"),
     ({"kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 12.0}, "operator": {"name": "harmonic"},
-      "k": 3, "potential": {"name": "step", "params": 5}}, "params must be an object, got int"),
+      "k": 3, "potential": {"name": "step", "params": 5}},
+     "potential.params must be an object, got 5"),
     ({"kind": "metric-check", "seed": 0, "weight": {"name": "daho", "params": 5}},
-     "params must be an object, got int"),
+     "weight.params must be an object, got 5"),
     ({"kind": "class-check", "seed": 0, "symbol": {"name": "daho", "params": [1]}},
-     "params must be an object, got list"),
-    (dict(EVOLVE, state=5), "state must be an object, got int"),
-    (dict(EVOLVE, times=[0.0, 1.0]), "times must be an object, got list"),
+     "symbol.params must be an object, got a list"),
+    (dict(EVOLVE, state=5), "state must be an object, got 5"),
+    (dict(EVOLVE, times=[0.0, 1.0]), "times must be an object, got a list"),
 ], ids=["operator", "potential", "weight", "symbol", "state", "times"])
 def test_non_object_section_is_a_config_error(tmp_path, capsys, cfg, err):
     code, _ = run(tmp_path, "section.json", {"schema": 1, **cfg})
@@ -495,3 +500,160 @@ def test_lp_probe_shift_below_the_spectrum_is_a_run_error(tmp_path, capsys):
         "beta": 1.0, "p_list": [2.0], "shift": -1000})
     assert code == 2
     assert capsys.readouterr().err.startswith("run error: shift too small")
+
+
+def write_manifest(tmp_path, cfg):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": cfg, "config_hash": _hash_config(cfg),
+                                "artifact_version": __version__}))
+    return str(path)
+
+
+SPECTRUM = {"schema": 1, "kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 12.0},
+            "operator": {"name": "harmonic"}, "k": 3}
+CLASS = {"schema": 1, "kind": "class-check", "seed": 0, "symbol": {"name": "harmonic"},
+         "n_grid": 3, "n_random": 100}
+
+
+@pytest.mark.parametrize("cfg,err", [
+    (dict(SPECTRUM, potential={"name": "table", "params": {"file": "v.csv"}, "override": "no"}),
+     'config error: potential.override must be true or false, got "no"'),
+    (dict(CLASS, expect_pass="false"),
+     'config error: expect_pass must be true or false, got "false"'),
+    (dict(SPECTRUM, kind="evolve", times={"count": 1.5}),
+     "config error: times.count must be an integer, got 1.5"),
+    (dict(SPECTRUM, grid={"n": 1, "N": 16.9, "L": 12.0}),
+     "config error: grid.N must be an integer, got 16.9"),
+    (dict(CLASS, seed=1.7), "config error: seed must be an integer, got 1.7"),
+    (dict(SPECTRUM, grid={"n": 1, "N": 32, "L": float("nan")}),
+     "config error: grid.L must be a finite number, got NaN"),
+    (dict(SPECTRUM, schema="1"), 'config error: schema must be 1, got "1"'),
+    ({"schema": 1, "kind": "lp-probe", "seed": 0, "weight": {"name": "harmonic"},
+      "operator": {"name": "harmonic"}, "grids": [{"N": 12, "L": 6.0}], "beta": None,
+      "p_list": [2.0]}, "config error: config missing required key 'beta'"),
+    ({"schema": 1, "kind": "subellipticity", "seed": 0, "operator": {"name": "single_field"},
+      "tau": 1.0, "N_list": 5}, "config error: N_list must be a list, got 5"),
+    (dict(CLASS, halves=10), "config error: halves must be a list, got 10"),
+    (5, "config error: the config must be an object, got 5"),
+], ids=["override", "expect_pass", "count", "N", "seed", "L-nan", "schema", "beta-null",
+        "N_list", "halves", "config-number"])
+def test_config_fault_is_one_config_error_line(tmp_path, capsys, cfg, err):
+    # run and reproduce both print exactly one classified line, exit 2
+    assert main(["run", write_cfg(tmp_path, "bad.json", cfg)]) == 2
+    assert main(["reproduce", write_manifest(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [err, err]
+
+
+def test_output_path_taken_by_a_file_is_a_run_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = dict(SPECTRUM, output_dir=str(taken))
+    assert main(["run", write_cfg(tmp_path, "sp.json", cfg)]) == 2
+    # reproduce writes beside its manifest, into reproduce/
+    (tmp_path / "reproduce").write_text("")
+    assert main(["reproduce", write_manifest(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"run error: [Errno 17] File exists: '{taken}'",
+        f"run error: [Errno 17] File exists: '{tmp_path / 'reproduce'}'"]
+
+
+# one small valid config per kind; every one runs in well under a second
+SMALL = {
+    "metric-check": {"seed": 0, "weight": {"name": "harmonic", "params": {"n": 1}},
+                     "box": 20.0, "n_points": 200, "n_pairs": 100},
+    "class-check": {"seed": 0, "symbol": {"name": "harmonic", "params": {"n": 1}},
+                    "target": "a", "order": 2, "halves": [10.0, 20.0], "growth_factor": 1.05,
+                    "n_grid": 3, "n_random": 50, "expect_pass": True},
+    "quantize-identity": {"grid": {"n": 1, "N": 16, "L": 4.0}, "tau": 0.5,
+                          "symbol": {"name": "harmonic", "params": {"n": 1}}},
+    "spectrum": {"grid": {"n": 1, "N": 24, "L": 8.0},
+                 "operator": {"name": "harmonic", "params": {"order": 6}},
+                 "potential": {"name": "step", "params": {"amplitude": 0.5, "base": 0.0},
+                               "override": True},
+                 "k": 3, "eigenvalue_floor": 0.5},
+    "growth-fit": {"grid": {"n": 1, "N": 80, "L": 8.0}, "operator": {"name": "harmonic"},
+                   "window": [10, 60], "k": 70, "expect_min": 1.0, "expect_max": 3.0},
+    "schatten-sweep": {"weight": {"name": "harmonic", "params": {"n": 1}}, "Q": 2.0,
+                       "cells": [{"mu": 2.0, "r": 1.5, "expect": "converges",
+                                  "check_matrix": True}],
+                       "matrix_N": [12, 16], "box_L": [4.0, 6.0], "box_npts": 20,
+                       "band_npts": 40, "matrix_gate": 0.5},
+    "evolve": {"grid": {"n": 1, "N": 16, "L": 6.0}, "operator": {"name": "harmonic"},
+               "evolution": "heat", "method": "eig",
+               "times": {"t0": 0.0, "t1": 0.2, "count": 5},
+               "state": {"kind": "gaussian", "center": [0.5], "width": 1.0}},
+    "lp-probe": {"seed": 0, "weight": {"name": "harmonic"}, "operator": {"name": "harmonic"},
+                 "grids": [{"n": 2, "N": 12, "L": 6.0}], "beta": 1.0, "p_list": [2.0],
+                 "shift": 1.0, "trials": 2},
+    "band-probe": {"seed": 0, "weight": {"name": "harmonic", "params": {"n": 1}},
+                   "grid": {"n": 1, "N": 128, "L": 10.5}, "epsilon": 0.8, "R_list": [3.0],
+                   "spread_gate": 2.0},
+    "subellipticity": {"seed": 0, "operator": {"name": "single_field"}, "tau": 1.0,
+                       "N_list": [16, 24, 32], "L": 4.0, "trials": 6, "expect": "growing"},
+}
+# a value of each JSON type; a key only ever gets one of another type
+OTHER_TYPES = [None, True, 3, 2.5, "x", [1], {"a": 1}]
+
+
+def _paths(value, prefix=()):
+    """Every key and list element below value, as a path of keys and indices."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, v in items:
+        yield prefix + (key,)
+        yield from _paths(v, prefix + (key,))
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
+
+
+@st.composite
+def _mutated(draw):
+    kind = draw(st.sampled_from(sorted(SMALL)))
+    cfg = {"schema": 1, "kind": kind, **SMALL[kind]}
+    path = draw(st.sampled_from(list(_paths(cfg))))
+    old = cfg
+    for key in path:
+        old = old[key]
+    value = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(old)]))
+    return _replaced(cfg, path, value)
+
+
+def test_small_configs_run_and_reproduce(tmp_path, capsys):
+    for kind in SMALL:
+        out = run_and_reproduce(tmp_path, capsys, f"{kind}.json",
+                                {"schema": 1, "kind": kind, **SMALL[kind]})
+        assert read_json(os.path.join(out, "manifest.json"))["passed"] is True
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_mutated())
+def test_one_key_of_another_type_ends_in_one_outcome(cfg):
+    # any JSON value in any key: exit 0, 1 or 2 and never an exception;
+    # a run that passes reproduces byte for byte
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        code = main(["run", path])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert main(["reproduce", os.path.join(tmp, "cfg.out", "manifest.json")]) == 0
+
+
+def test_every_benchmark_config_passes_the_reader():
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    try:
+        from workloads import make_ops
+    finally:
+        sys.path.pop(0)
+    for workload in ("eigen", "trend", "mix"):
+        for seed in (1, 2):
+            for op in make_ops(workload, seed):
+                assert read(CONFIG, op["cfg"])["kind"] == op["cfg"]["kind"]

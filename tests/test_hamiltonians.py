@@ -160,7 +160,6 @@ def test_daho_matrix_structure(profile):
     assert symmetry_defect(H) == 0.0
     assert min_ritz(H, trials=200) >= 0.0
     assert "daho" in H.provenance
-    assert np.allclose(H.potential, (g.mesh() ** 2).sum(axis=1))
     with pytest.raises(ValueError):
         get_operator("daho", DirichletGrid(1, 16, 6.0))
     with pytest.raises(ValueError):
@@ -289,7 +288,6 @@ def test_hamiltonian_with_potential_gates():
     V = bounded_noise_potential(g, amplitude=0.5, seed=1)
     H = hamiltonian_with_potential(kin, V)
     assert np.allclose(H.data, kin.data + np.diag(V.values))
-    assert np.allclose(H.potential, kin.potential + V.values)
     # growth-gate failure is scale invariant; the small amplitude keeps
     # the conditioning guard out of the way for the override branch
     bad = Potential(0.01 * g.points**4, "quartic")

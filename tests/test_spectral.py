@@ -378,6 +378,21 @@ def test_sweep_shares_one_quantization_and_one_m_pass_per_box(monkeypatch):
     assert (len(quantized), len(decomposed), len(m_passes)) == (2, 2, 3)
 
 
+def test_sweep_eigenvalues_must_meet_the_trace_identities(monkeypatch):
+    # an eigvalsh that returns the second eigenvalue in place of the lowest
+    # keeps the count and the order; sum(lam) = tr S catches it
+    orig = np.linalg.eigvalsh
+
+    def second_for_lowest(S):
+        lam = orig(S)
+        return np.concatenate([lam[1:2], lam[1:]])
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", second_for_lowest)
+    with pytest.raises(SolverError, match="trace identities"):
+        schatten_sweep(harmonic_1d_weight(), [(2.0, 1.5)], 2.0, matrix_N=(12,),
+                       box_L=(4.0,), box_npts=20, band_npts=60)
+
+
 def test_sweep_quadratures_equal_the_one_exponent_calls():
     # the shared m pass sums each exponent in the one-exponent order
     w = harmonic_1d_weight()
