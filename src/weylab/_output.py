@@ -16,6 +16,8 @@ import os
 import tempfile
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = ["fmt_cell", "write_csv_atomic", "write_json_atomic", "write_bytes_atomic",
            "sha256_file", "canonical_json"]
 
@@ -25,18 +27,10 @@ def fmt_cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int,)) and not isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return "%.17g" % v
-    try:
-        import numpy as np
-        if isinstance(v, np.integer):
-            return str(int(v))
-        if isinstance(v, np.floating):
-            return "%.17g" % float(v)
-    except ImportError:
-        pass
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return "%.17g" % float(v)
     return str(v)
 
 

@@ -23,7 +23,8 @@ from .symbols import PolySymbol
 __all__ = ["Model", "symbol_names", "weight_names", "operator_names",
            "potential_names", "get_a2", "get_weight", "get_operator",
            "get_kinetic", "get_potential", "describe_builders", "UnknownBuilderError",
-           "ConfigError", "MissingKeyError", "REQUIRED", "Tagged", "read",
+           "ConfigError", "MissingKeyError", "REQUIRED", "Tagged", "Bound", "COUNT",
+           "POSITIVE", "read",
            "SYMBOL", "WEIGHT", "OPERATOR", "KINETIC", "POTENTIAL"]
 
 
@@ -55,6 +56,19 @@ class Tagged:
     error: type = ConfigError
 
 
+@dataclass(frozen=True)
+class Bound:
+    """A number of type t (int or float) that is at least low, or above
+    low when strict."""
+    t: type
+    low: float
+    strict: bool = False
+
+
+COUNT = Bound(int, 1)                    # a size or a count of samples
+POSITIVE = Bound(float, 0.0, strict=True)  # a length, a box or a radius
+
+
 def _expect(ok, at, what, value):
     if not ok:
         got = "a list" if isinstance(value, list) else \
@@ -68,8 +82,9 @@ def read(t, value, at: str = ""):
 
     A type is a spec {key: (type, default)} (an object), int (a JSON
     integer, not a boolean), float (any finite JSON number, stored as a float),
-    bool, str, a tuple of the allowed values, [T] (a list of T),
-    [T1, T2, ...] (a list of exactly those) or a Tagged.  A default of
+    bool, str, a Bound (an int or float with a lower bound), a tuple of the
+    allowed values, [T] (a non-empty list of T), [T1, T2, ...] (a list of
+    exactly those) or a Tagged.  A default of
     REQUIRED makes the key required, and null counts as absent.  Keys
     outside a spec are ignored.
     """
@@ -89,9 +104,16 @@ def read(t, value, at: str = ""):
             raise t.error(f"unknown {t.what} {name!r}; "
                           f"available: {', '.join(sorted(t.variants))}")
         return {t.tag: name, **read(t.variants[name], value, at)}
+    if isinstance(t, Bound):
+        v = read(t.t, value, at)
+        _expect(v > t.low if t.strict else v >= t.low, at,
+                f"{_NAMES[t.t]} {'above' if t.strict else 'of at least'} {t.low:g}", value)
+        return v
     if isinstance(t, list):
         _expect(isinstance(value, list) and len(t) in (1, len(value)), at,
                 "a list" if len(t) == 1 else f"a list of {len(t)}", value)
+        if not value:
+            raise ConfigError(f"{at or 'the config'} must not be empty")
         return [read(ti, v, f"{at}[{i}]") for i, (ti, v) in enumerate(zip(t * len(value), value))]
     if isinstance(t, tuple):
         _expect(any(type(value) is type(c) and value == c for c in t), at,
@@ -112,7 +134,11 @@ def _described(t) -> str:
     if isinstance(t, list):
         return f"[{_described(t[0])}, ...]" if len(t) == 1 else \
             f"[{', '.join(map(_described, t))}]"
-    return "|".join(map(json.dumps, t)) if isinstance(t, tuple) else t.__name__
+    if isinstance(t, tuple):
+        return "|".join(map(json.dumps, t))
+    if isinstance(t, Bound):
+        return f"{t.t.__name__} {'>' if t.strict else '>='} {t.low:g}"
+    return t.__name__
 
 
 @dataclass(frozen=True)
@@ -161,7 +187,7 @@ def _daho(p):
 # each entry: name -> (params spec, make)
 _MODELS = {
     # the elliptic control: every field constant
-    "harmonic": ({"n": (int, 2)}, _harmonic),
+    "harmonic": ({"n": (COUNT, 2)}, _harmonic),
     # the degenerate oscillator: c on the x2 axis is the squared plateau
     # profile of x1, with jets from the exact bridge derivative table
     "daho": ({"c_prime": (float, 3.0)}, _daho),
@@ -175,7 +201,7 @@ _MODELS = {
 _ORDER = {"order": (int, 6)}   # a model operator's stencil order
 
 _WEIGHTS = {
-    "broken_half_bracket": ({"n": (int, 2)}, lambda p: WeightEvaluator.half_bracket(p["n"])),
+    "broken_half_bracket": ({"n": (COUNT, 2)}, lambda p: WeightEvaluator.half_bracket(p["n"])),
 }
 
 _COEFFICIENTS = {"1": None, "x1": lambda X: X[:, 0]}

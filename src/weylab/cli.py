@@ -20,7 +20,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, builders
-from .builders import KINETIC, OPERATOR, POTENTIAL, REQUIRED, SYMBOL, WEIGHT, Tagged, read
+from .builders import (COUNT, KINETIC, OPERATOR, POSITIVE, POTENTIAL, REQUIRED, SYMBOL, WEIGHT,
+                       Bound, Tagged, read)
 from ._output import canonical_json, write_csv_atomic, write_json_atomic
 from .bounds import linf_band_probe, lp_window_probe, subellipticity_probe
 from .evolve import heat_evolve, schrodinger_evolve
@@ -239,92 +240,107 @@ def _run_subellipticity(cfg):
 
 
 # -- the declared config table: every key of every kind, as
-# {key: (type, default)} (see builders.read) -------------------------------
+# {key: (type, default)} (see builders.read); sizes and counts are at
+# least 1, lengths positive, and every variable-length list non-empty ---
 
-_GRID = {"n": (int, 2), "N": (int, REQUIRED), "L": (float, REQUIRED)}
+_GRID = {"n": (COUNT, 2), "N": (COUNT, REQUIRED), "L": (POSITIVE, REQUIRED)}
 _MODEL = {"grid": (_GRID, REQUIRED), "operator": (OPERATOR, REQUIRED),
           "potential": (POTENTIAL, None)}
 _SEED = {"seed": (int, REQUIRED)}
 
 _KINDS = {
     "metric-check": (_run_metric_check, {
-        **_SEED, "weight": (WEIGHT, REQUIRED), "box": (float, 100.0),
-        "n_points": (int, 20000), "n_pairs": (int, 10000)}),
+        **_SEED, "weight": (WEIGHT, REQUIRED), "box": (POSITIVE, 100.0),
+        "n_points": (COUNT, 20000), "n_pairs": (COUNT, 10000)}),
     "class-check": (_run_class_check, {
         **_SEED, "symbol": (SYMBOL, REQUIRED), "target": (("a", "m"), "a"),
-        "order": (int, 4), "halves": ([float], [10.0, 20.0]),
-        "growth_factor": (float, 1.05), "n_grid": (int, 7), "n_random": (int, 2000),
+        "order": (Bound(int, 0), 4), "halves": ([POSITIVE], [10.0, 20.0]),
+        "growth_factor": (float, 1.05), "n_grid": (COUNT, 7), "n_random": (COUNT, 2000),
         "expect_pass": (bool, True)}),
     "quantize-identity": (_run_quantize_identity, {
         "grid": (_GRID, REQUIRED), "tau": (float, 1.0), "symbol": (SYMBOL, None)}),
     "spectrum": (_run_spectrum, {
-        **_MODEL, "k": (int, 10), "eigenvalue_floor": (float, None)}),
+        **_MODEL, "k": (COUNT, 10), "eigenvalue_floor": (float, None)}),
     # k is raised to window[1] + 10 when smaller
     "growth-fit": (_run_growth_fit, {
-        **_MODEL, "window": ([int, int], [50, 400]), "k": (int, 0),
+        **_MODEL, "window": ([int, int], [50, 400]), "k": (Bound(int, 0), 0),
         "expect_min": (float, None), "expect_max": (float, None)}),
     "schatten-sweep": (_run_schatten_sweep, {
         "weight": (WEIGHT, REQUIRED), "Q": (float, REQUIRED),
         "cells": ([{"mu": (float, REQUIRED), "r": (float, REQUIRED),
                     "expect": (("converges", "diverges"), None),
                     "check_matrix": (bool, False)}], REQUIRED),
-        "matrix_N": ([int], [32, 48]), "box_L": ([float], [8.0, 12.0, 16.0]),
-        "box_npts": (int, 100), "band_npts": (int, 100), "matrix_gate": (float, 0.10)}),
+        "matrix_N": ([COUNT], [32, 48]), "box_L": ([POSITIVE], [8.0, 12.0, 16.0]),
+        "box_npts": (COUNT, 100), "band_npts": (COUNT, 100), "matrix_gate": (float, 0.10)}),
     "evolve": (_run_evolve, {
         **_MODEL, "evolution": (("schrodinger", "heat"), "schrodinger"),
         "method": (("eig", "cn"), "eig"),
-        "times": ({"t0": (float, 0.0), "t1": (float, 1.0), "count": (int, 100)}, {}),
+        "times": ({"t0": (float, 0.0), "t1": (float, 1.0), "count": (COUNT, 100)}, {}),
         # a center of one coordinate broadcasts over every axis
         "state": (Tagged("kind", {"gaussian": {"center": ([float], [0.0]),
-                                               "width": (float, 1.0)},
+                                               "width": (POSITIVE, 1.0)},
                                   "random": _SEED}, "state kind", "gaussian"), {})}),
+    # trial 0 is the constant vector, so a lower bound needs one trial;
+    # the interpolated upper bound holds for p >= 1 only
     "lp-probe": (_run_lp_probe, {
         **_SEED, "weight": (WEIGHT, REQUIRED), "operator": (OPERATOR, REQUIRED),
         "grids": ([_GRID], REQUIRED), "beta": (float, REQUIRED),
-        "p_list": ([float], REQUIRED), "shift": (float, 1.0), "trials": (int, 48)}),
+        "p_list": ([Bound(float, 1.0)], REQUIRED), "shift": (float, 1.0),
+        "trials": (COUNT, 48)}),
     "band-probe": (_run_band_probe, {
         **_SEED, "weight": (WEIGHT, REQUIRED), "grid": (_GRID, REQUIRED),
-        "epsilon": (float, REQUIRED), "R_list": ([float], REQUIRED),
+        "epsilon": (float, REQUIRED), "R_list": ([POSITIVE], REQUIRED),
         "spread_gate": (float, None)}),
+    # trials are random modes on top of twelve fixed ones, so none is allowed
     "subellipticity": (_run_subellipticity, {
         **_SEED, "operator": (KINETIC, REQUIRED), "tau": (float, REQUIRED),
-        "N_list": ([int], [32, 48, 64]), "L": (float, 4.0), "trials": (int, 24),
-        "expect": (("stable", "growing"), None)}),
+        "N_list": ([COUNT], [32, 48, 64]), "L": (POSITIVE, 4.0),
+        "trials": (Bound(int, 0), 24), "expect": (("stable", "growing"), None)}),
 }
 CONFIG = Tagged("kind", {kind: {"schema": ((SCHEMA,), REQUIRED), "output_dir": (str, None),
                                  **spec} for kind, (_, spec) in _KINDS.items()}, "kind")
 
 
 def run_config(cfg: dict, out_dir: str) -> dict:
-    """Execute one experiment config; returns the manifest dict."""
+    """Execute one experiment config; returns the manifest dict.
+
+    A config that fails the table raises before anything is written.  Any
+    later failure still leaves a manifest with passed false and the
+    classified error (unless out_dir itself cannot be written), then
+    raises on.
+    """
     checked = read(CONFIG, cfg)
     kind = checked["kind"]
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)  # no manifest can be written if this fails
     t0 = time.monotonic()
-    checks, report, header, rows = _KINDS[kind][0](checked)
     outputs = []
-    if rows is not None:
-        csv_path = os.path.join(out_dir, "data.csv")
-        digest = write_csv_atomic(csv_path, header, rows)
-        outputs.append({"path": "data.csv", "sha256": digest})
-    report_doc = {"kind": kind, "checks": [
-        {"name": n, "passed": bool(p), "detail": d} for n, p, d in checks],
-        "report": report}
-    digest = write_json_atomic(os.path.join(out_dir, "report.json"), report_doc)
-    outputs.append({"path": "report.json", "sha256": digest})
-    manifest = {
-        "schema": SCHEMA,
-        "kind": kind,
-        "config": cfg,
-        "config_hash": _hash_config(cfg),
-        "artifact_version": __version__,
-        "wall_time_s": round(time.monotonic() - t0, 3),
-        "checks": [{"name": n, "passed": bool(p)} for n, p, _ in checks],
-        "outputs": outputs,
-        "passed": all(p for _, p, _ in checks),
-    }
-    write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    try:
+        checks, report, header, rows = _KINDS[kind][0](checked)
+        if rows is not None:
+            digest = write_csv_atomic(os.path.join(out_dir, "data.csv"), header, rows)
+            outputs.append({"path": "data.csv", "sha256": digest})
+        report_doc = {"kind": kind, "checks": [
+            {"name": n, "passed": bool(p), "detail": d} for n, p, d in checks],
+            "report": report}
+        digest = write_json_atomic(os.path.join(out_dir, "report.json"), report_doc)
+        outputs.append({"path": "report.json", "sha256": digest})
+    except Exception as e:
+        write_json_atomic(manifest_path, _manifest(
+            cfg, kind, t0, outputs, checks=[], passed=False,
+            error={"kind": _error_kind(e), "message": str(e)}))
+        raise
+    manifest = _manifest(cfg, kind, t0, outputs,
+                         checks=[{"name": n, "passed": bool(p)} for n, p, _ in checks],
+                         passed=all(p for _, p, _ in checks))
+    write_json_atomic(manifest_path, manifest)
     return manifest
+
+
+def _manifest(cfg, kind, t0, outputs, **result) -> dict:
+    return {"schema": SCHEMA, "kind": kind, "config": cfg, "config_hash": _hash_config(cfg),
+            "artifact_version": __version__, "wall_time_s": round(time.monotonic() - t0, 3),
+            "outputs": outputs, **result}
 
 
 def _hash_config(cfg: dict) -> str:
@@ -332,14 +348,18 @@ def _hash_config(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
 
 
+def _error_kind(e: BaseException) -> str:
+    """config for a KeyError or ValueError (ConfigError and
+    UnknownBuilderError among them), run for any other failure."""
+    return "config" if isinstance(e, (KeyError, ValueError)) else "run"
+
+
 def _classified(run) -> int:
     """run()'s exit code, or 2 after printing one classified error line."""
     try:
         return run()
-    except (KeyError, ValueError) as e:  # ConfigError and UnknownBuilderError among them
-        print(f"config error: {e}", file=sys.stderr)
-    except Exception as e:  # any other failure of a checked run; never a traceback
-        print(f"run error: {e}", file=sys.stderr)
+    except Exception as e:  # never a traceback
+        print(f"{_error_kind(e)} error: {e}", file=sys.stderr)
     return 2
 
 

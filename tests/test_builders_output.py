@@ -152,6 +152,12 @@ def test_fmt_cell_cases():
     assert fmt_cell(np.int64(7)) == "7"
     assert fmt_cell("text") == "text"
     assert fmt_cell(0.1) == "0.10000000000000001"
+    # numpy scalars print as the Python numbers they equal
+    cases = [(np.float64(0.1), "0.10000000000000001"), (np.float64(-2.5e-300), "-2.5e-300"),
+             (np.int64(-7), "-7"), (np.int64(2**62), "4611686018427387904"),
+             (np.float32(0.1), "0.10000000149011612"), (np.bool_(True), "True"),
+             (1.0, "1"), (float("inf"), "inf"), (-0.0, "-0")]
+    assert [fmt_cell(c) for c, _ in cases] == [text for _, text in cases]
 
 
 @settings(max_examples=120, deadline=None)

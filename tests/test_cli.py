@@ -549,6 +549,9 @@ def test_output_path_taken_by_a_file_is_a_run_error(tmp_path, capsys):
     taken.write_text("")
     cfg = dict(SPECTRUM, output_dir=str(taken))
     assert main(["run", write_cfg(tmp_path, "sp.json", cfg)]) == 2
+    # no manifest can go there, and the file is left as it was
+    assert taken.read_text() == ""
+    assert sorted(os.listdir(tmp_path)) == ["sp.json", "taken"]
     # reproduce writes beside its manifest, into reproduce/
     (tmp_path / "reproduce").write_text("")
     assert main(["reproduce", write_manifest(tmp_path, cfg)]) == 2
@@ -591,6 +594,66 @@ SMALL = {
     "subellipticity": {"seed": 0, "operator": {"name": "single_field"}, "tau": 1.0,
                        "N_list": [16, 24, 32], "L": 4.0, "trials": 6, "expect": "growing"},
 }
+
+
+@pytest.mark.parametrize("kind,key,value,err", [
+    ("subellipticity", "N_list", [], "N_list must not be empty"),
+    ("schatten-sweep", "box_L", [], "box_L must not be empty"),
+    ("schatten-sweep", "box_L", [-1.0, 6.0],
+     "box_L[0] must be a finite number above 0, got -1.0"),
+    ("class-check", "n_random", 0, "n_random must be an integer of at least 1, got 0"),
+    ("class-check", "order", -1, "order must be an integer of at least 0, got -1"),
+    ("lp-probe", "trials", -1, "trials must be an integer of at least 1, got -1"),
+    ("quantize-identity", "symbol", {"name": "harmonic", "params": {"n": 0}},
+     "symbol.params.n must be an integer of at least 1, got 0"),
+    ("lp-probe", "grids", [], "grids must not be empty"),
+    ("lp-probe", "p_list", [2.0, 0.5], "p_list[1] must be a finite number of at least 1, got 0.5"),
+    ("band-probe", "R_list", [], "R_list must not be empty"),
+], ids=["N_list", "box_L-empty", "box_L-negative", "n_random", "order", "trials",
+        "harmonic-n", "grids", "p_list", "R_list"])
+def test_declared_minimum_is_a_config_error(tmp_path, capsys, kind, key, value, err):
+    cfg = {"schema": 1, "kind": kind, **SMALL[kind], key: value}
+    assert main(["run", write_cfg(tmp_path, "bad.json", cfg)]) == 2
+    assert main(["reproduce", write_manifest(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {err}"] * 2
+    # the config never passed the table, so nothing is written
+    assert not (tmp_path / "bad.out").exists()
+
+
+LP_SHIFTED = {"schema": 1, "kind": "lp-probe", **SMALL["lp-probe"], "shift": -1000}
+
+
+def test_failed_run_leaves_a_manifest_with_its_error(tmp_path, capsys):
+    code, out = run(tmp_path, "lp.json", LP_SHIFTED)
+    assert code == 2
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    assert manifest["passed"] is False
+    assert manifest["checks"] == [] and manifest["outputs"] == []
+    assert manifest["config"] == LP_SHIFTED
+    assert manifest["config_hash"] == _hash_config(LP_SHIFTED)
+    assert manifest["error"]["kind"] == "run"
+    assert manifest["error"]["message"].startswith("shift too small")
+    # reproducing the failed run fails alike and says so in its own manifest
+    assert main(["reproduce", os.path.join(out, "manifest.json")]) == 2
+    again = read_json(os.path.join(out, "reproduce", "manifest.json"))
+    assert again["error"] == manifest["error"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"run error: {manifest['error']['message']}"] * 2
+
+
+def test_failed_handler_value_error_is_a_config_error_in_the_manifest(tmp_path, capsys):
+    # c' = 0 passes the table as a number but the profile refuses it
+    cfg = {"schema": 1, "kind": "quantize-identity", "grid": {"n": 2, "N": 8, "L": 4.0},
+           "symbol": {"name": "daho", "params": {"c_prime": 0.0}}}
+    code, out = run(tmp_path, "q.json", cfg)
+    assert code == 2
+    assert capsys.readouterr().err == "config error: c_prime must be nonzero\n"
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    assert manifest["passed"] is False
+    assert manifest["error"] == {"kind": "config", "message": "c_prime must be nonzero"}
+
+
 # a value of each JSON type; a key only ever gets one of another type
 OTHER_TYPES = [None, True, 3, 2.5, "x", [1], {"a": 1}]
 

@@ -13,7 +13,7 @@ from weylab import profiles
 from weylab.profiles import (PROFILE_DERIV_ORDERS, CutoffProfileSquared, band_bump,
                              smoothstep)
 
-THRESHOLD = 6.9453607293  # 4 + I_1 - I_rho, 64-node quadrature, converged
+THRESHOLD = 6.9453607293  # 4 + I_1 - I_rho by the panel rule, within 5e-15 of a 40-digit value
 
 
 def test_smoothstep_plateaus_and_monotone():
@@ -173,6 +173,78 @@ def test_bridge_values_match_direct_quadrature(c_prime):
     direct = 4.0 + (_beta_oracle(0, nodes, p.gamma) * glw).sum(axis=1) * half
     got = p(t)
     assert np.max(np.abs(got - direct)) <= 1e-13 * max(1.0, c_prime**2)
+
+
+def _direct_bridge(a, gamma):
+    """F(a) for a in (2, 4]: one 64-node Gauss-Legendre rule over [2, a]."""
+    glx, glw = np.polynomial.legendre.leggauss(64)
+    half = (a - 2.0) / 2.0
+    nodes = np.clip(2.0 + half[:, None] * (glx + 1.0), 2 + 1e-9, 4 - 1e-9)
+    return 4.0 + (_beta_oracle(0, nodes, gamma) * glw).sum(axis=1) * half
+
+
+def _edges_and_neighbours():
+    edges = 2.0 + 2.0 * np.arange(257) / 256
+    return edges, np.nextafter(edges, 0.0), np.nextafter(edges, 5.0)
+
+
+@pytest.mark.parametrize("c_prime", [0.5, 3.0, 10.0])
+def test_bridge_at_panel_edges(c_prime):
+    p = CutoffProfileSquared(c_prime)
+    edges, below, above = _edges_and_neighbours()
+    a = np.concatenate([edges[1:-1], below[1:], above[:-1]])
+    tol = 1e-13 * max(1.0, c_prime**2)
+    for t in (a, -a):
+        assert np.max(np.abs(p(t) - _direct_bridge(a, p.gamma))) <= tol
+    # the closed joins: t^2 at 2, c'^2 at 4, and the bridge meets both
+    assert p(2.0) == 4.0 and p(-4.0) == c_prime**2
+    assert p(np.nextafter(2.0, 3.0)) == pytest.approx(4.0, abs=tol)
+    assert p(np.nextafter(4.0, 0.0)) == pytest.approx(c_prime**2, abs=tol)
+    # t = 4 is the last edge: the table's end, whose sum is c'^2 - 4
+    assert profiles._bridge_cumint(np.array([4.0]), p._table, p.gamma)[0] == p._table[-1]
+    assert 4.0 + p._table[-1] == pytest.approx(c_prime**2, abs=tol)
+
+
+@pytest.mark.parametrize("c_prime", [0.5, 3.0, 10.0])
+def test_bridge_continuous_across_every_edge(c_prime):
+    p = CutoffProfileSquared(c_prime)
+    edges, below, above = _edges_and_neighbours()
+    inner = slice(1, -1)
+    at, lo, hi = p(edges[inner]), p(below[inner]), p(above[inner])
+    tol = 1e-13 * max(1.0, c_prime**2)
+    assert np.max(np.abs(at - lo)) <= tol
+    assert np.max(np.abs(hi - at)) <= tol
+    # nondecreasing across the edges wherever the bridge is monotone
+    if p.monotone:
+        assert np.all(hi >= lo - tol)
+
+
+def test_bridge_costs_eight_nodes_per_distinct_point(monkeypatch):
+    CutoffProfileSquared.monotone_threshold()  # the shared constants, cached
+    tables, nodes = [], []
+    table, beta = profiles._panel_table, profiles._beta_jet
+
+    def counted_table(gamma):
+        tables.append(gamma)
+        return table(gamma)
+
+    def counted_beta(t, gamma, depth):
+        nodes.append(np.size(t))
+        return beta(t, gamma, depth)
+
+    monkeypatch.setattr(profiles, "_panel_table", counted_table)
+    p = CutoffProfileSquared(3.0)
+    assert len(tables) == 1
+    monkeypatch.setattr(profiles, "_beta_jet", counted_beta)
+    rng = np.random.default_rng(3)
+    distinct = rng.uniform(2.0, 4.0, 1000)
+    t = np.concatenate([distinct, -distinct[:300], distinct[:200],
+                        [0.0, 1.5, -2.0, 4.0, 7.0]])
+    p(t[rng.permutation(t.size)])
+    assert sum(nodes) == 8 * distinct.size
+    p(2.5)
+    assert sum(nodes) == 8 * (distinct.size + 1)
+    assert len(tables) == 1
 
 
 def test_daho_runs_do_not_load_sympy(tmp_path):
