@@ -6,7 +6,7 @@ The package is organized around the pipeline symbol -> metric -> operator:
 * profiles: the smooth cutoff profile and the weight-shell bump;
 * symbols, metric: symbol classes with exact jets, order functions,
   split metrics and their admissibility gates;
-* quantize: discrete quantization on periodic grids;
+* quantize: the grid type, and discrete quantization on periodic grids;
 * builders: one table of models, each giving its principal symbol,
   weight and grid operators;
 * hamiltonians, spectral, evolve: finite-difference operators,

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hamiltonians import DirichletGrid
 from .metric import WeightEvaluator
 from .profiles import smoothstep
 from .quantize import Grid, kn_quantize, sobolev_norm
@@ -196,7 +195,7 @@ def _target_profile(mesh: np.ndarray, w: WeightEvaluator, beta: float) -> np.nda
     return np.mean(m ** (-(n / 2.0) * beta), axis=1)
 
 
-def _calibrate_beta_prime(spec: Spectrum, grid: DirichletGrid, w: WeightEvaluator,
+def _calibrate_beta_prime(spec: Spectrum, grid: Grid, w: WeightEvaluator,
                           beta: float, shift: float, residual_gate: float) -> tuple:
     """Pick the spectral power whose diagonal decay tracks the symbol decay.
 
@@ -231,7 +230,7 @@ def _calibrate_beta_prime(spec: Spectrum, grid: DirichletGrid, w: WeightEvaluato
     return best[1], best[0]
 
 
-def lp_window_probe(builder: Callable, grids: Sequence[DirichletGrid],
+def lp_window_probe(builder: Callable, grids: Sequence[Grid],
                     w: WeightEvaluator, beta: float, p_list: Sequence[float],
                     shift: float = 1.0, trials: int = 48, seed: int = 0,
                     calibration_gate: float = 0.35,

@@ -283,8 +283,8 @@ def get_weight(name: str, params: Optional[dict] = None) -> WeightEvaluator:
 
 
 def get_operator(name: str, grid, params: Optional[dict] = None):
-    """A DirichletGrid gives the Dirichlet operator, a periodic
-    quantize.Grid the periodic one (models only)."""
+    """The operator with the stencils of the grid's boundary; periodic
+    grids take models only."""
     p = _params(OPERATOR, name, params)
     if name in _OPERATORS:
         return _OPERATORS[name][1](grid, p)

@@ -25,7 +25,7 @@ from .builders import (COUNT, KINETIC, OPERATOR, POSITIVE, POTENTIAL, REQUIRED, 
 from ._output import canonical_json, write_csv_atomic, write_json_atomic
 from .bounds import linf_band_probe, lp_window_probe, subellipticity_probe
 from .evolve import heat_evolve, schrodinger_evolve
-from .hamiltonians import DirichletGrid, hamiltonian_with_potential
+from .hamiltonians import hamiltonian_with_potential
 from .metric import (check_gweight, check_slowness, check_temperateness,
                      check_uncertainty, pair_sample)
 from .quantize import Grid, identity_symbol_matrix, weyl_quantize
@@ -38,7 +38,9 @@ CSV_PROBE_HEADER = ("operator", "N", "L", "epsilon_or_beta", "p_R_tau",
                     "lower", "upper", "verdict")
 
 
-def _operator(cfg, grid):
+def _operator(cfg):
+    """The operator and potential of a _MODEL config, on its Dirichlet grid."""
+    grid = Grid(**cfg["grid"], boundary="dirichlet")
     op, pot = cfg["operator"], cfg["potential"]
     H = builders.get_operator(grid=grid, **op)
     if pot is not None:
@@ -96,8 +98,7 @@ def _run_quantize_identity(cfg):
 
 
 def _run_spectrum(cfg):
-    grid = DirichletGrid(**cfg["grid"])
-    H = _operator(cfg, grid)
+    H = _operator(cfg)
     res = eigensolve(H, cfg["k"], want_vectors=False)
     rows = [(i + 1, float(v), float(r))
             for i, (v, r) in enumerate(zip(res.eigenvalues, res.residuals))]
@@ -114,8 +115,7 @@ def _run_spectrum(cfg):
 
 
 def _run_growth_fit(cfg):
-    grid = DirichletGrid(**cfg["grid"])
-    H = _operator(cfg, grid)
+    H = _operator(cfg)
     window = tuple(cfg["window"])
     res = eigensolve(H, max(window[1] + 10, cfg["k"]), want_vectors=False)
     fit = growth_fit(res, window)
@@ -163,17 +163,19 @@ def _initial_state(spec, grid):
     mesh = grid.mesh()
     if spec["kind"] == "gaussian":
         c = np.asarray(spec["center"])
+        if c.size not in (1, grid.n):
+            raise builders.ConfigError(f"state.center has {c.size} entries; it needs 1 or "
+                                       f"the grid dimension {grid.n}")
         return np.exp(-((mesh - c) ** 2).sum(axis=1) / (2.0 * spec["width"]**2))
     rng = np.random.default_rng(spec["seed"])
     return rng.normal(size=mesh.shape[0]) + 1j * rng.normal(size=mesh.shape[0])
 
 
 def _run_evolve(cfg):
-    grid = DirichletGrid(**cfg["grid"])
-    H = _operator(cfg, grid)
+    H = _operator(cfg)
     kind, method, t = cfg["evolution"], cfg["method"], cfg["times"]
     times = np.linspace(t["t0"], t["t1"], t["count"])
-    f = _initial_state(cfg["state"], grid)
+    f = _initial_state(cfg["state"], H.grid)
     if kind == "schrodinger":
         tr = schrodinger_evolve(H, f, times, method=method)
         drift = float(np.max(np.abs(tr.norms / tr.norms[0] - 1.0)))
@@ -193,8 +195,8 @@ def _run_lp_probe(cfg):
     w, op, beta = builders.get_weight(**cfg["weight"]), cfg["operator"], cfg["beta"]
     results = lp_window_probe(
         lambda g: builders.get_operator(grid=g, **op),
-        [DirichletGrid(**g) for g in cfg["grids"]], w, beta, cfg["p_list"], shift=cfg["shift"],
-        trials=cfg["trials"], seed=cfg["seed"], operator=op["name"])
+        [Grid(**g, boundary="dirichlet") for g in cfg["grids"]], w, beta, cfg["p_list"],
+        shift=cfg["shift"], trials=cfg["trials"], seed=cfg["seed"], operator=op["name"])
     rows = [r.csv_row(beta) for r in results]
     checks = [("bracket-order", all(r.lower <= r.upper * (1 + 1e-9) for r in results),
                f"{len(results)} cells")]
@@ -251,7 +253,8 @@ _SEED = {"seed": (int, REQUIRED)}
 _KINDS = {
     "metric-check": (_run_metric_check, {
         **_SEED, "weight": (WEIGHT, REQUIRED), "box": (POSITIVE, 100.0),
-        "n_points": (COUNT, 20000), "n_pairs": (COUNT, 10000)}),
+        # pair_sample draws n_pairs // 3 pairs at each of three scales
+        "n_points": (COUNT, 20000), "n_pairs": (Bound(int, 3), 10000)}),
     "class-check": (_run_class_check, {
         **_SEED, "symbol": (SYMBOL, REQUIRED), "target": (("a", "m"), "a"),
         "order": (Bound(int, 0), 4), "halves": ([POSITIVE], [10.0, 20.0]),
@@ -263,7 +266,7 @@ _KINDS = {
         **_MODEL, "k": (COUNT, 10), "eigenvalue_floor": (float, None)}),
     # k is raised to window[1] + 10 when smaller
     "growth-fit": (_run_growth_fit, {
-        **_MODEL, "window": ([int, int], [50, 400]), "k": (Bound(int, 0), 0),
+        **_MODEL, "window": ([COUNT, COUNT], [50, 400]), "k": (Bound(int, 0), 0),
         "expect_min": (float, None), "expect_max": (float, None)}),
     "schatten-sweep": (_run_schatten_sweep, {
         "weight": (WEIGHT, REQUIRED), "Q": (float, REQUIRED),

@@ -59,6 +59,16 @@ def _csr(H):
     return sparse.csr_array(np.asarray(H, dtype=float))
 
 
+def _from_zero(times) -> np.ndarray:
+    """times as floats, none before f's time 0: backwards the heat flow is
+    ill-posed, and Crank-Nicolson steps forward only."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError(f"time {times[times < 0][0]:g} is before t = 0, "
+                         "where the evolution starts")
+    return times
+
+
 class Propagator:
     """Cached spectral data for one operator, shared across evolutions."""
 
@@ -83,7 +93,7 @@ class Propagator:
         imaginary parts of f, and Q once on all the times together, never
         on a complex copy of itself."""
         f = np.asarray(f)
-        t = np.asarray(times, dtype=float)
+        t = _from_zero(times) if self.kind == "heat" else np.asarray(times, dtype=float)
         C = self.Qt @ np.stack([f.real, np.imag(f)], axis=1)
         if self.kind == "schrodinger":
             c = (C[:, :1] + 1j * C[:, 1:]) * np.exp(-1j * np.outer(self.lam, t))
@@ -94,7 +104,7 @@ class Propagator:
         return self.Q @ C
 
     def apply(self, f: np.ndarray, t: float) -> np.ndarray:
-        """e^{-itH} f or e^{-tH} f."""
+        """e^{-itH} f, or e^{-tH} f for t >= 0."""
         U = self._parts(f, [t])
         return U[:, 0] + 1j * U[:, 1]
 
@@ -124,7 +134,7 @@ def _cn_trace(H, f, times, kind: str, meta: str) -> EvolutionTrace:
     from scipy.sparse.linalg import splu
 
     A = _csr(H)
-    times = np.asarray(times, dtype=float)
+    times = _from_zero(times)
     u = np.asarray(f, dtype=complex).copy()
     c = 0.5j if kind == "schrodinger" else 0.5
     I = sparse.eye_array(A.shape[0])
@@ -147,7 +157,8 @@ def _cn_trace(H, f, times, kind: str, meta: str) -> EvolutionTrace:
 
 def schrodinger_evolve(H, f, times, method: str = "eig",
                        keep_snapshots: bool = False) -> EvolutionTrace:
-    """u(t) = e^{-itH} f with norm and energy recorded at each time."""
+    """u(t) = e^{-itH} f with norm and energy recorded at each time; only
+    the eig path, a group, takes t < 0."""
     meta = "unitary group of the stored nonnegative operator"
     if method == "cn":
         return _cn_trace(H, f, times, "schrodinger", meta)
@@ -157,7 +168,7 @@ def schrodinger_evolve(H, f, times, method: str = "eig",
 
 def heat_evolve(H, f, times, method: str = "eig",
                 keep_snapshots: bool = False) -> EvolutionTrace:
-    """u(t) = e^{-tH} f; contraction guaranteed by the spectral floor check."""
+    """u(t) = e^{-tH} f, t >= 0; contraction guaranteed by the spectral floor check."""
     meta = "semigroup convention e^{-tH}, H stored nonnegative"
     if method == "cn":
         return _cn_trace(H, f, times, "heat", meta)

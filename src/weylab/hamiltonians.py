@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quantize import Grid
+
 __all__ = [
     "DirichletGrid", "HamiltonianMatrix", "Potential", "P2Report",
     "second_derivative", "staggered_divergence_form", "sum_of_squares_matrix",
@@ -41,42 +43,16 @@ _W2 = {
 }
 
 
-@dataclass(frozen=True)
-class DirichletGrid:
-    """Interior nodes of [-L, L]^n: x_i = -L + (i+1) h, h = 2L/(N+1)."""
-    n: int
-    N: int
-    L: float
-
-    def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError("only one or two dimensions")
-        if self.N < 8:
-            raise ValueError("N must be at least 8")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-
-    @property
-    def h(self) -> float:
-        return 2.0 * self.L / (self.N + 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        return -self.L + self.h * (1.0 + np.arange(self.N))
-
-    def mesh(self) -> np.ndarray:
-        """Flattened node coordinates, first axis major; shape (N^n, n)."""
-        return _mesh(self.points, self.n)
-
-    def side(self) -> int:
-        return self.N ** self.n
+def DirichletGrid(n: int, N: int, L: float) -> Grid:
+    """The interior nodes of [-L, L]^n, as Grid(n, N, L, "dirichlet")."""
+    return Grid(n, N, L, "dirichlet")
 
 
 class HamiltonianMatrix:
     """A grid operator, stored as a scipy CSR matrix (``sparse``);
     ``data`` gives a dense copy, materialised on each access."""
 
-    def __init__(self, data, grid: DirichletGrid, provenance: str):
+    def __init__(self, data, grid: Grid, provenance: str):
         from scipy import sparse
         matrix = sparse.csr_array(data, dtype=float)
         side = grid.side()
@@ -125,7 +101,7 @@ def staggered_divergence_form(c_half: np.ndarray, h: float) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def sum_of_squares_matrix(fields, grid: DirichletGrid) -> HamiltonianMatrix:
+def sum_of_squares_matrix(fields, grid: Grid) -> HamiltonianMatrix:
     """Kinetic part sum_j X_j^T X_j for axis-aligned fields b(x) d/dx_axis.
 
     Each field is assembled in staggered divergence form with b^2 sampled
@@ -135,6 +111,8 @@ def sum_of_squares_matrix(fields, grid: DirichletGrid) -> HamiltonianMatrix:
     means the constant field d/dx_axis.
     """
     from scipy import sparse
+    if grid.boundary != "dirichlet":
+        raise ValueError("sum_of_squares needs a Dirichlet grid")
     fields = list(fields)
     N, h, n = grid.N, grid.h, grid.n
     pts = grid.points
@@ -162,29 +140,16 @@ def sum_of_squares_matrix(fields, grid: DirichletGrid) -> HamiltonianMatrix:
     return HamiltonianMatrix(total, grid, provenance=f"sum_of_squares[{len(fields)} fields]")
 
 
-def _mesh(points: np.ndarray, n: int) -> np.ndarray:
-    if n == 1:
-        return points[:, None]
-    X1, X2 = np.meshgrid(points, points, indexing="ij")
-    return np.stack([X1.ravel(), X2.ravel()], axis=1)
-
-
-def _confinement(grid) -> np.ndarray:
-    m = _mesh(grid.points, grid.n)
-    return (m * m).sum(axis=1)
-
-
-def tensor_stencil_matrix(fields, grid, order: int = 6, confined: bool = False,
+def tensor_stencil_matrix(fields, grid: Grid, order: int = 6, confined: bool = False,
                           provenance: str = "") -> HamiltonianMatrix:
     """sum_j c_j(x) (-d^2/dx_axis^2), plus |x|^2 when confined, as a
-    Kronecker sum: Dirichlet stencils on a DirichletGrid, periodic ones on
-    a quantize.Grid.  fields holds (axis, c), c = b^2 of the field
-    b(x) d/dx_axis as a JetExpr over (x, xi), None for b = 1; c must not
-    vary along its own axis, which keeps the sum symmetric and PSD."""
+    Kronecker sum of stencils for the grid's boundary.  fields holds
+    (axis, c), c = b^2 of the field b(x) d/dx_axis as a JetExpr over
+    (x, xi), None for b = 1; c must not vary along its own axis, which
+    keeps the sum symmetric and PSD."""
     from scipy import sparse
-    bc = "dirichlet" if isinstance(grid, DirichletGrid) else "periodic"
-    D2 = sparse.csr_array(second_derivative(grid.N, grid.h, order, bc))
-    X = _mesh(grid.points, grid.n)
+    D2 = sparse.csr_array(second_derivative(grid.N, grid.h, order, grid.boundary))
+    X = grid.mesh()
     Z = np.hstack([X, np.zeros_like(X)])
     total = None
     for axis, c in fields:
@@ -197,7 +162,7 @@ def tensor_stencil_matrix(fields, grid, order: int = 6, confined: bool = False,
             K = (sparse.diags_array(np.asarray(c.eval(Z), dtype=float)) @ K).sorted_indices()
         total = K if total is None else total + K
     if confined:
-        total = total + sparse.diags_array(_confinement(grid))
+        total = total + sparse.diags_array(quadratic_potential(grid).values)
     return HamiltonianMatrix(total, grid, provenance=provenance)
 
 
@@ -214,18 +179,18 @@ class Potential:
             raise ValueError("potential must be finite on the grid")
 
 
-def quadratic_potential(grid: DirichletGrid) -> Potential:
-    return Potential(_confinement(grid), "quadratic")
+def quadratic_potential(grid: Grid) -> Potential:
+    return Potential((grid.mesh() ** 2).sum(axis=1), "quadratic")
 
 
-def bounded_noise_potential(grid: DirichletGrid, amplitude: float = 1.0,
+def bounded_noise_potential(grid: Grid, amplitude: float = 1.0,
                             seed: int = 0) -> Potential:
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-amplitude, amplitude, size=grid.side())
     return Potential(vals, f"bounded_noise(amplitude={amplitude:g},seed={seed})")
 
 
-def step_potential(grid: DirichletGrid, amplitude: float = 1.0,
+def step_potential(grid: Grid, amplitude: float = 1.0,
                    base: float = 0.0) -> Potential:
     """base + amplitude * (floor(x1) mod 2): bounded, discontinuous."""
     x1 = grid.mesh()[:, 0]
@@ -233,7 +198,7 @@ def step_potential(grid: DirichletGrid, amplitude: float = 1.0,
     return Potential(vals, f"step(amplitude={amplitude:g},base={base:g})")
 
 
-def table_potential(grid: DirichletGrid, path) -> Potential:
+def table_potential(grid: Grid, path) -> Potential:
     vals = np.loadtxt(path, delimiter=",").ravel()
     if vals.size != grid.side():
         raise ValueError(f"table has {vals.size} values, grid needs {grid.side()}")

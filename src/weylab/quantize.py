@@ -1,4 +1,4 @@
-"""Discrete quantization on periodic grids.
+"""The grid type, and discrete quantization on periodic grids.
 
 The convention throughout uses e^{2 pi i} phases: grid x_i = -L + i h
 with h = 2L/N, modes xi_k = k/(2L) for k = -N/2 .. N/2-1, and
@@ -38,26 +38,40 @@ DENSE_SIDE_LIMIT = 4096
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic uniform grid on [-L, L)^n with FFT-compatible modes."""
+    """Uniform grid on the box [-L, L]^n.  Periodic (the default): nodes
+    x_i = -L + i h, h = 2L/N, on [-L, L) with FFT-compatible modes.
+    Dirichlet: the interior nodes x_i = -L + (i+1) h, h = 2L/(N+1)."""
     n: int
     N: int
     L: float
+    boundary: str = "periodic"
 
     def __post_init__(self):
+        if self.boundary not in ("periodic", "dirichlet"):
+            raise ValueError("boundary must be periodic or dirichlet")
+        periodic = self.boundary == "periodic"
         if self.n not in (1, 2):
-            raise ValueError("only one or two spatial dimensions are supported")
-        if self.N < 8 or self.N % 2:
-            raise ValueError("N must be even and at least 8")
+            raise ValueError("only one or two spatial dimensions are supported" if periodic
+                             else "only one or two dimensions")
+        if self.N < 8 or (periodic and self.N % 2):
+            raise ValueError("N must be even and at least 8" if periodic
+                             else "N must be at least 8")
         if self.L <= 0:
             raise ValueError("L must be positive")
 
     @property
     def h(self) -> float:
-        return 2.0 * self.L / self.N
+        return 2.0 * self.L / (self.N if self.boundary == "periodic" else self.N + 1)
 
     @property
     def points(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.N)
+        first = 0 if self.boundary == "periodic" else 1  # Dirichlet: no node on the wall
+        return -self.L + self.h * (first + np.arange(self.N))
+
+    def mesh(self) -> np.ndarray:
+        """Flattened node coordinates, first axis major; shape (N^n, n)."""
+        axes = np.meshgrid(*[self.points] * self.n, indexing="ij")
+        return np.stack([x.ravel() for x in axes], axis=1)
 
     @property
     def modes(self) -> np.ndarray:
@@ -88,6 +102,8 @@ def weyl_quantize(s, grid: Grid) -> np.ndarray:
 def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     """The dense complex matrix of s in the tau convention.  The side
     limit is checked before s is evaluated or anything allocated."""
+    if grid.boundary != "periodic":
+        raise ValueError("quantization needs a periodic grid")
     side = grid.side()
     if side > DENSE_SIDE_LIMIT:
         raise ValueError(f"dense side {side} exceeds limit {DENSE_SIDE_LIMIT}")

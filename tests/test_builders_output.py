@@ -77,19 +77,21 @@ MODEL_FORMULAS = {
 
 @pytest.mark.parametrize("grid", [DirichletGrid(1, 16, 6.0), DirichletGrid(2, 16, 6.0),
                                   DirichletGrid(2, 33, 6.0), Grid(1, 16, 4.0),
-                                  Grid(2, 16, 4.0)], ids=repr)
+                                  Grid(2, 16, 4.0)],
+                         ids=["DirichletGrid(n=1, N=16, L=6.0)", "DirichletGrid(n=2, N=16, L=6.0)",
+                              "DirichletGrid(n=2, N=33, L=6.0)", "Grid(n=1, N=16, L=4.0)",
+                              "Grid(n=2, N=16, L=4.0)"])
 @pytest.mark.parametrize("order", [2, 6])
 @pytest.mark.parametrize("name", sorted(MODEL_FORMULAS))
 def test_model_operator_matches_explicit_kronecker_sum(name, order, grid):
     # the table's one assembly, entry for entry against np.kron; Dirichlet
-    # or periodic stencils by grid type, N=33 puts a node on x1 = 0
+    # or periodic stencils by the grid's boundary, N=33 puts a node on x1 = 0
     coeff, confined = MODEL_FORMULAS[name]
     if grid.n == 1 and name != "harmonic":
         with pytest.raises(ValueError, match="dimension"):
             get_operator(name, grid)
         return
-    bc = "dirichlet" if isinstance(grid, DirichletGrid) else "periodic"
-    D2 = second_derivative(grid.N, grid.h, order, bc)
+    D2 = second_derivative(grid.N, grid.h, order, grid.boundary)
     p = grid.points
     if grid.n == 1:
         want, V = D2, p * p

@@ -513,6 +513,8 @@ SPECTRUM = {"schema": 1, "kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 12.0
             "operator": {"name": "harmonic"}, "k": 3}
 CLASS = {"schema": 1, "kind": "class-check", "seed": 0, "symbol": {"name": "harmonic"},
          "n_grid": 3, "n_random": 100}
+EVOLVE = {"schema": 1, "kind": "evolve", "grid": {"n": 2, "N": 12, "L": 4.0},
+          "operator": {"name": "harmonic"}, "evolution": "heat"}
 
 
 @pytest.mark.parametrize("cfg,err", [
@@ -535,8 +537,15 @@ CLASS = {"schema": 1, "kind": "class-check", "seed": 0, "symbol": {"name": "harm
       "tau": 1.0, "N_list": 5}, "config error: N_list must be a list, got 5"),
     (dict(CLASS, halves=10), "config error: halves must be a list, got 10"),
     (5, "config error: the config must be an object, got 5"),
+    (dict(EVOLVE, state={"kind": "gaussian", "center": [0.5, 0.0, 1.0]}),
+     "config error: state.center has 3 entries; it needs 1 or the grid dimension 2"),
+    (dict(EVOLVE, times={"t0": -3, "t1": 0, "count": 5}),
+     "config error: time -3 is before t = 0, where the evolution starts"),
+    (dict(EVOLVE, method="cn", times={"t0": -1, "t1": 1, "count": 3}),
+     "config error: time -1 is before t = 0, where the evolution starts"),
 ], ids=["override", "expect_pass", "count", "N", "seed", "L-nan", "schema", "beta-null",
-        "N_list", "halves", "config-number"])
+        "N_list", "halves", "config-number", "center-length", "heat-before-zero",
+        "cn-before-zero"])
 def test_config_fault_is_one_config_error_line(tmp_path, capsys, cfg, err):
     # run and reproduce both print exactly one classified line, exit 2
     assert main(["run", write_cfg(tmp_path, "bad.json", cfg)]) == 2
@@ -609,8 +618,10 @@ SMALL = {
     ("lp-probe", "grids", [], "grids must not be empty"),
     ("lp-probe", "p_list", [2.0, 0.5], "p_list[1] must be a finite number of at least 1, got 0.5"),
     ("band-probe", "R_list", [], "R_list must not be empty"),
+    ("metric-check", "n_pairs", 2, "n_pairs must be an integer of at least 3, got 2"),
+    ("growth-fit", "window", [0, 60], "window[0] must be an integer of at least 1, got 0"),
 ], ids=["N_list", "box_L-empty", "box_L-negative", "n_random", "order", "trials",
-        "harmonic-n", "grids", "p_list", "R_list"])
+        "harmonic-n", "grids", "p_list", "R_list", "n_pairs", "window"])
 def test_declared_minimum_is_a_config_error(tmp_path, capsys, kind, key, value, err):
     cfg = {"schema": 1, "kind": kind, **SMALL[kind], key: value}
     assert main(["run", write_cfg(tmp_path, "bad.json", cfg)]) == 2

@@ -87,6 +87,27 @@ def test_times_must_increase():
         EvolutionTrace(np.array([0.0, 0.5, 0.5]), np.ones(3), np.ones(3), "eig")
 
 
+@pytest.mark.parametrize("evolve,method", [(heat_evolve, "eig"), (heat_evolve, "cn"),
+                                           (schrodinger_evolve, "cn")])
+def test_evolution_from_zero_refuses_earlier_times(H, f0, evolve, method):
+    # backwards the heat flow is ill-posed, and Crank-Nicolson only steps
+    # forward: it would hold f until t = 0 and report that as u(0)
+    with pytest.raises(ValueError, match="^time -1 is before t = 0, where the evolution"):
+        evolve(H, f0, [-1.0, 0.0, 1.0], method=method)
+    with pytest.raises(ValueError, match="^time -3 is before t = 0"):
+        evolve(H, f0, np.linspace(-3.0, 0.0, 5), method=method)
+
+
+def test_only_the_schrodinger_group_takes_negative_times(H, f0):
+    tr = schrodinger_evolve(H, f0, [-1.0, 0.0, 1.0], keep_snapshots=True)
+    assert np.max(np.abs(tr.snapshots[1] - f0)) <= 1e-13
+    assert np.max(np.abs(tr.norms / tr.norms[1] - 1.0)) < 1e-12
+    back = Propagator(H, "schrodinger").apply(tr.snapshots[0], 1.0)
+    assert np.max(np.abs(back - f0)) < 1e-10
+    with pytest.raises(ValueError, match="^time -1 is before t = 0"):
+        Propagator(H, "heat").apply(f0, -1.0)
+
+
 def test_crank_nicolson_tracks_exact_evolution(H, f0):
     # trapezoidal stepping is second order: at dt = 2.5e-3 the terminal
     # state sits a few 1e-5 from the spectral one, comfortably inside

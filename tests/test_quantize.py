@@ -4,7 +4,8 @@ import pytest
 
 import weylab.quantize as qz
 from weylab._jets import JPowerSum
-from weylab.builders import get_a2, get_weight
+from weylab.builders import get_a2, get_operator, get_weight
+from weylab.hamiltonians import DirichletGrid, sum_of_squares_matrix
 from weylab.quantize import (
     Grid,
     identity_symbol_matrix,
@@ -39,14 +40,20 @@ def harmonic_1d():
 # -- grids ------------------------------------------------------------------
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid(3, 16, 4.0)
-    with pytest.raises(ValueError):
-        Grid(1, 15, 4.0)
-    with pytest.raises(ValueError):
-        Grid(1, 4, 4.0)
-    with pytest.raises(ValueError):
-        Grid(1, 16, 0.0)
+    # each boundary keeps the messages of the grid class it replaces
+    for args, err in [
+        ((3, 16, 4.0), "only one or two spatial dimensions are supported"),
+        ((1, 15, 4.0), "N must be even and at least 8"),
+        ((1, 4, 4.0), "N must be even and at least 8"),
+        ((1, 16, 0.0), "L must be positive"),
+        ((3, 16, 4.0, "dirichlet"), "only one or two dimensions"),
+        ((1, 7, 4.0, "dirichlet"), "N must be at least 8"),
+        ((1, 16, -1.0, "dirichlet"), "L must be positive"),
+        ((1, 16, 4.0, "neumann"), "boundary must be periodic or dirichlet"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Grid(*args)
+        assert str(exc.value) == err
 
 
 def test_grid_geometry():
@@ -59,6 +66,27 @@ def test_grid_geometry():
     assert g.side() == 16
     assert Grid(2, 16, 4.0).side() == 256
     assert g.resolves(0.4) and not g.resolves(0.6)
+    # each boundary against the formulas of the two grid classes it
+    # replaces; odd N is Dirichlet only
+    for n, N, L, boundary in [(1, 16, 4.0, "periodic"), (2, 12, 3.0, "periodic"),
+                              (1, 9, 5.0, "dirichlet"), (2, 33, 6.0, "dirichlet")]:
+        g = Grid(n, N, L, boundary)
+        h = 2.0 * L / N if boundary == "periodic" else 2.0 * L / (N + 1)
+        p = -L + h * np.arange(N) if boundary == "periodic" else -L + h * (1.0 + np.arange(N))
+        assert g.h == h and np.array_equal(g.points, p)
+        want = p[:, None] if n == 1 else \
+            np.stack([a.ravel() for a in np.meshgrid(p, p, indexing="ij")], axis=1)
+        assert np.array_equal(g.mesh(), want) and g.side() == N ** n
+    assert DirichletGrid(2, 16, 6.0) == Grid(2, 16, 6.0, "dirichlet")
+    assert DirichletGrid(2, 16, 6.0) != Grid(2, 16, 6.0)
+    # quantization needs the FFT modes of a periodic grid; the staggered
+    # sum of squares zero-extends at Dirichlet walls
+    with pytest.raises(ValueError, match="quantization needs a periodic grid"):
+        weyl_quantize(harmonic_1d(), Grid(1, 16, 4.0, "dirichlet"))
+    for build in (lambda g: sum_of_squares_matrix([(0, None)], g),
+                  lambda g: get_operator("sum_of_squares", g)):
+        with pytest.raises(ValueError, match="sum_of_squares needs a Dirichlet grid"):
+            build(Grid(2, 16, 4.0))
 
 
 # -- identity and hermiticity ----------------------------------------------
