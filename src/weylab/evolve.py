@@ -79,7 +79,8 @@ class Propagator:
         defect = float(abs(S - S.T).max())
         if defect > SYMMETRY_GATE * max(1.0, float(abs(S).max())):
             raise ValueError(f"operator not symmetric: defect {defect:.3e}")
-        spec = Spectrum(S)
+        # a HamiltonianMatrix goes through whole, so its grid reaches the solver
+        spec = Spectrum(H if isinstance(H, HamiltonianMatrix) else S)
         self.kind = kind
         self.A, self.lam, self.Q = spec.A, spec.lam, spec.Q
         self.Qt = np.ascontiguousarray(self.Q.T)

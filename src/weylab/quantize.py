@@ -147,6 +147,8 @@ def identity_symbol_matrix(grid: Grid, tau: float = 1.0) -> np.ndarray:
 
 def sobolev_norm(u: np.ndarray, grid: Grid, tau: float) -> float:
     """Fourier-multiplier norm with weight (1 + |xi|^2)^{tau/2}."""
+    if grid.boundary != "periodic":
+        raise ValueError("quantization needs a periodic grid")
     shape = (grid.N,) * grid.n
     u = np.asarray(u, dtype=complex).reshape(shape)
     uhat = np.fft.fftshift(np.fft.fftn(u)) * grid.h ** grid.n

@@ -3,7 +3,9 @@ experiment.
 
 This is the one module that decomposes a matrix: ``eigensolve`` for the
 lowest pairs, its full-spectrum case ``Spectrum`` for the propagators and
-the fractional powers, and the trend sweep's eigenvalues.
+the fractional powers, and the trend sweep's eigenvalues.  The dense path
+decomposes one block per reflection parity of the operator's grid, the
+whole matrix when none applies.
 
 The trend experiment is the one place where a continuum question (does a
 negative power of the weight lie in a Schatten class) meets finite
@@ -17,6 +19,8 @@ emitted raw so every verdict can be recomputed from the report.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -54,6 +58,7 @@ class SpectralResult:
     eigenvectors: Optional[np.ndarray] = None
     sigma: Optional[float] = None     # the certified shift; None on the dense path
     inertia: Optional[tuple] = None   # (tau, eigenvalues below tau) of the final count
+    blocks: Optional[tuple] = None    # dense path: the side of each block decomposed
 
     def __post_init__(self):
         d = np.diff(self.eigenvalues)
@@ -67,12 +72,19 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     H is a HamiltonianMatrix, a scipy sparse matrix or an array.  The
     dense path runs when the side is at most ``DENSE_LIMIT`` and below
     ``DENSE_KRYLOV_RATIO`` times the Krylov size the Lanczos path would
-    use: one ``np.linalg.eigh`` when every pair is asked for (k = side,
-    the ``Spectrum`` case), one subset ``scipy.linalg.eigh`` otherwise.
-    Else: shift-invert Lanczos (``scipy.sparse.linalg.eigsh``, start
-    vector drawn from ``START_SEED``) around a shift sigma certified below
-    the spectrum, so that the eigenvalues nearest sigma are the lowest ones
-    whatever the sign of the spectrum.  The candidates are 0, then g/8,
+    use.  It decomposes one block per reflection parity, the whole matrix
+    when none applies: each axis of a HamiltonianMatrix's grid whose
+    mirror x -> -x leaves A invariant splits its nodes into even and odd
+    combinations, U A U^T is block diagonal for the orthogonal U built
+    from them, and each block gets one full ``np.linalg.eigh``; the pairs
+    merge by eigenvalue and the vectors return through U^T.  With no
+    invariant axis, or no grid: one ``np.linalg.eigh`` when every pair is
+    asked for (k = side, the ``Spectrum`` case), one subset
+    ``scipy.linalg.eigh`` otherwise.  Else: shift-invert Lanczos
+    (``scipy.sparse.linalg.eigsh``, start vector drawn from
+    ``START_SEED``) around a shift sigma certified below the spectrum, so
+    that the eigenvalues nearest sigma are the lowest ones whatever the
+    sign of the spectrum.  The candidates are 0, then g/8,
     g/4, g/2 of the Gershgorin lower bound g, then a point just below g;
     the first whose LDL^T of A - sigma I has no negative pivot (A - sigma
     I positive definite) is taken, and that one LDL^T is the solve.
@@ -85,8 +97,10 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     one), and the negative pivots of an LDL^T of A - tau I, which count
     the eigenvalues below tau (Sylvester), must equal the number computed
     below tau.  A skipped eigenvalue passes the residual gate; it fails
-    this count.  The result carries sigma (None on the dense path) and the
-    pair (tau, count) when counted.
+    this count.  The certificates see only A and the returned pairs, so
+    they hold whether or not the solve was split.  The result carries
+    sigma (None on the dense path), the pair (tau, count) when counted,
+    and the block sides on the dense path (None on shift-invert).
     """
     S = _symmetric_part(H)
     side = S.shape[0]
@@ -94,10 +108,12 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
         raise ValueError("k must lie between 1 and the dimension")
     p = min(EXTRA_PAIRS, side - k)
     if side <= DENSE_LIMIT and side < DENSE_KRYLOV_RATIO * _krylov_size(k + p, side):
-        pairs, sigma = _dense_pairs(S), None
+        U = _parity_basis(H, S)
+        pairs = _parity_pairs(S, U) if U else _dense_pairs(S)
+        sigma, blocks = None, tuple(Uc.shape[0] for Uc in U) if U else (side,)
         lam_max = None if k + p == side else _top_eigenvalue(S)
     else:
-        pairs, sigma = _shift_invert_pairs(S)
+        (pairs, sigma), blocks = _shift_invert_pairs(S), None
         lam_max = _top_eigenvalue(S)
     while True:
         lam, V, solver = pairs(k + p)
@@ -120,17 +136,18 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
         inertia = (float(tau), count)
     return SpectralResult(lam[:k], res[:k], solver,
                           eigenvectors=V[:, :k] if want_vectors else None,
-                          sigma=sigma, inertia=inertia)
+                          sigma=sigma, inertia=inertia, blocks=blocks)
 
 
 class Spectrum:
     """Every eigenpair A = Q diag(lam) Q^T of the symmetric part A of a
     real operator, kept sparse: eigensolve's full-spectrum case, so the
-    pairs pass the same residual gate."""
+    pairs pass the same residual gate.  H goes to eigensolve as given,
+    so a HamiltonianMatrix brings its grid and splits by parity."""
 
     def __init__(self, H):
         self.A = _symmetric_part(H)
-        res = eigensolve(self.A, self.A.shape[0])
+        res = eigensolve(H, self.A.shape[0])
         self.lam, self.Q = res.eigenvalues, res.eigenvectors
 
     def _shifted(self, shift: float) -> np.ndarray:
@@ -194,6 +211,69 @@ def _dense_pairs(S):
         lam, V = eigh(S.toarray(order="F"), subset_by_index=[0, count - 1],
                       overwrite_a=True)
         return lam, V, "dense"
+    return pairs
+
+
+def _inf_norm(S) -> float:
+    return float(abs(S).sum(axis=1).max())
+
+
+def _parity_basis(H, S) -> list:
+    """The rows U_c of an orthogonal U with U S U^T block diagonal, one
+    sparse array per block; [] when H has no grid or no axis splits.
+
+    On each axis the mirror of node i is round((-x_i - x_0)/h) mod N:
+    N-1-i on a Dirichlet grid, -i mod N on a periodic one.  An axis splits
+    when its reflection R moves S by |S - R S R|_inf <= side eps |S|_inf,
+    the dense solver's own backward error, so dropping the coupling it
+    leaves between blocks costs no more than the one-block solve would.
+    Its factor has the even rows (e_i + e_m(i))/sqrt(2) (e_i on a fixed
+    node) and then the odd rows (e_i - e_m(i))/sqrt(2); an axis that does
+    not split keeps the identity.  The blocks are the Kronecker products
+    of one factor per axis, first axis major."""
+    from scipy import sparse
+
+    if not isinstance(H, HamiltonianMatrix):
+        return []
+    g = H.grid
+    i = np.arange(g.N)
+    mirror = np.rint((-g.points - g.points[0]) / g.h).astype(int) % g.N
+    flat = np.arange(S.shape[0]).reshape((g.N,) * g.n)
+    gate = S.shape[0] * np.finfo(float).eps * _inf_norm(S)
+    eye = sparse.eye_array(g.N, format="csr")
+    factors = []
+    for axis in range(g.n):
+        R = np.take(flat, mirror, axis=axis).ravel()
+        if _inf_norm(S - S[R][:, R]) > gate:
+            factors.append([eye])
+            continue
+        lead, pair = i[i <= mirror], i[i < mirror]
+        scale = np.where(lead == mirror[lead], 0.5, np.sqrt(0.5))
+        factors.append([sparse.diags_array(scale) @ (eye[lead] + eye[mirror[lead]]),
+                        np.sqrt(0.5) * (eye[pair] - eye[mirror[pair]])])
+    if all(len(f) == 1 for f in factors):
+        return []
+    return [functools.reduce(lambda A, B: sparse.kron(A, B, format="csr"), rows)
+            for rows in itertools.product(*factors)]
+
+
+def _parity_pairs(S, U):
+    """Pairs of S from one full decomposition of each block U_c S U_c^T,
+    made once and reused for every count: the eigenvalues merge by a
+    stable sort, and each vector returns through U_c^T."""
+    parts = [np.linalg.eigh((Uc @ S @ Uc.T).toarray()) for Uc in U]
+    lam = np.concatenate([w for w, _ in parts])
+    order = np.argsort(lam, kind="stable")
+    block = np.repeat(np.arange(len(U)), [w.size for w, _ in parts])
+    local = np.concatenate([np.arange(w.size) for w, _ in parts])
+
+    def pairs(count):
+        take = order[:count]
+        V = np.empty((S.shape[0], count))
+        for c, (Uc, (_, W)) in enumerate(zip(U, parts)):
+            cols = np.nonzero(block[take] == c)[0]
+            V[:, cols] = Uc.T @ W[:, local[take[cols]]]
+        return lam[take], V, "dense"
     return pairs
 
 

@@ -97,12 +97,13 @@ def test_lp_window_probe_runs_calibrated():
 
 
 def test_lp_window_probe_decomposes_each_grid_once(monkeypatch):
-    # the calibration's 39 candidate powers and grid 0's probe share one eigh
+    # the calibration's 39 candidate powers and grid 0's probe share one
+    # decomposition: one eigh per parity block, four on each grid
     calls = count_calls(monkeypatch, np.linalg, "eigh")
     w = WeightEvaluator.from_a2(get_a2("harmonic"))
     lp_window_probe(harmonic_matrix, lp_grids(), w, beta=1.0, p_list=[2.0, 4.0],
                     trials=4, seed=0)
-    assert calls == [(144, 144), (256, 256)]
+    assert calls == [(36, 36)] * 4 + [(64, 64)] * 4
 
 
 def test_calibration_diagonal_matches_the_dense_power():

@@ -6,7 +6,6 @@ import tempfile
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from weylab import __version__
@@ -383,18 +382,19 @@ def test_config_error_paths(tmp_path):
 
 def test_solver_failure_is_a_run_error(tmp_path, capsys, monkeypatch):
     # the run and its reproduction both meet a solver that drops the
-    # lowest eigenpair; the inertia certificate turns that into exit 2
+    # lowest eigenpair; the inertia certificate turns that into exit 2.
+    # The operator splits into two parity blocks, each one np.linalg.eigh
     cfg = {"schema": 1, "kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 6.0},
            "operator": {"name": "harmonic"}, "k": 4}
     code, out = run(tmp_path, "sp.json", cfg)
     assert code == 0
-    orig = scipy.linalg.eigh
+    orig = np.linalg.eigh
 
     def drop_lowest(*args, **kwargs):
         lam, V = orig(*args, **kwargs)
         return lam[1:], V[:, 1:]
 
-    monkeypatch.setattr(scipy.linalg, "eigh", drop_lowest)
+    monkeypatch.setattr(np.linalg, "eigh", drop_lowest)
     capsys.readouterr()
     assert main(["run", write_cfg(tmp_path, "sp2.json", cfg)]) == 2
     assert main(["reproduce", os.path.join(out, "manifest.json")]) == 2

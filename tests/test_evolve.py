@@ -132,14 +132,15 @@ def test_crank_nicolson_heat_monotone(H, f0):
 
 
 def test_evolution_decomposes_once(H, f0, monkeypatch):
-    # one eigendecomposition serves every time of the trace; the energies
-    # reuse the symmetric part the Spectrum already formed
+    # one eigendecomposition, of each of the two parity blocks, serves
+    # every time of the trace; the energies reuse the symmetric part the
+    # Spectrum already formed
     calls = count_calls(monkeypatch, np.linalg, "eigh")
     times = np.linspace(0.0, 0.8, 9)
     for evolve in (schrodinger_evolve, heat_evolve):
         calls.clear()
         tr = evolve(H, f0, times)
-        assert calls == [(64, 64)]
+        assert calls == [(32, 32), (32, 32)]
         assert len(tr.norms) == len(tr.energies) == 9
 
 

@@ -215,6 +215,13 @@ def test_sobolev_plane_wave_closed_form(tau):
     assert sobolev_norm(u, g, tau) == pytest.approx(want, rel=1e-12)
 
 
+def test_sobolev_norm_refuses_a_dirichlet_grid():
+    # its modes and (2L)^n period are the periodic grid's; with the
+    # Dirichlet spacing 2L/(N+1) the answer (2.662 for ones) meant nothing
+    with pytest.raises(ValueError, match="quantization needs a periodic grid"):
+        sobolev_norm(np.ones(16), Grid(1, 16, 4.0, "dirichlet"), 1.0)
+
+
 def test_gaussian_packets_are_normalized():
     g = Grid(1, 64, 8.0)
     packets = gaussian_packets(g, count=4, seed=1)

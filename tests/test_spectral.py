@@ -15,10 +15,15 @@ from weylab import spectral
 from weylab.builders import get_operator, get_weight
 from weylab.hamiltonians import (
     DirichletGrid,
+    HamiltonianMatrix,
+    bounded_noise_potential,
+    hamiltonian_with_potential,
     second_derivative,
+    step_potential,
 )
 from weylab.metric import WeightEvaluator
 from weylab.profiles import CutoffProfileSquared
+from weylab.quantize import Grid
 from weylab.spectral import (
     GrowthFit,
     SolverError,
@@ -60,12 +65,70 @@ def test_dense_path_only_below_eight_krylov_sizes(grid, k, path):
     assert (res.sigma is None) == (path == "dense")
 
 
+@pytest.mark.parametrize("name,grid,blocks", [
+    ("harmonic", DirichletGrid(1, 64, 8.0), (32, 32)),
+    ("harmonic", DirichletGrid(1, 65, 8.0), (33, 32)),
+    ("harmonic", DirichletGrid(2, 24, 8.0), (144,) * 4),
+    ("harmonic", DirichletGrid(2, 25, 8.0), (169, 156, 156, 144)),
+    ("harmonic", Grid(2, 16, 6.0), (81, 63, 63, 49)),
+    ("daho", DirichletGrid(2, 24, 6.0), (144,) * 4),
+    ("daho", DirichletGrid(2, 25, 6.0), (169, 156, 156, 144)),
+    ("grushin_pure", DirichletGrid(2, 24, 6.0), (144,) * 4),
+    ("grushin_pure", DirichletGrid(2, 25, 6.0), (169, 156, 156, 144)),
+], ids=lambda v: f"{v.boundary}{v.n}d-N{v.N}" if isinstance(v, Grid) else None)
+@pytest.mark.parametrize("share", [0.1, 1.0], ids=["subset", "full"])
+def test_parity_blocks_match_the_whole_matrix(name, grid, blocks, share):
+    # the even and odd parts of each mirror-invariant axis are solved
+    # apart (odd N: the middle node is fixed and even); the pairs agree
+    # with one decomposition of the whole matrix, which the bare CSR gets.
+    # A tenth of the spectrum of side 576 or more stays on the dense path
+    # (side < 8 Krylov sizes)
+    H = get_operator(name, grid)
+    side = grid.side()
+    k = max(5, int(share * side))
+    split, whole = eigensolve(H, k), eigensolve(H.sparse, k)
+    assert split.blocks == blocks and whole.blocks == (side,)
+    assert split.solver == whole.solver == "dense"
+    rel = np.abs(split.eigenvalues - whole.eigenvalues) / np.abs(whole.eigenvalues)
+    assert np.max(rel) <= 1e-12
+    assert np.max(split.residuals) <= 1e-12 * np.max(abs(H.sparse).sum(axis=1))
+    if k < side:
+        assert split.inertia[1] == whole.inertia[1]
+
+
+def _with_potential(V, grid):
+    return hamiltonian_with_potential(get_operator("harmonic", grid), V(grid))
+
+
+@pytest.mark.parametrize("operator,blocks", [
+    (lambda g: _with_potential(step_potential, g), (288, 288)),
+    (lambda g: _with_potential(bounded_noise_potential, g), (576,)),
+    (lambda g: HamiltonianMatrix(get_operator("harmonic", g).sparse
+                                 + sparse.coo_array(([1e-6], ([0], [0])), shape=(576, 576)),
+                                 g, "harmonic+1e-6 at node 0"), (576,)),
+], ids=["step", "noise", "one-entry"])
+def test_only_invariant_axes_split(operator, blocks):
+    # the step potential depends on x1 through floor(x1) mod 2, so only x2
+    # splits; bounded noise breaks both mirrors, and so does 1e-6 on one
+    # corner of the diagonal, far above the gate side eps |A|_inf
+    grid = DirichletGrid(2, 24, 8.0)
+    H = operator(grid)
+    res = eigensolve(H, 60)
+    assert res.blocks == blocks
+    whole = eigensolve(H.sparse, 60)
+    assert np.max(np.abs(res.eigenvalues / whole.eigenvalues - 1.0)) <= 1e-12
+
+
 def test_spectrum_is_certified(monkeypatch):
-    # Spectrum is eigensolve's full case: one np.linalg.eigh, then the
-    # same per-column residual gate, which a perturbed eigenvector fails
+    # Spectrum is eigensolve's full case: one np.linalg.eigh per parity
+    # block (here two of side 16), then the same per-column residual gate,
+    # which a perturbed eigenvector of a block fails
     H = get_operator("harmonic", DirichletGrid(1, 32, 6.0))
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
     spec = spectral.Spectrum(H)
     assert spec.lam.shape == (32,) and spec.Q.shape == (32, 32)
+    assert calls == [(16, 16), (16, 16)]
+    monkeypatch.undo()
     orig = np.linalg.eigh
 
     def perturbed(a, *args, **kwargs):
@@ -180,11 +243,16 @@ def test_no_certified_shift_is_a_solver_error(monkeypatch):
         eigensolve(H, 3)
 
 
-@pytest.mark.parametrize("dense_limit,solver", [(4096, "scipy.linalg.eigh"),
-                                                 (16, "scipy.sparse.linalg.eigsh")])
-def test_inertia_certificate_catches_a_missed_eigenvalue(monkeypatch, dense_limit, solver):
+@pytest.mark.parametrize("dense_limit,solver,whole", [
+    pytest.param(4096, "scipy.linalg.eigh", True, id="4096-scipy.linalg.eigh"),
+    pytest.param(4096, "numpy.linalg.eigh", False, id="4096-numpy.linalg.eigh"),
+    pytest.param(16, "scipy.sparse.linalg.eigsh", False, id="16-scipy.sparse.linalg.eigsh")])
+def test_inertia_certificate_catches_a_missed_eigenvalue(monkeypatch, dense_limit, solver, whole):
     # a solver that silently drops its lowest pair returns genuine
-    # eigenpairs that pass the residual gate; only the count catches it
+    # eigenpairs that pass the residual gate; only the count catches it.
+    # The operator splits into two parity blocks, each decomposed by
+    # np.linalg.eigh, and each block loses its lowest pair; its bare CSR
+    # (whole) has no grid and goes to the one-block subset scipy eigh
     module, name = solver.rsplit(".", 1)
     module = importlib.import_module(module)
     orig = getattr(module, name)
@@ -197,11 +265,13 @@ def test_inertia_certificate_catches_a_missed_eigenvalue(monkeypatch, dense_limi
         i = int(np.argmin(lam))
         return np.delete(lam, i), np.delete(V, i, axis=1)
 
+    H = get_operator("harmonic", DirichletGrid(1, 64, 8.0))
+    if dense_limit > 64:
+        assert eigensolve(H.sparse if whole else H, 5).blocks == ((64,) if whole else (32, 32))
     monkeypatch.setattr(module, name, drop_lowest)
     monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
-    H = get_operator("harmonic", DirichletGrid(1, 64, 8.0))
     with pytest.raises(SolverError, match="inertia"):
-        eigensolve(H, 5)
+        eigensolve(H.sparse if whole else H, 5)
 
 
 def test_certificate_cut_skips_a_degenerate_pair(monkeypatch):
