@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 STABILITY_GATE = 0.15   # relative change per refinement step counted stable
+SEMINORM_ORDER = 2      # linf_band_probe's class seminorm order
+SAMPLE_COUNT = 4000     # linf_band_probe's shell sample size
+CALIBRATION_GATE = 0.35  # largest power-calibration residual lp_window_probe accepts
 
 
 class CalibrationError(RuntimeError):
@@ -74,9 +77,7 @@ def _band_sample(w: WeightEvaluator, R: float, count: int, seed: int) -> np.ndar
 
 
 def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
-                    grid: Grid, seed: int = 0,
-                    seminorm_order: int = 2, sample_count: int = 4000,
-                    operator: str = "") -> list:
+                    grid: Grid, seed: int = 0, operator: str = "") -> list:
     """Probe the sup-norm bound for shell restrictions of m^{-(n/2) eps}.
 
     Per R: quantize the band piece, measure the max-abs response to the
@@ -107,8 +108,8 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
         row = A[int(np.argmax(row_l1))]
         f = np.where(np.abs(row) > 0, np.conj(row) / np.maximum(np.abs(row), 1e-300), 1.0)
         trial_ratio = float(np.max(np.abs(A @ f)) / np.max(np.abs(f)))
-        sample = _band_sample(w, R, sample_count, seed + int(R))
-        est = smg_seminorm(q, M, w, seminorm_order, sample, descriptor=f"shell R={R}")
+        sample = _band_sample(w, R, SAMPLE_COUNT, seed + int(R))
+        est = smg_seminorm(q, M, w, SEMINORM_ORDER, sample, descriptor=f"shell R={R}")
         supM = float(np.max(M.m_values(sample)))
         quotient = op_norm / max(est.value * supM, 1e-300)
         results.append(BandProbeResult(R=float(R), op_norm=op_norm, trial_ratio=trial_ratio,
@@ -196,13 +197,13 @@ def _target_profile(mesh: np.ndarray, w: WeightEvaluator, beta: float) -> np.nda
 
 
 def _calibrate_beta_prime(spec: Spectrum, grid: Grid, w: WeightEvaluator,
-                          beta: float, shift: float, residual_gate: float) -> tuple:
+                          beta: float, shift: float) -> tuple:
     """Pick the spectral power whose diagonal decay tracks the symbol decay.
 
     Target profile: the frequency-averaged class weight m^{-(n/2) beta}
     along the grid diagonal.  Candidate powers are scanned and the
     log-log regression slope of diag((H+C)^{-b}) against the target is
-    driven to 1; the winning residual must clear the gate or the
+    driven to 1; the winning residual must clear CALIBRATION_GATE or the
     experiment refuses to run.  Only the diagonal is formed, from the
     spectrum, never the power itself.
     """
@@ -223,9 +224,9 @@ def _calibrate_beta_prime(spec: Spectrum, grid: Grid, w: WeightEvaluator,
         resid = abs(slope - 1.0)
         if resid < best[0]:
             best = (resid, float(b), slope)
-    if best[0] > residual_gate:
+    if best[0] > CALIBRATION_GATE:
         raise CalibrationError(
-            f"power calibration residual {best[0]:.3f} above gate {residual_gate}; "
+            f"power calibration residual {best[0]:.3f} above gate {CALIBRATION_GATE}; "
             f"closest power {best[1]} (slope {best[2]:.3f})")
     return best[1], best[0]
 
@@ -233,7 +234,6 @@ def _calibrate_beta_prime(spec: Spectrum, grid: Grid, w: WeightEvaluator,
 def lp_window_probe(builder: Callable, grids: Sequence[Grid],
                     w: WeightEvaluator, beta: float, p_list: Sequence[float],
                     shift: float = 1.0, trials: int = 48, seed: int = 0,
-                    calibration_gate: float = 0.35,
                     operator: str = "") -> list:
     """Bracket p->p norms of the calibrated negative power across a ladder.
 
@@ -245,7 +245,7 @@ def lp_window_probe(builder: Callable, grids: Sequence[Grid],
         raise ValueError("beta must be nonnegative")
     rng = np.random.default_rng(seed)
     spec = Spectrum(builder(grids[0]))
-    beta_prime, resid = _calibrate_beta_prime(spec, grids[0], w, beta, shift, calibration_gate)
+    beta_prime, resid = _calibrate_beta_prime(spec, grids[0], w, beta, shift)
     out = []
     for i, grid in enumerate(grids):
         if i:
@@ -288,7 +288,6 @@ def _bump1(t: np.ndarray, w: float) -> np.ndarray:
 def subellipticity_probe(op_builder: Callable, tau: float,
                          N_list: Sequence[int] = (32, 48, 64), L: float = 4.0,
                          trials: int = 24, seed: int = 0,
-                         gate: float = STABILITY_GATE,
                          operator: str = "") -> SubellipticityResult:
     """Fit the smallest constant in ||v||_{H^tau} <= C (||Pv|| + ||v||).
 
@@ -337,5 +336,5 @@ def subellipticity_probe(op_builder: Callable, tau: float,
     rel = [abs(ladder[i + 1][1] - ladder[i][1]) / max(ladder[i][1], 1e-300)
            for i in range(len(ladder) - 1)]
     return SubellipticityResult(tau=tau, ladder=ladder, rel_changes=rel,
-                                stable=all(c < gate for c in rel),
+                                stable=all(c < STABILITY_GATE for c in rel),
                                 operator=operator)

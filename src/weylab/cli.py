@@ -26,8 +26,7 @@ from ._output import canonical_json, write_csv_atomic, write_json_atomic
 from .bounds import linf_band_probe, lp_window_probe, subellipticity_probe
 from .evolve import heat_evolve, schrodinger_evolve
 from .hamiltonians import hamiltonian_with_potential
-from .metric import (check_gweight, check_slowness, check_temperateness,
-                     check_uncertainty, pair_sample)
+from .metric import check_pairs, check_uncertainty, pair_sample
 from .quantize import Grid, identity_symbol_matrix, weyl_quantize
 from .spectral import eigensolve, growth_fit, schatten_sweep
 from .symbols import class_membership, with_confinement
@@ -58,10 +57,7 @@ def _run_metric_check(cfg):
     rng = np.random.default_rng(cfg["seed"])
     Z = rng.uniform(-cfg["box"], cfg["box"], size=(cfg["n_points"], 2 * w.n))
     X, Y = pair_sample(w.n, cfg["n_pairs"], cfg["seed"] + 1)
-    reports = [check_uncertainty(w, Z),
-               check_slowness(w, X, Y),
-               check_temperateness(w, X, Y),
-               check_gweight(w, X, Y)]
+    reports = [check_uncertainty(w, Z), *check_pairs(w, X, Y)]
     checks = [(r.kind, r.passed, r.summary()) for r in reports]
     return checks, {"weight": w.name, "reports": [asdict(r) for r in reports]}, None, None
 
@@ -253,8 +249,9 @@ _SEED = {"seed": (int, REQUIRED)}
 _KINDS = {
     "metric-check": (_run_metric_check, {
         **_SEED, "weight": (WEIGHT, REQUIRED), "box": (POSITIVE, 100.0),
-        # pair_sample draws n_pairs // 3 pairs at each of three scales
-        "n_points": (COUNT, 20000), "n_pairs": (Bound(int, 3), 10000)}),
+        # pair_sample draws n_pairs // 3 pairs at each of three scales, and
+        # the short steps meant to land in a g-ball only from 2 a scale
+        "n_points": (COUNT, 20000), "n_pairs": (Bound(int, 6), 10000)}),
     "class-check": (_run_class_check, {
         **_SEED, "symbol": (SYMBOL, REQUIRED), "target": (("a", "m"), "a"),
         "order": (Bound(int, 0), 4), "halves": ([POSITIVE], [10.0, 20.0]),

@@ -19,7 +19,6 @@ flow evolves e^{-tH}, the unitary flow e^{-itH}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +38,6 @@ class EvolutionTrace:
     energies: np.ndarray
     method: str
     meta: str = ""
-    snapshots: Optional[list] = None
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -110,8 +108,7 @@ class Propagator:
         return U[:, 0] + 1j * U[:, 1]
 
 
-def _trace(prop: Propagator, f, times, method: str, meta: str,
-           keep_snapshots: bool) -> EvolutionTrace:
+def _trace(prop: Propagator, f, times, meta: str) -> EvolutionTrace:
     times = np.asarray(times, dtype=float)
     f = np.asarray(f, dtype=complex)
     if not np.any(np.abs(f) > 0):
@@ -120,10 +117,8 @@ def _trace(prop: Propagator, f, times, method: str, meta: str,
     nt = times.size
     sq = np.sum(U * U, axis=0)
     e = np.sum(U * (prop.A @ U), axis=0)
-    snaps = [U[:, i] + 1j * U[:, nt + i] for i in range(nt)] if keep_snapshots else None
     return EvolutionTrace(times=times, norms=np.sqrt(sq[:nt] + sq[nt:]),
-                          energies=e[:nt] + e[nt:], method=method, meta=meta,
-                          snapshots=snaps)
+                          energies=e[:nt] + e[nt:], method="eig", meta=meta)
 
 
 def _cn_trace(H, f, times, kind: str, meta: str) -> EvolutionTrace:
@@ -156,22 +151,18 @@ def _cn_trace(H, f, times, kind: str, meta: str) -> EvolutionTrace:
                           meta=meta + "; tolerance class 1e-6")
 
 
-def schrodinger_evolve(H, f, times, method: str = "eig",
-                       keep_snapshots: bool = False) -> EvolutionTrace:
+def schrodinger_evolve(H, f, times, method: str = "eig") -> EvolutionTrace:
     """u(t) = e^{-itH} f with norm and energy recorded at each time; only
     the eig path, a group, takes t < 0."""
     meta = "unitary group of the stored nonnegative operator"
     if method == "cn":
         return _cn_trace(H, f, times, "schrodinger", meta)
-    prop = Propagator(H, "schrodinger")
-    return _trace(prop, f, times, "eig", meta, keep_snapshots)
+    return _trace(Propagator(H, "schrodinger"), f, times, meta)
 
 
-def heat_evolve(H, f, times, method: str = "eig",
-                keep_snapshots: bool = False) -> EvolutionTrace:
+def heat_evolve(H, f, times, method: str = "eig") -> EvolutionTrace:
     """u(t) = e^{-tH} f, t >= 0; contraction guaranteed by the spectral floor check."""
     meta = "semigroup convention e^{-tH}, H stored nonnegative"
     if method == "cn":
         return _cn_trace(H, f, times, "heat", meta)
-    prop = Propagator(H, "heat")
-    return _trace(prop, f, times, "eig", meta, keep_snapshots)
+    return _trace(Propagator(H, "heat"), f, times, meta)

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 CONDITIONING_LIMIT = 50.0
+P2_GROWTH_GATE = 1.5    # validate_p2: largest full-over-inner constant ratio accepted
 
 # second-difference weights, interior rows, by order
 _W2 = {
@@ -217,13 +218,14 @@ class P2Report:
     witnesses: list = field(default_factory=list)
 
 
-def validate_p2(V, X, growth_gate: float = 1.5) -> P2Report:
+def validate_p2(V, X) -> P2Report:
     """Quadratic-growth and lower-bound gates, by radial stabilization.
 
     On a finite sample every constant is finite; what distinguishes an
     admissible potential is that the fitted constants stop growing with
     the sampled radius.  The sample is split at the median radius and
-    the inner-ball constants compared with the full ones.
+    the inner-ball constants compared with the full ones: each may grow
+    by at most P2_GROWTH_GATE.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     vals = V.values if isinstance(V, Potential) else np.asarray(V, dtype=float)
@@ -242,8 +244,8 @@ def validate_p2(V, X, growth_gate: float = 1.5) -> P2Report:
     C2_full = float(np.max(neg))
     v1_growth = C_full / max(C_inner, 1e-300)
     v2_growth = C2_full / max(C2_inner, 1e-12) if C2_full > 1e-12 else 1.0
-    v1_ok = v1_growth <= growth_gate
-    v2_ok = v2_growth <= growth_gate
+    v1_ok = v1_growth <= P2_GROWTH_GATE
+    v2_ok = v2_growth <= P2_GROWTH_GATE
     witnesses = []
     if not v1_ok:
         i = int(np.argmax(ratio))

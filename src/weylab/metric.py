@@ -13,7 +13,7 @@ explicit witnesses rather than bare booleans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,9 +23,15 @@ from .symbols import SymbolEvaluator, quadratic_confinement
 __all__ = [
     "WeightEvaluator", "MetricValues", "MetricCheckReport", "bracket_sq",
     "eval_metric", "eval_dual_metric", "planck",
-    "metric_apply", "pair_sample", "check_uncertainty", "check_slowness",
-    "check_temperateness", "check_gweight",
+    "metric_apply", "pair_sample", "check_uncertainty", "check_pairs",
 ]
+
+UNCERTAINTY_TOL = 1e-12     # check_uncertainty passes h <= 1 + UNCERTAINTY_TOL
+PAIR_SCALES = (1.0, 10.0, 100.0)   # pair_sample's coordinate scales
+BALL_RADIUS = 0.25          # Y lies in X's g-ball when g_X(Y - X) <= BALL_RADIUS^2
+PAIR_GATE = 1e3             # the largest constant a pair check passes with
+MAX_ORDER = 8               # the temperate frontier runs over J = 1..MAX_ORDER,
+ORDER_GATE = 4              # and passes only with some J <= ORDER_GATE
 
 
 def bracket_sq(P, n: int):
@@ -107,7 +113,7 @@ def metric_apply(vals: MetricValues, n: int, T) -> np.ndarray:
 class MetricCheckReport:
     kind: str
     passed: bool
-    constant: float
+    constant: Optional[float]     # None when no pair qualified
     order: Optional[int] = None
     n_checked: int = 0
     ball_radius: Optional[float] = None
@@ -116,26 +122,27 @@ class MetricCheckReport:
 
     def summary(self) -> str:
         extra = f", J={self.order}" if self.order is not None else ""
+        c = "none" if self.constant is None else f"{self.constant:.6g}"
         return (f"{self.kind}: {'pass' if self.passed else 'FAIL'} "
-                f"(C={self.constant:.6g}{extra}, checked={self.n_checked}, "
+                f"(C={c}{extra}, checked={self.n_checked}, "
                 f"witnesses={len(self.witnesses)})")
 
 
-def pair_sample(n: int, n_pairs: int, seed: int = 0,
-                scales: Sequence[float] = (1.0, 10.0, 100.0)) -> tuple:
+def pair_sample(n: int, n_pairs: int, seed: int = 0) -> tuple:
     """Mixed-scale point pairs (X, Y).
 
-    Base points drawn per scale bucket; half the offsets are metric-blind
-    short steps, half are independent redraws across buckets, so both the
-    slow regime and the far-field temperate regime get exercised.
+    Base points drawn per scale of PAIR_SCALES; half the offsets are
+    metric-blind short steps, half are independent redraws across scales,
+    so both the slow regime and the far-field temperate regime get
+    exercised.  Below 2 pairs per scale no short step is drawn.
     """
     rng = np.random.default_rng(seed)
-    per = n_pairs // len(scales)
+    per = n_pairs // len(PAIR_SCALES)
     Xs, Ys = [], []
-    for s in scales:
+    for s in PAIR_SCALES:
         X = rng.uniform(-s, s, size=(per, 2 * n))
         near = X + rng.normal(scale=0.05 * np.maximum(1.0, np.abs(X)), size=X.shape)
-        far_scale = scales[rng.integers(0, len(scales))]
+        far_scale = PAIR_SCALES[rng.integers(0, len(PAIR_SCALES))]
         far = rng.uniform(-far_scale, far_scale, size=X.shape)
         half = per // 2
         Y = np.concatenate([near[:half], far[half:]], axis=0)
@@ -144,103 +151,86 @@ def pair_sample(n: int, n_pairs: int, seed: int = 0,
     return np.concatenate(Xs, axis=0), np.concatenate(Ys, axis=0)
 
 
-def check_uncertainty(w: WeightEvaluator, Z, tol: float = 1e-12) -> MetricCheckReport:
+def check_uncertainty(w: WeightEvaluator, Z) -> MetricCheckReport:
     """Gate h <= 1 pointwise."""
     h = planck(w, Z)
-    bad = np.nonzero(h > 1.0 + tol)[0]
+    bad = np.nonzero(h > 1.0 + UNCERTAINTY_TOL)[0]
     witnesses = [(np.asarray(Z)[i].tolist(), float(h[i])) for i in bad[:32]]
     return MetricCheckReport(kind="uncertainty", passed=bad.size == 0,
                              constant=float(np.max(h)), n_checked=len(h),
                              witnesses=witnesses)
 
 
-def _component_ratio(mv_x: MetricValues, mv_y: MetricValues) -> np.ndarray:
-    rx = mv_y.ax / mv_x.ax
-    rxi = mv_y.axi / mv_x.axi
-    return np.max(np.stack([rx, 1.0 / rx, rxi, 1.0 / rxi]), axis=0)
-
-
-def check_slowness(w: WeightEvaluator, X, Y, ball_radius: float = 0.25,
-                   gate: float = 1e3) -> MetricCheckReport:
-    """Metric comparable on its own small balls.
-
-    Among pairs with g_X(Y - X) <= ball_radius^2, the worst two-sided
-    coefficient ratio must stay under the gate.
-    """
-    X = np.atleast_2d(np.asarray(X, float))
-    Y = np.atleast_2d(np.asarray(Y, float))
-    gX = eval_metric(w, X)
-    d = Y - X
-    qual = metric_apply(gX, w.n, d) <= ball_radius**2
-    if not np.any(qual):
-        return MetricCheckReport(kind="slowness", passed=False, constant=np.inf,
-                                 n_checked=0, ball_radius=ball_radius,
-                                 witnesses=[("no qualifying pairs", 0.0)])
-    ratio = _component_ratio(gX, eval_metric(w, Y))
-    r = np.where(qual, ratio, 0.0)
-    worst = float(np.max(r))
-    bad = np.nonzero(r > gate)[0]
-    witnesses = [(X[i].tolist(), Y[i].tolist(), float(r[i])) for i in bad[:32]]
-    return MetricCheckReport(kind="slowness", passed=bad.size == 0, constant=worst,
-                             n_checked=int(qual.sum()), ball_radius=ball_radius,
-                             witnesses=witnesses)
-
-
-def _frontier(ratio, s, max_order: int, order_gate: int) -> tuple:
-    """(J, C_J) for J = 1..max_order with C_J = sup ratio / s^J, and the
-    smallest (C_J, J) with J <= order_gate."""
+def _frontier(ratio, powers) -> tuple:
+    """(J, C_J) for J = 1..MAX_ORDER with C_J = sup ratio / s^J, given
+    powers[J - 1] = s^J, and the smallest (C_J, J) with J <= ORDER_GATE."""
     frontier = []
     best: tuple = (np.inf, None)
-    for J in range(1, max_order + 1):
-        cJ = float(np.max(ratio / s**J))
+    for J, sJ in enumerate(powers, 1):
+        cJ = float(np.max(ratio / sJ))
         frontier.append((J, cJ))
-        if J <= order_gate and cJ < best[0]:
+        if J <= ORDER_GATE and cJ < best[0]:
             best = (cJ, J)
     return frontier, best
 
 
-def check_temperateness(w: WeightEvaluator, X, Y, gate: float = 1e3,
-                        max_order: int = 8, order_gate: int = 4) -> MetricCheckReport:
-    """Far-field comparison against powers of the dual distance.
+def check_pairs(w: WeightEvaluator, X, Y) -> list:
+    """The slowness, temperateness and g-weight reports on the pairs (X, Y).
 
-    For each J the achieved constant is sup ratio / (1 + g^dual_X(Y-X))^J;
-    pass requires some J <= order_gate to land under the gate.  The full
-    (J, C_J) frontier is reported.
+    slowness: among pairs with g_X(Y - X) <= BALL_RADIUS^2, the worst
+    two-sided metric coefficient ratio must stay under PAIR_GATE.
+    temperateness: for each J <= MAX_ORDER the constant is sup ratio /
+    s^J, s = 1 + g^dual_X(Y - X); some J <= ORDER_GATE must land under
+    PAIR_GATE, and the full (J, C_J) frontier is reported.  gweight: the
+    weight ratio m(X)/m(Y), two-sided, on the same g-balls and against
+    the same powers of s.  m is evaluated once at X and once at Y, and
+    everything derived from it serves all three reports.
     """
     X = np.atleast_2d(np.asarray(X, float))
     Y = np.atleast_2d(np.asarray(Y, float))
-    ratio = _component_ratio(eval_metric(w, X), eval_metric(w, Y))
-    s = 1.0 + metric_apply(eval_dual_metric(w, X), w.n, Y - X)
-    frontier, best = _frontier(ratio, s, max_order, order_gate)
-    passed = best[0] <= gate
+    n = w.n
+    mX, mY = w.m_values(X), w.m_values(Y)
+    bX = bracket_sq(X, n)
+    gX = MetricValues(ax=bX / mX, axi=1.0 / mX)
+    gY = MetricValues(ax=bracket_sq(Y, n) / mY, axi=1.0 / mY)
+    d = Y - X
+    qual = metric_apply(gX, n, d) <= BALL_RADIUS**2
+    s = 1.0 + metric_apply(MetricValues(ax=mX, axi=mX / bX), n, d)
+    rx, rxi = gY.ax / gX.ax, gY.axi / gX.axi
+    ratio = np.max(np.stack([rx, 1.0 / rx, rxi, 1.0 / rxi]), axis=0)
+    wratio = np.maximum(mX / mY, mY / mX)
+
+    powers = [s**J for J in range(1, MAX_ORDER + 1)]
+    frontier, best = _frontier(ratio, powers)
+    wfrontier, wbest = _frontier(wratio, powers)
+
+    if np.any(qual):
+        slow_r = np.where(qual, ratio, 0.0)
+        slow_c = float(np.max(slow_r))
+        bad = np.nonzero(slow_r > PAIR_GATE)[0]
+        slowness = MetricCheckReport(
+            kind="slowness", passed=bad.size == 0, constant=slow_c,
+            n_checked=int(qual.sum()), ball_radius=BALL_RADIUS,
+            witnesses=[(X[i].tolist(), Y[i].tolist(), float(slow_r[i])) for i in bad[:32]])
+        wslow_c = float(np.max(np.where(qual, wratio, 0.0)))
+    else:
+        slowness = MetricCheckReport(kind="slowness", passed=False, constant=None,
+                                     n_checked=0, ball_radius=BALL_RADIUS,
+                                     witnesses=[("no qualifying pairs", 0.0)])
+        wslow_c = None
+
+    passed = best[0] <= PAIR_GATE
     witnesses = []
     if not passed:
-        J = order_gate
-        r = ratio / s**J
-        for i in np.argsort(r)[::-1][:8]:
-            witnesses.append((X[i].tolist(), Y[i].tolist(), float(r[i])))
-    return MetricCheckReport(kind="temperateness", passed=passed, constant=best[0],
-                             order=best[1], n_checked=len(ratio),
-                             witnesses=witnesses, frontier=frontier)
-
-
-def check_gweight(w: WeightEvaluator, X, Y, ball_radius: float = 0.25,
-                  gate: float = 1e3, max_order: int = 8,
-                  order_gate: int = 4) -> MetricCheckReport:
-    """Weight admissibility against its own metric: comparable on small
-    g-balls and dual-temperate at range, both on the weight ratio."""
-    X = np.atleast_2d(np.asarray(X, float))
-    Y = np.atleast_2d(np.asarray(Y, float))
-    mX, mY = w.m_values(X), w.m_values(Y)
-    ratio = np.maximum(mX / mY, mY / mX)
-    gX = eval_metric(w, X)
-    d = Y - X
-    qual = metric_apply(gX, w.n, d) <= ball_radius**2
-    slow_c = float(np.max(np.where(qual, ratio, 0.0))) if np.any(qual) else np.inf
-    s = 1.0 + metric_apply(eval_dual_metric(w, X), w.n, d)
-    frontier, best = _frontier(ratio, s, max_order, order_gate)
-    passed = slow_c <= gate and best[0] <= gate
-    return MetricCheckReport(kind="gweight", passed=passed,
-                             constant=max(slow_c, best[0]), order=best[1],
-                             n_checked=len(ratio), ball_radius=ball_radius,
-                             frontier=frontier)
+        r = ratio / powers[ORDER_GATE - 1]
+        witnesses = [(X[i].tolist(), Y[i].tolist(), float(r[i]))
+                     for i in np.argsort(r)[::-1][:8]]
+    temperateness = MetricCheckReport(kind="temperateness", passed=passed,
+                                      constant=best[0], order=best[1], n_checked=len(ratio),
+                                      witnesses=witnesses, frontier=frontier)
+    wpassed = wslow_c is not None and wslow_c <= PAIR_GATE and wbest[0] <= PAIR_GATE
+    gweight = MetricCheckReport(kind="gweight", passed=wpassed,
+                                constant=None if wslow_c is None else max(wslow_c, wbest[0]),
+                                order=wbest[1], n_checked=len(wratio),
+                                ball_radius=BALL_RADIUS, frontier=wfrontier)
+    return [slowness, temperateness, gweight]

@@ -91,7 +91,9 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
 
     Both paths compute p >= 1 extra pairs (none when k = side) and raise
     SolverError unless every residual |A q - lambda q|, with the sparse A,
-    is at most 1e-8 |A|_2, |A|_2 = max(|lambda_1|, lambda_max), and the
+    is at most 1e-8 |A|_2, |A|_2 = max(|lambda_1|, lambda_max) (lambda_max
+    is the top block eigenvalue when the blocks are decomposed, the last
+    one when the whole spectrum is, a Lanczos estimate otherwise), and the
     computed count is complete: tau goes in the first gap at or after
     lambda_k wider than ``GAP_REL_TOL`` |A|_2 (p doubles until there is
     one), and the negative pivots of an LDL^T of A - tau I, which count
@@ -108,10 +110,13 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
         raise ValueError("k must lie between 1 and the dimension")
     p = min(EXTRA_PAIRS, side - k)
     if side <= DENSE_LIMIT and side < DENSE_KRYLOV_RATIO * _krylov_size(k + p, side):
-        U = _parity_basis(H, S)
-        pairs = _parity_pairs(S, U) if U else _dense_pairs(S)
-        sigma, blocks = None, tuple(Uc.shape[0] for Uc in U) if U else (side,)
-        lam_max = None if k + p == side else _top_eigenvalue(S)
+        U, sigma = _parity_basis(H, S), None
+        if U:
+            pairs, lam_max = _parity_pairs(S, U)
+            blocks = tuple(Uc.shape[0] for Uc in U)
+        else:
+            pairs, blocks = _dense_pairs(S), (side,)
+            lam_max = None if k + p == side else _top_eigenvalue(S)
     else:
         (pairs, sigma), blocks = _shift_invert_pairs(S), None
         lam_max = _top_eigenvalue(S)
@@ -260,7 +265,8 @@ def _parity_basis(H, S) -> list:
 def _parity_pairs(S, U):
     """Pairs of S from one full decomposition of each block U_c S U_c^T,
     made once and reused for every count: the eigenvalues merge by a
-    stable sort, and each vector returns through U_c^T."""
+    stable sort, and each vector returns through U_c^T.  Returns the
+    pairs function and the largest eigenvalue, which the blocks hold."""
     parts = [np.linalg.eigh((Uc @ S @ Uc.T).toarray()) for Uc in U]
     lam = np.concatenate([w for w, _ in parts])
     order = np.argsort(lam, kind="stable")
@@ -274,7 +280,7 @@ def _parity_pairs(S, U):
             cols = np.nonzero(block[take] == c)[0]
             V[:, cols] = Uc.T @ W[:, local[take[cols]]]
         return lam[take], V, "dense"
-    return pairs
+    return pairs, float(lam[order[-1]])
 
 
 def _shift_invert_pairs(S):

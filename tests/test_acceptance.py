@@ -20,8 +20,7 @@ from weylab.bounds import linf_band_probe
 from weylab.cli import main
 from weylab.evolve import Propagator, heat_evolve, schrodinger_evolve
 from weylab.hamiltonians import DirichletGrid, hamiltonian_with_potential
-from weylab.metric import (WeightEvaluator, check_gweight, check_slowness,
-                           check_temperateness, check_uncertainty,
+from weylab.metric import (WeightEvaluator, check_pairs, check_uncertainty,
                            eval_dual_metric, eval_metric, pair_sample, planck)
 from weylab.quantize import Grid, identity_symbol_matrix, weyl_quantize
 from weylab.spectral import eigensolve, growth_fit, schatten_sweep
@@ -106,16 +105,17 @@ def test_metric_axioms_on_mixed_scale_pairs(daho_weight):
     assert unc.passed and not unc.witnesses
     assert unc.constant == pytest.approx(0.992534, abs=1e-4)
 
-    slow = check_slowness(daho_weight, X, Y)
+    reps = {r.kind: r for r in check_pairs(daho_weight, X, Y)}
+    slow = reps["slowness"]
     assert slow.passed and not slow.witnesses
     assert slow.n_checked == 2868        # qualifying short pairs
     assert slow.constant == pytest.approx(1.430983, abs=1e-4)
 
-    temp = check_temperateness(daho_weight, X, Y)
+    temp = reps["temperateness"]
     assert temp.passed and temp.order <= 4
     assert temp.constant == pytest.approx(1.063336, abs=1e-4)
 
-    gw = check_gweight(daho_weight, X, Y)
+    gw = reps["gweight"]
     assert gw.passed and gw.order <= 4
     assert gw.constant == pytest.approx(1.430983, abs=1e-4)
 

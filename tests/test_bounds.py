@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from _helpers import count_calls
+from weylab import bounds
 from weylab.bounds import (
     CalibrationError,
     LpProbeResult,
@@ -160,11 +161,11 @@ def test_calibration_refuses_flat_target():
         lp_window_probe(harmonic_matrix, lp_grids(), flat, beta=1.0, p_list=[2.0])
 
 
-def test_calibration_residual_gate():
+def test_calibration_residual_gate(monkeypatch):
     w = WeightEvaluator.from_a2(get_a2("harmonic"))
+    monkeypatch.setattr(bounds, "CALIBRATION_GATE", 1e-9)
     with pytest.raises(CalibrationError, match="residual"):
-        lp_window_probe(harmonic_matrix, lp_grids(), w, beta=1.0,
-                        p_list=[2.0], calibration_gate=1e-9)
+        lp_window_probe(harmonic_matrix, lp_grids(), w, beta=1.0, p_list=[2.0])
 
 
 # -- shell probes -----------------------------------------------------------
@@ -188,10 +189,10 @@ def test_linf_band_probe_validation():
         linf_band_probe(w, 0.5, [9.0], coarse)
 
 
-def test_linf_band_probe_single_shell():
+def test_linf_band_probe_single_shell(monkeypatch):
     w = harmonic_1d_weight()
-    res = linf_band_probe(w, 0.8, [3.0], Grid(1, 256, 10.5), seed=9,
-                          sample_count=500, operator="h1")
+    monkeypatch.setattr(bounds, "SAMPLE_COUNT", 500)
+    res = linf_band_probe(w, 0.8, [3.0], Grid(1, 256, 10.5), seed=9, operator="h1")
     assert len(res) == 1
     r = res[0]
     assert r.R == 3.0

@@ -12,6 +12,7 @@ from weylab import __version__
 from weylab.builders import get_weight, read
 from weylab.cli import CONFIG, _hash_config, main
 from weylab.hamiltonians import DirichletGrid
+from weylab.metric import WeightEvaluator
 from weylab.spectral import band_slope
 
 
@@ -93,6 +94,45 @@ def test_metric_check_flags_broken_weight(tmp_path):
     manifest = read_json(os.path.join(out, "manifest.json"))
     by_name = {c["name"]: c["passed"] for c in manifest["checks"]}
     assert by_name["uncertainty"] is False
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_metric_check_without_a_qualifying_pair_writes_strict_json(tmp_path):
+    # at this seed none of the six pairs lands in a g-ball: slowness and
+    # gweight have no constant, and report.json says null, not Infinity
+    code, out = run(tmp_path, "mc.json", {
+        "schema": 1, "kind": "metric-check", "seed": 2,
+        "weight": {"name": "broken_half_bracket"}, "n_points": 50, "n_pairs": 6})
+    assert code == 1
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        doc = json.load(fh, parse_constant=_strict_constant)
+    reports = {r["kind"]: r for r in doc["report"]["reports"]}
+    assert reports["slowness"]["n_checked"] == 0
+    for kind in ("slowness", "gweight"):
+        assert reports[kind]["constant"] is None and reports[kind]["passed"] is False
+    detail = {c["name"]: c["detail"] for c in doc["checks"]}
+    assert detail["slowness"].startswith("slowness: FAIL (C=none, checked=0")
+
+
+def test_metric_check_evaluates_the_weight_once_per_point(tmp_path, monkeypatch):
+    # |Z| rows for the uncertainty check, then one pass at X and one at Y
+    # serve slowness, temperateness and gweight together
+    rows = []
+    m_values = WeightEvaluator.m_values
+
+    def counted(self, Z):
+        rows.append(len(Z))
+        return m_values(self, Z)
+
+    monkeypatch.setattr(WeightEvaluator, "m_values", counted)
+    code, _ = run(tmp_path, "mc.json", {
+        "schema": 1, "kind": "metric-check", "seed": 0,
+        "weight": {"name": "daho"}, "n_points": 500, "n_pairs": 300})
+    assert code == 0
+    assert rows == [500, 300, 300]
 
 
 def test_spectrum_csv(tmp_path):
@@ -618,7 +658,7 @@ SMALL = {
     ("lp-probe", "grids", [], "grids must not be empty"),
     ("lp-probe", "p_list", [2.0, 0.5], "p_list[1] must be a finite number of at least 1, got 0.5"),
     ("band-probe", "R_list", [], "R_list must not be empty"),
-    ("metric-check", "n_pairs", 2, "n_pairs must be an integer of at least 3, got 2"),
+    ("metric-check", "n_pairs", 5, "n_pairs must be an integer of at least 6, got 5"),
     ("growth-fit", "window", [0, 60], "window[0] must be an integer of at least 1, got 0"),
 ], ids=["N_list", "box_L-empty", "box_L-negative", "n_random", "order", "trials",
         "harmonic-n", "grids", "p_list", "R_list", "n_pairs", "window"])

@@ -7,9 +7,7 @@ from _helpers import weight_values
 from weylab.metric import (
     WeightEvaluator,
     bracket_sq,
-    check_gweight,
-    check_slowness,
-    check_temperateness,
+    check_pairs,
     check_uncertainty,
     eval_dual_metric,
     eval_metric,
@@ -23,6 +21,11 @@ from weylab.symbols import box_sample
 
 def daho_weight():
     return WeightEvaluator.from_a2(get_a2("daho"), name="daho")
+
+
+def pair_reports(w, X, Y):
+    """check_pairs's reports by kind."""
+    return {r.kind: r for r in check_pairs(w, X, Y)}
 
 
 def test_bracket_sq_value():
@@ -130,7 +133,7 @@ def test_pair_sample_shape_and_determinism():
 def test_slowness_passes_on_mixed_pairs():
     w = daho_weight()
     X, Y = pair_sample(2, 2000, seed=5)
-    rep = check_slowness(w, X, Y)
+    rep = pair_reports(w, X, Y)["slowness"]
     assert rep.passed
     assert rep.n_checked > 0
     assert np.isfinite(rep.constant) and rep.constant < 1e3
@@ -138,17 +141,22 @@ def test_slowness_passes_on_mixed_pairs():
 
 
 def test_slowness_reports_empty_ball():
+    # no pair in a g-ball: no constant at all, and neither check passes
     w = daho_weight()
-    rep = check_slowness(w, np.zeros((1, 4)), np.full((1, 4), 50.0))
+    reps = pair_reports(w, np.zeros((1, 4)), np.full((1, 4), 50.0))
+    rep = reps["slowness"]
     assert not rep.passed
-    assert rep.constant == np.inf
+    assert rep.constant is None
     assert rep.witnesses == [("no qualifying pairs", 0.0)]
+    assert "C=none" in rep.summary()
+    assert not reps["gweight"].passed
+    assert reps["gweight"].constant is None
 
 
 def test_temperateness_frontier():
     w = daho_weight()
     X, Y = pair_sample(2, 2000, seed=5)
-    rep = check_temperateness(w, X, Y)
+    rep = pair_reports(w, X, Y)["temperateness"]
     assert rep.passed
     assert rep.order is not None and rep.order <= 4
     assert [J for J, _ in rep.frontier] == list(range(1, 9))
@@ -161,7 +169,7 @@ def test_temperateness_frontier():
 def test_gweight_admissible():
     w = daho_weight()
     X, Y = pair_sample(2, 2000, seed=5)
-    rep = check_gweight(w, X, Y)
+    rep = pair_reports(w, X, Y)["gweight"]
     assert rep.passed
     assert rep.kind == "gweight"
     assert rep.constant < 1e3

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 import weylab
 from _helpers import count_calls, schatten_norm
@@ -117,6 +118,22 @@ def test_only_invariant_axes_split(operator, blocks):
     assert res.blocks == blocks
     whole = eigensolve(H.sparse, 60)
     assert np.max(np.abs(res.eigenvalues / whole.eigenvalues - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["harmonic", "daho"])
+def test_split_path_takes_lam_max_from_its_blocks(name, monkeypatch):
+    # every block is decomposed whole, so the top of the merged spectrum
+    # is lambda_max: no Lanczos run on the split path, one without a split
+    H = get_operator(name, DirichletGrid(2, 24, 8.0))
+    S = spectral._symmetric_part(H)
+    _, lam_max = spectral._parity_pairs(S, spectral._parity_basis(H, S))
+    top = eigsh(S, k=1, which="LA", return_eigenvectors=False)[0]
+    assert abs(lam_max - top) <= 1e-12 * abs(top)
+    calls = count_calls(monkeypatch, spectral, "_top_eigenvalue")
+    assert eigensolve(H, 60).blocks == (144,) * 4
+    assert calls == []
+    assert eigensolve(H.sparse, 60).blocks == (576,)
+    assert calls == [(576, 576)]
 
 
 def test_spectrum_is_certified(monkeypatch):
