@@ -5,7 +5,8 @@ Everything here is an experiment, not a theorem: each probe returns the
 full ladder of raw measurements next to its verdict so the verdict can
 be recomputed.  Matrix p->p norms for p outside {1, 2, inf} are
 bracketed (interpolated upper bound, randomized lower bound), never
-reported as point values.
+reported as point values.  The result types hold measurements only;
+cli lays them out in its output files.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ class BandProbeResult:
     seminorm: float
     sup_band_weight: float
     quotient: float
-    grid: str
-    operator: str = ""
-
-    def csv_row(self, epsilon):
-        return (self.operator, self.grid, "", epsilon, self.R,
-                self.trial_ratio, self.op_norm, f"{self.quotient:.6g}")
 
 
 def _band_sample(w: WeightEvaluator, R: float, count: int, seed: int) -> np.ndarray:
@@ -77,7 +72,7 @@ def _band_sample(w: WeightEvaluator, R: float, count: int, seed: int) -> np.ndar
 
 
 def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
-                    grid: Grid, seed: int = 0, operator: str = "") -> list:
+                    grid: Grid, seed: int = 0) -> list:
     """Probe the sup-norm bound for shell restrictions of m^{-(n/2) eps}.
 
     Per R: quantize the band piece, measure the max-abs response to the
@@ -97,7 +92,7 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
     results = []
     for R in R_list:
         xi_need = np.sqrt(3.0 * R)
-        if not grid.resolves(xi_need, margin=1.0):
+        if grid.xi_max < xi_need:
             raise ValueError(
                 f"grid too coarse: shell at R={R} reaches |xi|~{xi_need:.2f} "
                 f"but modes stop at {grid.xi_max:.2f}")
@@ -109,14 +104,12 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
         f = np.where(np.abs(row) > 0, np.conj(row) / np.maximum(np.abs(row), 1e-300), 1.0)
         trial_ratio = float(np.max(np.abs(A @ f)) / np.max(np.abs(f)))
         sample = _band_sample(w, R, SAMPLE_COUNT, seed + int(R))
-        est = smg_seminorm(q, M, w, SEMINORM_ORDER, sample, descriptor=f"shell R={R}")
+        est = smg_seminorm(q, M, w, SEMINORM_ORDER, sample)
         supM = float(np.max(M.m_values(sample)))
         quotient = op_norm / max(est.value * supM, 1e-300)
         results.append(BandProbeResult(R=float(R), op_norm=op_norm, trial_ratio=trial_ratio,
                                        seminorm=est.value, sup_band_weight=supM,
-                                       quotient=quotient,
-                                       grid=f"N={grid.N},L={grid.L:g}",
-                                       operator=operator or w.name))
+                                       quotient=quotient))
     return results
 
 
@@ -130,15 +123,6 @@ class LpProbeResult:
     N: int
     beta_prime: float
     calibration_residual: float
-    operator: str = ""
-
-    def __post_init__(self):
-        if self.lower > self.upper * (1.0 + 1e-9):
-            raise ValueError("lower bound exceeded upper bound")
-
-    def csv_row(self, beta):
-        return (self.operator, self.N, "", beta, self.p,
-                f"{self.lower:.12g}", f"{self.upper:.12g}", "")
 
 
 def _interp_upper(A: np.ndarray, p: float, n2: float) -> float:
@@ -233,8 +217,7 @@ def _calibrate_beta_prime(spec: Spectrum, grid: Grid, w: WeightEvaluator,
 
 def lp_window_probe(builder: Callable, grids: Sequence[Grid],
                     w: WeightEvaluator, beta: float, p_list: Sequence[float],
-                    shift: float = 1.0, trials: int = 48, seed: int = 0,
-                    operator: str = "") -> list:
+                    shift: float = 1.0, trials: int = 48, seed: int = 0) -> list:
     """Bracket p->p norms of the calibrated negative power across a ladder.
 
     builder maps a grid to the Hamiltonian; the power applied is fixed by
@@ -258,8 +241,7 @@ def lp_window_probe(builder: Callable, grids: Sequence[Grid],
             lower = _lp_lower(T, p, trials, rng) if p != 2 else upper
             out.append(LpProbeResult(p=float(p), upper=upper, lower=lower,
                                      N=grid.N, beta_prime=beta_prime,
-                                     calibration_residual=resid,
-                                     operator=operator))
+                                     calibration_residual=resid))
     return out
 
 
@@ -271,12 +253,6 @@ class SubellipticityResult:
     ladder: list                  # (N, fitted C1)
     rel_changes: list
     stable: bool
-    operator: str = ""
-
-    def csv_rows(self):
-        return [(self.operator, N, "", "", self.tau, "", f"{c:.12g}",
-                 "stable" if self.stable else "growing")
-                for N, c in self.ladder]
 
 
 def _bump1(t: np.ndarray, w: float) -> np.ndarray:
@@ -287,8 +263,7 @@ def _bump1(t: np.ndarray, w: float) -> np.ndarray:
 
 def subellipticity_probe(op_builder: Callable, tau: float,
                          N_list: Sequence[int] = (32, 48, 64), L: float = 4.0,
-                         trials: int = 24, seed: int = 0,
-                         operator: str = "") -> SubellipticityResult:
+                         trials: int = 24, seed: int = 0) -> SubellipticityResult:
     """Fit the smallest constant in ||v||_{H^tau} <= C (||Pv|| + ||v||).
 
     Trial states are smooth compactly supported bumps modulated by plane
@@ -336,5 +311,4 @@ def subellipticity_probe(op_builder: Callable, tau: float,
     rel = [abs(ladder[i + 1][1] - ladder[i][1]) / max(ladder[i][1], 1e-300)
            for i in range(len(ladder) - 1)]
     return SubellipticityResult(tau=tau, ladder=ladder, rel_changes=rel,
-                                stable=all(c < STABILITY_GATE for c in rel),
-                                operator=operator)
+                                stable=all(c < STABILITY_GATE for c in rel))

@@ -2,7 +2,9 @@
 
 Subcommands: run <config.json>, list-builders, reproduce <manifest.json>.
 Configs are JSON with an explicit schema version; every randomized
-experiment must carry a seed.  Runs write their outputs atomically,
+experiment must carry a seed.  This module writes every output file:
+each kind's handler builds its report and its data.csv rows from the
+numbers the library returns.  Runs write their outputs atomically,
 record a manifest with content hashes, and exit 0 only when every check
 passed (1: a check failed, witnesses are in the report; 2: the config or
 the run itself is broken).
@@ -73,8 +75,8 @@ def _run_class_check(cfg):
     detail = f"growth={['%.5f' % g for g in rep.growth]}, gate={rep.gate}"
     report = {"target": target, "passed": rep.passed, "growth": rep.growth,
               "estimates": [{"order": e.order, "value": e.value,
-                             "sample_size": e.sample_size, "box": e.descriptor}
-                            for e in rep.estimates]}
+                             "sample_size": e.sample_size, "box": f"box[{-h},{h}]"}
+                            for e, h in zip(rep.estimates, cfg["halves"])]}
     return [(f"class-membership[{target}]", ok, detail)], report, None, None
 
 
@@ -130,11 +132,13 @@ def _run_schatten_sweep(cfg):
     w = builders.get_weight(**cfg["weight"])
     reports = schatten_sweep(w, [(c["mu"], c["r"]) for c in cfg["cells"]], cfg["Q"],
                              matrix_N=cfg["matrix_N"], box_L=cfg["box_L"],
-                             box_npts=cfg["box_npts"], band_npts=cfg["band_npts"],
-                             operator=w.name)
+                             box_npts=cfg["box_npts"], band_npts=cfg["band_npts"])
     rows, checks, verdicts = [], [], []
     for cell, rep in zip(cfg["cells"], reports):
-        rows.extend(rep.csv_rows())
+        rows += [(w.name, N, L, rep.mu, rep.r, v, "", "", "") for N, L, v in rep.matrix_cells]
+        rows += [(w.name, "", L, rep.mu, rep.r, "", val, "", "") for L, val in rep.box_cells]
+        rows.append((w.name, "", "", rep.mu, rep.r, "", "",
+                     rep.slope, rep.slope - rep.critical_slope))
         verdicts.append({"mu": rep.mu, "r": rep.r, "verdict": rep.verdict,
                          "slope": rep.slope, "critical_slope": rep.critical_slope,
                          "matrix_rel_change": rep.matrix_rel_change,
@@ -184,7 +188,9 @@ def _run_evolve(cfg):
     report = {"operator": H.provenance, "evolution": kind, "method": tr.method,
               "meta": tr.meta, "first_norm": float(tr.norms[0]),
               "last_norm": float(tr.norms[-1])}
-    return checks, report, ("time", "norm", "energy"), tr.csv_rows()
+    rows = [(float(t), float(n), float(e))
+            for t, n, e in zip(tr.times, tr.norms, tr.energies)]
+    return checks, report, ("time", "norm", "energy"), rows
 
 
 def _run_lp_probe(cfg):
@@ -192,8 +198,9 @@ def _run_lp_probe(cfg):
     results = lp_window_probe(
         lambda g: builders.get_operator(grid=g, **op),
         [Grid(**g, boundary="dirichlet") for g in cfg["grids"]], w, beta, cfg["p_list"],
-        shift=cfg["shift"], trials=cfg["trials"], seed=cfg["seed"], operator=op["name"])
-    rows = [r.csv_row(beta) for r in results]
+        shift=cfg["shift"], trials=cfg["trials"], seed=cfg["seed"])
+    rows = [(op["name"], r.N, "", beta, r.p, f"{r.lower:.12g}", f"{r.upper:.12g}", "")
+            for r in results]
     checks = [("bracket-order", all(r.lower <= r.upper * (1 + 1e-9) for r in results),
                f"{len(results)} cells")]
     report = {"beta": beta, "beta_prime": results[0].beta_prime,
@@ -205,10 +212,11 @@ def _run_lp_probe(cfg):
 
 def _run_band_probe(cfg):
     w = builders.get_weight(**cfg["weight"])
-    eps = cfg["epsilon"]
-    results = linf_band_probe(w, eps, cfg["R_list"], Grid(**cfg["grid"]),
-                              seed=cfg["seed"], operator=w.name)
-    rows = [r.csv_row(eps) for r in results]
+    eps, grid = cfg["epsilon"], Grid(**cfg["grid"])
+    results = linf_band_probe(w, eps, cfg["R_list"], grid, seed=cfg["seed"])
+    label = f"N={grid.N},L={grid.L:g}"
+    rows = [(w.name, label, "", eps, r.R, r.trial_ratio, r.op_norm, f"{r.quotient:.6g}")
+            for r in results]
     quots = [r.quotient for r in results]
     spread = max(quots) / min(quots)
     checks = [("band-probe", True, f"quotient spread {spread:.4f}")]
@@ -216,7 +224,7 @@ def _run_band_probe(cfg):
     if gate is not None:
         checks.append(("quotient-spread", spread < gate, f"{spread:.4f} < {gate}"))
     report = {"epsilon": eps, "spread": spread,
-              "cells": [asdict(r) for r in results]}
+              "cells": [dict(asdict(r), grid=label, operator=w.name) for r in results]}
     return checks, report, CSV_PROBE_HEADER, rows
 
 
@@ -224,7 +232,7 @@ def _run_subellipticity(cfg):
     opname, expect = cfg["operator"]["name"], cfg["expect"]
     res = subellipticity_probe(lambda g: builders.get_kinetic(opname, g).sparse,
                                cfg["tau"], N_list=cfg["N_list"], L=cfg["L"],
-                               trials=cfg["trials"], seed=cfg["seed"], operator=opname)
+                               trials=cfg["trials"], seed=cfg["seed"])
     checks = [("subellipticity-ladder", True,
                f"C1 ladder {[f'{c:.4g}' for _, c in res.ladder]}")]
     if expect == "stable":
@@ -234,7 +242,9 @@ def _run_subellipticity(cfg):
         checks.append(("growth", grew, f"ladder {res.ladder}"))
     report = {"tau": res.tau, "operator": opname, "stable": res.stable,
               "ladder": res.ladder, "rel_changes": res.rel_changes}
-    return checks, report, CSV_PROBE_HEADER, res.csv_rows()
+    verdict = "stable" if res.stable else "growing"
+    rows = [(opname, N, "", "", res.tau, "", f"{c:.12g}", verdict) for N, c in res.ladder]
+    return checks, report, CSV_PROBE_HEADER, rows
 
 
 # -- the declared config table: every key of every kind, as

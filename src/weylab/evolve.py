@@ -13,7 +13,8 @@ tolerances are looser (1e-6) and that is documented in the trace
 metadata.
 
 Sign bookkeeping: the stored operator is the nonnegative H; the heat
-flow evolves e^{-tH}, the unitary flow e^{-itH}.
+flow evolves e^{-tH}, the unitary flow e^{-itH}.  An EvolutionTrace
+holds measurements only; cli lays them out in its output files.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class EvolutionTrace:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-
-    def csv_rows(self):
-        return [(float(t), float(n), float(e))
-                for t, n, e in zip(self.times, self.norms, self.energies)]
 
 
 def _csr(H):

@@ -86,15 +86,23 @@ class MetricValues:
     axi: np.ndarray
 
 
+def _metric(m, b) -> MetricValues:
+    """g from the values m of the weight and b = <X>^2 at the same points."""
+    return MetricValues(ax=b / m, axi=1.0 / m)
+
+
+def _dual_metric(m, b) -> MetricValues:
+    """The symplectic dual of _metric(m, b)."""
+    return MetricValues(ax=m, axi=m / b)
+
+
 def eval_metric(w: WeightEvaluator, Z) -> MetricValues:
-    m = w.m_values(Z)
-    return MetricValues(ax=bracket_sq(Z, w.n) / m, axi=1.0 / m)
+    return _metric(w.m_values(Z), bracket_sq(Z, w.n))
 
 
 def eval_dual_metric(w: WeightEvaluator, Z) -> MetricValues:
     """Symplectic dual: coefficients invert and swap blocks."""
-    m = w.m_values(Z)
-    return MetricValues(ax=m, axi=m / bracket_sq(Z, w.n))
+    return _dual_metric(w.m_values(Z), bracket_sq(Z, w.n))
 
 
 def planck(w: WeightEvaluator, Z) -> np.ndarray:
@@ -191,11 +199,10 @@ def check_pairs(w: WeightEvaluator, X, Y) -> list:
     n = w.n
     mX, mY = w.m_values(X), w.m_values(Y)
     bX = bracket_sq(X, n)
-    gX = MetricValues(ax=bX / mX, axi=1.0 / mX)
-    gY = MetricValues(ax=bracket_sq(Y, n) / mY, axi=1.0 / mY)
+    gX, gY = _metric(mX, bX), _metric(mY, bracket_sq(Y, n))
     d = Y - X
     qual = metric_apply(gX, n, d) <= BALL_RADIUS**2
-    s = 1.0 + metric_apply(MetricValues(ax=mX, axi=mX / bX), n, d)
+    s = 1.0 + metric_apply(_dual_metric(mX, bX), n, d)
     rx, rxi = gY.ax / gX.ax, gY.axi / gX.axi
     ratio = np.max(np.stack([rx, 1.0 / rx, rxi, 1.0 / rxi]), axis=0)
     wratio = np.maximum(mX / mY, mY / mX)

@@ -81,10 +81,6 @@ class Grid:
     def xi_max(self) -> float:
         return self.N / (4.0 * self.L)
 
-    def resolves(self, xi_scale: float, margin: float = 2.0) -> bool:
-        """True when the mode range covers xi_scale with headroom."""
-        return self.xi_max >= margin * xi_scale
-
     def side(self) -> int:
         return self.N ** self.n
 

@@ -14,7 +14,8 @@ ladders: Schatten values of the quantized weight across grid refinement,
 raw phase-space integrals across box growth, and a dyadic band-sum slope
 compared against the same slope at the self-calibrated critical
 exponent.  The band slope is the classifying signal; the other two are
-emitted raw so every verdict can be recomputed from the report.
+kept raw so every verdict can be recomputed from the report, which
+holds measurements only; cli lays them out in its output files.
 """
 
 from __future__ import annotations
@@ -450,7 +451,6 @@ def band_slope(w: WeightEvaluator, s: float, npts: int = 100) -> tuple:
 
 @dataclass
 class SchattenTrendReport:
-    operator: str
     mu: float
     r: float
     Q: float
@@ -463,16 +463,6 @@ class SchattenTrendReport:
     bands: list
     verdict: str                  # "converges": slope below critical, read as mu r > Q
     shift_used: list = field(default_factory=list)
-
-    def csv_rows(self):
-        rows = []
-        for N, L, v in self.matrix_cells:
-            rows.append((self.operator, N, L, self.mu, self.r, v, "", "", ""))
-        for L, val in self.box_cells:
-            rows.append((self.operator, "", L, self.mu, self.r, "", val, "", ""))
-        rows.append((self.operator, "", "", self.mu, self.r, "", "",
-                     self.slope, self.slope - self.critical_slope))
-        return rows
 
 
 def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
@@ -495,7 +485,7 @@ def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
 def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
                    matrix_N: Sequence[int] = (32, 48),
                    box_L: Sequence[float] = (8.0, 12.0, 16.0),
-                   box_npts: int = 100, band_npts: int = 100, operator: str = "") -> list:
+                   box_npts: int = 100, band_npts: int = 100) -> list:
     """Run the full trend protocol for m^{-mu} in Schatten-r, one report
     per (mu, r) in cells.  Q is the homogeneous-dimension calibration:
     the critical band slope is measured at exponent Q (the borderline of
@@ -527,7 +517,7 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
                 for N, L, lam, sh in ladder]
         box = [(L, totals[c]) for L, totals in zip(box_L, boxes)]
         reports.append(SchattenTrendReport(
-            operator=operator or w.name, mu=mu, r=r, Q=Q, matrix_cells=vals,
+            mu=mu, r=r, Q=Q, matrix_cells=vals,
             matrix_rel_change=abs(vals[-1][2] - vals[0][2]) / max(abs(vals[0][2]), 1e-300),
             box_cells=box, slope=slope, critical_slope=critical, bands=list(bands),
             box_growth=[box[i + 1][1] / max(box[i][1], 1e-300) for i in range(len(box) - 1)],

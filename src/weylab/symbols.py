@@ -319,10 +319,9 @@ class SeminormEstimate:
     value: float
     argmax: np.ndarray
     sample_size: int
-    descriptor: str = ""
 
 
-def smg_seminorm(s, M, w, k: int, sample: np.ndarray, descriptor: str = "") -> SeminormEstimate:
+def smg_seminorm(s, M, w, k: int, sample: np.ndarray) -> SeminormEstimate:
     """Estimate the order-k class seminorm of s in S(M, g), g the metric
     of the weight m.
 
@@ -354,7 +353,7 @@ def smg_seminorm(s, M, w, k: int, sample: np.ndarray, descriptor: str = "") -> S
                 if field[i] > best:
                     best, arg = float(field[i]), Z[i]
     return SeminormEstimate(order=k, value=best, argmax=np.asarray(arg),
-                            sample_size=Z.shape[0], descriptor=descriptor)
+                            sample_size=Z.shape[0])
 
 
 @dataclass
@@ -379,7 +378,7 @@ def class_membership(s, M, w, k: int, halves: Sequence[float], growth_factor: fl
     ests = []
     for h in halves:
         sample = box_sample(n, h, n_grid=n_grid, n_random=n_random, seed=seed)
-        ests.append(smg_seminorm(s, M, w, k, sample, descriptor=f"box[{-h},{h}]"))
+        ests.append(smg_seminorm(s, M, w, k, sample))
     growth = [ests[i + 1].value / max(ests[i].value, 1e-300) for i in range(len(ests) - 1)]
     return MembershipReport(passed=all(g < growth_factor for g in growth),
                             estimates=ests, growth=growth, gate=growth_factor)

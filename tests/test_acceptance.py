@@ -341,13 +341,11 @@ def test_shell_quotient_stable_across_bands():
     factor 2 across R in {3, 9, 27} (measured spread 1.027)."""
     w = bld.get_weight("harmonic", {"n": 1})
     rows = linf_band_probe(w, 0.8, [3.0, 9.0, 27.0], Grid(1, 512, 10.5),
-                           seed=9, operator="h1")
+                           seed=9)
     q = [r.quotient for r in rows]
     assert all(v > 0 and np.isfinite(v) for v in q)
     assert max(q) / min(q) < 2.0
     assert max(q) / min(q) == pytest.approx(1.0271, abs=2e-3)
-    # raw ladder is emitted alongside the quotients
-    assert all(len(r.csv_row(0.8)) == 8 for r in rows)
 
 
 # -- reproducibility --------------------------------------------------------
@@ -385,7 +383,7 @@ def test_schatten_trend_elliptic_control():
     across N = 32 -> 48; mu = 0.9 diverges with a monotone box ladder."""
     w = bld.get_weight("harmonic", {"n": 1})
 
-    conv, div = schatten_sweep(w, [(1.01, 2.0), (0.9, 2.0)], 2.0, operator="elliptic")
+    conv, div = schatten_sweep(w, [(1.01, 2.0), (0.9, 2.0)], 2.0)
     assert conv.verdict == "converges"
     assert conv.slope == pytest.approx(-0.9691, abs=5e-3)
     assert conv.slope < conv.critical_slope
@@ -408,7 +406,7 @@ def test_schatten_trend_degenerate_model(daho_weight):
     operator), so only the slope classification is meaningful.
     """
     conv, div = schatten_sweep(daho_weight, [(2.0, 2.0), (1.2, 2.0)], 3.0,
-                               box_npts=40, band_npts=48, operator="daho")
+                               box_npts=40, band_npts=48)
     assert conv.verdict == "converges"
     assert conv.slope == pytest.approx(-2.1131, abs=5e-3)
     assert conv.slope < conv.critical_slope

@@ -6,7 +6,6 @@ from _helpers import count_calls
 from weylab import bounds
 from weylab.bounds import (
     CalibrationError,
-    LpProbeResult,
     _band_sample,
     _bump1,
     _interp_upper,
@@ -68,12 +67,6 @@ def test_lp_bracket_consistency(rng):
         upper = _interp_upper(A, p, np.linalg.norm(A, 2))
         lower = _lp_lower(A, p, 32, np.random.default_rng(1))
         assert lower <= upper * (1.0 + 1e-9)
-
-
-def test_probe_result_validates_bracket():
-    with pytest.raises(ValueError, match="lower bound"):
-        LpProbeResult(p=2.0, upper=1.0, lower=2.0, N=16, beta_prime=1.0,
-                      calibration_residual=0.0)
 
 
 # -- calibrated window probe ------------------------------------------------
@@ -192,7 +185,7 @@ def test_linf_band_probe_validation():
 def test_linf_band_probe_single_shell(monkeypatch):
     w = harmonic_1d_weight()
     monkeypatch.setattr(bounds, "SAMPLE_COUNT", 500)
-    res = linf_band_probe(w, 0.8, [3.0], Grid(1, 256, 10.5), seed=9, operator="h1")
+    res = linf_band_probe(w, 0.8, [3.0], Grid(1, 256, 10.5), seed=9)
     assert len(res) == 1
     r = res[0]
     assert r.R == 3.0
@@ -200,8 +193,6 @@ def test_linf_band_probe_single_shell(monkeypatch):
     assert r.trial_ratio == pytest.approx(r.op_norm, rel=1e-9)
     assert r.quotient > 0.0 and np.isfinite(r.quotient)
     assert r.seminorm > 0.0 and r.sup_band_weight > 0.0
-    row = r.csv_row(0.8)
-    assert row[0] == "h1" and row[3] == 0.8 and row[4] == 3.0
 
 
 # -- subellipticity ---------------------------------------------------------
@@ -230,14 +221,11 @@ def test_subellipticity_probe_validation():
 
 
 def test_spanning_brackets_give_stable_constant():
-    r = subellipticity_probe(periodic("grushin_pure"), 1.0, trials=12, seed=0,
-                             operator="grushin")
+    r = subellipticity_probe(periodic("grushin_pure"), 1.0, trials=12, seed=0)
     assert r.stable
     assert [N for N, _ in r.ladder] == [32, 48, 64]
     assert r.ladder[0][1] == pytest.approx(0.1106, rel=1e-3)
     assert all(c < 0.15 for c in r.rel_changes)
-    rows = r.csv_rows()
-    assert len(rows) == 3
 
 
 def test_elliptic_control_is_stable():

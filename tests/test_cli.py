@@ -1,4 +1,5 @@
 """End-to-end runs of the experiment runner on small configs."""
+import csv
 import json
 import os
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylab import __version__
+from weylab import __version__, bounds
 from weylab.builders import get_weight, read
 from weylab.cli import CONFIG, _hash_config, main
 from weylab.hamiltonians import DirichletGrid
@@ -284,6 +285,22 @@ def test_lp_probe(tmp_path):
     report = read_json(os.path.join(out, "report.json"))
     assert report["report"]["calibration_residual"] < 0.35
     assert len(report["report"]["cells"]) == 4
+
+
+def test_lp_probe_lower_above_upper_fails_bracket_order(tmp_path, capsys, monkeypatch):
+    # a lower bound above the interpolated upper bound is a failed check
+    # with its report written, not a config fault
+    lp_lower = bounds._lp_lower
+    monkeypatch.setattr(bounds, "_lp_lower", lambda *a: 2.0 * lp_lower(*a))
+    code, out = run(tmp_path, "lp.json", {
+        "schema": 1, "kind": "lp-probe", **SMALL["lp-probe"], "p_list": [4.0]})
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    assert manifest["checks"] == [{"name": "bracket-order", "passed": False}]
+    assert "error" not in manifest
+    cell, = read_json(os.path.join(out, "report.json"))["report"]["cells"]
+    assert cell["lower"] > cell["upper"]
 
 
 def test_lp_probe_grid_without_N_is_a_config_error(tmp_path, capsys):
@@ -744,6 +761,21 @@ def test_small_configs_run_and_reproduce(tmp_path, capsys):
         out = run_and_reproduce(tmp_path, capsys, f"{kind}.json",
                                 {"schema": 1, "kind": kind, **SMALL[kind]})
         assert read_json(os.path.join(out, "manifest.json"))["passed"] is True
+
+
+def test_small_configs_data_csv_rows_match_header(tmp_path):
+    with_csv = set()
+    for kind in SMALL:
+        code, out = run(tmp_path, f"{kind}.json", {"schema": 1, "kind": kind, **SMALL[kind]})
+        assert code == 0
+        if os.path.exists(os.path.join(out, "data.csv")):
+            with open(os.path.join(out, "data.csv"), newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            # the handler builds each row next to the header it fills
+            assert rows and all(len(row) == len(header) for row in rows)
+            with_csv.add(kind)
+    assert with_csv == {"spectrum", "growth-fit", "schatten-sweep", "evolve", "lp-probe",
+                        "band-probe", "subellipticity"}
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

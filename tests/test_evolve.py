@@ -144,11 +144,3 @@ def test_evolution_decomposes_once(H, f0, monkeypatch):
         tr = evolve(H, f0, times)
         assert calls == [(32, 32), (32, 32)]
         assert len(tr.norms) == len(tr.energies) == 9
-
-
-def test_csv_rows(H, f0):
-    tr = heat_evolve(H, f0, np.linspace(0.0, 0.2, 5))
-    rows = tr.csv_rows()
-    assert len(rows) == 5
-    assert all(len(r) == 3 for r in rows)
-    assert rows[0][0] == 0.0

@@ -65,7 +65,7 @@ def test_grid_geometry():
     assert g.xi_max == pytest.approx(1.0)
     assert g.side() == 16
     assert Grid(2, 16, 4.0).side() == 256
-    assert g.resolves(0.4) and not g.resolves(0.6)
+    assert Grid(1, 32, 4.0).xi_max == pytest.approx(2.0)  # N / (4L)
     # each boundary against the formulas of the two grid classes it
     # replaces; odd N is Dirichlet only
     for n, N, L, boundary in [(1, 16, 4.0, "periodic"), (2, 12, 3.0, "periodic"),

@@ -433,14 +433,13 @@ def test_band_slope_rejects_concentrated_weight():
 def test_trend_experiment_consistency():
     rep = schatten_sweep(
         harmonic_1d_weight(), [(2.0, 1.5)], 2.0, matrix_N=(16, 24),
-        box_L=(4.0, 6.0), box_npts=40, band_npts=60, operator="h1")[0]
+        box_L=(4.0, 6.0), box_npts=40, band_npts=60)[0]
     assert rep.verdict == "converges"
     assert rep.slope < rep.critical_slope
     assert rep.slope == pytest.approx(-2.0, abs=0.05)
     assert rep.matrix_rel_change < 0.05
     assert len(rep.matrix_cells) == 2 and len(rep.box_cells) == 2
     assert len(rep.box_growth) == 1
-    assert len(rep.csv_rows()) == 5
     assert all(s >= 0.0 for s in rep.shift_used)
 
 
