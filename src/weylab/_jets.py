@@ -1,12 +1,14 @@
 """Exact derivative algebra for structured phase-space expressions.
 
 Symbols that matter here are built from three atoms: monomials in the
-2n phase coordinates, powers of the bracket core u = 1 + |x|^2 + |xi|^2,
-and univariate factors with a supplied derivative table (the plateau
-profile).  Each atom family is closed under partial differentiation, so
-sums and products of them admit machine-exact jets to any implemented
-order.  Symbol-class seminorm checks are threshold-sensitive enough that
-this exactness is worth the bookkeeping.
+2n phase coordinates, powers of the bracket core u = <X>^2 = 1 + |x|^2
++ |xi|^2 (bracket_sq, its one definition), and univariate factors with
+a supplied derivative table (the plateau profile).  Each atom family is
+closed under partial differentiation, so sums and products of them
+admit machine-exact jets to any implemented order.  A tree gives its
+values and its derivatives' trees (diff); symbols.SymbolEvaluator
+memoizes the latter by multi-index.  Symbol-class seminorm checks are
+threshold-sensitive enough that this exactness is worth the bookkeeping.
 
 Evaluation convention: points are passed as a tuple P of per-coordinate
 arrays, ordered x_1..x_n, xi_1..xi_n, that broadcast against each other;
@@ -58,6 +60,14 @@ def sqsum(P):
     for p in P[1:]:
         out = out + p * p
     return out
+
+
+def bracket_sq(P, n: int):
+    """<X>^2 = (1 + |x|^2) + |xi|^2, summed in that order; equals
+    <xi>^2 + |x|^2 identically.  P is a coordinate tuple or rows (see
+    coords), ordered x_1..x_n, xi_1..xi_n."""
+    P = coords(P)
+    return 1.0 + sqsum(P[:n]) + sqsum(P[n:])
 
 
 def _zpow(P, e):
@@ -144,18 +154,17 @@ class JPowerSum(JetExpr):
 
     def _eval(self, P):
         need_u = any(p != 0.0 for _, _, p in self.terms)
-        u = 1.0 + sqsum(P) if need_u else None
-        # real coefficients sum in real arithmetic: the same values as the
-        # real part of a complex sum, without its temporaries
+        u = bracket_sq(P, self.nvars // 2) if need_u else None
+        # the coefficients decide the type: real ones sum in real
+        # arithmetic, and a complex one keeps every imaginary part; a
+        # unit coefficient multiplies nothing (the same bits, less work)
         real = all(np.isrealobj(c) for c, _, _ in self.terms)
         acc = 0.0 if real else 0j
         for c, e, p in self.terms:
-            t = c * _zpow(P, e)
+            t = _zpow(P, e)
             if p != 0.0:
                 t = t * u**p
-            acc = acc + t
-        if not real and np.allclose(acc.imag, 0.0):
-            return acc.real
+            acc = acc + (t if c == 1 else c * t)
         return acc
 
 
@@ -247,32 +256,6 @@ class JScale(JetExpr):
         return self.c * self.expr._eval(P)
 
 
-class JetSymbol:
-    """Memoizing wrapper: derivative expressions keyed by multi-index."""
-
-    def __init__(self, root: JetExpr):
-        self.root = root
-        self.nvars = root.nvars
-        self._cache = {(0,) * root.nvars: root}
-
-    def expr(self, multi) -> JetExpr:
-        multi = tuple(int(v) for v in multi)
-        if len(multi) != self.nvars:
-            raise ValueError("multi-index length mismatch")
-        got = self._cache.get(multi)
-        if got is not None:
-            return got
-        axis = next(i for i, v in enumerate(multi) if v > 0)
-        lower = list(multi)
-        lower[axis] -= 1
-        got = self.expr(tuple(lower)).diff(axis)
-        self._cache[multi] = got
-        return got
-
-    def deriv_eval(self, multi, P):
-        return self.expr(multi).eval(P)
-
-
 FD_REL_STEP = 1e-3
 
 
@@ -282,12 +265,15 @@ def fd_deriv_eval(value_fn, multi, P):
 
     Per-variable steps scale with the coordinate magnitude to control
     cancellation where the symbol is large; one Richardson pass upgrades
-    the O(h^2) stencil to O(h^4).
+    the O(h^2) stencil to O(h^4).  The sums run in complex arithmetic;
+    the jet is returned real when every stencil value was real.
     """
     P = coords(P)
     multi = tuple(int(v) for v in multi)
+    real = True
 
     def central(h_scale):
+        nonlocal real
         steps = [FD_REL_STEP * h_scale * np.maximum(1.0, np.abs(p)) for p in P]
         acc = np.zeros(shape_of(P), dtype=complex)
         offsets = [[(k, comb(m, k)) for k in range(m + 1)] for m in multi]
@@ -304,6 +290,7 @@ def fd_deriv_eval(value_fn, multi, P):
                 parity += k
                 shift[i] = (m / 2.0 - k) * steps[i]
             vals = value_fn(tuple(p + d for p, d in zip(P, shift)))
+            real = real and np.isrealobj(vals)
             acc = acc + ((-1) ** parity) * coeff * np.asarray(vals)
             # odometer over the per-variable stencil nodes
             for i in range(len(multi)):
@@ -325,6 +312,4 @@ def fd_deriv_eval(value_fn, multi, P):
         return in_shape(value_fn(P), P)
     d1, d2 = central(1.0), central(0.5)
     out = d2 + (d2 - d1) / 3.0
-    if np.allclose(np.asarray(out).imag, 0.0):
-        return np.asarray(out).real
-    return out
+    return out.real if real else out

@@ -67,7 +67,7 @@ def _run_metric_check(cfg):
 def _run_class_check(cfg):
     spec, target = cfg["symbol"], cfg["target"]
     a2, w = builders.get_a2(**spec), builders.get_weight(**spec)
-    s = with_confinement(a2).as_evaluator(name="a") if target == "a" else w
+    s = with_confinement(a2) if target == "a" else w
     rep = class_membership(s, w, w, cfg["order"], cfg["halves"],
                            growth_factor=cfg["growth_factor"], n_grid=cfg["n_grid"],
                            n_random=cfg["n_random"], seed=cfg["seed"])
@@ -183,8 +183,12 @@ def _run_evolve(cfg):
         checks = [("norm-conservation", drift <= gate, f"drift={drift:.3e}")]
     else:
         tr = heat_evolve(H, f, times, method=method)
-        inc = float(np.max(np.diff(tr.norms)))
-        checks = [("norm-nonincreasing", inc <= 0.0, f"max increment={inc:.3e}")]
+        steps = np.diff(tr.norms)
+        if steps.size:
+            inc = float(np.max(steps))
+            checks = [("norm-nonincreasing", inc <= 0.0, f"max increment={inc:.3e}")]
+        else:
+            checks = [("norm-nonincreasing", True, "one output time: no increment")]
     report = {"operator": H.provenance, "evolution": kind, "method": tr.method,
               "meta": tr.meta, "first_norm": float(tr.norms[0]),
               "last_norm": float(tr.norms[-1])}

@@ -2,9 +2,10 @@
 
 The metric attached to a weight m is diagonal in the (x, xi) splitting:
 g = a_x |dx|^2 + a_xi |dxi|^2 with a_x = (<xi>^2 + |x|^2)/m and
-a_xi = 1/m.  Its symplectic dual swaps and inverts the coefficients,
-and the uncertainty ratio h = sqrt(a_x a_xi / (dual pair)) collapses to
-<X>/m for this family.
+a_xi = 1/m.  The canonical weight m = a + <X> is one expression tree,
+whose values and exact jets agree bit for bit.  The symplectic dual
+swaps and inverts the coefficients, and the uncertainty ratio
+h = sqrt(a_x a_xi / (dual pair)) collapses to <X>/m for this family.
 
 Checks are sampled, vectorized, and report achieved constants plus
 explicit witnesses rather than bare booleans.
@@ -17,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._jets import JPowerSum, JSum, JetSymbol, coords, sqsum
-from .symbols import SymbolEvaluator, quadratic_confinement
+from ._jets import JPowerSum, JSum, bracket_sq
+from .symbols import SymbolEvaluator, with_confinement
 
 __all__ = [
     "WeightEvaluator", "MetricValues", "MetricCheckReport", "bracket_sq",
@@ -34,21 +35,15 @@ MAX_ORDER = 8               # the temperate frontier runs over J = 1..MAX_ORDER,
 ORDER_GATE = 4              # and passes only with some J <= ORDER_GATE
 
 
-def bracket_sq(P, n: int):
-    """<X>^2 = 1 + |x|^2 + |xi|^2; equals <xi>^2 + |x|^2 identically.
-    P is a coordinate tuple or rows, as for SymbolEvaluator.eval."""
-    P = coords(P)
-    return 1.0 + sqsum(P[:n]) + sqsum(P[n:])
-
-
 class WeightEvaluator(SymbolEvaluator):
     """Order function m on phase space: a symbol whose values are real.
 
-    The canonical construction is m = a2 + |x|^2 + <X> from a principal
-    symbol (from_a2), which carries exact jets, so the weight's own
-    seminorms never touch finite differences.  The constructor admits any
-    vectorized m, including deliberately broken ones used to exercise the
-    failure paths of the checks.
+    The canonical construction is m = a + <X>, a = a2 + |x|^2, from a
+    principal symbol (from_a2): one JetExpr tree gives the values and the
+    exact jets, so the weight's own seminorms never touch finite
+    differences.  The constructor takes any m a SymbolEvaluator takes,
+    including deliberately broken ones used to exercise the failure
+    paths of the checks.
     """
 
     def m_values(self, Z):
@@ -57,26 +52,17 @@ class WeightEvaluator(SymbolEvaluator):
 
     @classmethod
     def from_a2(cls, a2, name: str = "") -> "WeightEvaluator":
-        n = a2.n
-
-        def fn(P):
-            # a2, then + |x|^2, then + sqrt(1 + |x|^2 + |xi|^2): the order
-            # every weight value is pinned to
-            x2 = sqsum(P[:n])
-            vals = np.asarray(a2.eval(P))
-            if np.iscomplexobj(vals):
-                vals = vals.real
-            return vals + x2 + np.sqrt(1.0 + x2 + sqsum(P[n:]))
-
-        conf = quadratic_confinement(n).monomials[(0,) * n]
-        jet = JetSymbol(JSum([a2.as_jet(), conf, JPowerSum.bracket_power(2 * n, 1)]))
-        return cls(n, fn, jet=jet, name=name or f"m[{getattr(a2, 'name', 'a2')}]")
+        # a2, then + |x|^2, then + sqrt((1 + |x|^2) + |xi|^2): the order
+        # every weight value is pinned to
+        m = JSum([with_confinement(a2).expr, JPowerSum.bracket_power(2 * a2.n, 1)])
+        return cls(a2.n, m, name=name or "m[a2]")
 
     @classmethod
     def half_bracket(cls, n: int) -> "WeightEvaluator":
-        """m = <X>/2.  Violates the uncertainty gate everywhere; kept as
-        the standard counterexample input."""
-        return cls(n, lambda P: 0.5 * np.sqrt(bracket_sq(P, n)), name="half-bracket")
+        """m = <X>/2, the expression 0.5 u^(1/2) with exact jets.  Violates
+        the uncertainty gate everywhere; kept as the standard
+        counterexample input."""
+        return cls(n, JPowerSum(2 * n, [(0.5, (0,) * (2 * n), 0.5)]), name="half-bracket")
 
 
 @dataclass

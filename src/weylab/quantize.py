@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jets import JPowerSum
 from .symbols import SymbolEvaluator
 
 __all__ = [
@@ -112,7 +113,7 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     elif tau == 1.0 or tau == 0.0:
         nodes, at = grid.points, np.broadcast_to(idx[:, None] if tau else idx[None, :], (N, N))
     elif grid.n == 2:
-        raise NotImplementedError("two dimensions: only tau = 0, 1/2 and 1")
+        raise ValueError("two dimensions: only tau = 0, 1/2 and 1")
     else:
         # generic tau: the point depends on both indices, one transform per row
         A = np.empty((N, N), dtype=complex)
@@ -137,7 +138,7 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
 
 def identity_symbol_matrix(grid: Grid, tau: float = 1.0) -> np.ndarray:
     """Quantization of the constant symbol 1; must be the identity."""
-    one = SymbolEvaluator(grid.n, lambda P: 1.0)
+    one = SymbolEvaluator(grid.n, JPowerSum.constant(2 * grid.n, 1.0))
     return tau_quantize(one, grid, tau)
 
 

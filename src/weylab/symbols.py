@@ -1,12 +1,14 @@
 """Symbol representations and symbol-class machinery.
 
-Two layers: PolySymbol holds symbols polynomial in xi with jet-capable
-x-coefficients (exact derivatives through the jets of as_evaluator(),
-exact transport between quantization conventions, exact star products),
-and SymbolEvaluator is the one phase-space function type: a vectorized
-value with exact jets when it has them, finite differences otherwise.
-Weights are SymbolEvaluators too (metric.WeightEvaluator), so the
-weight m and the class weight M of a seminorm are symbols with jets.
+SymbolEvaluator is the one phase-space function type, given by one
+expression or one value function: a JetExpr tree gives both the values
+and the memoized exact derivatives, a value function gives the values
+and finite-difference derivatives.  PolySymbol is the SymbolEvaluator of
+a symbol polynomial in xi with jet-capable x-coefficients; it builds its
+tree once, and adds exact transport between quantization conventions
+and exact star products.  Weights are SymbolEvaluators too
+(metric.WeightEvaluator), so the weight m and the class weight M of a
+seminorm are symbols.
 
 Seminorm estimation, class-membership gates and band restriction live
 here too.
@@ -21,8 +23,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._jets import (JProd, JPowerSum, JScale, JSum, JetExpr, JetSymbol,
-                    UnsupportedOrderError, coords, fd_deriv_eval, in_shape)
+from ._jets import (JProd, JPowerSum, JScale, JSum, JetExpr, UnsupportedOrderError,
+                    bracket_sq, coords, fd_deriv_eval, in_shape)
 from .profiles import band_bump
 
 __all__ = [
@@ -35,23 +37,25 @@ MAX_DERIV_ORDER = 4
 
 
 class SymbolEvaluator:
-    """A symbol on R^n x R^n: vectorized value plus optional exact jets.
+    """A symbol on R^n x R^n, given by f: a JetExpr over the 2n variables
+    or a value function.
 
     Points are a tuple P = (x_1..x_n, xi_1..xi_n) of coordinate arrays
     that broadcast against each other; eval and derivative return values
     in the broadcast shape.  Rows Z of shape (m, 2n) are the special case
-    tuple(Z.T) and may be passed as they are.  value_fn maps such a tuple
-    (always a tuple) to values; jet, when present, is a JetSymbol over the
-    same 2n variables.  derivative() dispatches to the jet and falls back
-    to scaled central differences otherwise.
+    tuple(Z.T) and may be passed as they are.  A JetExpr f is expr: its
+    tree gives the values and, differentiated once per multi-index and
+    memoized (jet), the exact derivatives.  Otherwise expr is None, f is
+    value_fn, mapping such a tuple (always a tuple) to values, and the
+    derivatives are scaled central differences of it.
     """
 
-    def __init__(self, n: int, value_fn: Callable, jet: Optional[JetSymbol] = None,
-                 name: str = ""):
+    def __init__(self, n: int, f, name: str = ""):
         self.n = n
-        self.value_fn = value_fn
-        self.jet = jet
         self.name = name
+        self.expr: Optional[JetExpr] = f if isinstance(f, JetExpr) else None
+        self.value_fn: Callable = f if self.expr is None else f._eval
+        self._jets = {(0,) * (2 * n): self.expr}
 
     def _points(self, P) -> tuple:
         P = coords(P)
@@ -64,7 +68,7 @@ class SymbolEvaluator:
         return in_shape(self.value_fn(P), P)
 
     def derivative(self, beta, alpha, P):
-        """d_x^beta d_xi^alpha at the points P; exact when a jet exists."""
+        """d_x^beta d_xi^alpha at the points P; exact when f is an expression."""
         beta, alpha = tuple(beta), tuple(alpha)
         if len(beta) != self.n or len(alpha) != self.n:
             raise ValueError("multi-index length must equal the dimension")
@@ -73,9 +77,22 @@ class SymbolEvaluator:
                 f"derivative order {sum(beta) + sum(alpha)} beyond the maximum {MAX_DERIV_ORDER}")
         P = self._points(P)
         multi = beta + alpha
-        if self.jet is not None:
-            return self.jet.deriv_eval(multi, P)
-        return fd_deriv_eval(self.value_fn, multi, P)
+        if self.expr is None:
+            return fd_deriv_eval(self.value_fn, multi, P)
+        return self.jet(multi).eval(P)
+
+    def jet(self, multi) -> JetExpr:
+        """The tree of the derivative d^multi of expr, multi over (x, xi);
+        each one is built once, from the tree one order below."""
+        multi = tuple(int(v) for v in multi)
+        got = self._jets.get(multi)
+        if got is None:
+            if len(multi) != 2 * self.n:
+                raise ValueError(f"multi-index of length {len(multi)}, not {2 * self.n}")
+            axis = next(i for i, v in enumerate(multi) if v > 0)
+            lower = multi[:axis] + (multi[axis] - 1,) + multi[axis + 1:]
+            got = self._jets[multi] = self.jet(lower).diff(axis)
+        return got
 
 
 def _iter_multi(bound):
@@ -137,18 +154,20 @@ def _flatten(expr: JetExpr) -> Optional[JPowerSum]:
     return None
 
 
-class PolySymbol:
+class PolySymbol(SymbolEvaluator):
     """Symbol polynomial in xi: sum over multi-indices of c_alpha(x) xi^alpha.
 
     Coefficients are JetExpr over the full 2n phase variables but may
     only depend on x (their xi-derivatives must vanish; the constructors
-    here guarantee that).  Everything downstream of this representation
-    is exact: derivatives, quantization transport, star products.
+    here guarantee that).  The tree sum_alpha c_alpha * xi^alpha is built
+    once, here.  Everything downstream of this representation is exact:
+    values, derivatives, quantization transport, star products.
     """
 
     def __init__(self, n: int, monomials: dict):
-        self.n = n
         self.monomials = {tuple(a): c for a, c in monomials.items() if not c.is_zero}
+        super().__init__(n, JSum([JProd([c, JPowerSum.monomial(2 * n, (0,) * n + a)])
+                                  for a, c in self.monomials.items()]))
 
     def __add__(self, other):
         if not isinstance(other, PolySymbol):
@@ -157,21 +176,6 @@ class PolySymbol:
         for a, c in other.monomials.items():
             out[a] = JSum([out[a], c]) if a in out else c
         return PolySymbol(self.n, out)
-
-    def eval(self, P):
-        return self.as_jet().eval(P)
-
-    def as_evaluator(self, name: str = "") -> SymbolEvaluator:
-        jet = JetSymbol(self.as_jet())
-        return SymbolEvaluator(self.n, self.eval, jet=jet, name=name)
-
-    def as_jet(self) -> JetExpr:
-        parts = []
-        nv = 2 * self.n
-        for a, c in self.monomials.items():
-            e = (0,) * self.n + tuple(a)
-            parts.append(JProd([c, JPowerSum.monomial(nv, e)]))
-        return JSum(parts)
 
     def coefficient_terms(self):
         """monomial -> flattened JPowerSum terms; None entries where a
@@ -335,8 +339,7 @@ def smg_seminorm(s, M, w, k: int, sample: np.ndarray) -> SeminormEstimate:
     n = getattr(s, "n")
     m_vals = w.m_values(Z)
     M_vals = M.m_values(Z)
-    x, xi = Z[:, :n], Z[:, n:]
-    bx2 = 1.0 + (xi * xi).sum(axis=1) + (x * x).sum(axis=1)  # <xi>^2 + |x|^2
+    bx2 = bracket_sq(Z, n)  # <xi>^2 + |x|^2
     best, arg = -np.inf, Z[0]
     for total in range(k + 1):
         for beta in _iter_multi((total,) * n):
@@ -395,4 +398,4 @@ def band_restrict(s, w, R: float) -> SymbolEvaluator:
         return np.asarray(s.eval(P)) * band_bump(w.m_values(P) / R)
 
     name = f"band[{getattr(s, 'name', '') or 'symbol'}, R={R}]"
-    return SymbolEvaluator(n, value, jet=None, name=name)
+    return SymbolEvaluator(n, value, name)

@@ -135,7 +135,7 @@ def test_halved_bracket_weight_fails_uncertainty():
 def _class_setup():
     a2 = bld.get_a2("daho")
     w = WeightEvaluator.from_a2(a2)
-    s_a = with_confinement(a2).as_evaluator(name="a")
+    s_a = with_confinement(a2)
     return w, s_a, w
 
 
@@ -176,7 +176,7 @@ def test_order_four_growth_measured_and_controls():
     # a fully elliptic model passes at order 4
     a2h = bld.get_a2("harmonic", {"n": 2})
     wh = WeightEvaluator.from_a2(a2h)
-    reph = class_membership(with_confinement(a2h).as_evaluator(), wh, wh, 4,
+    reph = class_membership(with_confinement(a2h), wh, wh, 4,
                             [10.0, 20.0], **CLASS_KW)
     assert reph.passed
 

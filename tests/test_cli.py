@@ -68,6 +68,18 @@ def test_quantize_identity_roundtrip(tmp_path):
     assert report["report"]["identity_defect"] <= 1e-12
 
 
+def test_quantize_identity_2d_generic_tau_is_a_config_error(tmp_path, capsys):
+    code, out = run(tmp_path, "qi.json", {
+        "schema": 1, "kind": "quantize-identity",
+        "grid": {"n": 2, "N": 8, "L": 3.0}, "tau": 0.3})
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: two dimensions: only tau = 0, 1/2 and 1\n"
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    assert manifest["error"]["kind"] == "config"
+    assert manifest["outputs"] == []
+
+
 def test_seeded_kind_requires_seed(tmp_path):
     code, _ = run(tmp_path, "mc.json", {
         "schema": 1, "kind": "metric-check",
@@ -222,6 +234,19 @@ def test_evolve_heat_cn_with_random_state(tmp_path):
     assert code == 0
     manifest = read_json(os.path.join(out, "manifest.json"))
     assert manifest["checks"][0]["name"] == "norm-nonincreasing"
+
+
+@pytest.mark.parametrize("method", ["eig", "cn"])
+def test_evolve_heat_with_one_output_time(tmp_path, capsys, method):
+    # one norm has no increment: the check passes and says so
+    out = run_and_reproduce(tmp_path, capsys, "ev.json", {
+        "schema": 1, "kind": "evolve", "grid": {"n": 1, "N": 16, "L": 6.0},
+        "operator": {"name": "harmonic"}, "evolution": "heat", "method": method,
+        "times": {"t0": 0.0, "t1": 0.2, "count": 1}})
+    check, = read_json(os.path.join(out, "report.json"))["checks"]
+    assert check == {"name": "norm-nonincreasing", "passed": True,
+                     "detail": "one output time: no increment"}
+    assert len(open(os.path.join(out, "data.csv")).read().splitlines()) == 2
 
 
 def test_evolve_rejects_unknown_kind(tmp_path):

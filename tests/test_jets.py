@@ -3,8 +3,9 @@ import pytest
 import sympy as sp
 
 from _helpers import uni_table
-from weylab._jets import (JPowerSum, JProd, JScale, JSum, JUni, JetSymbol,
-                          UnsupportedOrderError, fd_deriv_eval)
+from weylab._jets import (JPowerSum, JProd, JScale, JSum, JUni, UnsupportedOrderError,
+                          fd_deriv_eval)
+from weylab.symbols import SymbolEvaluator
 
 
 def bracket_u(Z):
@@ -70,17 +71,19 @@ def test_product_rule_against_sympy():
         assert np.allclose(node.eval(Z), want, rtol=1e-10)
 
 
-def test_jetsymbol_mixed_partials_and_memoization():
+def test_evaluator_mixed_partials_and_memoization():
     z0, z1 = sp.symbols("z0 z1")
     expr = z0**3 * z1 * (1 + z0**2 + z1**2) ** -0.5
     root = JProd([JPowerSum.monomial(2, (3, 1)),
                   JPowerSum.bracket_power(2, -1.0)])
-    jet = JetSymbol(root)
-    assert jet.expr((1, 1)) is jet.expr((1, 1))  # cache hit
+    s = SymbolEvaluator(1, root)
+    assert s.jet((1, 1)) is s.jet((1, 1))  # cache hit
+    with pytest.raises(ValueError):
+        s.jet((1,))
     Z = np.random.default_rng(2).normal(size=(25, 2))
     want = sp.lambdify((z0, z1), sp.diff(expr, z0, 2, z1, 1), "numpy")(
         Z[:, 0], Z[:, 1])
-    assert np.allclose(jet.deriv_eval((2, 1), Z), want, rtol=1e-10)
+    assert np.allclose(s.derivative((2,), (1,), Z), want, rtol=1e-10)
 
 
 def test_jsum_jscale():
@@ -106,6 +109,17 @@ def test_fd_deriv_eval_accuracy():
     mixed = Z[:, 0] * Z[:, 1] * gauss(tuple(Z.T))
     gotm = fd_deriv_eval(gauss, (1, 1), Z)
     assert np.allclose(gotm, mixed, rtol=1e-4, atol=1e-6)
+
+
+def test_fd_keeps_a_small_imaginary_part():
+    # the stencil values are complex, so the jet stays complex however
+    # small its imaginary part; a real symbol's jet stays real
+    Z = np.array([[0.5, 2.0]])
+    got = SymbolEvaluator(1, lambda P: P[0] + 1e-10j * P[1]).derivative((0,), (1,), Z)
+    assert np.iscomplexobj(got)
+    assert got[0].imag == pytest.approx(1e-10, rel=1e-6)
+    assert abs(got[0].real) < 1e-12
+    assert np.isrealobj(SymbolEvaluator(1, lambda P: P[0] * P[1]).derivative((0,), (1,), Z))
 
 
 def test_fd_deriv_scales_step_with_magnitude():

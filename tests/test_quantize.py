@@ -107,7 +107,7 @@ def test_identity_symbol_2d(tau):
 
 
 def test_generic_tau_2d_unsupported():
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ValueError):
         identity_symbol_matrix(Grid(2, 8, 3.0), 0.3)
 
 

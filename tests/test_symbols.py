@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from weylab._jets import JPowerSum, JetSymbol, UnsupportedOrderError
+from weylab import symbols
+from weylab._jets import JPowerSum, UnsupportedOrderError
 from weylab.builders import get_a2, get_weight, symbol_names, weight_names
 from weylab.metric import WeightEvaluator
 from weylab.symbols import (MAX_DERIV_ORDER, PolySymbol, SymbolEvaluator,
@@ -50,15 +51,15 @@ def test_polysymbol_derivatives_match_sympy(rng):
                             XI1, alpha[0], XI2, alpha[1])
         want = sp.lambdify((X1, X2, XI1, XI2), want_expr, "numpy")(
             Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3]) * np.ones(len(Z))
-        got = np.asarray(a.as_evaluator().derivative(beta, alpha, Z))
+        got = np.asarray(a.derivative(beta, alpha, Z))
         assert np.allclose(got.real, want, rtol=1e-12, atol=1e-12)
         assert np.allclose(got.imag, 0.0, atol=1e-12)
 
 
 def test_evaluator_exact_jets_agree_with_finite_differences(rng):
     # the contract that makes the exact path trustworthy
-    s = with_confinement(get_a2("daho")).as_evaluator("a")
-    fd = SymbolEvaluator(2, s.eval, jet=None, name="fd twin")
+    s = with_confinement(get_a2("daho"))
+    fd = SymbolEvaluator(2, s.eval, name="fd twin")
     Z = rand_phase(rng, count=100, scale=5.0)
     for beta, alpha in (((1, 0), (0, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1)),
                         ((2, 0), (0, 0))):
@@ -118,7 +119,7 @@ def test_derivatives_on_coordinates_equal_rows(name, n, x1):
     # through the weight's jets where it has them, and through finite
     # differences of its values always
     w = get_weight(name, {"n": n})
-    paths = [w, SymbolEvaluator(n, w.value_fn)] if w.jet is not None else [w]
+    paths = [w, SymbolEvaluator(n, w.value_fn)] if w.expr is not None else [w]
     P, Z, shape = _block(n, x1)
     multis = [m for m in np.ndindex(*(3,) * 2 * n) if 0 < sum(m) <= 2]
     for s in paths:
@@ -129,8 +130,33 @@ def test_derivatives_on_coordinates_equal_rows(name, n, x1):
             assert np.array_equal(got.ravel(), s.derivative(beta, alpha, Z))
 
 
+@pytest.mark.parametrize("name,n", _dims(get_weight, weight_names()))
+def test_weight_order_zero_jet_is_its_values(rng, name, n):
+    # one tree gives the values and the jets, so they agree bit for bit
+    w = get_weight(name, {"n": n})
+    Z = rand_phase(rng, count=20000, scale=8.0, n=n)
+    zero = (0,) * n
+    assert np.array_equal(w.derivative(zero, zero, Z), w.m_values(Z))
+
+
+def test_weights_and_polysymbols_differentiate_through_their_tree(monkeypatch, rng):
+    def no_differences(*args):
+        raise AssertionError("finite differences taken")
+
+    monkeypatch.setattr(symbols, "fd_deriv_eval", no_differences)
+    syms = [get_weight(name, {"n": n}) for name, n in _dims(get_weight, weight_names())]
+    syms += [f(get_a2(name, {"n": n})) for name, n in _dims(get_a2, symbol_names())
+             for f in (lambda a2: a2, with_confinement)]
+    for s in syms:
+        assert s.expr is not None
+        Z = rand_phase(rng, count=10, n=s.n)
+        for m in np.ndindex(*(3,) * 2 * s.n):
+            if sum(m) <= MAX_DERIV_ORDER:
+                assert np.all(np.isfinite(s.derivative(m[:s.n], m[s.n:], Z)))
+
+
 def test_evaluator_order_gate():
-    s = with_confinement(get_a2("daho")).as_evaluator("a")
+    s = with_confinement(get_a2("daho"))
     assert MAX_DERIV_ORDER == 4
     with pytest.raises(UnsupportedOrderError):
         s.derivative((3, 0), (0, 2), np.zeros((1, 4)))
@@ -191,6 +217,15 @@ def test_jt_on_xxi_matches_symbolic_oracle(rng):
     want_fn = sp.lambdify((x, xi), want, "numpy")
     got_vals = np.asarray(got.eval(Z))
     assert np.allclose(got_vals, want_fn(Z[:, 0], Z[:, 1]), atol=1e-14)
+
+
+def test_jt_keeps_a_small_imaginary_part():
+    # J_t(x xi) = x xi + i t/(2 pi) at t = 1e-9: the coefficients are
+    # complex, so the value stays complex however small its imaginary part
+    got = PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0))}).jt(1e-9).eval(
+        np.array([[0.5, 2.0]]))[0]
+    assert got.real == 1.0
+    assert got.imag == pytest.approx(1e-9 / (2 * np.pi), rel=1e-12)
 
 
 def test_jt_random_polynomials_match_oracle(rng):
@@ -308,7 +343,7 @@ def test_seminorm_constant_symbol():
 
 
 def test_seminorm_monotone_under_refinement():
-    s = with_confinement(get_a2("daho")).as_evaluator("a")
+    s = with_confinement(get_a2("daho"))
     w = WeightEvaluator.from_a2(get_a2("daho"))
     sample = box_sample(2, 10.0, n_random=200, seed=2)
     small = smg_seminorm(s, w, w, 2, sample[: len(sample) // 2]).value
@@ -317,9 +352,7 @@ def test_seminorm_monotone_under_refinement():
 
 
 def test_bracket_weight_is_self_class(rng):
-    jet = JetSymbol(JPowerSum.bracket_power(4, 1.0))
-    s = WeightEvaluator(2, lambda P: jet.deriv_eval((0, 0, 0, 0), P), jet=jet,
-                        name="bracket")
+    s = WeightEvaluator(2, JPowerSum.bracket_power(4, 1.0), name="bracket")
     w = WeightEvaluator.from_a2(get_a2("daho"))
     # the sup saturates slowly along the anisotropic directions; a 15% gate
     # still separates this cleanly from the unbounded negative control below
@@ -330,7 +363,7 @@ def test_bracket_weight_is_self_class(rng):
 
 
 def test_membership_requires_two_boxes():
-    s = with_confinement(get_a2("daho")).as_evaluator("a")
+    s = with_confinement(get_a2("daho"))
     w = WeightEvaluator.from_a2(get_a2("daho"))
     with pytest.raises(ValueError):
         class_membership(s, w, w, 2, [10.0])
@@ -349,12 +382,12 @@ def test_membership_negative_control_blows_up():
 @pytest.mark.parametrize("name", symbol_names())
 def test_weight_jet_matches_weight_values(rng, name):
     w = get_weight(name)
-    assert isinstance(w, SymbolEvaluator) and w.jet is not None
+    assert isinstance(w, SymbolEvaluator) and w.expr is not None
     Z = rand_phase(rng, count=60, scale=8.0)
     exact0 = np.asarray(w.derivative((0, 0), (0, 0), Z)).real
     assert np.allclose(exact0, w.m_values(Z), rtol=1e-13)
     # its exact derivative path survives the finite-difference cross-check
-    fd = SymbolEvaluator(2, w.eval, jet=None)
+    fd = SymbolEvaluator(2, w.eval)
     for beta, alpha in (((1, 0), (0, 0)), ((0, 1), (0, 1))):
         exact = np.asarray(w.derivative(beta, alpha, Z)).real
         approx = np.asarray(fd.derivative(beta, alpha, Z)).real
@@ -364,7 +397,7 @@ def test_weight_jet_matches_weight_values(rng, name):
 def test_band_restrict_support(profile, rng):
     a2 = get_a2("daho")
     w = WeightEvaluator.from_a2(a2)
-    s = with_confinement(a2).as_evaluator("a")
+    s = with_confinement(a2)
     R = 9.0
     banded = band_restrict(s, w, R)
     sample = box_sample(2, 10.0, n_random=4000, seed=6)
