@@ -3,9 +3,10 @@ experiment.
 
 This is the one module that decomposes a matrix: ``eigensolve`` for the
 lowest pairs, its full-spectrum case ``Spectrum`` for the propagators and
-the fractional powers, and the trend sweep's eigenvalues.  The dense path
-decomposes one block per reflection parity of the operator's grid, the
-whole matrix when none applies.
+the fractional powers, and the trend sweep's eigenvalues.  ``eigensolve``
+solves one block per reflection parity of the operator's grid, the whole
+matrix when none applies, each block on the dense or the shift-invert
+path by its own size.
 
 The trend experiment is the one place where a continuum question (does a
 negative power of the weight lie in a Schatten class) meets finite
@@ -57,9 +58,9 @@ class SpectralResult:
     residuals: np.ndarray
     solver: str
     eigenvectors: Optional[np.ndarray] = None
-    sigma: Optional[float] = None     # the certified shift; None on the dense path
+    sigma: Optional[tuple] = None     # the certified shift of each block (None: dense); None when all are dense
     inertia: Optional[tuple] = None   # (tau, eigenvalues below tau) of the final count
-    blocks: Optional[tuple] = None    # dense path: the side of each block decomposed
+    blocks: Optional[tuple] = None    # the side of each block solved, (side,) when none splits
 
     def __post_init__(self):
         d = np.diff(self.eigenvalues)
@@ -71,66 +72,65 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     """Lowest k eigenpairs of a symmetric (or Hermitian) matrix, certified.
 
     H is a HamiltonianMatrix, a scipy sparse matrix or an array.  The
-    dense path runs when the side is at most ``DENSE_LIMIT`` and below
-    ``DENSE_KRYLOV_RATIO`` times the Krylov size the Lanczos path would
-    use.  It decomposes one block per reflection parity, the whole matrix
+    solve splits into one block per reflection parity, the whole matrix
     when none applies: each axis of a HamiltonianMatrix's grid whose
     mirror x -> -x leaves A invariant splits its nodes into even and odd
-    combinations, U A U^T is block diagonal for the orthogonal U built
-    from them, and each block gets one full ``np.linalg.eigh``; the pairs
-    merge by eigenvalue and the vectors return through U^T.  With no
-    invariant axis, or no grid: one ``np.linalg.eigh`` when every pair is
+    combinations, and U A U^T is block diagonal for the orthogonal U built
+    from them.  Each block is routed by its own side and the count asked
+    of it (``_parity_pairs``).  Dense when the side is at most
+    ``DENSE_LIMIT`` and below ``DENSE_KRYLOV_RATIO`` times the Krylov size
+    the Lanczos path would use: one full ``np.linalg.eigh`` of a split
+    block; of the whole matrix, one ``np.linalg.eigh`` when every pair is
     asked for (k = side, the ``Spectrum`` case), one subset
-    ``scipy.linalg.eigh`` otherwise.  Else: shift-invert Lanczos
+    ``scipy.linalg.eigh`` otherwise.  Else shift-invert Lanczos
     (``scipy.sparse.linalg.eigsh``, start vector drawn from
-    ``START_SEED``) around a shift sigma certified below the spectrum, so
-    that the eigenvalues nearest sigma are the lowest ones whatever the
-    sign of the spectrum.  The candidates are 0, then g/8,
-    g/4, g/2 of the Gershgorin lower bound g, then a point just below g;
-    the first whose LDL^T of A - sigma I has no negative pivot (A - sigma
-    I positive definite) is taken, and that one LDL^T is the solve.
+    ``START_SEED``) around a shift sigma certified below the block's
+    spectrum, so that the eigenvalues nearest sigma are the lowest ones
+    whatever their sign.  The candidates are 0, then g/8, g/4, g/2 of the
+    block's Gershgorin lower bound g, then a point just below g; the first
+    whose LDL^T of A - sigma I has no negative pivot (A - sigma I positive
+    definite) is taken, and that one LDL^T is the solve.  The pairs merge
+    by eigenvalue and the vectors return through U^T.
 
-    Both paths compute p >= 1 extra pairs (none when k = side) and raise
-    SolverError unless every residual |A q - lambda q|, with the sparse A,
-    is at most 1e-8 |A|_2, |A|_2 = max(|lambda_1|, lambda_max) (lambda_max
-    is the top block eigenvalue when the blocks are decomposed, the last
-    one when the whole spectrum is, a Lanczos estimate otherwise), and the
-    computed count is complete: tau goes in the first gap at or after
-    lambda_k wider than ``GAP_REL_TOL`` |A|_2 (p doubles until there is
-    one), and the negative pivots of an LDL^T of A - tau I, which count
-    the eigenvalues below tau (Sylvester), must equal the number computed
-    below tau.  A skipped eigenvalue passes the residual gate; it fails
-    this count.  The certificates see only A and the returned pairs, so
-    they hold whether or not the solve was split.  The result carries
-    sigma (None on the dense path), the pair (tau, count) when counted,
-    and the block sides on the dense path (None on shift-invert).
+    The certificates see only A and the merged pairs, so they hold however
+    the solve was split.  p >= 1 extra pairs are computed (none when
+    k = side), and SolverError is raised unless every residual
+    |A q - lambda q|, with the sparse A, is at most 1e-8 |A|_2,
+    |A|_2 = max(|lambda_1|, lambda_max) (lambda_max is the top merged
+    eigenvalue when every block is decomposed whole, a Lanczos estimate on
+    A otherwise), and the computed count is complete: tau goes in the
+    first gap at or after lambda_k wider than ``GAP_REL_TOL`` |A|_2 (p
+    doubles until there is one), and the negative pivots of an LDL^T of
+    A - tau I, which count the eigenvalues below tau (Sylvester), must
+    equal the number computed below tau.  A skipped eigenvalue passes the
+    residual gate; it fails this count.  The result carries the block
+    sides, sigma (one shift per block, None for a dense one; None when
+    every block is dense), and the pair (tau, count) when counted.
     """
     S = _symmetric_part(H)
     side = S.shape[0]
     if not 0 < k <= side:
         raise ValueError("k must lie between 1 and the dimension")
     p = min(EXTRA_PAIRS, side - k)
-    if side <= DENSE_LIMIT and side < DENSE_KRYLOV_RATIO * _krylov_size(k + p, side):
-        U, sigma = _parity_basis(H, S), None
-        if U:
-            pairs, lam_max = _parity_pairs(S, U)
-            blocks = tuple(Uc.shape[0] for Uc in U)
-        else:
-            pairs, blocks = _dense_pairs(S), (side,)
-            lam_max = None if k + p == side else _top_eigenvalue(S)
-    else:
-        (pairs, sigma), blocks = _shift_invert_pairs(S), None
+    U = _parity_basis(H, S)
+    pairs, lam_max = _parity_pairs(S, U, k + p)
+    if lam_max is None:
         lam_max = _top_eigenvalue(S)
     while True:
-        lam, V, solver = pairs(k + p)
-        normA = max(abs(float(lam[0])), float(lam[-1] if lam_max is None else lam_max))
+        lam, vectors, solver, sigma = pairs(k + p)
+        normA = max(abs(float(lam[0])), lam_max)
         cut = _first_gap(lam, k, GAP_REL_TOL * normA)
         if cut is not None or k + p == side:
             break
         p = min(2 * p, side - k)
-    del pairs  # the sigma factorization, freed before the one at tau
+    del pairs  # every block's sigma factorization, freed before the vectors are formed
     below = lam.size if cut is None else cut
-    res = np.linalg.norm(S @ V[:, :below] - V[:, :below] * lam[:below], axis=0)
+    # one slice of columns per block, so that the temporaries hold a block's share
+    edges = [*range(0, below, -(-below // len(U or [S]))), below]
+    res = np.concatenate([_residual_norms(S, vectors(a, b), lam[a:b])
+                          for a, b in zip(edges, edges[1:])])
+    V = vectors(0, k) if want_vectors else None
+    del vectors  # the block vectors, freed before the LDL^T at tau
     _enforce_residuals(res, normA, solver)
     inertia = None
     if cut is not None:
@@ -141,8 +141,9 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
                               f"inertia of A - tau I counts {count}")
         inertia = (float(tau), count)
     return SpectralResult(lam[:k], res[:k], solver,
-                          eigenvectors=V[:, :k] if want_vectors else None,
-                          sigma=sigma, inertia=inertia, blocks=blocks)
+                          eigenvectors=V,
+                          sigma=sigma, inertia=inertia,
+                          blocks=tuple(Uc.shape[0] for Uc in U) or (side,))
 
 
 class Spectrum:
@@ -189,6 +190,11 @@ def _enforce_residuals(res, normH, solver):
         raise SolverError(f"{solver}: residual {worst:.3e} above {gate:.3e}")
 
 
+def _residual_norms(S, V, lam):
+    """|S q - lambda q| for each column q of V and its eigenvalue lambda."""
+    return np.linalg.norm(S @ V - V * lam, axis=0)
+
+
 def _first_gap(lam, k: int, width: float):
     """Smallest j >= k with lam[j] - lam[j-1] > width, or None."""
     gaps = np.nonzero(np.diff(lam[k - 1:]) > width)[0]
@@ -210,13 +216,10 @@ def _dense_pairs(S):
 
     def pairs(count):
         if count == S.shape[0]:
-            lam, V = np.linalg.eigh(S.toarray())  # LAPACK evd: the whole spectrum
-            return lam, V, "dense"
+            return np.linalg.eigh(S.toarray())  # LAPACK evd: the whole spectrum
         # a fresh Fortran-ordered array per call that LAPACK may overwrite:
         # one dense copy of A alive at a time, not two
-        lam, V = eigh(S.toarray(order="F"), subset_by_index=[0, count - 1],
-                      overwrite_a=True)
-        return lam, V, "dense"
+        return eigh(S.toarray(order="F"), subset_by_index=[0, count - 1], overwrite_a=True)
     return pairs
 
 
@@ -263,25 +266,78 @@ def _parity_basis(H, S) -> list:
             for rows in itertools.product(*factors)]
 
 
-def _parity_pairs(S, U):
-    """Pairs of S from one full decomposition of each block U_c S U_c^T,
-    made once and reused for every count: the eigenvalues merge by a
-    stable sort, and each vector returns through U_c^T.  Returns the
-    pairs function and the largest eigenvalue, which the blocks hold."""
-    parts = [np.linalg.eigh((Uc @ S @ Uc.T).toarray()) for Uc in U]
-    lam = np.concatenate([w for w, _ in parts])
-    order = np.argsort(lam, kind="stable")
-    block = np.repeat(np.arange(len(U)), [w.size for w, _ in parts])
-    local = np.concatenate([np.arange(w.size) for w, _ in parts])
+def _parity_pairs(S, U, count: Optional[int] = None):
+    """Pairs of S merged from one solver per block U_c S U_c^T (S itself
+    when U is empty), each routed by its side and the count first asked,
+    None for every pair.  Of a count, each of the B blocks first computes
+    ceil(count/B) + p pairs (at most count, at most its side).  A block
+    whose largest computed eigenvalue lies below the merged count-th one
+    may miss pairs, all above that largest one, so it is solved again for
+    p more plus one per merged eigenvalue above it; no block is solved
+    twice for one count.  The eigenvalues merge by a stable sort.  Returns
+    the pairs function, which gives (eigenvalues, their vectors as a
+    function of a column range, solver, the shifts or None), and the
+    largest eigenvalue of S when every block is decomposed whole, else
+    None."""
+    count = S.shape[0] if count is None else count
+    mats = [Uc @ S @ Uc.T for Uc in U] or [S]
+    sides = [M.shape[0] for M in mats]
+
+    def start(count):
+        return [min(n, count, -(-count // len(sides)) + EXTRA_PAIRS) for n in sides]
+
+    routed = []
+    for M, c in zip(mats, start(count)):
+        n = M.shape[0]
+        if n <= DENSE_LIMIT and n < DENSE_KRYLOV_RATIO * _krylov_size(c, n):
+            f, s = _dense_pairs(M), None
+        else:
+            f, s = _shift_invert_pairs(M)
+        if s is None and (U or c == n):  # decomposed whole, once, for every count
+            routed.append((f, s, n, *f(n)))
+        else:
+            routed.append((f, s, 0, np.empty(0), None))
+    solve, sigma, asked, lam, W = map(list, zip(*routed))
+    shifts = None if all(s is None for s in sigma) else tuple(sigma)
 
     def pairs(count):
-        take = order[:count]
-        V = np.empty((S.shape[0], count))
-        for c, (Uc, (_, W)) in enumerate(zip(U, parts)):
-            cols = np.nonzero(block[take] == c)[0]
-            V[:, cols] = Uc.T @ W[:, local[take[cols]]]
-        return lam[take], V, "dense"
-    return pairs, float(lam[order[-1]])
+        want = start(count)
+        while True:
+            for b, f in enumerate(solve):
+                if asked[b] < want[b]:
+                    lam[b], W[b] = f(want[b])
+                    asked[b] = want[b]
+            merged = np.concatenate(lam)
+            take = np.argsort(merged, kind="stable")[:count]
+            short = [b for b, w in enumerate(lam)
+                     if asked[b] < min(sides[b], count) and w[-1] < merged[take[-1]]]
+            if not short:
+                break
+            for b in short:
+                above = int(np.count_nonzero(merged[take] > lam[b][-1]))
+                want[b] = min(sides[b], count, asked[b] + EXTRA_PAIRS + above)
+        solver = "dense" if shifts is None else "shift-invert(m={})".format(max(
+            _krylov_size(a, n) for a, n, s in zip(asked, sides, sigma) if s is not None))
+        vectors = functools.partial(_merged_vectors, U, list(W), [w.size for w in lam], take)
+        return merged[take], vectors, solver, shifts
+    if all(a == n for a, n in zip(asked, sides)):
+        return pairs, float(max(w[-1] for w in lam))
+    return pairs, None
+
+
+def _merged_vectors(U, W, sizes, take, start, stop):
+    """Merged vectors start to stop - 1, block c holding sizes[c] of the
+    merged pairs: block c's vectors W[c] return through U_c^T; with no U,
+    the one block's vectors as solved."""
+    if not U:
+        return W[0][:, start:stop]
+    block = np.repeat(np.arange(len(U)), sizes)[take[start:stop]]
+    local = np.concatenate([np.arange(n) for n in sizes])[take[start:stop]]
+    V = np.empty((U[0].shape[1], stop - start))
+    for c, Uc in enumerate(U):
+        cols = np.nonzero(block == c)[0]
+        V[:, cols] = Uc.T @ W[c][:, local[cols]]
+    return V
 
 
 def _shift_invert_pairs(S):
@@ -318,14 +374,13 @@ def _shift_invert_pairs(S):
     def pairs(count):
         if count >= side:
             raise SolverError(f"shift-invert: {count} pairs asked of dimension {side}")
-        ncv = _krylov_size(count, side)
         try:
             lam, V = eigsh(S, k=count, sigma=sigma, which="LM", OPinv=OPinv,
-                           v0=v0, ncv=ncv)
+                           v0=v0, ncv=_krylov_size(count, side))
         except ArpackError as exc:
             raise SolverError(f"shift-invert: {exc}") from exc
         order = np.argsort(lam)
-        return lam[order], V[:, order], f"shift-invert(m={ncv})"
+        return lam[order], V[:, order]
     return pairs, sigma
 
 

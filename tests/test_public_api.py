@@ -55,3 +55,26 @@ def test_only_spectral_decomposes():
             elif isinstance(node, ast.ImportFrom):
                 found += [f"{name}:{node.lineno}" for a in node.names if a.name in solvers]
     assert found == []
+
+
+def test_spectral_factors_only_in_ldlt():
+    # _ldlt refuses off-diagonal pivoting and factors in symmetric mode,
+    # so its pivots are the inertia that certifies every shift and every
+    # count; no other function of spectral.py may reach splu, by call,
+    # import or attribute
+    path = os.path.join(os.path.dirname(os.path.abspath(weylab.__file__)), "spectral.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    ldlt = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_ldlt"]
+    assert len(ldlt) == 1
+    inside = {id(n) for n in ast.walk(ldlt[0])}
+
+    def uses(node):
+        return ((isinstance(node, ast.Name) and node.id == "splu")
+                or (isinstance(node, ast.Attribute) and node.attr == "splu")
+                or (isinstance(node, ast.ImportFrom) and any(a.name == "splu" for a in node.names)))
+
+    found = [n.lineno for n in ast.walk(tree) if uses(n) and id(n) not in inside]
+    assert found == []
+    calls = [n for n in ast.walk(ldlt[0]) if isinstance(n, ast.Call) and uses(n.func)]
+    assert len(calls) == 1

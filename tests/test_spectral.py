@@ -193,7 +193,7 @@ def test_iterative_path_matches_tensor_oracle():
     g = DirichletGrid(2, 66, 8.0)
     res = eigensolve(get_operator("harmonic", g), 6)
     assert res.solver.startswith("shift-invert(m=")
-    assert res.sigma == 0.0
+    assert res.sigma == (0.0,) * 4
     assert np.max(np.abs(res.eigenvalues - harmonic_tensor_oracle(g, 6))) < 1e-10
 
 
@@ -205,7 +205,7 @@ def test_psd_shift_invert_factors_once_per_shift(monkeypatch):
     shifts = factor_shifts(monkeypatch, H)
     res = eigensolve(H, 3)
     tau, count = res.inertia
-    assert res.sigma == 0.0
+    assert res.sigma == (0.0,)
     assert shifts == [0.0, pytest.approx(tau)]
     assert count == 3 and res.eigenvalues[2] < tau
 
@@ -230,9 +230,9 @@ def test_shifted_2d_oscillator_matches_tensor_oracle(monkeypatch):
     res = eigensolve(A, 6)
     assert res.solver.startswith("shift-invert(m=")
     assert shifts[0] == 0.0 and len(shifts) >= 3
-    assert shifts[-2] == pytest.approx(res.sigma) and shifts[-1] == pytest.approx(res.inertia[0])
-    assert gershgorin_floor(A) <= res.sigma < 0.0
-    assert res.sigma < res.eigenvalues[0]
+    assert shifts[-2] == pytest.approx(res.sigma[0]) and shifts[-1] == pytest.approx(res.inertia[0])
+    assert gershgorin_floor(A) <= res.sigma[0] < 0.0
+    assert res.sigma[0] < res.eigenvalues[0]
     assert np.max(np.abs(res.eigenvalues - (harmonic_tensor_oracle(g, 6) - 5.0))) < 1e-10
 
 
@@ -245,7 +245,7 @@ def test_singular_candidate_shift_is_rejected(monkeypatch):
     res = eigensolve(A, 3)
     assert res.solver.startswith("shift-invert(m=")
     assert shifts == [0.0, pytest.approx(-1e-3), pytest.approx(2.5)]
-    assert res.sigma == pytest.approx(-1e-3)
+    assert res.sigma == pytest.approx((-1e-3,))
     assert res.inertia == (pytest.approx(2.5), 3)
     assert np.allclose(res.eigenvalues, [0.0, 1.0, 2.0], atol=1e-12)
 
@@ -289,6 +289,120 @@ def test_inertia_certificate_catches_a_missed_eigenvalue(monkeypatch, dense_limi
     monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
     with pytest.raises(SolverError, match="inertia"):
         eigensolve(H.sparse if whole else H, 5)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "daho", "grushin_pure"])
+@pytest.mark.parametrize("N,blocks", [(40, (400,) * 4), (41, (441, 420, 420, 400))],
+                         ids=["N40", "N41"])
+def test_split_shift_invert_matches_the_whole_matrix(name, N, blocks):
+    # k = 10 of side 1600 or 1681 is a shift-invert size for the whole
+    # matrix and for each parity block; the merged pairs agree with one
+    # Lanczos run on the bare CSR, and so does the count at tau
+    H = get_operator(name, DirichletGrid(2, N, 8.0))
+    split, whole = eigensolve(H, 10), eigensolve(H.sparse, 10)
+    assert split.blocks == blocks and whole.blocks == (N * N,)
+    assert split.solver.startswith("shift-invert(m=") and whole.solver.startswith("shift-invert(m=")
+    assert len(split.sigma) == 4 and len(whole.sigma) == 1
+    rel = np.abs(split.eigenvalues - whole.eigenvalues) / np.abs(whole.eigenvalues)
+    assert np.max(rel) <= 1e-12
+    assert split.inertia[1] == whole.inertia[1]
+
+
+def test_inertia_catches_a_pair_dropped_by_one_block(monkeypatch):
+    # the first block's Lanczos runs lose their lowest pair; the other
+    # blocks are whole and every pair returned is genuine, so only the
+    # count on the whole operator can see the gap
+    import scipy.sparse.linalg as sla
+    orig, solved = sla.eigsh, []
+
+    def drop_in_first_block(A, *args, **kwargs):
+        out = orig(A, *args, **kwargs)
+        if kwargs.get("sigma") is None:
+            return out
+        solved.append(A)
+        if A is not solved[0]:
+            return out
+        lam, V = out
+        i = int(np.argmin(lam))
+        return np.delete(lam, i), np.delete(V, i, axis=1)
+
+    monkeypatch.setattr(sla, "eigsh", drop_in_first_block)
+    with pytest.raises(SolverError, match="inertia"):
+        eigensolve(get_operator("daho", DirichletGrid(2, 40, 8.0)), 10)
+    assert len(solved) == 4 and len({id(A) for A in solved}) == 4
+
+
+def test_a_block_short_of_pairs_grows_without_repeating_a_count(monkeypatch):
+    # a stiff 1e3 x2^2 well on a grid with a node at x2 = 0: the lowest 44
+    # pairs but two are x1 excitations over the x2 ground state, so the
+    # two blocks even in x2 hold 42 of them between them, more than the
+    # ceil(44/4) + 4 = 15 each starts at.  Those two grow; the odd ones are
+    # solved once, and no block twice for one count
+    import scipy.sparse.linalg as sla
+    g = DirichletGrid(2, 41, 8.0)
+    x2 = g.mesh()[:, 1]
+    H = HamiltonianMatrix(get_operator("harmonic", g).sparse + sparse.diags_array(1e3 * x2**2),
+                          g, "harmonic+1e3 x2^2")
+    orig, asked = sla.eigsh, {}
+
+    def record(A, *args, **kwargs):
+        if kwargs.get("sigma") is not None:
+            asked.setdefault(id(A), []).append(kwargs["k"])
+        return orig(A, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", record)
+    res = eigensolve(H, 40)
+    monkeypatch.undo()
+    assert res.blocks == (441, 420, 420, 400) and len(res.sigma) == 4
+    even_even, even_odd, odd_even, odd_odd = asked.values()
+    assert even_odd == odd_odd == [15]
+    for ks in (even_even, odd_even):
+        assert ks[0] == 15 and len(ks) > 1
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+    whole = eigensolve(H.sparse, 40)
+    assert np.max(np.abs(res.eigenvalues / whole.eigenvalues - 1.0)) <= 1e-12
+    assert res.inertia[1] == whole.inertia[1]
+
+
+def test_each_block_certifies_its_own_shift():
+    # the E4 shape, harmonic - 5 I: the blocks' lowest eigenvalues are
+    # about -3, -1, -1 and 1.  Each block takes the first shift of its own
+    # ladder that is certified below its own spectrum: 0 for the odd-odd
+    # block, a negative one for the others, none below its block's floor
+    g = DirichletGrid(2, 40, 8.0)
+    H = hamiltonian_with_potential(get_operator("harmonic", g),
+                                   step_potential(g, amplitude=0.0, base=-5.0))
+    res = eigensolve(H, 6)
+    assert res.solver.startswith("shift-invert(m=") and res.blocks == (400,) * 4
+    S = spectral._symmetric_part(H)
+    for Uc, sigma in zip(spectral._parity_basis(H, S), res.sigma):
+        block = Uc @ S @ Uc.T
+        assert gershgorin_floor(block) <= sigma < np.linalg.eigvalsh(block.toarray())[0]
+    assert res.sigma[3] == 0.0 and max(res.sigma[:3]) < 0.0
+    assert np.max(np.abs(res.eigenvalues - (harmonic_tensor_oracle(g, 6) - 5.0))) < 1e-10
+
+
+def test_blocks_route_by_their_own_side():
+    # daho at the benchmark's E3 size: the four blocks of side 1089 each
+    # run shift-invert, none on the whole side 4356
+    res = eigensolve(get_operator("daho", DirichletGrid(2, 66, 8.0)), 6, want_vectors=False)
+    assert res.blocks == (1089,) * 4
+    assert res.solver.startswith("shift-invert(m=") and len(res.sigma) == 4
+
+
+def test_full_spectrum_above_the_dense_limit_splits_into_dense_blocks(monkeypatch):
+    # every pair of a side-64 grid with the dense limit at 32: the whole
+    # matrix is too large for the dense path and shift-invert cannot give
+    # every pair, but each parity block of side 32 fits under the limit
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 32)
+    H = get_operator("harmonic", DirichletGrid(1, 64, 8.0))
+    res = eigensolve(H, 64)
+    assert res.blocks == (32, 32) and res.solver == "dense" and res.sigma is None
+    spec = spectral.Spectrum(H)
+    want = np.linalg.eigvalsh(H.sparse.toarray())
+    assert np.max(np.abs(spec.lam - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(SolverError, match="asked of dimension"):
+        eigensolve(H.sparse, 64)
 
 
 def test_certificate_cut_skips_a_degenerate_pair(monkeypatch):
