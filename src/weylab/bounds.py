@@ -146,7 +146,6 @@ def _interp_upper(A: np.ndarray, p: float, n2: float) -> float:
 def _lp_lower(A: np.ndarray, p: float, trials: int, rng) -> float:
     side = A.shape[1]
     best = 0.0
-    q = p / (p - 1.0) if p > 1 else np.inf
     for t in range(trials):
         if t == 0:
             f = np.ones(side)

@@ -97,7 +97,7 @@ def _run_quantize_identity(cfg):
 
 def _run_spectrum(cfg):
     H = _operator(cfg)
-    res = eigensolve(H, cfg["k"], want_vectors=False)
+    res = eigensolve(H, cfg["k"])
     rows = [(i + 1, float(v), float(r))
             for i, (v, r) in enumerate(zip(res.eigenvalues, res.residuals))]
     report = {"operator": H.provenance, "solver": res.solver,
@@ -115,7 +115,7 @@ def _run_spectrum(cfg):
 def _run_growth_fit(cfg):
     H = _operator(cfg)
     window = tuple(cfg["window"])
-    res = eigensolve(H, max(window[1] + 10, cfg["k"]), want_vectors=False)
+    res = eigensolve(H, max(window[1] + 10, cfg["k"]))
     fit = growth_fit(res, window)
     rows = [(i + 1, float(v)) for i, v in enumerate(res.eigenvalues)]
     report = {"operator": H.provenance, "exponent": fit.exponent,

@@ -1,16 +1,16 @@
 """Time evolution: unitary group and contraction semigroup.
 
 Propagation goes through the eigendecomposition by default: one
-certified ``spectral.Spectrum`` per operator, the coefficients Q^T f
-once, and every output time in one real product Q @ [Re C | Im C].
-Norms are measured on the propagated states and energies come from one
-product with the sparse operator, so the conservation monitors test the
-states that were computed: norm drift and group law defects sit at
-rounding level instead of integrator level, and a 1e-10 gate tests the
-operator and not the time stepper.  A Crank-Nicolson path exists behind
-a flag for sizes where a full decomposition is unreasonable; its
-tolerances are looser (1e-6) and that is documented in the trace
-metadata.
+certified ``spectral.Spectrum`` per operator, kept in its parity blocks,
+and per block the coefficients W_c^T U_c f once and every output time
+together.  Norms are measured on the propagated states and energies come
+from one product with the sparse operator, so the conservation monitors
+test the states that were computed: norm drift and group law defects sit
+at rounding level instead of integrator level, and a 1e-10 gate tests
+the operator and not the time stepper.  A Crank-Nicolson path exists
+behind a flag for sizes where a full decomposition is unreasonable.  Its
+trace metadata says "tolerance class 1e-6", a label and not a bound:
+stiff heat runs miss the exact flow by far more.
 
 Sign bookkeeping: the stored operator is the nonnegative H; the heat
 flow evolves e^{-tH}, the unitary flow e^{-itH}.  An EvolutionTrace
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import HamiltonianMatrix
-from .spectral import Spectrum
+from .spectral import Spectrum, real_csr
 
 __all__ = ["Propagator", "EvolutionTrace", "schrodinger_evolve", "heat_evolve"]
 
@@ -45,15 +45,6 @@ class EvolutionTrace:
             raise ValueError("times must be strictly increasing")
 
 
-def _csr(H):
-    """The stored operator of a HamiltonianMatrix, or a real array as CSR."""
-    from scipy import sparse
-
-    if isinstance(H, HamiltonianMatrix):
-        return H.sparse
-    return sparse.csr_array(np.asarray(H, dtype=float))
-
-
 def _from_zero(times) -> np.ndarray:
     """times as floats, none before f's time 0: backwards the heat flow is
     ill-posed, and Crank-Nicolson steps forward only."""
@@ -65,39 +56,38 @@ def _from_zero(times) -> np.ndarray:
 
 
 class Propagator:
-    """Cached spectral data for one operator, shared across evolutions."""
+    """One operator's certified Spectrum, shared across evolutions, behind
+    two gates: a symmetric operator, and for heat a spectrum above HEAT_FLOOR."""
 
     def __init__(self, H, kind: str):
         if kind not in ("schrodinger", "heat"):
             raise ValueError("kind must be schrodinger or heat")
-        S = _csr(H)
+        S = real_csr(H)
         defect = float(abs(S - S.T).max())
         if defect > SYMMETRY_GATE * max(1.0, float(abs(S).max())):
             raise ValueError(f"operator not symmetric: defect {defect:.3e}")
         # a HamiltonianMatrix goes through whole, so its grid reaches the solver
-        spec = Spectrum(H if isinstance(H, HamiltonianMatrix) else S)
+        self.spectrum = Spectrum(H if isinstance(H, HamiltonianMatrix) else S)
         self.kind = kind
-        self.A, self.lam, self.Q = spec.A, spec.lam, spec.Q
-        self.Qt = np.ascontiguousarray(self.Q.T)
-        if kind == "heat" and self.lam[0] < HEAT_FLOOR:
-            raise ValueError(
-                f"contraction requires spectrum above {HEAT_FLOOR}: found {self.lam[0]:.3e}")
+        if kind == "heat" and self.spectrum.lam[0] < HEAT_FLOOR:
+            raise ValueError(f"contraction requires spectrum above {HEAT_FLOOR}: "
+                             f"found {self.spectrum.lam[0]:.3e}")
 
     def _parts(self, f: np.ndarray, times) -> np.ndarray:
         """[Re U | Im U], U the states e^{-itH} f or e^{-tH} f as columns,
-        one per time.  Q is real, so Q^T acts once on the real and
-        imaginary parts of f, and Q once on all the times together, never
-        on a complex copy of itself."""
-        f = np.asarray(f)
+        one per time, summed over the spectrum's blocks.  W_c is real, so
+        W_c^T U_c acts once on the real and imaginary parts of f, and
+        U_c^T W_c once on all the times together."""
         t = _from_zero(times) if self.kind == "heat" else np.asarray(times, dtype=float)
-        C = self.Qt @ np.stack([f.real, np.imag(f)], axis=1)
-        if self.kind == "schrodinger":
-            c = (C[:, :1] + 1j * C[:, 1:]) * np.exp(-1j * np.outer(self.lam, t))
-            C = np.hstack([c.real, c.imag])
-        else:
-            E = np.exp(-np.outer(self.lam, t))
-            C = np.hstack([C[:, :1] * E, C[:, 1:] * E])
-        return self.Q @ C
+        z = 1j if self.kind == "schrodinger" else 1.0
+        F = np.stack([np.real(f), np.imag(f)], axis=1)
+        out = 0.0
+        for Uc, lam, W in self.spectrum.blocks:
+            C = W.T @ (F if Uc is None else Uc @ F)
+            c = (C[:, :1] + 1j * C[:, 1:]) * np.exp(-z * np.outer(lam, t))
+            X = W @ np.hstack([c.real, c.imag])
+            out = out + (X if Uc is None else Uc.T @ X)
+        return out
 
     def apply(self, f: np.ndarray, t: float) -> np.ndarray:
         """e^{-itH} f, or e^{-tH} f for t >= 0."""
@@ -113,7 +103,7 @@ def _trace(prop: Propagator, f, times, meta: str) -> EvolutionTrace:
     U = prop._parts(f, times)
     nt = times.size
     sq = np.sum(U * U, axis=0)
-    e = np.sum(U * (prop.A @ U), axis=0)
+    e = np.sum(U * (prop.spectrum.A @ U), axis=0)
     return EvolutionTrace(times=times, norms=np.sqrt(sq[:nt] + sq[nt:]),
                           energies=e[:nt] + e[nt:], method="eig", meta=meta)
 
@@ -126,7 +116,7 @@ def _cn_trace(H, f, times, kind: str, meta: str) -> EvolutionTrace:
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    A = _csr(H)
+    A = real_csr(H)
     times = _from_zero(times)
     u = np.asarray(f, dtype=complex).copy()
     c = 0.5j if kind == "schrodinger" else 0.5

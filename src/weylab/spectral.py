@@ -34,7 +34,7 @@ from .quantize import Grid, weyl_quantize
 
 __all__ = [
     "SpectralResult", "Spectrum", "GrowthFit", "SolverError", "eigensolve", "growth_fit",
-    "phase_box_integral", "band_slope", "SchattenTrendReport", "schatten_sweep",
+    "phase_box_integral", "band_slope", "SchattenTrendReport", "schatten_sweep", "real_csr",
 ]
 
 RESIDUAL_REL_TOL = 1e-8
@@ -57,7 +57,6 @@ class SpectralResult:
     eigenvalues: np.ndarray
     residuals: np.ndarray
     solver: str
-    eigenvectors: Optional[np.ndarray] = None
     sigma: Optional[tuple] = None     # the certified shift of each block (None: dense); None when all are dense
     inertia: Optional[tuple] = None   # (tau, eigenvalues below tau) of the final count
     blocks: Optional[tuple] = None    # the side of each block solved, (side,) when none splits
@@ -68,8 +67,8 @@ class SpectralResult:
             raise ValueError("eigenvalues must be ascending")
 
 
-def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
-    """Lowest k eigenpairs of a symmetric (or Hermitian) matrix, certified.
+def eigensolve(H, k: int) -> SpectralResult:
+    """Lowest k eigenvalues of a symmetric (or Hermitian) matrix, certified.
 
     H is a HamiltonianMatrix, a scipy sparse matrix or an array.  The
     solve splits into one block per reflection parity, the whole matrix
@@ -90,7 +89,7 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     block's Gershgorin lower bound g, then a point just below g; the first
     whose LDL^T of A - sigma I has no negative pivot (A - sigma I positive
     definite) is taken, and that one LDL^T is the solve.  The pairs merge
-    by eigenvalue and the vectors return through U^T.
+    by eigenvalue.
 
     The certificates see only A and the merged pairs, so they hold however
     the solve was split.  p >= 1 extra pairs are computed (none when
@@ -107,7 +106,13 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     sides, sigma (one shift per block, None for a dense one; None when
     every block is dense), and the pair (tau, count) when counted.
     """
-    S = _symmetric_part(H)
+    return _solve(H, _symmetric_part(H), k)[0]
+
+
+def _solve(H, S, k: int) -> tuple:
+    """eigensolve of S, the symmetric part of H: the result, and its blocks
+    (U_c or None, lambda_c, W_c) unless a count at tau was needed, which
+    a full spectrum never is."""
     side = S.shape[0]
     if not 0 < k <= side:
         raise ValueError("k must lie between 1 and the dimension")
@@ -117,69 +122,84 @@ def eigensolve(H, k: int, want_vectors: bool = True) -> SpectralResult:
     if lam_max is None:
         lam_max = _top_eigenvalue(S)
     while True:
-        lam, vectors, solver, sigma = pairs(k + p)
+        lam, blocks, solver, sigma = pairs(k + p)
         normA = max(abs(float(lam[0])), lam_max)
         cut = _first_gap(lam, k, GAP_REL_TOL * normA)
         if cut is not None or k + p == side:
             break
         p = min(2 * p, side - k)
-    del pairs  # every block's sigma factorization, freed before the vectors are formed
-    below = lam.size if cut is None else cut
-    # one slice of columns per block, so that the temporaries hold a block's share
-    edges = [*range(0, below, -(-below // len(U or [S]))), below]
-    res = np.concatenate([_residual_norms(S, vectors(a, b), lam[a:b])
-                          for a, b in zip(edges, edges[1:])])
-    V = vectors(0, k) if want_vectors else None
-    del vectors  # the block vectors, freed before the LDL^T at tau
-    _enforce_residuals(res, normA, solver)
+    del pairs  # every block's sigma factorization, freed before the residuals
+    # one block at a time, then into the merged order: a stable sort
+    res = np.concatenate([_residual_norms(S, _lift(Uc, W), w) for Uc, w, W in blocks])
+    res = res[np.argsort(np.concatenate([w for _, w, _ in blocks]), kind="stable")]
+    _enforce_residuals(res[:cut], normA, solver)
     inertia = None
     if cut is not None:
+        blocks = None  # the block vectors, freed before the LDL^T at tau
         tau = 0.5 * (lam[cut - 1] + lam[cut])
         count = _count_below(S, tau)
         if count != cut:
             raise SolverError(f"{solver}: {cut} eigenvalues computed below {tau:.10g}, "
                               f"inertia of A - tau I counts {count}")
         inertia = (float(tau), count)
-    return SpectralResult(lam[:k], res[:k], solver,
-                          eigenvectors=V,
-                          sigma=sigma, inertia=inertia,
-                          blocks=tuple(Uc.shape[0] for Uc in U) or (side,))
+    return SpectralResult(lam[:k], res[:k], solver, sigma=sigma, inertia=inertia,
+                          blocks=tuple(Uc.shape[0] for Uc in U) or (side,)), blocks
+
+
+def _lift(Uc, X):
+    """U_c^T X: block coordinates back to the grid's (X itself with no U)."""
+    return X if Uc is None else Uc.T @ X
 
 
 class Spectrum:
-    """Every eigenpair A = Q diag(lam) Q^T of the symmetric part A of a
-    real operator, kept sparse: eigensolve's full-spectrum case, so the
-    pairs pass the same residual gate.  H goes to eigensolve as given,
-    so a HamiltonianMatrix brings its grid and splits by parity."""
+    """Every eigenpair of the symmetric part A of a real operator, as
+    eigensolve's full case solved them: A = sum_c U_c^T W_c diag(lam_c)
+    W_c^T U_c over the parity blocks, or the one block (None, lam, W), and
+    lam merged ascending.  No side x side eigenvector matrix is formed."""
 
     def __init__(self, H):
-        self.A = _symmetric_part(H)
-        res = eigensolve(H, self.A.shape[0])
-        self.lam, self.Q = res.eigenvalues, res.eigenvectors
+        self.A = _symmetric_part(real_csr(H))
+        res, self.blocks = _solve(H, self.A, self.A.shape[0])
+        self.lam = res.eigenvalues
 
-    def _shifted(self, shift: float) -> np.ndarray:
-        lam = self.lam + shift
-        if np.min(lam) <= 0.0:
-            raise SolverError(f"shift too small: min shifted eigenvalue {np.min(lam):.3e}")
-        return lam
+    def _shifted(self, shift: float) -> list:
+        low = self.lam[0] + shift
+        if low <= 0.0:
+            raise SolverError(f"shift too small: min shifted eigenvalue {low:.3e}")
+        return [w + shift for _, w, _ in self.blocks]
 
     def power(self, beta: float, shift: float = 0.0) -> np.ndarray:
         """(A + shift)^beta, symmetrized; A + shift must be PD (beta < 0: resolvent powers)."""
-        M = (self.Q * self._shifted(shift) ** beta) @ self.Q.T
+        M = sum(_lift(Uc, _lift(Uc, (W * s ** beta) @ W.T).T)
+                for (Uc, _, W), s in zip(self.blocks, self._shifted(shift)))
         return 0.5 * (M + M.T)
 
     def power_diagonal(self, beta: float, shift: float = 0.0) -> np.ndarray:
-        """diag((A + shift)^beta) = (Q o Q)(lam + shift)^beta, one
-        matrix-vector product instead of the whole power."""
-        return (self.Q * self.Q) @ self._shifted(shift) ** beta
+        """diag((A + shift)^beta) = sum_c (V_c o V_c) s_c^beta, V_c = U_c^T W_c:
+        one matrix-vector product per block instead of the whole power."""
+        return sum(np.square(_lift(Uc, W)) @ s ** beta
+                   for (Uc, _, W), s in zip(self.blocks, self._shifted(shift)))
+
+
+def real_csr(H):
+    """H as a real CSR array; spectra, powers and propagators act through a
+    real eigenbasis, so a complex H is a ValueError."""
+    S = _csr(H)
+    if np.iscomplexobj(S):
+        raise ValueError("complex operator: spectra, powers and propagators take a real one")
+    return S
+
+
+def _csr(H):
+    """H as a CSR array: a HamiltonianMatrix's operator, a scipy sparse matrix or an array."""
+    from scipy import sparse
+
+    return H.sparse if isinstance(H, HamiltonianMatrix) else sparse.csr_array(H)
 
 
 def _symmetric_part(H):
-    """0.5 (A + A^*) as a CSR array, from a HamiltonianMatrix, a sparse
-    matrix or an array."""
-    from scipy import sparse
-
-    S = H.sparse if isinstance(H, HamiltonianMatrix) else sparse.csr_array(H)
+    """0.5 (A + A^*) as a CSR array, A = _csr(H)."""
+    S = _csr(H)
     return 0.5 * (S + S.conj().T)
 
 
@@ -202,9 +222,12 @@ def _first_gap(lam, k: int, width: float):
 
 
 def _top_eigenvalue(S) -> float:
+    """A Lanczos estimate of lambda_max, to tol=1e-4: a Ritz value never
+    exceeds lambda_max, so a loose estimate can only shrink |A|_2, and
+    with it the residual gate and the gap width; the checks only tighten."""
     from scipy.sparse.linalg import eigsh
     v0 = np.random.default_rng(START_SEED).normal(size=S.shape[0])
-    return float(eigsh(S, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+    return float(eigsh(S, k=1, which="LA", v0=v0, tol=1e-4, return_eigenvectors=False)[0])
 
 
 def _krylov_size(count: int, side: int) -> int:
@@ -275,10 +298,10 @@ def _parity_pairs(S, U, count: Optional[int] = None):
     may miss pairs, all above that largest one, so it is solved again for
     p more plus one per merged eigenvalue above it; no block is solved
     twice for one count.  The eigenvalues merge by a stable sort.  Returns
-    the pairs function, which gives (eigenvalues, their vectors as a
-    function of a column range, solver, the shifts or None), and the
-    largest eigenvalue of S when every block is decomposed whole, else
-    None."""
+    the pairs function, which gives (the merged eigenvalues, each block
+    (U_c or None, lambda_c, W_c) cut to the pairs it gave them, solver, the
+    shifts or None), and the largest eigenvalue of S when every block is
+    decomposed whole, else None."""
     count = S.shape[0] if count is None else count
     mats = [Uc @ S @ Uc.T for Uc in U] or [S]
     sides = [M.shape[0] for M in mats]
@@ -318,26 +341,13 @@ def _parity_pairs(S, U, count: Optional[int] = None):
                 want[b] = min(sides[b], count, asked[b] + EXTRA_PAIRS + above)
         solver = "dense" if shifts is None else "shift-invert(m={})".format(max(
             _krylov_size(a, n) for a, n, s in zip(asked, sides, sigma) if s is not None))
-        vectors = functools.partial(_merged_vectors, U, list(W), [w.size for w in lam], take)
-        return merged[take], vectors, solver, shifts
+        used = np.bincount(np.repeat(np.arange(len(lam)), [w.size for w in lam])[take],
+                           minlength=len(lam))
+        blocks = [(Uc, w[:u], V[:, :u]) for Uc, w, V, u in zip(U or [None], lam, W, used)]
+        return merged[take], blocks, solver, shifts
     if all(a == n for a, n in zip(asked, sides)):
         return pairs, float(max(w[-1] for w in lam))
     return pairs, None
-
-
-def _merged_vectors(U, W, sizes, take, start, stop):
-    """Merged vectors start to stop - 1, block c holding sizes[c] of the
-    merged pairs: block c's vectors W[c] return through U_c^T; with no U,
-    the one block's vectors as solved."""
-    if not U:
-        return W[0][:, start:stop]
-    block = np.repeat(np.arange(len(U)), sizes)[take[start:stop]]
-    local = np.concatenate([np.arange(n) for n in sizes])[take[start:stop]]
-    V = np.empty((U[0].shape[1], stop - start))
-    for c, Uc in enumerate(U):
-        cols = np.nonzero(block == c)[0]
-        V[:, cols] = Uc.T @ W[c][:, local[cols]]
-    return V
 
 
 def _shift_invert_pairs(S):

@@ -40,12 +40,12 @@ def grid_2d():
 
 @pytest.fixture(scope="module")
 def harmonic_2d_eigs(grid_2d):
-    return eigensolve(bld.get_operator("harmonic", grid_2d), 410, want_vectors=True)
+    return eigensolve(bld.get_operator("harmonic", grid_2d), 410)
 
 
 @pytest.fixture(scope="module")
 def daho_2d_eigs(grid_2d):
-    return eigensolve(bld.get_operator("daho", grid_2d), 410, want_vectors=False)
+    return eigensolve(bld.get_operator("daho", grid_2d), 410)
 
 
 # -- uncertainty principle in closed form -----------------------------------
@@ -329,7 +329,7 @@ def test_evolution_surrogates_with_discontinuous_potential():
     assert np.linalg.norm(glued - prop.apply(f, 0.9)) <= 1e-9
 
     # the potential is bounded below by its lower level, so the spectrum is too
-    lam0 = eigensolve(H, 1, want_vectors=False).eigenvalues[0]
+    lam0 = eigensolve(H, 1).eigenvalues[0]
     assert lam0 >= 1.0 - 1e-9
     assert lam0 == pytest.approx(1.459005, abs=1e-4)
 

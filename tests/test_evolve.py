@@ -11,6 +11,7 @@ from weylab.evolve import (
 )
 from weylab.builders import get_operator
 from weylab.hamiltonians import DirichletGrid
+from weylab.spectral import Spectrum, eigensolve
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ def test_propagator_group_law(H, f0):
 @pytest.mark.parametrize("evolve,kind", [(schrodinger_evolve, "schrodinger"),
                                           (heat_evolve, "heat")])
 def test_batched_trace_matches_per_time_apply(H, f0, evolve, kind):
-    # every time of a trace comes out of one product with Q; each norm
+    # every time of a trace comes out of one product per block; each norm
     # and energy must agree with one apply per time
     f = f0 * np.exp(1j * H.grid.points)
     times = np.linspace(0.0, 0.8, 9)
@@ -144,3 +145,34 @@ def test_evolution_decomposes_once(H, f0, monkeypatch):
         tr = evolve(H, f0, times)
         assert calls == [(32, 32), (32, 32)]
         assert len(tr.norms) == len(tr.energies) == 9
+
+
+def test_complex_operator_is_refused():
+    # the propagators and the powers act through a real eigenbasis and its
+    # transpose; a complex operator is refused, on every evolve path,
+    # while eigensolve still takes a Hermitian one
+    X = np.random.default_rng(2).normal(size=(6, 6, 2)) @ [1.0, 1j]
+    hermitian, f = X + X.conj().T, np.ones(6)
+    with pytest.raises(ValueError, match="complex operator"):
+        Propagator(hermitian, "schrodinger")
+    with pytest.raises(ValueError, match="complex operator"):
+        Spectrum(hermitian)
+    for method in ("eig", "cn"):
+        with pytest.raises(ValueError, match="complex operator"):
+            heat_evolve(hermitian, f, [0.0, 0.1], method=method)
+    want = np.linalg.eigvalsh(hermitian)[:3]
+    assert np.max(np.abs(eigensolve(hermitian, 3).eigenvalues - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sparse_operator_evolves_like_the_dense_one(H, f0):
+    # a scipy sparse operator takes the same input path as an array
+    A, S = H.sparse.toarray(), H.sparse
+    times = np.linspace(0.0, 0.6, 7)
+    for method in ("eig", "cn"):
+        for evolve in (schrodinger_evolve, heat_evolve):
+            dense, sp = (evolve(M, f0, times, method=method) for M in (A, S))
+            assert np.max(np.abs(sp.norms - dense.norms)) <= 1e-13 * np.max(dense.norms)
+            assert np.max(np.abs(sp.energies - dense.energies)) <= 1e-13 * np.max(dense.energies)
+    for kind in ("schrodinger", "heat"):
+        u, v = (Propagator(M, kind).apply(f0, 0.6) for M in (A, S))
+        assert np.max(np.abs(v - u)) <= 1e-13 * np.max(np.abs(u))

@@ -78,3 +78,61 @@ def test_spectral_factors_only_in_ldlt():
     assert found == []
     calls = [n for n in ast.walk(ldlt[0]) if isinstance(n, ast.Call) and uses(n.func)]
     assert len(calls) == 1
+
+
+def _dead_locals(fn):
+    """Names that fn binds by plain assignment (=, an annotated value,
+    :=, with ... as, except ... as) in its own scope and never reads,
+    there or in a scope nested in it.  Unpacked tuples and loop targets
+    are not counted: they bind every name a value yields."""
+    stores, loads, shared = {}, set(), set()
+
+    def own_scope(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                  ast.ClassDef)):
+                continue
+            yield child
+            yield from own_scope(child)
+
+    for node in own_scope(fn):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+            targets = [node.target] if getattr(node, "value", None) is not None else []
+        elif isinstance(node, ast.withitem):
+            targets = [node.optional_vars]
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            stores.setdefault(node.name, node.lineno)
+            targets = []
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            shared.update(node.names)
+            targets = []
+        else:
+            targets = []
+        for t in targets:
+            if isinstance(t, ast.Name):
+                stores.setdefault(t.id, t.lineno)
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            loads.add(node.target.id)
+    return sorted((line, name) for name, line in stores.items()
+                  if name not in loads | shared and name != "_")
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    # pyflakes' "local variable is assigned to but never used", without
+    # a linter among the dependencies
+    root = os.path.dirname(os.path.abspath(weylab.__file__))
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{name}:{line} {fn.name}: {local}" for line, local in _dead_locals(fn)]
+    assert found == []

@@ -14,6 +14,7 @@ import weylab
 from _helpers import count_calls, schatten_norm
 from weylab import spectral
 from weylab.builders import get_operator, get_weight
+from weylab.evolve import Propagator
 from weylab.hamiltonians import (
     DirichletGrid,
     HamiltonianMatrix,
@@ -48,7 +49,6 @@ def test_dense_path_matches_continuum_oscillator():
     res = eigensolve(get_operator("harmonic", DirichletGrid(1, 64, 8.0)), 5)
     assert res.solver == "dense"
     assert np.allclose(res.eigenvalues, 2.0 * np.arange(5) + 1.0, atol=1e-3)
-    assert res.eigenvectors.shape == (64, 5)
     assert np.max(res.residuals) < 1e-8
 
 
@@ -61,7 +61,7 @@ def test_dense_path_only_below_eight_krylov_sizes(grid, k, path):
     # under DENSE_LIMIT the dense path still needs side < 8 ncv,
     # ncv = max(2 (k + p) + 1, 20): a few pairs of a large matrix go to
     # shift-invert, a large share of them stays dense
-    res = eigensolve(get_operator("harmonic", grid), k, want_vectors=False)
+    res = eigensolve(get_operator("harmonic", grid), k)
     assert res.solver.split("(")[0] == path
     assert (res.sigma is None) == (path == "dense")
 
@@ -143,7 +143,7 @@ def test_spectrum_is_certified(monkeypatch):
     H = get_operator("harmonic", DirichletGrid(1, 32, 6.0))
     calls = count_calls(monkeypatch, np.linalg, "eigh")
     spec = spectral.Spectrum(H)
-    assert spec.lam.shape == (32,) and spec.Q.shape == (32, 32)
+    assert spec.lam.shape == (32,) and [W.shape for _, _, W in spec.blocks] == [(16, 16)] * 2
     assert calls == [(16, 16), (16, 16)]
     monkeypatch.undo()
     orig = np.linalg.eigh
@@ -385,7 +385,7 @@ def test_each_block_certifies_its_own_shift():
 def test_blocks_route_by_their_own_side():
     # daho at the benchmark's E3 size: the four blocks of side 1089 each
     # run shift-invert, none on the whole side 4356
-    res = eigensolve(get_operator("daho", DirichletGrid(2, 66, 8.0)), 6, want_vectors=False)
+    res = eigensolve(get_operator("daho", DirichletGrid(2, 66, 8.0)), 6)
     assert res.blocks == (1089,) * 4
     assert res.solver.startswith("shift-invert(m=") and len(res.sigma) == 4
 
@@ -403,6 +403,54 @@ def test_full_spectrum_above_the_dense_limit_splits_into_dense_blocks(monkeypatc
     assert np.max(np.abs(spec.lam - want)) <= 1e-12 * np.max(np.abs(want))
     with pytest.raises(SolverError, match="asked of dimension"):
         eigensolve(H.sparse, 64)
+
+
+def _block_kept_cases():
+    for name, n, N in [("harmonic", 1, 32), ("harmonic", 1, 33), ("daho", 2, 16), ("daho", 2, 17),
+                       ("grushin_pure", 2, 16), ("grushin_pure", 2, 17)]:
+        yield pytest.param(get_operator(name, DirichletGrid(n, N, 6.0)), id=f"{name}-{n}d-N{N}")
+    yield pytest.param(get_operator("daho", DirichletGrid(2, 16, 6.0)).sparse.toarray(),
+                       id="bare-array")
+
+
+@pytest.mark.parametrize("H", _block_kept_cases())
+def test_block_kept_spectrum_matches_one_dense_decomposition(H):
+    # the powers and the propagators act block by block; they agree with
+    # the same functions of one np.linalg.eigh of the whole matrix
+    A = H.sparse.toarray() if isinstance(H, HamiltonianMatrix) else H
+    lam, Q = np.linalg.eigh(A)
+    spec = spectral.Spectrum(H)
+    assert len(spec.blocks) == (1 if A is H else 2 ** H.grid.n)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for beta in (-0.75, 1.5):
+        close(spec.power(beta, 1.0), (Q * (lam + 1.0) ** beta) @ Q.T)
+        close(spec.power_diagonal(beta, 1.0), (Q * Q) @ (lam + 1.0) ** beta)
+    f = np.random.default_rng(5).normal(size=lam.size) * (1.0 + 0.5j)
+    for kind, phase in (("schrodinger", -0.3j), ("heat", -0.3)):
+        close(Propagator(H, kind).apply(f, 0.3), Q @ (np.exp(phase * lam) * (Q.T @ f)))
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+    elif type(obj).__module__.startswith("weylab."):
+        for item in vars(obj).values():
+            yield from _arrays(item)
+
+
+def test_split_spectra_hold_no_side_squared_array():
+    # a full spectrum stays in its parity blocks: neither the Spectrum nor
+    # a Propagator keeps an eigenvector matrix of the whole side
+    H = get_operator("daho", DirichletGrid(2, 16, 6.0))
+    for held in (spectral.Spectrum(H), Propagator(H, "schrodinger")):
+        sizes = [a.size for a in _arrays(held)]
+        assert sizes and max(sizes) < 256 ** 2
 
 
 def test_certificate_cut_skips_a_degenerate_pair(monkeypatch):
@@ -447,9 +495,8 @@ def test_spectral_result_rejects_descending():
 
 def test_eigensolve_accepts_raw_arrays():
     A = np.diag([3.0, 1.0, 2.0])
-    res = eigensolve(A, 2, want_vectors=False)
+    res = eigensolve(A, 2)
     assert np.allclose(res.eigenvalues, [1.0, 2.0])
-    assert res.eigenvectors is None
     assert res.sigma is None and res.inertia == (2.5, 2)
 
 
