@@ -10,14 +10,24 @@ serves both dimensions: per axis p_ij = nodes[at[i, j]] (the grid at
 tau = 1 or 0, the half-step grid at the midpoint) and the phase depends
 only on d = (i - j) mod N, so the inverse FFT G of the symbol on the
 nodes gives A = G[at, d], O(N^2 log N) instead of O(N^3); in 2-D, one
-block and one ifft2 per first-axis node.  The midpoint rule gives exactly
-Hermitian matrices for real symbols.  Other tau take one transform per
-row, in 1-D only.  The symbol is evaluated on per-axis node and mode
-arrays that broadcast into the block, never on flattened (rows, 2n)
-points: in a 2-D block the first-axis point is one value.  Between
-conventions the transport (PolySymbol.jt) acts on symbols, not matrices:
+block and one 2-D transform per first-axis node.  For a real symbol the
+midpoint rule gives Hermitian matrices to rounding (about 1e-16 of the
+largest entry), not exactly.  Other tau take one transform per row, in
+1-D only.  The symbol is evaluated on per-axis node and mode arrays that
+broadcast into the block, never on flattened (rows, 2n) points: in a 2-D
+block the first-axis point is one value.  Between conventions the
+transport (PolySymbol.jt) acts on symbols, not matrices:
 tau-quantization of s equals output-point quantization of the
-transported symbol.  Quantizers return plain dense complex arrays.
+transported symbol.
+
+Quantizers return plain dense arrays, float64 or complex128 by one rule:
+each sampled block is tested against its reflection xi_k -> xi_{-k mod N}
+on its mode axes (the Nyquist mode is its own mirror).  When every block
+is real-typed and equal to its reflection, each inverse DFT is real in
+exact arithmetic; it is taken from the half spectrum (irfftn) and the
+matrix is float64.  Otherwise every block takes the complex transform.
+Every table weight and a2 symbol is even in xi and samples to blocks that
+pass, so their matrices are real.
 """
 
 from __future__ import annotations
@@ -92,19 +102,22 @@ def kn_quantize(s, grid: Grid) -> np.ndarray:
 
 
 def weyl_quantize(s, grid: Grid) -> np.ndarray:
-    """Midpoint quantization (tau = 1/2); exactly Hermitian for real symbols."""
+    """Midpoint quantization (tau = 1/2); Hermitian to rounding for real
+    symbols, and real when the symbol is also even in xi (tau_quantize)."""
     return tau_quantize(s, grid, 0.5)
 
 
 def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
-    """The dense complex matrix of s in the tau convention.  The side
-    limit is checked before s is evaluated or anything allocated."""
+    """The dense matrix of s in the tau convention: float64 when every
+    sampled symbol block is real and equal to its reflection xi -> -xi
+    (then each inverse DFT is real), complex otherwise.  The side limit
+    is checked before s is evaluated or anything allocated."""
     if grid.boundary != "periodic":
         raise ValueError("quantization needs a periodic grid")
     side = grid.side()
     if side > DENSE_SIDE_LIMIT:
         raise ValueError(f"dense side {side} exceeds limit {DENSE_SIDE_LIMIT}")
-    N, ks = grid.N, grid.modes
+    N, ks = grid.N, np.fft.ifftshift(grid.modes)  # FFT order: the samples need no shift
     idx = np.arange(N)
     d = (idx[:, None] - idx[None, :]) % N
     # per axis, p_ij = nodes[at[i, j]]: half-step nodes at tau = 1/2
@@ -115,25 +128,57 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     elif grid.n == 2:
         raise ValueError("two dimensions: only tau = 0, 1/2 and 1")
     else:
-        # generic tau: the point depends on both indices, one transform per row
-        A = np.empty((N, N), dtype=complex)
-        for i in range(N):
-            p = tau * grid.points[i] + (1.0 - tau) * grid.points
-            S = s.eval((p[:, None], ks[None, :]))
-            A[i, :] = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)[idx, d[i]]
-        return A
+        # generic tau: the point depends on both indices, one block per row
+        def rows():
+            for i in range(N):
+                p = tau * grid.points[i] + (1.0 - tau) * grid.points
+                yield s.eval((p[:, None], ks[None, :])), i, (idx, d[i])
+        return _gather(rows, (N, N), 1)
     if grid.n == 1:
         S = s.eval((nodes[:, None], ks[None, :]))  # [node, mode]
-        G = np.fft.ifft(np.fft.ifftshift(S, axes=1), axis=1)
-        return G[at, d]
-    A = np.empty((N, N, N, N), dtype=complex)  # [i1, i2, j1, j2]
-    for v, node in enumerate(nodes):
-        # every block whose first-axis point is node: one symbol block, one ifft2
-        S = s.eval((node, nodes[:, None, None], ks[None, :, None], ks[None, None, :]))
-        G = np.fft.ifft2(np.fft.ifftshift(S, axes=(1, 2)), axes=(1, 2))
-        i1, j1 = np.nonzero(at == v)
-        A[i1, :, j1, :] = G[at, d[i1, j1][:, None, None], d]
-    return A.reshape(side, side)
+        return _inverse_dft(S, 1, _even(S, 1))[at, d]
+
+    def blocks():
+        # every block whose first-axis point is node: one symbol block, one transform
+        for v, node in enumerate(nodes):
+            S = s.eval((node, nodes[:, None, None], ks[None, :, None], ks[None, None, :]))
+            i1, j1 = np.nonzero(at == v)
+            yield S, (i1, slice(None), j1, slice(None)), (at, d[i1, j1][:, None, None], d)
+    return _gather(blocks, (N, N, N, N), 2).reshape(side, side)  # [i1, i2, j1, j2]
+
+
+def _even(X, n: int) -> bool:
+    """X is real and equal to its reflection j -> -j mod N on its last n
+    (mode) axes, in FFT order; the Nyquist mode is its own mirror.  Then
+    its inverse DFT is real in exact arithmetic."""
+    if np.iscomplexobj(X):
+        return False
+    mirror = -np.arange(X.shape[-1]) % X.shape[-1]
+    return np.array_equal(X, X[(...,) + np.ix_(*[mirror] * n)])
+
+
+def _inverse_dft(X, n: int, real: bool) -> np.ndarray:
+    """The inverse DFT of X over its last n (mode) axes, in FFT order;
+    real: from the half spectrum of an even X (see _even)."""
+    axes = tuple(range(X.ndim - n, X.ndim))
+    if not real:
+        return np.fft.ifftn(X, axes=axes)
+    return np.fft.irfftn(X[..., :X.shape[-1] // 2 + 1], s=X.shape[-n:], axes=axes)
+
+
+def _gather(blocks, shape: tuple, n: int, real: bool = True) -> np.ndarray:
+    """A[dst] = G[src] for each (X, dst, src) that blocks() yields, G the
+    inverse DFT of the symbol block X over its last n axes.  float64 when
+    every X is even; a block that is not starts the gather again in
+    complex, so a complex matrix has the same entries as an all-complex
+    gather."""
+    A = np.empty(shape, dtype=float if real else complex)
+    for X, dst, src in blocks():
+        if real and not _even(X, n):
+            del A
+            return _gather(blocks, shape, n, real=False)
+        A[dst] = _inverse_dft(X, n, real)[src]
+    return A
 
 
 def identity_symbol_matrix(grid: Grid, tau: float = 1.0) -> np.ndarray:

@@ -42,6 +42,7 @@ GAP_REL_TOL = 1e-6
 DENSE_LIMIT = 4096
 DENSE_KRYLOV_RATIO = 8  # below DENSE_LIMIT, dense while side < this times the Krylov size
 EXTRA_PAIRS = 4
+RESIDUAL_CHUNK = 256    # columns per residual pass
 START_SEED = 0          # Lanczos start vectors are drawn from this seed
 BAND_BASE = 3.0         # band_slope shells: BAND_BASE^k <= m < BAND_BASE^(k+1)
 BAND_KMIN, BAND_KMAX = 1, 4
@@ -211,8 +212,16 @@ def _enforce_residuals(res, normH, solver):
 
 
 def _residual_norms(S, V, lam):
-    """|S q - lambda q| for each column q of V and its eigenvalue lambda."""
-    return np.linalg.norm(S @ V - V * lam, axis=0)
+    """|S q - lambda q| for each column q of V and its eigenvalue lambda,
+    in equal runs of at most RESIDUAL_CHUNK columns, so the pass holds
+    two side x RESIDUAL_CHUNK temporaries, not two copies of V.  No run
+    is one column wide, which numpy would sum pairwise: each norm is the
+    one-pass norm bit for bit."""
+    n = V.shape[1]
+    runs = max(1, -(-n // RESIDUAL_CHUNK))
+    cut = [n * r // runs for r in range(runs + 1)]
+    return np.concatenate([np.linalg.norm(S @ V[:, a:b] - V[:, a:b] * lam[a:b], axis=0)
+                           for a, b in zip(cut, cut[1:])])
 
 
 def _first_gap(lam, k: int, width: float):
@@ -531,13 +540,13 @@ class SchattenTrendReport:
 
 
 def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
-    """The eigenvalues of Hermitian S, certified by the trace identities:
-    SolverError unless sum(lam) = tr S to side * eps * |S|_F and
-    sum(lam^2) = |S|_F^2 to side * eps * |S|_F^2."""
+    """The eigenvalues of Hermitian S, real or complex, certified by the
+    trace identities: SolverError unless sum(lam) = tr S to side * eps *
+    |S|_F and sum(lam^2) = |S|_F^2 to side * eps * |S|_F^2."""
     lam = np.linalg.eigvalsh(S)
     # a pairwise sum: the BLAS dot in np.linalg.norm missed |S|_F^2 by
     # twice the gate on daho's side-1024 sweep matrix
-    fro2 = float(np.sum(S.real ** 2) + np.sum(S.imag ** 2))
+    fro2 = float(np.sum(S.real ** 2) + (np.sum(S.imag ** 2) if np.iscomplexobj(S) else 0.0))
     gate = len(S) * np.finfo(float).eps
     d1 = abs(float(np.sum(lam)) - float(np.trace(S).real)) / np.sqrt(fro2)
     d2 = abs(float(np.sum(lam * lam)) - fro2) / fro2

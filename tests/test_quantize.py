@@ -1,10 +1,15 @@
-"""Quantization rules, convention transport and Sobolev norms."""
+"""Quantization rules, the dtype rule, convention transport and Sobolev norms."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import weylab
 import weylab.quantize as qz
 from weylab._jets import JPowerSum
-from weylab.builders import get_a2, get_operator, get_weight
+from weylab.builders import get_a2, get_operator, get_weight, symbol_names, weight_names
 from weylab.hamiltonians import DirichletGrid, sum_of_squares_matrix
 from weylab.quantize import (
     Grid,
@@ -14,7 +19,7 @@ from weylab.quantize import (
     tau_quantize,
     weyl_quantize,
 )
-from weylab.symbols import PolySymbol, with_confinement
+from weylab.symbols import PolySymbol, SymbolEvaluator, with_confinement
 
 from _helpers import direct_quantize, gaussian_packets
 
@@ -35,6 +40,30 @@ def daho_weight():
 
 def harmonic_1d():
     return with_confinement(get_a2("harmonic", {"n": 1}))
+
+
+def odd_in_xi(n):
+    """x1 xi1 + xi1^2: real, with a term odd in xi."""
+    e = (1,) + (0,) * (n - 1)
+    return PolySymbol(n, {e: JPowerSum.monomial(2 * n, e + (0,) * n),
+                          (2,) + (0,) * (n - 1): JPowerSum.constant(2 * n, 1.0)})
+
+
+def odd_past_the_middle():
+    """xi2^2 + max(x1, 0) xi1: even in xi on the 2-D blocks whose
+    first-axis point is at most 0, odd on the ones after them."""
+    return SymbolEvaluator(2, lambda P: P[3] ** 2 + np.maximum(P[0], 0.0) * P[2])
+
+
+def table_symbols():
+    """Every table weight and a2 symbol, in each dimension it takes."""
+    dims = {"harmonic": ({"n": 1}, {"n": 2}), "broken_half_bracket": ({"n": 1}, {"n": 2})}
+    return ([get_weight(name, p) for name in weight_names() for p in dims.get(name, (None,))]
+            + [get_a2(name, p) for name in symbol_names() for p in dims.get(name, (None,))])
+
+
+# (n, tau) pairs that tau_quantize takes: generic tau in 1-D only
+DIM_TAU = [(n, tau) for n in (1, 2) for tau in (0.0, 0.3, 0.5, 1.0) if n == 1 or tau != 0.3]
 
 
 # -- grids ------------------------------------------------------------------
@@ -167,6 +196,58 @@ def test_1d_matches_direct_sum(tau):
 @pytest.mark.parametrize("symbol", [mixed_2d_symbol, daho_weight])
 def test_2d_matches_direct_sum(symbol, tau):
     assert _direct_defect(symbol(), Grid(2, 8, 3.0), tau) <= 1e-13
+
+
+# -- the dtype rule ---------------------------------------------------------
+
+@pytest.mark.parametrize("n, tau", DIM_TAU)
+def test_real_symbols_even_in_xi_quantize_to_real_arrays(n, tau):
+    symbols = [s for s in table_symbols() if s.n == n]
+    assert len(symbols) == (7 if n == 2 else 3)
+    for s in symbols:
+        assert tau_quantize(s, Grid(n, 8, 3.0), tau).dtype == np.float64, s.name
+    assert identity_symbol_matrix(Grid(n, 8, 3.0), tau).dtype == np.float64
+
+
+@pytest.mark.parametrize("n, tau", DIM_TAU)
+def test_a_term_odd_in_xi_keeps_the_matrix_complex(n, tau):
+    assert tau_quantize(odd_in_xi(n), Grid(n, 8, 3.0), tau).dtype == np.complex128
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
+def test_1d_real_matrix_matches_direct_sum(tau):
+    # the real path in 1-D; test_1d_matches_direct_sum's x xi takes the
+    # complex one, test_2d_matches_direct_sum's daho weight the 2-D real one
+    s, grid = get_weight("harmonic", {"n": 1}), Grid(1, 16, 4.0)
+    assert tau_quantize(s, grid, tau).dtype == np.float64
+    assert _direct_defect(s, grid, tau) <= 1e-13
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_one_block_odd_in_xi_makes_the_whole_matrix_complex(tau):
+    # the blocks before the first x1 > 0 pass the test; the matrix is
+    # complex all the same, with the entries of the direct sum
+    s, grid = odd_past_the_middle(), Grid(2, 8, 3.0)
+    assert tau_quantize(s, grid, tau).dtype == np.complex128
+    assert _direct_defect(s, grid, tau) <= 1e-13
+
+
+def test_weyl_quantization_does_not_import_scipy():
+    # the real path uses numpy.fft: set-up and the sweep's quantization
+    # load no scipy module
+    code = ("import sys\n"
+            "import weylab\n"
+            "from weylab.builders import get_weight\n"
+            "from weylab.quantize import Grid, weyl_quantize\n"
+            "A = weyl_quantize(get_weight('daho'), Grid(2, 8, 3.0))\n"
+            "print(A.dtype, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "float64 []"
 
 
 # -- convention transport ---------------------------------------------------

@@ -465,6 +465,38 @@ def test_certificate_cut_skips_a_degenerate_pair(monkeypatch):
     assert taus == [pytest.approx(5.0, abs=0.1)]
 
 
+class _Widths:
+    """S for _residual_norms, recording the width of each block of columns
+    it multiplies."""
+
+    def __init__(self, S):
+        self.S, self.widths = S, []
+
+    def __matmul__(self, V):
+        self.widths.append(V.shape[1])
+        return self.S @ V
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_residual_norms_take_bounded_runs_and_equal_the_one_pass(monkeypatch, order):
+    # more columns than one run holds, including counts that would leave a
+    # one-column tail; every norm is the one-pass norm bit for bit
+    rng = np.random.default_rng(5)
+    S = sparse.random_array((300, 300), density=0.05, rng=rng, format="csr")
+    S = S + S.T
+    cases = [(spectral.RESIDUAL_CHUNK, 2 * spectral.RESIDUAL_CHUNK + 1)]
+    cases += [(8, n) for n in (1, 8, 9, 17, 33, 40)]
+    for chunk, n in cases:
+        monkeypatch.setattr(spectral, "RESIDUAL_CHUNK", chunk)
+        V = np.asarray(rng.normal(size=(300, n)), order=order)
+        lam = rng.normal(size=n)
+        counted = _Widths(S)
+        got = spectral._residual_norms(counted, V, lam)
+        assert np.array_equal(got, np.linalg.norm(S @ V - V * lam, axis=0))
+        assert sum(counted.widths) == n and max(counted.widths) <= chunk
+        assert len(counted.widths) == -(-n // chunk)
+
+
 def test_setup_does_not_import_scipy():
     # scipy.sparse.linalg alone takes about as long to import as the
     # whole package set-up; only the assembly and solver calls load it
@@ -638,6 +670,21 @@ def test_sweep_eigenvalues_must_meet_the_trace_identities(monkeypatch):
     with pytest.raises(SolverError, match="trace identities"):
         schatten_sweep(harmonic_1d_weight(), [(2.0, 1.5)], 2.0, matrix_N=(12,),
                        box_L=(4.0,), box_npts=20, band_npts=60)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_certified_eigvalsh_catches_a_wrong_eigenvalue_of_each_dtype(monkeypatch, dtype):
+    # the sweep's matrices are real now; the same faulty eigvalsh on a
+    # complex Hermitian matrix must fail the trace identities too
+    rng = np.random.default_rng(4)
+    B = rng.normal(size=(40, 40)) + (1j * rng.normal(size=(40, 40)) if dtype is complex else 0.0)
+    S = B + B.conj().T
+    assert S.dtype == dtype
+    assert np.array_equal(spectral._certified_eigvalsh(S), np.linalg.eigvalsh(S))
+    orig = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: np.concatenate([orig(S)[1:2], orig(S)[1:]]))
+    with pytest.raises(SolverError, match="trace identities"):
+        spectral._certified_eigvalsh(S)
 
 
 def test_sweep_quadratures_equal_the_one_exponent_calls():
