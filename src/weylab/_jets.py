@@ -239,23 +239,6 @@ class JProd(JetExpr):
         return acc
 
 
-class JScale(JetExpr):
-    def __init__(self, c, expr):
-        self.c = c
-        self.expr = expr
-        self.nvars = expr.nvars
-
-    @property
-    def is_zero(self):
-        return self.c == 0 or self.expr.is_zero
-
-    def diff(self, axis):
-        return JScale(self.c, self.expr.diff(axis))
-
-    def _eval(self, P):
-        return self.c * self.expr._eval(P)
-
-
 FD_REL_STEP = 1e-3
 
 

@@ -414,11 +414,13 @@ def _cmd_reproduce(path: str) -> int:
 
     def rerun() -> int:
         new = run_config(cfg, os.path.join(os.path.dirname(os.path.abspath(path)), "reproduce"))
+        new = {o["path"]: o["sha256"] for o in new["outputs"]}
         ok = True
-        for o in new["outputs"]:
-            match = old.get(o["path"]) == o["sha256"]
-            # the manifest itself differs (wall time); only payload files count
-            print(f"[{'match' if match else 'DIFFER'}] {o['path']}")
+        # the manifest itself differs (wall time); only payload files count,
+        # and one listed on a single side differs
+        for p in sorted(old.keys() | new.keys()):
+            match = p in old and p in new and old[p] == new[p]
+            print(f"[{'match' if match else 'DIFFER'}] {p}")
             ok &= match
         return 0 if ok else 1
 

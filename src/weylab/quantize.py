@@ -15,10 +15,7 @@ midpoint rule gives Hermitian matrices to rounding (about 1e-16 of the
 largest entry), not exactly.  Other tau take one transform per row, in
 1-D only.  The symbol is evaluated on per-axis node and mode arrays that
 broadcast into the block, never on flattened (rows, 2n) points: in a 2-D
-block the first-axis point is one value.  Between conventions the
-transport (PolySymbol.jt) acts on symbols, not matrices:
-tau-quantization of s equals output-point quantization of the
-transported symbol.
+block the first-axis point is one value.
 
 Quantizers return plain dense arrays, float64 or complex128 by one rule:
 each sampled block is tested against its reflection xi_k -> xi_{-k mod N}

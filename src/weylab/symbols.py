@@ -5,10 +5,8 @@ expression or one value function: a JetExpr tree gives both the values
 and the memoized exact derivatives, a value function gives the values
 and finite-difference derivatives.  PolySymbol is the SymbolEvaluator of
 a symbol polynomial in xi with jet-capable x-coefficients; it builds its
-tree once, and adds exact transport between quantization conventions
-and exact star products.  Weights are SymbolEvaluators too
-(metric.WeightEvaluator), so the weight m and the class weight M of a
-seminorm are symbols.
+tree once.  Weights are SymbolEvaluators too (metric.WeightEvaluator),
+so the weight m and the class weight M of a seminorm are symbols.
 
 Seminorm estimation, class-membership gates and band restriction live
 here too.
@@ -18,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._jets import (JProd, JPowerSum, JScale, JSum, JetExpr, UnsupportedOrderError,
-                    bracket_sq, coords, fd_deriv_eval, in_shape)
+from ._jets import (JProd, JPowerSum, JSum, JetExpr, UnsupportedOrderError, bracket_sq,
+                    coords, fd_deriv_eval, in_shape)
 from .profiles import band_bump
 
 __all__ = [
@@ -99,75 +96,20 @@ def _iter_multi(bound):
     return itertools.product(*(range(b + 1) for b in bound))
 
 
-def _mfact(m):
-    out = 1
-    for v in m:
-        out *= factorial(v)
-    return out
-
-
-def _falling(gamma, alpha):
-    out = 1
-    for g, a in zip(gamma, alpha):
-        if a > g:
-            return 0
-        out *= factorial(g) // factorial(g - a)
-    return out
-
-
-def _flatten(expr: JetExpr) -> Optional[JPowerSum]:
-    """Collapse a JetExpr tree into a single JPowerSum when possible.
-
-    Returns None when the tree contains a univariate-table factor; those
-    cannot be represented in closed monomial form.
-    """
-    if isinstance(expr, JPowerSum):
-        return expr
-    if isinstance(expr, JScale):
-        inner = _flatten(expr.expr)
-        if inner is None:
-            return None
-        return JPowerSum(inner.nvars, [(expr.c * c, e, p) for c, e, p in inner.terms])
-    if isinstance(expr, JSum):
-        terms = []
-        nv = expr.nvars
-        for p in expr.parts:
-            f = _flatten(p)
-            if f is None:
-                return None
-            nv = f.nvars
-            terms.extend(f.terms)
-        return JPowerSum(nv, terms)
-    if isinstance(expr, JProd):
-        acc = None
-        for fct in expr.factors:
-            f = _flatten(fct)
-            if f is None:
-                return None
-            if acc is None:
-                acc = f
-            else:
-                terms = [(c1 * c2, tuple(a + b for a, b in zip(e1, e2)), p1 + p2)
-                         for c1, e1, p1 in acc.terms for c2, e2, p2 in f.terms]
-                acc = JPowerSum(f.nvars, terms)
-        return acc if acc is not None else None
-    return None
-
-
 class PolySymbol(SymbolEvaluator):
     """Symbol polynomial in xi: sum over multi-indices of c_alpha(x) xi^alpha.
 
     Coefficients are JetExpr over the full 2n phase variables but may
     only depend on x (their xi-derivatives must vanish; the constructors
     here guarantee that).  The tree sum_alpha c_alpha * xi^alpha is built
-    once, here.  Everything downstream of this representation is exact:
-    values, derivatives, quantization transport, star products.
+    once, here; its values and derivatives are exact.
     """
 
     def __init__(self, n: int, monomials: dict):
         self.monomials = {tuple(a): c for a, c in monomials.items() if not c.is_zero}
+        # xi^0 = 1 multiplies nothing: the coefficient is its own term
         super().__init__(n, JSum([JProd([c, JPowerSum.monomial(2 * n, (0,) * n + a)])
-                                  for a, c in self.monomials.items()]))
+                                  if any(a) else c for a, c in self.monomials.items()]))
 
     def __add__(self, other):
         if not isinstance(other, PolySymbol):
@@ -176,94 +118,6 @@ class PolySymbol(SymbolEvaluator):
         for a, c in other.monomials.items():
             out[a] = JSum([out[a], c]) if a in out else c
         return PolySymbol(self.n, out)
-
-    def coefficient_terms(self):
-        """monomial -> flattened JPowerSum terms; None entries where a
-        coefficient has no closed monomial form."""
-        return {a: _flatten(c) for a, c in self.monomials.items()}
-
-    # -- transport between quantization conventions ------------------------
-
-    def jt(self, t: float) -> "PolySymbol":
-        """J_t transport: exp(t (i/2pi) <d_x, d_xi>), a finite sum here.
-
-        Normalization is pinned by J_t(x xi) = x xi + i t/(2 pi) in one
-        dimension; the semigroup law J_t J_s = J_{t+s} is then exact on
-        coefficients.
-        """
-        out: dict = {}
-        cur = {a: c for a, c in self.monomials.items()}
-        k = 0
-        while cur:
-            scale = (1j * t / (2.0 * np.pi)) ** k / factorial(k)
-            for a, c in cur.items():
-                sc = JScale(scale, c)
-                out[a] = JSum([out[a], sc]) if a in out else sc
-            nxt: dict = {}
-            for a, c in cur.items():
-                for j in range(self.n):
-                    if a[j] == 0:
-                        continue
-                    dc = c.diff(j)  # x_j axis
-                    if dc.is_zero:
-                        continue
-                    a1 = list(a)
-                    a1[j] -= 1
-                    key = tuple(a1)
-                    term = JScale(a[j], dc)
-                    nxt[key] = JSum([nxt[key], term]) if key in nxt else term
-            cur = nxt
-            k += 1
-        simplified = {}
-        for a, c in out.items():
-            f = _flatten(c)
-            simplified[a] = f if f is not None else c
-        return PolySymbol(self.n, simplified)
-
-    def sharp(self, other: "PolySymbol") -> "PolySymbol":
-        """Star product: composition law of the symmetric quantization.
-
-        Exact terminating expansion; the xi-degrees bound the derivative
-        orders.  Sign/normalization fixed by xi # x - x # xi = 1/(2 pi i)
-        in one dimension.
-        """
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        out: dict = {}
-        for ga, ca in self.monomials.items():
-            for gb, cb in other.monomials.items():
-                for gamma in _iter_multi(ga):      # xi-derivatives on self
-                    fa = _falling(ga, gamma)
-                    if fa == 0:
-                        continue
-                    for beta in _iter_multi(gb):   # xi-derivatives on other
-                        fb = _falling(gb, beta)
-                        if fb == 0:
-                            continue
-                        ka, kb = sum(gamma), sum(beta)
-                        scalar = ((1j / (4.0 * np.pi)) ** (ka + kb)
-                                  * (-1.0) ** ka * fa * fb
-                                  / (_mfact(beta) * _mfact(gamma)))
-                        cl = ca
-                        for axis, b in enumerate(beta):
-                            for _ in range(b):
-                                cl = cl.diff(axis)
-                        if cl.is_zero:
-                            continue
-                        cr = cb
-                        for axis, g in enumerate(gamma):
-                            for _ in range(g):
-                                cr = cr.diff(axis)
-                        if cr.is_zero:
-                            continue
-                        key = tuple(ga[j] - gamma[j] + gb[j] - beta[j] for j in range(self.n))
-                        term = JScale(scalar, JProd([cl, cr]))
-                        out[key] = JSum([out[key], term]) if key in out else term
-        simplified = {}
-        for a, c in out.items():
-            f = _flatten(c)
-            simplified[a] = f if f is not None else c
-        return PolySymbol(self.n, simplified)
 
 
 # -- concrete symbols -------------------------------------------------------

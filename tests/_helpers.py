@@ -1,11 +1,13 @@
 """Shared oracles: symbolic derivative tables, localized trial states,
-the direct-sum quantizer, the weight formula, Schatten norms, stencil
+the direct-sum quantizer, the composition law and the transport between
+conventions in closed form, the weight formula, Schatten norms, stencil
 symbols, symmetry and positivity witnesses, and call counters."""
 import numpy as np
 import sympy as sp
 
 from weylab._jets import UnsupportedOrderError
 from weylab.hamiltonians import _W2
+from weylab.symbols import SymbolEvaluator
 
 
 def uni_table(expr, var, depth=8):
@@ -53,6 +55,39 @@ def direct_quantize(s, grid, tau):
         S = np.asarray(s.eval(Z)).reshape(side, side)  # [j, k]
         A[i] = np.sum(S * np.exp(2j * np.pi * ((X[i] - X) @ K.T)), axis=1) / side
     return A
+
+
+X, XI = sp.symbols("x xi", real=True)
+
+
+def moyal_product(f, g):
+    """The Weyl composition f # g of two symbols in one dimension,
+    polynomial in XI: the sum over j, l of (i/4pi)^(j+l) (-1)^j / (j! l!)
+    d_xi^j d_x^l f * d_x^j d_xi^l g, which ends at the XI-degrees."""
+    total = sp.S(0)
+    for j in range(sp.degree(f, XI) + 1):
+        for l in range(sp.degree(g, XI) + 1):
+            total += ((sp.I / (4 * sp.pi)) ** (j + l) * (-1) ** j
+                      / (sp.factorial(j) * sp.factorial(l))
+                      * sp.diff(f, XI, j, X, l) * sp.diff(g, X, j, XI, l))
+    return sp.expand(total)
+
+
+def transport(f, t):
+    """J_t f = exp(t (i/2pi) d_x d_xi) f in one dimension, summed term by
+    term until a derivative vanishes: tau-quantization of f is
+    output-point quantization of J_(tau - 1) f."""
+    total, k = sp.S(0), 0
+    while (term := sp.diff(f, X, k, XI, k)) != 0:
+        total += (sp.I * t / (2 * sp.pi)) ** k / sp.factorial(k) * term
+        k += 1
+    return sp.expand(total)
+
+
+def sympy_symbol(expr):
+    """A closed form in X, XI as a one-dimensional SymbolEvaluator."""
+    fn = sp.lambdify((X, XI), expr, "numpy")
+    return SymbolEvaluator(1, lambda P: fn(*P), name=str(expr))
 
 
 def weight_values(a2, Z):

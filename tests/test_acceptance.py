@@ -12,7 +12,6 @@ import os
 
 import numpy as np
 import pytest
-import sympy as sp
 
 import weylab.builders as bld
 from weylab._jets import JPowerSum
@@ -26,6 +25,8 @@ from weylab.quantize import Grid, identity_symbol_matrix, weyl_quantize
 from weylab.spectral import eigensolve, growth_fit, schatten_sweep
 from weylab.symbols import (PolySymbol, SymbolEvaluator, class_membership,
                             with_confinement)
+
+from _helpers import X, XI, moyal_product, sympy_symbol
 
 
 @pytest.fixture(scope="module")
@@ -210,51 +211,10 @@ def test_quantization_of_one_and_hermiticity():
     assert worst < 1e-10
 
 
-def test_transport_semigroup_and_closed_form():
-    """Quantization transport is a semigroup with exact coefficients.
-
-    Fifty random xi-degree-<= 2 polynomials: transporting by t1 then t2
-    matches transporting by t1 + t2 coefficient-for-coefficient.  The
-    generator normalization is cross-checked against a symbolic oracle
-    built independently with sympy.
-    """
-    def flat_terms(p):
-        out = {}
-        for a, c in p.coefficient_terms().items():
-            assert c is not None
-            for coeff, e, pw in c.terms:
-                out[(a, e, pw)] = out.get((a, e, pw), 0.0) + coeff
-        return out
-
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        mono = {}
-        for dxi in range(3):
-            terms = [(float(rng.integers(-3, 4)), (e, 0), 0.0) for e in range(4)]
-            mono[(dxi,)] = JPowerSum(2, terms)
-        s = PolySymbol(1, mono)
-        t1, t2 = rng.uniform(-1, 1, 2)
-        lhs = flat_terms(s.jt(t1).jt(t2))
-        rhs = flat_terms(s.jt(t1 + t2))
-        for k in set(lhs) | set(rhs):
-            assert abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) < 1e-12
-
-    # independent symbolic oracle for the generator acting on x*xi
-    xs, xis, ts = sp.symbols("x xi t")
-    oracle = sum((sp.I * ts / (2 * sp.pi)) ** k / sp.factorial(k)
-                 * sp.diff(xs * xis, xs, k, xis, k) for k in range(3))
-    xxi = PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0))})
-    pts = rng.uniform(-3, 3, size=(20, 2))
-    for tval in (0.37, -0.5, 1.0):
-        f = sp.lambdify((xs, xis), oracle.subs(ts, tval), "numpy")
-        want = np.asarray([complex(f(p[0], p[1])) for p in pts])
-        have = np.asarray(xxi.jt(tval).eval(pts))
-        assert np.max(np.abs(want - have)) < 1e-14
-
-
 def test_composition_defect_vanishes_under_refinement():
     """|| (Op(a)Op(b) - Op(a#b)) u || collapses as the grid refines.
 
+    a#b is the closed form of the composition law, summed in sympy.
     Frozen ladder for a = xi^2 + x^2, b = x xi acting on a normalized
     e^{-2x^2} state at L = 8: refinement N = 32 -> 64 -> 128 drops the
     action defect 0.374 -> 3.11e-7 -> 5.3e-14, an observed order of 20+
@@ -262,7 +222,7 @@ def test_composition_defect_vanishes_under_refinement():
     """
     a = with_confinement(bld.get_a2("harmonic", {"n": 1}))
     b = PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0))})
-    ab = a.sharp(b)
+    ab = sympy_symbol(moyal_product(XI**2 + X**2, X * XI))
     defects = []
     for N in (32, 64, 128):
         grid = Grid(1, N, 8.0)

@@ -523,6 +523,24 @@ def test_reproduce_detects_divergence(tmp_path, capsys):
     assert "[DIFFER]" in capsys.readouterr().out
 
 
+def test_reproduce_fails_on_a_listed_output_it_did_not_write(tmp_path, capsys):
+    code, out = run(tmp_path, "sp.json", {
+        "schema": 1, "kind": "spectrum",
+        "grid": {"n": 1, "N": 32, "L": 6.0},
+        "operator": {"name": "harmonic"}, "k": 4})
+    assert code == 0
+    mpath = os.path.join(out, "manifest.json")
+    manifest = read_json(mpath)
+    manifest["outputs"].append({"path": "eigenvectors.npy", "sha256": "0" * 64})
+    with open(mpath, "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert main(["reproduce", mpath]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[DIFFER] eigenvectors.npy" in lines
+    assert "[match] data.csv" in lines and "[match] report.json" in lines
+
+
 def test_reproduce_warns_on_tampered_config(tmp_path, capsys):
     code, out = run(tmp_path, "qi.json", {
         "schema": 1, "kind": "quantize-identity",

@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 
 from _helpers import uni_table
-from weylab._jets import (JPowerSum, JProd, JScale, JSum, JUni, UnsupportedOrderError,
+from weylab._jets import (JPowerSum, JProd, JSum, JUni, UnsupportedOrderError,
                           fd_deriv_eval)
 from weylab.symbols import SymbolEvaluator
 
@@ -86,10 +86,10 @@ def test_evaluator_mixed_partials_and_memoization():
     assert np.allclose(s.derivative((2,), (1,), Z), want, rtol=1e-10)
 
 
-def test_jsum_jscale():
+def test_jsum_of_scaled_term():
     a = JPowerSum.monomial(2, (1, 0))
     b = JPowerSum.constant(2, 2.0)
-    s = JSum([JScale(3.0, a), b])
+    s = JSum([JProd([JPowerSum.constant(2, 3.0), a]), b])
     Z = np.array([[1.0, 0.0], [-2.0, 1.0]])
     assert np.allclose(s.eval(Z), 3.0 * Z[:, 0] + 2.0)
     assert np.allclose(s.diff(0).eval(Z), np.full(2, 3.0))

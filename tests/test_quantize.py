@@ -21,7 +21,7 @@ from weylab.quantize import (
 )
 from weylab.symbols import PolySymbol, SymbolEvaluator, with_confinement
 
-from _helpers import direct_quantize, gaussian_packets
+from _helpers import X, XI, direct_quantize, gaussian_packets, sympy_symbol, transport
 
 
 def xxi_symbol():
@@ -259,7 +259,7 @@ def test_transport_matches_weakly_but_not_entrywise():
     g = Grid(1, 32, 6.0)
     a = xxi_symbol()
     W = weyl_quantize(a, g)
-    K = kn_quantize(a.jt(-0.5), g)
+    K = kn_quantize(sympy_symbol(transport(X * XI, -0.5)), g)
     xs = g.points
     rng = np.random.default_rng(0)
     worst = 0.0

@@ -170,153 +170,14 @@ def test_polysymbol_addition(rng):
     assert np.allclose(np.asarray(c.eval(Z)), want)
 
 
-# -- transport ---------------------------------------------------------------
-
-
-def poly_1d(rng, xi_deg=2, x_deg=2):
-    mono = {}
-    for q in range(xi_deg + 1):
-        terms = [(rng.normal(), (p, 0), 0.0) for p in range(x_deg + 1)]
-        mono[(q,)] = JPowerSum(2, terms)
-    return PolySymbol(1, mono)
-
-
-def sympy_of(sym):
-    """Rebuild the closed form of a 1d polynomial symbol for the oracle."""
-    x, xi = sp.symbols("x xi")
-    total = sp.S(0)
-    for alpha, terms in sym.coefficient_terms().items():
-        assert terms is not None
-        for c, e, p in terms.terms:
-            assert p == 0.0  # polynomial coefficients only
-            total += sp.nsimplify(complex(c), rational=False) * x**e[0] * xi**alpha[0]
-    return total, x, xi
-
-
-def jt_oracle(expr, x, xi, t):
-    """Transport series computed symbolically, term by term."""
-    total = sp.S(0)
-    k = 0
-    while True:
-        term = sp.diff(expr, x, k, xi, k)
-        if term == 0:
-            break
-        total += (sp.I * t / (2 * sp.pi)) ** k / sp.factorial(k) * term
-        k += 1
-    return total
-
-
-def test_jt_on_xxi_matches_symbolic_oracle(rng):
-    sym = PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0))})  # x xi
-    t = 0.7
-    got = sym.jt(t)
-    x, xi = sp.symbols("x xi")
-    want = jt_oracle(x * xi, x, xi, t)
-    assert sp.simplify(want - (x * xi + sp.I * t / (2 * sp.pi))) == 0
-    Z = rand_phase(rng, count=30, n=1)
-    want_fn = sp.lambdify((x, xi), want, "numpy")
-    got_vals = np.asarray(got.eval(Z))
-    assert np.allclose(got_vals, want_fn(Z[:, 0], Z[:, 1]), atol=1e-14)
-
-
-def test_jt_keeps_a_small_imaginary_part():
-    # J_t(x xi) = x xi + i t/(2 pi) at t = 1e-9: the coefficients are
-    # complex, so the value stays complex however small its imaginary part
-    got = PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0))}).jt(1e-9).eval(
-        np.array([[0.5, 2.0]]))[0]
+def test_complex_coefficient_keeps_a_small_imaginary_part():
+    # x xi + i 1e-9/(2 pi): the coefficients are complex, so the value
+    # stays complex however small its imaginary part
+    sym = PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0)),
+                         (0,): JPowerSum.constant(2, 1j * 1e-9 / (2 * np.pi))})
+    got = sym.eval(np.array([[0.5, 2.0]]))[0]
     assert got.real == 1.0
     assert got.imag == pytest.approx(1e-9 / (2 * np.pi), rel=1e-12)
-
-
-def test_jt_random_polynomials_match_oracle(rng):
-    for _ in range(10):
-        sym = poly_1d(rng)
-        t = float(rng.uniform(-1.0, 1.0))
-        expr, x, xi = sympy_of(sym)
-        want = sp.lambdify((x, xi), jt_oracle(expr, x, xi, t), "numpy")
-        Z = rand_phase(rng, count=20, n=1)
-        got = np.asarray(sym.jt(t).eval(Z))
-        ref = np.asarray(want(Z[:, 0], Z[:, 1]), dtype=complex) * np.ones(len(Z))
-        assert np.allclose(got, ref, rtol=1e-10, atol=1e-10)
-
-
-def test_jt_semigroup_and_identity(rng):
-    Z = rand_phase(rng, count=30, n=1)
-    for _ in range(8):
-        sym = poly_1d(rng)
-        base = np.asarray(sym.eval(Z))
-        assert np.allclose(np.asarray(sym.jt(0.0).eval(Z)), base, atol=1e-14)
-        t, s = rng.uniform(-0.8, 0.8, size=2)
-        two_step = np.asarray(sym.jt(t).jt(s).eval(Z))
-        one_step = np.asarray(sym.jt(t + s).eval(Z))
-        scale = np.max(np.abs(one_step)) + 1.0
-        assert np.max(np.abs(two_step - one_step)) / scale < 1e-13
-
-
-# -- star product ------------------------------------------------------------
-
-
-def test_sharp_commutator_normalization(rng):
-    xpoly = PolySymbol(1, {(0,): JPowerSum.monomial(2, (1, 0))})
-    xipoly = PolySymbol(1, {(1,): JPowerSum.constant(2, 1.0)})
-    Z = rand_phase(rng, count=25, n=1)
-    lhs = np.asarray(xipoly.sharp(xpoly).eval(Z))
-    rhs = np.asarray(xpoly.sharp(xipoly).eval(Z))
-    comm = lhs - rhs
-    want = 1.0 / (2j * np.pi)
-    assert np.max(np.abs(comm - want)) < 1e-15
-
-
-def test_sharp_with_constant_and_commutative_limits(rng):
-    one = PolySymbol(1, {(0,): JPowerSum.constant(2, 1.0)})
-    sym = poly_1d(rng)
-    Z = rand_phase(rng, count=20, n=1)
-    assert np.allclose(np.asarray(sym.sharp(one).eval(Z)),
-                       np.asarray(sym.eval(Z)), atol=1e-13)
-    assert np.allclose(np.asarray(one.sharp(sym).eval(Z)),
-                       np.asarray(sym.eval(Z)), atol=1e-13)
-    # x-only times x-only multiplies pointwise: no derivatives in play
-    f = PolySymbol(1, {(0,): JPowerSum.monomial(2, (2, 0), 1.5)})
-    g = PolySymbol(1, {(0,): JPowerSum.monomial(2, (1, 0), -2.0)})
-    got = np.asarray(f.sharp(g).eval(Z))
-    assert np.allclose(got, -3.0 * Z[:, 0] ** 3, atol=1e-13)
-
-
-def test_sharp_associative(rng):
-    a = poly_1d(rng, xi_deg=2, x_deg=1)
-    b = poly_1d(rng, xi_deg=1, x_deg=2)
-    c = poly_1d(rng, xi_deg=2, x_deg=1)
-    Z = rand_phase(rng, count=25, n=1)
-    left = np.asarray(a.sharp(b).sharp(c).eval(Z))
-    right = np.asarray(a.sharp(b.sharp(c)).eval(Z))
-    scale = np.max(np.abs(left)) + 1.0
-    assert np.max(np.abs(left - right)) / scale < 1e-12
-
-
-def test_sharp_commutator_of_real_symbols_is_imaginary(rng):
-    a = poly_1d(rng)
-    b = poly_1d(rng)
-    Z = rand_phase(rng, count=25, n=1)
-    comm = (np.asarray(a.sharp(b).eval(Z)) - np.asarray(b.sharp(a).eval(Z)))
-    scale = np.max(np.abs(comm)) + 1.0
-    assert np.max(np.abs(comm.real)) / scale < 1e-13
-
-
-def test_sharp_square_second_order_constant():
-    # (x^2 + xi^2) # (x^2 + xi^2) picks up exactly -1/(4 pi^2)
-    a = with_confinement(get_a2("harmonic", {"n": 1}))
-    terms = a.sharp(a).coefficient_terms()[(0,)]
-    const = [c for c, e, p in terms.terms if e == (0, 0) and p == 0.0]
-    assert len(const) == 1
-    assert const[0].real == pytest.approx(-1.0 / (4.0 * np.pi**2), rel=1e-12)
-    assert abs(const[0].imag) < 1e-15
-    quartic = [c for c, e, p in terms.terms if e == (4, 0)]
-    assert quartic[0] == pytest.approx(1.0)
-
-
-def test_sharp_dimension_mismatch():
-    with pytest.raises(ValueError):
-        get_a2("harmonic", {"n": 2}).sharp(get_a2("harmonic", {"n": 1}))
 
 
 # -- seminorms and membership ------------------------------------------------
