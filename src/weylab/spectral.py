@@ -92,20 +92,33 @@ def eigensolve(H, k: int) -> SpectralResult:
     definite) is taken, and that one LDL^T is the solve.  The pairs merge
     by eigenvalue.
 
-    The certificates see only A and the merged pairs, so they hold however
-    the solve was split.  p >= 1 extra pairs are computed (none when
-    k = side), and SolverError is raised unless every residual
-    |A q - lambda q|, with the sparse A, is at most 1e-8 |A|_2,
-    |A|_2 = max(|lambda_1|, lambda_max) (lambda_max is the top merged
-    eigenvalue when every block is decomposed whole, a Lanczos estimate on
-    A otherwise), and the computed count is complete: tau goes in the
-    first gap at or after lambda_k wider than ``GAP_REL_TOL`` |A|_2 (p
-    doubles until there is one), and the negative pivots of an LDL^T of
-    A - tau I, which count the eigenvalues below tau (Sylvester), must
-    equal the number computed below tau.  A skipped eigenvalue passes the
-    residual gate; it fails this count.  The result carries the block
-    sides, sigma (one shift per block, None for a dense one; None when
-    every block is dense), and the pair (tau, count) when counted.
+    The residuals see only A and the merged pairs, so they hold however
+    the solve was split; the count is taken per block.  p >= 1 extra
+    pairs are computed (none when k = side), and SolverError is raised
+    unless every residual |A q - lambda q|, with the sparse A, is at most
+    1e-8 |A|_2, |A|_2 = max(|lambda_1|, lambda_max) (lambda_max is the top
+    merged eigenvalue when every block is decomposed whole, a Lanczos
+    estimate on A otherwise), and the computed count is complete: tau goes
+    in the first gap at or after lambda_k wider than ``GAP_REL_TOL`` |A|_2
+    (p doubles until there is one), and for each block M_c = U_c A U_c^T
+    (A itself when none splits) the negative pivots of an LDL^T of
+    M_c - tau I, which count M_c's eigenvalues below tau (Sylvester), must
+    equal the number of that block's own pairs computed below tau.  A
+    skipped eigenvalue passes the residual gate; it fails this count, also
+    when another block returns a pair twice and the merged total matches.
+
+    The block counts add up to A's because the split is checked on its
+    basis: the block sides sum to the side and |U U^T - I|_max <= side eps
+    for the stacked U, else SolverError.  So U is nonsingular, and
+    inertia(A - tau I) = inertia(U (A - tau I) U^T) by Sylvester's law.
+    U A U^T is the block diagonal of the M_c plus the coupling the split
+    drops, which ``_parity_basis`` gates at side eps |A|_inf, and
+    tau U U^T is tau I within side eps |tau|; both are about the no-pivot
+    LDL^T's own backward error.  By Weyl's inequality the block counts
+    then sum to A's count for every tau farther from A's spectrum than
+    those two perturbations.  The result carries the block sides, sigma
+    (one shift per block, None for a dense one; None when every block is
+    dense), and the pair (tau, total count) when counted.
     """
     return _solve(H, _symmetric_part(H), k)[0]
 
@@ -113,13 +126,16 @@ def eigensolve(H, k: int) -> SpectralResult:
 def _solve(H, S, k: int) -> tuple:
     """eigensolve of S, the symmetric part of H: the result, and its blocks
     (U_c or None, lambda_c, W_c) unless a count at tau was needed, which
-    a full spectrum never is."""
+    a full spectrum never is.  The count at tau factors each block matrix
+    that ``_parity_pairs`` built, against that block's own eigenvalues."""
     side = S.shape[0]
     if not 0 < k <= side:
         raise ValueError("k must lie between 1 and the dimension")
     p = min(EXTRA_PAIRS, side - k)
     U = _parity_basis(H, S)
-    pairs, lam_max = _parity_pairs(S, U, k + p)
+    if U:
+        _check_basis(U, side)
+    pairs, lam_max, mats = _parity_pairs(S, U, k + p)
     if lam_max is None:
         lam_max = _top_eigenvalue(S)
     while True:
@@ -136,13 +152,16 @@ def _solve(H, S, k: int) -> tuple:
     _enforce_residuals(res[:cut], normA, solver)
     inertia = None
     if cut is not None:
-        blocks = None  # the block vectors, freed before the LDL^T at tau
         tau = 0.5 * (lam[cut - 1] + lam[cut])
-        count = _count_below(S, tau)
-        if count != cut:
-            raise SolverError(f"{solver}: {cut} eigenvalues computed below {tau:.10g}, "
-                              f"inertia of A - tau I counts {count}")
-        inertia = (float(tau), count)
+        below = [int(np.count_nonzero(w < tau)) for _, w, _ in blocks]
+        blocks = None  # the block vectors, freed before the LDL^T at tau
+        for c, (M, own) in enumerate(zip(mats, below)):
+            count = _count_below(M, tau)
+            if count != own:
+                name = f"block {c}" if U else "A"
+                raise SolverError(f"{solver}: {own} eigenvalues of {name} computed below "
+                                  f"{tau:.10g}, inertia of {name} - tau I counts {count}")
+        inertia = (float(tau), cut)
     return SpectralResult(lam[:k], res[:k], solver, sigma=sigma, inertia=inertia,
                           blocks=tuple(Uc.shape[0] for Uc in U) or (side,)), blocks
 
@@ -271,7 +290,8 @@ def _parity_basis(H, S) -> list:
     Its factor has the even rows (e_i + e_m(i))/sqrt(2) (e_i on a fixed
     node) and then the odd rows (e_i - e_m(i))/sqrt(2); an axis that does
     not split keeps the identity.  The blocks are the Kronecker products
-    of one factor per axis, first axis major."""
+    of one factor per axis, first axis major.  ``_check_basis`` checks the
+    stacked rows orthogonal before the blocks are counted apart."""
     from scipy import sparse
 
     if not isinstance(H, HamiltonianMatrix):
@@ -298,6 +318,22 @@ def _parity_basis(H, S) -> list:
             for rows in itertools.product(*factors)]
 
 
+def _check_basis(U, side: int) -> None:
+    """SolverError unless the stacked rows of U are a side x side matrix
+    with |U U^T - I|_max <= side eps: then inertia moves from A to its
+    blocks (eigensolve)."""
+    from scipy import sparse
+
+    sides = [Uc.shape[0] for Uc in U]
+    if sum(sides) != side:
+        raise SolverError(f"parity basis: block sides {sides} do not sum to {side}")
+    Ut = sparse.vstack(U, format="csr")
+    defect = float(abs(Ut @ Ut.T - sparse.eye_array(side)).max())
+    gate = side * np.finfo(float).eps
+    if not defect <= gate:
+        raise SolverError(f"parity basis: |U U^T - I|_max = {defect:.3e} above {gate:.3e}")
+
+
 def _parity_pairs(S, U, count: Optional[int] = None):
     """Pairs of S merged from one solver per block U_c S U_c^T (S itself
     when U is empty), each routed by its side and the count first asked,
@@ -309,8 +345,9 @@ def _parity_pairs(S, U, count: Optional[int] = None):
     twice for one count.  The eigenvalues merge by a stable sort.  Returns
     the pairs function, which gives (the merged eigenvalues, each block
     (U_c or None, lambda_c, W_c) cut to the pairs it gave them, solver, the
-    shifts or None), and the largest eigenvalue of S when every block is
-    decomposed whole, else None."""
+    shifts or None), the largest eigenvalue of S when every block is
+    decomposed whole, else None, and the block matrices ([S] when U is
+    empty)."""
     count = S.shape[0] if count is None else count
     mats = [Uc @ S @ Uc.T for Uc in U] or [S]
     sides = [M.shape[0] for M in mats]
@@ -355,8 +392,8 @@ def _parity_pairs(S, U, count: Optional[int] = None):
         blocks = [(Uc, w[:u], V[:, :u]) for Uc, w, V, u in zip(U or [None], lam, W, used)]
         return merged[take], blocks, solver, shifts
     if all(a == n for a, n in zip(asked, sides)):
-        return pairs, float(max(w[-1] for w in lam))
-    return pairs, None
+        return pairs, float(max(w[-1] for w in lam)), mats
+    return pairs, None, mats
 
 
 def _shift_invert_pairs(S):
@@ -426,7 +463,8 @@ def _negative_pivots(lu) -> int:
 
 def _count_below(S, tau: float) -> int:
     """Eigenvalues of S below tau, as the negative pivots of an LDL^T of
-    S - tau I: Sylvester's law of inertia."""
+    S - tau I: Sylvester's law of inertia.  eigensolve counts each parity
+    block this way, and the whole operator only when nothing splits."""
     return _negative_pivots(_ldlt(S, tau))
 
 

@@ -126,7 +126,7 @@ def test_split_path_takes_lam_max_from_its_blocks(name, monkeypatch):
     # is lambda_max: no Lanczos run on the split path, one without a split
     H = get_operator(name, DirichletGrid(2, 24, 8.0))
     S = spectral._symmetric_part(H)
-    _, lam_max = spectral._parity_pairs(S, spectral._parity_basis(H, S))
+    _, lam_max, _ = spectral._parity_pairs(S, spectral._parity_basis(H, S))
     top = eigsh(S, k=1, which="LA", return_eigenvectors=False)[0]
     assert abs(lam_max - top) <= 1e-12 * abs(top)
     calls = count_calls(monkeypatch, spectral, "_top_eigenvalue")
@@ -311,7 +311,7 @@ def test_split_shift_invert_matches_the_whole_matrix(name, N, blocks):
 def test_inertia_catches_a_pair_dropped_by_one_block(monkeypatch):
     # the first block's Lanczos runs lose their lowest pair; the other
     # blocks are whole and every pair returned is genuine, so only the
-    # count on the whole operator can see the gap
+    # first block's own count at tau can see the gap
     import scipy.sparse.linalg as sla
     orig, solved = sla.eigsh, []
 
@@ -330,6 +330,102 @@ def test_inertia_catches_a_pair_dropped_by_one_block(monkeypatch):
     with pytest.raises(SolverError, match="inertia"):
         eigensolve(get_operator("daho", DirichletGrid(2, 40, 8.0)), 10)
     assert len(solved) == 4 and len({id(A) for A in solved}) == 4
+
+
+@pytest.mark.parametrize("solver", ["numpy.linalg.eigh", "scipy.sparse.linalg.eigsh"])
+def test_inertia_catches_a_pair_moved_between_blocks(monkeypatch, solver):
+    # the first block solved loses its lowest pair and the second returns
+    # its lowest pair twice: every pair is genuine and as many lie below
+    # tau as the whole operator holds, so a count of the whole operator
+    # passes this solve; the first block's own count at tau does not.
+    # Dense: the 1d oscillator's even and odd blocks (side 32); Lanczos:
+    # daho's four blocks of side 400
+    module, name = solver.rsplit(".", 1)
+    module = importlib.import_module(module)
+    orig, calls = getattr(module, name), []
+
+    def fault(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        if name == "eigsh" and kwargs.get("sigma") is None:
+            return out
+        lam, V = out
+        calls.append(V.shape[0])
+        if len(calls) == 1:
+            return lam[1:], V[:, 1:]
+        if len(calls) == 2:
+            return np.insert(lam, 0, lam[0]), np.insert(V, 0, V[:, 0], axis=1)
+        return out
+
+    if name == "eigh":
+        H, k = get_operator("harmonic", DirichletGrid(1, 64, 8.0)), 5
+    else:
+        H, k = get_operator("daho", DirichletGrid(2, 40, 8.0)), 10
+    monkeypatch.setattr(module, name, fault)
+    with pytest.raises(SolverError, match="inertia of block 0"):
+        eigensolve(H, k)
+    assert len(calls) >= 2
+
+
+@pytest.mark.parametrize("name,grid", [
+    *[(name, DirichletGrid(2, N, 8.0)) for name in ("harmonic", "daho", "grushin_pure")
+      for N in (40, 41)],
+    ("daho", Grid(2, 32, 8.0)),
+], ids=lambda v: f"{v.boundary}-N{v.N}" if isinstance(v, Grid) else None)
+def test_block_counts_sum_to_the_whole_count(name, grid):
+    # the certificate counts per block; with an orthogonal parity basis
+    # the block counts at tau sum to the count on the whole operator
+    # (Sylvester), at every tau midway between two adjacent ones of the
+    # lowest 41 eigenvalues further apart than the certificate's gap width
+    H = get_operator(name, grid)
+    S = spectral._symmetric_part(H)
+    U = spectral._parity_basis(H, S)
+    mats = [Uc @ S @ Uc.T for Uc in U]
+    assert len(mats) == 4
+    lam = eigensolve(H.sparse, 41).eigenvalues
+    width = spectral.GAP_REL_TOL * lam[-1]
+    taus = [0.5 * (a + b) for a, b in zip(lam, lam[1:]) if b - a > width]
+    assert len(taus) >= (8 if name == "harmonic" else 30)
+    for tau in taus:
+        whole = spectral._count_below(S, tau)
+        assert whole == np.count_nonzero(lam < tau)
+        assert sum(spectral._count_below(M, tau) for M in mats) == whole
+
+
+@pytest.mark.parametrize("fault", ["drop", "scale"])
+def test_a_broken_parity_basis_is_a_solver_error(monkeypatch, fault):
+    # the block counts stand for the whole count only on an orthogonal
+    # basis: one row fewer, or one row scaled by 1 + 1e-9 (far above the
+    # gate side eps, below what the residuals can see), stops the solve
+    orig = spectral._parity_basis
+
+    def broken(H, S):
+        U = orig(H, S)
+        scale = np.ones(U[0].shape[0])
+        scale[0] += 1e-9
+        U[0] = U[0][1:] if fault == "drop" else sparse.diags_array(scale) @ U[0]
+        return U
+
+    monkeypatch.setattr(spectral, "_parity_basis", broken)
+    H = get_operator("daho", DirichletGrid(2, 24, 6.0))
+    with pytest.raises(SolverError, match="parity basis"):
+        eigensolve(H, 10)
+    with pytest.raises(SolverError, match="parity basis"):
+        spectral.Spectrum(H)
+
+
+@pytest.mark.parametrize("name,grid,k,path", [
+    ("daho", DirichletGrid(2, 40, 8.0), 10, "shift-invert"),
+    ("harmonic", DirichletGrid(2, 24, 6.0), 10, "dense"),
+], ids=["shift-invert", "dense"])
+def test_split_solve_factors_nothing_larger_than_a_block(monkeypatch, name, grid, k, path):
+    # the shifts sigma and the count at tau factor the block matrices,
+    # never the whole operator
+    sides, ldlt = [], spectral._ldlt
+    monkeypatch.setattr(spectral, "_ldlt",
+                        lambda S, shift: sides.append(S.shape[0]) or ldlt(S, shift))
+    res = eigensolve(get_operator(name, grid), k)
+    assert res.solver.startswith(path) and res.inertia is not None
+    assert len(sides) >= len(res.blocks) and max(sides) <= max(res.blocks)
 
 
 def test_a_block_short_of_pairs_grows_without_repeating_a_count(monkeypatch):
@@ -455,14 +551,17 @@ def test_split_spectra_hold_no_side_squared_array():
 
 def test_certificate_cut_skips_a_degenerate_pair(monkeypatch):
     # the 2d oscillator's eigenvalues come in exact pairs; k = 2 splits
-    # the pair at 4, so tau has to go past both copies, into (4, 6)
-    taus = []
+    # the pair at 4, so tau has to go past both copies, into (4, 6).
+    # Each of the four parity blocks is counted once, all at that one tau
+    counted = []
     count_below = spectral._count_below
     monkeypatch.setattr(spectral, "_count_below",
-                        lambda S, tau: taus.append(tau) or count_below(S, tau))
+                        lambda S, tau: counted.append((S.shape[0], tau)) or count_below(S, tau))
     res = eigensolve(get_operator("harmonic", DirichletGrid(2, 24, 6.0)), 2)
     assert res.eigenvalues[1] == pytest.approx(4.0, abs=1e-2)
-    assert taus == [pytest.approx(5.0, abs=0.1)]
+    sides, taus = zip(*counted)
+    assert sides == res.blocks == (144,) * 4
+    assert len(set(taus)) == 1 and taus[0] == pytest.approx(5.0, abs=0.1)
 
 
 class _Widths:
