@@ -16,7 +16,10 @@ values come back in their broadcast shape.  Rows Z of shape (m, 2n) are
 the special case P = tuple(Z.T), and any non-tuple argument is read as
 such rows (see coords).  A coordinate that is constant over a block
 (x_1 in a Weyl block or a quadrature chunk) is then one value, and
-everything that depends on it alone is computed once.
+everything that depends on it alone is computed once.  Every value is
+a function of its own point only, never of the other points of the
+batch: symbols.SymbolEvaluator evaluates a 1-D batch in runs of at most
+symbols.ROW_BLOCK rows, and a value must not depend on the run it falls in.
 """
 
 from __future__ import annotations

@@ -100,7 +100,9 @@ def _beta_jet(t, gamma, depth):
 _PANELS = 256
 _EDGES = 2.0 + np.arange(_PANELS + 1) * (2.0 / _PANELS)
 _GLX, _GLW = np.polynomial.legendre.leggauss(8)
-_CHUNK = 32768  # bridge points per quadrature block: caps the node array at 2 MB
+# distinct bridge |t| per block: the 8-node rule of a value block then
+# holds about 3 MB of temporaries, the order-6 series of a derivative 2 MB
+BRIDGE_BLOCK = 4096
 
 
 def _gauss(lo, hi, gamma):
@@ -117,20 +119,9 @@ def _panel_table(gamma):
 
 def _bridge_cumint(t, table, gamma):
     """int_2^t beta for t in [2, 4]: the table up to t's panel plus one
-    8-node rule on the rest, in fixed chunks."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t)
-    for lo in range(0, t.size, _CHUNK):
-        tc = t[lo:lo + _CHUNK]
-        k = ((tc - 2) * (_PANELS / 2)).astype(np.intp)  # exact for t in [2, 4]
-        out[lo:lo + _CHUNK] = table[k] + _gauss(_EDGES[k], tc, gamma)
-    return out
-
-
-def _per_distinct(fn, a):
-    """fn applied once per distinct value of a, scattered back."""
-    vals, inv = np.unique(a, return_inverse=True)
-    return fn(vals)[inv]
+    8-node rule on the rest."""
+    k = ((t - 2) * (_PANELS / 2)).astype(np.intp)  # exact for t in [2, 4]
+    return table[k] + _gauss(_EDGES[k], t, gamma)
 
 
 @lru_cache(maxsize=1)
@@ -173,40 +164,40 @@ class CutoffProfileSquared:
         return self.c_prime**2 >= self.monotone_threshold() - 1e-12
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        a = np.abs(t)
-        out = np.where(a <= 2.0, t * t, self.c_prime**2)
-        mask = (a > 2.0) & (a < 4.0)
-        if mask.any():
-            out = np.array(out, dtype=float)
-            out[mask] = 4.0 + _per_distinct(
-                lambda v: _bridge_cumint(v, self._table, self.gamma), a[mask])
-        return float(out[0]) if scalar else out
+        return self._jet(t, 0)
 
     def derivative(self, t, order: int = 1):
         """Exact t-derivative of the squared profile, orders 1..6."""
         if not 1 <= order <= PROFILE_DERIV_ORDERS:
             raise ValueError(f"order must be in 1..{PROFILE_DERIV_ORDERS}")
+        return self._jet(t, order)
+
+    def _jet(self, t, order: int):
+        """The order-th t-derivative, order 0 the value.  On the bridge
+        each distinct |t| is taken once, BRIDGE_BLOCK of them at a time,
+        so the temporaries do not grow with the batch; each value depends
+        on its own |t| only, so the blocks cannot change it."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         a = np.abs(t)
-        if order == 1:
-            inner = 2.0 * t
-        elif order == 2:
-            inner = np.full_like(t, 2.0)
+        if order < 2:
+            inner = 2.0 * t if order else t * t
         else:
-            inner = np.zeros_like(t)
-        out = np.where(a <= 2.0, inner, 0.0)
+            inner = 2.0 if order == 2 else 0.0
+        out = np.where(a <= 2.0, inner, 0.0 if order else self.c_prime**2)
         mask = (a > 2.0) & (a < 4.0)
         if mask.any():
-            out = np.array(out, dtype=float)
-            # F' = beta on the bridge; even extension picks up sgn^order
-            sgn = np.sign(t[mask]) ** order
-            out[mask] = sgn * _per_distinct(
-                lambda v: _beta_jet(v, self.gamma, order - 1)[-1], a[mask])
+            vals, inv = np.unique(a[mask], return_inverse=True)
+            on = np.empty_like(vals)
+            for lo in range(0, vals.size, BRIDGE_BLOCK):
+                v = vals[lo:lo + BRIDGE_BLOCK]
+                # F = 4 + int_2^t beta, so F' = beta; the even extension
+                # picks up sgn^order
+                on[lo:lo + BRIDGE_BLOCK] = (
+                    _beta_jet(v, self.gamma, order - 1)[-1] if order
+                    else 4.0 + _bridge_cumint(v, self._table, self.gamma))
+            out[mask] = np.sign(t[mask]) ** order * on[inv]
         return float(out[0]) if scalar else out
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._jets import (JProd, JPowerSum, JSum, JetExpr, UnsupportedOrderError, bracket_sq,
-                    coords, fd_deriv_eval, in_shape)
+                    coords, fd_deriv_eval, in_shape, shape_of)
 from .profiles import band_bump
 
 __all__ = [
@@ -31,6 +31,34 @@ __all__ = [
 ]
 
 MAX_DERIV_ORDER = 4
+# rows per run of a 1-D batch (_by_rows): planck of the daho weight on
+# 2e5 rows then holds 8.7 MB beyond its input, not 31 MB.  Each run is one
+# more pass over a jet tree of hundreds of nodes, so a seminorm sample
+# (32,893 rows) stays one run: in runs of 8192 class-check took 1.5x as long
+ROW_BLOCK = 65536
+
+
+def _by_rows(fn, P: tuple):
+    """fn(P) for a coordinate tuple P, fn returning values in the shape
+    of its argument.  A 1-D batch longer than ROW_BLOCK rows is taken in
+    equal runs of at most ROW_BLOCK rows (equal, so that no short tail
+    run costs a whole tree pass).  Every value depends on its own point
+    only, so the runs give the one-shot values bit for bit while the
+    temporaries of fn stay at ROW_BLOCK rows.  Other shapes (Weyl blocks,
+    quadrature chunks) are bounded by their callers and taken at once."""
+    # a cheap test first: most calls (Weyl blocks, quadrature chunks) stop at it
+    if any(p.ndim != 1 for p in P) or max(p.size for p in P) <= ROW_BLOCK:
+        return fn(P)
+    shape = shape_of(P)
+    runs = -(-shape[0] // ROW_BLOCK)
+    cut = [shape[0] * r // runs for r in range(runs + 1)]
+    out = None
+    for lo, hi in zip(cut, cut[1:]):
+        v = fn(tuple(p if p.size == 1 else p[lo:hi] for p in P))
+        if out is None or not np.can_cast(v.dtype, out.dtype, "safe"):
+            out = np.empty(shape, v.dtype) if out is None else out.astype(v.dtype)
+        out[lo:hi] = v
+    return out
 
 
 class SymbolEvaluator:
@@ -40,7 +68,9 @@ class SymbolEvaluator:
     Points are a tuple P = (x_1..x_n, xi_1..xi_n) of coordinate arrays
     that broadcast against each other; eval and derivative return values
     in the broadcast shape.  Rows Z of shape (m, 2n) are the special case
-    tuple(Z.T) and may be passed as they are.  A JetExpr f is expr: its
+    tuple(Z.T) and may be passed as they are.  Values are pointwise: a
+    1-D batch is evaluated in runs of at most ROW_BLOCK rows (_by_rows),
+    and no value may depend on the run it falls in.  A JetExpr f is expr: its
     tree gives the values and, differentiated once per multi-index and
     memoized (jet), the exact derivatives.  Otherwise expr is None, f is
     value_fn, mapping such a tuple (always a tuple) to values, and the
@@ -61,8 +91,7 @@ class SymbolEvaluator:
         return P
 
     def eval(self, P):
-        P = self._points(P)
-        return in_shape(self.value_fn(P), P)
+        return _by_rows(lambda Q: in_shape(self.value_fn(Q), Q), self._points(P))
 
     def derivative(self, beta, alpha, P):
         """d_x^beta d_xi^alpha at the points P; exact when f is an expression."""
@@ -72,11 +101,10 @@ class SymbolEvaluator:
         if sum(beta) + sum(alpha) > MAX_DERIV_ORDER:
             raise UnsupportedOrderError(
                 f"derivative order {sum(beta) + sum(alpha)} beyond the maximum {MAX_DERIV_ORDER}")
-        P = self._points(P)
         multi = beta + alpha
         if self.expr is None:
-            return fd_deriv_eval(self.value_fn, multi, P)
-        return self.jet(multi).eval(P)
+            return _by_rows(lambda Q: fd_deriv_eval(self.value_fn, multi, Q), self._points(P))
+        return _by_rows(self.jet(multi).eval, self._points(P))
 
     def jet(self, multi) -> JetExpr:
         """The tree of the derivative d^multi of expr, multi over (x, xi);

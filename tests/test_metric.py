@@ -1,4 +1,6 @@
 """Admissibility checks for the phase-space metric and its weight."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,22 @@ def test_planck_never_exceeds_one(pt):
     w = daho_weight()
     h = planck(w, np.array([pt]))
     assert h[0] <= 1.0 + 1e-12
+
+
+def test_planck_working_set_is_bounded():
+    # metric-check's uncertainty bound on 2e5 points: the weight tree and
+    # the profile bridge run in row blocks, so what is held beyond the
+    # result is a few full-length arrays of bracket_sq (31 MB before)
+    w = get_weight("daho")
+    Z = np.random.default_rng(2).uniform(-6.0, 6.0, (200_000, 4))
+    planck(w, Z[:10])
+    tracemalloc.start()
+    try:
+        planck(w, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_uncertainty_passes_for_admissible_weight():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -158,14 +159,57 @@ def test_profile_jets_match_symbolic_table(c_prime):
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
 
 
+def test_derivatives_across_bridge_blocks_match_symbolic_table(monkeypatch):
+    p = CutoffProfileSquared(3.0)
+    rng = np.random.default_rng(9)
+    distinct = rng.uniform(2.0, 4.0, 2 * 64 + 17)
+    t = np.concatenate([distinct, -distinct[:40], distinct[50:70], [0.0, 1.5, -2.0, 4.0, 7.0]])
+    t = t[rng.permutation(t.size)]
+    bridge = (np.abs(t) > 2.0) & (np.abs(t) < 4.0)
+    sizes, beta = [], profiles._beta_jet
+
+    def counted_beta(t, gamma, depth):
+        sizes.append(np.size(t))
+        return beta(t, gamma, depth)
+
+    monkeypatch.setattr(profiles, "_beta_jet", counted_beta)
+    for order in range(1, PROFILE_DERIV_ORDERS + 1):
+        monkeypatch.setattr(profiles, "BRIDGE_BLOCK", 10**9)
+        whole = p.derivative(t, order)
+        monkeypatch.setattr(profiles, "BRIDGE_BLOCK", 64)
+        sizes.clear()
+        got = p.derivative(t, order)
+        assert sizes == [64, 64, 17]
+        assert np.array_equal(got, whole)
+        ref = np.sign(t[bridge]) ** order * _beta_oracle(order - 1, np.abs(t[bridge]), p.gamma)
+        err = np.abs(got[bridge] - ref) / np.maximum(1.0, np.abs(ref))
+        assert np.max(err) <= 1e-10
+
+
+def test_bridge_working_set_is_bounded():
+    # on 2e5 distinct bridge points the order-6 series held about 95 MB
+    # at once; in blocks the full-length index arrays of the scatter
+    # (about 15 MB) are most of what is left
+    p = CutoffProfileSquared(3.0)
+    t = np.random.default_rng(4).uniform(2.0, 4.0, 200_000)
+    p.derivative(t[:10], 6)
+    tracemalloc.start()
+    try:
+        p.derivative(t, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 @pytest.mark.parametrize("c_prime", [0.5, 2.5, 3.0, 10.0])
 def test_bridge_values_match_direct_quadrature(c_prime):
     p = CutoffProfileSquared(c_prime)
     rng = np.random.default_rng(7)
-    distinct = rng.uniform(2.0, 4.0, profiles._CHUNK + 904)
+    distinct = rng.uniform(2.0, 4.0, profiles.BRIDGE_BLOCK + 904)
     t = np.concatenate([distinct, distinct[:1500], -distinct[2000:2600]])
     t = t[rng.permutation(t.size)]  # unsorted, with duplicates and mirrored signs
-    assert np.unique(np.abs(t)).size > profiles._CHUNK
+    assert np.unique(np.abs(t)).size > profiles.BRIDGE_BLOCK
     glx, glw = np.polynomial.legendre.leggauss(64)
     a = np.abs(t)
     half = (a - 2.0) / 2.0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from weylab import symbols
-from weylab._jets import JPowerSum, UnsupportedOrderError
+from weylab import profiles, symbols
+from weylab._jets import JPowerSum, UnsupportedOrderError, shape_of
 from weylab.builders import get_a2, get_weight, symbol_names, weight_names
 from weylab.metric import WeightEvaluator
 from weylab.symbols import (MAX_DERIV_ORDER, PolySymbol, SymbolEvaluator,
@@ -178,6 +178,119 @@ def test_complex_coefficient_keeps_a_small_imaginary_part():
     got = sym.eval(np.array([[0.5, 2.0]]))[0]
     assert got.real == 1.0
     assert got.imag == pytest.approx(1e-9 / (2 * np.pi), rel=1e-12)
+
+
+# -- row blocks --------------------------------------------------------------
+
+BLOCK = 64  # ROW_BLOCK in the blocked runs; a batch of 2 * BLOCK + 17 rows
+RUNS = [(48,), (48,), (49,)]  # is cut into three equal runs
+
+
+def _one_shot_and_blocked(monkeypatch, fn):
+    """fn() with every row of a batch in one run, then with ROW_BLOCK =
+    BLOCK and the profile's BRIDGE_BLOCK at 16."""
+    monkeypatch.setattr(symbols, "ROW_BLOCK", 10**9)
+    whole = fn()
+    monkeypatch.setattr(symbols, "ROW_BLOCK", BLOCK)
+    monkeypatch.setattr(profiles, "BRIDGE_BLOCK", 16)
+    return whole, fn()
+
+
+def _rows_with_bridge(n, seed=11):
+    Z = np.random.default_rng(seed).uniform(-5.0, 5.0, (2 * BLOCK + 17, 2 * n))
+    on_bridge = (np.abs(Z[:, 0]) > 2.0) & (np.abs(Z[:, 0]) < 4.0)
+    assert all(on_bridge[lo:lo + 48].any() for lo in (0, 48, 96))
+    return Z
+
+
+def _all_multis(n, top=MAX_DERIV_ORDER):
+    return [m for m in np.ndindex(*(top + 1,) * 2 * n) if sum(m) <= top]
+
+
+def _assert_same(whole, blocked):
+    whole, blocked = np.asarray(whole), np.asarray(blocked)
+    assert blocked.shape == whole.shape and blocked.dtype == whole.dtype
+    assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("name,n", _dims(get_weight, weight_names())
+                         + [("a2:daho", 2), ("a2:grushin_pure", 2)])
+def test_row_blocks_give_the_one_shot_jets(monkeypatch, name, n):
+    s = get_a2(name[3:]) if name.startswith("a2:") else get_weight(name, {"n": n})
+    Z = _rows_with_bridge(n)
+    multis = _all_multis(n)
+
+    def values():
+        return [s.eval(Z)] + [s.derivative(m[:n], m[n:], Z) for m in multis]
+
+    for whole, blocked in zip(*_one_shot_and_blocked(monkeypatch, values)):
+        _assert_same(whole, blocked)
+
+
+def test_row_blocks_give_the_one_shot_differences(monkeypatch):
+    # a value-function symbol: finite differences up to MAX_DERIV_ORDER,
+    # every stencil value taken one run at a time
+    band = band_restrict(with_confinement(get_a2("daho")), get_weight("daho"), 2.0)
+    seen = []
+
+    def value(P):
+        seen.append(shape_of(P))
+        return band.value_fn(P)
+
+    s = SymbolEvaluator(2, value)
+    Z = _rows_with_bridge(2)
+    # every pure derivative, and every mixed one of first order in x1
+    multis = [m for m in _all_multis(2) if max(m) == sum(m) or m[0] == 1]
+
+    def values():
+        seen.clear()
+        return [s.derivative(m[:2], m[2:], Z) for m in multis]
+
+    whole, blocked = _one_shot_and_blocked(monkeypatch, values)
+    assert seen[:3] == RUNS and set(seen) == set(RUNS)
+    assert {sum(m) for m in multis} == set(range(MAX_DERIV_ORDER + 1))
+    for w, b in zip(whole, blocked):
+        _assert_same(w, b)
+
+
+def test_row_blocks_keep_the_shape_of_a_constant(monkeypatch):
+    one = SymbolEvaluator(2, JPowerSum.constant(4, 1.0))
+    Z = _rows_with_bridge(2)
+    whole, blocked = _one_shot_and_blocked(
+        monkeypatch, lambda: [one.eval(Z), one.derivative((1, 0), (0, 0), Z)])
+    for w, b, c in zip(whole, blocked, (1.0, 0.0)):
+        _assert_same(w, b)
+        assert b.shape == (Z.shape[0],) and np.all(b == c)
+
+
+def test_row_blocks_on_coordinates(monkeypatch):
+    # a coordinate passed as one value is not cut; other shapes are not blocked
+    w = get_weight("daho")
+    Z = _rows_with_bridge(2)
+    P = (Z[:, 0], 0.5, Z[:, 2], Z[:, 3])
+    whole, blocked = _one_shot_and_blocked(
+        monkeypatch, lambda: [w.eval(P), w.derivative((1, 1), (0, 1), P)])
+    for pair in zip(whole, blocked):
+        _assert_same(*pair)
+    seen = []
+    s = SymbolEvaluator(2, lambda P: seen.append(shape_of(P)) or w.value_fn(P))
+    grid = (Z[:, :1], 0.5, Z[None, :3, 2], 1.0)
+    _assert_same(w.eval(grid), s.eval(grid))
+    assert seen == [(Z.shape[0], 3)]
+
+
+def test_row_blocks_widen_a_later_complex_block(monkeypatch):
+    # a value function whose type depends on its points: the blocks come
+    # back in one array of the one-shot type
+    def value(P):
+        v = P[0] + 1j * P[1]
+        return v if v.imag.any() else v.real
+
+    s = SymbolEvaluator(1, value)
+    Z = np.zeros((2 * BLOCK + 17, 2))
+    Z[:, 0] = np.arange(Z.shape[0])
+    Z[-5:, 1] = 1.0
+    _assert_same(*_one_shot_and_blocked(monkeypatch, lambda: s.eval(Z)))
 
 
 # -- seminorms and membership ------------------------------------------------
