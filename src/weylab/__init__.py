@@ -32,6 +32,6 @@ from .spectral import (GrowthFit, SpectralResult, Spectrum, eigensolve, growth_f
                        schatten_sweep)
 from .symbols import (PolySymbol, SeminormEstimate, SymbolEvaluator,
                       class_membership, smg_seminorm, with_confinement)
-from .evolve import EvolutionTrace, heat_evolve, schrodinger_evolve
+from .evolve import EvolutionTrace, Propagator, heat_evolve, schrodinger_evolve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -83,24 +83,19 @@ def _zpow(P, e):
 
 
 class JetExpr:
-    """Base: immutable expression with symbolic diff and vectorized eval."""
+    """Base: immutable expression with symbolic diff and vectorized eval.
+
+    A subclass gives diff(axis), the derivative's tree, and _eval(P), the
+    values on a tuple that coords has normalized, in the broadcast shape of
+    the coordinates they depend on (a term free of x_2 is not repeated along it)."""
 
     nvars: int
-
-    def diff(self, axis: int) -> "JetExpr":
-        raise NotImplementedError
 
     def eval(self, P):
         """Values on the coordinate tuple P (or rows, see coords), in
         the broadcast shape of P."""
         P = coords(P)
         return in_shape(self._eval(P), P)
-
-    def _eval(self, P: tuple):
-        """Values on a tuple that coords has already normalized, in the
-        broadcast shape of the coordinates they depend on: a term that
-        does not depend on x_2 is not repeated along it."""
-        raise NotImplementedError
 
     @property
     def is_zero(self) -> bool:

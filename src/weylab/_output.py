@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = ["fmt_cell", "write_csv_atomic", "write_json_atomic", "write_bytes_atomic",
-           "sha256_file", "canonical_json"]
+           "canonical_json"]
 
 
 def fmt_cell(v) -> str:
@@ -68,11 +68,3 @@ def write_json_atomic(path, obj) -> str:
     data = (canonical_json(obj) + "\n").encode("utf-8")
     write_bytes_atomic(path, data)
     return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()

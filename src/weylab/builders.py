@@ -20,8 +20,7 @@ from .metric import WeightEvaluator
 from .profiles import PROFILE_DERIV_ORDERS, CutoffProfileSquared
 from .symbols import PolySymbol
 
-__all__ = ["Model", "symbol_names", "weight_names", "operator_names",
-           "potential_names", "get_a2", "get_weight", "get_operator",
+__all__ = ["Model", "symbol_names", "weight_names", "get_a2", "get_weight", "get_operator",
            "get_kinetic", "get_potential", "describe_builders", "UnknownBuilderError",
            "ConfigError", "MissingKeyError", "REQUIRED", "Tagged", "Bound", "COUNT",
            "POSITIVE", "read",
@@ -261,14 +260,6 @@ def symbol_names():
 
 def weight_names():
     return sorted(symbol_names() + list(_WEIGHTS))
-
-
-def operator_names():
-    return sorted(OPERATOR.variants)
-
-
-def potential_names():
-    return sorted(_POTENTIALS)
 
 
 def get_a2(name: str, params: Optional[dict] = None) -> PolySymbol:

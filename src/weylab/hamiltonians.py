@@ -27,7 +27,7 @@ from .quantize import Grid
 
 __all__ = [
     "DirichletGrid", "HamiltonianMatrix", "Potential", "P2Report",
-    "second_derivative", "staggered_divergence_form", "sum_of_squares_matrix",
+    "second_derivative", "sum_of_squares_matrix",
     "tensor_stencil_matrix", "quadratic_potential", "bounded_noise_potential",
     "step_potential", "table_potential", "validate_p2",
     "hamiltonian_with_potential", "P2ValidationError",
@@ -90,16 +90,10 @@ def second_derivative(N: int, h: float, order: int = 6, bc: str = "dirichlet") -
 
 
 def _staggered_bands(c_half: np.ndarray, h: float) -> tuple:
-    """Main and upper diagonals of D^T M D along axis 0 of c_half, whose
-    N+1 rows are the coefficient at the half points."""
-    return (c_half[:-1] + c_half[1:]) / h**2, -c_half[1:-1] / h**2
-
-
-def staggered_divergence_form(c_half: np.ndarray, h: float) -> np.ndarray:
-    """Tridiagonal D^T M D for -d/dx (c(x) d/dx) with c given at the N+1
+    """Main and upper diagonals of the tridiagonal D^T M D for
+    -d/dx (c(x) d/dx) along axis 0 of c_half, whose N+1 rows are c at the
     half points; symmetric and PSD whenever c >= 0."""
-    diag, off = _staggered_bands(np.asarray(c_half, dtype=float), h)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return (c_half[:-1] + c_half[1:]) / h**2, -c_half[1:-1] / h**2
 
 
 def sum_of_squares_matrix(fields, grid: Grid) -> HamiltonianMatrix:
@@ -116,6 +110,9 @@ def sum_of_squares_matrix(fields, grid: Grid) -> HamiltonianMatrix:
         raise ValueError("sum_of_squares needs a Dirichlet grid")
     fields = list(fields)
     N, h, n = grid.N, grid.h, grid.n
+    for axis, _ in fields:
+        if not 0 <= axis < n:
+            raise ValueError(f"field axis {axis} is not an axis of a grid of dimension {n}")
     pts = grid.points
     half = np.concatenate([[pts[0] - h / 2.0], pts + h / 2.0])  # N+1 half points
     total = sparse.csr_array((grid.side(), grid.side()))
@@ -129,7 +126,7 @@ def sum_of_squares_matrix(fields, grid: Grid) -> HamiltonianMatrix:
             if n == 2:
                 X[..., 1 - axis] = pts[None, :]
             c2 = np.asarray(coeff(X.reshape(-1, n)), dtype=float).reshape(N + 1, -1) ** 2
-        # one staggered_divergence_form per line, on the flat node index:
+        # one tridiagonal D^T M D per line, on the flat node index:
         # stride N^(n-1) along axis 0; along axis 1 stride 1, no coupling
         # from one line to the next
         diag, off = _staggered_bands(c2, h)

@@ -34,7 +34,7 @@ from .quantize import Grid, weyl_quantize
 
 __all__ = [
     "SpectralResult", "Spectrum", "GrowthFit", "SolverError", "eigensolve", "growth_fit",
-    "phase_box_integral", "band_slope", "SchattenTrendReport", "schatten_sweep", "real_csr",
+    "SchattenTrendReport", "schatten_sweep", "real_csr",
 ]
 
 RESIDUAL_REL_TOL = 1e-8
@@ -44,7 +44,7 @@ DENSE_KRYLOV_RATIO = 8  # below DENSE_LIMIT, dense while side < this times the K
 EXTRA_PAIRS = 4
 RESIDUAL_CHUNK = 256    # columns per residual pass
 START_SEED = 0          # Lanczos start vectors are drawn from this seed
-BAND_BASE = 3.0         # band_slope shells: BAND_BASE^k <= m < BAND_BASE^(k+1)
+BAND_BASE = 3.0         # _band_fits shells: BAND_BASE^k <= m < BAND_BASE^(k+1)
 BAND_KMIN, BAND_KMAX = 1, 4
 BAND_BOX_FACTOR = 1.02  # box margin past the last counted shell
 
@@ -520,7 +520,8 @@ def _chunked_weight(w: WeightEvaluator, L: float, npts: int):
 
 
 def _box_integrals(w: WeightEvaluator, exps: Sequence[float], L: float, npts: int) -> list:
-    """phase_box_integral for each exponent in exps, from one pass of m."""
+    """Midpoint quadrature of m^{-s} over [-L, L]^{2n}, fixed summation
+    order, for each exponent s in exps, from one pass of m."""
     totals = [0.0] * len(exps)
     for m, cell in _chunked_weight(w, L, npts):
         for i, s in enumerate(exps):
@@ -528,13 +529,13 @@ def _box_integrals(w: WeightEvaluator, exps: Sequence[float], L: float, npts: in
     return totals
 
 
-def phase_box_integral(w: WeightEvaluator, s: float, L: float, npts: int = 100) -> float:
-    """Midpoint quadrature of m^{-s} over [-L, L]^{2n}, fixed summation order."""
-    return _box_integrals(w, [s], L, npts)[0]
-
-
 def _band_fits(w: WeightEvaluator, exps: Sequence[float], npts: int) -> list:
-    """band_slope for each exponent in exps, from one pass of m."""
+    """Slope of log-base band sums of m^{-s} over dyadic-in-base shells,
+    for each exponent s in exps, from one pass of m.
+
+    The box covers the closure of the last counted shell with a small
+    margin; shells outside [BAND_KMIN, BAND_KMAX] are binned but not
+    fitted.  Each entry is (slope, band sums for k = BAND_KMIN..BAND_KMAX)."""
     L = BAND_BASE ** ((BAND_KMAX + 1) / 2.0) * BAND_BOX_FACTOR
     B = np.zeros((len(exps), BAND_KMAX + 2))
     logb = np.log(BAND_BASE)
@@ -547,16 +548,6 @@ def _band_fits(w: WeightEvaluator, exps: Sequence[float], npts: int) -> list:
         raise SolverError("empty band in slope fit; box too small")
     ks = np.arange(BAND_KMIN, BAND_KMAX + 1, dtype=float)
     return [(float(np.polyfit(ks, np.log(b) / logb, 1)[0]), b) for b in bands]
-
-
-def band_slope(w: WeightEvaluator, s: float, npts: int = 100) -> tuple:
-    """Slope of log-base band sums of m^{-s} over dyadic-in-base shells.
-
-    The box covers the closure of the last counted shell with a small
-    margin; shells outside [BAND_KMIN, BAND_KMAX] are binned but not
-    fitted.  Returns (slope, band sums for k = BAND_KMIN..BAND_KMAX).
-    """
-    return _band_fits(w, [s], npts)[0]
 
 
 # -- the trend experiment ---------------------------------------------------

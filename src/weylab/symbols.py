@@ -222,6 +222,9 @@ def smg_seminorm(s, M, w, k: int, sample: np.ndarray) -> SeminormEstimate:
     m_vals = w.m_values(Z)
     M_vals = M.m_values(Z)
     bx2 = bracket_sq(Z, n)  # <xi>^2 + |x|^2
+    # powers once per order and per |beta|; the product below stays left to right
+    mt = [m_vals ** (t / 2.0) for t in range(k + 1)]
+    bb = [bx2 ** (-nb / 2.0) for nb in range(k + 1)]
     best, arg = -np.inf, Z[0]
     for total in range(k + 1):
         for beta in _iter_multi((total,) * n):
@@ -233,7 +236,7 @@ def smg_seminorm(s, M, w, k: int, sample: np.ndarray) -> SeminormEstimate:
                 if na + nb != total:
                     continue
                 d = np.abs(np.asarray(s.derivative(beta, alpha, Z)))
-                field = d * m_vals ** (total / 2.0) * bx2 ** (-nb / 2.0) / M_vals
+                field = d * mt[total] * bb[nb] / M_vals
                 i = int(np.argmax(field))
                 if field[i] > best:
                     best, arg = float(field[i]), Z[i]

@@ -1,4 +1,5 @@
 """Name registries and deterministic artifact writing."""
+import hashlib
 import os
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from weylab._output import (
     canonical_json,
     fmt_cell,
-    sha256_file,
     write_csv_atomic,
     write_json_atomic,
 )
 from weylab.builders import (
+    OPERATOR,
+    POTENTIAL,
     ConfigError,
     UnknownBuilderError,
     describe_builders,
@@ -21,8 +23,6 @@ from weylab.builders import (
     get_operator,
     get_potential,
     get_weight,
-    operator_names,
-    potential_names,
     symbol_names,
     weight_names,
 )
@@ -36,8 +36,8 @@ def test_registry_names():
     assert symbol_names() == ["daho", "grushin_pure", "harmonic"]
     assert weight_names() == ["broken_half_bracket", "daho", "grushin_pure",
                               "harmonic"]
-    assert "sum_of_squares" in operator_names()
-    assert potential_names() == ["bounded_noise", "quadratic", "step", "table"]
+    assert "sum_of_squares" in sorted(OPERATOR.variants)
+    assert sorted(POTENTIAL.variants) == ["bounded_noise", "quadratic", "step", "table"]
 
 
 def test_get_dispatch():
@@ -140,7 +140,8 @@ def test_bounded_noise_requires_seed():
 
 def test_describe_builders_mentions_everything():
     text = describe_builders()
-    for name in symbol_names() + weight_names() + operator_names() + potential_names():
+    for name in (symbol_names() + weight_names() + sorted(OPERATOR.variants)
+                 + sorted(POTENTIAL.variants)):
         assert name in text
     assert "fails the uncertainty gate by design" in text
 
@@ -183,7 +184,7 @@ def test_write_csv_atomic_digest_and_linefeeds(tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.decode().splitlines() == ["a,b", "1,0.5", ",true"]
-    assert digest == sha256_file(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
 
@@ -201,11 +202,3 @@ def test_canonical_json_sorts_keys(tmp_path):
     digest = write_json_atomic(tmp_path / "r.json", {"z": 1, "a": 2})
     digest2 = write_json_atomic(tmp_path / "r2.json", {"a": 2, "z": 1})
     assert digest == digest2
-
-
-def test_sha256_file_matches_hashlib(tmp_path):
-    import hashlib
-
-    p = tmp_path / "blob.bin"
-    p.write_bytes(b"\x00\x01" * 4096)
-    assert sha256_file(p) == hashlib.sha256(b"\x00\x01" * 4096).hexdigest()

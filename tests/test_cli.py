@@ -14,7 +14,7 @@ from weylab.builders import get_weight, read
 from weylab.cli import CONFIG, _hash_config, main
 from weylab.hamiltonians import DirichletGrid
 from weylab.metric import WeightEvaluator
-from weylab.spectral import band_slope
+from weylab.spectral import _band_fits
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -185,6 +185,21 @@ def test_spectrum_of_sum_of_squares_reproduces(tmp_path, capsys):
     assert report["report"]["operator"] == "sum_of_squares[2 fields]"
 
 
+@pytest.mark.parametrize("n,fields,axis", [
+    (1, [[1, "1"]], 1), (2, [[-1, "1"]], -1), (2, [[0, "1"], [5, "x1"]], 5)])
+def test_sum_of_squares_field_off_the_grid_is_a_config_error(tmp_path, capsys, n, fields,
+                                                             axis):
+    code, out = run(tmp_path, "sos.json", {
+        "schema": 1, "kind": "spectrum", "grid": {"n": n, "N": 12, "L": 4.0},
+        "operator": {"name": "sum_of_squares", "params": {"fields": fields}}, "k": 3})
+    assert code == 2
+    message = f"field axis {axis} is not an axis of a grid of dimension {n}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    assert manifest["error"] == {"kind": "config", "message": message}
+    assert manifest["outputs"] == []
+
+
 def test_spectrum_with_table_potential_reproduces(tmp_path, capsys):
     table = tmp_path / "v.csv"
     np.savetxt(table, 0.3 * np.sin(DirichletGrid(1, 32, 12.0).points), delimiter=",")
@@ -282,7 +297,7 @@ def test_schatten_sweep_cells_share_critical_slope(tmp_path):
         "matrix_N": [12], "box_L": [4.0], "box_npts": 20, "band_npts": 60})
     assert code == 0
     cells = read_json(os.path.join(out, "report.json"))["report"]["cells"]
-    critical = band_slope(get_weight("harmonic", {"n": 1}), 2.0, npts=60)[0]
+    critical = _band_fits(get_weight("harmonic", {"n": 1}), [2.0], 60)[0][0]
     assert [c["critical_slope"] for c in cells] == [critical, critical]
     assert [c["verdict"] for c in cells] == ["converges", "diverges"]
 

@@ -30,10 +30,10 @@ from weylab.spectral import (
     GrowthFit,
     SolverError,
     SpectralResult,
-    band_slope,
+    _band_fits,
+    _box_integrals,
     eigensolve,
     growth_fit,
-    phase_box_integral,
     schatten_sweep,
 )
 
@@ -692,7 +692,7 @@ def test_growth_fit_validation():
 
 def test_box_integral_constant_weight_is_volume():
     w = WeightEvaluator(1, lambda P: 1.0)
-    got = phase_box_integral(w, 3.0, 2.5, npts=50)
+    got = _box_integrals(w, [3.0], 2.5, 50)[0]
     assert got == pytest.approx(25.0, rel=1e-13)
 
 
@@ -700,7 +700,7 @@ def test_box_integral_gaussian_closed_form():
     # separable integrand, so the product of 1d error functions is exact
     w = WeightEvaluator(
         1, lambda P: np.exp(P[0] ** 2 + P[1] ** 2))
-    got = phase_box_integral(w, 1.0, 6.0, npts=100)
+    got = _box_integrals(w, [1.0], 6.0, 100)[0]
     want = (math.sqrt(math.pi) * math.erf(6.0)) ** 2
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -709,7 +709,7 @@ def test_box_integral_gaussian_closed_form():
 def test_band_slope_closed_form(s):
     # radial weight 1 + |Z|^2 in one slot: the shell mass of m^{-s} is an
     # exact integral in m, so log-base-3 band sums slope at 1 - s
-    sl, bands = band_slope(harmonic_1d_weight(), s)
+    sl, bands = _band_fits(harmonic_1d_weight(), [s], 100)[0]
     assert len(bands) == 4
     assert sl == pytest.approx(1.0 - s, abs=0.05)
 
@@ -717,7 +717,7 @@ def test_band_slope_closed_form(s):
 def test_band_slope_rejects_concentrated_weight():
     w = WeightEvaluator(1, lambda P: 1.0)
     with pytest.raises(SolverError, match="empty band"):
-        band_slope(w, 2.0)
+        _band_fits(w, [2.0], 100)
 
 
 # -- trend experiment -------------------------------------------------------
@@ -792,10 +792,10 @@ def test_sweep_quadratures_equal_the_one_exponent_calls():
     cells = [(2.0, 1.5), (0.9, 2.0)]
     reps = schatten_sweep(w, cells, 2.0, matrix_N=(12,), box_L=(4.0, 6.0),
                           box_npts=20, band_npts=60)
-    critical = band_slope(w, 2.0, npts=60)[0]
+    critical = _band_fits(w, [2.0], 60)[0][0]
     for (mu, r), rep in zip(cells, reps):
-        assert rep.box_cells == [(L, phase_box_integral(w, mu * r, L, 20)) for L in (4.0, 6.0)]
-        slope, bands = band_slope(w, mu * r, npts=60)
+        assert rep.box_cells == [(L, _box_integrals(w, [mu * r], L, 20)[0]) for L in (4.0, 6.0)]
+        slope, bands = _band_fits(w, [mu * r], 60)[0]
         assert rep.slope == slope and np.array_equal(rep.bands, bands)
         assert rep.critical_slope == critical
 
