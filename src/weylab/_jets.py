@@ -1,13 +1,15 @@
-"""Exact derivative algebra for structured phase-space expressions.
+"""Exact derivative algebra for structured phase-space expressions, the
+only way a symbol is differentiated.
 
-Symbols that matter here are built from three atoms: monomials in the
-2n phase coordinates, powers of the bracket core u = <X>^2 = 1 + |x|^2
-+ |xi|^2 (bracket_sq, its one definition), and univariate factors with
-a supplied derivative table (the plateau profile).  Each atom family is
-closed under partial differentiation, so sums and products of them
-admit machine-exact jets to any implemented order.  A tree gives its
-values and its derivatives' trees (diff); symbols.SymbolEvaluator
-memoizes the latter by multi-index.  Symbol-class seminorm checks are
+Symbols that matter here are built from monomials in the 2n phase
+coordinates, powers of the bracket core u = <X>^2 = 1 + |x|^2 + |xi|^2
+(bracket_sq, its one definition), and univariate functions f, given by
+a derivative table, of any inner expression (the plateau profile of x_1,
+the shell symbol of a weight).  Differentiation maps each atom to a sum
+of atoms and f(g) to f'(g) dg, so sums, products and compositions admit
+machine-exact jets to any implemented order.  A tree gives its values
+and its derivatives' trees (diff); symbols.SymbolEvaluator memoizes the
+latter by multi-index.  Symbol-class seminorm checks are
 threshold-sensitive enough that this exactness is worth the bookkeeping.
 
 Evaluation convention: points are passed as a tuple P of per-coordinate
@@ -23,8 +25,6 @@ symbols.ROW_BLOCK rows, and a value must not depend on the run it falls in.
 """
 
 from __future__ import annotations
-
-from math import comb
 
 import numpy as np
 
@@ -101,6 +101,10 @@ class JetExpr:
     def is_zero(self) -> bool:
         return False
 
+    @property
+    def is_one(self) -> bool:
+        return False
+
 
 class JPowerSum(JetExpr):
     """sum_T c_T * z^{e_T} * u^{p_T} with u = 1 + |z|^2.
@@ -137,6 +141,11 @@ class JPowerSum(JetExpr):
     def is_zero(self):
         return not self.terms
 
+    @property
+    def is_one(self):
+        return len(self.terms) == 1 and self.terms[0][0] == 1 \
+            and not any(self.terms[0][1]) and self.terms[0][2] == 0.0
+
     def diff(self, axis):
         out = []
         for c, e, p in self.terms:
@@ -167,25 +176,29 @@ class JPowerSum(JetExpr):
 
 
 class JUni(JetExpr):
-    """f(z_axis) for a univariate f given by a derivative table.
+    """f(g) for a univariate f given by a derivative table and an inner
+    expression g, differentiated by the chain rule d f^(k)(g) = f^(k+1)(g) dg;
+    a dg that is the constant 1 (g a coordinate) multiplies nothing.
 
-    table(order, t) returns the order-th derivative of f at t; it must
-    raise UnsupportedOrderError past its implemented depth.
+    table(order, t) returns the order-th derivative of f at the values t
+    of g; it must raise UnsupportedOrderError past its implemented depth.
     """
 
-    def __init__(self, nvars, axis, table, order=0):
-        self.nvars = nvars
-        self.axis = axis
+    def __init__(self, inner: JetExpr, table, order=0):
+        self.nvars = inner.nvars
+        self.inner = inner
         self.table = table
         self.order = order
 
     def diff(self, axis):
-        if axis != self.axis:
-            return JPowerSum(self.nvars, [])
-        return JUni(self.nvars, self.axis, self.table, self.order + 1)
+        dg = self.inner.diff(axis)
+        if dg.is_zero:
+            return dg
+        outer = JUni(self.inner, self.table, self.order + 1)
+        return outer if dg.is_one else JProd([outer, dg])
 
     def _eval(self, P):
-        return np.asarray(self.table(self.order, P[self.axis]), dtype=float)
+        return np.asarray(self.table(self.order, self.inner._eval(P)), dtype=float)
 
 
 class JSum(JetExpr):
@@ -235,62 +248,3 @@ class JProd(JetExpr):
         for f in self.factors[1:]:
             acc = acc * f._eval(P)
         return acc
-
-
-FD_REL_STEP = 1e-3
-
-
-def fd_deriv_eval(value_fn, multi, P):
-    """Central finite-difference jet for evaluator-only symbols, in the
-    broadcast shape of P; value_fn takes a coordinate tuple.
-
-    Per-variable steps scale with the coordinate magnitude to control
-    cancellation where the symbol is large; one Richardson pass upgrades
-    the O(h^2) stencil to O(h^4).  The sums run in complex arithmetic;
-    the jet is returned real when every stencil value was real.
-    """
-    P = coords(P)
-    multi = tuple(int(v) for v in multi)
-    real = True
-
-    def central(h_scale):
-        nonlocal real
-        steps = [FD_REL_STEP * h_scale * np.maximum(1.0, np.abs(p)) for p in P]
-        acc = np.zeros(shape_of(P), dtype=complex)
-        offsets = [[(k, comb(m, k)) for k in range(m + 1)] for m in multi]
-        idx = [0] * len(multi)
-        while True:
-            shift = [0.0] * len(P)
-            coeff = 1.0
-            parity = 0
-            for i, m in enumerate(multi):
-                if m == 0:
-                    continue
-                k, binom = offsets[i][idx[i]]
-                coeff *= binom
-                parity += k
-                shift[i] = (m / 2.0 - k) * steps[i]
-            vals = value_fn(tuple(p + d for p, d in zip(P, shift)))
-            real = real and np.isrealobj(vals)
-            acc = acc + ((-1) ** parity) * coeff * np.asarray(vals)
-            # odometer over the per-variable stencil nodes
-            for i in range(len(multi)):
-                if multi[i] == 0:
-                    continue
-                idx[i] += 1
-                if idx[i] <= multi[i]:
-                    break
-                idx[i] = 0
-            else:
-                break
-        denom = np.ones(shape_of(P))
-        for i, m in enumerate(multi):
-            if m:
-                denom = denom * steps[i] ** m
-        return acc / denom
-
-    if sum(multi) == 0:
-        return in_shape(value_fn(P), P)
-    d1, d2 = central(1.0), central(0.5)
-    out = d2 + (d2 - d1) / 3.0
-    return out.real if real else out

@@ -51,8 +51,10 @@ class BandProbeResult:
 
 
 def _band_sample(w: WeightEvaluator, R: float, count: int, seed: int) -> np.ndarray:
-    """Rejection sample of the shell R <= m <= 3R.  The shell sits inside
-    |x|, |xi| <= sqrt(3R) because m dominates |x|^2 + |xi|^2."""
+    """Rejection sample of the shell R <= m <= 3R in the box |x_j|, |xi_j|
+    <= 1.05 sqrt(3R), which holds the shell where m >= |x|^2 + |xi|^2 (the
+    harmonic weight).  A degenerate weight breaks that (daho: m(0, 0, 0, 20)
+    ~ 20 lies in the R = 9 shell), and a sample beyond sqrt(3R) raises."""
     rng = np.random.default_rng(seed)
     half = np.sqrt(3.0 * R) * 1.05
     out = []
@@ -68,17 +70,24 @@ def _band_sample(w: WeightEvaluator, R: float, count: int, seed: int) -> np.ndar
             break
     if got < count // 4:
         raise RuntimeError(f"band sampling starved at R={R}")
-    return np.concatenate(out, axis=0)[:count]
+    Z = np.concatenate(out, axis=0)
+    far = np.max(np.abs(Z), axis=1) > np.sqrt(3.0 * R)
+    if far.any():
+        raise ValueError(f"weight {w.name!r} does not dominate |x|^2 + |xi|^2: at R={R}, "
+                         f"{far.mean():.1%} of the shell samples lie beyond sqrt(3R), "
+                         "so the sampled box and the grid cut the shell")
+    return Z[:count]
 
 
 def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
                     grid: Grid, seed: int = 0) -> list:
     """Probe the sup-norm bound for shell restrictions of m^{-(n/2) eps}.
 
-    Per R: quantize the band piece, measure the max-abs response to the
-    phase-matched row maximizer (which attains the exact
-    infinity-operator norm), estimate the class seminorm on shell
-    samples, and form the quotient norm / (seminorm * sup of the class
+    Per R: sample the shell, which must lie in |x_j|, |xi_j| <= sqrt(3R)
+    (_band_sample), quantize the band piece m^p chi(m/R) (band_restrict,
+    on w's jet tree), measure the max-abs response to the phase-matched
+    row maximizer (which attains the exact infinity-operator norm),
+    estimate the class seminorm on the shell samples, and form the quotient norm / (seminorm * sup of the class
     weight on the shell).  The bound
     being probed says exactly that this quotient stays bounded in R.
     """
@@ -86,6 +95,9 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
         raise ValueError("epsilon must lie in [0, 1)")
     if min(R_list) <= 1.0:
         raise ValueError("R values must exceed 1")
+    if w.expr is None:
+        raise ValueError(f"weight {w.name!r} is a value function; the band probe "
+                         "differentiates the weight's jet tree")
     n = w.n
     power = -(n / 2.0) * epsilon
     M = WeightEvaluator(n, lambda P: w.m_values(P) ** power, name=f"m^{power:g}")
@@ -96,14 +108,14 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
             raise ValueError(
                 f"grid too coarse: shell at R={R} reaches |xi|~{xi_need:.2f} "
                 f"but modes stop at {grid.xi_max:.2f}")
-        q = band_restrict(M, w, R)
+        sample = _band_sample(w, R, SAMPLE_COUNT, seed + int(R))
+        q = band_restrict(w, power, R)
         A = kn_quantize(q, grid)
         row_l1 = np.abs(A).sum(axis=1)
         op_norm = float(np.max(row_l1))
         row = A[int(np.argmax(row_l1))]
         f = np.where(np.abs(row) > 0, np.conj(row) / np.maximum(np.abs(row), 1e-300), 1.0)
         trial_ratio = float(np.max(np.abs(A @ f)) / np.max(np.abs(f)))
-        sample = _band_sample(w, R, SAMPLE_COUNT, seed + int(R))
         est = smg_seminorm(q, M, w, SEMINORM_ORDER, sample)
         supM = float(np.max(M.m_values(sample)))
         quotient = op_norm / max(est.value * supM, 1e-300)

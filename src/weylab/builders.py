@@ -179,7 +179,8 @@ def _harmonic(p):
 
 
 def _daho(p):
-    c = JUni(4, 0, _profile_table(CutoffProfileSquared(p["c_prime"])))
+    c = JUni(JPowerSum.monomial(4, (1, 0, 0, 0)),
+             _profile_table(CutoffProfileSquared(p["c_prime"])))
     return Model(f"daho(c_prime={p['c_prime']:g})", 2, ((0, None), (1, c)), confined=True)
 
 

@@ -3,12 +3,14 @@
 Everything here is built from the exponential smoothstep: the plateau
 profile that caps the oscillator coefficient and the band bump used to
 localize symbols to a weight shell.  All transitions are C-infinity with
-exactly matched boundary jets.
+exactly matched boundary jets, and both have exact derivative tables
+from truncated Taylor series.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -21,17 +23,8 @@ def smoothstep(u):
     Built from exp(-1/u) bump halves; all derivatives vanish at both ends.
     """
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    out = np.zeros_like(u)
-    out[u >= 1.0] = 1.0
-    mid = (u > 0.0) & (u < 1.0)
-    if mid.any():
-        v = u[mid]
-        a = np.exp(-1.0 / v)
-        b = np.exp(-1.0 / (1.0 - v))
-        out[mid] = a / (a + b)
-    return float(out[0]) if scalar else out
+    out = _step_series(np.atleast_1d(u), 0.0, 0)[0]
+    return float(out[0]) if u.ndim == 0 else out
 
 
 # -- truncated Taylor series ------------------------------------------------
@@ -57,6 +50,15 @@ def _texp(a):
     for k in range(1, len(a)):
         e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
     return np.stack(e)
+
+
+def _tpow(a, p):
+    """Series of a^p, a[0] > 0: the recurrence of a y' = p a' y."""
+    y = [a[0] ** p]
+    for k in range(1, len(a)):
+        y.append(sum((p * j - (k - j)) * a[j] * y[k - j] for j in range(1, k + 1))
+                 / (k * a[0]))
+    return np.stack(y)
 
 
 def _tvar(c0, c1, depth):
@@ -201,12 +203,45 @@ class CutoffProfileSquared:
         return float(out[0]) if scalar else out
 
 
+def _step_series(u, du, depth):
+    """Series of smoothstep(u + du (t - t0)), rows 0..depth: the constant
+    0 or 1 off the open transition 0 < u < 1, the exp(-1/u) quotient on it."""
+    out = _tvar((u >= 1.0).astype(float), 0.0, depth)
+    mid = (u > 0.0) & (u < 1.0)
+    if mid.any():
+        v = u[mid]
+        one = _tvar(np.ones_like(v), 0.0, depth)
+        a = _texp(_tdiv(-one, _tvar(v, du, depth)))
+        b = _texp(_tdiv(-one, _tvar(1.0 - v, -du, depth)))
+        out[:, mid] = _tdiv(a, a + b)
+    return out
+
+
 def band_bump(v):
-    """chi with support exactly [1, 3] and chi = 1 on [1.2, 2.5].
+    """chi with support exactly [1, 3] and chi = 1 on [1.2, 2.5]: the
+    shell table of t^0 chi(t) at order 0.
 
     Applied to m(X)/R this carves out the weight shell R <= m <= 3R.
     """
-    v = np.asarray(v, dtype=float)
-    up = smoothstep((v - 1.0) / 0.2)
-    down = 1.0 - smoothstep((v - 2.5) / 0.5)
-    return np.where((v <= 1.0) | (v >= 3.0), 0.0, up * down)
+    return shell_table(0.0, 1.0)(0, v)
+
+
+def shell_table(p: float, R: float):
+    """Derivative table of f(t) = t^p chi(t/R), chi = band_bump, for JUni:
+    f(m) is the shell symbol m^p chi(m/R) of a weight m.  f vanishes to
+    all orders off the open shell 1 < t/R < 3, so the series is taken on
+    it only; row 0 is t^p times chi, the plain product."""
+    def table(order, t):
+        t = np.asarray(t, dtype=float)
+        v = t / R
+        out = np.zeros(v.shape)
+        on = (v > 1.0) & (v < 3.0)
+        if on.any():
+            t, v = t[on], v[on]
+            chi = _tmul(_step_series((v - 1.0) / 0.2, 1.0 / (0.2 * R), order),
+                        _tvar(np.ones_like(v), 0.0, order)
+                        - _step_series((v - 2.5) / 0.5, 1.0 / (0.5 * R), order))
+            out[on] = _tmul(_tpow(_tvar(t, 1.0, order), p), chi)[order] * factorial(order)
+        return out
+
+    return table

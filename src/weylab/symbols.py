@@ -3,13 +3,13 @@
 SymbolEvaluator is the one phase-space function type, given by one
 expression or one value function: a JetExpr tree gives both the values
 and the memoized exact derivatives, a value function gives the values
-and finite-difference derivatives.  PolySymbol is the SymbolEvaluator of
+only.  PolySymbol is the SymbolEvaluator of
 a symbol polynomial in xi with jet-capable x-coefficients; it builds its
 tree once.  Weights are SymbolEvaluators too (metric.WeightEvaluator),
 so the weight m and the class weight M of a seminorm are symbols.
 
-Seminorm estimation, class-membership gates and band restriction live
-here too.
+Seminorm estimation, class-membership gates and the shell symbol of a
+weight (band restriction) live here too.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._jets import (JProd, JPowerSum, JSum, JetExpr, UnsupportedOrderError, bracket_sq,
-                    coords, fd_deriv_eval, in_shape, shape_of)
-from .profiles import band_bump
+from ._jets import (JProd, JPowerSum, JSum, JUni, JetExpr, UnsupportedOrderError,
+                    bracket_sq, coords, in_shape, shape_of)
+from .profiles import shell_table
 
 __all__ = [
     "SymbolEvaluator", "PolySymbol", "SeminormEstimate", "with_confinement",
@@ -72,9 +72,9 @@ class SymbolEvaluator:
     1-D batch is evaluated in runs of at most ROW_BLOCK rows (_by_rows),
     and no value may depend on the run it falls in.  A JetExpr f is expr: its
     tree gives the values and, differentiated once per multi-index and
-    memoized (jet), the exact derivatives.  Otherwise expr is None, f is
-    value_fn, mapping such a tuple (always a tuple) to values, and the
-    derivatives are scaled central differences of it.
+    memoized (jet), the exact derivatives.  Otherwise expr is None and f
+    is value_fn, mapping such a tuple (always a tuple) to values; such a
+    symbol has values only, and asking for a derivative raises ValueError.
     """
 
     def __init__(self, n: int, f, name: str = ""):
@@ -94,21 +94,21 @@ class SymbolEvaluator:
         return _by_rows(lambda Q: in_shape(self.value_fn(Q), Q), self._points(P))
 
     def derivative(self, beta, alpha, P):
-        """d_x^beta d_xi^alpha at the points P; exact when f is an expression."""
+        """d_x^beta d_xi^alpha at the points P, exact, from the tree (jet)."""
         beta, alpha = tuple(beta), tuple(alpha)
         if len(beta) != self.n or len(alpha) != self.n:
             raise ValueError("multi-index length must equal the dimension")
         if sum(beta) + sum(alpha) > MAX_DERIV_ORDER:
             raise UnsupportedOrderError(
                 f"derivative order {sum(beta) + sum(alpha)} beyond the maximum {MAX_DERIV_ORDER}")
-        multi = beta + alpha
-        if self.expr is None:
-            return _by_rows(lambda Q: fd_deriv_eval(self.value_fn, multi, Q), self._points(P))
-        return _by_rows(self.jet(multi).eval, self._points(P))
+        return _by_rows(self.jet(beta + alpha).eval, self._points(P))
 
     def jet(self, multi) -> JetExpr:
         """The tree of the derivative d^multi of expr, multi over (x, xi);
         each one is built once, from the tree one order below."""
+        if self.expr is None:
+            raise ValueError(f"symbol {self.name or 'unnamed'!r} is a value function "
+                             "and has no derivatives")
         multi = tuple(int(v) for v in multi)
         got = self._jets.get(multi)
         if got is None:
@@ -272,15 +272,10 @@ def class_membership(s, M, w, k: int, halves: Sequence[float], growth_factor: fl
                             estimates=ests, growth=growth, gate=growth_factor)
 
 
-def band_restrict(s, w, R: float) -> SymbolEvaluator:
-    """Multiply by the shell bump chi(m/R) of the weight w: support
-    exactly R <= m <= 3R."""
+def band_restrict(w, p: float, R: float) -> SymbolEvaluator:
+    """The shell symbol m^p chi(m/R) of the weight w, chi = band_bump:
+    support exactly R <= m <= 3R.  One JUni of profiles.shell_table on
+    w's own tree, so its derivatives are exact; w must have one."""
     if R <= 1:
         raise ValueError("R must exceed 1")
-    n = getattr(s, "n")
-
-    def value(P):
-        return np.asarray(s.eval(P)) * band_bump(w.m_values(P) / R)
-
-    name = f"band[{getattr(s, 'name', '') or 'symbol'}, R={R}]"
-    return SymbolEvaluator(n, value, name)
+    return SymbolEvaluator(w.n, JUni(w.expr, shell_table(p, R)), f"band[m^{p:g}, R={R}]")

@@ -1,11 +1,12 @@
-"""Shared oracles: symbolic derivative tables, localized trial states,
+"""Shared oracles: symbolic derivative tables and a composite tree over
+them, localized trial states,
 the direct-sum quantizer, the composition law and the transport between
 conventions in closed form, the weight formula, Schatten norms, stencil
 symbols, symmetry and positivity witnesses, and call counters."""
 import numpy as np
 import sympy as sp
 
-from weylab._jets import UnsupportedOrderError
+from weylab._jets import JPowerSum, JUni, UnsupportedOrderError
 from weylab.hamiltonians import _W2
 from weylab.symbols import SymbolEvaluator
 
@@ -22,6 +23,15 @@ def uni_table(expr, var, depth=8):
         return np.asarray(fns[order](t), dtype=float) * np.ones_like(t)
 
     return table
+
+
+def exp_sqrt_bracket_x(n):
+    """exp(sqrt(1 + |x|^2)) on R^n x R^n as a tree: a JUni of exp over a
+    JUni of sqrt over the polynomial 1 + |x|^2, derivatives by the chain rule."""
+    t = sp.Symbol("t")
+    inner = JPowerSum(2 * n, [(1.0, (0,) * (2 * n), 0.0)]
+                      + [(1.0, tuple(2 * (i == j) for i in range(2 * n)), 0.0) for j in range(n)])
+    return JUni(JUni(inner, uni_table(sp.sqrt(t), t)), uni_table(sp.exp(t), t))
 
 
 def gaussian_packets(grid, count=6, seed=0):

@@ -26,7 +26,7 @@ from weylab.spectral import eigensolve, growth_fit, schatten_sweep
 from weylab.symbols import (PolySymbol, SymbolEvaluator, class_membership,
                             with_confinement)
 
-from _helpers import X, XI, moyal_product, sympy_symbol
+from _helpers import X, XI, exp_sqrt_bracket_x, moyal_product, sympy_symbol
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +182,8 @@ def test_order_four_growth_measured_and_controls():
     assert reph.passed
 
     # exponential growth is rejected by the same gate, loudly; the
-    # smoothed radius keeps the finite-difference probes meaningful
-    bad = SymbolEvaluator(2, lambda P: np.exp(np.sqrt(1.0 + (P[0] ** 2 + P[1] ** 2))))
+    # smoothed radius exp<x> is differentiable at x = 0
+    bad = SymbolEvaluator(2, exp_sqrt_bracket_x(2))
     repb = class_membership(bad, w, w, 4, [10.0, 20.0], **CLASS_KW)
     assert not repb.passed
     assert repb.growth[0] > 2.0

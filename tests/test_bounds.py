@@ -15,6 +15,7 @@ from weylab.bounds import (
     lp_window_probe,
     subellipticity_probe,
 )
+from weylab._jets import JPowerSum
 from weylab.builders import get_a2, get_kinetic, get_operator, get_weight
 from weylab.hamiltonians import DirichletGrid
 from weylab.metric import WeightEvaluator
@@ -31,8 +32,8 @@ def periodic(name):
 
 
 def harmonic_1d_weight():
-    return WeightEvaluator(
-        1, lambda P: 1.0 + (P[0] ** 2 + P[1] ** 2), name="harmonic-1d")
+    # 1 + x^2 + xi^2 = <X>^2, a tree
+    return WeightEvaluator(1, JPowerSum.bracket_power(2, 2.0), name="harmonic-1d")
 
 
 # -- interpolation brackets -------------------------------------------------
@@ -180,6 +181,29 @@ def test_linf_band_probe_validation():
     coarse = Grid(1, 16, 10.5)
     with pytest.raises(ValueError, match="coarse"):
         linf_band_probe(w, 0.5, [9.0], coarse)
+
+
+def test_band_probe_refuses_a_degenerate_weight(monkeypatch):
+    # daho's c vanishes at x1 = 0, so m does not dominate |x|^2 + |xi|^2 and
+    # the shell reaches past the sampled box: m(0, 0, 0, 20) lies in the
+    # R = 9 shell; harmonic shells stay inside
+    w = get_weight("daho")
+    assert 9.0 <= w.m_values(np.array([[0.0, 0.0, 0.0, 20.0]]))[0] <= 27.0
+    quantized = count_calls(monkeypatch, bounds, "kn_quantize")
+    with pytest.raises(ValueError, match=r"weight 'daho' .* at R=9\.0"):
+        linf_band_probe(w, 0.8, [9.0], Grid(2, 24, 1.0))
+    assert quantized == []
+    for n in (1, 2):
+        Z = _band_sample(get_weight("harmonic", {"n": n}), 9.0, 4000, seed=1)
+        assert np.max(np.abs(Z)) <= np.sqrt(27.0)
+
+
+def test_band_probe_refuses_a_value_function_weight(monkeypatch):
+    w = WeightEvaluator(1, lambda P: 1.0 + (P[0] ** 2 + P[1] ** 2), name="harmonic-1d")
+    quantized = count_calls(monkeypatch, bounds, "kn_quantize")
+    with pytest.raises(ValueError, match="'harmonic-1d' is a value function"):
+        linf_band_probe(w, 0.8, [3.0], Grid(1, 256, 10.5))
+    assert quantized == []
 
 
 def test_linf_band_probe_single_shell(monkeypatch):

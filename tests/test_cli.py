@@ -589,6 +589,20 @@ def test_starved_band_sample_is_a_run_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("run error: band sampling starved at R=3")
 
 
+def test_degenerate_band_probe_weight_is_a_config_error(tmp_path, capsys):
+    # daho's shell reaches past the box |x_j|, |xi_j| <= sqrt(3R) that the
+    # probe samples and the grid resolves: exit 2 with the error in the manifest
+    code, out = run(tmp_path, "bp.json", {
+        "schema": 1, "kind": "band-probe", "seed": 1, "weight": {"name": "daho"},
+        "grid": {"n": 2, "N": 24, "L": 2.0}, "epsilon": 0.8, "R_list": [3.0]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: weight 'daho' does not dominate |x|^2 + |xi|^2: at R=3.0")
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    assert manifest["passed"] is False
+    assert manifest["error"] == {"kind": "config", "message": err[len("config error: "):-1]}
+
+
 def test_calibration_failure_is_a_run_error(tmp_path, capsys):
     # the non-spanning operator cannot track the harmonic weight's decay;
     # run and reproduce both report it as exit 2, not a traceback

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _helpers import uni_table
-from weylab._jets import (JPowerSum, JProd, JSum, JUni, UnsupportedOrderError,
-                          fd_deriv_eval)
-from weylab.symbols import SymbolEvaluator
+from _helpers import exp_sqrt_bracket_x, uni_table
+from weylab._jets import JPowerSum, JProd, JSum, JUni, UnsupportedOrderError
+from weylab.symbols import MAX_DERIV_ORDER, SymbolEvaluator
 
 
 def bracket_u(Z):
@@ -45,19 +44,44 @@ def test_powersum_diff_matches_sympy():
 def test_juni_chain_and_off_axis():
     t = sp.Symbol("t")
     tab = uni_table(sp.sin(t), t)
-    f = JUni(2, 1, tab)
+    f = JUni(JPowerSum.monomial(2, (0, 1)), tab)
     Z = np.array([[5.0, 0.3], [0.0, -1.2]])
     assert np.allclose(f.eval(Z), np.sin(Z[:, 1]))
     assert np.allclose(f.diff(1).eval(Z), np.cos(Z[:, 1]))
     assert np.allclose(f.diff(1).diff(1).eval(Z), -np.sin(Z[:, 1]))
     assert f.diff(0).is_zero
+    # the inner derivative of a coordinate is 1, which multiplies nothing
+    assert isinstance(f.diff(1), JUni) and isinstance(f.diff(1).diff(1), JUni)
+
+
+def test_juni_of_an_expression_against_sympy():
+    # exp(sqrt(1 + |x|^2)): a JUni over a JUni over a polynomial, every
+    # derivative up to MAX_DERIV_ORDER by the chain rule
+    x1, x2 = sp.symbols("x1 x2")
+    want = {(0, 0): sp.exp(sp.sqrt(1 + x1**2 + x2**2))}
+    for a, b in np.ndindex(MAX_DERIV_ORDER + 1, MAX_DERIV_ORDER + 1):
+        if 0 < a + b <= MAX_DERIV_ORDER:
+            want[a, b] = sp.diff(want[a - 1, b], x1) if a else sp.diff(want[a, b - 1], x2)
+    s = SymbolEvaluator(2, exp_sqrt_bracket_x(2))
+    Z = np.random.default_rng(5).uniform(-3.0, 3.0, size=(30, 4))
+    Z[0] = 0.0
+    vals = dict(zip(want, sp.lambdify((x1, x2), list(want.values()), "numpy")(Z[:, 0], Z[:, 1])))
+    for multi in np.ndindex(*(MAX_DERIV_ORDER + 1,) * 4):
+        if sum(multi) > MAX_DERIV_ORDER:
+            continue
+        got = s.derivative(multi[:2], multi[2:], Z)
+        if any(multi[2:]):
+            assert np.all(got == 0.0)
+            continue
+        ref = vals[multi[:2]]
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
 
 def test_product_rule_against_sympy():
     z0, z1 = sp.symbols("z0 z1")
     t = sp.Symbol("t")
     expr = sp.sin(z0) * z1**2 * (1 + z0**2 + z1**2) ** 1.5
-    prod = JProd([JUni(2, 0, uni_table(sp.sin(t), t)),
+    prod = JProd([JUni(JPowerSum.monomial(2, (1, 0)), uni_table(sp.sin(t), t)),
                   JPowerSum.monomial(2, (0, 2)),
                   JPowerSum.bracket_power(2, 3.0)])
     Z = np.random.default_rng(1).normal(size=(30, 2))
@@ -95,47 +119,20 @@ def test_jsum_of_scaled_term():
     assert np.allclose(s.diff(0).eval(Z), np.full(2, 3.0))
 
 
-def test_fd_deriv_eval_accuracy():
-    def gauss(P):
-        return np.exp(-0.5 * (P[0] ** 2 + P[1] ** 2))
-
-    Z = np.random.default_rng(3).normal(size=(20, 2))
-    exact = -Z[:, 0] * gauss(tuple(Z.T))
-    got = fd_deriv_eval(gauss, (1, 0), Z)
-    assert np.allclose(got, exact, rtol=1e-7, atol=1e-9)
-    exact2 = (Z[:, 0] ** 2 - 1.0) * gauss(tuple(Z.T))
-    got2 = fd_deriv_eval(gauss, (2, 0), Z)
-    assert np.allclose(got2, exact2, rtol=1e-5, atol=1e-7)
-    mixed = Z[:, 0] * Z[:, 1] * gauss(tuple(Z.T))
-    gotm = fd_deriv_eval(gauss, (1, 1), Z)
-    assert np.allclose(gotm, mixed, rtol=1e-4, atol=1e-6)
-
-
-def test_fd_keeps_a_small_imaginary_part():
-    # the stencil values are complex, so the jet stays complex however
-    # small its imaginary part; a real symbol's jet stays real
+def test_value_function_has_no_derivatives():
+    s = SymbolEvaluator(1, lambda P: P[0] * P[1], name="x xi")
     Z = np.array([[0.5, 2.0]])
-    got = SymbolEvaluator(1, lambda P: P[0] + 1e-10j * P[1]).derivative((0,), (1,), Z)
-    assert np.iscomplexobj(got)
-    assert got[0].imag == pytest.approx(1e-10, rel=1e-6)
-    assert abs(got[0].real) < 1e-12
-    assert np.isrealobj(SymbolEvaluator(1, lambda P: P[0] * P[1]).derivative((0,), (1,), Z))
-
-
-def test_fd_deriv_scales_step_with_magnitude():
-    # relative stepping keeps large-coordinate evaluation conditioned
-    def quad(P):
-        return P[0] ** 2
-
-    Z = np.array([[1e6, 0.0]])
-    got = fd_deriv_eval(quad, (1, 0), Z)
-    assert got[0] == pytest.approx(2e6, rel=1e-9)
+    assert s.eval(Z)[0] == 1.0
+    with pytest.raises(ValueError, match="'x xi' is a value function"):
+        s.derivative((0,), (1,), Z)
+    with pytest.raises(ValueError, match="'x xi' is a value function"):
+        s.jet((0, 0))
 
 
 def test_symbolic_table_raises_past_depth():
     t = sp.Symbol("t")
     tab = uni_table(sp.exp(-t**2), t, depth=3)
-    f = JUni(1, 0, tab)
+    f = JUni(JPowerSum.monomial(1, (1,)), tab)
     for _ in range(4):
         f = f.diff(0)
     with pytest.raises(UnsupportedOrderError):

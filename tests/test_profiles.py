@@ -12,7 +12,8 @@ import sympy as sp
 import weylab
 from weylab import profiles
 from weylab.profiles import (PROFILE_DERIV_ORDERS, CutoffProfileSquared, band_bump,
-                             smoothstep)
+                             shell_table, smoothstep)
+from weylab.symbols import MAX_DERIV_ORDER
 
 THRESHOLD = 6.9453607293  # 4 + I_1 - I_rho by the panel rule, within 5e-15 of a 40-digit value
 
@@ -123,6 +124,79 @@ def test_band_bump_support_and_plateau():
     inner = (v >= 1.2) & (v <= 2.5)
     assert np.array_equal(b[inner], np.ones(inner.sum()))
     assert np.all((b >= 0.0) & (b <= 1.0))
+
+
+def _direct_bump(v):
+    """band_bump as the plain formula: exp(-1/u) step halves on the whole
+    batch, in the order the series' row 0 takes them."""
+    def step(u):
+        out = (u >= 1.0).astype(float)
+        mid = (u > 0.0) & (u < 1.0)
+        a, b = np.exp(-1.0 / u[mid]), np.exp(-1.0 / (1.0 - u[mid]))
+        out[mid] = a / (a + b)
+        return out
+
+    return np.where((v <= 1.0) | (v >= 3.0), 0.0,
+                    step((v - 1.0) / 0.2) * (1.0 - step((v - 2.5) / 0.5)))
+
+
+@pytest.mark.parametrize("p", [-0.4, -1.0])
+def test_shell_table_row_zero_is_the_bump(p):
+    # one definition: the table's values are t^p times band_bump, bit for bit
+    R = 9.0
+    v = np.random.default_rng(8).uniform(0.5, 3.5, 5000)
+    assert np.array_equal(band_bump(v), _direct_bump(v))
+    t = v * R
+    assert np.array_equal(shell_table(p, R)(0, t), t**p * band_bump(t / R))
+
+
+@lru_cache(maxsize=1)
+def _sympy_shell_table():
+    """The shell symbol f(t) = t^p S(u), t^p and t^p (1 - S(u)) on the
+    rising transition, the plateau and the falling one, with u = a t + b
+    linear and S the smoothstep, and their t-derivatives 0..MAX_DERIV_ORDER:
+    sympy applies d/dt = d_t + a d_u, S^(j) stays a symbol s_j, and the
+    smoothstep's own derivatives are a second, univariate table."""
+    t, u, p, a = sp.symbols("t u p a")
+    S, s = sp.Function("S"), sp.symbols(f"s0:{MAX_DERIV_ORDER + 1}")
+    step = sp.exp(-1 / u) / (sp.exp(-1 / u) + sp.exp(-1 / (1 - u)))
+    steps = [step]
+    for _ in range(MAX_DERIV_ORDER):
+        steps.append(sp.diff(steps[-1], u))
+    pieces = []
+    for e in (t**p * S(u), t**p, t**p * (1 - S(u))):
+        rows = [e]
+        for _ in range(MAX_DERIV_ORDER):
+            rows.append(sp.diff(rows[-1], t) + a * sp.diff(rows[-1], u))
+        rows = [r.xreplace({sp.diff(S(u), u, j): s[j] for j in range(MAX_DERIV_ORDER + 1)})
+                for r in rows]
+        pieces.append(sp.lambdify((t, u, p, a, *s), rows, "numpy"))
+    return sp.lambdify(u, steps, "numpy", cse=True), pieces
+
+
+@pytest.mark.parametrize("p", [-0.4, -1.0])
+@pytest.mark.parametrize("R", [3.0, 27.0])
+def test_shell_table_matches_symbolic_table(p, R):
+    steps, pieces = _sympy_shell_table()
+    near = np.array([1e-3, 1e-4])
+    v = np.concatenate([np.linspace(1.0, 1.2, 41)[1:-1], 1.0 + near, 1.2 - near,
+                        np.linspace(1.2, 2.5, 27),
+                        np.linspace(2.5, 3.0, 41)[1:-1], 2.5 + near, 3.0 - near,
+                        [0.5, 1.0, 3.0, 4.0]])
+    t = v * R
+    table = shell_table(p, R)
+    # (piece, its points, u and du/dt as the bump takes them)
+    parts = [(pieces[0], (v > 1.0) & (v < 1.2), (v - 1.0) / 0.2, 1.0 / (0.2 * R)),
+             (pieces[1], (v >= 1.2) & (v <= 2.5), v, 0.0),
+             (pieces[2], (v > 2.5) & (v < 3.0), (v - 2.5) / 0.5, 1.0 / (0.5 * R))]
+    refs = np.zeros((MAX_DERIV_ORDER + 1, t.size))
+    for fn, on, u, a in parts:
+        rows = fn(t[on], u[on], p, a, *steps(u[on]))
+        refs[:, on] = [np.asarray(r) * np.ones(on.sum()) for r in rows]
+    for order in range(MAX_DERIV_ORDER + 1):
+        got, ref = table(order, t), refs[order]
+        assert np.all(got[(v <= 1.0) | (v >= 3.0)] == 0.0)
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
 
 
 @lru_cache(maxsize=1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from _helpers import exp_sqrt_bracket_x
 from weylab import profiles, symbols
 from weylab._jets import JPowerSum, UnsupportedOrderError, shape_of
 from weylab.builders import get_a2, get_weight, symbol_names, weight_names
@@ -11,6 +12,20 @@ from weylab.symbols import (MAX_DERIV_ORDER, PolySymbol, SymbolEvaluator,
                             quadratic_confinement, smg_seminorm, with_confinement)
 
 X1, X2, XI1, XI2 = sp.symbols("x1 x2 xi1 xi2")
+C = sp.Function("c")   # the daho coefficient, the squared plateau profile of x1
+# the principal symbols of the two-dimensional models, in closed form
+A2 = {"daho": XI1**2 + C(X1) * XI2**2, "grushin_pure": XI1**2 + X1**2 * XI2**2,
+      "harmonic": XI1**2 + XI2**2}
+
+
+def closed_form(expr, Z, profile):
+    """expr, in X1, X2, XI1, XI2 and c(X1), at the rows Z; c and its
+    x1-derivatives are read from the profile's derivative table."""
+    cs = sp.symbols(f"c0:{MAX_DERIV_ORDER + 1}")
+    expr = expr.xreplace({sp.diff(C(X1), X1, k): cs[k] for k in range(MAX_DERIV_ORDER + 1)})
+    table = [profile(Z[:, 0])] + [profile.derivative(Z[:, 0], k)
+                                  for k in range(1, MAX_DERIV_ORDER + 1)]
+    return sp.lambdify((X1, X2, XI1, XI2, *cs), expr, "numpy")(*Z.T, *table) * np.ones(len(Z))
 
 
 def rand_phase(rng, count=40, scale=3.0, n=2):
@@ -56,17 +71,18 @@ def test_polysymbol_derivatives_match_sympy(rng):
         assert np.allclose(got.imag, 0.0, atol=1e-12)
 
 
-def test_evaluator_exact_jets_agree_with_finite_differences(rng):
+def test_evaluator_exact_jets_match_closed_forms(profile, rng):
     # the contract that makes the exact path trustworthy
     s = with_confinement(get_a2("daho"))
-    fd = SymbolEvaluator(2, s.eval, name="fd twin")
+    expr = A2["daho"] + X1**2 + X2**2
     Z = rand_phase(rng, count=100, scale=5.0)
     for beta, alpha in (((1, 0), (0, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 1)),
                         ((2, 0), (0, 0))):
         exact = np.asarray(s.derivative(beta, alpha, Z)).real
-        approx = np.asarray(fd.derivative(beta, alpha, Z)).real
+        want = closed_form(sp.diff(expr, X1, beta[0], X2, beta[1], XI1, alpha[0],
+                                   XI2, alpha[1]), Z, profile)
         denom = np.maximum(np.abs(exact), 1.0)
-        assert np.max(np.abs(exact - approx) / denom) < 1e-5
+        assert np.max(np.abs(exact - want) / denom) < 1e-12
 
 
 # -- coordinate tuples against rows ------------------------------------------
@@ -116,18 +132,14 @@ def test_symbol_on_coordinates_equals_rows(name, n, x1):
 @pytest.mark.parametrize("x1", X1S)
 @pytest.mark.parametrize("name,n", _dims(get_weight, weight_names()))
 def test_derivatives_on_coordinates_equal_rows(name, n, x1):
-    # through the weight's jets where it has them, and through finite
-    # differences of its values always
     w = get_weight(name, {"n": n})
-    paths = [w, SymbolEvaluator(n, w.value_fn)] if w.expr is not None else [w]
     P, Z, shape = _block(n, x1)
-    multis = [m for m in np.ndindex(*(3,) * 2 * n) if 0 < sum(m) <= 2]
-    for s in paths:
-        for m in multis:
+    for m in np.ndindex(*(3,) * 2 * n):
+        if 0 < sum(m) <= 2:
             beta, alpha = m[:n], m[n:]
-            got = np.asarray(s.derivative(beta, alpha, P))
+            got = np.asarray(w.derivative(beta, alpha, P))
             assert got.shape == shape
-            assert np.array_equal(got.ravel(), s.derivative(beta, alpha, Z))
+            assert np.array_equal(got.ravel(), w.derivative(beta, alpha, Z))
 
 
 @pytest.mark.parametrize("name,n", _dims(get_weight, weight_names()))
@@ -139,11 +151,7 @@ def test_weight_order_zero_jet_is_its_values(rng, name, n):
     assert np.array_equal(w.derivative(zero, zero, Z), w.m_values(Z))
 
 
-def test_weights_and_polysymbols_differentiate_through_their_tree(monkeypatch, rng):
-    def no_differences(*args):
-        raise AssertionError("finite differences taken")
-
-    monkeypatch.setattr(symbols, "fd_deriv_eval", no_differences)
+def test_weights_and_polysymbols_differentiate_through_their_tree(rng):
     syms = [get_weight(name, {"n": n}) for name, n in _dims(get_weight, weight_names())]
     syms += [f(get_a2(name, {"n": n})) for name, n in _dims(get_a2, symbol_names())
              for f in (lambda a2: a2, with_confinement)]
@@ -183,7 +191,6 @@ def test_complex_coefficient_keeps_a_small_imaginary_part():
 # -- row blocks --------------------------------------------------------------
 
 BLOCK = 64  # ROW_BLOCK in the blocked runs; a batch of 2 * BLOCK + 17 rows
-RUNS = [(48,), (48,), (49,)]  # is cut into three equal runs
 
 
 def _one_shot_and_blocked(monkeypatch, fn):
@@ -225,32 +232,6 @@ def test_row_blocks_give_the_one_shot_jets(monkeypatch, name, n):
 
     for whole, blocked in zip(*_one_shot_and_blocked(monkeypatch, values)):
         _assert_same(whole, blocked)
-
-
-def test_row_blocks_give_the_one_shot_differences(monkeypatch):
-    # a value-function symbol: finite differences up to MAX_DERIV_ORDER,
-    # every stencil value taken one run at a time
-    band = band_restrict(with_confinement(get_a2("daho")), get_weight("daho"), 2.0)
-    seen = []
-
-    def value(P):
-        seen.append(shape_of(P))
-        return band.value_fn(P)
-
-    s = SymbolEvaluator(2, value)
-    Z = _rows_with_bridge(2)
-    # every pure derivative, and every mixed one of first order in x1
-    multis = [m for m in _all_multis(2) if max(m) == sum(m) or m[0] == 1]
-
-    def values():
-        seen.clear()
-        return [s.derivative(m[:2], m[2:], Z) for m in multis]
-
-    whole, blocked = _one_shot_and_blocked(monkeypatch, values)
-    assert seen[:3] == RUNS and set(seen) == set(RUNS)
-    assert {sum(m) for m in multis} == set(range(MAX_DERIV_ORDER + 1))
-    for w, b in zip(whole, blocked):
-        _assert_same(w, b)
 
 
 def test_row_blocks_keep_the_shape_of_a_constant(monkeypatch):
@@ -306,7 +287,7 @@ def test_box_sample_structure():
 
 
 def test_seminorm_constant_symbol():
-    s = SymbolEvaluator(2, lambda P: 1.0, name="one")
+    s = SymbolEvaluator(2, JPowerSum.constant(4, 1.0), name="one")
     w = WeightEvaluator.from_a2(get_a2("daho"))
     sample = box_sample(2, 5.0, n_random=50)
     one = WeightEvaluator(2, lambda P: 1.0, name="one")
@@ -344,46 +325,47 @@ def test_membership_requires_two_boxes():
 
 
 def test_membership_negative_control_blows_up():
+    # exp<x> rather than exp|x|, which has no derivative at x = 0, a point
+    # of every box sample
     w = WeightEvaluator.from_a2(get_a2("daho"))
-    neg = SymbolEvaluator(
-        2, lambda P: np.exp(np.sqrt(P[0] * P[0] + P[1] * P[1])),
-        name="exp|x|")
+    neg = SymbolEvaluator(2, exp_sqrt_bracket_x(2), name="exp<x>")
     rep = class_membership(neg, w, w, 2, [10.0, 20.0], n_random=200, seed=4)
     assert not rep.passed
     assert rep.growth[0] > 100.0
 
 
 @pytest.mark.parametrize("name", symbol_names())
-def test_weight_jet_matches_weight_values(rng, name):
+def test_weight_jet_matches_weight_values(profile, rng, name):
     w = get_weight(name)
     assert isinstance(w, SymbolEvaluator) and w.expr is not None
     Z = rand_phase(rng, count=60, scale=8.0)
     exact0 = np.asarray(w.derivative((0, 0), (0, 0), Z)).real
     assert np.allclose(exact0, w.m_values(Z), rtol=1e-13)
-    # its exact derivative path survives the finite-difference cross-check
-    fd = SymbolEvaluator(2, w.eval)
+    # its exact derivatives are those of the weight's closed form
+    m = A2[name] + X1**2 + X2**2 + sp.sqrt(1 + X1**2 + X2**2 + XI1**2 + XI2**2)
     for beta, alpha in (((1, 0), (0, 0)), ((0, 1), (0, 1))):
         exact = np.asarray(w.derivative(beta, alpha, Z)).real
-        approx = np.asarray(fd.derivative(beta, alpha, Z)).real
-        assert np.max(np.abs(exact - approx) / np.maximum(np.abs(exact), 1.0)) < 1e-5
+        want = closed_form(sp.diff(m, X1, beta[0], X2, beta[1], XI1, alpha[0], XI2, alpha[1]),
+                           Z, profile)
+        assert np.max(np.abs(exact - want) / np.maximum(np.abs(exact), 1.0)) < 1e-12
 
 
-def test_band_restrict_support(profile, rng):
-    a2 = get_a2("daho")
-    w = WeightEvaluator.from_a2(a2)
-    s = with_confinement(a2)
-    R = 9.0
-    banded = band_restrict(s, w, R)
+def test_band_restrict_support(rng):
+    w = WeightEvaluator.from_a2(get_a2("daho"))
+    R, p = 9.0, -0.4
+    banded = band_restrict(w, p, R)
     sample = box_sample(2, 10.0, n_random=4000, seed=6)
     m = w.m_values(sample)
     vals = np.asarray(banded.eval(sample))
     outside = (m < R) | (m > 3 * R)
     assert np.max(np.abs(vals[outside])) == 0.0  # exactly zero, not small
     plateau = (m >= 1.2 * R) & (m <= 2.5 * R)
-    assert np.allclose(vals[plateau], np.asarray(s.eval(sample))[plateau])
+    assert np.allclose(vals[plateau], m[plateau] ** p)
     assert np.count_nonzero(vals) > 0  # the shell carries mass on this box
+    # one tree: its order-0 jet is its values, bit for bit
+    assert np.array_equal(banded.derivative((0, 0), (0, 0), sample), vals)
     with pytest.raises(ValueError):
-        band_restrict(s, w, 1.0)
+        band_restrict(w, p, 1.0)
 
 
 def test_prop32_inequality():
