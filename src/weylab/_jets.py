@@ -166,13 +166,14 @@ class JPowerSum(JetExpr):
         # arithmetic, and a complex one keeps every imaginary part; a
         # unit coefficient multiplies nothing (the same bits, less work)
         real = all(np.isrealobj(c) for c, _, _ in self.terms)
-        acc = 0.0 if real else 0j
+        acc = None
         for c, e, p in self.terms:
             t = _zpow(P, e)
             if p != 0.0:
                 t = t * u**p
-            acc = acc + (t if c == 1 else c * t)
-        return acc
+            t = t if c == 1 and real else c * t
+            acc = t if acc is None else acc + t
+        return 0.0 if acc is None else acc
 
 
 class JUni(JetExpr):

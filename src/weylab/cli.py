@@ -173,16 +173,15 @@ def _initial_state(spec, grid):
 
 def _run_evolve(cfg):
     H = _operator(cfg)
-    kind, method, t = cfg["evolution"], cfg["method"], cfg["times"]
+    kind, t = cfg["evolution"], cfg["times"]
     times = np.linspace(t["t0"], t["t1"], t["count"])
     f = _initial_state(cfg["state"], H.grid)
     if kind == "schrodinger":
-        tr = schrodinger_evolve(H, f, times, method=method)
+        tr = schrodinger_evolve(H, f, times)
         drift = float(np.max(np.abs(tr.norms / tr.norms[0] - 1.0)))
-        gate = 1e-10 if method == "eig" else 1e-6
-        checks = [("norm-conservation", drift <= gate, f"drift={drift:.3e}")]
+        checks = [("norm-conservation", drift <= 1e-10, f"drift={drift:.3e}")]
     else:
-        tr = heat_evolve(H, f, times, method=method)
+        tr = heat_evolve(H, f, times)
         steps = np.diff(tr.norms)
         if steps.size:
             inc = float(np.max(steps))
@@ -288,7 +287,6 @@ _KINDS = {
         "box_npts": (COUNT, 100), "band_npts": (COUNT, 100), "matrix_gate": (float, 0.10)}),
     "evolve": (_run_evolve, {
         **_MODEL, "evolution": (("schrodinger", "heat"), "schrodinger"),
-        "method": (("eig", "cn"), "eig"),
         "times": ({"t0": (float, 0.0), "t1": (float, 1.0), "count": (COUNT, 100)}, {}),
         # a center of one coordinate broadcasts over every axis
         "state": (Tagged("kind", {"gaussian": {"center": ([float], [0.0]),

@@ -1,16 +1,14 @@
 """Time evolution: unitary group and contraction semigroup.
 
-Propagation goes through the eigendecomposition by default: one
-certified ``spectral.Spectrum`` per operator, kept in its parity blocks,
-and per block the coefficients W_c^T U_c f once and every output time
-together.  Norms are measured on the propagated states and energies come
-from one product with the sparse operator, so the conservation monitors
-test the states that were computed: norm drift and group law defects sit
-at rounding level instead of integrator level, and a 1e-10 gate tests
-the operator and not the time stepper.  A Crank-Nicolson path exists
-behind a flag for sizes where a full decomposition is unreasonable.  Its
-trace metadata says "tolerance class 1e-6", a label and not a bound:
-stiff heat runs miss the exact flow by far more.
+Every evolution goes through the eigendecomposition: one certified
+``spectral.Spectrum`` per operator, kept in its parity blocks, and per
+block the coefficients W_c^T U_c f once and every output time together.
+Norms are measured on the propagated states and energies come from one
+product with the sparse operator, so the conservation monitors test the
+states that were computed: norm drift and group law defects sit at
+rounding level, and a 1e-10 gate tests the operator.  The size is
+bounded by the dense limit per parity block: an operator whose blocks
+cannot be decomposed whole is refused with a ``SolverError``.
 
 Sign bookkeeping: the stored operator is the nonnegative H; the heat
 flow evolves e^{-tH}, the unitary flow e^{-itH}.  An EvolutionTrace
@@ -37,7 +35,7 @@ class EvolutionTrace:
     times: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
-    method: str
+    method: str  # always "eig"; report.json carries it, so earlier manifests reproduce
     meta: str = ""
 
     def __post_init__(self):
@@ -46,8 +44,7 @@ class EvolutionTrace:
 
 
 def _from_zero(times) -> np.ndarray:
-    """times as floats, none before f's time 0: backwards the heat flow is
-    ill-posed, and Crank-Nicolson steps forward only."""
+    """times as floats, none before f's time 0: the heat flow is ill-posed backwards."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError(f"time {times[times < 0][0]:g} is before t = 0, "
@@ -108,48 +105,14 @@ def _trace(prop: Propagator, f, times, meta: str) -> EvolutionTrace:
                           energies=e[:nt] + e[nt:], method="eig", meta=meta)
 
 
-def _cn_trace(H, f, times, kind: str, meta: str) -> EvolutionTrace:
-    """Crank-Nicolson steps, with one sparse LU of I + (i) dt/2 A per
-    distinct step dt.  Steps are rounded to 12 significant digits first,
-    so the steps of a uniform time grid, which differ in their last bits,
-    share one factorization."""
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    A = real_csr(H)
-    times = _from_zero(times)
-    u = np.asarray(f, dtype=complex).copy()
-    c = 0.5j if kind == "schrodinger" else 0.5
-    I = sparse.eye_array(A.shape[0])
-    factors = {}
-    norms, energies = [], []
-    prev = 0.0
-    for t in times:
-        dt = float(f"{t - prev:.12g}")
-        if dt > 0:
-            if dt not in factors:
-                factors[dt] = splu(sparse.csc_array(I + c * dt * A, dtype=complex))
-            u = factors[dt].solve(u - c * dt * (A @ u))
-        prev = t
-        norms.append(np.linalg.norm(u))
-        energies.append(float(np.real(np.vdot(u, A @ u))))
-    return EvolutionTrace(times=times, norms=np.asarray(norms),
-                          energies=np.asarray(energies), method="crank-nicolson",
-                          meta=meta + "; tolerance class 1e-6")
+def schrodinger_evolve(H, f, times) -> EvolutionTrace:
+    """u(t) = e^{-itH} f with norm and energy recorded at each time; a
+    group, so t < 0 is allowed."""
+    return _trace(Propagator(H, "schrodinger"), f, times,
+                  "unitary group of the stored nonnegative operator")
 
 
-def schrodinger_evolve(H, f, times, method: str = "eig") -> EvolutionTrace:
-    """u(t) = e^{-itH} f with norm and energy recorded at each time; only
-    the eig path, a group, takes t < 0."""
-    meta = "unitary group of the stored nonnegative operator"
-    if method == "cn":
-        return _cn_trace(H, f, times, "schrodinger", meta)
-    return _trace(Propagator(H, "schrodinger"), f, times, meta)
-
-
-def heat_evolve(H, f, times, method: str = "eig") -> EvolutionTrace:
+def heat_evolve(H, f, times) -> EvolutionTrace:
     """u(t) = e^{-tH} f, t >= 0; contraction guaranteed by the spectral floor check."""
-    meta = "semigroup convention e^{-tH}, H stored nonnegative"
-    if method == "cn":
-        return _cn_trace(H, f, times, "heat", meta)
-    return _trace(Propagator(H, "heat"), f, times, meta)
+    return _trace(Propagator(H, "heat"), f, times,
+                  "semigroup convention e^{-tH}, H stored nonnegative")

@@ -342,7 +342,10 @@ def _parity_pairs(S, U, count: Optional[int] = None):
     whose largest computed eigenvalue lies below the merged count-th one
     may miss pairs, all above that largest one, so it is solved again for
     p more plus one per merged eigenvalue above it; no block is solved
-    twice for one count.  The eigenvalues merge by a stable sort.  Returns
+    twice for one count.  A block above ``DENSE_LIMIT`` that must be
+    decomposed whole (all its pairs first asked, or every pair of S), which
+    shift-invert cannot do, is a SolverError before any block is solved.
+    The eigenvalues merge by a stable sort.  Returns
     the pairs function, which gives (the merged eigenvalues, each block
     (U_c or None, lambda_c, W_c) cut to the pairs it gave them, solver, the
     shifts or None), the largest eigenvalue of S when every block is
@@ -355,6 +358,10 @@ def _parity_pairs(S, U, count: Optional[int] = None):
     def start(count):
         return [min(n, count, -(-count // len(sides)) + EXTRA_PAIRS) for n in sides]
 
+    for n, c in zip(sides, start(count)):
+        if n > DENSE_LIMIT and (c == n or count == S.shape[0]):
+            raise SolverError(f"a block of side {n} must be decomposed whole, "
+                              f"above the dense limit {DENSE_LIMIT}")
     routed = []
     for M, c in zip(mats, start(count)):
         n = M.shape[0]

@@ -1,5 +1,6 @@
 """End-to-end runs of the experiment runner on small configs."""
 import csv
+import importlib.util
 import json
 import os
 import sys
@@ -8,13 +9,17 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import expm_multiply
 
-from weylab import __version__, bounds
-from weylab.builders import get_weight, read
+from _helpers import count_calls
+from weylab import __version__, bounds, spectral
+from weylab.builders import get_operator, get_weight, read
 from weylab.cli import CONFIG, _hash_config, main
 from weylab.hamiltonians import DirichletGrid
 from weylab.metric import WeightEvaluator
 from weylab.spectral import _band_fits
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -238,25 +243,60 @@ def test_evolve_schrodinger(tmp_path):
     assert len(lines) == 12
 
 
-def test_evolve_heat_cn_with_random_state(tmp_path):
-    code, out = run(tmp_path, "ev.json", {
-        "schema": 1, "kind": "evolve",
-        "grid": {"n": 1, "N": 32, "L": 6.0},
-        "operator": {"name": "harmonic"},
-        "evolution": "heat", "method": "cn",
-        "times": {"t0": 0.0, "t1": 0.3, "count": 7},
-        "state": {"kind": "random", "seed": 3}})
+def _benchmark_op(workload, seed, name):
+    """The config of one benchmark operation, as perfbench/workloads.py builds it."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg, = [op["cfg"] for op in workloads.make_ops(workload, seed) if op["name"] == name]
+    return cfg
+
+
+def test_benchmark_heat_evolution_matches_expm_multiply(tmp_path):
+    # the benchmark's M8, whose stale "method": "cn" is a key outside the
+    # table and ignored: every norm it writes is the norm of the exact
+    # state, here expm_multiply's on the sparse operator (dt |A|_inf ~ 8;
+    # Crank-Nicolson was 88% off at the first step)
+    cfg = _benchmark_op("mix", 1, "M8-evolve-cn")
+    assert cfg["method"] == "cn"
+    code, out = run(tmp_path, "m8.json", cfg)
     assert code == 0
-    manifest = read_json(os.path.join(out, "manifest.json"))
-    assert manifest["checks"][0]["name"] == "norm-nonincreasing"
+    with open(os.path.join(out, "data.csv"), encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    g, t = cfg["grid"], cfg["times"]
+    A = get_operator(cfg["operator"]["name"], DirichletGrid(g["n"], g["N"], g["L"])).sparse
+    rng = np.random.default_rng(cfg["state"]["seed"])
+    f = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
+    want = expm_multiply(-A, f, start=t["t0"], stop=t["t1"], num=t["count"], endpoint=True)
+    assert [float(r["time"]) for r in rows] == list(np.linspace(t["t0"], t["t1"], t["count"]))
+    for r, w in zip(rows, want):
+        norm = np.linalg.norm(w)
+        assert abs(float(r["norm"]) - norm) <= 1e-12 * norm
+    assert read_json(os.path.join(out, "report.json"))["report"]["method"] == "eig"
 
 
-@pytest.mark.parametrize("method", ["eig", "cn"])
-def test_evolve_heat_with_one_output_time(tmp_path, capsys, method):
+def test_evolve_above_the_dense_limit_is_refused_unfactored(tmp_path, capsys, monkeypatch):
+    # daho at N=130 splits into four parity blocks of side 65^2 = 4225,
+    # each of which a full spectrum needs whole
+    ldlt = count_calls(monkeypatch, spectral, "_ldlt")
+    code, out = run(tmp_path, "big.json", {
+        "schema": 1, "kind": "evolve", "grid": {"n": 2, "N": 130, "L": 6.0},
+        "operator": {"name": "daho"}, "evolution": "heat",
+        "times": {"t0": 0.0, "t1": 0.5, "count": 3}})
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "run error: a block of side 4225 must be decomposed whole, "
+        "above the dense limit 4096"]
+    assert ldlt == []
+    assert read_json(os.path.join(out, "manifest.json"))["error"]["kind"] == "run"
+
+
+def test_evolve_heat_with_one_output_time(tmp_path, capsys):
     # one norm has no increment: the check passes and says so
     out = run_and_reproduce(tmp_path, capsys, "ev.json", {
         "schema": 1, "kind": "evolve", "grid": {"n": 1, "N": 16, "L": 6.0},
-        "operator": {"name": "harmonic"}, "evolution": "heat", "method": method,
+        "operator": {"name": "harmonic"}, "evolution": "heat",
         "times": {"t0": 0.0, "t1": 0.2, "count": 1}})
     check, = read_json(os.path.join(out, "report.json"))["checks"]
     assert check == {"name": "norm-nonincreasing", "passed": True,
@@ -670,11 +710,8 @@ EVOLVE = {"schema": 1, "kind": "evolve", "grid": {"n": 2, "N": 12, "L": 4.0},
      "config error: state.center has 3 entries; it needs 1 or the grid dimension 2"),
     (dict(EVOLVE, times={"t0": -3, "t1": 0, "count": 5}),
      "config error: time -3 is before t = 0, where the evolution starts"),
-    (dict(EVOLVE, method="cn", times={"t0": -1, "t1": 1, "count": 3}),
-     "config error: time -1 is before t = 0, where the evolution starts"),
 ], ids=["override", "expect_pass", "count", "N", "seed", "L-nan", "schema", "beta-null",
-        "N_list", "halves", "config-number", "center-length", "heat-before-zero",
-        "cn-before-zero"])
+        "N_list", "halves", "config-number", "center-length", "heat-before-zero"])
 def test_config_fault_is_one_config_error_line(tmp_path, capsys, cfg, err):
     # run and reproduce both print exactly one classified line, exit 2
     assert main(["run", write_cfg(tmp_path, "bad.json", cfg)]) == 2
@@ -720,7 +757,7 @@ SMALL = {
                        "matrix_N": [12, 16], "box_L": [4.0, 6.0], "box_npts": 20,
                        "band_npts": 40, "matrix_gate": 0.5},
     "evolve": {"grid": {"n": 1, "N": 16, "L": 6.0}, "operator": {"name": "harmonic"},
-               "evolution": "heat", "method": "eig",
+               "evolution": "heat",
                "times": {"t0": 0.0, "t1": 0.2, "count": 5},
                "state": {"kind": "gaussian", "center": [0.5], "width": 1.0}},
     "lp-probe": {"seed": 0, "weight": {"name": "harmonic"}, "operator": {"name": "harmonic"},

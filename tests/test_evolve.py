@@ -1,6 +1,7 @@
 """Unitary and dissipative propagation with conservation contracts."""
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from _helpers import count_calls
 from weylab.evolve import (
@@ -89,15 +90,12 @@ def test_times_must_increase():
         EvolutionTrace(np.array([0.0, 0.5, 0.5]), np.ones(3), np.ones(3), "eig")
 
 
-@pytest.mark.parametrize("evolve,method", [(heat_evolve, "eig"), (heat_evolve, "cn"),
-                                           (schrodinger_evolve, "cn")])
-def test_evolution_from_zero_refuses_earlier_times(H, f0, evolve, method):
-    # backwards the heat flow is ill-posed, and Crank-Nicolson only steps
-    # forward: it would hold f until t = 0 and report that as u(0)
+def test_evolution_from_zero_refuses_earlier_times(H, f0):
+    # backwards the heat flow is ill-posed
     with pytest.raises(ValueError, match="^time -1 is before t = 0, where the evolution"):
-        evolve(H, f0, [-1.0, 0.0, 1.0], method=method)
+        heat_evolve(H, f0, [-1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="^time -3 is before t = 0"):
-        evolve(H, f0, np.linspace(-3.0, 0.0, 5), method=method)
+        heat_evolve(H, f0, np.linspace(-3.0, 0.0, 5))
 
 
 def test_only_the_schrodinger_group_takes_negative_times(H, f0):
@@ -109,29 +107,6 @@ def test_only_the_schrodinger_group_takes_negative_times(H, f0):
     assert np.max(np.abs(back - f0)) < 1e-10
     with pytest.raises(ValueError, match="^time -1 is before t = 0"):
         Propagator(H, "heat").apply(f0, -1.0)
-
-
-def test_crank_nicolson_tracks_exact_evolution(H, f0):
-    # trapezoidal stepping is second order: at dt = 2.5e-3 the terminal
-    # state sits a few 1e-5 from the spectral one, comfortably inside
-    # the advertised tolerance class
-    times = np.linspace(0.0, 0.5, 201)
-    te = schrodinger_evolve(H, f0, times)
-    tc = schrodinger_evolve(H, f0, times, method="cn")
-    assert tc.method == "crank-nicolson"
-    assert "1e-6" in tc.meta
-    assert np.max(np.abs(tc.norms / tc.norms[0] - 1.0)) < 1e-10
-    drift = np.max(np.abs(tc.energies / tc.energies[0] - 1.0))
-    assert drift < 1e-6
-    # terminal observables agree with the spectral trace's
-    assert abs(tc.norms[-1] - te.norms[-1]) / te.norms[-1] < 1e-4
-    assert abs(tc.energies[-1] - te.energies[-1]) / te.energies[-1] < 1e-4
-
-
-def test_crank_nicolson_heat_monotone(H, f0):
-    times = np.linspace(0.0, 0.4, 81)
-    tr = heat_evolve(H, f0, times, method="cn")
-    assert np.all(np.diff(tr.norms) <= 1e-12)
 
 
 def test_evolution_decomposes_once(H, f0, monkeypatch):
@@ -149,17 +124,16 @@ def test_evolution_decomposes_once(H, f0, monkeypatch):
 
 def test_complex_operator_is_refused():
     # the propagators and the powers act through a real eigenbasis and its
-    # transpose; a complex operator is refused, on every evolve path,
-    # while eigensolve still takes a Hermitian one
+    # transpose; a complex operator is refused, while eigensolve still
+    # takes a Hermitian one
     X = np.random.default_rng(2).normal(size=(6, 6, 2)) @ [1.0, 1j]
     hermitian, f = X + X.conj().T, np.ones(6)
     with pytest.raises(ValueError, match="complex operator"):
         Propagator(hermitian, "schrodinger")
     with pytest.raises(ValueError, match="complex operator"):
         Spectrum(hermitian)
-    for method in ("eig", "cn"):
-        with pytest.raises(ValueError, match="complex operator"):
-            heat_evolve(hermitian, f, [0.0, 0.1], method=method)
+    with pytest.raises(ValueError, match="complex operator"):
+        heat_evolve(hermitian, f, [0.0, 0.1])
     want = np.linalg.eigvalsh(hermitian)[:3]
     assert np.max(np.abs(eigensolve(hermitian, 3).eigenvalues - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -168,11 +142,25 @@ def test_sparse_operator_evolves_like_the_dense_one(H, f0):
     # a scipy sparse operator takes the same input path as an array
     A, S = H.sparse.toarray(), H.sparse
     times = np.linspace(0.0, 0.6, 7)
-    for method in ("eig", "cn"):
-        for evolve in (schrodinger_evolve, heat_evolve):
-            dense, sp = (evolve(M, f0, times, method=method) for M in (A, S))
-            assert np.max(np.abs(sp.norms - dense.norms)) <= 1e-13 * np.max(dense.norms)
-            assert np.max(np.abs(sp.energies - dense.energies)) <= 1e-13 * np.max(dense.energies)
+    for evolve in (schrodinger_evolve, heat_evolve):
+        dense, sp = (evolve(M, f0, times) for M in (A, S))
+        assert np.max(np.abs(sp.norms - dense.norms)) <= 1e-13 * np.max(dense.norms)
+        assert np.max(np.abs(sp.energies - dense.energies)) <= 1e-13 * np.max(dense.energies)
     for kind in ("schrodinger", "heat"):
         u, v = (Propagator(M, kind).apply(f0, 0.6) for M in (A, S))
         assert np.max(np.abs(v - u)) <= 1e-13 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("kind", ["heat", "schrodinger"])
+def test_propagated_states_match_expm_multiply(kind):
+    # an independent reference at every output time, on the stiff daho
+    # operator (dt |A|_inf ~ 8): e^{-tA} f, e^{-itA} f by Al-Mohy and
+    # Higham's truncated Taylor series on the sparse operator
+    H = get_operator("daho", DirichletGrid(2, 24, 6.0))
+    rng = np.random.default_rng(1)
+    f = rng.normal(size=H.sparse.shape[0]) + 1j * rng.normal(size=H.sparse.shape[0])
+    z = 1.0 if kind == "heat" else 1j
+    want = expm_multiply(-z * H.sparse, f, start=0.0, stop=0.5, num=20, endpoint=True)
+    prop = Propagator(H, kind)
+    for t, w in zip(np.linspace(0.0, 0.5, 20), want):
+        assert np.linalg.norm(prop.apply(f, t) - w) <= 1e-12 * np.linalg.norm(w)

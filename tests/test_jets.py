@@ -19,6 +19,18 @@ def test_powersum_monomial_and_constant():
     assert np.allclose(const.eval(Z), np.full(2, -1.5))
 
 
+def test_powersum_type_follows_its_coefficients():
+    # a sum starts from its first term: real coefficients give real
+    # values, and a complex one anywhere, a unit one too, a complex value
+    P = (np.array([0.5, -2.0]), np.array([3.0, 0.25]))
+    assert JPowerSum.monomial(2, (1, 0)).eval(P).dtype == np.float64
+    unit = JPowerSum(2, [(1 + 0j, (1, 0), 0.0)]).eval(P)
+    assert unit.dtype == np.complex128 and np.array_equal(unit, P[0])
+    mixed = JPowerSum(2, [(1.0, (1, 0), 0.0), (2j, (0, 1), 0.0)]).eval(P)
+    assert np.array_equal(mixed, P[0] + 2j * P[1])
+    assert np.array_equal(JPowerSum(2, []).eval(P), np.zeros(2))
+
+
 def test_bracket_power_eval_and_derivative():
     Z = np.array([[0.3, 0.7], [2.0, -1.0], [0.0, 0.0]])
     s = 3.0

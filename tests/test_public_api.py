@@ -57,6 +57,28 @@ def test_only_spectral_decomposes():
     assert found == []
 
 
+def _reaches_splu(node) -> bool:
+    """node names splu: a call or use of the bare name, an attribute, or an import."""
+    return ((isinstance(node, ast.Name) and node.id == "splu")
+            or (isinstance(node, ast.Attribute) and node.attr == "splu")
+            or (isinstance(node, ast.ImportFrom) and any(a.name == "splu" for a in node.names)))
+
+
+def test_only_spectral_factors():
+    # one module owns every LU factorization, as it owns every
+    # eigendecomposition: no other module reaches splu, by call, import
+    # or attribute
+    root = os.path.dirname(os.path.abspath(weylab.__file__))
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py") or name == "spectral.py":
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if _reaches_splu(n)]
+    assert found == []
+
+
 def test_spectral_factors_only_in_ldlt():
     # _ldlt refuses off-diagonal pivoting and factors in symmetric mode,
     # so its pivots are the inertia that certifies every shift and every
@@ -68,15 +90,9 @@ def test_spectral_factors_only_in_ldlt():
     ldlt = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_ldlt"]
     assert len(ldlt) == 1
     inside = {id(n) for n in ast.walk(ldlt[0])}
-
-    def uses(node):
-        return ((isinstance(node, ast.Name) and node.id == "splu")
-                or (isinstance(node, ast.Attribute) and node.attr == "splu")
-                or (isinstance(node, ast.ImportFrom) and any(a.name == "splu" for a in node.names)))
-
-    found = [n.lineno for n in ast.walk(tree) if uses(n) and id(n) not in inside]
+    found = [n.lineno for n in ast.walk(tree) if _reaches_splu(n) and id(n) not in inside]
     assert found == []
-    calls = [n for n in ast.walk(ldlt[0]) if isinstance(n, ast.Call) and uses(n.func)]
+    calls = [n for n in ast.walk(ldlt[0]) if isinstance(n, ast.Call) and _reaches_splu(n.func)]
     assert len(calls) == 1
 
 

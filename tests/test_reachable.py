@@ -57,10 +57,6 @@ EXTRA = [
         "operator": {"name": "daho"},
         "potential": {"name": "bounded_noise", "params": {"amplitude": 0.3, "seed": 2}},
         "k": 10}),
-    ("crank-nicolson", 0, {
-        "kind": "evolve", "grid": {"n": 1, "N": 16, "L": 6.0},
-        "operator": {"name": "harmonic"}, "evolution": "schrodinger", "method": "cn",
-        "times": {"t0": 0.0, "t1": 0.2, "count": 3}}),
     ("lp-two-powers", 0, {**SMALL["lp-probe"], "kind": "lp-probe", "p_list": [2.0, 4.0]}),
     ("daho-class", 0, {
         "kind": "class-check", "seed": 0, "symbol": {"name": "daho"}, "order": 2,

@@ -497,8 +497,22 @@ def test_full_spectrum_above_the_dense_limit_splits_into_dense_blocks(monkeypatc
     spec = spectral.Spectrum(H)
     want = np.linalg.eigvalsh(H.sparse.toarray())
     assert np.max(np.abs(spec.lam - want)) <= 1e-12 * np.max(np.abs(want))
-    with pytest.raises(SolverError, match="asked of dimension"):
+    with pytest.raises(SolverError, match="^a block of side 64 must be decomposed whole, "
+                                          "above the dense limit 32$"):
         eigensolve(H.sparse, 64)
+
+
+def test_full_spectrum_of_too_large_blocks_is_refused_unfactored(monkeypatch):
+    # daho at N=130 splits into four parity blocks of side 65^2 = 4225:
+    # each must be decomposed whole, none fits the dense path, and the
+    # refusal comes before any LDL^T or eigendecomposition
+    ldlt = count_calls(monkeypatch, spectral, "_ldlt")
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    H = get_operator("daho", DirichletGrid(2, 130, 6.0))
+    with pytest.raises(SolverError, match="^a block of side 4225 must be decomposed whole, "
+                                          "above the dense limit 4096$"):
+        spectral.Spectrum(H)
+    assert ldlt == [] and eigh == []
 
 
 def _block_kept_cases():
