@@ -11,6 +11,9 @@ machine-exact jets to any implemented order.  A tree gives its values
 and its derivatives' trees (diff); symbols.SymbolEvaluator memoizes the
 latter by multi-index.  Symbol-class seminorm checks are
 threshold-sensitive enough that this exactness is worth the bookkeeping.
+A tree also gives its structural parity under each coordinate reflection
+(parity), read off its nodes without evaluating anything; the
+phase-space quadrature folds an axis where the weight's tree is even.
 
 Evaluation convention: points are passed as a tuple P of per-coordinate
 arrays, ordered x_1..x_n, xi_1..xi_n, that broadcast against each other;
@@ -25,6 +28,8 @@ symbols.ROW_BLOCK rows, and a value must not depend on the run it falls in.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -73,6 +78,13 @@ def bracket_sq(P, n: int):
     return 1.0 + sqsum(P[:n]) + sqsum(P[n:])
 
 
+def _common(parities):
+    """The parity that all of parities share, 0 when two differ, and +1
+    when there are none: the zero expression is even."""
+    found = set(parities)
+    return found.pop() if len(found) == 1 else (0 if found else 1)
+
+
 def _zpow(P, e):
     out = None
     for i, ei in enumerate(e):
@@ -85,9 +97,12 @@ def _zpow(P, e):
 class JetExpr:
     """Base: immutable expression with symbolic diff and vectorized eval.
 
-    A subclass gives diff(axis), the derivative's tree, and _eval(P), the
+    A subclass gives diff(axis), the derivative's tree, _eval(P), the
     values on a tuple that coords has normalized, in the broadcast shape of
-    the coordinates they depend on (a term free of x_2 is not repeated along it)."""
+    the coordinates they depend on (a term free of x_2 is not repeated along it),
+    and parity(axis): +1 when the tree is proven even under the reflection
+    z_axis -> -z_axis, -1 when proven odd, 0 when nothing is proven.  The
+    proof is structural and conservative: 0 is always a safe answer."""
 
     nvars: int
 
@@ -146,6 +161,10 @@ class JPowerSum(JetExpr):
         return len(self.terms) == 1 and self.terms[0][0] == 1 \
             and not any(self.terms[0][1]) and self.terms[0][2] == 0.0
 
+    def parity(self, axis):
+        """(-1)^e_axis when every term agrees (u is even)."""
+        return _common((-1) ** e[axis] for _, e, _ in self.terms)
+
     def diff(self, axis):
         out = []
         for c, e, p in self.terms:
@@ -183,6 +202,8 @@ class JUni(JetExpr):
 
     table(order, t) returns the order-th derivative of f at the values t
     of g; it must raise UnsupportedOrderError past its implemented depth.
+    A table may declare f's parity as its attribute ``parity`` (+1 even,
+    -1 odd); one that declares none counts as 0, nothing proven.
     """
 
     def __init__(self, inner: JetExpr, table, order=0):
@@ -190,6 +211,14 @@ class JUni(JetExpr):
         self.inner = inner
         self.table = table
         self.order = order
+
+    def parity(self, axis):
+        """f^(k)(g) is even where g is; where g is odd it has f's parity
+        times (-1)^k, f^(k)(-t) = q (-1)^k f^(k)(t) for f(-t) = q f(t)."""
+        g = self.inner.parity(axis)
+        if g != -1:   # even, or nothing proven
+            return g
+        return getattr(self.table, "parity", 0) * (-1) ** self.order
 
     def diff(self, axis):
         dg = self.inner.diff(axis)
@@ -212,6 +241,10 @@ class JSum(JetExpr):
     def is_zero(self):
         return not self.parts
 
+    def parity(self, axis):
+        """The common parity of the parts, else 0."""
+        return _common(p.parity(axis) for p in self.parts)
+
     def diff(self, axis):
         return JSum([p.diff(axis) for p in self.parts])
 
@@ -232,6 +265,10 @@ class JProd(JetExpr):
     @property
     def is_zero(self):
         return any(f.is_zero for f in self.factors)
+
+    def parity(self, axis):
+        """The product of the factors' parities (0 when one is unknown)."""
+        return math.prod(f.parity(axis) for f in self.factors)
 
     def diff(self, axis):
         parts = []

@@ -295,6 +295,8 @@ def subellipticity_probe(op_builder: Callable, tau: float,
         P = op_builder(grid)
         pts = grid.points
         h = grid.h
+        # the second factor of every envelope, and the first at width 0.9 L
+        wide = _bump1(pts, 0.9 * L)
         ktop = N // 2 - 2
         kmid = N // 4
         modes = [(0, 1), (1, 0), (1, 1), (2, 0), (0, 2), (2, 2), (0, 4),
@@ -304,11 +306,11 @@ def subellipticity_probe(op_builder: Callable, tau: float,
         C1 = 0.0
         for k1, k2 in modes:
             freq2 = np.pi * abs(k2) / L
-            widths = [0.9 * L]
+            bumps = [wide]
             if freq2 > 0:
-                widths.append(float(np.clip(freq2**-0.5, 4.0 * h, 0.5 * L)))
-            for w in widths:
-                env = np.outer(_bump1(pts, w), _bump1(pts, 0.9 * L))
+                bumps.append(_bump1(pts, float(np.clip(freq2**-0.5, 4.0 * h, 0.5 * L))))
+            for bump in bumps:
+                env = np.outer(bump, wide)
                 phase = np.exp(2j * np.pi * (k1 * pts[:, None] + k2 * pts[None, :]) / (2.0 * L))
                 v = (env * phase).ravel()
                 nv = np.linalg.norm(v)

@@ -171,6 +171,7 @@ def _profile_table(profile: CutoffProfileSquared):
             raise UnsupportedOrderError(f"profile jets stop at order {PROFILE_DERIV_ORDERS}")
         return profile.derivative(t, order)
 
+    table.parity = 1   # the squared profile depends on |t|
     return table
 
 

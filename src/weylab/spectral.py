@@ -515,30 +515,54 @@ def _midpoint_axis(L: float, npts: int) -> np.ndarray:
 
 
 def _chunked_weight(w: WeightEvaluator, L: float, npts: int):
-    """Yield (m values, cell volume) in fixed chunk order over the box:
-    one chunk per first-coordinate node, the other coordinates broadcast
-    from per-axis arrays and raveled in C order."""
+    """Yield (m values, multiplicities, cell volume) in fixed chunk order
+    over the box: one chunk per first-coordinate node, the other
+    coordinates broadcast from per-axis arrays and raveled in C order.
+    A quadrature sums f(m) * multiplicity, then scales by the cell volume.
+
+    The box is folded on every axis where w's tree is proven even
+    (w.expr.parity(axis) == 1, see _jets.JetExpr): only the upper half of
+    the midpoint nodes is kept, picked by index, because the centre node of
+    an odd count lies a rounding error off 0 and a sign test would count it
+    twice.  A kept node stands for itself and its mirror image,
+    multiplicity 2; the centre node for itself only, multiplicity 1.  A
+    point's multiplicity is the product over its axes.  An axis without a
+    proof, and every axis of a value-function weight (expr None), keeps
+    every node with multiplicity 1, so there its sums are the unfolded
+    ones bit for bit: multiplying by 1 is exact."""
     d = 2 * w.n
     g = _midpoint_axis(L, npts)
     cell = (2.0 * L / npts) ** d
-    rest = np.meshgrid(*([g] * (d - 1)), indexing="ij", sparse=True)
-    for v in g:
-        yield w.m_values((v, *rest)).ravel(), cell
+    nodes, mults = [], []
+    for axis in range(d):
+        if w.expr is not None and w.expr.parity(axis) == 1:
+            k = np.arange(npts // 2, npts)
+            nodes.append(g[k])
+            mults.append(np.where(2 * k == npts - 1, 1.0, 2.0))
+        else:
+            nodes.append(g)
+            mults.append(np.ones(npts))
+    rest = np.meshgrid(*nodes[1:], indexing="ij", sparse=True)
+    rest_mult = functools.reduce(np.multiply.outer, mults[1:]).ravel()
+    for v, mv in zip(nodes[0], mults[0]):
+        yield w.m_values((v, *rest)).ravel(), mv * rest_mult, cell
 
 
 def _box_integrals(w: WeightEvaluator, exps: Sequence[float], L: float, npts: int) -> list:
     """Midpoint quadrature of m^{-s} over [-L, L]^{2n}, fixed summation
-    order, for each exponent s in exps, from one pass of m."""
+    order, for each exponent s in exps, from one pass of m over the
+    folded box (_chunked_weight)."""
     totals = [0.0] * len(exps)
-    for m, cell in _chunked_weight(w, L, npts):
+    for m, mult, cell in _chunked_weight(w, L, npts):
         for i, s in enumerate(exps):
-            totals[i] += float(np.sum(m**(-s))) * cell
+            totals[i] += float(np.sum(m**(-s) * mult)) * cell
     return totals
 
 
 def _band_fits(w: WeightEvaluator, exps: Sequence[float], npts: int) -> list:
     """Slope of log-base band sums of m^{-s} over dyadic-in-base shells,
-    for each exponent s in exps, from one pass of m.
+    for each exponent s in exps, from one pass of m over the folded box
+    (_chunked_weight).
 
     The box covers the closure of the last counted shell with a small
     margin; shells outside [BAND_KMIN, BAND_KMAX] are binned but not
@@ -546,10 +570,10 @@ def _band_fits(w: WeightEvaluator, exps: Sequence[float], npts: int) -> list:
     L = BAND_BASE ** ((BAND_KMAX + 1) / 2.0) * BAND_BOX_FACTOR
     B = np.zeros((len(exps), BAND_KMAX + 2))
     logb = np.log(BAND_BASE)
-    for m, cell in _chunked_weight(w, L, npts):
+    for m, mult, cell in _chunked_weight(w, L, npts):
         k = np.clip(np.floor(np.log(m) / logb).astype(int), 0, BAND_KMAX + 1)
         for i, s in enumerate(exps):
-            B[i] += np.bincount(k, weights=m**(-s), minlength=BAND_KMAX + 2) * cell
+            B[i] += np.bincount(k, weights=m**(-s) * mult, minlength=BAND_KMAX + 2) * cell
     bands = B[:, BAND_KMIN:BAND_KMAX + 1]
     if np.min(bands) <= 0:
         raise SolverError("empty band in slope fit; box too small")
@@ -606,6 +630,9 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     reported raw.
     The cells share one quantization and eigvalsh per N (m^{-mu}(M) has
     singular values (lam + shift)^{-mu}) and one m pass per quadrature box.
+    A pass evaluates m only on the box folded by the reflections under
+    which w's tree is proven even (_chunked_weight): about 1/2^{2n} of the nodes
+    for every table weight, every node for a value-function weight.
     """
     if any(mu <= 0 or r < 1 for mu, r in cells):
         raise ValueError("mu must be positive and r at least 1")

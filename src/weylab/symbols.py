@@ -233,7 +233,10 @@ def smg_seminorm(s, M, w, k: int, sample: np.ndarray) -> SeminormEstimate:
                 continue
             for alpha in _iter_multi((total - nb,) * n):
                 na = sum(alpha)
-                if na + nb != total:
+                # a zero field cannot beat best, which is >= 0 after order
+                # 0; past MAX_DERIV_ORDER, derivative raises as before
+                if na + nb != total or (0 < total <= MAX_DERIV_ORDER
+                                        and s.jet(beta + alpha).is_zero):
                     continue
                 d = np.abs(np.asarray(s.derivative(beta, alpha, Z)))
                 field = d * mt[total] * bb[nb] / M_vals

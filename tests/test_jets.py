@@ -4,6 +4,7 @@ import sympy as sp
 
 from _helpers import exp_sqrt_bracket_x, uni_table
 from weylab._jets import JPowerSum, JProd, JSum, JUni, UnsupportedOrderError
+from weylab.builders import get_weight
 from weylab.symbols import MAX_DERIV_ORDER, SymbolEvaluator
 
 
@@ -149,3 +150,80 @@ def test_symbolic_table_raises_past_depth():
         f = f.diff(0)
     with pytest.raises(UnsupportedOrderError):
         f.eval(np.array([[0.5]]))
+
+
+# -- structural parity ------------------------------------------------------
+
+def _declared(table, parity):
+    table.parity = parity
+    return table
+
+
+def _assert_claims_hold(expr, P):
+    """Every axis whose parity expr claims obeys it at the points P:
+    f(R_axis P) = parity f(P), R_axis flipping the sign of that coordinate."""
+    for axis in range(expr.nvars):
+        q = expr.parity(axis)
+        if q:
+            mirrored = tuple(-p if i == axis else p for i, p in enumerate(P))
+            assert np.allclose(expr.eval(mirrored), q * expr.eval(P), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_odd_inner_of_an_even_table_has_the_parity_of_its_order(order):
+    # cos of g = x1 + x1^3 <X>, odd in x1 and even in xi1: the k-th chain-rule
+    # tree is a sum of cos^(j)(g) times products of derivatives of g, each
+    # term odd or even with k, and JUni of order k alone is (-1)^k
+    t = sp.Symbol("t")
+    tab = _declared(uni_table(sp.cos(t), t), 1)
+    g = JPowerSum(2, [(1.0, (1, 0), 0.0), (1.0, (3, 0), 0.5)])
+    assert JUni(g, tab, order).parity(0) == (-1) ** order
+    node = JUni(g, tab)
+    for _ in range(order):
+        node = node.diff(0)
+    assert (node.parity(0), node.parity(1)) == ((-1) ** order, 1)
+    P = tuple(np.random.default_rng(order).normal(size=(2, 40)))
+    _assert_claims_hold(node, P)
+
+
+def test_odd_times_odd_is_even_and_odd_times_even_is_odd():
+    t = sp.Symbol("t")
+    x1, xi1 = JPowerSum.monomial(2, (1, 0)), JPowerSum.monomial(2, (0, 1))
+    sin_x1 = JUni(x1, _declared(uni_table(sp.sin(t), t), -1))
+    assert sin_x1.parity(0) == -1 and sin_x1.diff(0).parity(0) == 1
+    assert JProd([x1, sin_x1]).parity(0) == 1
+    assert JProd([x1, JPowerSum.bracket_power(2, 1.0)]).parity(0) == -1
+    assert JProd([x1, xi1]).parity(0) == -1 and JProd([x1, xi1]).parity(1) == -1
+    P = tuple(np.random.default_rng(5).normal(size=(2, 40)))
+    for expr in (sin_x1, JProd([x1, sin_x1]), JProd([x1, xi1])):
+        _assert_claims_hold(expr, P)
+
+
+def test_what_is_not_proven_is_zero():
+    t = sp.Symbol("t")
+    x1 = JPowerSum.monomial(2, (1, 0))
+    mixed = JSum([x1, JPowerSum.monomial(2, (2, 0))])
+    assert mixed.parity(0) == 0 and mixed.parity(1) == 1
+    assert JPowerSum(2, [(1.0, (1, 0), 0.0), (1.0, (0, 0), 0.5)]).parity(0) == 0
+    assert JProd([mixed, x1]).parity(0) == 0
+    # a table that declares nothing proves nothing of an odd inner tree;
+    # of an even one, or of an unknown one, the table does not matter
+    assert JUni(x1, uni_table(sp.exp(t), t)).parity(0) == 0
+    assert JUni(mixed, _declared(uni_table(sp.cos(t), t), 1)).parity(0) == 0
+    assert JUni(JPowerSum.monomial(2, (2, 0)), uni_table(sp.exp(t), t)).parity(0) == 1
+
+
+@pytest.mark.parametrize("name,params", [("daho", {}), ("harmonic", {"n": 2}),
+                                         ("grushin_pure", {})])
+def test_table_weights_and_their_jets_keep_their_claims(name, params):
+    # every table weight is proven even on every axis, and each claim its
+    # jets make up to order 2 holds at random points
+    w = get_weight(name, params)
+    d = 2 * w.n
+    assert [w.expr.parity(a) for a in range(d)] == [1] * d
+    P = tuple(np.random.default_rng(3).uniform(-5.0, 5.0, size=(d, 60)))
+    for multi in np.ndindex(*(3,) * d):
+        if sum(multi) <= 2:
+            jet = w.jet(multi)
+            assert [jet.parity(a) for a in range(d)] == [(-1) ** k for k in multi]
+            _assert_claims_hold(jet, P)

@@ -61,6 +61,10 @@ EXTRA = [
     ("daho-class", 0, {
         "kind": "class-check", "seed": 0, "symbol": {"name": "daho"}, "order": 2,
         "halves": [10.0, 20.0], "n_grid": 3, "n_random": 50}),
+    ("daho-sweep", 0, {
+        "kind": "schatten-sweep", "weight": {"name": "daho"}, "Q": 3.0,
+        "cells": [{"mu": 2.0, "r": 2.0}], "matrix_N": [8, 12], "box_L": [4.0],
+        "box_npts": 8, "band_npts": 16}),
     ("daho-weyl-2d", 0, {
         "kind": "quantize-identity", "grid": {"n": 2, "N": 8, "L": 3.0}, "tau": 0.5,
         "symbol": {"name": "daho"}}),

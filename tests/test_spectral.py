@@ -13,6 +13,7 @@ from scipy.sparse.linalg import eigsh
 import weylab
 from _helpers import count_calls, schatten_norm
 from weylab import spectral
+from weylab._jets import JPowerSum, JSum
 from weylab.builders import get_operator, get_weight
 from weylab.evolve import Propagator
 from weylab.hamiltonians import (
@@ -32,10 +33,12 @@ from weylab.spectral import (
     SpectralResult,
     _band_fits,
     _box_integrals,
+    _chunked_weight,
     eigensolve,
     growth_fit,
     schatten_sweep,
 )
+from weylab.symbols import PolySymbol
 
 
 def harmonic_1d_weight():
@@ -732,6 +735,93 @@ def test_band_slope_rejects_concentrated_weight():
     w = WeightEvaluator(1, lambda P: 1.0)
     with pytest.raises(SolverError, match="empty band"):
         _band_fits(w, [2.0], 100)
+
+
+def _unfolded(w):
+    """w as a value function: it has no tree, so no axis of its box folds."""
+    return WeightEvaluator(w.n, w.m_values, name=w.name)
+
+
+def _plain_box_integrals(w, exps, L, npts):
+    """Midpoint sums of m^{-s} over every node of the box, in the chunk
+    order, as the quadrature took them before it folded anything."""
+    d = 2 * w.n
+    g = -L + (2.0 * L / npts) * (np.arange(npts) + 0.5)
+    cell = (2.0 * L / npts) ** d
+    rest = np.meshgrid(*([g] * (d - 1)), indexing="ij", sparse=True)
+    totals = [0.0] * len(exps)
+    for v in g:
+        m = w.m_values((v, *rest)).ravel()
+        for i, s in enumerate(exps):
+            totals[i] += float(np.sum(m ** (-s))) * cell
+    return totals
+
+
+def _with_x1_xi1(n):
+    """The harmonic weight plus x1 xi1 / 2 (still >= 1): odd under x1 -> -x1
+    and under xi1 -> -xi1 alone, so neither axis is proven even."""
+    x1 = JPowerSum.monomial(2 * n, (1,) + (0,) * (2 * n - 1), c=0.5)
+    cross = PolySymbol(n, {(1,) + (0,) * (n - 1): x1})
+    return WeightEvaluator(n, JSum([get_weight("harmonic", {"n": n}).expr, cross.expr]),
+                           name="x1-xi1")
+
+
+def _box_points(w, L, npts):
+    """(evaluated points, their total multiplicity) of one pass."""
+    sizes, mults = zip(*((m.size, mult.sum()) for m, mult, _ in _chunked_weight(w, L, npts)))
+    return sum(sizes), float(sum(mults))
+
+
+FOLDED = [("daho", {}), ("harmonic", {"n": 1}), ("harmonic", {"n": 2}), ("grushin_pure", {})]
+
+
+@pytest.mark.parametrize("L,npts", [(8.0, 12), (7.7, 21), (12.0, 15)])
+@pytest.mark.parametrize("name,params", FOLDED, ids=["daho", "harmonic1", "harmonic2", "grushin"])
+def test_folded_box_sums_match_the_unfolded_ones(name, params, L, npts):
+    # every axis of a table weight is even, so its box keeps the upper half
+    # of the nodes, the centre of an odd count once (at L = 7.7, npts = 21
+    # it lies 8.9e-16 off 0), and each node's multiplicity counts its mirror
+    w = get_weight(name, params)
+    d = 2 * w.n
+    assert _box_points(w, L, npts) == ((npts - npts // 2) ** d, float(npts ** d))
+    exps = [2.0, 3.0, 4.8]
+    got, want = _box_integrals(w, exps, L, npts), _box_integrals(_unfolded(w), exps, L, npts)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("npts", [14, 23])
+@pytest.mark.parametrize("name,params", FOLDED, ids=["daho", "harmonic1", "harmonic2", "grushin"])
+def test_folded_band_sums_match_the_unfolded_ones(name, params, npts):
+    # the band box's centre node at npts = 23 lies 1.8e-15 off 0
+    w = get_weight(name, params)
+    exps = [2.4, 3.0, 4.0]
+    for (slope, bands), (want_slope, want_bands) in zip(
+            _band_fits(w, exps, npts), _band_fits(_unfolded(w), exps, npts)):
+        assert slope == pytest.approx(want_slope, rel=1e-13)
+        assert np.allclose(bands, want_bands, rtol=1e-13, atol=0.0)
+
+
+def test_unproven_axes_are_not_folded():
+    L, npts, exps = 7.7, 21, [2.0, 3.0]
+    # in one dimension x1 xi1 leaves no axis proven: nothing folds, and
+    # the sums are the plain ones bit for bit
+    w = _with_x1_xi1(1)
+    assert [w.expr.parity(a) for a in range(2)] == [0, 0]
+    assert _box_points(w, L, npts) == (npts ** 2, float(npts ** 2))
+    assert _box_integrals(w, exps, L, npts) == _plain_box_integrals(w, exps, L, npts)
+    for (slope, bands), (want_slope, want_bands) in zip(
+            _band_fits(w, exps, 40), _band_fits(_unfolded(w), exps, 40)):
+        assert slope == want_slope and np.array_equal(bands, want_bands)
+    # in two, x2 and xi2 fold and x1, xi1 do not
+    w = _with_x1_xi1(2)
+    assert [w.expr.parity(a) for a in range(4)] == [0, 1, 0, 1]
+    assert _box_points(w, L, npts) == (npts ** 2 * 11 ** 2, float(npts ** 4))
+    assert np.allclose(_box_integrals(w, exps, L, npts),
+                       _plain_box_integrals(w, exps, L, npts), rtol=1e-13, atol=0.0)
+    # a value-function weight has no proof on any axis
+    w = _unfolded(get_weight("daho"))
+    assert _box_points(w, L, npts) == (npts ** 4, float(npts ** 4))
+    assert _box_integrals(w, exps, L, npts) == _plain_box_integrals(w, exps, L, npts)
 
 
 # -- trend experiment -------------------------------------------------------

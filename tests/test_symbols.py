@@ -297,6 +297,23 @@ def test_seminorm_constant_symbol():
     assert est2.value == pytest.approx(1.0, abs=1e-6)  # derivatives vanish
 
 
+def test_seminorm_evaluates_only_nonzero_jets_and_keeps_the_order_gate(monkeypatch):
+    # the harmonic a = |xi|^2 + |x|^2 has 8 nonzero jets of orders 1-2
+    # among the 65 of orders 1-4; a zero one is never evaluated, and past
+    # MAX_DERIV_ORDER, where every jet of a is zero, the gate still raises
+    s = with_confinement(get_a2("harmonic", {"n": 2}))
+    w = WeightEvaluator.from_a2(get_a2("harmonic", {"n": 2}))
+    sample = box_sample(2, 5.0, n_random=50)
+    asked = []
+    derivative = s.derivative
+    monkeypatch.setattr(s, "derivative", lambda b, a, Z: asked.append(b + a) or derivative(b, a, Z))
+    est = smg_seminorm(s, w, w, 4, sample)
+    assert len(asked) == 1 + 8 and not any(s.jet(m).is_zero for m in asked)
+    assert est.value == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(UnsupportedOrderError):
+        smg_seminorm(s, w, w, MAX_DERIV_ORDER + 1, sample)
+
+
 def test_seminorm_monotone_under_refinement():
     s = with_confinement(get_a2("daho"))
     w = WeightEvaluator.from_a2(get_a2("daho"))
