@@ -20,8 +20,8 @@ arrays, ordered x_1..x_n, xi_1..xi_n, that broadcast against each other;
 values come back in their broadcast shape.  Rows Z of shape (m, 2n) are
 the special case P = tuple(Z.T), and any non-tuple argument is read as
 such rows (see coords).  A coordinate that is constant over a block
-(x_1 in a Weyl block or a quadrature chunk) is then one value, and
-everything that depends on it alone is computed once.  Every value is
+(x_1 in a Weyl block) is then one value, and everything that depends on
+it alone is computed once.  Every value is
 a function of its own point only, never of the other points of the
 batch: symbols.SymbolEvaluator evaluates a 1-D batch in runs of at most
 symbols.ROW_BLOCK rows, and a value must not depend on the run it falls in.
@@ -138,6 +138,11 @@ class JPowerSum(JetExpr):
             key = (tuple(int(v) for v in e), float(p))
             merged[key] = merged.get(key, 0) + c
         self.terms = tuple((c, e, p) for (e, p), c in merged.items() if c != 0)
+        # fixed with the terms: whether u is needed, and the value type (the
+        # coefficients decide it: real ones sum in real arithmetic, and a
+        # complex one keeps every imaginary part)
+        self._need_u = any(p != 0.0 for _, _, p in self.terms)
+        self._real = all(np.isrealobj(c) for c, _, _ in self.terms)
 
     @classmethod
     def constant(cls, nvars, c):
@@ -179,18 +184,14 @@ class JPowerSum(JetExpr):
         return JPowerSum(self.nvars, out)
 
     def _eval(self, P):
-        need_u = any(p != 0.0 for _, _, p in self.terms)
-        u = bracket_sq(P, self.nvars // 2) if need_u else None
-        # the coefficients decide the type: real ones sum in real
-        # arithmetic, and a complex one keeps every imaginary part; a
-        # unit coefficient multiplies nothing (the same bits, less work)
-        real = all(np.isrealobj(c) for c, _, _ in self.terms)
+        u = bracket_sq(P, self.nvars // 2) if self._need_u else None
         acc = None
         for c, e, p in self.terms:
             t = _zpow(P, e)
             if p != 0.0:
                 t = t * u**p
-            t = t if c == 1 and real else c * t
+            # a unit coefficient multiplies nothing (the same bits, less work)
+            t = t if c == 1 and self._real else c * t
             acc = t if acc is None else acc + t
         return 0.0 if acc is None else acc
 

@@ -17,6 +17,17 @@ largest entry), not exactly.  Other tau take one transform per row, in
 broadcast into the block, never on flattened (rows, 2n) points: in a 2-D
 block the first-axis point is one value.
 
+At tau = 0, 1/2 and 1 the symbol is evaluated once per reflection orbit:
+on each axis where its tree is proven even (JetExpr.parity), a node and
+its mirror, or a mode and its mirror, share one sample, picked by index.
+Mode samples are expanded to every mode before the transform; a kept
+node's transform serves its mirror too, through the gather's index (the
+first axis: one block and one transform per pair of mirror nodes).  For
+every table weight and a2 symbol that is about 1/2^{2n} of the samples.
+A node's mirror is its negative only to rounding, so the matrix moves by
+about 1e-16 of its largest entry where the nodes are not exact in binary;
+an axis without a proof keeps every sample and the unfolded matrix.
+
 Quantizers return plain dense arrays, float64 or complex128 by one rule:
 each sampled block is tested against its reflection xi_k -> xi_{-k mod N}
 on its mode axes (the Nyquist mode is its own mirror).  When every block
@@ -107,7 +118,10 @@ def weyl_quantize(s, grid: Grid) -> np.ndarray:
 def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     """The dense matrix of s in the tau convention: float64 when every
     sampled symbol block is real and equal to its reflection xi -> -xi
-    (then each inverse DFT is real), complex otherwise.  The side limit
+    (then each inverse DFT is real), complex otherwise.  At tau = 0, 1/2
+    and 1, s is evaluated once per mirror pair on each axis where its
+    tree is proven even (_orbits); a value-function symbol, an axis
+    without a proof and generic tau keep every sample.  The side limit
     is checked before s is evaluated or anything allocated."""
     if grid.boundary != "periodic":
         raise ValueError("quantization needs a periodic grid")
@@ -117,11 +131,14 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     N, ks = grid.N, np.fft.ifftshift(grid.modes)  # FFT order: the samples need no shift
     idx = np.arange(N)
     d = (idx[:, None] - idx[None, :]) % N
-    # per axis, p_ij = nodes[at[i, j]]: half-step nodes at tau = 1/2
+    # per axis, p_ij = nodes[at[i, j]]: half-step nodes at tau = 1/2; the
+    # mirror of node j is node -j mod period (the half-step node 2N - j)
     if tau == 0.5:
         nodes, at = -grid.L + (grid.h / 2.0) * np.arange(2 * N - 1), idx[:, None] + idx[None, :]
+        period = 2 * N
     elif tau == 1.0 or tau == 0.0:
         nodes, at = grid.points, np.broadcast_to(idx[:, None] if tau else idx[None, :], (N, N))
+        period = N
     elif grid.n == 2:
         raise ValueError("two dimensions: only tau = 0, 1/2 and 1")
     else:
@@ -129,19 +146,56 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
         def rows():
             for i in range(N):
                 p = tau * grid.points[i] + (1.0 - tau) * grid.points
-                yield s.eval((p[:, None], ks[None, :])), i, (idx, d[i])
+                yield s.eval((p[:, None], ks[None, :])), [(i, (idx, d[i]))]
         return _gather(rows, (N, N), 1)
-    if grid.n == 1:
-        S = s.eval((nodes[:, None], ks[None, :]))  # [node, mode]
-        return _inverse_dft(S, 1, _even(S, 1))[at, d]
+    n = grid.n
+    # per symbol axis (x_1..x_n, xi_1..xi_n): map[j] is the row of index j
+    # among the kept samples, j itself or its mirror's (_orbits)
+    maps = [_orbits(len(nodes), period, s, a) for a in range(n)] \
+        + [_orbits(N, N, s, a) for a in range(n, 2 * n)]
+    P = [nodes[:m.max() + 1] for m in maps[:n]] + [ks[:m.max() + 1] for m in maps[n:]]
+    if n == 1:
+        S = _expand(s.eval((P[0][:, None], P[1][None, :])), maps[1:])  # [node, mode]
+        return _inverse_dft(S, 1, _even(S, 1))[maps[0][at], d]
 
     def blocks():
-        # every block whose first-axis point is node: one symbol block, one transform
-        for v, node in enumerate(nodes):
-            S = s.eval((node, nodes[:, None, None], ks[None, :, None], ks[None, None, :]))
-            i1, j1 = np.nonzero(at == v)
-            yield S, (i1, slice(None), j1, slice(None)), (at, d[i1, j1][:, None, None], d)
+        # every block whose first-axis point is node v or its mirror: one
+        # symbol block, one transform
+        rows2 = maps[1][at]  # second-axis nodes: the kept row of each
+        for r, node in enumerate(P[0]):
+            S = s.eval((node, P[1][:, None, None], P[2][None, :, None], P[3][None, None, :]))
+            out = []
+            for v in np.flatnonzero(maps[0] == r):
+                i1, j1 = np.nonzero(at == v)
+                out.append(((i1, slice(None), j1, slice(None)),
+                            (rows2, d[i1, j1][:, None, None], d)))
+            yield _expand(S, maps[2:]), out
     return _gather(blocks, (N, N, N, N), 2).reshape(side, side)  # [i1, i2, j1, j2]
+
+
+def _orbits(count: int, period: int, s, axis: int) -> np.ndarray:
+    """The row map of one symbol axis with count samples: where s's tree
+    is proven even on the axis, index j and its mirror -j mod period share
+    the row min(j, -j mod period), so the kept rows are a prefix and each
+    mirror pair is evaluated once.  The mirror is picked by index, never
+    by the sign of a node: the centre node of the grid lies a rounding
+    error off 0.  An index that is its own mirror (the centre node, mode
+    0, the Nyquist mode) or whose mirror is not sampled (the first node;
+    at tau = 1/2 the first two half-step nodes) is its own row.  An axis
+    without a proof, and every axis of a value-function symbol, keeps
+    every sample (the identity map)."""
+    j = np.arange(count)
+    if s.expr is None or s.expr.parity(axis) != 1:
+        return j
+    return np.minimum(j, -j % period)
+
+
+def _expand(S, maps) -> np.ndarray:
+    """S on the kept mode rows, expanded to every mode by the row maps of
+    its trailing (mode) axes; S itself where no mode axis is folded."""
+    if all(m.max() + 1 == m.size for m in maps):
+        return S
+    return S[(...,) + np.ix_(*maps)]
 
 
 def _even(X, n: int) -> bool:
@@ -164,17 +218,19 @@ def _inverse_dft(X, n: int, real: bool) -> np.ndarray:
 
 
 def _gather(blocks, shape: tuple, n: int, real: bool = True) -> np.ndarray:
-    """A[dst] = G[src] for each (X, dst, src) that blocks() yields, G the
-    inverse DFT of the symbol block X over its last n axes.  float64 when
-    every X is even; a block that is not starts the gather again in
-    complex, so a complex matrix has the same entries as an all-complex
-    gather."""
+    """A[dst] = G[src] for each (dst, src) of the list that blocks()
+    yields with each symbol block X, G the inverse DFT of X over its last
+    n axes.  float64 when every X is even; a block that is not starts
+    the gather again in complex, so a complex matrix has the same entries
+    as an all-complex gather."""
     A = np.empty(shape, dtype=float if real else complex)
-    for X, dst, src in blocks():
+    for X, pairs in blocks():
         if real and not _even(X, n):
             del A
             return _gather(blocks, shape, n, real=False)
-        A[dst] = _inverse_dft(X, n, real)[src]
+        G = _inverse_dft(X, n, real)
+        for dst, src in pairs:
+            A[dst] = G[src]
     return A
 
 

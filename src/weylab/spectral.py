@@ -31,6 +31,7 @@ import numpy as np
 from .hamiltonians import HamiltonianMatrix
 from .metric import WeightEvaluator
 from .quantize import Grid, weyl_quantize
+from .symbols import ROW_BLOCK
 
 __all__ = [
     "SpectralResult", "Spectrum", "GrowthFit", "SolverError", "eigensolve", "growth_fit",
@@ -519,6 +520,9 @@ def _chunked_weight(w: WeightEvaluator, L: float, npts: int):
     over the box: one chunk per first-coordinate node, the other
     coordinates broadcast from per-axis arrays and raveled in C order.
     A quadrature sums f(m) * multiplicity, then scales by the cell volume.
+    m is evaluated on a run of first-coordinate nodes at once, at most
+    ROW_BLOCK points (x_1 an axis array); values are pointwise, so each
+    node's chunk has the bits of its own evaluation, and so has each sum.
 
     The box is folded on every axis where w's tree is proven even
     (w.expr.parity(axis) == 1, see _jets.JetExpr): only the upper half of
@@ -544,8 +548,11 @@ def _chunked_weight(w: WeightEvaluator, L: float, npts: int):
             mults.append(np.ones(npts))
     rest = np.meshgrid(*nodes[1:], indexing="ij", sparse=True)
     rest_mult = functools.reduce(np.multiply.outer, mults[1:]).ravel()
-    for v, mv in zip(nodes[0], mults[0]):
-        yield w.m_values((v, *rest)).ravel(), mv * rest_mult, cell
+    run = max(1, ROW_BLOCK // rest_mult.size)
+    for lo in range(0, len(nodes[0]), run):
+        x1 = nodes[0][lo:lo + run].reshape((-1,) + (1,) * (d - 1))
+        for m, mv in zip(w.m_values((x1, *rest)), mults[0][lo:lo + run]):
+            yield m.ravel(), mv * rest_mult, cell
 
 
 def _box_integrals(w: WeightEvaluator, exps: Sequence[float], L: float, npts: int) -> list:

@@ -67,6 +67,8 @@ def table_symbols():
 
 # (n, tau) pairs that tau_quantize takes: generic tau in 1-D only
 DIM_TAU = [(n, tau) for n in (1, 2) for tau in (0.0, 0.3, 0.5, 1.0) if n == 1 or tau != 0.3]
+# the pairs that take the transform per node, in both dimensions
+FAST_DIM_TAU = [(n, tau) for n, tau in DIM_TAU if tau != 0.3]
 
 
 # -- grids ------------------------------------------------------------------
@@ -251,6 +253,104 @@ def test_weyl_quantization_does_not_import_scipy():
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "float64 []"
+
+
+# -- one evaluation per reflection orbit ------------------------------------
+
+def every_sample(s, grid, tau):
+    """The matrix from every sample, a plain loop over the first-axis
+    nodes: the symbol at every node and mode, the inverse DFT over the
+    modes, real (from the half spectrum) when every sample is real and
+    even under k -> -k mod N, and A = G[at, d] on each axis."""
+    N, n = grid.N, grid.n
+    idx = np.arange(N)
+    ks, d = np.fft.ifftshift(grid.modes), (idx[:, None] - idx[None, :]) % N
+    if tau == 0.5:
+        nodes, at = -grid.L + (grid.h / 2.0) * np.arange(2 * N - 1), idx[:, None] + idx[None, :]
+    else:
+        nodes, at = grid.points, np.broadcast_to(idx[:, None] if tau else idx[None, :], (N, N))
+    if n == 1:
+        S = s.eval((nodes[:, None], ks[None, :]))
+    else:
+        S = np.stack([s.eval((v, nodes[:, None, None], ks[None, :, None], ks[None, None, :]))
+                      for v in nodes])
+    axes = tuple(range(n, 2 * n))
+    if not np.iscomplexobj(S) and np.array_equal(S, S[(...,) + np.ix_(*[-idx % N] * n)]):
+        G = np.fft.irfftn(S[..., :N // 2 + 1], s=(N,) * n, axes=axes)
+    else:
+        G = np.fft.ifftn(S, axes=axes)
+    if n == 1:
+        return G[at, d]
+    i1, i2, j1, j2 = np.ix_(idx, idx, idx, idx)
+    return G[at[i1, j1], at[i2, j2], d[i1, j1], d[i2, j2]].reshape(N * N, N * N)
+
+
+def sweep_grid(n, N):
+    """The trend sweep's grid, L = sqrt(N)/2: at N = 24 the nodes' mirrors
+    are not their negatives bit for bit."""
+    return Grid(n, N, np.sqrt(N) / 2.0)
+
+
+@pytest.mark.parametrize("N", [8, 16, 24])
+@pytest.mark.parametrize("n, tau", FAST_DIM_TAU)
+def test_folded_matrix_matches_every_sample(n, tau, N):
+    # every table symbol is proven even on every axis, so every axis folds
+    for s in (s for s in table_symbols() if s.n == n):
+        assert all(s.expr.parity(a) == 1 for a in range(2 * n)), s.name
+        grid = sweep_grid(n, N)
+        got, want = tau_quantize(s, grid, tau), every_sample(s, grid, tau)
+        assert got.dtype == want.dtype, s.name
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), s.name
+
+
+def odd_in_x1(n):
+    """x1^3 + x1 xi1^2: odd under x1 -> -x1, so that axis is not folded."""
+    def x1(k):
+        return JPowerSum.monomial(2 * n, (k,) + (0,) * (2 * n - 1))
+    return PolySymbol(n, {(0,) * n: x1(3), (2,) + (0,) * (n - 1): x1(1)})
+
+
+@pytest.mark.parametrize("N", [8, 24])
+@pytest.mark.parametrize("n, tau", FAST_DIM_TAU)
+def test_unproven_axes_keep_every_sample_bit_for_bit(n, tau, N):
+    values = get_weight("daho" if n == 2 else "harmonic", {} if n == 2 else {"n": 1})
+    # x1 xi1 + xi1^2 proves nothing on x1 and xi1 (in 2-D, x2 and xi2 fold)
+    cases = [(odd_in_xi(n), [0 if a % n == 0 else 1 for a in range(2 * n)]),
+             (odd_in_x1(n), [-1] + [1] * (2 * n - 1)),
+             (SymbolEvaluator(n, values.eval, name="values"), None)]
+    for s, parities in cases:
+        assert (None if s.expr is None else [s.expr.parity(a) for a in range(2 * n)]) == parities
+        grid = sweep_grid(n, N)
+        got, want = tau_quantize(s, grid, tau), every_sample(s, grid, tau)
+        assert got.dtype == want.dtype and np.array_equal(got, want), s.name
+
+
+@pytest.mark.parametrize("n, tau", FAST_DIM_TAU)
+def test_an_even_symbol_with_a_complex_coefficient_stays_complex(n, tau):
+    # (1 + i/2) xi1^2 + i x1^2: proven even on every axis, and not real
+    e = (2,) + (0,) * (n - 1)
+    s = PolySymbol(n, {e: JPowerSum.constant(2 * n, 1.0 + 0.5j),
+                       (0,) * n: JPowerSum.monomial(2 * n, e + (0,) * n, c=1j)})
+    assert all(s.expr.parity(a) == 1 for a in range(2 * n))
+    grid = sweep_grid(n, 24)
+    got, want = tau_quantize(s, grid, tau), every_sample(s, grid, tau)
+    assert got.dtype == want.dtype == np.complex128
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_daho_at_n24_evaluates_one_eighth_of_every_sample(monkeypatch):
+    # every sample is 47^2 half-step nodes times 24^2 modes; one per
+    # reflection orbit is 25^2 times 13^2
+    s, sizes = daho_weight(), []
+    ev = s.eval
+
+    def counting(P):
+        sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(p) for p in P)))))
+        return ev(P)
+
+    monkeypatch.setattr(s, "eval", counting)
+    weyl_quantize(s, sweep_grid(2, 24))
+    assert sum(sizes) == 25 ** 2 * 13 ** 2 <= 47 ** 2 * 24 ** 2 / 8
 
 
 # -- convention transport ---------------------------------------------------

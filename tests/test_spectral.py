@@ -824,6 +824,37 @@ def test_unproven_axes_are_not_folded():
     assert _box_integrals(w, exps, L, npts) == _plain_box_integrals(w, exps, L, npts)
 
 
+@pytest.mark.parametrize("name,params,unfolded,npts,calls", [
+    ("harmonic", {"n": 1}, False, 100, 1),     # 50 x 50 points: one call
+    ("daho", {}, False, 28, 1),                # 14^4 = 38,416 points: one call
+    ("daho", {}, True, 28, 14),                # 28^3 points a node: two nodes a call
+    ("grushin_pure", {}, False, 21, 1),
+], ids=["harmonic1", "daho", "daho-values", "grushin"])
+def test_a_pass_evaluates_runs_of_first_coordinate_nodes(monkeypatch, name, params, unfolded,
+                                                         npts, calls):
+    # a run of first-coordinate nodes is one evaluation of at most
+    # ROW_BLOCK points; each node's chunk keeps the bits of its own
+    w = get_weight(name, params)
+    w = _unfolded(w) if unfolded else w
+    g = -8.0 + (16.0 / npts) * (np.arange(npts) + 0.5)
+    d = 2 * w.n
+    sizes, m_values = [], w.m_values
+
+    def counting(P):
+        sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(p) for p in P)))))
+        return m_values(P)
+
+    monkeypatch.setattr(w, "m_values", counting)
+    chunks = [m for m, _, _ in _chunked_weight(w, 8.0, npts)]
+    assert len(sizes) == calls and max(sizes) <= spectral.ROW_BLOCK
+    kept = g[npts // 2:] if not unfolded else g
+    assert len(chunks) == len(kept)
+    rest = [g[npts // 2:] if not unfolded and w.expr.parity(a) == 1 else g for a in range(1, d)]
+    rest = np.meshgrid(*rest, indexing="ij", sparse=True)
+    for v, m in zip(kept, chunks):
+        assert np.array_equal(m, m_values((v, *rest)).ravel())
+
+
 # -- trend experiment -------------------------------------------------------
 
 def test_trend_experiment_consistency():
