@@ -5,15 +5,17 @@ Symbols that matter here are built from monomials in the 2n phase
 coordinates, powers of the bracket core u = <X>^2 = 1 + |x|^2 + |xi|^2
 (bracket_sq, its one definition), and univariate functions f, given by
 a derivative table, of any inner expression (the plateau profile of x_1,
-the shell symbol of a weight).  Differentiation maps each atom to a sum
+the shell symbol and the class weight of a weight).  Differentiation maps each atom to a sum
 of atoms and f(g) to f'(g) dg, so sums, products and compositions admit
 machine-exact jets to any implemented order.  A tree gives its values
 and its derivatives' trees (diff); symbols.SymbolEvaluator memoizes the
 latter by multi-index.  Symbol-class seminorm checks are
 threshold-sensitive enough that this exactness is worth the bookkeeping.
 A tree also gives its structural parity under each coordinate reflection
-(parity), read off its nodes without evaluating anything; the
-phase-space quadrature folds an axis where the weight's tree is even.
+(parity), read off its nodes without evaluating anything: the
+phase-space quadrature and the quantizer fold each axis where the tree
+is even, and the quantizer takes the real transform of a real tree
+even on every xi axis.
 
 Evaluation convention: points are passed as a tuple P of per-coordinate
 arrays, ordered x_1..x_n, xi_1..xi_n, that broadcast against each other;
@@ -21,10 +23,10 @@ values come back in their broadcast shape.  Rows Z of shape (m, 2n) are
 the special case P = tuple(Z.T), and any non-tuple argument is read as
 such rows (see coords).  A coordinate that is constant over a block
 (x_1 in a Weyl block) is then one value, and everything that depends on
-it alone is computed once.  Every value is
-a function of its own point only, never of the other points of the
-batch: symbols.SymbolEvaluator evaluates a 1-D batch in runs of at most
-symbols.ROW_BLOCK rows, and a value must not depend on the run it falls in.
+it alone is computed once.  Every node computes each value from its own
+point only, in a value type fixed by its coefficients, so
+symbols.SymbolEvaluator may cut a 1-D batch into runs of ROW_BLOCK rows
+and get the one-shot values bit for bit.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._jets import JUni
 from .metric import WeightEvaluator
-from .profiles import smoothstep
+from .profiles import power_table, smoothstep
 from .quantize import Grid, kn_quantize, sobolev_norm
 from .spectral import Spectrum
 from .symbols import band_restrict, smg_seminorm
@@ -87,20 +88,19 @@ def linf_band_probe(w: WeightEvaluator, epsilon: float, R_list: Sequence[float],
     (_band_sample), quantize the band piece m^p chi(m/R) (band_restrict,
     on w's jet tree), measure the max-abs response to the phase-matched
     row maximizer (which attains the exact infinity-operator norm),
-    estimate the class seminorm on the shell samples, and form the quotient norm / (seminorm * sup of the class
-    weight on the shell).  The bound
-    being probed says exactly that this quotient stays bounded in R.
+    estimate the class seminorm on the shell samples, and form the
+    quotient norm / (seminorm * sup of the class weight on the shell).
+    The class weight M = m^p is a JUni of profiles.power_table on w's
+    tree.  The bound being probed says exactly that this quotient stays
+    bounded in R.
     """
     if not (0.0 <= epsilon < 1.0):
         raise ValueError("epsilon must lie in [0, 1)")
     if min(R_list) <= 1.0:
         raise ValueError("R values must exceed 1")
-    if w.expr is None:
-        raise ValueError(f"weight {w.name!r} is a value function; the band probe "
-                         "differentiates the weight's jet tree")
     n = w.n
     power = -(n / 2.0) * epsilon
-    M = WeightEvaluator(n, lambda P: w.m_values(P) ** power, name=f"m^{power:g}")
+    M = WeightEvaluator(n, JUni(w.expr, power_table(power)), name=f"m^{power:g}")
     results = []
     for R in R_list:
         xi_need = np.sqrt(3.0 * R)

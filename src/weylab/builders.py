@@ -175,6 +175,11 @@ def _profile_table(profile: CutoffProfileSquared):
     return table
 
 
+def _x1_squared(n: int):
+    """c = b^2 of the field b = x1, over the phase space of n dimensions."""
+    return JPowerSum.monomial(2 * n, (2,) + (0,) * (2 * n - 1))
+
+
 def _harmonic(p):
     return Model("harmonic", p["n"], tuple((j, None) for j in range(p["n"])), confined=True)
 
@@ -194,8 +199,7 @@ _MODELS = {
     "daho": ({"c_prime": (float, 3.0)}, _daho),
     # the untruncated degenerate model: c = x1^2 on the x2 axis
     "grushin_pure": ({}, lambda p: Model(
-        "grushin_pure", 2, ((0, None), (1, JPowerSum.monomial(4, (2, 0, 0, 0)))),
-        confined=False)),
+        "grushin_pure", 2, ((0, None), (1, _x1_squared(2))), confined=False)),
     # one field d/dx1 in two dimensions; deliberately non-spanning
     "single_field": ({}, lambda p: Model("single_field", 2, ((0, None),), confined=False)),
 }
@@ -205,13 +209,13 @@ _WEIGHTS = {
     "broken_half_bracket": ({"n": (COUNT, 2)}, lambda p: WeightEvaluator.half_bracket(p["n"])),
 }
 
-_COEFFICIENTS = {"1": None, "x1": lambda X: X[:, 0]}
+_COEFFICIENTS = {"1": lambda n: None, "x1": _x1_squared}
 
 _OPERATORS = {
     "sum_of_squares": (
         {"fields": ([[int, tuple(_COEFFICIENTS)]], [[0, "1"], [1, "1"]])},
         lambda grid, p: ham.sum_of_squares_matrix(
-            [(axis, _COEFFICIENTS[c]) for axis, c in p["fields"]], grid)),
+            [(axis, _COEFFICIENTS[c](grid.n)) for axis, c in p["fields"]], grid)),
 }
 
 _POTENTIALS = {

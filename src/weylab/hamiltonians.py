@@ -1,8 +1,9 @@
 """Finite-difference Hamiltonians on Dirichlet (and periodic) boxes.
 
-Kinetic parts are sums of squares of axis-aligned vector fields,
-assembled as scipy sparse matrices (Kronecker sums plus diagonals).  Two
-assembly routes; the builder picks one for the whole operator:
+Kinetic parts are sums of squares of axis-aligned fields b(x) d/dx_axis,
+given in the one field format of builders.Model, (axis, c) with c = b^2
+a jet tree over (x, xi) and None for b = 1, and assembled as scipy
+sparse matrices (Kronecker sums plus diagonals) by one of two routes:
 
 * tensor stencils (tensor_stencil_matrix, order 6 default) for every
   model of the builders table, whose field coefficients do not vary
@@ -10,7 +11,8 @@ assembly routes; the builder picks one for the whole operator:
   Kronecker assembly keeps both symmetry and positivity exactly;
 * staggered divergence form D^T M D (sum_of_squares_matrix, order 2)
   for the sum_of_squares operator, whatever its coefficients: PSD by
-  construction without differentiating the coefficient.
+  construction without differentiating the coefficient.  On a model's
+  fields it is the model's order-2 stencil operator to rounding.
 
 Spectra here use the plain convention -Laplacian + |x|^2, whose 2D
 harmonic reference spectrum is {2(k1+k2)+2}.
@@ -99,11 +101,10 @@ def _staggered_bands(c_half: np.ndarray, h: float) -> tuple:
 def sum_of_squares_matrix(fields, grid: Grid) -> HamiltonianMatrix:
     """Kinetic part sum_j X_j^T X_j for axis-aligned fields b(x) d/dx_axis.
 
-    Each field is assembled in staggered divergence form with b^2 sampled
-    at the half points of its own axis, so the result is symmetric PSD
-    regardless of how rough b is.  fields: sequence of (axis, coeff_fn)
-    with coeff_fn mapping node-coordinate rows to values; coeff_fn None
-    means the constant field d/dx_axis.
+    Each field (axis, c), c = b^2 as tensor_stencil_matrix takes it, is
+    assembled in staggered divergence form with c sampled at the half
+    points of its own axis, so the result is symmetric PSD however c >= 0
+    varies along that axis.
     """
     from scipy import sparse
     if grid.boundary != "dirichlet":
@@ -116,16 +117,14 @@ def sum_of_squares_matrix(fields, grid: Grid) -> HamiltonianMatrix:
     pts = grid.points
     half = np.concatenate([[pts[0] - h / 2.0], pts + h / 2.0])  # N+1 half points
     total = sparse.csr_array((grid.side(), grid.side()))
-    for axis, coeff in fields:
+    for axis, c in fields:
         # c2[a, o]: b^2 at half point a of `axis`, node o of the other axis
-        if coeff is None:
+        if c is None:
             c2 = np.ones((N + 1, N ** (n - 1)))
         else:
-            X = np.empty((N + 1, N ** (n - 1), n))
-            X[..., axis] = half[:, None]
-            if n == 2:
-                X[..., 1 - axis] = pts[None, :]
-            c2 = np.asarray(coeff(X.reshape(-1, n)), dtype=float).reshape(N + 1, -1) ** 2
+            x = [pts[None, :]] * n
+            x[axis] = half[:, None]
+            c2 = np.asarray(c.eval(tuple(x) + (0.0,) * n), dtype=float).reshape(N + 1, -1)
         # one tridiagonal D^T M D per line, on the flat node index:
         # stride N^(n-1) along axis 0; along axis 1 stride 1, no coupling
         # from one line to the next

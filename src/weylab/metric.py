@@ -41,9 +41,8 @@ class WeightEvaluator(SymbolEvaluator):
     The canonical construction is m = a + <X>, a = a2 + |x|^2, from a
     principal symbol (from_a2): one JetExpr tree gives the values and the
     exact jets, so the weight's own seminorms never touch finite
-    differences.  The constructor takes any m a SymbolEvaluator takes,
-    including deliberately broken ones used to exercise the failure
-    paths of the checks.
+    differences.  The constructor takes any tree, including deliberately
+    broken weights that exercise the failure paths of the checks.
     """
 
     def m_values(self, Z):

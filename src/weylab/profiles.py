@@ -245,3 +245,12 @@ def shell_table(p: float, R: float):
         return out
 
     return table
+
+
+def power_table(p: float):
+    """Derivative table of f(t) = t^p, t > 0, for JUni: f(m) is the class
+    weight m^p of a weight m; row 0 is t**p, the plain power."""
+    def table(order, t):
+        return _tpow(_tvar(np.asarray(t, dtype=float), 1.0, order), p)[order] * factorial(order)
+
+    return table

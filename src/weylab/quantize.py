@@ -28,14 +28,14 @@ A node's mirror is its negative only to rounding, so the matrix moves by
 about 1e-16 of its largest entry where the nodes are not exact in binary;
 an axis without a proof keeps every sample and the unfolded matrix.
 
-Quantizers return plain dense arrays, float64 or complex128 by one rule:
-each sampled block is tested against its reflection xi_k -> xi_{-k mod N}
-on its mode axes (the Nyquist mode is its own mirror).  When every block
-is real-typed and equal to its reflection, each inverse DFT is real in
-exact arithmetic; it is taken from the half spectrum (irfftn) and the
-matrix is float64.  Otherwise every block takes the complex transform.
-Every table weight and a2 symbol is even in xi and samples to blocks that
-pass, so their matrices are real.
+Quantizers return plain dense arrays, float64 or complex128, by the
+same proof: when the tree is real-typed and proven even on every xi
+axis, each sampled block is real and equal to its reflection
+xi_k -> xi_{-k mod N} (the Nyquist mode is its own mirror), so each
+inverse DFT is real in exact arithmetic; it is taken from the half
+spectrum (irfftn) and the matrix is float64.  Otherwise every block
+takes the complex transform.  Every table weight, a2 symbol and shell
+symbol is real and proven even in xi, so their matrices are real.
 """
 
 from __future__ import annotations
@@ -111,24 +111,26 @@ def kn_quantize(s, grid: Grid) -> np.ndarray:
 
 def weyl_quantize(s, grid: Grid) -> np.ndarray:
     """Midpoint quantization (tau = 1/2); Hermitian to rounding for real
-    symbols, and real when the symbol is also even in xi (tau_quantize)."""
+    symbols, and real when the symbol is also proven even in xi
+    (tau_quantize)."""
     return tau_quantize(s, grid, 0.5)
 
 
 def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
-    """The dense matrix of s in the tau convention: float64 when every
-    sampled symbol block is real and equal to its reflection xi -> -xi
-    (then each inverse DFT is real), complex otherwise.  At tau = 0, 1/2
-    and 1, s is evaluated once per mirror pair on each axis where its
-    tree is proven even (_orbits); a value-function symbol, an axis
-    without a proof and generic tau keep every sample.  The side limit
-    is checked before s is evaluated or anything allocated."""
+    """The dense matrix of s in the tau convention: float64 when s's tree
+    is real-typed and proven even on every xi axis (then each inverse DFT
+    is real), complex otherwise.  At tau = 0, 1/2 and 1, s is evaluated
+    once per mirror pair on each axis where its tree is proven even
+    (_orbits); an axis without a proof and generic tau keep every sample.
+    The side limit is checked before s is evaluated or anything allocated."""
     if grid.boundary != "periodic":
         raise ValueError("quantization needs a periodic grid")
     side = grid.side()
     if side > DENSE_SIDE_LIMIT:
         raise ValueError(f"dense side {side} exceeds limit {DENSE_SIDE_LIMIT}")
     N, ks = grid.N, np.fft.ifftshift(grid.modes)  # FFT order: the samples need no shift
+    n = grid.n
+    even = all(s.expr.parity(a) == 1 for a in range(n, 2 * n))
     idx = np.arange(N)
     d = (idx[:, None] - idx[None, :]) % N
     # per axis, p_ij = nodes[at[i, j]]: half-step nodes at tau = 1/2; the
@@ -147,8 +149,7 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
             for i in range(N):
                 p = tau * grid.points[i] + (1.0 - tau) * grid.points
                 yield s.eval((p[:, None], ks[None, :])), [(i, (idx, d[i]))]
-        return _gather(rows, (N, N), 1)
-    n = grid.n
+        return _gather(rows(), (N, N), 1, even)
     # per symbol axis (x_1..x_n, xi_1..xi_n): map[j] is the row of index j
     # among the kept samples, j itself or its mirror's (_orbits)
     maps = [_orbits(len(nodes), period, s, a) for a in range(n)] \
@@ -156,7 +157,7 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     P = [nodes[:m.max() + 1] for m in maps[:n]] + [ks[:m.max() + 1] for m in maps[n:]]
     if n == 1:
         S = _expand(s.eval((P[0][:, None], P[1][None, :])), maps[1:])  # [node, mode]
-        return _inverse_dft(S, 1, _even(S, 1))[maps[0][at], d]
+        return _inverse_dft(S, 1, even)[maps[0][at], d]
 
     def blocks():
         # every block whose first-axis point is node v or its mirror: one
@@ -170,7 +171,7 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
                 out.append(((i1, slice(None), j1, slice(None)),
                             (rows2, d[i1, j1][:, None, None], d)))
             yield _expand(S, maps[2:]), out
-    return _gather(blocks, (N, N, N, N), 2).reshape(side, side)  # [i1, i2, j1, j2]
+    return _gather(blocks(), (N, N, N, N), 2, even).reshape(side, side)  # [i1, i2, j1, j2]
 
 
 def _orbits(count: int, period: int, s, axis: int) -> np.ndarray:
@@ -182,10 +183,9 @@ def _orbits(count: int, period: int, s, axis: int) -> np.ndarray:
     error off 0.  An index that is its own mirror (the centre node, mode
     0, the Nyquist mode) or whose mirror is not sampled (the first node;
     at tau = 1/2 the first two half-step nodes) is its own row.  An axis
-    without a proof, and every axis of a value-function symbol, keeps
-    every sample (the identity map)."""
+    without a proof keeps every sample (the identity map)."""
     j = np.arange(count)
-    if s.expr is None or s.expr.parity(axis) != 1:
+    if s.expr.parity(axis) != 1:
         return j
     return np.minimum(j, -j % period)
 
@@ -198,37 +198,26 @@ def _expand(S, maps) -> np.ndarray:
     return S[(...,) + np.ix_(*maps)]
 
 
-def _even(X, n: int) -> bool:
-    """X is real and equal to its reflection j -> -j mod N on its last n
-    (mode) axes, in FFT order; the Nyquist mode is its own mirror.  Then
-    its inverse DFT is real in exact arithmetic."""
-    if np.iscomplexobj(X):
-        return False
-    mirror = -np.arange(X.shape[-1]) % X.shape[-1]
-    return np.array_equal(X, X[(...,) + np.ix_(*[mirror] * n)])
-
-
-def _inverse_dft(X, n: int, real: bool) -> np.ndarray:
+def _inverse_dft(X, n: int, even: bool) -> np.ndarray:
     """The inverse DFT of X over its last n (mode) axes, in FFT order;
-    real: from the half spectrum of an even X (see _even)."""
+    even: the proof that X equals its reflection on them.  A real X with
+    that proof has a real transform, taken from the half spectrum."""
     axes = tuple(range(X.ndim - n, X.ndim))
-    if not real:
+    if not even or np.iscomplexobj(X):
         return np.fft.ifftn(X, axes=axes)
     return np.fft.irfftn(X[..., :X.shape[-1] // 2 + 1], s=X.shape[-n:], axes=axes)
 
 
-def _gather(blocks, shape: tuple, n: int, real: bool = True) -> np.ndarray:
-    """A[dst] = G[src] for each (dst, src) of the list that blocks()
-    yields with each symbol block X, G the inverse DFT of X over its last
-    n axes.  float64 when every X is even; a block that is not starts
-    the gather again in complex, so a complex matrix has the same entries
-    as an all-complex gather."""
-    A = np.empty(shape, dtype=float if real else complex)
-    for X, pairs in blocks():
-        if real and not _even(X, n):
-            del A
-            return _gather(blocks, shape, n, real=False)
-        G = _inverse_dft(X, n, real)
+def _gather(blocks, shape: tuple, n: int, even: bool) -> np.ndarray:
+    """A[dst] = G[src] for each (dst, src) of the list that blocks
+    yields with each symbol block X, G = _inverse_dft(X, n, even).  Every
+    block comes from one tree, so all share one value type, and A takes
+    the type of the first transform."""
+    A = None
+    for X, pairs in blocks:
+        G = _inverse_dft(X, n, even)
+        if A is None:
+            A = np.empty(shape, G.dtype)
         for dst, src in pairs:
             A[dst] = G[src]
     return A

@@ -531,15 +531,14 @@ def _chunked_weight(w: WeightEvaluator, L: float, npts: int):
     twice.  A kept node stands for itself and its mirror image,
     multiplicity 2; the centre node for itself only, multiplicity 1.  A
     point's multiplicity is the product over its axes.  An axis without a
-    proof, and every axis of a value-function weight (expr None), keeps
-    every node with multiplicity 1, so there its sums are the unfolded
-    ones bit for bit: multiplying by 1 is exact."""
+    proof keeps every node with multiplicity 1, so there its sums are the
+    unfolded ones bit for bit: multiplying by 1 is exact."""
     d = 2 * w.n
     g = _midpoint_axis(L, npts)
     cell = (2.0 * L / npts) ** d
     nodes, mults = [], []
     for axis in range(d):
-        if w.expr is not None and w.expr.parity(axis) == 1:
+        if w.expr.parity(axis) == 1:
             k = np.arange(npts // 2, npts)
             nodes.append(g[k])
             mults.append(np.where(2 * k == npts - 1, 1.0, 2.0))
@@ -639,7 +638,7 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     singular values (lam + shift)^{-mu}) and one m pass per quadrature box.
     A pass evaluates m only on the box folded by the reflections under
     which w's tree is proven even (_chunked_weight): about 1/2^{2n} of the nodes
-    for every table weight, every node for a value-function weight.
+    for every table weight, every node on an axis without a proof.
     """
     if any(mu <= 0 or r < 1 for mu, r in cells):
         raise ValueError("mu must be positive and r at least 1")

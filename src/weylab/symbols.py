@@ -1,12 +1,13 @@
 """Symbol representations and symbol-class machinery.
 
 SymbolEvaluator is the one phase-space function type, given by one
-expression or one value function: a JetExpr tree gives both the values
-and the memoized exact derivatives, a value function gives the values
-only.  PolySymbol is the SymbolEvaluator of
-a symbol polynomial in xi with jet-capable x-coefficients; it builds its
-tree once.  Weights are SymbolEvaluators too (metric.WeightEvaluator),
-so the weight m and the class weight M of a seminorm are symbols.
+JetExpr tree: the tree gives the values and the memoized exact
+derivatives, and its structural parity tells the quantizer and the
+phase-space quadrature which reflections to fold.  PolySymbol is the
+SymbolEvaluator of a symbol polynomial in xi with jet-capable
+x-coefficients; it builds its tree once.  Weights are SymbolEvaluators
+too (metric.WeightEvaluator), so the weight m and the class weight M of
+a seminorm are symbols.
 
 Seminorm estimation, class-membership gates and the shell symbol of a
 weight (band restriction) live here too.
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._jets import (JProd, JPowerSum, JSum, JUni, JetExpr, UnsupportedOrderError,
-                    bracket_sq, coords, in_shape, shape_of)
+                    bracket_sq, coords, shape_of)
 from .profiles import shell_table
 
 __all__ = [
@@ -43,9 +44,10 @@ def _by_rows(fn, P: tuple):
     of its argument.  A 1-D batch longer than ROW_BLOCK rows is taken in
     equal runs of at most ROW_BLOCK rows (equal, so that no short tail
     run costs a whole tree pass).  Every value depends on its own point
-    only, so the runs give the one-shot values bit for bit while the
-    temporaries of fn stay at ROW_BLOCK rows.  Other shapes (Weyl blocks,
-    quadrature chunks) are bounded by their callers and taken at once."""
+    only, and a tree's value type is fixed by its nodes, so the runs give
+    the one-shot values bit for bit while the temporaries of fn stay at
+    ROW_BLOCK rows.  Other shapes (Weyl blocks, quadrature chunks) are
+    bounded by their callers and taken at once."""
     # a cheap test first: most calls (Weyl blocks, quadrature chunks) stop at it
     if any(p.ndim != 1 for p in P) or max(p.size for p in P) <= ROW_BLOCK:
         return fn(P)
@@ -55,34 +57,31 @@ def _by_rows(fn, P: tuple):
     out = None
     for lo, hi in zip(cut, cut[1:]):
         v = fn(tuple(p if p.size == 1 else p[lo:hi] for p in P))
-        if out is None or not np.can_cast(v.dtype, out.dtype, "safe"):
-            out = np.empty(shape, v.dtype) if out is None else out.astype(v.dtype)
+        if out is None:
+            out = np.empty(shape, v.dtype)
         out[lo:hi] = v
     return out
 
 
 class SymbolEvaluator:
-    """A symbol on R^n x R^n, given by f: a JetExpr over the 2n variables
-    or a value function.
+    """A symbol on R^n x R^n, given by expr: a JetExpr over the 2n variables.
 
     Points are a tuple P = (x_1..x_n, xi_1..xi_n) of coordinate arrays
     that broadcast against each other; eval and derivative return values
     in the broadcast shape.  Rows Z of shape (m, 2n) are the special case
     tuple(Z.T) and may be passed as they are.  Values are pointwise: a
-    1-D batch is evaluated in runs of at most ROW_BLOCK rows (_by_rows),
-    and no value may depend on the run it falls in.  A JetExpr f is expr: its
-    tree gives the values and, differentiated once per multi-index and
-    memoized (jet), the exact derivatives.  Otherwise expr is None and f
-    is value_fn, mapping such a tuple (always a tuple) to values; such a
-    symbol has values only, and asking for a derivative raises ValueError.
+    1-D batch is evaluated in runs of at most ROW_BLOCK rows (_by_rows).
+    The tree gives the values and, differentiated once per multi-index
+    and memoized (jet), the exact derivatives.
     """
 
-    def __init__(self, n: int, f, name: str = ""):
+    def __init__(self, n: int, expr: JetExpr, name: str = ""):
+        if not isinstance(expr, JetExpr):
+            raise TypeError(f"a symbol is a JetExpr tree, not {type(expr).__name__}")
         self.n = n
         self.name = name
-        self.expr: Optional[JetExpr] = f if isinstance(f, JetExpr) else None
-        self.value_fn: Callable = f if self.expr is None else f._eval
-        self._jets = {(0,) * (2 * n): self.expr}
+        self.expr = expr
+        self._jets = {(0,) * (2 * n): expr}
 
     def _points(self, P) -> tuple:
         P = coords(P)
@@ -91,7 +90,7 @@ class SymbolEvaluator:
         return P
 
     def eval(self, P):
-        return _by_rows(lambda Q: in_shape(self.value_fn(Q), Q), self._points(P))
+        return _by_rows(self.expr.eval, self._points(P))
 
     def derivative(self, beta, alpha, P):
         """d_x^beta d_xi^alpha at the points P, exact, from the tree (jet)."""
@@ -106,9 +105,6 @@ class SymbolEvaluator:
     def jet(self, multi) -> JetExpr:
         """The tree of the derivative d^multi of expr, multi over (x, xi);
         each one is built once, from the tree one order below."""
-        if self.expr is None:
-            raise ValueError(f"symbol {self.name or 'unnamed'!r} is a value function "
-                             "and has no derivatives")
         multi = tuple(int(v) for v in multi)
         got = self._jets.get(multi)
         if got is None:
@@ -278,7 +274,7 @@ def class_membership(s, M, w, k: int, halves: Sequence[float], growth_factor: fl
 def band_restrict(w, p: float, R: float) -> SymbolEvaluator:
     """The shell symbol m^p chi(m/R) of the weight w, chi = band_bump:
     support exactly R <= m <= 3R.  One JUni of profiles.shell_table on
-    w's own tree, so its derivatives are exact; w must have one."""
+    w's own tree, so its derivatives are exact."""
     if R <= 1:
         raise ValueError("R must exceed 1")
     return SymbolEvaluator(w.n, JUni(w.expr, shell_table(p, R)), f"band[m^{p:g}, R={R}]")

@@ -1,12 +1,12 @@
 """Shared oracles: symbolic derivative tables and a composite tree over
-them, localized trial states,
+them, a tree with no proven parity, localized trial states,
 the direct-sum quantizer, the composition law and the transport between
 conventions in closed form, the weight formula, Schatten norms, stencil
 symbols, symmetry and positivity witnesses, and call counters."""
 import numpy as np
 import sympy as sp
 
-from weylab._jets import JPowerSum, JUni, UnsupportedOrderError
+from weylab._jets import JetExpr, JPowerSum, JUni, UnsupportedOrderError, shape_of
 from weylab.hamiltonians import _W2
 from weylab.symbols import SymbolEvaluator
 
@@ -95,9 +95,33 @@ def transport(f, t):
 
 
 def sympy_symbol(expr):
-    """A closed form in X, XI as a one-dimensional SymbolEvaluator."""
-    fn = sp.lambdify((X, XI), expr, "numpy")
-    return SymbolEvaluator(1, lambda P: fn(*P), name=str(expr))
+    """A polynomial in X, XI as a one-dimensional SymbolEvaluator: one
+    JPowerSum term per monomial, complex coefficients kept complex."""
+    terms = []
+    for e, c in sp.Poly(expr, X, XI).terms():
+        c = complex(c)
+        terms.append((c if c.imag else c.real, e, 0.0))
+    return SymbolEvaluator(1, JPowerSum(2, terms), name=str(expr))
+
+
+class Unproven(JetExpr):
+    """The values and derivatives of tree with no parity proven on any
+    axis, so nothing folds; seen, when given, collects the broadcast shape
+    of each evaluation's points."""
+
+    def __init__(self, tree, seen=None):
+        self.nvars, self.tree, self.seen = tree.nvars, tree, seen
+
+    def parity(self, axis):
+        return 0
+
+    def diff(self, axis):
+        return Unproven(self.tree.diff(axis))
+
+    def _eval(self, P):
+        if self.seen is not None:
+            self.seen.append(shape_of(P))
+        return self.tree._eval(P)
 
 
 def weight_values(a2, Z):

@@ -149,8 +149,7 @@ def test_lp_window_probe_validation():
 
 
 def test_calibration_refuses_flat_target():
-    flat = WeightEvaluator(
-        2, lambda P: 1.0, name="flat")
+    flat = WeightEvaluator(2, JPowerSum.constant(4, 1.0), name="flat")
     with pytest.raises(CalibrationError, match="flat"):
         lp_window_probe(harmonic_matrix, lp_grids(), flat, beta=1.0, p_list=[2.0])
 
@@ -165,8 +164,7 @@ def test_calibration_residual_gate(monkeypatch):
 # -- shell probes -----------------------------------------------------------
 
 def test_band_sample_starves_on_concentrated_weight():
-    flat = WeightEvaluator(
-        1, lambda P: 1.0, name="flat")
+    flat = WeightEvaluator(1, JPowerSum.constant(2, 1.0), name="flat")
     with pytest.raises(RuntimeError, match="starved"):
         _band_sample(flat, 3.0, 100, seed=0)
 
@@ -196,14 +194,6 @@ def test_band_probe_refuses_a_degenerate_weight(monkeypatch):
     for n in (1, 2):
         Z = _band_sample(get_weight("harmonic", {"n": n}), 9.0, 4000, seed=1)
         assert np.max(np.abs(Z)) <= np.sqrt(27.0)
-
-
-def test_band_probe_refuses_a_value_function_weight(monkeypatch):
-    w = WeightEvaluator(1, lambda P: 1.0 + (P[0] ** 2 + P[1] ** 2), name="harmonic-1d")
-    quantized = count_calls(monkeypatch, bounds, "kn_quantize")
-    with pytest.raises(ValueError, match="'harmonic-1d' is a value function"):
-        linf_band_probe(w, 0.8, [3.0], Grid(1, 256, 10.5))
-    assert quantized == []
 
 
 def test_linf_band_probe_single_shell(monkeypatch):

@@ -1,8 +1,10 @@
 """Discretized operators: stencils, model builders, potentials, powers."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from weylab.builders import get_operator
+from weylab.builders import _model, get_operator
 from weylab.hamiltonians import (
     DirichletGrid,
     HamiltonianMatrix,
@@ -192,16 +194,30 @@ def test_sum_of_squares_constant_field():
 
 def test_sum_of_squares_matches_grushin():
     g = DirichletGrid(2, 20, 5.0)
-    H = sum_of_squares_matrix([(0, None), (1, lambda X: X[:, 0])], g)
+    H = sum_of_squares_matrix(_model("grushin_pure").fields, g)
     G2 = get_operator("grushin_pure", g, {"order": 2})
     assert np.max(np.abs(H.data - G2.data)) < 1e-12
     assert symmetry_defect(H) == 0.0
     assert np.min(np.linalg.eigvalsh(H.data)) > -1e-9
 
 
+@pytest.mark.parametrize("name,params", [("harmonic", {"n": 1}), ("harmonic", {"n": 2}),
+                                         ("daho", {}), ("grushin_pure", {}),
+                                         ("single_field", {})],
+                         ids=["harmonic1", "harmonic2", "daho", "grushin_pure", "single_field"])
+def test_sum_of_squares_takes_every_model_field_format(name, params):
+    # the staggered form on a model's own fields is its unconfined
+    # order-2 stencil operator: each c is constant along its own axis
+    model = _model(name, params)
+    g = DirichletGrid(model.n, 20, 5.0)
+    H = sum_of_squares_matrix(model.fields, g)
+    want = replace(model, confined=False).operator(g, order=2)
+    assert np.max(np.abs(H.data - want.data)) <= 1e-12
+
+
 def test_sum_of_squares_accepts_a_generator():
     g = DirichletGrid(2, 12, 4.0)
-    fields = [(0, None), (1, lambda X: X[:, 0])]
+    fields = _model("grushin_pure").fields
     H = sum_of_squares_matrix((f for f in fields), g)
     assert H.provenance == "sum_of_squares[2 fields]"
     assert np.array_equal(H.data, sum_of_squares_matrix(fields, g).data)

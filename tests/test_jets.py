@@ -5,7 +5,8 @@ import sympy as sp
 from _helpers import exp_sqrt_bracket_x, uni_table
 from weylab._jets import JPowerSum, JProd, JSum, JUni, UnsupportedOrderError
 from weylab.builders import get_weight
-from weylab.symbols import MAX_DERIV_ORDER, SymbolEvaluator
+from weylab.profiles import power_table
+from weylab.symbols import MAX_DERIV_ORDER, SymbolEvaluator, band_restrict
 
 
 def bracket_u(Z):
@@ -132,14 +133,9 @@ def test_jsum_of_scaled_term():
     assert np.allclose(s.diff(0).eval(Z), np.full(2, 3.0))
 
 
-def test_value_function_has_no_derivatives():
-    s = SymbolEvaluator(1, lambda P: P[0] * P[1], name="x xi")
-    Z = np.array([[0.5, 2.0]])
-    assert s.eval(Z)[0] == 1.0
-    with pytest.raises(ValueError, match="'x xi' is a value function"):
-        s.derivative((0,), (1,), Z)
-    with pytest.raises(ValueError, match="'x xi' is a value function"):
-        s.jet((0, 0))
+def test_a_symbol_is_a_tree():
+    with pytest.raises(TypeError, match="a symbol is a JetExpr tree, not function"):
+        SymbolEvaluator(1, lambda P: P[0])
 
 
 def test_symbolic_table_raises_past_depth():
@@ -216,14 +212,21 @@ def test_what_is_not_proven_is_zero():
 @pytest.mark.parametrize("name,params", [("daho", {}), ("harmonic", {"n": 2}),
                                          ("grushin_pure", {})])
 def test_table_weights_and_their_jets_keep_their_claims(name, params):
-    # every table weight is proven even on every axis, and each claim its
-    # jets make up to order 2 holds at random points
+    # every table weight is proven even on every axis, and so are its
+    # shell symbol and the band probe's class weight m^p, JUni nodes on
+    # its tree; each claim their jets make up to order 2 holds at random
+    # points, a third of which lie in the R = 12 shell
     w = get_weight(name, params)
     d = 2 * w.n
-    assert [w.expr.parity(a) for a in range(d)] == [1] * d
     P = tuple(np.random.default_rng(3).uniform(-5.0, 5.0, size=(d, 60)))
-    for multi in np.ndindex(*(3,) * d):
-        if sum(multi) <= 2:
-            jet = w.jet(multi)
-            assert [jet.parity(a) for a in range(d)] == [(-1) ** k for k in multi]
-            _assert_claims_hold(jet, P)
+    shell = band_restrict(w, -0.8, 12.0)
+    M = SymbolEvaluator(w.n, JUni(w.expr, power_table(-0.8)))
+    assert np.count_nonzero(shell.eval(P)) >= 20
+    assert np.array_equal(M.eval(P), w.m_values(P) ** -0.8)
+    for s in (w, shell, M):
+        assert [s.expr.parity(a) for a in range(d)] == [1] * d
+        for multi in np.ndindex(*(3,) * d):
+            if sum(multi) <= 2:
+                jet = s.jet(multi)
+                assert [jet.parity(a) for a in range(d)] == [(-1) ** k for k in multi]
+                _assert_claims_hold(jet, P)

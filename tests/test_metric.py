@@ -54,12 +54,6 @@ def test_weight_values_equal_the_formula(rng, name):
     assert np.array_equal(get_weight(name).m_values(Z), weight_values(get_a2(name), Z))
 
 
-def test_custom_weight_wraps_callable():
-    w = WeightEvaluator(1, lambda P: 7.0, name="const")
-    assert w.n == 1
-    assert w.m_values(np.zeros((3, 2)))[0] == 7.0
-
-
 def test_metric_and_dual_are_reciprocal(rng):
     w = daho_weight()
     Z = rng.uniform(-20.0, 20.0, size=(50, 4))

@@ -10,7 +10,7 @@ import sympy as sp
 
 import weylab
 import weylab.quantize as qz
-from weylab._jets import JPowerSum
+from weylab._jets import JProd, JPowerSum, JSum, JUni, UnsupportedOrderError
 from weylab.builders import get_a2, get_operator, get_weight, symbol_names, weight_names
 from weylab.hamiltonians import DirichletGrid, sum_of_squares_matrix
 from weylab.quantize import (
@@ -23,8 +23,8 @@ from weylab.quantize import (
 )
 from weylab.symbols import PolySymbol, SymbolEvaluator, with_confinement
 
-from _helpers import (X, XI, direct_quantize, gaussian_packets, moyal_product, sympy_symbol,
-                      transport)
+from _helpers import (X, XI, Unproven, direct_quantize, gaussian_packets, moyal_product,
+                      sympy_symbol, transport)
 
 
 def xxi_symbol():
@@ -54,8 +54,16 @@ def odd_in_xi(n):
 
 def odd_past_the_middle():
     """xi2^2 + max(x1, 0) xi1: even in xi on the 2-D blocks whose
-    first-axis point is at most 0, odd on the ones after them."""
-    return SymbolEvaluator(2, lambda P: P[3] ** 2 + np.maximum(P[0], 0.0) * P[2])
+    first-axis point is at most 0, odd on the ones after them, and proven
+    even on no xi axis."""
+    def positive_part(order, t):
+        if order:
+            raise UnsupportedOrderError("max(t, 0) has no derivative table")
+        return np.maximum(t, 0.0)
+
+    x1 = JUni(JPowerSum.monomial(4, (1, 0, 0, 0)), positive_part)
+    return SymbolEvaluator(2, JSum([JPowerSum.monomial(4, (0, 0, 0, 2)),
+                                    JProd([x1, JPowerSum.monomial(4, (0, 0, 1, 0))])]))
 
 
 def table_symbols():
@@ -230,8 +238,9 @@ def test_1d_real_matrix_matches_direct_sum(tau):
 
 @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
 def test_one_block_odd_in_xi_makes_the_whole_matrix_complex(tau):
-    # the blocks before the first x1 > 0 pass the test; the matrix is
-    # complex all the same, with the entries of the direct sum
+    # the blocks before the first x1 > 0 are even in xi, but the tree
+    # proves no xi axis even: the matrix is complex, with the entries of
+    # the direct sum
     s, grid = odd_past_the_middle(), Grid(2, 8, 3.0)
     assert tau_quantize(s, grid, tau).dtype == np.complex128
     assert _direct_defect(s, grid, tau) <= 1e-13
@@ -260,8 +269,8 @@ def test_weyl_quantization_does_not_import_scipy():
 def every_sample(s, grid, tau):
     """The matrix from every sample, a plain loop over the first-axis
     nodes: the symbol at every node and mode, the inverse DFT over the
-    modes, real (from the half spectrum) when every sample is real and
-    even under k -> -k mod N, and A = G[at, d] on each axis."""
+    modes, real (from the half spectrum) when the samples are real and
+    the tree is proven even on every xi axis, and A = G[at, d] on each axis."""
     N, n = grid.N, grid.n
     idx = np.arange(N)
     ks, d = np.fft.ifftshift(grid.modes), (idx[:, None] - idx[None, :]) % N
@@ -275,7 +284,7 @@ def every_sample(s, grid, tau):
         S = np.stack([s.eval((v, nodes[:, None, None], ks[None, :, None], ks[None, None, :]))
                       for v in nodes])
     axes = tuple(range(n, 2 * n))
-    if not np.iscomplexobj(S) and np.array_equal(S, S[(...,) + np.ix_(*[-idx % N] * n)]):
+    if not np.iscomplexobj(S) and all(s.expr.parity(a) == 1 for a in range(n, 2 * n)):
         G = np.fft.irfftn(S[..., :N // 2 + 1], s=(N,) * n, axes=axes)
     else:
         G = np.fft.ifftn(S, axes=axes)
@@ -317,9 +326,9 @@ def test_unproven_axes_keep_every_sample_bit_for_bit(n, tau, N):
     # x1 xi1 + xi1^2 proves nothing on x1 and xi1 (in 2-D, x2 and xi2 fold)
     cases = [(odd_in_xi(n), [0 if a % n == 0 else 1 for a in range(2 * n)]),
              (odd_in_x1(n), [-1] + [1] * (2 * n - 1)),
-             (SymbolEvaluator(n, values.eval, name="values"), None)]
+             (SymbolEvaluator(n, Unproven(values.expr), name="values"), [0] * (2 * n))]
     for s, parities in cases:
-        assert (None if s.expr is None else [s.expr.parity(a) for a in range(2 * n)]) == parities
+        assert [s.expr.parity(a) for a in range(2 * n)] == parities
         grid = sweep_grid(n, N)
         got, want = tau_quantize(s, grid, tau), every_sample(s, grid, tau)
         assert got.dtype == want.dtype and np.array_equal(got, want), s.name

@@ -65,6 +65,9 @@ EXTRA = [
         "kind": "schatten-sweep", "weight": {"name": "daho"}, "Q": 3.0,
         "cells": [{"mu": 2.0, "r": 2.0}], "matrix_N": [8, 12], "box_L": [4.0],
         "box_npts": 8, "band_npts": 16}),
+    ("schrodinger-evolve", 0, {
+        "kind": "evolve", "grid": {"n": 1, "N": 16, "L": 6.0}, "operator": {"name": "harmonic"},
+        "evolution": "schrodinger", "times": {"t0": 0.0, "t1": 0.2, "count": 5}}),
     ("daho-weyl-2d", 0, {
         "kind": "quantize-identity", "grid": {"n": 2, "N": 8, "L": 3.0}, "tau": 0.5,
         "symbol": {"name": "daho"}}),

@@ -7,13 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 import weylab
-from _helpers import count_calls, schatten_norm
+from _helpers import Unproven, count_calls, schatten_norm, uni_table
 from weylab import spectral
-from weylab._jets import JPowerSum, JSum
+from weylab._jets import JPowerSum, JSum, JUni
 from weylab.builders import get_operator, get_weight
 from weylab.evolve import Propagator
 from weylab.hamiltonians import (
@@ -42,8 +43,9 @@ from weylab.symbols import PolySymbol
 
 
 def harmonic_1d_weight():
-    return WeightEvaluator(
-        1, lambda P: 1.0 + (P[0] ** 2 + P[1] ** 2), name="harmonic-1d")
+    """1 + (x^2 + xi^2), summed in that order."""
+    radial = JPowerSum(2, [(1.0, (2, 0), 0.0), (1.0, (0, 2), 0.0)])
+    return WeightEvaluator(1, JSum([JPowerSum.constant(2, 1.0), radial]), name="harmonic-1d")
 
 
 # -- eigensolve -------------------------------------------------------------
@@ -708,15 +710,16 @@ def test_growth_fit_validation():
 # -- phase-space quadrature -------------------------------------------------
 
 def test_box_integral_constant_weight_is_volume():
-    w = WeightEvaluator(1, lambda P: 1.0)
+    w = WeightEvaluator(1, JPowerSum.constant(2, 1.0))
     got = _box_integrals(w, [3.0], 2.5, 50)[0]
     assert got == pytest.approx(25.0, rel=1e-13)
 
 
 def test_box_integral_gaussian_closed_form():
     # separable integrand, so the product of 1d error functions is exact
-    w = WeightEvaluator(
-        1, lambda P: np.exp(P[0] ** 2 + P[1] ** 2))
+    t = sp.Symbol("t")
+    radial = JPowerSum(2, [(1.0, (2, 0), 0.0), (1.0, (0, 2), 0.0)])
+    w = WeightEvaluator(1, JUni(radial, uni_table(sp.exp(t), t)))
     got = _box_integrals(w, [1.0], 6.0, 100)[0]
     want = (math.sqrt(math.pi) * math.erf(6.0)) ** 2
     assert got == pytest.approx(want, rel=1e-12)
@@ -732,14 +735,14 @@ def test_band_slope_closed_form(s):
 
 
 def test_band_slope_rejects_concentrated_weight():
-    w = WeightEvaluator(1, lambda P: 1.0)
+    w = WeightEvaluator(1, JPowerSum.constant(2, 1.0))
     with pytest.raises(SolverError, match="empty band"):
         _band_fits(w, [2.0], 100)
 
 
 def _unfolded(w):
-    """w as a value function: it has no tree, so no axis of its box folds."""
-    return WeightEvaluator(w.n, w.m_values, name=w.name)
+    """w with no parity proven, so no axis of its box folds."""
+    return WeightEvaluator(w.n, Unproven(w.expr), name=w.name)
 
 
 def _plain_box_integrals(w, exps, L, npts):
@@ -818,7 +821,7 @@ def test_unproven_axes_are_not_folded():
     assert _box_points(w, L, npts) == (npts ** 2 * 11 ** 2, float(npts ** 4))
     assert np.allclose(_box_integrals(w, exps, L, npts),
                        _plain_box_integrals(w, exps, L, npts), rtol=1e-13, atol=0.0)
-    # a value-function weight has no proof on any axis
+    # a weight with no proof on any axis folds none
     w = _unfolded(get_weight("daho"))
     assert _box_points(w, L, npts) == (npts ** 4, float(npts ** 4))
     assert _box_integrals(w, exps, L, npts) == _plain_box_integrals(w, exps, L, npts)
@@ -829,7 +832,7 @@ def test_unproven_axes_are_not_folded():
     ("daho", {}, False, 28, 1),                # 14^4 = 38,416 points: one call
     ("daho", {}, True, 28, 14),                # 28^3 points a node: two nodes a call
     ("grushin_pure", {}, False, 21, 1),
-], ids=["harmonic1", "daho", "daho-values", "grushin"])
+], ids=["harmonic1", "daho", "daho-unproven", "grushin"])
 def test_a_pass_evaluates_runs_of_first_coordinate_nodes(monkeypatch, name, params, unfolded,
                                                          npts, calls):
     # a run of first-coordinate nodes is one evaluation of at most

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _helpers import exp_sqrt_bracket_x
+from _helpers import Unproven, exp_sqrt_bracket_x
 from weylab import profiles, symbols
-from weylab._jets import JPowerSum, UnsupportedOrderError, shape_of
+from weylab._jets import JPowerSum, UnsupportedOrderError
 from weylab.builders import get_a2, get_weight, symbol_names, weight_names
 from weylab.metric import WeightEvaluator
 from weylab.symbols import (MAX_DERIV_ORDER, PolySymbol, SymbolEvaluator,
@@ -156,7 +156,6 @@ def test_weights_and_polysymbols_differentiate_through_their_tree(rng):
     syms += [f(get_a2(name, {"n": n})) for name, n in _dims(get_a2, symbol_names())
              for f in (lambda a2: a2, with_confinement)]
     for s in syms:
-        assert s.expr is not None
         Z = rand_phase(rng, count=10, n=s.n)
         for m in np.ndindex(*(3,) * 2 * s.n):
             if sum(m) <= MAX_DERIV_ORDER:
@@ -254,24 +253,10 @@ def test_row_blocks_on_coordinates(monkeypatch):
     for pair in zip(whole, blocked):
         _assert_same(*pair)
     seen = []
-    s = SymbolEvaluator(2, lambda P: seen.append(shape_of(P)) or w.value_fn(P))
+    s = SymbolEvaluator(2, Unproven(w.expr, seen))
     grid = (Z[:, :1], 0.5, Z[None, :3, 2], 1.0)
     _assert_same(w.eval(grid), s.eval(grid))
     assert seen == [(Z.shape[0], 3)]
-
-
-def test_row_blocks_widen_a_later_complex_block(monkeypatch):
-    # a value function whose type depends on its points: the blocks come
-    # back in one array of the one-shot type
-    def value(P):
-        v = P[0] + 1j * P[1]
-        return v if v.imag.any() else v.real
-
-    s = SymbolEvaluator(1, value)
-    Z = np.zeros((2 * BLOCK + 17, 2))
-    Z[:, 0] = np.arange(Z.shape[0])
-    Z[-5:, 1] = 1.0
-    _assert_same(*_one_shot_and_blocked(monkeypatch, lambda: s.eval(Z)))
 
 
 # -- seminorms and membership ------------------------------------------------
@@ -290,7 +275,7 @@ def test_seminorm_constant_symbol():
     s = SymbolEvaluator(2, JPowerSum.constant(4, 1.0), name="one")
     w = WeightEvaluator.from_a2(get_a2("daho"))
     sample = box_sample(2, 5.0, n_random=50)
-    one = WeightEvaluator(2, lambda P: 1.0, name="one")
+    one = WeightEvaluator(2, JPowerSum.constant(4, 1.0), name="one")
     est0 = smg_seminorm(s, one, w, 0, sample)
     assert est0.value == pytest.approx(1.0, abs=1e-12)
     est2 = smg_seminorm(s, one, w, 2, sample)
@@ -354,7 +339,7 @@ def test_membership_negative_control_blows_up():
 @pytest.mark.parametrize("name", symbol_names())
 def test_weight_jet_matches_weight_values(profile, rng, name):
     w = get_weight(name)
-    assert isinstance(w, SymbolEvaluator) and w.expr is not None
+    assert isinstance(w, SymbolEvaluator)
     Z = rand_phase(rng, count=60, scale=8.0)
     exact0 = np.asarray(w.derivative((0, 0), (0, 0), Z)).real
     assert np.allclose(exact0, w.m_values(Z), rtol=1e-13)
