@@ -156,7 +156,8 @@ def _run_schatten_sweep(cfg):
         checks = [("schatten-sweep", True, f"{len(verdicts)} cells")]
     header = ("operator", "N", "L", "mu", "r", "schatten_value", "box_integral",
               "fit_exponent", "residual")
-    return checks, {"weight": w.name, "Q": cfg["Q"], "cells": verdicts}, header, rows
+    return checks, {"weight": w.name, "Q": cfg["Q"], "cells": verdicts,
+                    "seam_coupling": reports[0].seam_coupling}, header, rows  # one per N
 
 
 def _initial_state(spec, grid):

@@ -6,7 +6,9 @@ lowest pairs, its full-spectrum case ``Spectrum`` for the propagators and
 the fractional powers, and the trend sweep's eigenvalues.  ``eigensolve``
 solves one block per reflection parity of the operator's grid, the whole
 matrix when none applies, each block on the dense or the shift-invert
-path by its own size.
+path by its own size.  The trend sweep splits its Weyl matrix the same
+way, by index, on each axis where the weight's tree is proven even: it
+decomposes the matrix averaged over those reflections.
 
 The trend experiment is the one place where a continuum question (does a
 negative power of the weight lie in a Schatten class) meets finite
@@ -279,12 +281,22 @@ def _inf_norm(S) -> float:
     return float(abs(S).sum(axis=1).max())
 
 
+def _reflection_indices(g: Grid) -> tuple:
+    """Each node's mirror, round((-x_i - x_0)/h) mod N (N-1-i on a Dirichlet
+    grid, -i mod N on a periodic one), the lead node of each mirror orbit
+    (i <= mirror), the first of each pair (i < mirror) and each lead's even
+    row scale, 1/2 on a fixed node (e_i twice), else sqrt(1/2)."""
+    i = np.arange(g.N)
+    mirror = np.rint((-g.points - g.points[0]) / g.h).astype(int) % g.N
+    lead, pair = i[i <= mirror], i[i < mirror]
+    return mirror, lead, pair, np.where(lead == mirror[lead], 0.5, np.sqrt(0.5))
+
+
 def _parity_basis(H, S) -> list:
     """The rows U_c of an orthogonal U with U S U^T block diagonal, one
     sparse array per block; [] when H has no grid or no axis splits.
 
-    On each axis the mirror of node i is round((-x_i - x_0)/h) mod N:
-    N-1-i on a Dirichlet grid, -i mod N on a periodic one.  An axis splits
+    The mirror m(i) of node i is ``_reflection_indices``'s.  An axis splits
     when its reflection R moves S by |S - R S R|_inf <= side eps |S|_inf,
     the dense solver's own backward error, so dropping the coupling it
     leaves between blocks costs no more than the one-block solve would.
@@ -298,8 +310,7 @@ def _parity_basis(H, S) -> list:
     if not isinstance(H, HamiltonianMatrix):
         return []
     g = H.grid
-    i = np.arange(g.N)
-    mirror = np.rint((-g.points - g.points[0]) / g.h).astype(int) % g.N
+    mirror, lead, pair, scale = _reflection_indices(g)
     flat = np.arange(S.shape[0]).reshape((g.N,) * g.n)
     gate = S.shape[0] * np.finfo(float).eps * _inf_norm(S)
     eye = sparse.eye_array(g.N, format="csr")
@@ -309,8 +320,6 @@ def _parity_basis(H, S) -> list:
         if _inf_norm(S - S[R][:, R]) > gate:
             factors.append([eye])
             continue
-        lead, pair = i[i <= mirror], i[i < mirror]
-        scale = np.where(lead == mirror[lead], 0.5, np.sqrt(0.5))
         factors.append([sparse.diags_array(scale) @ (eye[lead] + eye[mirror[lead]]),
                         np.sqrt(0.5) * (eye[pair] - eye[mirror[pair]])])
     if all(len(f) == 1 for f in factors):
@@ -603,6 +612,7 @@ class SchattenTrendReport:
     bands: list
     verdict: str                  # "converges": slope below critical, read as mu r > Q
     shift_used: list = field(default_factory=list)
+    seam_coupling: list = field(default_factory=list)  # (N, max|M - PMP| / max|M|)
 
 
 def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
@@ -622,6 +632,43 @@ def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _parity_blocks(M: np.ndarray, g: Grid, split: Sequence[bool]):
+    """Yield each block U_c M U_c^T of _parity_basis's split on the axes
+    where split holds, symmetrized, U never formed: a run of rows sums
+    v M[i] over the terms i, v (per axis lead and mirror[lead] times scale
+    if even, pair and mirror[pair] times +-sqrt(1/2) if odd, every node
+    if not split), then its columns alike.  U_c P = +-U_c for a split
+    axis' reflection P, so these are the blocks of M averaged over them."""
+    mirror, lead, pair, scale = _reflection_indices(g)
+    root = np.full(pair.size, np.sqrt(0.5))
+    factors = [[[(lead, scale), (mirror[lead], scale)], [(pair, root), (mirror[pair], -root)]]
+               if s else [[(np.arange(g.N), np.ones(g.N))]] for s in split]
+    run = max(1, ROW_BLOCK // M.shape[0])
+    for c in itertools.product(*factors):
+        # each term: its rows' flat indices, first axis major, and coefficients
+        terms = [(functools.reduce(lambda a, b: (a[:, None] * g.N + b).ravel(), [i for i, _ in t]),
+                  functools.reduce(np.multiply.outer, [v for _, v in t]).ravel())
+                 for t in itertools.product(*c)]
+        I, V = (np.stack(x) for x in zip(*terms))
+        B = np.empty((I.shape[1],) * 2, M.dtype)
+        for a in range(0, len(B), run):
+            rows = np.einsum("tr,trc->rc", V[:, a:a + run], M[I[:, a:a + run]])
+            B[a:a + run] = np.einsum("tc,rtc->rc", V, rows[:, I])
+        yield 0.5 * (B + B.conj().T)
+
+
+def _seam_coupling(M: np.ndarray, g: Grid, split: Sequence[bool]) -> float:
+    """max|M - PMP| / max|M| for P the reflection of every split axis at
+    once, in runs of rows: the coupling that the blocks drop, on the seam
+    x = -L of the torus (0 when no axis splits)."""
+    R = functools.reduce(lambda a, b: (a[:, None] * g.N + b).ravel(),
+                         [_reflection_indices(g)[0] if s else np.arange(g.N) for s in split])
+    run = max(1, ROW_BLOCK // len(R))
+    d = [(np.max(np.abs(M[a:a + run] - np.take(M[R[a:a + run]], R, axis=1))),
+          np.max(np.abs(M[a:a + run]))) for a in range(0, len(R), run)]
+    return float(max(x for x, _ in d) / max(t for _, t in d))
+
+
 def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
                    matrix_N: Sequence[int] = (32, 48),
                    box_L: Sequence[float] = (8.0, 12.0, 16.0),
@@ -634,8 +681,13 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     the sufficient condition; it does not decide whether m^{-mu} lies in
     S_r, and "diverges" only says the condition fails.  All ladders are
     reported raw.
-    The cells share one quantization and eigvalsh per N (m^{-mu}(M) has
-    singular values (lam + shift)^{-mu}) and one m pass per quadrature box.
+    The cells share one quantization per N, one certified eigvalsh per
+    parity block of it (m^{-mu}(M) has singular values (lam + shift)^{-mu})
+    and one m pass per quadrature box.  M splits on each axis a where w's
+    tree is proven even in x_a and xi_a (_parity_blocks): lam are those of
+    M-bar = 2^{-k} sum_P P M P over the k split axes' reflections, which
+    drops M's seam at x = -L (seam_coupling, about 3e-3 for daho) and moves
+    Schatten values by about 1e-6 relative.  Nothing proven: M, bit for bit.
     A pass evaluates m only on the box folded by the reflections under
     which w's tree is proven even (_chunked_weight): about 1/2^{2n} of the nodes
     for every table weight, every node on an axis without a proof.
@@ -644,20 +696,24 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
         raise ValueError("mu must be positive and r at least 1")
     if not cells:
         return []
+    split = [w.expr.parity(a) == 1 == w.expr.parity(w.n + a) for a in range(w.n)]
     ladder = []
     for N in map(int, matrix_N):
         # balanced box: x and xi extents both ~ sqrt(N)/2 starve neither end of the shells
         L = np.sqrt(N) / 2.0
-        M = weyl_quantize(w, Grid(w.n, N, L))
-        lam = _certified_eigvalsh(0.5 * (M + M.conj().T))
-        ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0]))))  # PD floor at 1, as m
+        g = Grid(w.n, N, L)
+        M = weyl_quantize(w, g)
+        seam = _seam_coupling(M, g, split)
+        lam = np.sort(np.concatenate([_certified_eigvalsh(B) for B in _parity_blocks(M, g, split)]))
+        del M  # freed before the next N is quantized
+        ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0])), seam))  # PD floor at 1, as m
     exps = [mu * r for mu, r in cells]
     boxes = [_box_integrals(w, exps, L, box_npts) for L in box_L]
     *fits, (critical, _) = _band_fits(w, exps + [Q], band_npts)
     reports = []
     for c, ((mu, r), (slope, bands)) in enumerate(zip(cells, fits)):
         vals = [(N, L, float(np.sum((lam + sh) ** (-mu * r)) ** (1.0 / r)))
-                for N, L, lam, sh in ladder]
+                for N, L, lam, sh, _ in ladder]
         box = [(L, totals[c]) for L, totals in zip(box_L, boxes)]
         reports.append(SchattenTrendReport(
             mu=mu, r=r, Q=Q, matrix_cells=vals,
@@ -665,5 +721,6 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
             box_cells=box, slope=slope, critical_slope=critical, bands=list(bands),
             box_growth=[box[i + 1][1] / max(box[i][1], 1e-300) for i in range(len(box) - 1)],
             verdict="converges" if slope < critical else "diverges",
-            shift_used=[sh for *_, sh in ladder]))
+            shift_used=[sh for *_, sh, _ in ladder],
+            seam_coupling=[(N, seam) for N, *_, seam in ladder]))
     return reports

@@ -1,5 +1,6 @@
 """Eigensolvers, growth fits, phase-space quadrature, the trend sweep."""
 import importlib
+import itertools
 import math
 import os
 import subprocess
@@ -624,13 +625,18 @@ def test_setup_does_not_import_scipy():
             "from weylab.builders import get_weight\n"
             "get_weight('daho').m_values(np.linspace(-5.0, 5.0, 400).reshape(100, 4))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _fresh_interpreter(code) == "[]"
+
+
+def _fresh_interpreter(code):
+    """The stripped stdout of code run by a new python with weylab on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
 
 
 def test_eigensolve_k_exceeds_dimension():
@@ -874,9 +880,10 @@ def test_trend_experiment_consistency():
 
 
 def test_sweep_shares_one_quantization_and_one_m_pass_per_box(monkeypatch):
-    # two cells, two N, two boxes: one quantization and one eigvalsh per
-    # N, no SVD, and one m pass per box plus one for the band box; the
-    # inner name counts the SVD that np.linalg.norm(A, 2) calls directly
+    # two cells, two N, two boxes: one quantization per N and one eigvalsh
+    # per parity block of it (even N/2 + 1, odd N/2 - 1), no SVD, and one
+    # m pass per box plus one for the band box; the inner name counts the
+    # SVD that np.linalg.norm(A, 2) calls directly
     import numpy.linalg._linalg as la
     w = harmonic_1d_weight()
     quantized = count_calls(monkeypatch, spectral, "weyl_quantize")
@@ -887,11 +894,11 @@ def test_sweep_shares_one_quantization_and_one_m_pass_per_box(monkeypatch):
     reps = schatten_sweep(w, [(2.0, 1.5), (0.9, 2.0)], 2.0, matrix_N=(12, 16),
                           box_L=(4.0, 6.0), box_npts=20, band_npts=60)
     assert len(reps) == 2
-    assert decomposed == [(12, 12), (16, 16)]
+    assert decomposed == [(7, 7), (5, 5), (9, 9), (7, 7)]
     assert (len(quantized), len(svd), len(svd_inner), len(m_passes)) == (2, 0, 0, 3)
     # and a sweep without cells does none of it
     assert schatten_sweep(w, [], 2.0) == []
-    assert (len(quantized), len(decomposed), len(m_passes)) == (2, 2, 3)
+    assert (len(quantized), len(decomposed), len(m_passes)) == (2, 4, 3)
 
 
 def test_sweep_eigenvalues_must_meet_the_trace_identities(monkeypatch):
@@ -953,6 +960,102 @@ def test_sweep_schatten_values_match_the_operator_path():
             assert shift == pytest.approx(max(0.0, 1.0 - lam[0]), abs=1e-12)
             T = (Q * (lam + shift) ** (-mu)) @ Q.conj().T
             assert value == pytest.approx(schatten_norm(T, r), rel=1e-12)
+
+
+def _reflected(M, n, axes):
+    """P M P for P the reflection x -> -x of the periodic grid on the given
+    axes: index i goes to -i mod N, a flip then a roll by one, on the row
+    and the column index of each axis."""
+    N = round(M.shape[0] ** (1.0 / n))
+    T = M.reshape((N,) * (2 * n))
+    for a in axes:
+        for d in (a, n + a):
+            T = np.roll(np.flip(T, d), 1, d)
+    return T.reshape(M.shape)
+
+
+def _recorded_sweep(monkeypatch, w, N):
+    """One cell's sweep at one N: its report, each eigenvalue array that
+    _certified_eigvalsh returned, and the Weyl matrix."""
+    blocks, certified = [], spectral._certified_eigvalsh
+
+    def recorded(S):
+        blocks.append(certified(S))
+        return blocks[-1]
+
+    monkeypatch.setattr(spectral, "_certified_eigvalsh", recorded)
+    rep = schatten_sweep(w, [(2.0, 2.0)], 3.0, matrix_N=(N,), box_L=(4.0,),
+                         box_npts=8, band_npts=28)[0]
+    return rep, blocks, spectral.weyl_quantize(w, Grid(w.n, N, np.sqrt(N) / 2.0))
+
+
+@pytest.mark.parametrize("name,params,N,count",
+                         [("daho", {}, 16, 4), ("harmonic", {"n": 1}, 16, 2)],
+                         ids=["daho", "harmonic1"])
+def test_sweep_eigenvalues_are_those_of_the_reflection_averaged_matrix(monkeypatch, name,
+                                                                       params, N, count):
+    # M-bar = 2^-n sum_P P M P, built here by flips and rolls; the merged
+    # block eigenvalues are its eigenvalues, each within |M - M-bar|_2 of
+    # the whole matrix's own (Weyl's inequality), and the reported seam
+    # coupling is max|M - PMP| / max|M| with every axis reflected
+    w = get_weight(name, params)
+    rep, blocks, M = _recorded_sweep(monkeypatch, w, N)
+    assert len(blocks) == count
+    lam = np.sort(np.concatenate(blocks))
+    subsets = [a for k in range(w.n + 1) for a in itertools.combinations(range(w.n), k)]
+    Mbar = sum(_reflected(M, w.n, axes) for axes in subsets) / len(subsets)
+    ref = np.linalg.eigvalsh(0.5 * (Mbar + Mbar.T))
+    assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref))
+    shift = max(0.0, 1.0 - ref[0])
+    assert rep.matrix_cells[0][2] == pytest.approx(np.sum((ref + shift) ** -4.0) ** 0.5,
+                                                   rel=1e-12)
+    whole = np.linalg.eigvalsh(0.5 * (M + M.T))
+    assert np.max(np.abs(lam - whole)) <= np.linalg.norm(M - Mbar, 2) + 1e-12 * np.max(whole)
+    seam = np.max(np.abs(M - _reflected(M, w.n, range(w.n)))) / np.max(np.abs(M))
+    assert rep.seam_coupling == [(N, seam)] and seam > 0.0
+
+
+def test_sweep_of_an_unproven_weight_decomposes_the_whole_matrix(monkeypatch):
+    # nothing proven, nothing split: the one block is the symmetric part of
+    # M, and every value has the bits of its whole eigvalsh
+    w = WeightEvaluator(2, Unproven(get_weight("daho").expr), name="daho")
+    rep, blocks, M = _recorded_sweep(monkeypatch, w, 8)
+    lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    assert len(blocks) == 1 and np.array_equal(blocks[0], lam)
+    shift = max(0.0, 1.0 - float(lam[0]))
+    assert rep.shift_used == [shift] and rep.seam_coupling == [(8, 0.0)]
+    assert rep.matrix_cells[0][2] == float(np.sum((lam + shift) ** -4.0) ** 0.5)
+
+
+@pytest.mark.parametrize("faulty", range(4))
+def test_a_wrong_eigenvalue_of_any_one_block_fails_the_trace_identities(monkeypatch, faulty):
+    orig, calls = np.linalg.eigvalsh, []
+
+    def second_for_lowest_once(S):
+        lam = orig(S)
+        calls.append(S.shape)
+        return np.concatenate([lam[1:2], lam[1:]]) if len(calls) == faulty + 1 else lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", second_for_lowest_once)
+    with pytest.raises(SolverError, match="trace identities"):
+        schatten_sweep(get_weight("daho"), [(2.0, 2.0)], 3.0, matrix_N=(12,),
+                       box_L=(4.0,), box_npts=8, band_npts=28)
+    assert len(calls) == faulty + 1
+
+
+def test_a_sweep_config_never_imports_scipy_sparse():
+    # the blocks are built by index: scipy.sparse would add about 15 MB to
+    # a sweep's resident set
+    code = ("import json, os, sys, tempfile\n"
+            "from weylab.cli import run_config\n"
+            "cfg = {'schema': 1, 'kind': 'schatten-sweep', 'weight': {'name': 'daho'},\n"
+            "       'Q': 3.0, 'cells': [{'mu': 2.0, 'r': 2.0}], 'matrix_N': [8, 12],\n"
+            "       'box_L': [4.0], 'box_npts': 8, 'band_npts': 28}\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    run_config(cfg, out)\n"
+            "    report = json.load(open(os.path.join(out, 'report.json')))['report']\n"
+            "print([N for N, _ in report['seam_coupling']], 'scipy.sparse' in sys.modules)\n")
+    assert _fresh_interpreter(code) == "[8, 12] False"
 
 
 def test_daho_sweep_never_evaluates_the_profile_on_rows(monkeypatch):
