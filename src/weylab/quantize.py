@@ -10,7 +10,8 @@ serves both dimensions: per axis p_ij = nodes[at[i, j]] (the grid at
 tau = 1 or 0, the half-step grid at the midpoint) and the phase depends
 only on d = (i - j) mod N, so the inverse FFT G of the symbol on the
 nodes gives A = G[at, d], O(N^2 log N) instead of O(N^3); in 2-D, one
-block and one 2-D transform per first-axis node.  For a real symbol the
+block and one batch of 2-D transforms per run of first-axis nodes, a run
+sized to at most ROW_BLOCK transformed values.  For a real symbol the
 midpoint rule gives Hermitian matrices to rounding (about 1e-16 of the
 largest entry), not exactly.  Other tau take one transform per row, in
 1-D only.  The symbol is evaluated on per-axis node and mode arrays that
@@ -22,7 +23,7 @@ on each axis where its tree is proven even (JetExpr.parity), a node and
 its mirror, or a mode and its mirror, share one sample, picked by index.
 Mode samples are expanded to every mode before the transform; a kept
 node's transform serves its mirror too, through the gather's index (the
-first axis: one block and one transform per pair of mirror nodes).  For
+first axis: a run of kept nodes serves their mirrors).  For
 every table weight and a2 symbol that is about 1/2^{2n} of the samples.
 A node's mirror is its negative only to rounding, so the matrix moves by
 about 1e-16 of its largest entry where the nodes are not exact in binary;
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jets import JPowerSum
-from .symbols import SymbolEvaluator
+from .symbols import ROW_BLOCK, SymbolEvaluator
 
 __all__ = [
     "Grid", "kn_quantize", "weyl_quantize", "tau_quantize",
@@ -148,7 +149,7 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
         def rows():
             for i in range(N):
                 p = tau * grid.points[i] + (1.0 - tau) * grid.points
-                yield s.eval((p[:, None], ks[None, :])), [(i, (idx, d[i]))]
+                yield s.eval((p[:, None], ks[None, :])), i, lambda G: G[idx, d[i]]
         return _gather(rows(), (N, N), 1, even)
     # per symbol axis (x_1..x_n, xi_1..xi_n): map[j] is the row of index j
     # among the kept samples, j itself or its mirror's (_orbits)
@@ -159,18 +160,23 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
         S = _expand(s.eval((P[0][:, None], P[1][None, :])), maps[1:])  # [node, mode]
         return _inverse_dft(S, 1, even)[maps[0][at], d]
 
+    # runs of kept first-axis rows; one stable argsort orders every (i1, j1) by its row
+    width = len(P[1]) * N
+    cuts = list(range(0, len(P[0]), max(1, ROW_BLOCK // (width * N)))) + [len(P[0])]
+    key = maps[0][at].ravel()
+    order = np.argsort(key, kind="stable")
+    edges = np.searchsorted(key[order], cuts)
+    q = maps[1][at] * N + d  # each (i2, j2) in a [second-axis row, mode] slab
+
     def blocks():
-        # every block whose first-axis point is node v or its mirror: one
-        # symbol block, one transform
-        rows2 = maps[1][at]  # second-axis nodes: the kept row of each
-        for r, node in enumerate(P[0]):
-            S = s.eval((node, P[1][:, None, None], P[2][None, :, None], P[3][None, None, :]))
-            out = []
-            for v in np.flatnonzero(maps[0] == r):
-                i1, j1 = np.nonzero(at == v)
-                out.append(((i1, slice(None), j1, slice(None)),
-                            (rows2, d[i1, j1][:, None, None], d)))
-            yield _expand(S, maps[2:]), out
+        # one symbol block and one transform G[node, row, mode, mode] per run;
+        # q gathers each (node, first-axis mode) slab once, and (i1, j1) copies one
+        for lo, hi, a, b in zip(cuts, cuts[1:], edges, edges[1:]):
+            S = s.eval((P[0][lo:hi, None, None, None], P[1][:, None, None], P[2][:, None], P[3]))
+            i1, j1 = np.divmod(order[a:b], N)
+            slab = (key[order[a:b]] - lo) * N + d[i1, j1]
+            yield _expand(S, maps[2:]), (i1, slice(None), j1, slice(None)), \
+                lambda G: np.take(G.transpose(0, 2, 1, 3).reshape(-1, width), q, axis=1)[slab]
     return _gather(blocks(), (N, N, N, N), 2, even).reshape(side, side)  # [i1, i2, j1, j2]
 
 
@@ -209,17 +215,16 @@ def _inverse_dft(X, n: int, even: bool) -> np.ndarray:
 
 
 def _gather(blocks, shape: tuple, n: int, even: bool) -> np.ndarray:
-    """A[dst] = G[src] for each (dst, src) of the list that blocks
-    yields with each symbol block X, G = _inverse_dft(X, n, even).  Every
+    """A[dst] = pick(G) for each (X, dst, pick) that blocks yields, G =
+    _inverse_dft(X, n, even); pick runs before blocks resumes.  Every
     block comes from one tree, so all share one value type, and A takes
     the type of the first transform."""
     A = None
-    for X, pairs in blocks:
+    for X, dst, pick in blocks:
         G = _inverse_dft(X, n, even)
         if A is None:
             A = np.empty(shape, G.dtype)
-        for dst, src in pairs:
-            A[dst] = G[src]
+        A[dst] = pick(G)
     return A
 
 

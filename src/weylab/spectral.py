@@ -200,8 +200,12 @@ class Spectrum:
     def power_diagonal(self, beta: float, shift: float = 0.0) -> np.ndarray:
         """diag((A + shift)^beta) = sum_c (V_c o V_c) s_c^beta, V_c = U_c^T W_c:
         one matrix-vector product per block instead of the whole power."""
-        return sum(np.square(_lift(Uc, W)) @ s ** beta
-                   for (Uc, _, W), s in zip(self.blocks, self._shifted(shift)))
+        return sum(V2 @ s ** beta for V2, s in zip(self._lifted_squares, self._shifted(shift)))
+
+    @functools.cached_property
+    def _lifted_squares(self) -> list:
+        """V_c o V_c per block, kept: a calibration scans dozens of powers."""
+        return [np.square(_lift(Uc, W)) for Uc, _, W in self.blocks]
 
 
 def real_csr(H):
@@ -526,12 +530,12 @@ def _midpoint_axis(L: float, npts: int) -> np.ndarray:
 
 def _chunked_weight(w: WeightEvaluator, L: float, npts: int):
     """Yield (m values, multiplicities, cell volume) in fixed chunk order
-    over the box: one chunk per first-coordinate node, the other
-    coordinates broadcast from per-axis arrays and raveled in C order.
-    A quadrature sums f(m) * multiplicity, then scales by the cell volume.
-    m is evaluated on a run of first-coordinate nodes at once, at most
-    ROW_BLOCK points (x_1 an axis array); values are pointwise, so each
-    node's chunk has the bits of its own evaluation, and so has each sum.
+    over the box: one chunk per run of first-coordinate nodes, at most
+    ROW_BLOCK points, m evaluated on it at once (x_1 an axis array); row k
+    holds the run's k-th node, the other coordinates raveled in C order.
+    A quadrature sums f(m) * multiplicity per row, adds the rows in node
+    order and scales by the cell volume; values are pointwise, so each
+    row has the bits of its own node's evaluation, and so has each sum.
 
     The box is folded on every axis where w's tree is proven even
     (w.expr.parity(axis) == 1, see _jets.JetExpr): only the upper half of
@@ -558,37 +562,42 @@ def _chunked_weight(w: WeightEvaluator, L: float, npts: int):
     rest_mult = functools.reduce(np.multiply.outer, mults[1:]).ravel()
     run = max(1, ROW_BLOCK // rest_mult.size)
     for lo in range(0, len(nodes[0]), run):
-        x1 = nodes[0][lo:lo + run].reshape((-1,) + (1,) * (d - 1))
-        for m, mv in zip(w.m_values((x1, *rest)), mults[0][lo:lo + run]):
-            yield m.ravel(), mv * rest_mult, cell
+        x1 = nodes[0][lo:lo + run]
+        m = w.m_values((x1.reshape((-1,) + (1,) * (d - 1)), *rest))
+        yield m.reshape(len(x1), -1), mults[0][lo:lo + run, None] * rest_mult, cell
 
 
 def _box_integrals(w: WeightEvaluator, exps: Sequence[float], L: float, npts: int) -> list:
     """Midpoint quadrature of m^{-s} over [-L, L]^{2n}, fixed summation
     order, for each exponent s in exps, from one pass of m over the
-    folded box (_chunked_weight)."""
+    folded box (_chunked_weight): one sum per node, added in node order."""
     totals = [0.0] * len(exps)
     for m, mult, cell in _chunked_weight(w, L, npts):
         for i, s in enumerate(exps):
-            totals[i] += float(np.sum(m**(-s) * mult)) * cell
+            for node_sum in np.sum(m**(-s) * mult, axis=1):
+                totals[i] += float(node_sum) * cell
     return totals
 
 
 def _band_fits(w: WeightEvaluator, exps: Sequence[float], npts: int) -> list:
     """Slope of log-base band sums of m^{-s} over dyadic-in-base shells,
     for each exponent s in exps, from one pass of m over the folded box
-    (_chunked_weight).
+    (_chunked_weight), one bincount on the (node, shell) key per run.
 
     The box covers the closure of the last counted shell with a small
     margin; shells outside [BAND_KMIN, BAND_KMAX] are binned but not
     fitted.  Each entry is (slope, band sums for k = BAND_KMIN..BAND_KMAX)."""
     L = BAND_BASE ** ((BAND_KMAX + 1) / 2.0) * BAND_BOX_FACTOR
-    B = np.zeros((len(exps), BAND_KMAX + 2))
+    K = BAND_KMAX + 2
+    B = np.zeros((len(exps), K))
     logb = np.log(BAND_BASE)
     for m, mult, cell in _chunked_weight(w, L, npts):
         k = np.clip(np.floor(np.log(m) / logb).astype(int), 0, BAND_KMAX + 1)
+        k += K * np.arange(len(m))[:, None]
         for i, s in enumerate(exps):
-            B[i] += np.bincount(k, weights=m**(-s) * mult, minlength=BAND_KMAX + 2) * cell
+            sums = np.bincount(k.ravel(), weights=(m**(-s) * mult).ravel(), minlength=len(m) * K)
+            for node_sums in sums.reshape(len(m), K) * cell:
+                B[i] += node_sums
     bands = B[:, BAND_KMIN:BAND_KMAX + 1]
     if np.min(bands) <= 0:
         raise SolverError("empty band in slope fit; box too small")
@@ -633,40 +642,61 @@ def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
 
 
 def _parity_blocks(M: np.ndarray, g: Grid, split: Sequence[bool]):
-    """Yield each block U_c M U_c^T of _parity_basis's split on the axes
-    where split holds, symmetrized, U never formed: a run of rows sums
-    v M[i] over the terms i, v (per axis lead and mirror[lead] times scale
-    if even, pair and mirror[pair] times +-sqrt(1/2) if odd, every node
-    if not split), then its columns alike.  U_c P = +-U_c for a split
-    axis' reflection P, so these are the blocks of M averaged over them."""
+    """Yield max|M - PMP| / max|M|, P reflecting every split axis (0 when
+    none splits): the coupling the blocks drop, on the seam x = -L.  Then
+    yield each block U_c M U_c^T of _parity_basis's split on the axes where
+    split holds, symmetrized, U never formed: a block row sums v M[i] over
+    the terms i, v (per axis lead and mirror[lead] times scale if even,
+    pair and mirror[pair] times +-sqrt(1/2) if odd, every node if not
+    split), then its columns alike, in term order.  U_c P = +-U_c for a
+    split axis' reflection P, so these are the blocks of M averaged over
+    them.  Pair is lead without the periodic grid's fixed nodes 0 and N/2,
+    so the blocks of one first-axis parity share one gather of the lead /
+    mirror[lead] rows per run of at most ROW_BLOCK elements, and the even
+    pass, which reads every row, takes the seam from it."""
     mirror, lead, pair, scale = _reflection_indices(g)
-    root = np.full(pair.size, np.sqrt(0.5))
-    factors = [[[(lead, scale), (mirror[lead], scale)], [(pair, root), (mirror[pair], -root)]]
-               if s else [[(np.arange(g.N), np.ones(g.N))]] for s in split]
-    run = max(1, ROW_BLOCK // M.shape[0])
-    for c in itertools.product(*factors):
-        # each term: its rows' flat indices, first axis major, and coefficients
-        terms = [(functools.reduce(lambda a, b: (a[:, None] * g.N + b).ravel(), [i for i, _ in t]),
-                  functools.reduce(np.multiply.outer, [v for _, v in t]).ravel())
-                 for t in itertools.product(*c)]
-        I, V = (np.stack(x) for x in zip(*terms))
-        B = np.empty((I.shape[1],) * 2, M.dtype)
-        for a in range(0, len(B), run):
-            rows = np.einsum("tr,trc->rc", V[:, a:a + run], M[I[:, a:a + run]])
-            B[a:a + run] = np.einsum("tc,rtc->rc", V, rows[:, I])
-        yield 0.5 * (B + B.conj().T)
-
-
-def _seam_coupling(M: np.ndarray, g: Grid, split: Sequence[bool]) -> float:
-    """max|M - PMP| / max|M| for P the reflection of every split axis at
-    once, in runs of rows: the coupling that the blocks drop, on the seam
-    x = -L of the torus (0 when no axis splits)."""
+    root, every = np.full(pair.size, np.sqrt(0.5)), np.arange(g.N)
+    sets = [(lead, mirror[lead]) if s else (every,) for s in split]
+    parities = [[(slice(None), (scale, scale)), (slice(1, -1), (root, -root))]
+                if s else [(slice(None), (np.ones(g.N),))] for s in split]
+    rows = np.stack([functools.reduce(lambda a, b: a[:, None] * g.N + b, p)
+                     for p in itertools.product(*sets)])  # [pattern, node of each axis...]
     R = functools.reduce(lambda a, b: (a[:, None] * g.N + b).ravel(),
-                         [_reflection_indices(g)[0] if s else np.arange(g.N) for s in split])
-    run = max(1, ROW_BLOCK // len(R))
-    d = [(np.max(np.abs(M[a:a + run] - np.take(M[R[a:a + run]], R, axis=1))),
-          np.max(np.abs(M[a:a + run]))) for a in range(0, len(R), run)]
-    return float(max(x for x, _ in d) / max(t for _, t in d))
+                         [mirror if s else every for s in split])
+    T, side = len(rows), M.shape[0]
+
+    def one_pass(first, seam):
+        # the raw blocks of one first-axis parity, and the seam unless None
+        I = rows[:, first[0]]  # [pattern, first-axis position, rest...]
+        blocks = []
+        for c in itertools.product(*parities[1:]):
+            rest = (slice(None), slice(None)) + tuple(p for p, _ in c)
+            V = np.stack([functools.reduce(np.multiply.outer, v)
+                          for v in itertools.product(first[1], *[v for _, v in c])])
+            blocks.append((rest, V, I[rest].reshape(T, -1)))
+        out = [np.empty((j.shape[1],) * 2, M.dtype) for *_, j in blocks]
+        run, top = max(1, ROW_BLOCK // (I[:, 0].size * side)), 0.0
+        for lo in range(0, I.shape[1], run):
+            G = M[I[:, lo:lo + run]]  # [pattern, first-axis position, rest..., column]
+            for X, Y in zip(G[:(T + 1) // 2], G[::-1]) if seam is not None else ():
+                seam = max(seam, np.abs(np.take(Y, R, axis=-1) - X).max())
+                top = max(top, np.abs(X).max(), np.abs(Y).max())
+            for (rest, V, j), B in zip(blocks, out):
+                sums = np.einsum("t...,t...c->...c", V[:, lo:lo + run], G[rest]).reshape(-1, side)
+                a = lo * V[0, 0].size
+                np.einsum("tc,rtc->rc", V.reshape(T, -1), sums[:, j], out=B[a:a + len(sums)])
+        return out, None if seam is None else float(seam / top)
+
+    for k, first in enumerate(parities[0]):
+        blocks, seam = one_pass(first, 0.0 if k == 0 else None)
+        if k == 0:
+            yield seam
+        while blocks:
+            B = blocks.pop(0)
+            B += B.conj().T
+            B *= 0.5
+            yield B
+            del B  # not held while the next pass is built
 
 
 def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
@@ -703,8 +733,10 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
         L = np.sqrt(N) / 2.0
         g = Grid(w.n, N, L)
         M = weyl_quantize(w, g)
-        seam = _seam_coupling(M, g, split)
-        lam = np.sort(np.concatenate([_certified_eigvalsh(B) for B in _parity_blocks(M, g, split)]))
+        blocks = _parity_blocks(M, g, split)
+        seam = next(blocks)
+        # map drops each block after its eigvalsh: one pass's blocks are alive at a time
+        lam = np.sort(np.concatenate(list(map(_certified_eigvalsh, blocks))))
         del M  # freed before the next N is quantized
         ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0])), seam))  # PD floor at 1, as m
     exps = [mu * r for mu, r in cells]

@@ -360,6 +360,35 @@ def test_daho_at_n24_evaluates_one_eighth_of_every_sample(monkeypatch):
     monkeypatch.setattr(s, "eval", counting)
     weyl_quantize(s, sweep_grid(2, 24))
     assert sum(sizes) == 25 ** 2 * 13 ** 2 <= 47 ** 2 * 24 ** 2 / 8
+    # one evaluation per run of kept first-axis nodes: a run's transformed
+    # block, run x 25 x 24^2, holds at most ROW_BLOCK = 65536 elements, so
+    # the 25 kept nodes go in runs of 4
+    assert qz.ROW_BLOCK // (25 * 24 ** 2) == 4
+    assert sizes == [4 * 25 * 13 ** 2] * 6 + [25 * 13 ** 2]
+
+
+def run_length_symbols():
+    """Folded and real (daho), unproven, and complex: odd in xi, and even
+    with a complex coefficient."""
+    e = (2, 0)
+    even_complex = PolySymbol(2, {e: JPowerSum.constant(4, 1.0 + 0.5j),
+                                  (0, 0): JPowerSum.monomial(4, e + (0, 0), c=1j)})
+    return [daho_weight(), SymbolEvaluator(2, Unproven(daho_weight().expr), name="unproven"),
+            odd_in_xi(2), even_complex]
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_run_length_changes_no_bit(monkeypatch, tau):
+    # the default runs (2 to 8 nodes here), one node a run, and runs of
+    # 144 / (kept second-axis nodes): 3 to 11 nodes
+    grid = sweep_grid(2, 24)
+    want = [tau_quantize(s, grid, tau) for s in run_length_symbols()]
+    assert [A.dtype for A in want] == [np.float64, np.complex128, np.complex128, np.complex128]
+    for bound in (1, 24 ** 4 // 4):
+        monkeypatch.setattr(qz, "ROW_BLOCK", bound)
+        for s, A in zip(run_length_symbols(), want):
+            got = tau_quantize(s, grid, tau)
+            assert got.dtype == A.dtype and np.array_equal(got, A), (s.name, bound)
 
 
 # -- convention transport ---------------------------------------------------

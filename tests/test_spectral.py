@@ -1,4 +1,5 @@
 """Eigensolvers, growth fits, phase-space quadrature, the trend sweep."""
+import functools
 import importlib
 import itertools
 import math
@@ -841,8 +842,8 @@ def test_unproven_axes_are_not_folded():
 ], ids=["harmonic1", "daho", "daho-unproven", "grushin"])
 def test_a_pass_evaluates_runs_of_first_coordinate_nodes(monkeypatch, name, params, unfolded,
                                                          npts, calls):
-    # a run of first-coordinate nodes is one evaluation of at most
-    # ROW_BLOCK points; each node's chunk keeps the bits of its own
+    # a run of first-coordinate nodes is one evaluation and one chunk of
+    # at most ROW_BLOCK points; each node's row keeps the bits of its own
     w = get_weight(name, params)
     w = _unfolded(w) if unfolded else w
     g = -8.0 + (16.0 / npts) * (np.arange(npts) + 0.5)
@@ -854,7 +855,7 @@ def test_a_pass_evaluates_runs_of_first_coordinate_nodes(monkeypatch, name, para
         return m_values(P)
 
     monkeypatch.setattr(w, "m_values", counting)
-    chunks = [m for m, _, _ in _chunked_weight(w, 8.0, npts)]
+    chunks = [row for m, _, _ in _chunked_weight(w, 8.0, npts) for row in m]
     assert len(sizes) == calls and max(sizes) <= spectral.ROW_BLOCK
     kept = g[npts // 2:] if not unfolded else g
     assert len(chunks) == len(kept)
@@ -1013,6 +1014,105 @@ def test_sweep_eigenvalues_are_those_of_the_reflection_averaged_matrix(monkeypat
     assert np.max(np.abs(lam - whole)) <= np.linalg.norm(M - Mbar, 2) + 1e-12 * np.max(whole)
     seam = np.max(np.abs(M - _reflected(M, w.n, range(w.n)))) / np.max(np.abs(M))
     assert rep.seam_coupling == [(N, seam)] and seam > 0.0
+
+
+def reference_blocks(M, g, split):
+    """The parity blocks term by term, one block at a time: for each block
+    and each run of its rows, every term's rows of M gathered and summed
+    (einsum over the terms, in term order), then the columns alike; then
+    symmetrized.  The plain build that _parity_blocks must match bit for bit."""
+    mirror, lead, pair, scale = spectral._reflection_indices(g)
+    root = np.full(pair.size, np.sqrt(0.5))
+    factors = [[[(lead, scale), (mirror[lead], scale)], [(pair, root), (mirror[pair], -root)]]
+               if s else [[(np.arange(g.N), np.ones(g.N))]] for s in split]
+    run = max(1, spectral.ROW_BLOCK // M.shape[0])
+    blocks = []
+    for c in itertools.product(*factors):
+        terms = [(functools.reduce(lambda a, b: (a[:, None] * g.N + b).ravel(), [i for i, _ in t]),
+                  functools.reduce(np.multiply.outer, [v for _, v in t]).ravel())
+                 for t in itertools.product(*c)]
+        I, V = (np.stack(x) for x in zip(*terms))
+        B = np.empty((I.shape[1],) * 2, M.dtype)
+        for a in range(0, len(B), run):
+            rows = np.einsum("tr,trc->rc", V[:, a:a + run], M[I[:, a:a + run]])
+            B[a:a + run] = np.einsum("tc,rtc->rc", V, rows[:, I])
+        blocks.append(0.5 * (B + B.conj().T))
+    return blocks
+
+
+def reference_seam(M, g, split):
+    """max|M - PMP| / max|M|, P built as a whole-row and whole-column gather."""
+    R = functools.reduce(lambda a, b: (a[:, None] * g.N + b).ravel(),
+                         [spectral._reflection_indices(g)[0] if s else np.arange(g.N)
+                          for s in split])
+    return float(np.max(np.abs(M - M[R][:, R])) / np.max(np.abs(M)))
+
+
+def _built_blocks(M, g, split):
+    blocks = spectral._parity_blocks(M, g, split)
+    seam = next(blocks)
+    return seam, list(blocks)
+
+
+@pytest.mark.parametrize("name,params,N,split,imag", [
+    ("daho", {}, 16, [True, True], False),
+    ("daho", {}, 24, [True, True], False),
+    ("harmonic", {"n": 1}, 32, [True], False),
+    ("daho", {}, 16, [False, True], True),
+    ("daho", {}, 16, [True, False], False),
+    ("daho", {}, 8, [False, False], True),
+], ids=["daho-N16", "daho-N24", "harmonic1-N32", "x2-complex", "x1", "none-complex"])
+def test_parity_blocks_match_the_term_by_term_build(name, params, N, split, imag):
+    # the shared row gathers sum the same products in the same order, so
+    # every block is the plain build's bit for bit, and so is the seam;
+    # the sweep's own split is every axis, the others take the same path
+    w = get_weight(name, params)
+    g = Grid(w.n, N, np.sqrt(N) / 2.0)
+    M = spectral.weyl_quantize(w, g)
+    if imag:
+        M = M + 1e-3j * M.T
+    seam, blocks = _built_blocks(M, g, split)
+    want = reference_blocks(M, g, split)
+    assert len(blocks) == len(want) == 2 ** sum(split)
+    for B, ref in zip(blocks, want):
+        assert B.dtype == ref.dtype and np.array_equal(B, ref)
+    assert seam == reference_seam(M, g, split)
+    assert (seam > 0.0) == any(split)
+
+
+@pytest.mark.parametrize("name,params,n_per", [
+    ("daho", {}, 3), ("harmonic", {"n": 1}, 3), ("daho-unproven", {}, 2)])
+def test_run_length_changes_no_sweep_bit(monkeypatch, name, params, n_per):
+    # one first-axis node a run and n_per nodes a run give the default
+    # runs' quadratures and blocks bit for bit
+    w = get_weight(name.split("-")[0], params)
+    if name.endswith("unproven"):
+        w = WeightEvaluator(w.n, Unproven(w.expr), name=name)
+    split = [w.expr.parity(a) == 1 == w.expr.parity(w.n + a) for a in range(w.n)]
+    g = Grid(w.n, 16, 2.0)
+    M = spectral.weyl_quantize(w, g)
+    box_npts, band_npts = (12, 28) if w.n == 2 else (40, 60)
+
+    def everything():
+        return (_box_integrals(w, [2.0, 3.0], 6.0, box_npts),
+                _band_fits(w, [2.4, 3.0], band_npts), _built_blocks(M, g, split))
+
+    want = everything()
+    box_node = next(_chunked_weight(w, 6.0, box_npts))[0].shape[1]
+    band_node = next(_chunked_weight(w, 1.0, band_npts))[0].shape[1]
+    block_node = 2 ** sum(split) * M.shape[0] * (9 if split[-1] else 16) ** (w.n - 1)
+    for bounds in ((1, 1, 1), (n_per * box_node, n_per * band_node, n_per * block_node)):
+        monkeypatch.setattr(spectral, "ROW_BLOCK", bounds[0])
+        box = _box_integrals(w, [2.0, 3.0], 6.0, box_npts)
+        monkeypatch.setattr(spectral, "ROW_BLOCK", bounds[1])
+        fits = _band_fits(w, [2.4, 3.0], band_npts)
+        monkeypatch.setattr(spectral, "ROW_BLOCK", bounds[2])
+        seam, blocks = _built_blocks(M, g, split)
+        assert box == want[0]
+        for (slope, bands), (want_slope, want_bands) in zip(fits, want[1]):
+            assert slope == want_slope and np.array_equal(bands, want_bands)
+        assert seam == want[2][0] and len(blocks) == len(want[2][1])
+        assert all(np.array_equal(B, ref) for B, ref in zip(blocks, want[2][1]))
 
 
 def test_sweep_of_an_unproven_weight_decomposes_the_whole_matrix(monkeypatch):
