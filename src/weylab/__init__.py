@@ -22,11 +22,11 @@ __version__ = "0.1.0"
 
 from .builders import get_a2, get_operator, get_weight
 from .hamiltonians import (DirichletGrid, HamiltonianMatrix, Potential,
-                           hamiltonian_with_potential, sum_of_squares_matrix,
-                           tensor_stencil_matrix, validate_p2)
+                           hamiltonian_with_potential, tensor_stencil_matrix,
+                           validate_p2)
 from .metric import (MetricCheckReport, WeightEvaluator, check_pairs, check_uncertainty,
                      eval_dual_metric, eval_metric, planck)
-from .profiles import CutoffProfileSquared, band_bump
+from .profiles import CutoffProfileSquared
 from .quantize import Grid, kn_quantize, tau_quantize, weyl_quantize
 from .spectral import (GrowthFit, SpectralResult, Spectrum, eigensolve, growth_fit,
                        schatten_sweep)

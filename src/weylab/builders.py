@@ -214,8 +214,10 @@ _COEFFICIENTS = {"1": lambda n: None, "x1": _x1_squared}
 _OPERATORS = {
     "sum_of_squares": (
         {"fields": ([[int, tuple(_COEFFICIENTS)]], [[0, "1"], [1, "1"]])},
-        lambda grid, p: ham.sum_of_squares_matrix(
-            [(axis, _COEFFICIENTS[c](grid.n)) for axis, c in p["fields"]], grid)),
+        lambda grid, p: Model(
+            f"sum_of_squares[{len(p['fields'])} fields]", grid.n,
+            tuple((axis, _COEFFICIENTS[c](grid.n)) for axis, c in p["fields"]),
+            confined=False).operator(grid, 2)),
 }
 
 _POTENTIALS = {
@@ -280,8 +282,7 @@ def get_weight(name: str, params: Optional[dict] = None) -> WeightEvaluator:
 
 
 def get_operator(name: str, grid, params: Optional[dict] = None):
-    """The operator with the stencils of the grid's boundary; periodic
-    grids take models only."""
+    """The operator with the stencils of the grid's boundary."""
     p = _params(OPERATOR, name, params)
     if name in _OPERATORS:
         return _OPERATORS[name][1](grid, p)

@@ -3,16 +3,10 @@
 Kinetic parts are sums of squares of axis-aligned fields b(x) d/dx_axis,
 given in the one field format of builders.Model, (axis, c) with c = b^2
 a jet tree over (x, xi) and None for b = 1, and assembled as scipy
-sparse matrices (Kronecker sums plus diagonals) by one of two routes:
-
-* tensor stencils (tensor_stencil_matrix, order 6 default) for every
-  model of the builders table, whose field coefficients do not vary
-  along their own differencing axis: the per-axis matrix is PSD and the
-  Kronecker assembly keeps both symmetry and positivity exactly;
-* staggered divergence form D^T M D (sum_of_squares_matrix, order 2)
-  for the sum_of_squares operator, whatever its coefficients: PSD by
-  construction without differentiating the coefficient.  On a model's
-  fields it is the model's order-2 stencil operator to rounding.
+sparse matrices by one route, tensor_stencil_matrix: a Kronecker sum of
+the boundary's stencils times diagonals.  A field's coefficient must be
+proven constant along its own axis; then each per-axis matrix is PSD and
+the assembly keeps both symmetry and positivity exactly.
 
 Spectra here use the plain convention -Laplacian + |x|^2, whose 2D
 harmonic reference spectrum is {2(k1+k2)+2}.
@@ -29,9 +23,8 @@ from .quantize import Grid
 
 __all__ = [
     "DirichletGrid", "HamiltonianMatrix", "Potential", "P2Report",
-    "second_derivative", "sum_of_squares_matrix",
-    "tensor_stencil_matrix", "quadratic_potential", "bounded_noise_potential",
-    "step_potential", "table_potential", "validate_p2",
+    "second_derivative", "tensor_stencil_matrix", "quadratic_potential",
+    "bounded_noise_potential", "step_potential", "table_potential", "validate_p2",
     "hamiltonian_with_potential", "P2ValidationError",
 ]
 
@@ -91,65 +84,24 @@ def second_derivative(N: int, h: float, order: int = 6, bc: str = "dirichlet") -
     return A / h**2
 
 
-def _staggered_bands(c_half: np.ndarray, h: float) -> tuple:
-    """Main and upper diagonals of the tridiagonal D^T M D for
-    -d/dx (c(x) d/dx) along axis 0 of c_half, whose N+1 rows are c at the
-    half points; symmetric and PSD whenever c >= 0."""
-    return (c_half[:-1] + c_half[1:]) / h**2, -c_half[1:-1] / h**2
-
-
-def sum_of_squares_matrix(fields, grid: Grid) -> HamiltonianMatrix:
-    """Kinetic part sum_j X_j^T X_j for axis-aligned fields b(x) d/dx_axis.
-
-    Each field (axis, c), c = b^2 as tensor_stencil_matrix takes it, is
-    assembled in staggered divergence form with c sampled at the half
-    points of its own axis, so the result is symmetric PSD however c >= 0
-    varies along that axis.
-    """
-    from scipy import sparse
-    if grid.boundary != "dirichlet":
-        raise ValueError("sum_of_squares needs a Dirichlet grid")
-    fields = list(fields)
-    N, h, n = grid.N, grid.h, grid.n
-    for axis, _ in fields:
-        if not 0 <= axis < n:
-            raise ValueError(f"field axis {axis} is not an axis of a grid of dimension {n}")
-    pts = grid.points
-    half = np.concatenate([[pts[0] - h / 2.0], pts + h / 2.0])  # N+1 half points
-    total = sparse.csr_array((grid.side(), grid.side()))
-    for axis, c in fields:
-        # c2[a, o]: b^2 at half point a of `axis`, node o of the other axis
-        if c is None:
-            c2 = np.ones((N + 1, N ** (n - 1)))
-        else:
-            x = [pts[None, :]] * n
-            x[axis] = half[:, None]
-            c2 = np.asarray(c.eval(tuple(x) + (0.0,) * n), dtype=float).reshape(N + 1, -1)
-        # one tridiagonal D^T M D per line, on the flat node index:
-        # stride N^(n-1) along axis 0; along axis 1 stride 1, no coupling
-        # from one line to the next
-        diag, off = _staggered_bands(c2, h)
-        if axis == 0:
-            stride, diag, off = c2.shape[1], diag.ravel(), off.ravel()
-        else:
-            stride, diag, off = 1, diag.T.ravel(), np.pad(off, ((0, 1), (0, 0))).T.ravel()[:-1]
-        total = total + sparse.diags_array([off, diag, off], offsets=[-stride, 0, stride])
-    return HamiltonianMatrix(total, grid, provenance=f"sum_of_squares[{len(fields)} fields]")
-
-
 def tensor_stencil_matrix(fields, grid: Grid, order: int = 6, confined: bool = False,
                           provenance: str = "") -> HamiltonianMatrix:
     """sum_j c_j(x) (-d^2/dx_axis^2), plus |x|^2 when confined, as a
     Kronecker sum of stencils for the grid's boundary.  fields holds
     (axis, c), c = b^2 of the field b(x) d/dx_axis as a JetExpr over
-    (x, xi), None for b = 1; c must not vary along its own axis, which
-    keeps the sum symmetric and PSD."""
+    (x, xi), None for b = 1.  Each axis must be one of the grid's, and
+    each c's tree must prove it constant along its own axis, which keeps
+    the sum symmetric and PSD; ValueError otherwise."""
     from scipy import sparse
     D2 = sparse.csr_array(second_derivative(grid.N, grid.h, order, grid.boundary))
     X = grid.mesh()
     Z = np.hstack([X, np.zeros_like(X)])
     total = None
     for axis, c in fields:
+        if not 0 <= axis < grid.n:
+            raise ValueError(f"field axis {axis} is not an axis of a grid of dimension {grid.n}")
+        if c is not None and not c.diff(axis).is_zero:
+            raise ValueError(f"the coefficient of the field on axis {axis} varies along it")
         factors = [sparse.eye_array(grid.N)] * grid.n
         factors[axis] = D2
         K = functools.reduce(lambda A, B: sparse.kron(A, B, format="csr"), factors)

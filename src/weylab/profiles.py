@@ -217,20 +217,12 @@ def _step_series(u, du, depth):
     return out
 
 
-def band_bump(v):
-    """chi with support exactly [1, 3] and chi = 1 on [1.2, 2.5]: the
-    shell table of t^0 chi(t) at order 0.
-
-    Applied to m(X)/R this carves out the weight shell R <= m <= 3R.
-    """
-    return shell_table(0.0, 1.0)(0, v)
-
-
 def shell_table(p: float, R: float):
-    """Derivative table of f(t) = t^p chi(t/R), chi = band_bump, for JUni:
-    f(m) is the shell symbol m^p chi(m/R) of a weight m.  f vanishes to
-    all orders off the open shell 1 < t/R < 3, so the series is taken on
-    it only; row 0 is t^p times chi, the plain product."""
+    """Derivative table of f(t) = t^p chi(t/R) for JUni, chi the bump
+    with support exactly [1, 3] and chi = 1 on [1.2, 2.5]: f(m) is the
+    shell symbol m^p chi(m/R) of a weight m, on the shell R <= m <= 3R.
+    f vanishes to all orders off the open shell 1 < t/R < 3, so the series
+    is taken on it only; row 0 is t^p times chi, the plain product."""
     def table(order, t):
         t = np.asarray(t, dtype=float)
         v = t / R

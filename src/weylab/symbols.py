@@ -272,9 +272,9 @@ def class_membership(s, M, w, k: int, halves: Sequence[float], growth_factor: fl
 
 
 def band_restrict(w, p: float, R: float) -> SymbolEvaluator:
-    """The shell symbol m^p chi(m/R) of the weight w, chi = band_bump:
-    support exactly R <= m <= 3R.  One JUni of profiles.shell_table on
-    w's own tree, so its derivatives are exact."""
+    """The shell symbol m^p chi(m/R) of the weight w, support exactly
+    R <= m <= 3R.  One JUni of profiles.shell_table, whose bump chi it
+    is, on w's own tree, so its derivatives are exact."""
     if R <= 1:
         raise ValueError("R must exceed 1")
     return SymbolEvaluator(w.n, JUni(w.expr, shell_table(p, R)), f"band[m^{p:g}, R={R}]")

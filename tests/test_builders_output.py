@@ -60,7 +60,7 @@ def test_unknown_builder_lists_alternatives():
 def test_sum_of_squares_coefficient_whitelist():
     g = DirichletGrid(2, 12, 4.0)
     H = get_operator("sum_of_squares", g, {"fields": [[0, "1"], [1, "x1"]]})
-    assert np.allclose(H.data, get_operator("grushin_pure", g, {"order": 2}).data, atol=1e-12)
+    assert np.array_equal(H.data, get_operator("grushin_pure", g, {"order": 2}).data)
     with pytest.raises(ConfigError) as err:
         get_operator("sum_of_squares", g, {"fields": [[0, "x2"]]})
     assert str(err.value) == 'params.fields[0][1] must be "1" or "x1", got "x2"'

@@ -205,6 +205,20 @@ def test_sum_of_squares_field_off_the_grid_is_a_config_error(tmp_path, capsys, n
     assert manifest["outputs"] == []
 
 
+def test_sum_of_squares_field_varying_along_its_axis_is_a_config_error(tmp_path, capsys):
+    # x1 d/dx1: its coefficient varies along its own axis, which the
+    # stencil assembly refuses rather than building a non-symmetric matrix
+    code, out = run(tmp_path, "sos.json", {
+        "schema": 1, "kind": "spectrum", "grid": {"n": 2, "N": 12, "L": 4.0},
+        "operator": {"name": "sum_of_squares", "params": {"fields": [[0, "x1"]]}}, "k": 3})
+    assert code == 2
+    message = "the coefficient of the field on axis 0 varies along it"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    assert manifest["error"] == {"kind": "config", "message": message}
+    assert manifest["outputs"] == []
+
+
 def test_spectrum_with_table_potential_reproduces(tmp_path, capsys):
     table = tmp_path / "v.csv"
     np.savetxt(table, 0.3 * np.sin(DirichletGrid(1, 32, 12.0).points), delimiter=",")

@@ -1,6 +1,4 @@
 """Discretized operators: stencils, model builders, potentials, powers."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -10,16 +8,16 @@ from weylab.hamiltonians import (
     HamiltonianMatrix,
     P2ValidationError,
     Potential,
-    _staggered_bands,
     bounded_noise_potential,
     hamiltonian_with_potential,
     quadratic_potential,
     second_derivative,
     step_potential,
-    sum_of_squares_matrix,
     table_potential,
+    tensor_stencil_matrix,
     validate_p2,
 )
+from weylab.quantize import Grid
 from weylab.spectral import SolverError, Spectrum
 
 from _helpers import min_ritz, periodic_mode_symbol, symmetry_defect
@@ -109,20 +107,6 @@ def test_stencils_are_symmetric_psd():
         assert np.min(np.linalg.eigvalsh(A)) > -1e-10
 
 
-def test_staggered_constant_coefficient_reduces_to_order2():
-    diag, off = _staggered_bands(np.ones(21), 0.25)
-    S = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    assert np.max(np.abs(S - second_derivative(20, 0.25, order=2))) == 0.0
-
-
-def test_staggered_random_coefficient_stays_psd(rng):
-    c = rng.uniform(0.0, 3.0, size=33)
-    diag, off = _staggered_bands(c, 0.1)
-    S = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    assert np.max(np.abs(S - S.T)) == 0.0
-    assert np.min(np.linalg.eigvalsh(S)) > -1e-10
-
-
 # -- model builders ---------------------------------------------------------
 
 def test_harmonic_2d_kronecker_eigenvalues():
@@ -188,39 +172,58 @@ def test_daho_plateau_matches_scaled_laplacian_far_out():
 
 def test_sum_of_squares_constant_field():
     g = DirichletGrid(1, 20, 5.0)
-    H = sum_of_squares_matrix([(0, None)], g)
+    H = get_operator("sum_of_squares", g, {"fields": [[0, "1"]]})
     assert np.max(np.abs(H.data - second_derivative(20, g.h, order=2))) == 0.0
 
 
-def test_sum_of_squares_matches_grushin():
-    g = DirichletGrid(2, 20, 5.0)
-    H = sum_of_squares_matrix(_model("grushin_pure").fields, g)
-    G2 = get_operator("grushin_pure", g, {"order": 2})
-    assert np.max(np.abs(H.data - G2.data)) < 1e-12
+@pytest.mark.parametrize("grid", [DirichletGrid(2, 20, 5.0), Grid(2, 16, 4.0)],
+                         ids=["dirichlet", "periodic"])
+def test_sum_of_squares_matches_grushin(grid):
+    # the Grushin fields as a sum_of_squares config are the model itself
+    # at order 2, with the stencils of either boundary
+    H = get_operator("sum_of_squares", grid, {"fields": [[0, "1"], [1, "x1"]]})
+    assert np.array_equal(H.data, get_operator("grushin_pure", grid, {"order": 2}).data)
     assert symmetry_defect(H) == 0.0
     assert np.min(np.linalg.eigvalsh(H.data)) > -1e-9
+
+
+def test_sum_of_squares_accepts_a_generator():
+    g = DirichletGrid(2, 12, 4.0)
+    fields = _model("grushin_pure").fields
+    H = tensor_stencil_matrix((f for f in fields), g, order=2, provenance="grushin")
+    assert H.provenance == "grushin"
+    assert np.array_equal(H.data, tensor_stencil_matrix(fields, g, order=2).data)
+
+
+@pytest.mark.parametrize("axis", [-1, 2], ids=["below", "above"])
+def test_tensor_stencil_matrix_refuses_an_axis_off_the_grid(axis):
+    # axis -1 would otherwise select the last axis through the index
+    with pytest.raises(ValueError, match=f"field axis {axis} is not an axis of a grid "
+                                         "of dimension 2"):
+        tensor_stencil_matrix([(axis, None)], DirichletGrid(2, 12, 4.0))
+
+
+def test_tensor_stencil_matrix_refuses_a_coefficient_varying_along_its_axis():
+    # x1^2 on axis 0 varies along its own axis: the stencil product with
+    # it is not symmetric, so the assembly refuses it
+    x1_squared = _model("grushin_pure").fields[1][1]
+    with pytest.raises(ValueError, match="varies along it"):
+        tensor_stencil_matrix([(0, x1_squared)], DirichletGrid(2, 12, 4.0))
 
 
 @pytest.mark.parametrize("name,params", [("harmonic", {"n": 1}), ("harmonic", {"n": 2}),
                                          ("daho", {}), ("grushin_pure", {}),
                                          ("single_field", {})],
                          ids=["harmonic1", "harmonic2", "daho", "grushin_pure", "single_field"])
-def test_sum_of_squares_takes_every_model_field_format(name, params):
-    # the staggered form on a model's own fields is its unconfined
-    # order-2 stencil operator: each c is constant along its own axis
+def test_every_model_field_passes_the_stencil_check(name, params):
+    # each model's coefficients are proven constant along their own axis,
+    # so the check refuses none of them and the sum stays symmetric PSD
+    # on either boundary
     model = _model(name, params)
-    g = DirichletGrid(model.n, 20, 5.0)
-    H = sum_of_squares_matrix(model.fields, g)
-    want = replace(model, confined=False).operator(g, order=2)
-    assert np.max(np.abs(H.data - want.data)) <= 1e-12
-
-
-def test_sum_of_squares_accepts_a_generator():
-    g = DirichletGrid(2, 12, 4.0)
-    fields = _model("grushin_pure").fields
-    H = sum_of_squares_matrix((f for f in fields), g)
-    assert H.provenance == "sum_of_squares[2 fields]"
-    assert np.array_equal(H.data, sum_of_squares_matrix(fields, g).data)
+    for g in (DirichletGrid(model.n, 16, 5.0), Grid(model.n, 16, 5.0)):
+        H = tensor_stencil_matrix(model.fields, g, order=2)
+        assert symmetry_defect(H) == 0.0
+        assert min_ritz(H) > -1e-9
 
 
 # -- potentials -------------------------------------------------------------
@@ -318,7 +321,7 @@ def test_hamiltonian_with_potential_gates():
 
 def test_conditioning_limit():
     g = DirichletGrid(1, 8, 12.0)
-    kin = sum_of_squares_matrix([(0, None)], g)
+    kin = tensor_stencil_matrix([(0, None)], g, order=2)
     huge = Potential(np.full(8, 100.0), "flat")
     with pytest.raises(ValueError, match="conditioning"):
         hamiltonian_with_potential(kin, huge, override=True)

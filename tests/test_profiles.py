@@ -11,7 +11,7 @@ import sympy as sp
 
 import weylab
 from weylab import profiles
-from weylab.profiles import (PROFILE_DERIV_ORDERS, CutoffProfileSquared, band_bump,
+from weylab.profiles import (PROFILE_DERIV_ORDERS, CutoffProfileSquared,
                              shell_table, smoothstep)
 from weylab.symbols import MAX_DERIV_ORDER
 
@@ -118,8 +118,9 @@ def test_nonnegative_everywhere():
 
 
 def test_band_bump_support_and_plateau():
+    # the shell bump chi is the table of t^0 chi(t) at order 0
     v = np.linspace(-1.0, 6.0, 1401)
-    b = band_bump(v)
+    b = shell_table(0.0, 1.0)(0, v)
     assert np.all(b[(v <= 1.0) | (v >= 3.0)] == 0.0)
     inner = (v >= 1.2) & (v <= 2.5)
     assert np.array_equal(b[inner], np.ones(inner.sum()))
@@ -127,8 +128,8 @@ def test_band_bump_support_and_plateau():
 
 
 def _direct_bump(v):
-    """band_bump as the plain formula: exp(-1/u) step halves on the whole
-    batch, in the order the series' row 0 takes them."""
+    """The shell bump chi as the plain formula: exp(-1/u) step halves on
+    the whole batch, in the order the series' row 0 takes them."""
     def step(u):
         out = (u >= 1.0).astype(float)
         mid = (u > 0.0) & (u < 1.0)
@@ -142,12 +143,13 @@ def _direct_bump(v):
 
 @pytest.mark.parametrize("p", [-0.4, -1.0])
 def test_shell_table_row_zero_is_the_bump(p):
-    # one definition: the table's values are t^p times band_bump, bit for bit
+    # one definition: the table's values are t^p times the bump, bit for bit
     R = 9.0
     v = np.random.default_rng(8).uniform(0.5, 3.5, 5000)
-    assert np.array_equal(band_bump(v), _direct_bump(v))
+    bump = shell_table(0.0, 1.0)
+    assert np.array_equal(bump(0, v), _direct_bump(v))
     t = v * R
-    assert np.array_equal(shell_table(p, R)(0, t), t**p * band_bump(t / R))
+    assert np.array_equal(shell_table(p, R)(0, t), t**p * bump(0, t / R))
 
 
 @lru_cache(maxsize=1)

@@ -11,8 +11,8 @@ import sympy as sp
 import weylab
 import weylab.quantize as qz
 from weylab._jets import JProd, JPowerSum, JSum, JUni, UnsupportedOrderError
-from weylab.builders import get_a2, get_operator, get_weight, symbol_names, weight_names
-from weylab.hamiltonians import DirichletGrid, sum_of_squares_matrix
+from weylab.builders import get_a2, get_weight, symbol_names, weight_names
+from weylab.hamiltonians import DirichletGrid
 from weylab.quantize import (
     Grid,
     identity_symbol_matrix,
@@ -121,14 +121,9 @@ def test_grid_geometry():
         assert np.array_equal(g.mesh(), want) and g.side() == N ** n
     assert DirichletGrid(2, 16, 6.0) == Grid(2, 16, 6.0, "dirichlet")
     assert DirichletGrid(2, 16, 6.0) != Grid(2, 16, 6.0)
-    # quantization needs the FFT modes of a periodic grid; the staggered
-    # sum of squares zero-extends at Dirichlet walls
+    # quantization needs the FFT modes of a periodic grid
     with pytest.raises(ValueError, match="quantization needs a periodic grid"):
         weyl_quantize(harmonic_1d(), Grid(1, 16, 4.0, "dirichlet"))
-    for build in (lambda g: sum_of_squares_matrix([(0, None)], g),
-                  lambda g: get_operator("sum_of_squares", g)):
-        with pytest.raises(ValueError, match="sum_of_squares needs a Dirichlet grid"):
-            build(Grid(2, 16, 4.0))
 
 
 # -- identity and hermiticity ----------------------------------------------
