@@ -30,8 +30,8 @@ from .profiles import CutoffProfileSquared
 from .quantize import Grid, kn_quantize, tau_quantize, weyl_quantize
 from .spectral import (GrowthFit, SpectralResult, Spectrum, eigensolve, growth_fit,
                        schatten_sweep)
-from .symbols import (PolySymbol, SeminormEstimate, SymbolEvaluator,
-                      class_membership, smg_seminorm, with_confinement)
+from .symbols import (SeminormEstimate, SymbolEvaluator, class_membership, smg_seminorm,
+                      with_confinement)
 from .evolve import EvolutionTrace, Propagator, heat_evolve, schrodinger_evolve
 
 __all__ = [name for name in dir() if not name.startswith("_")]

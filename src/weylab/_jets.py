@@ -1,7 +1,7 @@
 """Exact derivative algebra for structured phase-space expressions, the
 only way a symbol is differentiated.
 
-Symbols that matter here are built from monomials in the 2n phase
+Symbols that matter here are built from monomial terms in the 2n phase
 coordinates, powers of the bracket core u = <X>^2 = 1 + |x|^2 + |xi|^2
 (bracket_sq, its one definition), and univariate functions f, given by
 a derivative table, of any inner expression (the plateau profile of x_1,

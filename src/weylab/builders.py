@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import hamiltonians as ham
-from ._jets import JPowerSum, JUni, UnsupportedOrderError
+from ._jets import JPowerSum, JProd, JSum, JUni, UnsupportedOrderError
 from .metric import WeightEvaluator
 from .profiles import PROFILE_DERIV_ORDERS, CutoffProfileSquared
-from .symbols import PolySymbol
+from .symbols import SymbolEvaluator
 
 __all__ = ["Model", "symbol_names", "weight_names", "get_a2", "get_weight", "get_operator",
            "get_kinetic", "get_potential", "describe_builders", "UnknownBuilderError",
@@ -84,11 +84,15 @@ def read(t, value, at: str = ""):
     bool, str, a Bound (an int or float with a lower bound), a tuple of the
     allowed values, [T] (a non-empty list of T), [T1, T2, ...] (a list of
     exactly those) or a Tagged.  A default of
-    REQUIRED makes the key required, and null counts as absent.  Keys
-    outside a spec are ignored.
+    REQUIRED makes the key required, and null counts as absent.  A key
+    outside the spec of a nested object (at given) is refused; at the top
+    level it is ignored, and a Tagged object's tag key is in its spec.
     """
     if isinstance(t, dict):
         _expect(isinstance(value, dict), at, "an object", value)
+        extra = [key for key in value if key not in t]
+        if at and extra:
+            raise ConfigError(f"unknown key {extra[0]!r} in {at}")
         out = {}
         for key, (kt, default) in t.items():
             v = value.get(key)
@@ -98,11 +102,13 @@ def read(t, value, at: str = ""):
             out[key] = None if v is None else read(kt, v, f"{at}.{key}" if at else key)
         return out
     if isinstance(t, Tagged):
-        name = read({t.tag: (str, t.default)}, value, at)[t.tag]
+        _expect(isinstance(value, dict), at, "an object", value)
+        tag = {t.tag: (str, t.default)}
+        name = read(tag, {t.tag: value.get(t.tag)}, at)[t.tag]
         if name not in t.variants:
             raise t.error(f"unknown {t.what} {name!r}; "
                           f"available: {', '.join(sorted(t.variants))}")
-        return {t.tag: name, **read(t.variants[name], value, at)}
+        return read({**tag, **t.variants[name]}, value, at)
     if isinstance(t, Bound):
         v = read(t.t, value, at)
         _expect(v > t.low if t.strict else v >= t.low, at,
@@ -142,19 +148,20 @@ def _described(t) -> str:
 
 @dataclass(frozen=True)
 class Model:
-    """Sum of squares of axis-aligned fields on R^n, plus |x|^2 when confined."""
+    """Sum of squares of axis-aligned fields on R^n, plus |x|^2 when confined.
+    Its symbol and its operators take one term per field, in field order."""
     label: str
     n: int
     fields: tuple   # (axis, c): c = b^2 as a JetExpr over (x, xi), None for b = 1
     confined: bool
 
-    def a2(self) -> PolySymbol:
-        """The principal symbol sum_j c_j(x) xi_axis^2."""
+    def a2(self) -> SymbolEvaluator:
+        """The principal symbol sum_j c_j(x) xi_axis^2, one tree."""
         nv = 2 * self.n
-        return PolySymbol(self.n, {
-            tuple(2 if j == axis else 0 for j in range(self.n)):
-                JPowerSum.constant(nv, 1.0) if c is None else c
-            for axis, c in self.fields})
+        return SymbolEvaluator(self.n, JSum([
+            JProd([JPowerSum.constant(nv, 1.0) if c is None else c,
+                   JPowerSum.monomial(nv, tuple(2 * (j == self.n + axis) for j in range(nv)))])
+            for axis, c in self.fields]))
 
     def operator(self, grid, order: int = 6) -> ham.HamiltonianMatrix:
         if grid.n != self.n:
@@ -270,7 +277,7 @@ def weight_names():
     return sorted(symbol_names() + list(_WEIGHTS))
 
 
-def get_a2(name: str, params: Optional[dict] = None) -> PolySymbol:
+def get_a2(name: str, params: Optional[dict] = None) -> SymbolEvaluator:
     return _MODELS[name][1](_params(SYMBOL, name, params)).a2()
 
 
@@ -293,7 +300,7 @@ def get_operator(name: str, grid, params: Optional[dict] = None):
 def get_kinetic(name: str, grid):
     """A kinetic operator for periodic boxes (see KINETIC)."""
     read(KINETIC, {"name": name})   # raises on an unknown name
-    model = _model("harmonic" if name == "laplacian" else name, {"n": grid.n})
+    model = _model("harmonic", {"n": grid.n}) if name == "laplacian" else _model(name)
     return replace(model, confined=False).operator(grid)
 
 

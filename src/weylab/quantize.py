@@ -71,8 +71,7 @@ class Grid:
             raise ValueError("boundary must be periodic or dirichlet")
         periodic = self.boundary == "periodic"
         if self.n not in (1, 2):
-            raise ValueError("only one or two spatial dimensions are supported" if periodic
-                             else "only one or two dimensions")
+            raise ValueError("only one or two spatial dimensions are supported")
         if self.N < 8 or (periodic and self.N % 2):
             raise ValueError("N must be even and at least 8" if periodic
                              else "N must be at least 8")

@@ -3,11 +3,11 @@
 SymbolEvaluator is the one phase-space function type, given by one
 JetExpr tree: the tree gives the values and the memoized exact
 derivatives, and its structural parity tells the quantizer and the
-phase-space quadrature which reflections to fold.  PolySymbol is the
-SymbolEvaluator of a symbol polynomial in xi with jet-capable
-x-coefficients; it builds its tree once.  Weights are SymbolEvaluators
-too (metric.WeightEvaluator), so the weight m and the class weight M of
-a seminorm are symbols.
+phase-space quadrature which reflections to fold.  A model's principal
+symbol a2 is one such tree, a term per field (builders.Model.a2), and
+with_confinement adds |x|^2 to it.  Weights are SymbolEvaluators too
+(metric.WeightEvaluator), so the weight m and the class weight M of a
+seminorm are symbols.
 
 Seminorm estimation, class-membership gates and the shell symbol of a
 weight (band restriction) live here too.
@@ -21,14 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._jets import (JProd, JPowerSum, JSum, JUni, JetExpr, UnsupportedOrderError,
-                    bracket_sq, coords, shape_of)
+from ._jets import (JPowerSum, JSum, JUni, JetExpr, UnsupportedOrderError, bracket_sq,
+                    coords, shape_of)
 from .profiles import shell_table
 
 __all__ = [
-    "SymbolEvaluator", "PolySymbol", "SeminormEstimate", "with_confinement",
-    "quadratic_confinement", "smg_seminorm", "class_membership", "band_restrict",
-    "box_sample",
+    "SymbolEvaluator", "SeminormEstimate", "with_confinement", "smg_seminorm",
+    "class_membership", "band_restrict", "box_sample",
 ]
 
 MAX_DERIV_ORDER = 4
@@ -120,42 +119,14 @@ def _iter_multi(bound):
     return itertools.product(*(range(b + 1) for b in bound))
 
 
-class PolySymbol(SymbolEvaluator):
-    """Symbol polynomial in xi: sum over multi-indices of c_alpha(x) xi^alpha.
-
-    Coefficients are JetExpr over the full 2n phase variables but may
-    only depend on x (their xi-derivatives must vanish; the constructors
-    here guarantee that).  The tree sum_alpha c_alpha * xi^alpha is built
-    once, here; its values and derivatives are exact.
-    """
-
-    def __init__(self, n: int, monomials: dict):
-        self.monomials = {tuple(a): c for a, c in monomials.items() if not c.is_zero}
-        # xi^0 = 1 multiplies nothing: the coefficient is its own term
-        super().__init__(n, JSum([JProd([c, JPowerSum.monomial(2 * n, (0,) * n + a)])
-                                  if any(a) else c for a, c in self.monomials.items()]))
-
-    def __add__(self, other):
-        if not isinstance(other, PolySymbol):
-            return NotImplemented
-        out = dict(self.monomials)
-        for a, c in other.monomials.items():
-            out[a] = JSum([out[a], c]) if a in out else c
-        return PolySymbol(self.n, out)
-
-
 # -- concrete symbols -------------------------------------------------------
 
-def quadratic_confinement(n: int) -> PolySymbol:
-    """|x|^2 as a xi-degree-0 symbol."""
-    nv = 2 * n
-    terms = [(1.0, tuple(2 if i == j else 0 for i in range(nv)), 0.0) for j in range(n)]
-    return PolySymbol(n, {(0,) * n: JPowerSum(nv, terms)})
-
-
-def with_confinement(a2: PolySymbol) -> PolySymbol:
-    """a = a2 + |x|^2."""
-    return a2 + quadratic_confinement(a2.n)
+def with_confinement(a2: SymbolEvaluator) -> SymbolEvaluator:
+    """a = a2 + |x|^2: a2's tree, then |x|^2 summed axis by axis."""
+    nv = 2 * a2.n
+    x2 = JPowerSum(nv, [(1.0, tuple(2 * (i == j) for i in range(nv)), 0.0)
+                        for j in range(a2.n)])
+    return SymbolEvaluator(a2.n, JSum([a2.expr, x2]))
 
 
 # -- sampling and seminorms -------------------------------------------------

@@ -6,7 +6,7 @@ symbols, symmetry and positivity witnesses, and call counters."""
 import numpy as np
 import sympy as sp
 
-from weylab._jets import JetExpr, JPowerSum, JUni, UnsupportedOrderError, shape_of
+from weylab._jets import JetExpr, JPowerSum, JProd, JSum, JUni, UnsupportedOrderError, shape_of
 from weylab.hamiltonians import _W2
 from weylab.symbols import SymbolEvaluator
 
@@ -124,22 +124,28 @@ class Unproven(JetExpr):
         return self.tree._eval(P)
 
 
-def weight_values(a2, Z):
-    """m = a2 + |x|^2 + <X> at the rows of Z, in the operation order of
-    WeightEvaluator.from_a2, with a2 summed monomial by monomial as
-    sum_alpha c_alpha(x) xi^alpha; the weight must match it bit for bit."""
+def poly(n, monomials):
+    """The symbol sum_alpha c_alpha xi^alpha of a dict {alpha: c_alpha},
+    the c_alpha trees over the 2n phase variables: one term per entry, in
+    dict order, and a c_0 (alpha = 0) is its own term."""
+    return SymbolEvaluator(n, JSum([
+        JProd([c, JPowerSum.monomial(2 * n, (0,) * n + tuple(a))]) if any(a) else c
+        for a, c in monomials.items()]))
+
+
+def weight_values(model, Z):
+    """m = a2 + |x|^2 + <X> of the builders.Model model at the rows of Z,
+    in the operation order of WeightEvaluator.from_a2, with a2 summed
+    field by field as sum_j c_j(x) xi_axis^2; the weight must match it
+    bit for bit."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    n = a2.n
+    n = model.n
     x, xi = Z[:, :n], Z[:, n:]
-    acc = np.zeros(Z.shape[0], dtype=complex)
-    for alpha, c in a2.monomials.items():
-        mono = np.ones(Z.shape[0])
-        for j, aj in enumerate(alpha):
-            if aj:
-                mono = mono * xi[:, j] ** aj
-        acc = acc + np.asarray(c.eval(Z)) * mono
+    acc = np.zeros(Z.shape[0])
+    for axis, c in model.fields:
+        acc = acc + (1.0 if c is None else np.asarray(c.eval(Z))) * xi[:, axis] ** 2
     bracket = np.sqrt(1.0 + (x * x).sum(axis=1) + (xi * xi).sum(axis=1))
-    return acc.real + (x * x).sum(axis=1) + bracket
+    return acc + (x * x).sum(axis=1) + bracket
 
 
 def count_calls(monkeypatch, owner, name):

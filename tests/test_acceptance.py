@@ -23,10 +23,9 @@ from weylab.metric import (WeightEvaluator, check_pairs, check_uncertainty,
                            eval_dual_metric, eval_metric, pair_sample, planck)
 from weylab.quantize import Grid, identity_symbol_matrix, weyl_quantize
 from weylab.spectral import eigensolve, growth_fit, schatten_sweep
-from weylab.symbols import (PolySymbol, SymbolEvaluator, class_membership,
-                            with_confinement)
+from weylab.symbols import SymbolEvaluator, class_membership, with_confinement
 
-from _helpers import X, XI, exp_sqrt_bracket_x, moyal_product, sympy_symbol
+from _helpers import X, XI, exp_sqrt_bracket_x, moyal_product, poly, sympy_symbol
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +205,7 @@ def test_quantization_of_one_and_hermiticity():
         for dxi in range(3):
             terms = [(float(rng.integers(-3, 4)), (e, 0), 0.0) for e in range(3)]
             mono[(dxi,)] = JPowerSum(2, terms)
-        M = weyl_quantize(PolySymbol(1, mono), grid)
+        M = weyl_quantize(poly(1, mono), grid)
         worst = max(worst, float(np.max(np.abs(M - M.conj().T))))
     assert worst < 1e-10
 
@@ -221,7 +220,7 @@ def test_composition_defect_vanishes_under_refinement():
     at each halving (gate: order >= 2 and a machine-level endpoint).
     """
     a = with_confinement(bld.get_a2("harmonic", {"n": 1}))
-    b = PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0))})
+    b = poly(1, {(1,): JPowerSum.monomial(2, (1, 0))})
     ab = sympy_symbol(moyal_product(XI**2 + X**2, X * XI))
     defects = []
     for N in (32, 64, 128):

@@ -57,6 +57,13 @@ def test_unknown_builder_lists_alternatives():
         get_weight("lorentz")
 
 
+def test_a_model_of_fixed_dimension_refuses_n():
+    # a key outside the params a builder declares is refused, not ignored
+    with pytest.raises(ConfigError) as err:
+        get_weight("daho", {"n": 2})
+    assert str(err.value) == "unknown key 'n' in params"
+
+
 def test_sum_of_squares_coefficient_whitelist():
     g = DirichletGrid(2, 12, 4.0)
     H = get_operator("sum_of_squares", g, {"fields": [[0, "1"], [1, "x1"]]})

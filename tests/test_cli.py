@@ -219,6 +219,27 @@ def test_sum_of_squares_field_varying_along_its_axis_is_a_config_error(tmp_path,
     assert manifest["outputs"] == []
 
 
+def test_unknown_grid_key_is_a_config_error(tmp_path, capsys):
+    # a spectrum runs on a Dirichlet grid; a boundary it would not honour is
+    # refused by the table, so, as for any config that fails it, nothing is written
+    code, out = run(tmp_path, "sp.json", {
+        "schema": 1, "kind": "spectrum",
+        "grid": {"n": 1, "N": 24, "L": 8.0, "boundary": "periodic"},
+        "operator": {"name": "harmonic"}, "k": 3})
+    assert code == 2
+    assert capsys.readouterr().err == "config error: unknown key 'boundary' in grid\n"
+    assert not os.path.exists(out)
+
+
+def test_unknown_top_level_key_is_still_ignored(tmp_path):
+    # interim: benchmark configs still send keys their kind does not take
+    # (trials to band-probe, method to evolve), so the top level stays lenient
+    code, _ = run(tmp_path, "sp.json", {
+        "schema": 1, "kind": "spectrum", "grid": {"n": 1, "N": 24, "L": 8.0},
+        "operator": {"name": "harmonic"}, "k": 3, "trials": 4})
+    assert code == 0
+
+
 def test_spectrum_with_table_potential_reproduces(tmp_path, capsys):
     table = tmp_path / "v.csv"
     np.savetxt(table, 0.3 * np.sin(DirichletGrid(1, 32, 12.0).points), delimiter=",")

@@ -21,20 +21,20 @@ from weylab.quantize import (
     tau_quantize,
     weyl_quantize,
 )
-from weylab.symbols import PolySymbol, SymbolEvaluator, with_confinement
+from weylab.symbols import SymbolEvaluator, with_confinement
 
-from _helpers import (X, XI, Unproven, direct_quantize, gaussian_packets, moyal_product,
+from _helpers import (X, XI, Unproven, direct_quantize, gaussian_packets, moyal_product, poly,
                       sympy_symbol, transport)
 
 
 def xxi_symbol():
-    return PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0))})
+    return poly(1, {(1,): JPowerSum.monomial(2, (1, 0))})
 
 
 def mixed_2d_symbol():
     """x1 xi2 + x2^2 xi1: x-dependent and odd in xi, unlike every model."""
-    return PolySymbol(2, {(0, 1): JPowerSum.monomial(4, (1, 0, 0, 0)),
-                          (1, 0): JPowerSum.monomial(4, (0, 2, 0, 0))})
+    return poly(2, {(0, 1): JPowerSum.monomial(4, (1, 0, 0, 0)),
+                    (1, 0): JPowerSum.monomial(4, (0, 2, 0, 0))})
 
 
 def daho_weight():
@@ -48,8 +48,8 @@ def harmonic_1d():
 def odd_in_xi(n):
     """x1 xi1 + xi1^2: real, with a term odd in xi."""
     e = (1,) + (0,) * (n - 1)
-    return PolySymbol(n, {e: JPowerSum.monomial(2 * n, e + (0,) * n),
-                          (2,) + (0,) * (n - 1): JPowerSum.constant(2 * n, 1.0)})
+    return poly(n, {e: JPowerSum.monomial(2 * n, e + (0,) * n),
+                    (2,) + (0,) * (n - 1): JPowerSum.constant(2 * n, 1.0)})
 
 
 def odd_past_the_middle():
@@ -82,13 +82,13 @@ FAST_DIM_TAU = [(n, tau) for n, tau in DIM_TAU if tau != 0.3]
 # -- grids ------------------------------------------------------------------
 
 def test_grid_validation():
-    # each boundary keeps the messages of the grid class it replaces
+    # one dimension rule on both boundaries; the N rules differ
     for args, err in [
         ((3, 16, 4.0), "only one or two spatial dimensions are supported"),
         ((1, 15, 4.0), "N must be even and at least 8"),
         ((1, 4, 4.0), "N must be even and at least 8"),
         ((1, 16, 0.0), "L must be positive"),
-        ((3, 16, 4.0, "dirichlet"), "only one or two dimensions"),
+        ((3, 16, 4.0, "dirichlet"), "only one or two spatial dimensions are supported"),
         ((1, 7, 4.0, "dirichlet"), "N must be at least 8"),
         ((1, 16, -1.0, "dirichlet"), "L must be positive"),
         ((1, 16, 4.0, "neumann"), "boundary must be periodic or dirichlet"),
@@ -311,7 +311,7 @@ def odd_in_x1(n):
     """x1^3 + x1 xi1^2: odd under x1 -> -x1, so that axis is not folded."""
     def x1(k):
         return JPowerSum.monomial(2 * n, (k,) + (0,) * (2 * n - 1))
-    return PolySymbol(n, {(0,) * n: x1(3), (2,) + (0,) * (n - 1): x1(1)})
+    return poly(n, {(0,) * n: x1(3), (2,) + (0,) * (n - 1): x1(1)})
 
 
 @pytest.mark.parametrize("N", [8, 24])
@@ -333,8 +333,8 @@ def test_unproven_axes_keep_every_sample_bit_for_bit(n, tau, N):
 def test_an_even_symbol_with_a_complex_coefficient_stays_complex(n, tau):
     # (1 + i/2) xi1^2 + i x1^2: proven even on every axis, and not real
     e = (2,) + (0,) * (n - 1)
-    s = PolySymbol(n, {e: JPowerSum.constant(2 * n, 1.0 + 0.5j),
-                       (0,) * n: JPowerSum.monomial(2 * n, e + (0,) * n, c=1j)})
+    s = poly(n, {e: JPowerSum.constant(2 * n, 1.0 + 0.5j),
+                 (0,) * n: JPowerSum.monomial(2 * n, e + (0,) * n, c=1j)})
     assert all(s.expr.parity(a) == 1 for a in range(2 * n))
     grid = sweep_grid(n, 24)
     got, want = tau_quantize(s, grid, tau), every_sample(s, grid, tau)
@@ -366,8 +366,8 @@ def run_length_symbols():
     """Folded and real (daho), unproven, and complex: odd in xi, and even
     with a complex coefficient."""
     e = (2, 0)
-    even_complex = PolySymbol(2, {e: JPowerSum.constant(4, 1.0 + 0.5j),
-                                  (0, 0): JPowerSum.monomial(4, e + (0, 0), c=1j)})
+    even_complex = poly(2, {e: JPowerSum.constant(4, 1.0 + 0.5j),
+                            (0, 0): JPowerSum.monomial(4, e + (0, 0), c=1j)})
     return [daho_weight(), SymbolEvaluator(2, Unproven(daho_weight().expr), name="unproven"),
             odd_in_xi(2), even_complex]
 

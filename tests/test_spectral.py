@@ -14,7 +14,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 import weylab
-from _helpers import Unproven, count_calls, schatten_norm, uni_table
+from _helpers import Unproven, count_calls, poly, schatten_norm, uni_table
 from weylab import spectral
 from weylab._jets import JPowerSum, JSum, JUni
 from weylab.builders import get_operator, get_weight
@@ -41,7 +41,6 @@ from weylab.spectral import (
     growth_fit,
     schatten_sweep,
 )
-from weylab.symbols import PolySymbol
 
 
 def harmonic_1d_weight():
@@ -771,7 +770,7 @@ def _with_x1_xi1(n):
     """The harmonic weight plus x1 xi1 / 2 (still >= 1): odd under x1 -> -x1
     and under xi1 -> -xi1 alone, so neither axis is proven even."""
     x1 = JPowerSum.monomial(2 * n, (1,) + (0,) * (2 * n - 1), c=0.5)
-    cross = PolySymbol(n, {(1,) + (0,) * (n - 1): x1})
+    cross = poly(n, {(1,) + (0,) * (n - 1): x1})
     return WeightEvaluator(n, JSum([get_weight("harmonic", {"n": n}).expr, cross.expr]),
                            name="x1-xi1")
 

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from _helpers import Unproven, exp_sqrt_bracket_x
+from _helpers import Unproven, exp_sqrt_bracket_x, poly
 from weylab import profiles, symbols
-from weylab._jets import JPowerSum, UnsupportedOrderError
-from weylab.builders import get_a2, get_weight, symbol_names, weight_names
+from weylab._jets import JPowerSum, JSum, UnsupportedOrderError
+from weylab.builders import (WEIGHT, Model, _model, _MODELS, get_a2, get_weight,
+                             symbol_names, weight_names)
 from weylab.metric import WeightEvaluator
-from weylab.symbols import (MAX_DERIV_ORDER, PolySymbol, SymbolEvaluator,
-                            band_restrict, box_sample, class_membership,
-                            quadratic_confinement, smg_seminorm, with_confinement)
+from weylab.symbols import (MAX_DERIV_ORDER, SymbolEvaluator, band_restrict, box_sample,
+                            class_membership, smg_seminorm, with_confinement)
 
 X1, X2, XI1, XI2 = sp.symbols("x1 x2 xi1 xi2")
 C = sp.Function("c")   # the daho coefficient, the squared plateau profile of x1
@@ -45,7 +45,8 @@ def test_builtin_quadratic_symbols(rng):
     assert np.allclose(got, Z[:, 2] ** 2 + Z[:, 0] ** 2 * Z[:, 3] ** 2)
     got = np.asarray(get_a2("harmonic", {"n": 2}).eval(Z)).real
     assert np.allclose(got, Z[:, 2] ** 2 + Z[:, 3] ** 2)
-    got = np.asarray(quadratic_confinement(2).eval(Z)).real
+    a2 = get_a2("grushin_pure")
+    got = np.asarray(with_confinement(a2).eval(Z) - a2.eval(Z)).real
     assert np.allclose(got, Z[:, 0] ** 2 + Z[:, 1] ** 2)
 
 
@@ -56,7 +57,7 @@ def test_with_confinement_adds_x_square(rng):
     assert np.allclose(np.asarray(a.eval(Z)).real, want)
 
 
-def test_polysymbol_derivatives_match_sympy(rng):
+def test_confined_symbol_derivatives_match_sympy(rng):
     a = with_confinement(get_a2("grushin_pure"))
     expr = XI1**2 + X1**2 * XI2**2 + X1**2 + X2**2
     Z = rand_phase(rng, count=25)
@@ -88,10 +89,15 @@ def test_evaluator_exact_jets_match_closed_forms(profile, rng):
 # -- coordinate tuples against rows ------------------------------------------
 
 
+def _at(name, n):
+    """The params of the builder name in n dimensions: {"n": n} where it
+    declares n, else none (the daho and Grushin models are two-dimensional only)."""
+    return {"n": n} if "n" in WEIGHT.variants[name]["params"][0] else {}
+
+
 def _dims(get, names):
-    """(name, n) for every dimension a builder takes; the daho and
-    Grushin models are two-dimensional only."""
-    return [(name, n) for name in names for n in (1, 2) if get(name, {"n": n}).n == n]
+    """(name, n) for every dimension a builder takes."""
+    return [(name, n) for name in names for n in (1, 2) if get(name, _at(name, n)).n == n]
 
 
 X1S = [0.3, 2.5, -3.1, 5.0]  # plateau, both sides of the bridge 2 < |x1| < 4, far field
@@ -112,7 +118,7 @@ def _block(n, x1):
 @pytest.mark.parametrize("x1", X1S)
 @pytest.mark.parametrize("name,n", _dims(get_weight, weight_names()))
 def test_weight_on_coordinates_equals_rows(name, n, x1):
-    w = get_weight(name, {"n": n})
+    w = get_weight(name, _at(name, n))
     P, Z, shape = _block(n, x1)
     got = w.m_values(P)
     assert got.shape == shape
@@ -122,7 +128,7 @@ def test_weight_on_coordinates_equals_rows(name, n, x1):
 @pytest.mark.parametrize("x1", X1S)
 @pytest.mark.parametrize("name,n", _dims(get_a2, symbol_names()))
 def test_symbol_on_coordinates_equals_rows(name, n, x1):
-    a2 = get_a2(name, {"n": n})
+    a2 = get_a2(name, _at(name, n))
     P, Z, shape = _block(n, x1)
     got = np.asarray(a2.eval(P))
     assert got.shape == shape
@@ -132,7 +138,7 @@ def test_symbol_on_coordinates_equals_rows(name, n, x1):
 @pytest.mark.parametrize("x1", X1S)
 @pytest.mark.parametrize("name,n", _dims(get_weight, weight_names()))
 def test_derivatives_on_coordinates_equal_rows(name, n, x1):
-    w = get_weight(name, {"n": n})
+    w = get_weight(name, _at(name, n))
     P, Z, shape = _block(n, x1)
     for m in np.ndindex(*(3,) * 2 * n):
         if 0 < sum(m) <= 2:
@@ -145,15 +151,15 @@ def test_derivatives_on_coordinates_equal_rows(name, n, x1):
 @pytest.mark.parametrize("name,n", _dims(get_weight, weight_names()))
 def test_weight_order_zero_jet_is_its_values(rng, name, n):
     # one tree gives the values and the jets, so they agree bit for bit
-    w = get_weight(name, {"n": n})
+    w = get_weight(name, _at(name, n))
     Z = rand_phase(rng, count=20000, scale=8.0, n=n)
     zero = (0,) * n
     assert np.array_equal(w.derivative(zero, zero, Z), w.m_values(Z))
 
 
-def test_weights_and_polysymbols_differentiate_through_their_tree(rng):
-    syms = [get_weight(name, {"n": n}) for name, n in _dims(get_weight, weight_names())]
-    syms += [f(get_a2(name, {"n": n})) for name, n in _dims(get_a2, symbol_names())
+def test_weights_and_symbols_differentiate_through_their_tree(rng):
+    syms = [get_weight(name, _at(name, n)) for name, n in _dims(get_weight, weight_names())]
+    syms += [f(get_a2(name, _at(name, n))) for name, n in _dims(get_a2, symbol_names())
              for f in (lambda a2: a2, with_confinement)]
     for s in syms:
         Z = rand_phase(rng, count=10, n=s.n)
@@ -169,19 +175,18 @@ def test_evaluator_order_gate():
         s.derivative((3, 0), (0, 2), np.zeros((1, 4)))
 
 
-def test_polysymbol_addition(rng):
+def test_with_confinement_adds_x_square_after_a2(rng):
     a = get_a2("harmonic", {"n": 2})
     Z = rand_phase(rng, count=10)
-    c = a + quadratic_confinement(2)
-    want = np.asarray(a.eval(Z)) + np.asarray(quadratic_confinement(2).eval(Z))
-    assert np.allclose(np.asarray(c.eval(Z)), want)
+    want = np.asarray(a.eval(Z)) + (Z[:, 0] ** 2 + Z[:, 1] ** 2)
+    assert np.array_equal(np.asarray(with_confinement(a).eval(Z)), want)
 
 
 def test_complex_coefficient_keeps_a_small_imaginary_part():
     # x xi + i 1e-9/(2 pi): the coefficients are complex, so the value
     # stays complex however small its imaginary part
-    sym = PolySymbol(1, {(1,): JPowerSum.monomial(2, (1, 0)),
-                         (0,): JPowerSum.constant(2, 1j * 1e-9 / (2 * np.pi))})
+    sym = poly(1, {(1,): JPowerSum.monomial(2, (1, 0)),
+                   (0,): JPowerSum.constant(2, 1j * 1e-9 / (2 * np.pi))})
     got = sym.eval(np.array([[0.5, 2.0]]))[0]
     assert got.real == 1.0
     assert got.imag == pytest.approx(1e-9 / (2 * np.pi), rel=1e-12)
@@ -222,7 +227,7 @@ def _assert_same(whole, blocked):
 @pytest.mark.parametrize("name,n", _dims(get_weight, weight_names())
                          + [("a2:daho", 2), ("a2:grushin_pure", 2)])
 def test_row_blocks_give_the_one_shot_jets(monkeypatch, name, n):
-    s = get_a2(name[3:]) if name.startswith("a2:") else get_weight(name, {"n": n})
+    s = get_a2(name[3:]) if name.startswith("a2:") else get_weight(name, _at(name, n))
     Z = _rows_with_bridge(n)
     multis = _all_multis(n)
 
@@ -231,6 +236,49 @@ def test_row_blocks_give_the_one_shot_jets(monkeypatch, name, n):
 
     for whole, blocked in zip(*_one_shot_and_blocked(monkeypatch, values)):
         _assert_same(whole, blocked)
+
+
+# -- the model trees ---------------------------------------------------------
+
+
+def test_fields_on_one_axis_add_in_the_symbol():
+    # the symbol keeps every field the operator keeps: two fields d/dx1
+    # give 2 xi1^2, as the stencil assembly sums both
+    fields = ((0, None), (0, None), (1, JPowerSum.monomial(4, (2, 0, 0, 0))))
+    Z = np.array([[0.5, 0.3, 2.0, 1.0], [1.5, -2.0, 0.7, 3.0]])
+    got = Model("dup", 2, fields, False).a2().eval(Z)
+    parts = [Model("one", 2, (f,), False).a2().eval(Z) for f in fields]
+    assert np.array_equal(got, (parts[0] + parts[1]) + parts[2])
+    assert got[0] == 8.25
+
+
+def _flat_a(name):
+    """a = a2 + |x|^2 of the model name as a flat tree: a dict of
+    coefficients keyed by the xi exponent, a field's c on xi_axis^2 and
+    |x|^2 on xi^0, one term per entry in that order."""
+    model = _model(name)
+    n, nv = model.n, 2 * model.n
+    mono = {tuple(2 * (j == axis) for j in range(n)):
+            JPowerSum.constant(nv, 1.0) if c is None else c for axis, c in model.fields}
+    mono[(0,) * n] = JPowerSum(nv, [(1.0, tuple(2 * (i == j) for i in range(nv)), 0.0)
+                                    for j in range(n)])
+    return poly(n, mono).expr
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+def test_a_and_m_are_the_flat_trees_bit_for_bit(name):
+    # with_confinement nests a2's sum in one more; it adds in the flat
+    # tree's order, so every value, jet and parity is the flat tree's
+    flat = _flat_a(name)
+    n = flat.nvars // 2
+    Z = _rows_with_bridge(n)
+    for s, tree in ((with_confinement(get_a2(name)), flat),
+                    (get_weight(name), JSum([flat, JPowerSum.bracket_power(2 * n, 1)]))):
+        want = SymbolEvaluator(n, tree)
+        for m in _all_multis(n):
+            got, ref = s.jet(m), want.jet(m)
+            assert [got.parity(a) for a in range(2 * n)] == [ref.parity(a) for a in range(2 * n)]
+            _assert_same(ref.eval(Z), got.eval(Z))
 
 
 def test_row_blocks_keep_the_shape_of_a_constant(monkeypatch):
