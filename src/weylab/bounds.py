@@ -155,6 +155,13 @@ def _interp_upper(A: np.ndarray, p: float, n2: float) -> float:
     return n2**theta * ninf ** (1.0 - theta)
 
 
+def _lp_bracket(A: np.ndarray, p: float, n2: float, trials: int, rng) -> tuple:
+    """(lower, upper) on the p -> p norm of A: at p = 1, 2 and inf the upper
+    bound is the exact norm, and so is the lower; other p draw it from rng."""
+    upper = _interp_upper(A, p, n2)
+    return (upper if p in (1, 2, np.inf) else _lp_lower(A, p, trials, rng)), upper
+
+
 def _lp_lower(A: np.ndarray, p: float, trials: int, rng) -> float:
     side = A.shape[1]
     best = 0.0
@@ -233,7 +240,8 @@ def lp_window_probe(builder: Callable, grids: Sequence[Grid],
 
     builder maps a grid to the Hamiltonian; the power applied is fixed by
     the mandatory calibration pre-step on the coarsest grid and reused
-    up the ladder so all cells measure the same operator family.
+    up the ladder so all cells measure the same operator family.  The p
+    share one rng in p_list order; p = 1, 2, inf draw nothing (_lp_bracket).
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
@@ -248,8 +256,7 @@ def lp_window_probe(builder: Callable, grids: Sequence[Grid],
         # T is SPD with eigenvalues (lam + shift)^(-beta'): the lowest lam gives |T|_2
         n2 = float((spec.lam[0] + shift) ** -beta_prime)
         for p in p_list:
-            upper = _interp_upper(T, p, n2)
-            lower = _lp_lower(T, p, trials, rng) if p != 2 else upper
+            lower, upper = _lp_bracket(T, p, n2, trials, rng)
             out.append(LpProbeResult(p=float(p), upper=upper, lower=lower,
                                      N=grid.N, beta_prime=beta_prime,
                                      calibration_residual=resid))

@@ -1,7 +1,8 @@
 """The grid type, and discrete quantization on periodic grids.
 
-The convention throughout uses e^{2 pi i} phases: grid x_i = -L + i h
-with h = 2L/N, modes xi_k = k/(2L) for k = -N/2 .. N/2-1, and
+The convention throughout uses e^{2 pi i} phases: cell-centred nodes
+x_i = -L + (i + 1/2) h with h = 2L/N, modes xi_k = k/(2L) for
+k = -N/2 .. N/2-1, and
 
     A[i, j] = N^{-n} sum_k s(p_ij, xi_k) e^{2 pi i (x_i - x_j) . xi_k},
 
@@ -20,7 +21,8 @@ block the first-axis point is one value.
 
 At tau = 0, 1/2 and 1 the symbol is evaluated once per reflection orbit:
 on each axis where its tree is proven even (JetExpr.parity), a node and
-its mirror, or a mode and its mirror, share one sample, picked by index.
+its mirror, or a mode and its mirror, share one sample, picked by index;
+node i mirrors to N - 1 - i and half-step node v to 2N - 2 - v.
 Mode samples are expanded to every mode before the transform; a kept
 node's transform serves its mirror too, through the gather's index (the
 first axis: a run of kept nodes serves their mirrors).  For
@@ -58,9 +60,10 @@ DENSE_SIDE_LIMIT = 4096
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on the box [-L, L]^n.  Periodic (the default): nodes
-    x_i = -L + i h, h = 2L/N, on [-L, L) with FFT-compatible modes.
-    Dirichlet: the interior nodes x_i = -L + (i+1) h, h = 2L/(N+1)."""
+    """Uniform grid on the box [-L, L]^n.  Periodic (the default): the
+    cell centres x_i = -L + (i + 1/2) h, h = 2L/N, with FFT-compatible
+    modes.  Dirichlet: the interior nodes x_i = -L + (i+1) h, h = 2L/(N+1).
+    On both, node i mirrors to node N - 1 - i."""
     n: int
     N: int
     L: float
@@ -84,7 +87,7 @@ class Grid:
 
     @property
     def points(self) -> np.ndarray:
-        first = 0 if self.boundary == "periodic" else 1  # Dirichlet: no node on the wall
+        first = 0.5 if self.boundary == "periodic" else 1.0  # no node on the wall
         return -self.L + self.h * (first + np.arange(self.N))
 
     def mesh(self) -> np.ndarray:
@@ -133,14 +136,11 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     even = all(s.expr.parity(a) == 1 for a in range(n, 2 * n))
     idx = np.arange(N)
     d = (idx[:, None] - idx[None, :]) % N
-    # per axis, p_ij = nodes[at[i, j]]: half-step nodes at tau = 1/2; the
-    # mirror of node j is node -j mod period (the half-step node 2N - j)
+    # per axis, p_ij = nodes[at[i, j]]: half-step nodes at tau = 1/2
     if tau == 0.5:
-        nodes, at = -grid.L + (grid.h / 2.0) * np.arange(2 * N - 1), idx[:, None] + idx[None, :]
-        period = 2 * N
+        nodes, at = grid.points[0] + grid.h / 2.0 * np.arange(2 * N - 1), idx[:, None] + idx
     elif tau == 1.0 or tau == 0.0:
         nodes, at = grid.points, np.broadcast_to(idx[:, None] if tau else idx[None, :], (N, N))
-        period = N
     elif grid.n == 2:
         raise ValueError("two dimensions: only tau = 0, 1/2 and 1")
     else:
@@ -152,8 +152,7 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
         return _gather(rows(), (N, N), 1, even)
     # per symbol axis (x_1..x_n, xi_1..xi_n): map[j] is the row of index j
     # among the kept samples, j itself or its mirror's (_orbits)
-    maps = [_orbits(len(nodes), period, s, a) for a in range(n)] \
-        + [_orbits(N, N, s, a) for a in range(n, 2 * n)]
+    maps = [_orbits(len(nodes) if a < n else N, s, a) for a in range(2 * n)]
     P = [nodes[:m.max() + 1] for m in maps[:n]] + [ks[:m.max() + 1] for m in maps[n:]]
     if n == 1:
         S = _expand(s.eval((P[0][:, None], P[1][None, :])), maps[1:])  # [node, mode]
@@ -179,20 +178,18 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     return _gather(blocks(), (N, N, N, N), 2, even).reshape(side, side)  # [i1, i2, j1, j2]
 
 
-def _orbits(count: int, period: int, s, axis: int) -> np.ndarray:
+def _orbits(count: int, s, axis: int) -> np.ndarray:
     """The row map of one symbol axis with count samples: where s's tree
-    is proven even on the axis, index j and its mirror -j mod period share
-    the row min(j, -j mod period), so the kept rows are a prefix and each
-    mirror pair is evaluated once.  The mirror is picked by index, never
-    by the sign of a node: the centre node of the grid lies a rounding
-    error off 0.  An index that is its own mirror (the centre node, mode
-    0, the Nyquist mode) or whose mirror is not sampled (the first node;
-    at tau = 1/2 the first two half-step nodes) is its own row.  An axis
-    without a proof keeps every sample (the identity map)."""
+    is proven even on the axis, index j and its mirror share the row
+    min(j, mirror), so the kept rows are a prefix and each mirror pair is
+    evaluated once.  A node axis mirrors by reversal, j -> count - 1 - j;
+    a mode axis by k -> -k mod count.  The mirror is picked by index,
+    never by the sign of a sample: a node's mirror is its negative only
+    to rounding.  An axis without a proof keeps every sample."""
     j = np.arange(count)
     if s.expr.parity(axis) != 1:
         return j
-    return np.minimum(j, -j % period)
+    return np.minimum(j, count - 1 - j if axis < s.n else -j % count)
 
 
 def _expand(S, maps) -> np.ndarray:

@@ -7,8 +7,8 @@ the fractional powers, and the trend sweep's eigenvalues.  ``eigensolve``
 solves one block per reflection parity of the operator's grid, the whole
 matrix when none applies, each block on the dense or the shift-invert
 path by its own size.  The trend sweep splits its Weyl matrix the same
-way, by index, on each axis where the weight's tree is proven even: it
-decomposes the matrix averaged over those reflections.
+way, by index, on each axis where the weight's tree is proven even, and
+certifies that the matrix is reflection-symmetric to rounding there.
 
 The trend experiment is the one place where a continuum question (does a
 negative power of the weight lie in a Schatten class) meets finite
@@ -286,12 +286,12 @@ def _inf_norm(S) -> float:
 
 
 def _reflection_indices(g: Grid) -> tuple:
-    """Each node's mirror, round((-x_i - x_0)/h) mod N (N-1-i on a Dirichlet
-    grid, -i mod N on a periodic one), the lead node of each mirror orbit
-    (i <= mirror), the first of each pair (i < mirror) and each lead's even
-    row scale, 1/2 on a fixed node (e_i twice), else sqrt(1/2)."""
+    """Each node's mirror N - 1 - i on either boundary, the lead node of each
+    mirror orbit (i <= mirror), the first of each pair (i < mirror) and each
+    lead's even row scale: 1/2 on a fixed node (e_i twice), which only an
+    odd Dirichlet grid has, at its centre, else sqrt(1/2)."""
     i = np.arange(g.N)
-    mirror = np.rint((-g.points - g.points[0]) / g.h).astype(int) % g.N
+    mirror = g.N - 1 - i
     lead, pair = i[i <= mirror], i[i < mirror]
     return mirror, lead, pair, np.where(lead == mirror[lead], 0.5, np.sqrt(0.5))
 
@@ -643,53 +643,49 @@ def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
 
 def _parity_blocks(M: np.ndarray, g: Grid, split: Sequence[bool]):
     """Yield max|M - PMP| / max|M|, P reflecting every split axis (0 when
-    none splits): the coupling the blocks drop, on the seam x = -L.  Then
-    yield each block U_c M U_c^T of _parity_basis's split on the axes where
-    split holds, symmetrized, U never formed: a block row sums v M[i] over
-    the terms i, v (per axis lead and mirror[lead] times scale if even,
-    pair and mirror[pair] times +-sqrt(1/2) if odd, every node if not
-    split), then its columns alike, in term order.  U_c P = +-U_c for a
-    split axis' reflection P, so these are the blocks of M averaged over
-    them.  Pair is lead without the periodic grid's fixed nodes 0 and N/2,
-    so the blocks of one first-axis parity share one gather of the lead /
-    mirror[lead] rows per run of at most ROW_BLOCK elements, and the even
-    pass, which reads every row, takes the seam from it."""
-    mirror, lead, pair, scale = _reflection_indices(g)
-    root, every = np.full(pair.size, np.sqrt(0.5)), np.arange(g.N)
+    none splits), or raise SolverError when it exceeds side eps, so the
+    blocks drop only rounding.  Then yield each block U_c M U_c^T of
+    _parity_basis's split on the axes where split holds, symmetrized, U
+    never formed: every periodic lead is a pair, so a block row sums v M[i]
+    over the same terms i for every parity (per split axis lead and
+    mirror[lead], v = sqrt(1/2) or +-sqrt(1/2); every node, v = 1, if not
+    split), then its columns alike, in term order.  The blocks of one
+    first-axis parity share one gather of the term rows per run of at most
+    ROW_BLOCK elements; the even pass takes the seam from it, each column
+    reflection a reversed view of the (N, ..., N) column index."""
+    mirror, lead, *_ = _reflection_indices(g)
+    every, r = np.arange(g.N), np.sqrt(0.5)
     sets = [(lead, mirror[lead]) if s else (every,) for s in split]
-    parities = [[(slice(None), (scale, scale)), (slice(1, -1), (root, -root))]
-                if s else [(slice(None), (np.ones(g.N),))] for s in split]
+    signs = [((r, r), (r, -r)) if s else ((1.0,),) for s in split]  # even, odd
     rows = np.stack([functools.reduce(lambda a, b: a[:, None] * g.N + b, p)
-                     for p in itertools.product(*sets)])  # [pattern, node of each axis...]
-    R = functools.reduce(lambda a, b: (a[:, None] * g.N + b).ravel(),
-                         [mirror if s else every for s in split])
-    T, side = len(rows), M.shape[0]
+                     for p in itertools.product(*sets)])  # [term, node of each axis...]
+    T, side, J = len(rows), M.shape[0], rows.reshape(len(rows), -1)
+    flip = (Ellipsis,) + tuple(slice(None, None, -1 if s else 1) for s in split)
+    run, per = max(1, ROW_BLOCK // (rows[:, 0].size * side)), J.shape[1] // rows.shape[1]
 
     def one_pass(first, seam):
-        # the raw blocks of one first-axis parity, and the seam unless None
-        I = rows[:, first[0]]  # [pattern, first-axis position, rest...]
-        blocks = []
-        for c in itertools.product(*parities[1:]):
-            rest = (slice(None), slice(None)) + tuple(p for p, _ in c)
-            V = np.stack([functools.reduce(np.multiply.outer, v)
-                          for v in itertools.product(first[1], *[v for _, v in c])])
-            blocks.append((rest, V, I[rest].reshape(T, -1)))
-        out = [np.empty((j.shape[1],) * 2, M.dtype) for *_, j in blocks]
-        run, top = max(1, ROW_BLOCK // (I[:, 0].size * side)), 0.0
-        for lo in range(0, I.shape[1], run):
-            G = M[I[:, lo:lo + run]]  # [pattern, first-axis position, rest..., column]
+        # the blocks of one first-axis parity, and the seam unless None
+        weights = [np.ravel(functools.reduce(np.multiply.outer, c))  # one per term
+                   for c in itertools.product((first,), *signs[1:])]
+        out, top = [np.empty((J.shape[1],) * 2, M.dtype) for _ in weights], 0.0
+        for lo in range(0, rows.shape[1], run):
+            G = M[rows[:, lo:lo + run]]  # [term, first-axis position, rest..., column]
             for X, Y in zip(G[:(T + 1) // 2], G[::-1]) if seam is not None else ():
-                seam = max(seam, np.abs(np.take(Y, R, axis=-1) - X).max())
+                shape = X.shape[:-1] + (g.N,) * g.n
+                seam = max(seam, np.abs(Y.reshape(shape)[flip] - X.reshape(shape)).max())
                 top = max(top, np.abs(X).max(), np.abs(Y).max())
-            for (rest, V, j), B in zip(blocks, out):
-                sums = np.einsum("t...,t...c->...c", V[:, lo:lo + run], G[rest]).reshape(-1, side)
-                a = lo * V[0, 0].size
-                np.einsum("tc,rtc->rc", V.reshape(T, -1), sums[:, j], out=B[a:a + len(sums)])
+            for V, B in zip(weights, out):
+                sums = np.einsum("t,t...c->...c", V, G).reshape(-1, side)
+                np.einsum("t,rtc->rc", V, sums[:, J], out=B[lo * per:lo * per + len(sums)])
         return out, None if seam is None else float(seam / top)
 
-    for k, first in enumerate(parities[0]):
+    for k, first in enumerate(signs[0]):
         blocks, seam = one_pass(first, 0.0 if k == 0 else None)
         if k == 0:
+            gate = side * np.finfo(float).eps
+            if not seam <= gate:
+                raise SolverError(f"parity blocks: the seam max|M - PMP| / max|M| = "
+                                  f"{seam:.3e} is above the gate side * eps = {gate:.3e}")
             yield seam
         while blocks:
             B = blocks.pop(0)
@@ -714,10 +710,10 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     The cells share one quantization per N, one certified eigvalsh per
     parity block of it (m^{-mu}(M) has singular values (lam + shift)^{-mu})
     and one m pass per quadrature box.  M splits on each axis a where w's
-    tree is proven even in x_a and xi_a (_parity_blocks): lam are those of
-    M-bar = 2^{-k} sum_P P M P over the k split axes' reflections, which
-    drops M's seam at x = -L (seam_coupling, about 3e-3 for daho) and moves
-    Schatten values by about 1e-6 relative.  Nothing proven: M, bit for bit.
+    tree is proven even in x_a and xi_a (_parity_blocks): every node and
+    its mirror are sampled, so lam are M's own, and the seam the blocks
+    drop (seam_coupling) is gated at side eps.  Nothing proven: M, bit
+    for bit.
     A pass evaluates m only on the box folded by the reflections under
     which w's tree is proven even (_chunked_weight): about 1/2^{2n} of the nodes
     for every table weight, every node on an axis without a proof.
@@ -732,12 +728,11 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
         # balanced box: x and xi extents both ~ sqrt(N)/2 starve neither end of the shells
         L = np.sqrt(N) / 2.0
         g = Grid(w.n, N, L)
-        M = weyl_quantize(w, g)
-        blocks = _parity_blocks(M, g, split)
+        blocks = _parity_blocks(weyl_quantize(w, g), g, split)
         seam = next(blocks)
-        # map drops each block after its eigvalsh: one pass's blocks are alive at a time
+        # map drops each block after its eigvalsh: one pass's blocks are alive
+        # at a time, and the spent generator frees M before the next N
         lam = np.sort(np.concatenate(list(map(_certified_eigvalsh, blocks))))
-        del M  # freed before the next N is quantized
         ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0])), seam))  # PD floor at 1, as m
     exps = [mu * r for mu, r in cells]
     boxes = [_box_integrals(w, exps, L, box_npts) for L in box_L]

@@ -215,9 +215,10 @@ def test_composition_defect_vanishes_under_refinement():
 
     a#b is the closed form of the composition law, summed in sympy.
     Frozen ladder for a = xi^2 + x^2, b = x xi acting on a normalized
-    e^{-2x^2} state at L = 8: refinement N = 32 -> 64 -> 128 drops the
-    action defect 0.374 -> 3.11e-7 -> 5.3e-14, an observed order of 20+
-    at each halving (gate: order >= 2 and a machine-level endpoint).
+    e^{-2x^2} state at L = 8 on cell-centred nodes: refinement
+    N = 32 -> 64 -> 128 drops the action defect 0.130 -> 2.01e-7 ->
+    5.1e-14, an observed order of 19 and 22 at the two halvings (gate:
+    order >= 2 and a machine-level endpoint).
     """
     a = with_confinement(bld.get_a2("harmonic", {"n": 1}))
     b = poly(1, {(1,): JPowerSum.monomial(2, (1, 0))})
@@ -231,8 +232,8 @@ def test_composition_defect_vanishes_under_refinement():
         u = np.exp(-grid.points ** 2 / 0.5)
         u = u / np.linalg.norm(u)
         defects.append(float(np.linalg.norm(A @ (B @ u) - C @ u)))
-    assert defects[0] == pytest.approx(0.374454, rel=1e-4)
-    assert defects[1] == pytest.approx(3.1084e-07, rel=1e-3)
+    assert defects[0] == pytest.approx(0.129883, rel=1e-4)
+    assert defects[1] == pytest.approx(2.0052e-07, rel=1e-3)
     assert defects[2] < 1e-12
     orders = [np.log2(defects[i] / defects[i + 1]) for i in range(2)]
     assert min(orders) >= 2.0

@@ -1,4 +1,6 @@
 """Norm bounds: shell probes, interpolation brackets, subellipticity fits."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from weylab.bounds import (
     _band_sample,
     _bump1,
     _interp_upper,
+    _lp_bracket,
     _lp_lower,
     _target_profile,
     linf_band_probe,
@@ -68,6 +71,41 @@ def test_lp_bracket_consistency(rng):
         upper = _interp_upper(A, p, np.linalg.norm(A, 2))
         lower = _lp_lower(A, p, 32, np.random.default_rng(1))
         assert lower <= upper * (1.0 + 1e-9)
+
+
+def test_lp_bracket_collapses_at_the_exact_endpoints(rng):
+    # at p = 1 and inf the upper bound is the exact norm, and so is the
+    # lower; the randomized bound is never taken there (at inf it computed
+    # |g|^(p-1) = nan and warned), and nothing is drawn from the rng
+    A = rng.normal(size=(16, 16))
+    draws = np.random.default_rng(3)
+    state = draws.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.0, np.inf):
+            lower, upper = _lp_bracket(A, p, np.linalg.norm(A, 2), 8, draws)
+            assert lower == upper == pytest.approx(np.linalg.norm(A, p), rel=1e-14)
+    assert draws.bit_generator.state == state
+
+
+def test_lp_probe_config_without_an_endpoint_is_unchanged(tmp_path, monkeypatch):
+    # the benchmark's lp-probe config (p_list [2, 4]) writes the same bytes
+    # as under the rule it replaced: only p = 2 skipped the randomized bound
+    from weylab.cli import run_config
+    cfg = {"schema": 1, "kind": "lp-probe", "seed": 11, "weight": {"name": "daho"},
+           "operator": {"name": "daho"},
+           "grids": [{"n": 2, "N": 16, "L": 6.0}, {"n": 2, "N": 20, "L": 6.0}],
+           "beta": 1.0, "p_list": [2.0, 4.0], "trials": 8}
+    run_config(cfg, str(tmp_path / "now"))
+
+    def before(A, p, n2, trials, rng):
+        upper = _interp_upper(A, p, n2)
+        return (_lp_lower(A, p, trials, rng) if p != 2 else upper), upper
+
+    monkeypatch.setattr(bounds, "_lp_bracket", before)
+    run_config(cfg, str(tmp_path / "before"))
+    for name in ("report.json", "data.csv"):
+        assert (tmp_path / "now" / name).read_bytes() == (tmp_path / "before" / name).read_bytes()
 
 
 # -- calibrated window probe ------------------------------------------------
@@ -239,7 +277,7 @@ def test_spanning_brackets_give_stable_constant():
     r = subellipticity_probe(periodic("grushin_pure"), 1.0, trials=12, seed=0)
     assert r.stable
     assert [N for N, _ in r.ladder] == [32, 48, 64]
-    assert r.ladder[0][1] == pytest.approx(0.1106, rel=1e-3)
+    assert r.ladder[0][1] == pytest.approx(0.10719, rel=1e-3)
     assert all(c < 0.15 for c in r.rel_changes)
 
 

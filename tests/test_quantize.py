@@ -101,7 +101,10 @@ def test_grid_validation():
 def test_grid_geometry():
     g = Grid(1, 16, 4.0)
     assert g.h == pytest.approx(0.5)
-    assert g.points[0] == -4.0 and g.points[-1] == pytest.approx(3.5)
+    # cell-centred: the first node is half a step in from the wall, and
+    # node i mirrors to node N - 1 - i
+    assert g.points[0] == -4.0 + 0.25 and g.points[-1] == pytest.approx(3.75)
+    assert np.allclose(g.points[::-1], -g.points, rtol=0.0, atol=1e-15)
     assert len(g.points) == 16
     assert g.modes[0] == pytest.approx(-1.0)  # -N/2 / (2L)
     assert g.xi_max == pytest.approx(1.0)
@@ -114,8 +117,9 @@ def test_grid_geometry():
                               (1, 9, 5.0, "dirichlet"), (2, 33, 6.0, "dirichlet")]:
         g = Grid(n, N, L, boundary)
         h = 2.0 * L / N if boundary == "periodic" else 2.0 * L / (N + 1)
-        p = -L + h * np.arange(N) if boundary == "periodic" else -L + h * (1.0 + np.arange(N))
+        p = -L + h * ((0.5 if boundary == "periodic" else 1.0) + np.arange(N))
         assert g.h == h and np.array_equal(g.points, p)
+        assert np.allclose(p[::-1], -p, rtol=0.0, atol=4 * np.finfo(float).eps * L)
         want = p[:, None] if n == 1 else \
             np.stack([a.ravel() for a in np.meshgrid(p, p, indexing="ij")], axis=1)
         assert np.array_equal(g.mesh(), want) and g.side() == N ** n
@@ -270,7 +274,8 @@ def every_sample(s, grid, tau):
     idx = np.arange(N)
     ks, d = np.fft.ifftshift(grid.modes), (idx[:, None] - idx[None, :]) % N
     if tau == 0.5:
-        nodes, at = -grid.L + (grid.h / 2.0) * np.arange(2 * N - 1), idx[:, None] + idx[None, :]
+        nodes = grid.points[0] + (grid.h / 2.0) * np.arange(2 * N - 1)
+        at = idx[:, None] + idx[None, :]
     else:
         nodes, at = grid.points, np.broadcast_to(idx[:, None] if tau else idx[None, :], (N, N))
     if n == 1:
@@ -344,7 +349,7 @@ def test_an_even_symbol_with_a_complex_coefficient_stays_complex(n, tau):
 
 def test_daho_at_n24_evaluates_one_eighth_of_every_sample(monkeypatch):
     # every sample is 47^2 half-step nodes times 24^2 modes; one per
-    # reflection orbit is 25^2 times 13^2
+    # reflection orbit is 24^2 times 13^2 (node v mirrors to 46 - v)
     s, sizes = daho_weight(), []
     ev = s.eval
 
@@ -354,12 +359,12 @@ def test_daho_at_n24_evaluates_one_eighth_of_every_sample(monkeypatch):
 
     monkeypatch.setattr(s, "eval", counting)
     weyl_quantize(s, sweep_grid(2, 24))
-    assert sum(sizes) == 25 ** 2 * 13 ** 2 <= 47 ** 2 * 24 ** 2 / 8
+    assert sum(sizes) == 24 ** 2 * 13 ** 2 <= 47 ** 2 * 24 ** 2 / 8
     # one evaluation per run of kept first-axis nodes: a run's transformed
-    # block, run x 25 x 24^2, holds at most ROW_BLOCK = 65536 elements, so
-    # the 25 kept nodes go in runs of 4
-    assert qz.ROW_BLOCK // (25 * 24 ** 2) == 4
-    assert sizes == [4 * 25 * 13 ** 2] * 6 + [25 * 13 ** 2]
+    # block, run x 24 x 24^2, holds at most ROW_BLOCK = 65536 elements, so
+    # the 24 kept nodes go in six runs of 4
+    assert qz.ROW_BLOCK // (24 * 24 ** 2) == 4
+    assert sizes == [4 * 24 * 13 ** 2] * 6
 
 
 def run_length_symbols():

@@ -77,7 +77,7 @@ def test_dense_path_only_below_eight_krylov_sizes(grid, k, path):
     ("harmonic", DirichletGrid(1, 65, 8.0), (33, 32)),
     ("harmonic", DirichletGrid(2, 24, 8.0), (144,) * 4),
     ("harmonic", DirichletGrid(2, 25, 8.0), (169, 156, 156, 144)),
-    ("harmonic", Grid(2, 16, 6.0), (81, 63, 63, 49)),
+    ("harmonic", Grid(2, 16, 6.0), (64,) * 4),
     ("daho", DirichletGrid(2, 24, 6.0), (144,) * 4),
     ("daho", DirichletGrid(2, 25, 6.0), (169, 156, 156, 144)),
     ("grushin_pure", DirichletGrid(2, 24, 6.0), (144,) * 4),
@@ -881,7 +881,7 @@ def test_trend_experiment_consistency():
 
 def test_sweep_shares_one_quantization_and_one_m_pass_per_box(monkeypatch):
     # two cells, two N, two boxes: one quantization per N and one eigvalsh
-    # per parity block of it (even N/2 + 1, odd N/2 - 1), no SVD, and one
+    # per parity block of it (even and odd, N/2 each), no SVD, and one
     # m pass per box plus one for the band box; the inner name counts the
     # SVD that np.linalg.norm(A, 2) calls directly
     import numpy.linalg._linalg as la
@@ -894,7 +894,7 @@ def test_sweep_shares_one_quantization_and_one_m_pass_per_box(monkeypatch):
     reps = schatten_sweep(w, [(2.0, 1.5), (0.9, 2.0)], 2.0, matrix_N=(12, 16),
                           box_L=(4.0, 6.0), box_npts=20, band_npts=60)
     assert len(reps) == 2
-    assert decomposed == [(7, 7), (5, 5), (9, 9), (7, 7)]
+    assert decomposed == [(6, 6), (6, 6), (8, 8), (8, 8)]
     assert (len(quantized), len(svd), len(svd_inner), len(m_passes)) == (2, 0, 0, 3)
     # and a sweep without cells does none of it
     assert schatten_sweep(w, [], 2.0) == []
@@ -964,13 +964,10 @@ def test_sweep_schatten_values_match_the_operator_path():
 
 def _reflected(M, n, axes):
     """P M P for P the reflection x -> -x of the periodic grid on the given
-    axes: index i goes to -i mod N, a flip then a roll by one, on the row
-    and the column index of each axis."""
+    axes: index i goes to N - 1 - i, a flip of the row and the column index
+    of each axis."""
     N = round(M.shape[0] ** (1.0 / n))
-    T = M.reshape((N,) * (2 * n))
-    for a in axes:
-        for d in (a, n + a):
-            T = np.roll(np.flip(T, d), 1, d)
+    T = np.flip(M.reshape((N,) * (2 * n)), [d for a in axes for d in (a, n + a)])
     return T.reshape(M.shape)
 
 
@@ -990,29 +987,55 @@ def _recorded_sweep(monkeypatch, w, N):
 
 
 @pytest.mark.parametrize("name,params,N,count",
-                         [("daho", {}, 16, 4), ("harmonic", {"n": 1}, 16, 2)],
-                         ids=["daho", "harmonic1"])
-def test_sweep_eigenvalues_are_those_of_the_reflection_averaged_matrix(monkeypatch, name,
-                                                                       params, N, count):
-    # M-bar = 2^-n sum_P P M P, built here by flips and rolls; the merged
-    # block eigenvalues are its eigenvalues, each within |M - M-bar|_2 of
-    # the whole matrix's own (Weyl's inequality), and the reported seam
-    # coupling is max|M - PMP| / max|M| with every axis reflected
+                         [("daho", {}, 16, 4), ("daho", {}, 24, 4), ("daho", {}, 32, 4),
+                          ("harmonic", {"n": 1}, 16, 2), ("harmonic", {"n": 1}, 64, 2)],
+                         ids=["daho", "daho-N24", "daho-N32", "harmonic1", "harmonic1-N64"])
+def test_sweep_eigenvalues_are_the_whole_matrixs(monkeypatch, name, params, N, count):
+    # every node axis mirrors by reversal, so M = PMP to rounding: the
+    # merged block eigenvalues are the whole matrix's own, and the reported
+    # seam coupling, max|M - PMP| / max|M| with every axis reflected (here
+    # by flips), is at most side eps
     w = get_weight(name, params)
     rep, blocks, M = _recorded_sweep(monkeypatch, w, N)
     assert len(blocks) == count
     lam = np.sort(np.concatenate(blocks))
-    subsets = [a for k in range(w.n + 1) for a in itertools.combinations(range(w.n), k)]
-    Mbar = sum(_reflected(M, w.n, axes) for axes in subsets) / len(subsets)
-    ref = np.linalg.eigvalsh(0.5 * (Mbar + Mbar.T))
-    assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref))
-    shift = max(0.0, 1.0 - ref[0])
-    assert rep.matrix_cells[0][2] == pytest.approx(np.sum((ref + shift) ** -4.0) ** 0.5,
-                                                   rel=1e-12)
     whole = np.linalg.eigvalsh(0.5 * (M + M.T))
-    assert np.max(np.abs(lam - whole)) <= np.linalg.norm(M - Mbar, 2) + 1e-12 * np.max(whole)
+    assert np.max(np.abs(lam - whole)) <= 1e-12 * np.max(np.abs(whole))
+    shift = max(0.0, 1.0 - whole[0])
+    assert rep.matrix_cells[0][2] == pytest.approx(np.sum((whole + shift) ** -4.0) ** 0.5,
+                                                   rel=1e-12)
     seam = np.max(np.abs(M - _reflected(M, w.n, range(w.n)))) / np.max(np.abs(M))
-    assert rep.seam_coupling == [(N, seam)] and seam > 0.0
+    assert rep.seam_coupling == [(N, seam)] and seam <= M.shape[0] * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 16, 4.0), Grid(2, 12, 3.0), DirichletGrid(1, 24, 6.0),
+                                  DirichletGrid(2, 25, 6.0)],
+                         ids=lambda g: f"{g.boundary}{g.n}d-N{g.N}")
+def test_every_node_axis_mirrors_by_reversal(grid):
+    # one mirror on both boundaries: node i goes to N - 1 - i, which is its
+    # negative to rounding; only an odd Dirichlet grid has a fixed node
+    mirror, lead, pair, scale = spectral._reflection_indices(grid)
+    assert np.array_equal(mirror, grid.N - 1 - np.arange(grid.N))
+    assert np.allclose(grid.points[mirror], -grid.points, rtol=0.0, atol=1e-14)
+    fixed = np.flatnonzero(mirror == np.arange(grid.N))
+    assert fixed.tolist() == ([grid.N // 2] if grid.N % 2 else [])
+    assert np.array_equal(lead, np.arange((grid.N + 1) // 2))
+    assert np.array_equal(pair, np.arange(grid.N // 2))
+    assert np.array_equal(scale == 0.5, lead == mirror[lead])
+
+
+def test_seam_gate_refuses_a_matrix_that_is_not_reflection_symmetric():
+    # a daho Weyl matrix passes the gate; one entry moved by 1e-9 max|M|
+    # couples the parity blocks beyond rounding, and the blocks refuse it
+    w = get_weight("daho")
+    g = Grid(2, 16, 2.0)
+    M = spectral.weyl_quantize(w, g)
+    seam, _ = _built_blocks(M, g, [True, True])
+    assert seam <= M.shape[0] * np.finfo(float).eps
+    bad = M.copy()
+    bad[3, 40] += 1e-9 * np.max(np.abs(M))
+    with pytest.raises(SolverError, match=r"seam .* above the gate side \* eps"):
+        next(spectral._parity_blocks(bad, g, [True, True]))
 
 
 def reference_blocks(M, g, split):
@@ -1099,7 +1122,7 @@ def test_run_length_changes_no_sweep_bit(monkeypatch, name, params, n_per):
     want = everything()
     box_node = next(_chunked_weight(w, 6.0, box_npts))[0].shape[1]
     band_node = next(_chunked_weight(w, 1.0, band_npts))[0].shape[1]
-    block_node = 2 ** sum(split) * M.shape[0] * (9 if split[-1] else 16) ** (w.n - 1)
+    block_node = 2 ** sum(split) * M.shape[0] * (8 if split[-1] else 16) ** (w.n - 1)
     for bounds in ((1, 1, 1), (n_per * box_node, n_per * band_node, n_per * block_node)):
         monkeypatch.setattr(spectral, "ROW_BLOCK", bounds[0])
         box = _box_integrals(w, [2.0, 3.0], 6.0, box_npts)
