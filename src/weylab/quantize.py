@@ -31,6 +31,14 @@ A node's mirror is its negative only to rounding, so the matrix moves by
 about 1e-16 of its largest entry where the nodes are not exact in binary;
 an axis without a proof keeps every sample and the unfolded matrix.
 
+weyl_blocks takes the same samples and transforms at tau = 1/2 straight
+into the reflection-parity blocks of the matrix, never forming it, in
+runs of kept half-step rows on every axis (the last innermost; at most
+ROW_BLOCK transformed values, one row of each axis at least): a run
+copies its terms' values into term arrays and compares each with its
+mirror value for the seam; the term arrays then add into the blocks in
+place, so no bit depends on the run length.
+
 Quantizers return plain dense arrays, float64 or complex128, by the
 same proof: when the tree is real-typed and proven even on every xi
 axis, each sampled block is real and equal to its reflection
@@ -52,7 +60,7 @@ from .symbols import ROW_BLOCK, SymbolEvaluator
 
 __all__ = [
     "Grid", "kn_quantize", "weyl_quantize", "tau_quantize",
-    "identity_symbol_matrix", "sobolev_norm",
+    "weyl_blocks", "identity_symbol_matrix", "sobolev_norm",
 ]
 
 DENSE_SIDE_LIMIT = 4096
@@ -176,6 +184,73 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
             yield _expand(S, maps[2:]), (i1, slice(None), j1, slice(None)), \
                 lambda G: np.take(G.transpose(0, 2, 1, 3).reshape(-1, width), q, axis=1)[slab]
     return _gather(blocks(), (N, N, N, N), 2, even).reshape(side, side)  # [i1, i2, j1, j2]
+
+
+def weyl_blocks(s, grid: Grid, split) -> tuple:
+    """The reflection-parity blocks of M = weyl_quantize(s, grid), M never
+    formed, and M's seam max|M - PMP| / max|M|, P reflecting every axis a
+    with split[a] (s's tree proven even in x_a and xi_a).  A split axis
+    keeps its lead nodes i < N/2 as block rows and columns, and the block
+    of parity e (0 even, 1 odd) takes M[a, b] + (-1)^e M[a, m(b)], m(b) =
+    N - 1 - b: U_c M U_c^T for eigensolve's rows (e_i +- e_m(i))/sqrt(2)
+    when M = PMP, which the seam measures.  An axis that does not split
+    keeps every node.  The blocks come in C order of their parities, not
+    symmetrized; the caller bounds their side (no whole-matrix side limit
+    applies).  Runs as in the module docstring; returns (seam, blocks)."""
+    if grid.boundary != "periodic":
+        raise ValueError("quantization needs a periodic grid")
+    N, n = grid.N, grid.n
+    if any(split_a and not s.expr.parity(a) == 1 == s.expr.parity(n + a)
+           for a, split_a in enumerate(split)):
+        raise ValueError("a split axis needs the tree proven even in x_a and xi_a")
+    nodes = grid.points[0] + grid.h / 2.0 * np.arange(2 * N - 1)
+    maps = [_orbits(len(nodes) if a < n else N, s, a) for a in range(2 * n)]
+    ks = np.fft.ifftshift(grid.modes)
+    P = [nodes[:m.max() + 1] for m in maps[:n]] + [ks[:m.max() + 1] for m in maps[n:]]
+    even = all(s.expr.parity(a) == 1 for a in range(n, 2 * n))
+    ts = [2 if split_a else 1 for split_a in split]
+    shape = ts + [N // t for t in ts] * 2  # the term arrays [t..., row..., block column...]
+    at = [int(np.prod(shape[k + 1:])) for k in range(3 * n)]
+    budget, cuts = ROW_BLOCK // N ** n, []
+    for p in reversed(P[:n]):
+        cuts.insert(0, list(range(0, len(p), max(1, min(len(p), budget)))) + [len(p)])
+        budget //= len(p)
+    terms = []  # per axis, by kept row: the row, the offsets of d and of its mirror, the term
+    for a, split_a in enumerate(split):
+        t, i, b = np.ix_(np.arange(ts[a]), np.arange(N // ts[a]), np.arange(N // ts[a]))
+        j = np.where(t == 1, N - 1 - b, b)  # the column of M
+        row = maps[a][i + j].ravel()
+        o = np.argsort(row, kind="stable")
+        d, mirrored = (i - j) % N, ((j - i) if split_a else (i - j)) % N
+        term = t * at[a] + i * at[n + a] + b * at[2 * n + a]
+        terms.append([row[o], *(x.ravel()[o] * N ** (n - 1 - a) for x in (d, mirrored)),
+                      term.ravel()[o], np.searchsorted(row[o], cuts[a])])
+    T, seam, top = None, 0.0, 0.0
+    for run in np.ndindex(*(len(c) - 1 for c in cuts)):  # the last axis innermost
+        lo, hi = ([c[r + k] for c, r in zip(cuts, run)] for k in (0, 1))
+        pts = [p[l:h] for p, l, h in zip(P, lo, hi)] + P[n:]
+        S = s.eval(tuple(p.reshape((-1,) + (1,) * (2 * n - 1 - a)) for a, p in enumerate(pts)))
+        G = _inverse_dft(_expand(S, maps[n:]), n, even)
+        T = np.empty(shape, G.dtype) if T is None else T
+        sel = [[x[e[r]:e[r + 1]] for x in xs] for (*xs, e), r in zip(terms, run)]
+        base = [(row - l) * int(np.prod(G.shape[a + 1:]))
+                for a, ((row, *_), l) in enumerate(zip(sel, lo))]
+        # sum(np.ix_(...)): the flat index of every term of the run, one part per axis
+        V = np.take(G, sum(np.ix_(*(r + d for r, (_, d, _, _) in zip(base, sel)))))
+        W = np.take(G, sum(np.ix_(*(r + m for r, (_, _, m, _) in zip(base, sel)))))
+        seam = max(seam, np.max(np.abs(V - W), initial=0.0))
+        top = max(top, np.max(np.abs(V), initial=0.0), np.max(np.abs(W), initial=0.0))
+        np.put(T, sum(np.ix_(*(term for *_, term in sel))), V)
+        del G, V, W  # a run's arrays go before the next run's are made
+    flat = T.reshape(ts + [-1])
+    for a in np.flatnonzero(split):  # (M[., b], M[., m(b)]) -> (even, odd), in place
+        X = np.moveaxis(flat, a, 0)
+        for k in np.ndindex(X.shape[1:-1]):
+            for c in range(0, X.shape[-1], ROW_BLOCK):
+                x, y = X[0][k][c:c + ROW_BLOCK], X[1][k][c:c + ROW_BLOCK]
+                x[...], y[...] = x + y, x - y
+    side = int(np.prod(shape[n:2 * n]))
+    return float(seam / top), [T[e].reshape(side, side) for e in np.ndindex(*ts)]
 
 
 def _orbits(count: int, s, axis: int) -> np.ndarray:

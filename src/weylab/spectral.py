@@ -6,8 +6,9 @@ lowest pairs, its full-spectrum case ``Spectrum`` for the propagators and
 the fractional powers, and the trend sweep's eigenvalues.  ``eigensolve``
 solves one block per reflection parity of the operator's grid, the whole
 matrix when none applies, each block on the dense or the shift-invert
-path by its own size.  The trend sweep splits its Weyl matrix the same
-way, by index, on each axis where the weight's tree is proven even, and
+path by its own size.  The trend sweep takes the same split of its Weyl
+matrix straight from the quantizer (quantize.weyl_blocks), on each axis
+where the weight's tree is proven even, never forming the matrix, and
 certifies that the matrix is reflection-symmetric to rounding there.
 
 The trend experiment is the one place where a continuum question (does a
@@ -32,7 +33,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianMatrix
 from .metric import WeightEvaluator
-from .quantize import Grid, weyl_quantize
+from .quantize import Grid, weyl_blocks
 from .symbols import ROW_BLOCK
 
 __all__ = [
@@ -641,58 +642,19 @@ def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _parity_blocks(M: np.ndarray, g: Grid, split: Sequence[bool]):
-    """Yield max|M - PMP| / max|M|, P reflecting every split axis (0 when
-    none splits), or raise SolverError when it exceeds side eps, so the
-    blocks drop only rounding.  Then yield each block U_c M U_c^T of
-    _parity_basis's split on the axes where split holds, symmetrized, U
-    never formed: every periodic lead is a pair, so a block row sums v M[i]
-    over the same terms i for every parity (per split axis lead and
-    mirror[lead], v = sqrt(1/2) or +-sqrt(1/2); every node, v = 1, if not
-    split), then its columns alike, in term order.  The blocks of one
-    first-axis parity share one gather of the term rows per run of at most
-    ROW_BLOCK elements; the even pass takes the seam from it, each column
-    reflection a reversed view of the (N, ..., N) column index."""
-    mirror, lead, *_ = _reflection_indices(g)
-    every, r = np.arange(g.N), np.sqrt(0.5)
-    sets = [(lead, mirror[lead]) if s else (every,) for s in split]
-    signs = [((r, r), (r, -r)) if s else ((1.0,),) for s in split]  # even, odd
-    rows = np.stack([functools.reduce(lambda a, b: a[:, None] * g.N + b, p)
-                     for p in itertools.product(*sets)])  # [term, node of each axis...]
-    T, side, J = len(rows), M.shape[0], rows.reshape(len(rows), -1)
-    flip = (Ellipsis,) + tuple(slice(None, None, -1 if s else 1) for s in split)
-    run, per = max(1, ROW_BLOCK // (rows[:, 0].size * side)), J.shape[1] // rows.shape[1]
-
-    def one_pass(first, seam):
-        # the blocks of one first-axis parity, and the seam unless None
-        weights = [np.ravel(functools.reduce(np.multiply.outer, c))  # one per term
-                   for c in itertools.product((first,), *signs[1:])]
-        out, top = [np.empty((J.shape[1],) * 2, M.dtype) for _ in weights], 0.0
-        for lo in range(0, rows.shape[1], run):
-            G = M[rows[:, lo:lo + run]]  # [term, first-axis position, rest..., column]
-            for X, Y in zip(G[:(T + 1) // 2], G[::-1]) if seam is not None else ():
-                shape = X.shape[:-1] + (g.N,) * g.n
-                seam = max(seam, np.abs(Y.reshape(shape)[flip] - X.reshape(shape)).max())
-                top = max(top, np.abs(X).max(), np.abs(Y).max())
-            for V, B in zip(weights, out):
-                sums = np.einsum("t,t...c->...c", V, G).reshape(-1, side)
-                np.einsum("t,rtc->rc", V, sums[:, J], out=B[lo * per:lo * per + len(sums)])
-        return out, None if seam is None else float(seam / top)
-
-    for k, first in enumerate(signs[0]):
-        blocks, seam = one_pass(first, 0.0 if k == 0 else None)
-        if k == 0:
-            gate = side * np.finfo(float).eps
-            if not seam <= gate:
-                raise SolverError(f"parity blocks: the seam max|M - PMP| / max|M| = "
-                                  f"{seam:.3e} is above the gate side * eps = {gate:.3e}")
-            yield seam
-        while blocks:
-            B = blocks.pop(0)
-            B += B.conj().T
-            B *= 0.5
-            yield B
-            del B  # not held while the next pass is built
+def _parity_blocks(w: WeightEvaluator, g: Grid, split: Sequence[bool]) -> tuple:
+    """weyl_blocks(w, g, split), gated and symmetrized: a block reads only
+    M's lead rows, exact when M = PMP, so a seam max|M - PMP| / max|M|
+    above side eps is a SolverError; each block B becomes (B + B^*)/2."""
+    seam, blocks = weyl_blocks(w, g, split)
+    gate = g.side() * np.finfo(float).eps
+    if not seam <= gate:
+        raise SolverError(f"parity blocks: the seam max|M - PMP| / max|M| = "
+                          f"{seam:.3e} is above the gate side * eps = {gate:.3e}")
+    for B in blocks:
+        B += B.conj().T
+        B *= 0.5
+    return seam, blocks
 
 
 def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
@@ -707,13 +669,15 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     the sufficient condition; it does not decide whether m^{-mu} lies in
     S_r, and "diverges" only says the condition fails.  All ladders are
     reported raw.
-    The cells share one quantization per N, one certified eigvalsh per
-    parity block of it (m^{-mu}(M) has singular values (lam + shift)^{-mu})
-    and one m pass per quadrature box.  M splits on each axis a where w's
-    tree is proven even in x_a and xi_a (_parity_blocks): every node and
-    its mirror are sampled, so lam are M's own, and the seam the blocks
-    drop (seam_coupling) is gated at side eps.  Nothing proven: M, bit
-    for bit.
+    The cells share one quantization pass per N, straight into the parity
+    blocks of the Weyl matrix M, one certified eigvalsh per block
+    (m^{-mu}(M) has singular values (lam + shift)^{-mu}) and one m pass
+    per quadrature box.  M splits on each axis a where w's tree is proven
+    even in x_a and xi_a (_parity_blocks) and is not formed: every node
+    and its mirror are sampled, so lam are M's own, and the seam the
+    blocks drop (seam_coupling) is gated at side eps.  Nothing proven: one
+    block, M, bit for bit.  Each block's side is checked against
+    DENSE_LIMIT for every N before anything is evaluated (ValueError).
     A pass evaluates m only on the box folded by the reflections under
     which w's tree is proven even (_chunked_weight): about 1/2^{2n} of the nodes
     for every table weight, every node on an axis without a proof.
@@ -723,16 +687,19 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     if not cells:
         return []
     split = [w.expr.parity(a) == 1 == w.expr.parity(w.n + a) for a in range(w.n)]
+    for N in map(int, matrix_N):
+        side = int(np.prod([N // 2 if s else N for s in split]))
+        if side > DENSE_LIMIT:
+            raise ValueError(f"N = {N}: parity block side {side} exceeds the dense limit "
+                             f"{DENSE_LIMIT}")
     ladder = []
     for N in map(int, matrix_N):
         # balanced box: x and xi extents both ~ sqrt(N)/2 starve neither end of the shells
         L = np.sqrt(N) / 2.0
         g = Grid(w.n, N, L)
-        blocks = _parity_blocks(weyl_quantize(w, g), g, split)
-        seam = next(blocks)
-        # map drops each block after its eigvalsh: one pass's blocks are alive
-        # at a time, and the spent generator frees M before the next N
+        seam, blocks = _parity_blocks(w, g, split)
         lam = np.sort(np.concatenate(list(map(_certified_eigvalsh, blocks))))
+        del blocks  # before the next N's are made
         ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0])), seam))  # PD floor at 1, as m
     exps = [mu * r for mu, r in cells]
     boxes = [_box_integrals(w, exps, L, box_npts) for L in box_L]

@@ -18,6 +18,7 @@ from weylab.cli import CONFIG, _hash_config, main
 from weylab.hamiltonians import DirichletGrid
 from weylab.metric import WeightEvaluator
 from weylab.spectral import _band_fits
+from weylab.symbols import SymbolEvaluator
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -375,6 +376,32 @@ def test_schatten_sweep_cells_share_critical_slope(tmp_path):
     critical = _band_fits(get_weight("harmonic", {"n": 1}), [2.0], 60)[0][0]
     assert [c["critical_slope"] for c in cells] == [critical, critical]
     assert [c["verdict"] for c in cells] == ["converges", "diverges"]
+
+
+def test_sweep_block_above_the_dense_limit_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the sweep's limit is per parity block, checked for every N before the
+    # weight is evaluated once: daho at N = 12 has four blocks of side 36
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
+    evaluated = count_calls(monkeypatch, SymbolEvaluator, "eval")
+    code, out = run(tmp_path, "big.json", {
+        "schema": 1, "kind": "schatten-sweep", "weight": {"name": "daho"}, "Q": 3.0,
+        "cells": [{"mu": 2.0, "r": 2.0}], "matrix_N": [8, 12], "box_L": [4.0],
+        "box_npts": 8, "band_npts": 16})
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: N = 12: parity block side 36 exceeds the dense limit 16\n"
+    assert evaluated == []
+    assert read_json(os.path.join(out, "manifest.json"))["error"]["kind"] == "config"
+
+
+def test_quantize_identity_above_the_dense_side_limit_is_a_config_error(tmp_path, capsys):
+    # the whole-matrix quantizers keep the side limit: side 66^2 = 4356
+    code, out = run(tmp_path, "qi.json", {
+        "schema": 1, "kind": "quantize-identity", "grid": {"n": 2, "N": 66, "L": 6.0},
+        "tau": 0.5, "symbol": {"name": "daho"}})
+    assert code == 2
+    assert capsys.readouterr().err == "config error: dense side 4356 exceeds limit 4096\n"
+    assert read_json(os.path.join(out, "manifest.json"))["error"]["kind"] == "config"
 
 
 def test_band_probe_spread_gate(tmp_path):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.sparse.linalg import eigsh
 
 import weylab
 from _helpers import Unproven, count_calls, poly, schatten_norm, uni_table
+from weylab import quantize as qz
 from weylab import spectral
 from weylab._jets import JPowerSum, JSum, JUni
 from weylab.builders import get_operator, get_weight
@@ -880,13 +882,13 @@ def test_trend_experiment_consistency():
 
 
 def test_sweep_shares_one_quantization_and_one_m_pass_per_box(monkeypatch):
-    # two cells, two N, two boxes: one quantization per N and one eigvalsh
-    # per parity block of it (even and odd, N/2 each), no SVD, and one
-    # m pass per box plus one for the band box; the inner name counts the
-    # SVD that np.linalg.norm(A, 2) calls directly
+    # two cells, two N, two boxes: one quantization pass per N, straight
+    # into its parity blocks, and one eigvalsh per block (even and odd,
+    # N/2 each), no SVD, and one m pass per box plus one for the band box;
+    # the inner name counts the SVD that np.linalg.norm(A, 2) calls directly
     import numpy.linalg._linalg as la
     w = harmonic_1d_weight()
-    quantized = count_calls(monkeypatch, spectral, "weyl_quantize")
+    quantized = count_calls(monkeypatch, spectral, "weyl_blocks")
     decomposed = count_calls(monkeypatch, np.linalg, "eigvalsh")
     svd = count_calls(monkeypatch, np.linalg, "svd")
     svd_inner = count_calls(monkeypatch, la, "svd")
@@ -955,7 +957,7 @@ def test_sweep_schatten_values_match_the_operator_path():
     for (mu, r), rep in zip(cells, reps):
         for (N, L, value), shift in zip(rep.matrix_cells, rep.shift_used):
             grid = spectral.Grid(1, N, L)
-            M = spectral.weyl_quantize(w, grid)
+            M = qz.weyl_quantize(w, grid)
             lam, Q = np.linalg.eigh(0.5 * (M + M.conj().T))
             assert shift == pytest.approx(max(0.0, 1.0 - lam[0]), abs=1e-12)
             T = (Q * (lam + shift) ** (-mu)) @ Q.conj().T
@@ -983,7 +985,7 @@ def _recorded_sweep(monkeypatch, w, N):
     monkeypatch.setattr(spectral, "_certified_eigvalsh", recorded)
     rep = schatten_sweep(w, [(2.0, 2.0)], 3.0, matrix_N=(N,), box_L=(4.0,),
                          box_npts=8, band_npts=28)[0]
-    return rep, blocks, spectral.weyl_quantize(w, Grid(w.n, N, np.sqrt(N) / 2.0))
+    return rep, blocks, qz.weyl_quantize(w, Grid(w.n, N, np.sqrt(N) / 2.0))
 
 
 @pytest.mark.parametrize("name,params,N,count",
@@ -1024,25 +1026,40 @@ def test_every_node_axis_mirrors_by_reversal(grid):
     assert np.array_equal(scale == 0.5, lead == mirror[lead])
 
 
-def test_seam_gate_refuses_a_matrix_that_is_not_reflection_symmetric():
-    # a daho Weyl matrix passes the gate; one entry moved by 1e-9 max|M|
-    # couples the parity blocks beyond rounding, and the blocks refuse it
-    w = get_weight("daho")
-    g = Grid(2, 16, 2.0)
-    M = spectral.weyl_quantize(w, g)
-    seam, _ = _built_blocks(M, g, [True, True])
-    assert seam <= M.shape[0] * np.finfo(float).eps
-    bad = M.copy()
-    bad[3, 40] += 1e-9 * np.max(np.abs(M))
+def test_seam_gate_refuses_a_transform_that_is_not_reflection_symmetric(monkeypatch):
+    # M is never formed, so the fault goes into the inverse DFT: one output
+    # entry of the first transform moved by 1e-9 max|M| (a kept row's
+    # difference d = (1, 3), whose mirror (15, 13) it no longer equals)
+    # couples the parity blocks beyond rounding, and the sweep refuses it
+    w, N = get_weight("daho"), 16
+    top = np.max(np.abs(qz.weyl_quantize(w, Grid(2, N, np.sqrt(N) / 2.0))))
+
+    def sweep():
+        return schatten_sweep(w, [(2.0, 2.0)], 3.0, matrix_N=(N,), box_L=(4.0,),
+                              box_npts=8, band_npts=28)[0]
+
+    assert sweep().seam_coupling[0][1] <= N * N * np.finfo(float).eps
+    inverse_dft, calls = qz._inverse_dft, []
+
+    def moved(X, n, even):
+        G = inverse_dft(X, n, even)
+        if not calls:
+            G[-1, -1, 1, 3] += 1e-9 * top
+        calls.append(G.shape)
+        return G
+
+    monkeypatch.setattr(qz, "_inverse_dft", moved)
     with pytest.raises(SolverError, match=r"seam .* above the gate side \* eps"):
-        next(spectral._parity_blocks(bad, g, [True, True]))
+        sweep()
+    assert calls == [(N, N, N, N)]
 
 
 def reference_blocks(M, g, split):
     """The parity blocks term by term, one block at a time: for each block
     and each run of its rows, every term's rows of M gathered and summed
     (einsum over the terms, in term order), then the columns alike; then
-    symmetrized.  The plain build that _parity_blocks must match bit for bit."""
+    symmetrized.  The plain U_c M U_c^T that the sweep's blocks, which read
+    only M's lead rows, must match to rounding."""
     mirror, lead, pair, scale = spectral._reflection_indices(g)
     root = np.full(pair.size, np.sqrt(0.5))
     factors = [[[(lead, scale), (mirror[lead], scale)], [(pair, root), (mirror[pair], -root)]]
@@ -1070,71 +1087,125 @@ def reference_seam(M, g, split):
     return float(np.max(np.abs(M - M[R][:, R])) / np.max(np.abs(M)))
 
 
-def _built_blocks(M, g, split):
-    blocks = spectral._parity_blocks(M, g, split)
-    seam = next(blocks)
-    return seam, list(blocks)
+def x1_xi1_plus_xi1_squared():
+    """x1 xi1 + xi1^2 in two dimensions: its Weyl matrix is complex, and
+    only the second axis (which it does not depend on) is proven even."""
+    e = (1, 0)
+    return poly(2, {e: JPowerSum.monomial(4, e + (0, 0)), (2, 0): JPowerSum.constant(4, 1.0)})
 
 
-@pytest.mark.parametrize("name,params,N,split,imag", [
-    ("daho", {}, 16, [True, True], False),
-    ("daho", {}, 24, [True, True], False),
-    ("harmonic", {"n": 1}, 32, [True], False),
-    ("daho", {}, 16, [False, True], True),
-    ("daho", {}, 16, [True, False], False),
-    ("daho", {}, 8, [False, False], True),
-], ids=["daho-N16", "daho-N24", "harmonic1-N32", "x2-complex", "x1", "none-complex"])
-def test_parity_blocks_match_the_term_by_term_build(name, params, N, split, imag):
-    # the shared row gathers sum the same products in the same order, so
-    # every block is the plain build's bit for bit, and so is the seam;
-    # the sweep's own split is every axis, the others take the same path
-    w = get_weight(name, params)
+@pytest.mark.parametrize("name,params,N,split", [
+    ("daho", {}, 16, [True, True]),
+    ("daho", {}, 24, [True, True]),
+    ("harmonic", {"n": 1}, 32, [True]),
+    ("daho", {}, 16, [False, True]),
+    ("daho", {}, 16, [True, False]),
+    ("complex", {}, 16, [False, True]),
+    ("daho", {}, 8, [False, False]),
+], ids=["daho-N16", "daho-N24", "harmonic1-N32", "x2", "x1", "x2-complex", "none"])
+def test_parity_blocks_match_the_term_by_term_build(name, params, N, split):
+    # a block row reads only M's lead rows, B[a, b] = M[a, b] +- M[a, m(b)]
+    # per split axis, which is U_c M U_c^T when M = PMP: so every block is
+    # the plain build's to rounding, side eps max|M| entry by entry; with
+    # nothing split the one block is M's symmetric part bit for bit.  The
+    # seam is taken over every entry of M and its mirror, bit for bit
+    w = x1_xi1_plus_xi1_squared() if name == "complex" else get_weight(name, params)
     g = Grid(w.n, N, np.sqrt(N) / 2.0)
-    M = spectral.weyl_quantize(w, g)
-    if imag:
-        M = M + 1e-3j * M.T
-    seam, blocks = _built_blocks(M, g, split)
+    M = qz.weyl_quantize(w, g)
+    assert M.dtype == (np.complex128 if name == "complex" else np.float64)
+    seam, blocks = spectral._parity_blocks(w, g, split)
     want = reference_blocks(M, g, split)
     assert len(blocks) == len(want) == 2 ** sum(split)
+    gate = M.shape[0] * np.finfo(float).eps * np.max(np.abs(M))
     for B, ref in zip(blocks, want):
-        assert B.dtype == ref.dtype and np.array_equal(B, ref)
+        assert B.dtype == ref.dtype and np.max(np.abs(B - ref)) <= gate
+        assert np.array_equal(B, ref) or any(split)
     assert seam == reference_seam(M, g, split)
-    assert (seam > 0.0) == any(split)
+    # the complex symbol does not depend on x2 and xi2: its seam is exactly 0
+    assert (seam > 0.0) == (any(split) and name != "complex")
+
+
+def test_blocks_refuse_a_split_axis_without_a_proof():
+    # the blocks read only M's lead rows and a kept row serves its mirror,
+    # both of which need the tree proven even on the split axis
+    w = WeightEvaluator(2, Unproven(get_weight("daho").expr), name="unproven")
+    with pytest.raises(ValueError, match="proven even"):
+        qz.weyl_blocks(w, Grid(2, 8, 2.0), [False, True])
 
 
 @pytest.mark.parametrize("name,params,n_per", [
     ("daho", {}, 3), ("harmonic", {"n": 1}, 3), ("daho-unproven", {}, 2)])
 def test_run_length_changes_no_sweep_bit(monkeypatch, name, params, n_per):
-    # one first-axis node a run and n_per nodes a run give the default
-    # runs' quadratures and blocks bit for bit
+    # one first-coordinate node a run and n_per nodes a run give the default
+    # runs' quadratures bit for bit; the blocks and the seam too, with one
+    # kept row of every axis a run, three rows of the last axis a run, and
+    # n_per kept rows of the first axis (every row of the second) a run
     w = get_weight(name.split("-")[0], params)
     if name.endswith("unproven"):
         w = WeightEvaluator(w.n, Unproven(w.expr), name=name)
     split = [w.expr.parity(a) == 1 == w.expr.parity(w.n + a) for a in range(w.n)]
     g = Grid(w.n, 16, 2.0)
-    M = spectral.weyl_quantize(w, g)
     box_npts, band_npts = (12, 28) if w.n == 2 else (40, 60)
 
     def everything():
         return (_box_integrals(w, [2.0, 3.0], 6.0, box_npts),
-                _band_fits(w, [2.4, 3.0], band_npts), _built_blocks(M, g, split))
+                _band_fits(w, [2.4, 3.0], band_npts), spectral._parity_blocks(w, g, split))
 
     want = everything()
     box_node = next(_chunked_weight(w, 6.0, box_npts))[0].shape[1]
     band_node = next(_chunked_weight(w, 1.0, band_npts))[0].shape[1]
-    block_node = 2 ** sum(split) * M.shape[0] * (8 if split[-1] else 16) ** (w.n - 1)
-    for bounds in ((1, 1, 1), (n_per * box_node, n_per * band_node, n_per * block_node)):
+    kept = 31 if name.endswith("unproven") else 16  # half-step rows, folded on a proven axis
+    transform = g.N ** w.n
+    for bounds in ((1, 1, 1), (box_node, band_node, 3 * transform),
+                   (n_per * box_node, n_per * band_node, n_per * kept * transform)):
         monkeypatch.setattr(spectral, "ROW_BLOCK", bounds[0])
         box = _box_integrals(w, [2.0, 3.0], 6.0, box_npts)
         monkeypatch.setattr(spectral, "ROW_BLOCK", bounds[1])
         fits = _band_fits(w, [2.4, 3.0], band_npts)
-        monkeypatch.setattr(spectral, "ROW_BLOCK", bounds[2])
-        seam, blocks = _built_blocks(M, g, split)
+        monkeypatch.setattr(qz, "ROW_BLOCK", bounds[2])
+        seam, blocks = spectral._parity_blocks(w, g, split)
         assert box == want[0]
         for (slope, bands), (want_slope, want_bands) in zip(fits, want[1]):
             assert slope == want_slope and np.array_equal(bands, want_bands)
         assert seam == want[2][0] and len(blocks) == len(want[2][1])
         assert all(np.array_equal(B, ref) for B, ref in zip(blocks, want[2][1]))
+
+
+def test_block_build_holds_the_blocks_and_a_few_runs():
+    # at daho N = 32 a run of the block build transforms ROW_BLOCK values;
+    # the build's peak is the four blocks (2.1 MB) plus a few runs' worth
+    # of ROW_BLOCK complex-sized values, where M alone would take 8.4 MB
+    w, N = get_weight("daho"), 32
+    g = Grid(2, N, np.sqrt(N) / 2.0)
+    spectral._parity_blocks(w, g, [True, True])  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        _, blocks = spectral._parity_blocks(w, g, [True, True])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(B.nbytes for B in blocks)
+    assert held == 4 * (N * N // 4) ** 2 * 8
+    assert peak <= held + 3 * qz.ROW_BLOCK * 16
+
+
+def test_daho_sweep_never_allocates_an_m_sized_array():
+    # the whole sweep at N = 32, eigvalsh and quadrature included, stays
+    # below one side x side float64 array, the M it never forms
+    w, N = get_weight("daho"), 32
+
+    def sweep():
+        return schatten_sweep(w, [(2.0, 2.0)], 3.0, matrix_N=(N,), box_L=(4.0,),
+                              box_npts=12, band_npts=28)
+
+    sweep()
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (N * N) ** 2 * 8
 
 
 def test_sweep_of_an_unproven_weight_decomposes_the_whole_matrix(monkeypatch):
