@@ -92,9 +92,11 @@ def eigensolve(H, k: int) -> SpectralResult:
     spectrum, so that the eigenvalues nearest sigma are the lowest ones
     whatever their sign.  The candidates are 0, then g/8, g/4, g/2 of the
     block's Gershgorin lower bound g, then a point just below g; the first
-    whose LDL^T of A - sigma I has no negative pivot (A - sigma I positive
-    definite) is taken, and that one LDL^T is the solve.  The pairs merge
-    by eigenvalue.
+    whose banded Cholesky of A - sigma I succeeds (A - sigma I positive
+    definite) is taken, and that one factor is the solve.  The band is the
+    block's lower band in reverse Cuthill-McKee order, (b + 1) x side
+    numbers for its bandwidth b (``_rcm_band``).  The pairs merge by
+    eigenvalue.
 
     The residuals see only A and the merged pairs, so they hold however
     the solve was split; the count is taken per block.  p >= 1 extra
@@ -105,7 +107,7 @@ def eigensolve(H, k: int) -> SpectralResult:
     estimate on A otherwise), and the computed count is complete: tau goes
     in the first gap at or after lambda_k wider than ``GAP_REL_TOL`` |A|_2
     (p doubles until there is one), and for each block M_c = U_c A U_c^T
-    (A itself when none splits) the negative pivots of an LDL^T of
+    (A itself when none splits) the negative pivots of a sparse LDL^T of
     M_c - tau I, which count M_c's eigenvalues below tau (Sylvester), must
     equal the number of that block's own pairs computed below tau.  A
     skipped eigenvalue passes the residual gate; it fails this count, also
@@ -130,8 +132,10 @@ def eigensolve(H, k: int) -> SpectralResult:
 def _solve(H, S, k: int) -> tuple:
     """eigensolve of S, the symmetric part of H: the result, and its blocks
     (U_c or None, lambda_c, W_c) unless a count at tau was needed, which
-    a full spectrum never is.  The count at tau factors each block matrix
-    that ``_parity_pairs`` built, against that block's own eigenvalues."""
+    a full spectrum never is.  Each block's sigma factor lives in its
+    pairs function and goes with it, before the residuals.  The count at
+    tau takes one LDL^T of each block matrix that ``_parity_pairs`` built,
+    against that block's own eigenvalues, and keeps only the count."""
     side = S.shape[0]
     if not 0 < k <= side:
         raise ValueError("k must lie between 1 and the dimension")
@@ -365,7 +369,9 @@ def _parity_pairs(S, U, count: Optional[int] = None):
     (U_c or None, lambda_c, W_c) cut to the pairs it gave them, solver, the
     shifts or None), the largest eigenvalue of S when every block is
     decomposed whole, else None, and the block matrices ([S] when U is
-    empty)."""
+    empty).  A shift-invert block's pairs function holds its one
+    certified banded Cholesky factor, (b + 1) x side numbers, until it is
+    dropped."""
     count = S.shape[0] if count is None else count
     mats = [Uc @ S @ Uc.T for Uc in U] or [S]
     sides = [M.shape[0] for M in mats]
@@ -422,31 +428,32 @@ def _shift_invert_pairs(S):
     """Lanczos pairs around the first certified shift, and that shift.
 
     The candidates run from 0 down to the Gershgorin floor, below which
-    A - sigma I is diagonally dominant; the first whose LDL^T has no
-    negative pivot (so A - sigma I is positive definite) is used, and
-    its factorization is the shift-invert solve."""
+    A - sigma I is diagonally dominant; the first whose banded Cholesky
+    succeeds (so A - sigma I is positive definite) is used, and that
+    factor is the shift-invert solve.  A is ordered once by reverse
+    Cuthill-McKee and kept as its lower band (``_rcm_band``); a failing
+    candidate stops at its first non-positive pivot."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     side = S.shape[0]
     d = S.diagonal().real
     gersh = float(np.min(d - (abs(S).sum(axis=1) - np.abs(d))))
     floor = gersh - 1e-3 * max(1.0, abs(gersh))
+    perm, where, band = _rcm_band(S)
     last = np.inf
     for sigma in (0.0, gersh / 8, gersh / 4, gersh / 2, floor):
         if sigma >= last:
             continue
         last = sigma
         try:
-            lu = _ldlt(S, sigma)
+            solve = _band_cholesky(band, sigma)
         except SolverError:
             continue
-        if _negative_pivots(lu) == 0:
-            break
-        del lu  # a rejected factorization goes before the next is made
+        break
     else:
         raise SolverError(f"shift-invert: no shift down to {floor:.10g} "
                           "certified below the spectrum")
-    OPinv = LinearOperator(S.shape, matvec=lu.solve, dtype=S.dtype)
+    OPinv = LinearOperator(S.shape, matvec=lambda x: solve(x[perm])[where], dtype=S.dtype)
     v0 = np.random.default_rng(START_SEED).normal(size=side)
 
     def pairs(count):
@@ -460,6 +467,41 @@ def _shift_invert_pairs(S):
         order = np.argsort(lam)
         return lam[order], V[:, order]
     return pairs, sigma
+
+
+def _rcm_band(S) -> tuple:
+    """S in its reverse Cuthill-McKee order: the order perm (new index i
+    holds node perm[i]), each node's new index where, and the lower band
+    of S[perm][:, perm] in LAPACK's lower storage, row r the r-th
+    subdiagonal: (b + 1) x side numbers for the reordered bandwidth b."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    C = S.tocoo()  # canonical, as every sparse sum and product makes it
+    perm = reverse_cuthill_mckee(S.tocsr(), symmetric_mode=True)
+    where = np.empty_like(perm)
+    where[perm] = np.arange(perm.size, dtype=perm.dtype)
+    r, c = where[C.row], where[C.col]
+    low = r >= c
+    band = np.zeros((int(np.max(r - c, initial=0)) + 1, perm.size), dtype=S.dtype, order="F")
+    band[r[low] - c[low], c[low]] = C.data[low]
+    return perm, where, band
+
+
+def _band_cholesky(band, sigma: float):
+    """The solve x -> (A - sigma I)^{-1} x by one banded Cholesky of
+    A - sigma I, A Hermitian and given by its lower band (``_rcm_band``
+    storage); SolverError at the first non-positive pivot, where A - sigma I
+    is shown not positive definite."""
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+
+    shifted = band.copy(order="F")
+    shifted[0] -= sigma
+    try:
+        factor = cholesky_banded(shifted, overwrite_ab=True, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise SolverError(f"shift-invert: A - {sigma:.10g} I is not positive definite: "
+                          f"{exc}") from exc
+    return lambda x: cho_solve_banded((factor, True), x, check_finite=False)
 
 
 def _ldlt(S, shift: float):
@@ -479,15 +521,13 @@ def _ldlt(S, shift: float):
     return lu
 
 
-def _negative_pivots(lu) -> int:
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
-
-
 def _count_below(S, tau: float) -> int:
     """Eigenvalues of S below tau, as the negative pivots of an LDL^T of
     S - tau I: Sylvester's law of inertia.  eigensolve counts each parity
-    block this way, and the whole operator only when nothing splits."""
-    return _negative_pivots(_ldlt(S, tau))
+    block this way, and the whole operator only when nothing splits; the
+    factorization and the L and U that reading its pivots builds go on
+    return."""
+    return int(np.count_nonzero(_ldlt(S, tau).U.diagonal().real < 0))
 
 
 @dataclass

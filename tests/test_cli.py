@@ -316,6 +316,7 @@ def test_evolve_above_the_dense_limit_is_refused_unfactored(tmp_path, capsys, mo
     # daho at N=130 splits into four parity blocks of side 65^2 = 4225,
     # each of which a full spectrum needs whole
     ldlt = count_calls(monkeypatch, spectral, "_ldlt")
+    band = count_calls(monkeypatch, spectral, "_band_cholesky")
     code, out = run(tmp_path, "big.json", {
         "schema": 1, "kind": "evolve", "grid": {"n": 2, "N": 130, "L": 6.0},
         "operator": {"name": "daho"}, "evolution": "heat",
@@ -324,7 +325,7 @@ def test_evolve_above_the_dense_limit_is_refused_unfactored(tmp_path, capsys, mo
     assert capsys.readouterr().err.splitlines() == [
         "run error: a block of side 4225 must be decomposed whole, "
         "above the dense limit 4096"]
-    assert ldlt == []
+    assert ldlt == [] and band == []
     assert read_json(os.path.join(out, "manifest.json"))["error"]["kind"] == "run"
 
 

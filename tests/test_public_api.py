@@ -57,17 +57,21 @@ def test_only_spectral_decomposes():
     assert found == []
 
 
-def _reaches_splu(node) -> bool:
-    """node names splu: a call or use of the bare name, an attribute, or an import."""
-    return ((isinstance(node, ast.Name) and node.id == "splu")
-            or (isinstance(node, ast.Attribute) and node.attr == "splu")
-            or (isinstance(node, ast.ImportFrom) and any(a.name == "splu" for a in node.names)))
+def _reaches(node, names) -> bool:
+    """node names one of names: a call or use of the bare name, an
+    attribute, or an import."""
+    return ((isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)))
+
+
+BAND_FACTORS = ("cholesky_banded", "cho_solve_banded")
 
 
 def test_only_spectral_factors():
-    # one module owns every LU factorization, as it owns every
-    # eigendecomposition: no other module reaches splu, by call, import
-    # or attribute
+    # one module owns every factorization, as it owns every
+    # eigendecomposition: no other module reaches splu or the banded
+    # Cholesky, by call, import or attribute
     root = os.path.dirname(os.path.abspath(weylab.__file__))
     found = []
     for name in sorted(os.listdir(root)):
@@ -75,25 +79,48 @@ def test_only_spectral_factors():
             continue
         with open(os.path.join(root, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if _reaches_splu(n)]
+        found += [f"{name}:{n.lineno}" for n in ast.walk(tree)
+                  if _reaches(n, ("splu",) + BAND_FACTORS)]
     assert found == []
+
+
+def _reached_only_in(fn_name, names):
+    """The lines of spectral.py outside fn_name that reach one of names,
+    and the calls inside fn_name to one of them, by name."""
+    path = os.path.join(os.path.dirname(os.path.abspath(weylab.__file__)), "spectral.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    fn = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == fn_name]
+    assert len(fn) == 1
+    inside = {id(n) for n in ast.walk(fn[0])}
+    outside = [n.lineno for n in ast.walk(tree) if _reaches(n, names) and id(n) not in inside]
+    calls = [n for n in ast.walk(fn[0]) if isinstance(n, ast.Call) and _reaches(n.func, names)]
+    return outside, sorted(_called_name(n) for n in calls)
+
+
+def _called_name(call):
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else f.id
 
 
 def test_spectral_factors_only_in_ldlt():
     # _ldlt refuses off-diagonal pivoting and factors in symmetric mode,
-    # so its pivots are the inertia that certifies every shift and every
-    # count; no other function of spectral.py may reach splu, by call,
+    # so its pivots are the inertia that certifies every count at tau; no
+    # other function of spectral.py may reach splu, by call, import or
+    # attribute
+    outside, calls = _reached_only_in("_ldlt", ("splu",))
+    assert outside == []
+    assert calls == ["splu"]
+
+
+def test_spectral_band_factors_only_in_band_cholesky():
+    # _band_cholesky is the one positive-definite test of a Lanczos shift
+    # and the one solve built on its factor; no other function of
+    # spectral.py may reach cholesky_banded or cho_solve_banded, by call,
     # import or attribute
-    path = os.path.join(os.path.dirname(os.path.abspath(weylab.__file__)), "spectral.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    ldlt = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_ldlt"]
-    assert len(ldlt) == 1
-    inside = {id(n) for n in ast.walk(ldlt[0])}
-    found = [n.lineno for n in ast.walk(tree) if _reaches_splu(n) and id(n) not in inside]
-    assert found == []
-    calls = [n for n in ast.walk(ldlt[0]) if isinstance(n, ast.Call) and _reaches_splu(n.func)]
-    assert len(calls) == 1
+    outside, calls = _reached_only_in("_band_cholesky", BAND_FACTORS)
+    assert outside == []
+    assert calls == ["cho_solve_banded", "cholesky_banded"]
 
 
 def _dead_locals(fn):

@@ -174,16 +174,23 @@ def harmonic_tensor_oracle(g, k):
 
 
 def factor_shifts(monkeypatch, A):
-    """Wrap splu; returns the list of the shifts s of the factored A - s I."""
+    """Wrap the banded Cholesky and splu; returns the list of the shifts s
+    of the factored A - s I, in call order.  A shift is read off the
+    least diagonal entry, which either storage holds in any order."""
+    import scipy.linalg as la
     import scipy.sparse.linalg as sla
-    orig, shifts = sla.splu, []
-    d = A.diagonal()[0]
+    d, shifts = float(np.min(A.diagonal().real)), []
 
-    def splu(M, *args, **kwargs):
-        shifts.append(float(d - M.diagonal()[0]))
-        return orig(M, *args, **kwargs)
+    def wrap(module, name, diagonal):
+        orig = getattr(module, name)
 
-    monkeypatch.setattr(sla, "splu", splu)
+        def factor(M, *args, **kwargs):
+            shifts.append(float(d - np.min(diagonal(M).real)))
+            return orig(M, *args, **kwargs)
+        monkeypatch.setattr(module, name, factor)
+
+    wrap(la, "cholesky_banded", lambda ab: ab[0])
+    wrap(sla, "splu", lambda M: M.diagonal())
     return shifts
 
 
@@ -206,8 +213,8 @@ def test_iterative_path_matches_tensor_oracle():
 
 
 def test_psd_shift_invert_factors_once_per_shift(monkeypatch):
-    # one LDL^T at sigma = 0 is both the certificate and the solve; the
-    # only other factorization is the final count at tau
+    # one banded Cholesky at sigma = 0 is both the certificate and the
+    # solve; the only other factorization is the LDL^T of the count at tau
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
     H = get_operator("harmonic", DirichletGrid(1, 64, 8.0)).sparse
     shifts = factor_shifts(monkeypatch, H)
@@ -230,8 +237,8 @@ def test_shifted_spectrum_on_the_sparse_path(monkeypatch):
 
 
 def test_shifted_2d_oscillator_matches_tensor_oracle(monkeypatch):
-    # lambda_1 = 2 - 5 < 0: the LDL^T at 0 has negative pivots, so the
-    # shift comes from further down the ladder, not below its floor
+    # lambda_1 = 2 - 5 < 0: the Cholesky at 0 meets a non-positive pivot,
+    # so the shift comes from further down the ladder, not below its floor
     g = DirichletGrid(2, 66, 8.0)
     A = get_operator("harmonic", g).sparse - 5.0 * sparse.eye_array(g.side())
     shifts = factor_shifts(monkeypatch, A)
@@ -245,7 +252,7 @@ def test_shifted_2d_oscillator_matches_tensor_oracle(monkeypatch):
 
 
 def test_singular_candidate_shift_is_rejected(monkeypatch):
-    # an exact zero eigenvalue makes the LDL^T at 0 singular; the Gershgorin
+    # an exact zero eigenvalue stops the Cholesky at 0 on a zero pivot; the Gershgorin
     # bound is 0 as well, so g/8, g/4, g/2 are no lower and the floor is next
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
     A = np.diag(np.arange(64.0))
@@ -259,13 +266,86 @@ def test_singular_candidate_shift_is_rejected(monkeypatch):
 
 
 def test_no_certified_shift_is_a_solver_error(monkeypatch):
-    # a shift is used only after its own LDL^T shows no negative pivot;
-    # when no candidate does, down to the Gershgorin floor, nothing runs
+    # a shift is used only after its own Cholesky shows A - sigma I
+    # positive definite; when no candidate does, down to the Gershgorin
+    # floor, nothing runs
+    def refuse(band, sigma):
+        raise SolverError(f"A - {sigma} I is not positive definite")
+
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
-    monkeypatch.setattr(spectral, "_negative_pivots", lambda lu: 1)
+    monkeypatch.setattr(spectral, "_band_cholesky", refuse)
     H = get_operator("harmonic", DirichletGrid(1, 64, 8.0))
     with pytest.raises(SolverError, match="no shift"):
         eigensolve(H, 3)
+
+
+def test_a_block_just_below_zero_rejects_sigma_zero(monkeypatch):
+    # the 1d oscillator minus (lambda_1 + 1e-8) I: one eigenvalue at
+    # -1e-8, far above the factorization's rounding, so the Cholesky at 0
+    # fails and a lower shift of the ladder is certified below -1e-8
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
+    H = get_operator("harmonic", DirichletGrid(1, 64, 8.0)).sparse
+    lam1 = np.linalg.eigvalsh(H.toarray())[0]
+    A = H - (lam1 + 1e-8) * sparse.eye_array(64)
+    shifts = factor_shifts(monkeypatch, A)
+    res = eigensolve(A, 3)
+    assert res.solver.startswith("shift-invert(m=") and res.blocks == (64,)
+    assert shifts[0] == 0.0 and len(shifts) >= 3
+    assert gershgorin_floor(A) <= res.sigma[0] < -1e-8
+    assert res.eigenvalues[0] == pytest.approx(-1e-8, abs=1e-12)
+    assert res.inertia[1] == 3
+
+
+def test_complex_hermitian_operator_certifies_on_the_shift_invert_path(monkeypatch):
+    # D A D^* for a diagonal of unit phases: complex Hermitian, with the
+    # eigenvalues of the real A.  Its shift is certified by the complex
+    # banded Cholesky (zpbtrf) and its count by the complex LDL^T
+    import scipy.linalg as la
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
+    A = get_operator("harmonic", DirichletGrid(1, 64, 8.0)).sparse
+    phase = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 64))
+    Z = sparse.csr_array(sparse.diags_array(phase) @ A @ sparse.diags_array(phase.conj()))
+    assert np.iscomplexobj(Z) and abs(Z - Z.conj().T).max() <= 1e-13
+    orig, dtypes = la.cholesky_banded, []
+    monkeypatch.setattr(la, "cholesky_banded",
+                        lambda ab, **kwargs: dtypes.append(ab.dtype) or orig(ab, **kwargs))
+    res, real = eigensolve(Z, 3), eigensolve(A, 3)
+    assert res.solver.startswith("shift-invert(m=") and res.sigma == (0.0,)
+    assert dtypes == [np.complex128, np.float64]
+    assert np.max(np.abs(res.eigenvalues / real.eigenvalues - 1.0)) <= 1e-12
+    assert res.inertia[1] == real.inertia[1] == 3
+
+
+def test_periodic_operator_is_banded_by_rcm():
+    # the periodic wrap couples the first and last rows of x1, a band of
+    # 39 * 40 = 1560 in natural order; reverse Cuthill-McKee brings it
+    # under 300, and the whole operator (side 1600) solves and counts
+    H = get_operator("harmonic", Grid(2, 40, 8.0))
+    S = spectral._symmetric_part(H.sparse)
+    C = S.tocoo()
+    assert int(np.max(C.row - C.col)) == 1560
+    perm, where, band = spectral._rcm_band(S)
+    assert np.array_equal(perm[where], np.arange(1600)) and band.shape[1] == 1600
+    assert band.shape[0] - 1 < 300
+    res = eigensolve(H.sparse, 10)
+    assert res.solver.startswith("shift-invert(m=") and res.blocks == (1600,)
+    assert res.sigma == (0.0,) and res.inertia[1] >= 10
+    split = eigensolve(H, 10)
+    assert np.max(np.abs(res.eigenvalues / split.eigenvalues - 1.0)) <= 1e-12
+
+
+def test_band_solve_matches_superlu_on_a_daho_block():
+    # the banded Cholesky in RCM order and SuperLU's LDL^T in its own
+    # order solve the same system of one daho E3 block to roundoff
+    H = get_operator("daho", DirichletGrid(2, 66, 8.0))
+    S = spectral._symmetric_part(H)
+    Uc = spectral._parity_basis(H, S)[0]
+    M = Uc @ S @ Uc.T
+    perm, where, band = spectral._rcm_band(M)
+    x = np.random.default_rng(7).normal(size=M.shape[0])
+    got = spectral._band_cholesky(band, 0.0)(x[perm])[where]
+    want = spectral._ldlt(M, 0.0).solve(x)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("dense_limit,solver,whole", [
@@ -426,11 +506,13 @@ def test_a_broken_parity_basis_is_a_solver_error(monkeypatch, fault):
     ("harmonic", DirichletGrid(2, 24, 6.0), 10, "dense"),
 ], ids=["shift-invert", "dense"])
 def test_split_solve_factors_nothing_larger_than_a_block(monkeypatch, name, grid, k, path):
-    # the shifts sigma and the count at tau factor the block matrices,
-    # never the whole operator
-    sides, ldlt = [], spectral._ldlt
-    monkeypatch.setattr(spectral, "_ldlt",
-                        lambda S, shift: sides.append(S.shape[0]) or ldlt(S, shift))
+    # the shifts sigma (banded Cholesky) and the count at tau (LDL^T)
+    # factor the block matrices, never the whole operator
+    sides = []
+    for factor in ("_band_cholesky", "_ldlt"):
+        orig = getattr(spectral, factor)
+        monkeypatch.setattr(spectral, factor, lambda A, shift, orig=orig:
+                            sides.append(A.shape[-1]) or orig(A, shift))
     res = eigensolve(get_operator(name, grid), k)
     assert res.solver.startswith(path) and res.inertia is not None
     assert len(sides) >= len(res.blocks) and max(sides) <= max(res.blocks)
@@ -513,14 +595,15 @@ def test_full_spectrum_above_the_dense_limit_splits_into_dense_blocks(monkeypatc
 def test_full_spectrum_of_too_large_blocks_is_refused_unfactored(monkeypatch):
     # daho at N=130 splits into four parity blocks of side 65^2 = 4225:
     # each must be decomposed whole, none fits the dense path, and the
-    # refusal comes before any LDL^T or eigendecomposition
+    # refusal comes before any factorization or eigendecomposition
     ldlt = count_calls(monkeypatch, spectral, "_ldlt")
+    band = count_calls(monkeypatch, spectral, "_band_cholesky")
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
     H = get_operator("daho", DirichletGrid(2, 130, 6.0))
     with pytest.raises(SolverError, match="^a block of side 4225 must be decomposed whole, "
                                           "above the dense limit 4096$"):
         spectral.Spectrum(H)
-    assert ldlt == [] and eigh == []
+    assert ldlt == [] and band == [] and eigh == []
 
 
 def _block_kept_cases():
