@@ -14,8 +14,8 @@ threshold-sensitive enough that this exactness is worth the bookkeeping.
 A tree also gives its structural parity under each coordinate reflection
 (parity), read off its nodes without evaluating anything: the
 phase-space quadrature and the quantizer fold each axis where the tree
-is even, and the quantizer takes the real transform of a real tree
-even on every xi axis.
+is even, and the quantizer's DFT matrices are real sums of cosines for
+a real tree even on every xi axis.
 
 Evaluation convention: points are passed as a tuple P of per-coordinate
 arrays, ordered x_1..x_n, xi_1..xi_n, that broadcast against each other;

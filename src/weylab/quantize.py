@@ -9,44 +9,46 @@ k = -N/2 .. N/2-1, and
 where p_ij = tau x_i + (1 - tau) x_j.  At tau = 1, 0 and 1/2 one routine
 serves both dimensions: per axis p_ij = nodes[at[i, j]] (the grid at
 tau = 1 or 0, the half-step grid at the midpoint) and the phase depends
-only on d = (i - j) mod N, so the inverse FFT G of the symbol on the
-nodes gives A = G[at, d], O(N^2 log N) instead of O(N^3); in 2-D, one
-block and one batch of 2-D transforms per run of first-axis nodes, a run
-sized to at most ROW_BLOCK transformed values.  For a real symbol the
-midpoint rule gives Hermitian matrices to rounding (about 1e-16 of the
-largest entry), not exactly.  Other tau take one transform per row, in
-1-D only.  The symbol is evaluated on per-axis node and mode arrays that
-broadcast into the block, never on flattened (rows, 2n) points: in a 2-D
-block the first-axis point is one value.
+only on d = (i - j) mod N, so the inverse DFT G of the symbol on the
+nodes gives A = G[at, d].  G comes from one small DFT matrix per mode
+axis (_dft_matrices), applied to the kept samples by one fixed-shape
+matrix product per sample row (_dft): no spectrum is expanded and no
+FFT taken.  A half-step row v reads only the d = v (mod 2), as
+i - j = i + j (mod 2), so at the midpoint its matrix has the N/2
+columns d = 2c + p of its parity p.  In 2-D, one symbol block and one
+transform per run of first-axis nodes, a run holding at most ROW_BLOCK
+(node pair, d) values counted over all N^2 d.  A real symbol's Weyl
+matrix is Hermitian to rounding, not exactly.  Other tau take one
+transform per row, in 1-D only.  The symbol is evaluated on per-axis
+node and mode arrays that broadcast, never on (rows, 2n) points.
 
-At tau = 0, 1/2 and 1 the symbol is evaluated once per reflection orbit:
-on each axis where its tree is proven even (JetExpr.parity), a node and
-its mirror, or a mode and its mirror, share one sample, picked by index;
-node i mirrors to N - 1 - i and half-step node v to 2N - 2 - v.
-Mode samples are expanded to every mode before the transform; a kept
-node's transform serves its mirror too, through the gather's index (the
-first axis: a run of kept nodes serves their mirrors).  For
-every table weight and a2 symbol that is about 1/2^{2n} of the samples.
-A node's mirror is its negative only to rounding, so the matrix moves by
-about 1e-16 of its largest entry where the nodes are not exact in binary;
-an axis without a proof keeps every sample and the unfolded matrix.
+The symbol is evaluated once per reflection orbit: on each axis where
+its tree is proven even (JetExpr.parity), a node and its mirror, or a
+mode and its mirror, share one sample, picked by index; node i mirrors
+to N - 1 - i, half-step node v to 2N - 2 - v, mode k to -k mod N (the
+only fold at generic tau).  A folded mode axis's DFT matrix sums each
+pair's phases, and a kept node's transform serves its mirror through
+the gather's index.  For every table weight and a2 symbol that is about
+1/2^{2n} of the samples.  A node's mirror is its negative only to
+rounding, so the matrix moves by about 1e-16 of its largest entry where
+the nodes are not exact in binary; an axis without a proof keeps every
+sample and the unfolded matrix.
 
 weyl_blocks takes the same samples and transforms at tau = 1/2 straight
 into the reflection-parity blocks of the matrix, never forming it, in
-runs of kept half-step rows on every axis (the last innermost; at most
-ROW_BLOCK transformed values, one row of each axis at least): a run
-copies its terms' values into term arrays and compares each with its
-mirror value for the seam; the term arrays then add into the blocks in
-place, so no bit depends on the run length.
+runs of kept half-step rows on every axis (the last innermost; sized as
+above, one row of each axis at least): a run copies its terms' values
+into term arrays and compares each with its mirror value for the seam,
+exactly 0 on a split axis, where a mirror pair's DFT columns are equal
+bit for bit; the term arrays then add into the blocks in place, so no
+bit depends on the run length.
 
 Quantizers return plain dense arrays, float64 or complex128, by the
 same proof: when the tree is real-typed and proven even on every xi
-axis, each sampled block is real and equal to its reflection
-xi_k -> xi_{-k mod N} (the Nyquist mode is its own mirror), so each
-inverse DFT is real in exact arithmetic; it is taken from the half
-spectrum (irfftn) and the matrix is float64.  Otherwise every block
-takes the complex transform.  Every table weight, a2 symbol and shell
-symbol is real and proven even in xi, so their matrices are real.
+axis, every mode axis is folded and its DFT matrix is a real sum of
+cosines, so the matrix is float64; otherwise it is complex.  Every
+table weight, a2 symbol and shell symbol is real and proven even in xi,
+so their matrices are real.
 """
 
 from __future__ import annotations
@@ -129,23 +131,22 @@ def weyl_quantize(s, grid: Grid) -> np.ndarray:
 
 def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     """The dense matrix of s in the tau convention: float64 when s's tree
-    is real-typed and proven even on every xi axis (then each inverse DFT
-    is real), complex otherwise.  At tau = 0, 1/2 and 1, s is evaluated
-    once per mirror pair on each axis where its tree is proven even
-    (_orbits); an axis without a proof and generic tau keep every sample.
+    is real-typed and proven even on every xi axis (then each DFT matrix
+    is real), complex otherwise.  s is evaluated once per mirror pair on
+    each axis where its tree is proven even (_orbits), on the mode axis
+    only at generic tau; an axis without a proof keeps every sample.
     The side limit is checked before s is evaluated or anything allocated."""
     if grid.boundary != "periodic":
         raise ValueError("quantization needs a periodic grid")
     side = grid.side()
     if side > DENSE_SIDE_LIMIT:
         raise ValueError(f"dense side {side} exceeds limit {DENSE_SIDE_LIMIT}")
-    N, ks = grid.N, np.fft.ifftshift(grid.modes)  # FFT order: the samples need no shift
-    n = grid.n
-    even = all(s.expr.parity(a) == 1 for a in range(n, 2 * n))
-    idx = np.arange(N)
+    N, n, ks = grid.N, grid.n, np.fft.ifftshift(grid.modes)  # FFT order
+    half, idx = tau == 0.5, np.arange(N)
     d = (idx[:, None] - idx[None, :]) % N
+    col = d // 2 if half else d  # d's column: a half-step row of parity p reads d = 2c + p
     # per axis, p_ij = nodes[at[i, j]]: half-step nodes at tau = 1/2
-    if tau == 0.5:
+    if half:
         nodes, at = grid.points[0] + grid.h / 2.0 * np.arange(2 * N - 1), idx[:, None] + idx
     elif tau == 1.0 or tau == 0.0:
         nodes, at = grid.points, np.broadcast_to(idx[:, None] if tau else idx[None, :], (N, N))
@@ -153,37 +154,37 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
         raise ValueError("two dimensions: only tau = 0, 1/2 and 1")
     else:
         # generic tau: the point depends on both indices, one block per row
-        def rows():
-            for i in range(N):
-                p = tau * grid.points[i] + (1.0 - tau) * grid.points
-                yield s.eval((p[:, None], ks[None, :])), i, lambda G: G[idx, d[i]]
-        return _gather(rows(), (N, N), 1, even)
+        mode = _orbits(N, s, 1)
+        E, K = _dft_matrices([mode], N, False), ks[:mode.max() + 1][None, :]
+        p = tau * grid.points[:, None] + (1.0 - tau) * grid.points  # [i, j]
+        return _gather(((i, _dft(s.eval((p[i][:, None], K)), E, [0])[idx, d[i]]) for i in idx),
+                       (N, N))
     # per symbol axis (x_1..x_n, xi_1..xi_n): map[j] is the row of index j
     # among the kept samples, j itself or its mirror's (_orbits)
     maps = [_orbits(len(nodes) if a < n else N, s, a) for a in range(2 * n)]
     P = [nodes[:m.max() + 1] for m in maps[:n]] + [ks[:m.max() + 1] for m in maps[n:]]
+    E = _dft_matrices(maps[n:], N, half)
     if n == 1:
-        S = _expand(s.eval((P[0][:, None], P[1][None, :])), maps[1:])  # [node, mode]
-        return _inverse_dft(S, 1, even)[maps[0][at], d]
+        return _dft(s.eval((P[0][:, None], P[1][None, :])), E, [0])[maps[0][at], col]
 
     # runs of kept first-axis rows; one stable argsort orders every (i1, j1) by its row
-    width = len(P[1]) * N
-    cuts = list(range(0, len(P[0]), max(1, ROW_BLOCK // (width * N)))) + [len(P[0])]
+    C = col.max() + 1
+    cuts = list(range(0, len(P[0]), max(1, ROW_BLOCK // (len(P[1]) * N ** 2)))) + [len(P[0])]
     key = maps[0][at].ravel()
     order = np.argsort(key, kind="stable")
     edges = np.searchsorted(key[order], cuts)
-    q = maps[1][at] * N + d  # each (i2, j2) in a [second-axis row, mode] slab
+    q = maps[1][at] * C + col  # each (i2, j2) in a [second-axis row, column] slab
 
     def blocks():
-        # one symbol block and one transform G[node, row, mode, mode] per run;
-        # q gathers each (node, first-axis mode) slab once, and (i1, j1) copies one
+        # one symbol block and one transform G[row, row, column, column] per run;
+        # q gathers each (first-axis row, column) slab once, and (i1, j1) copies one
         for lo, hi, a, b in zip(cuts, cuts[1:], edges, edges[1:]):
             S = s.eval((P[0][lo:hi, None, None, None], P[1][:, None, None], P[2][:, None], P[3]))
+            G = _dft(S, E, [lo, 0]).transpose(0, 2, 1, 3).reshape(-1, len(P[1]) * C)
             i1, j1 = np.divmod(order[a:b], N)
-            slab = (key[order[a:b]] - lo) * N + d[i1, j1]
-            yield _expand(S, maps[2:]), (i1, slice(None), j1, slice(None)), \
-                lambda G: np.take(G.transpose(0, 2, 1, 3).reshape(-1, width), q, axis=1)[slab]
-    return _gather(blocks(), (N, N, N, N), 2, even).reshape(side, side)  # [i1, i2, j1, j2]
+            slab = (key[order[a:b]] - lo) * C + col[i1, j1]
+            yield (i1, slice(None), j1, slice(None)), np.take(G, q, axis=1)[slab]
+    return _gather(blocks(), (N, N, N, N)).reshape(side, side)  # [i1, i2, j1, j2]
 
 
 def weyl_blocks(s, grid: Grid, split) -> tuple:
@@ -207,7 +208,7 @@ def weyl_blocks(s, grid: Grid, split) -> tuple:
     maps = [_orbits(len(nodes) if a < n else N, s, a) for a in range(2 * n)]
     ks = np.fft.ifftshift(grid.modes)
     P = [nodes[:m.max() + 1] for m in maps[:n]] + [ks[:m.max() + 1] for m in maps[n:]]
-    even = all(s.expr.parity(a) == 1 for a in range(n, 2 * n))
+    E = _dft_matrices(maps[n:], N, True)
     ts = [2 if split_a else 1 for split_a in split]
     shape = ts + [N // t for t in ts] * 2  # the term arrays [t..., row..., block column...]
     at = [int(np.prod(shape[k + 1:])) for k in range(3 * n)]
@@ -215,22 +216,22 @@ def weyl_blocks(s, grid: Grid, split) -> tuple:
     for p in reversed(P[:n]):
         cuts.insert(0, list(range(0, len(p), max(1, min(len(p), budget)))) + [len(p)])
         budget //= len(p)
-    terms = []  # per axis, by kept row: the row, the offsets of d and of its mirror, the term
+    terms = []  # per axis, by kept row: the row, the columns of d and of its mirror, the term
     for a, split_a in enumerate(split):
         t, i, b = np.ix_(np.arange(ts[a]), np.arange(N // ts[a]), np.arange(N // ts[a]))
         j = np.where(t == 1, N - 1 - b, b)  # the column of M
         row = maps[a][i + j].ravel()
         o = np.argsort(row, kind="stable")
-        d, mirrored = (i - j) % N, ((j - i) if split_a else (i - j)) % N
+        d, mirrored = (i - j) % N // 2, ((j - i) if split_a else (i - j)) % N // 2  # columns
         term = t * at[a] + i * at[n + a] + b * at[2 * n + a]
-        terms.append([row[o], *(x.ravel()[o] * N ** (n - 1 - a) for x in (d, mirrored)),
+        terms.append([row[o], *(x.ravel()[o] * (N // 2) ** (n - 1 - a) for x in (d, mirrored)),
                       term.ravel()[o], np.searchsorted(row[o], cuts[a])])
     T, seam, top = None, 0.0, 0.0
     for run in np.ndindex(*(len(c) - 1 for c in cuts)):  # the last axis innermost
         lo, hi = ([c[r + k] for c, r in zip(cuts, run)] for k in (0, 1))
         pts = [p[l:h] for p, l, h in zip(P, lo, hi)] + P[n:]
         S = s.eval(tuple(p.reshape((-1,) + (1,) * (2 * n - 1 - a)) for a, p in enumerate(pts)))
-        G = _inverse_dft(_expand(S, maps[n:]), n, even)
+        G = _dft(S, E, lo)
         T = np.empty(shape, G.dtype) if T is None else T
         sel = [[x[e[r]:e[r + 1]] for x in xs] for (*xs, e), r in zip(terms, run)]
         base = [(row - l) * int(np.prod(G.shape[a + 1:]))
@@ -267,35 +268,54 @@ def _orbits(count: int, s, axis: int) -> np.ndarray:
     return np.minimum(j, count - 1 - j if axis < s.n else -j % count)
 
 
-def _expand(S, maps) -> np.ndarray:
-    """S on the kept mode rows, expanded to every mode by the row maps of
-    its trailing (mode) axes; S itself where no mode axis is folded."""
-    if all(m.max() + 1 == m.size for m in maps):
-        return S
-    return S[(...,) + np.ix_(*maps)]
+def _dft_matrices(maps, N: int, half: bool) -> list:
+    """Per mode axis with row map m (_orbits), the inverse DFT from its
+    kept modes: E[p][kk, c] = N^{-1} sum over k with m[k] = kk of
+    e^{2 pi i d k / N}, d = 2c + p when half (p = 0, 1), else d = c.
+    Each phase is read from one table at the integer angle dk mod N, so
+    columns d and -d sum the same phases, equal bit for bit; a folded
+    axis sums cosines and is real."""
+    k, out = np.arange(N, dtype=np.int32), []
+    ds = k.reshape(-1, 2).T if half else k[None]
+    angle, phase = ds[:, None, :] * k[:, None] % np.int32(N), 2.0 * np.pi / N * k  # [p, k, c]
+    for m in maps:
+        K = m.max() + 1
+        e = (np.cos(phase) if K < N else np.exp(1j * phase))[angle]
+        E = e[:, :K]  # the kept modes are a prefix; each adds its mirror, if it has one
+        E[:, m[K:]] += e[:, K:]
+        out.append(E / N)
+    return out
 
 
-def _inverse_dft(X, n: int, even: bool) -> np.ndarray:
-    """The inverse DFT of X over its last n (mode) axes, in FFT order;
-    even: the proof that X equals its reflection on them.  A real X with
-    that proof has a real transform, taken from the half spectrum."""
-    axes = tuple(range(X.ndim - n, X.ndim))
-    if not even or np.iscomplexobj(X):
-        return np.fft.ifftn(X, axes=axes)
-    return np.fft.irfftn(X[..., :X.shape[-1] // 2 + 1], s=X.shape[-n:], axes=axes)
+def _dft(S, E, lo) -> np.ndarray:
+    """G[r, c] from samples S[r, kk] over n row axes and n kept-mode axes:
+    on each mode axis a, last first, a row times E[a][(lo[a] + r_a) mod
+    len(E[a])], its parity's matrix (lo[a]: the first row's index).  One
+    fixed-shape matrix product per row, so no bit depends on which rows
+    share a call.  A row's zero-mode sample skips the products and goes
+    straight to d = 0, so a constant symbol gives the identity exactly."""
+    n, zero = len(E), (slice(0, 1),) * len(E)
+    S0 = S[(...,) + zero]
+    G = np.empty(S.shape[:n] + tuple(e.shape[2] for e in E), np.result_type(S, *E))
+    for ps in np.ndindex(*(len(e) for e in E)):
+        rows = tuple(slice((p - l) % len(e), None, len(e)) for p, l, e in zip(ps, lo, E))
+        Y = S[rows] - S0[rows] if n == 2 else (S[rows] - S0[rows])[:, None]  # 1-D: 1 x K rows
+        for e, p in zip(E[::-1], ps[::-1]):
+            Y = (Y @ e[p]).swapaxes(-1, -2)
+        G[rows] = Y if n == 2 else Y[..., 0]
+    rows = tuple(slice(-l % len(e), None, len(e)) for l, e in zip(lo, E))  # column 0 is d = 0
+    G[rows + zero] += S0[rows]
+    return G
 
 
-def _gather(blocks, shape: tuple, n: int, even: bool) -> np.ndarray:
-    """A[dst] = pick(G) for each (X, dst, pick) that blocks yields, G =
-    _inverse_dft(X, n, even); pick runs before blocks resumes.  Every
-    block comes from one tree, so all share one value type, and A takes
-    the type of the first transform."""
+def _gather(parts, shape: tuple) -> np.ndarray:
+    """A[dst] = V for each (dst, V) that parts yields; every part comes
+    from one tree, so A takes the value type of the first."""
     A = None
-    for X, dst, pick in blocks:
-        G = _inverse_dft(X, n, even)
+    for dst, V in parts:
         if A is None:
-            A = np.empty(shape, G.dtype)
-        A[dst] = pick(G)
+            A = np.empty(shape, V.dtype)
+        A[dst] = V
     return A
 
 

@@ -205,18 +205,37 @@ def test_shell_table_matches_symbolic_table(p, R):
 def _sympy_beta_table():
     """Bridge integrand and its t-derivatives, differentiated symbolically.
 
-    The mixing weight g stays symbolic so one table serves every c'.
+    With u = (t - 2)/2, s = e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}) is the
+    logistic sigma(q) of q = 1/(1 - u) - 1/u, so s' = s (1 - s) q'.  So
+    every derivative is a polynomial in t, g, S = s, T = 1 - s and the
+    derivatives D_k of q, differentiated as one (S' = S T D_1, T' =
+    -S T D_1, D_k' = D_{k+1}).  S and T are evaluated as sigma(q) and
+    sigma(-q), each without cancellation, and each D_k is q's own k-th
+    derivative.  The mixing weight g stays symbolic so one table serves
+    every c'.
     """
-    t, g = sp.Symbol("t"), sp.Symbol("g")
+    t, g, S, T = sp.symbols("t g S T")
+    D = sp.symbols(f"D1:{PROFILE_DERIV_ORDERS}")
+    gens = (t, g, S, T) + D
     u = (t - 2) / 2
-    phi, phic = sp.exp(-1 / u), sp.exp(-1 / (1 - u))
-    s = phi / (phi + phic)
-    expr = 2 * t * (1 - s) * (1 + g * 4 * s * (1 - s))
-    fns = [sp.lambdify((t, g), expr, "numpy", cse=True)]
+    q = 1 / (1 - u) - 1 / u
+    chain = [(S, sp.Poly(S * T * D[0], *gens)), (T, sp.Poly(-S * T * D[0], *gens))]
+    chain += [(a, sp.Poly(b, *gens)) for a, b in zip(D, D[1:])]
+    poly = sp.Poly(2 * t * T * (1 + g * 4 * S * T), *gens)
+    polys = [poly]
     for _ in range(PROFILE_DERIV_ORDERS - 1):
-        expr = sp.diff(expr, t)
-        fns.append(sp.lambdify((t, g), expr, "numpy", cse=True))
-    return fns
+        poly = sum((poly.diff(a) * da for a, da in chain), poly.diff(t))
+        polys.append(poly)
+    q_jet = [sp.lambdify(t, sp.diff(q, t, k), "numpy") for k in range(PROFILE_DERIV_ORDERS)]
+
+    def table(fn):
+        def beta(tv, gamma):
+            qv = q_jet[0](tv)
+            return fn(tv, gamma, np.exp(-np.logaddexp(0.0, -qv)),
+                      np.exp(-np.logaddexp(0.0, qv)), *(dq(tv) for dq in q_jet[1:]))
+        return beta
+
+    return [table(sp.lambdify(gens, p.as_expr(), "numpy")) for p in polys]
 
 
 def _beta_oracle(order, t, gamma):

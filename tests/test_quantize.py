@@ -265,11 +265,14 @@ def test_weyl_quantization_does_not_import_scipy():
 
 # -- one evaluation per reflection orbit ------------------------------------
 
-def every_sample(s, grid, tau):
+def every_sample(s, grid, tau, shared=False):
     """The matrix from every sample, a plain loop over the first-axis
     nodes: the symbol at every node and mode, the inverse DFT over the
     modes, real (from the half spectrum) when the samples are real and
-    the tree is proven even on every xi axis, and A = G[at, d] on each axis."""
+    the tree is proven even on every xi axis, and A = G[at, d] on each
+    axis.  shared: the samples on the kept modes (_orbits) go through the
+    quantizer's own transform instead, which a fold that keeps every
+    needed sample must then match bit for bit."""
     N, n = grid.N, grid.n
     idx = np.arange(N)
     ks, d = np.fft.ifftshift(grid.modes), (idx[:, None] - idx[None, :]) % N
@@ -284,7 +287,12 @@ def every_sample(s, grid, tau):
         S = np.stack([s.eval((v, nodes[:, None, None], ks[None, :, None], ks[None, None, :]))
                       for v in nodes])
     axes = tuple(range(n, 2 * n))
-    if not np.iscomplexobj(S) and all(s.expr.parity(a) == 1 for a in range(n, 2 * n)):
+    if shared:
+        maps = [qz._orbits(N, s, a) for a in axes]
+        S = S[(...,) + tuple(slice(0, m.max() + 1) for m in maps)]
+        G = qz._dft(S, qz._dft_matrices(maps, N, tau == 0.5), [0] * n)
+        d = d // 2 if tau == 0.5 else d  # a half-step row reads d = 2c + its parity
+    elif not np.iscomplexobj(S) and all(s.expr.parity(a) == 1 for a in axes):
         G = np.fft.irfftn(S[..., :N // 2 + 1], s=(N,) * n, axes=axes)
     else:
         G = np.fft.ifftn(S, axes=axes)
@@ -330,7 +338,7 @@ def test_unproven_axes_keep_every_sample_bit_for_bit(n, tau, N):
     for s, parities in cases:
         assert [s.expr.parity(a) for a in range(2 * n)] == parities
         grid = sweep_grid(n, N)
-        got, want = tau_quantize(s, grid, tau), every_sample(s, grid, tau)
+        got, want = tau_quantize(s, grid, tau), every_sample(s, grid, tau, shared=True)
         assert got.dtype == want.dtype and np.array_equal(got, want), s.name
 
 
@@ -360,9 +368,9 @@ def test_daho_at_n24_evaluates_one_eighth_of_every_sample(monkeypatch):
     monkeypatch.setattr(s, "eval", counting)
     weyl_quantize(s, sweep_grid(2, 24))
     assert sum(sizes) == 24 ** 2 * 13 ** 2 <= 47 ** 2 * 24 ** 2 / 8
-    # one evaluation per run of kept first-axis nodes: a run's transformed
-    # block, run x 24 x 24^2, holds at most ROW_BLOCK = 65536 elements, so
-    # the 24 kept nodes go in six runs of 4
+    # one evaluation per run of kept first-axis nodes: a run, counted as
+    # run x 24 second-axis rows x 24^2 differences, holds at most ROW_BLOCK
+    # = 65536 of them, so the 24 kept nodes go in six runs of 4
     assert qz.ROW_BLOCK // (24 * 24 ** 2) == 4
     assert sizes == [4 * 24 * 13 ** 2] * 6
 
@@ -389,6 +397,67 @@ def test_run_length_changes_no_bit(monkeypatch, tau):
         for s, A in zip(run_length_symbols(), want):
             got = tau_quantize(s, grid, tau)
             assert got.dtype == A.dtype and np.array_equal(got, A), (s.name, bound)
+
+
+# -- the transform ------------------------------------------------------------
+
+def rows_and_spectrum(rng, kind, n, N):
+    """Samples S on five rows per axis (the first odd) and the kept modes,
+    the row map of every mode axis, and the expanded spectrum X =
+    S[.., m, m]: folded and real, unproven (every mode kept) and real, or
+    folded and complex."""
+    j = np.arange(N)
+    m = j if kind == "unproven" else np.minimum(j, -j % N)
+    S = rng.standard_normal((5,) * n + (m.max() + 1,) * n)
+    if kind == "folded-complex":
+        S = S + 1j * rng.standard_normal(S.shape)
+    return S, m, S[(...,) + np.ix_(*[m] * n)]
+
+
+@pytest.mark.parametrize("half", [True, False], ids=["half-step", "every-d"])
+@pytest.mark.parametrize("kind", ["folded-real", "unproven", "folded-complex"])
+@pytest.mark.parametrize("N", [8, 16, 24, 128])
+@pytest.mark.parametrize("n", [1, 2])
+def test_transform_matches_the_fft_of_the_expanded_spectrum(n, N, kind, half):
+    # the quantizer's transform against numpy's inverse FFT of the whole
+    # spectrum (from the half spectrum when it is real and folded): rows
+    # 3..7 on every axis, so a half-step row of parity p reads d = 2c + p
+    rng = np.random.default_rng(100 * N + n)
+    S, m, X = rows_and_spectrum(rng, kind, n, N)
+    axes = tuple(range(n, 2 * n))
+    if kind == "folded-real":
+        want = np.fft.irfftn(X[..., :N // 2 + 1], s=(N,) * n, axes=axes)
+    else:
+        want = np.fft.ifftn(X, axes=axes)
+    got = qz._dft(S, qz._dft_matrices([m] * n, N, half), [3] * n)
+    assert got.dtype == want.dtype
+    C = N // 2 if half else N
+    t, c = np.arange(5)[:, None], np.arange(C)
+    d = 2 * c + (3 + t) % 2 if half else np.broadcast_to(c, (5, C))  # [row, column] -> d
+    if n == 1:
+        want = want[t, d]
+    else:
+        t1, t2, c1, c2 = np.ix_(range(5), range(5), range(C), range(C))
+        want = want[t1, t2, d[t1, c1], d[t2, c2]]
+    assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps * np.max(np.abs(X))
+
+
+def test_no_quantizer_takes_an_inverse_fft(monkeypatch):
+    # every quantizer goes through the one transform; sobolev_norm keeps
+    # its forward FFT
+    def refuse(*args, **kwargs):
+        raise AssertionError("an inverse FFT was taken")
+
+    for name in ("ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    g1, g2 = sweep_grid(1, 16), sweep_grid(2, 16)
+    for s in (daho_weight(), odd_in_xi(2)):
+        for A in (weyl_quantize(s, g2), kn_quantize(s, g2)):
+            assert A.shape == (256, 256)
+    assert qz.weyl_blocks(daho_weight(), g2, [True, True])[0] == 0.0
+    assert tau_quantize(harmonic_1d(), g1, 0.3).dtype == np.float64
+    assert tau_quantize(odd_in_xi(1), g1, 0.3).dtype == np.complex128
+    assert sobolev_norm(np.ones(16), g1, 1.0) > 0.0
 
 
 # -- convention transport ---------------------------------------------------

@@ -1110,10 +1110,11 @@ def test_every_node_axis_mirrors_by_reversal(grid):
 
 
 def test_seam_gate_refuses_a_transform_that_is_not_reflection_symmetric(monkeypatch):
-    # M is never formed, so the fault goes into the inverse DFT: one output
-    # entry of the first transform moved by 1e-9 max|M| (a kept row's
-    # difference d = (1, 3), whose mirror (15, 13) it no longer equals)
-    # couples the parity blocks beyond rounding, and the sweep refuses it
+    # M is never formed, so the fault goes into the transform: one output
+    # entry of the first transform moved by 1e-9 max|M| (kept rows (15, 15),
+    # the difference d = (1, 3) in columns (0, 1), whose mirror (15, 13) in
+    # columns (7, 6) it no longer equals) couples the parity blocks beyond
+    # rounding, and the sweep refuses it
     w, N = get_weight("daho"), 16
     top = np.max(np.abs(qz.weyl_quantize(w, Grid(2, N, np.sqrt(N) / 2.0))))
 
@@ -1122,19 +1123,19 @@ def test_seam_gate_refuses_a_transform_that_is_not_reflection_symmetric(monkeypa
                               box_npts=8, band_npts=28)[0]
 
     assert sweep().seam_coupling[0][1] <= N * N * np.finfo(float).eps
-    inverse_dft, calls = qz._inverse_dft, []
+    dft, calls = qz._dft, []
 
-    def moved(X, n, even):
-        G = inverse_dft(X, n, even)
+    def moved(S, E, lo):
+        G = dft(S, E, lo)
         if not calls:
-            G[-1, -1, 1, 3] += 1e-9 * top
+            G[-1, -1, 0, 1] += 1e-9 * top
         calls.append(G.shape)
         return G
 
-    monkeypatch.setattr(qz, "_inverse_dft", moved)
+    monkeypatch.setattr(qz, "_dft", moved)
     with pytest.raises(SolverError, match=r"seam .* above the gate side \* eps"):
         sweep()
-    assert calls == [(N, N, N, N)]
+    assert calls == [(N, N, N // 2, N // 2)]
 
 
 def reference_blocks(M, g, split):
@@ -1204,8 +1205,9 @@ def test_parity_blocks_match_the_term_by_term_build(name, params, N, split):
         assert B.dtype == ref.dtype and np.max(np.abs(B - ref)) <= gate
         assert np.array_equal(B, ref) or any(split)
     assert seam == reference_seam(M, g, split)
-    # the complex symbol does not depend on x2 and xi2: its seam is exactly 0
-    assert (seam > 0.0) == (any(split) and name != "complex")
+    # a mirror pair's columns of the transform are equal bit for bit, so
+    # the kept rows serve their mirrors exactly: the seam is exactly 0
+    assert seam == 0.0
 
 
 def test_blocks_refuse_a_split_axis_without_a_proof():
