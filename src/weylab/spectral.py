@@ -6,10 +6,11 @@ lowest pairs, its full-spectrum case ``Spectrum`` for the propagators and
 the fractional powers, and the trend sweep's eigenvalues.  ``eigensolve``
 solves one block per reflection parity of the operator's grid, the whole
 matrix when none applies, each block on the dense or the shift-invert
-path by its own size.  The trend sweep takes the same split of its Weyl
-matrix straight from the quantizer (quantize.weyl_blocks), on each axis
-where the weight's tree is proven even, never forming the matrix, and
-certifies that the matrix is reflection-symmetric to rounding there.
+path by its own size, a partial solve on scipy's OpenBLAS only (numpy
+bundles another; ``_dense_pairs``).  The trend sweep takes the same split
+of its Weyl matrix straight from the quantizer (quantize.weyl_blocks), on
+each axis where the weight's tree is proven even, never forming the
+matrix, and certifies that it is reflection-symmetric to rounding there.
 
 The trend experiment is the one place where a continuum question (does a
 negative power of the weight lie in a Schatten class) meets finite
@@ -83,10 +84,11 @@ def eigensolve(H, k: int) -> SpectralResult:
     from them.  Each block is routed by its own side and the count asked
     of it (``_parity_pairs``).  Dense when the side is at most
     ``DENSE_LIMIT`` and below ``DENSE_KRYLOV_RATIO`` times the Krylov size
-    the Lanczos path would use: one full ``np.linalg.eigh`` of a split
-    block; of the whole matrix, one ``np.linalg.eigh`` when every pair is
-    asked for (k = side, the ``Spectrum`` case), one subset
-    ``scipy.linalg.eigh`` otherwise.  Else shift-invert Lanczos
+    the Lanczos path would use: a split block whole, the whole matrix by a
+    subset ``scipy.linalg.eigh``, or whole when every pair is asked for
+    (k = side, the ``Spectrum`` case), on the OpenBLAS of the calls around
+    it (numpy and scipy bundle one each; ``_dense_pairs``), and cut to the
+    vectors the merge can reach (``_cut``).  Else shift-invert Lanczos
     (``scipy.sparse.linalg.eigsh``, start vector drawn from
     ``START_SEED``) around a shift sigma certified below the block's
     spectrum, so that the eigenvalues nearest sigma are the lowest ones
@@ -274,16 +276,31 @@ def _krylov_size(count: int, side: int) -> int:
     return min(side, max(2 * count + 1, 20))
 
 
-def _dense_pairs(S):
+def _dense_pairs(S, spectrum: bool):
+    """numpy and scipy each bundle an OpenBLAS, whose idle threads spin on the cores
+    the other needs: a ``Spectrum`` (spectrum=True) takes ``np.linalg.eigh``, as its
+    products use numpy's BLAS; every other solve stays on scipy's, as its Lanczos and
+    factor calls do: evd whole, else a subset ``eigh``, on a Fortran copy it overwrites."""
     from scipy.linalg import eigh
 
     def pairs(count):
+        if spectrum:
+            return np.linalg.eigh(S.toarray())
         if count == S.shape[0]:
-            return np.linalg.eigh(S.toarray())  # LAPACK evd: the whole spectrum
-        # a fresh Fortran-ordered array per call that LAPACK may overwrite:
-        # one dense copy of A alive at a time, not two
+            return eigh(S.toarray(order="F"), overwrite_a=True, driver="evd", check_finite=False)
         return eigh(S.toarray(order="F"), subset_by_index=[0, count - 1], overwrite_a=True)
     return pairs
+
+
+def _cut(lam, W, count: int) -> None:
+    """Cut each W decomposed whole (all its eigenvalues in lam), in place, after the column of
+    its first eigenvalue above the count-th of lam: a merge of count pairs reads none past it."""
+    merged = np.sort(np.concatenate(lam))
+    top = merged[count - 1] if merged.size >= count else np.inf
+    for b, w in enumerate(lam):
+        u = int(np.searchsorted(w, top, side="right")) + 1
+        if w.size == W[b].shape[0] and u < W[b].shape[1]:
+            W[b] = W[b][:, :u].copy(order="F")  # the whole W goes
 
 
 def _inf_norm(S) -> float:
@@ -361,17 +378,20 @@ def _parity_pairs(S, U, count: Optional[int] = None):
     whose largest computed eigenvalue lies below the merged count-th one
     may miss pairs, all above that largest one, so it is solved again for
     p more plus one per merged eigenvalue above it; no block is solved
-    twice for one count.  A block above ``DENSE_LIMIT`` that must be
-    decomposed whole (all its pairs first asked, or every pair of S), which
-    shift-invert cannot do, is a SolverError before any block is solved.
-    The eigenvalues merge by a stable sort.  Returns
-    the pairs function, which gives (the merged eigenvalues, each block
-    (U_c or None, lambda_c, W_c) cut to the pairs it gave them, solver, the
-    shifts or None), the largest eigenvalue of S when every block is
-    decomposed whole, else None, and the block matrices ([S] when U is
-    empty).  A shift-invert block's pairs function holds its one
-    certified banded Cholesky factor, (b + 1) x side numbers, until it is
-    dropped."""
+    twice for one count.  Dense blocks use numpy's OpenBLAS only when
+    every pair of S is asked (``_dense_pairs``); each whole decomposition
+    cuts the whole blocks so far (``_cut``), and a later count past a cut
+    decomposes that block again, to the same bits.  A block above
+    ``DENSE_LIMIT`` that must be decomposed whole (all its pairs first
+    asked, or every pair of S), which shift-invert cannot do, is a
+    SolverError before any block is solved.  The eigenvalues merge by a
+    stable sort.  Returns the pairs function, which gives (the merged
+    eigenvalues, each block (U_c or None, lambda_c, W_c) cut to the pairs
+    it gave them, solver, the shifts or None), the largest eigenvalue of
+    S when every block is decomposed whole (no cut touches one), else
+    None, and the block matrices ([S] when U is empty).  A shift-invert
+    block's pairs function holds its one certified banded Cholesky
+    factor, (b + 1) x side numbers, until it is dropped."""
     count = S.shape[0] if count is None else count
     mats = [Uc @ S @ Uc.T for Uc in U] or [S]
     sides = [M.shape[0] for M in mats]
@@ -383,18 +403,20 @@ def _parity_pairs(S, U, count: Optional[int] = None):
         if n > DENSE_LIMIT and (c == n or count == S.shape[0]):
             raise SolverError(f"a block of side {n} must be decomposed whole, "
                               f"above the dense limit {DENSE_LIMIT}")
-    routed = []
-    for M, c in zip(mats, start(count)):
+    solve, sigma, asked = [], [], []
+    lam, W = [np.empty(0)] * len(sides), [np.empty((n, 0)) for n in sides]
+    for b, (M, c) in enumerate(zip(mats, start(count))):
         n = M.shape[0]
         if n <= DENSE_LIMIT and n < DENSE_KRYLOV_RATIO * _krylov_size(c, n):
-            f, s = _dense_pairs(M), None
+            f, s = _dense_pairs(M, spectrum=count == S.shape[0]), None
         else:
             f, s = _shift_invert_pairs(M)
-        if s is None and (U or c == n):  # decomposed whole, once, for every count
-            routed.append((f, s, n, *f(n)))
-        else:
-            routed.append((f, s, 0, np.empty(0), None))
-    solve, sigma, asked, lam, W = map(list, zip(*routed))
+        solve.append(f)
+        sigma.append(s)
+        asked.append(n if s is None and (U or c == n) else 0)  # decomposed whole, for every count
+        if asked[b]:
+            lam[b], W[b] = f(n)
+            _cut(lam, W, count)
     shifts = None if all(s is None for s in sigma) else tuple(sigma)
 
     def pairs(count):
@@ -417,6 +439,9 @@ def _parity_pairs(S, U, count: Optional[int] = None):
             _krylov_size(a, n) for a, n, s in zip(asked, sides, sigma) if s is not None))
         used = np.bincount(np.repeat(np.arange(len(lam)), [w.size for w in lam])[take],
                            minlength=len(lam))
+        for b in np.flatnonzero(used > [V.shape[1] for V in W]):  # cut short: whole again
+            W[b] = solve[b](sides[b])[1]
+        _cut(lam, W, count)
         blocks = [(Uc, w[:u], V[:, :u]) for Uc, w, V, u in zip(U or [None], lam, W, used)]
         return merged[take], blocks, solver, shifts
     if all(a == n for a, n in zip(asked, sides)):

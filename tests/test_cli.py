@@ -583,18 +583,21 @@ def test_config_error_paths(tmp_path):
 def test_solver_failure_is_a_run_error(tmp_path, capsys, monkeypatch):
     # the run and its reproduction both meet a solver that drops the
     # lowest eigenpair; the inertia certificate turns that into exit 2.
-    # The operator splits into two parity blocks, each one np.linalg.eigh
+    # The operator splits into two parity blocks, each decomposed whole
+    # by one scipy.linalg.eigh (a partial solve stays on scipy's LAPACK)
+    import scipy.linalg as la
+
     cfg = {"schema": 1, "kind": "spectrum", "grid": {"n": 1, "N": 32, "L": 6.0},
            "operator": {"name": "harmonic"}, "k": 4}
     code, out = run(tmp_path, "sp.json", cfg)
     assert code == 0
-    orig = np.linalg.eigh
+    orig = la.eigh
 
     def drop_lowest(*args, **kwargs):
         lam, V = orig(*args, **kwargs)
         return lam[1:], V[:, 1:]
 
-    monkeypatch.setattr(np.linalg, "eigh", drop_lowest)
+    monkeypatch.setattr(la, "eigh", drop_lowest)
     capsys.readouterr()
     assert main(["run", write_cfg(tmp_path, "sp2.json", cfg)]) == 2
     assert main(["reproduce", os.path.join(out, "manifest.json")]) == 2

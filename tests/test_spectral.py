@@ -144,6 +144,75 @@ def test_split_path_takes_lam_max_from_its_blocks(name, monkeypatch):
     assert calls == [(576, 576)]
 
 
+def test_each_solve_stays_on_one_blas_runtime(monkeypatch):
+    # numpy and scipy each bundle an OpenBLAS: a partial solve decomposes
+    # its dense blocks with scipy's LAPACK, as its Lanczos and factor
+    # calls do, and a Spectrum with numpy's, as its products do
+    import scipy.linalg as la
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the wrong BLAS runtime")
+
+    H = get_operator("harmonic", DirichletGrid(2, 24, 8.0))
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    calls = count_calls(monkeypatch, la, "eigh")
+    assert eigensolve(H, 60).blocks == (144,) * 4
+    assert calls == [(144, 144)] * 4
+    monkeypatch.undo()
+    monkeypatch.setattr(la, "eigh", refuse)
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    assert spectral.Spectrum(H).lam.shape == (576,)
+    assert calls == [(144, 144)] * 4
+
+
+def held_columns(monkeypatch):
+    """Wrap spectral._cut; returns the list of the held W of the last solve."""
+    held, cut = [], spectral._cut
+
+    def wrapper(lam, W, *args):
+        held[:] = [W]
+        return cut(lam, W, *args)
+
+    monkeypatch.setattr(spectral, "_cut", wrapper)
+    return held
+
+
+def test_whole_blocks_hold_only_the_columns_the_merge_can_reach(monkeypatch):
+    # four whole blocks of side 144, 64 = k + p pairs merged: each keeps
+    # its eigenvalues but W only up to its first eigenvalue above the
+    # 64th smallest, so at most one column more than the merge takes
+    H = get_operator("harmonic", DirichletGrid(2, 24, 8.0))
+    S = spectral._symmetric_part(H)
+    held = held_columns(monkeypatch)
+    pairs, _, _ = spectral._parity_pairs(S, spectral._parity_basis(H, S), 64)
+    lam, blocks, _, _ = pairs(64)
+    assert lam.size == 64
+    W = held[0]
+    used = [w.size for _, w, _ in blocks]
+    assert all(V.shape == (144, V.shape[1]) and V.shape[1] <= u + 1 for V, u in zip(W, used))
+    assert sum(V.shape[1] for V in W) < 4 * 144
+
+
+def test_a_doubled_count_past_a_cut_decomposes_the_block_again(monkeypatch):
+    # single_field is -d^2/dx1^2 on a 2-D grid: every eigenvalue is 12
+    # fold, so k = 3 has no gap within p = 4 and p doubles; the blocks cut
+    # at the first count are decomposed whole again, and the pairs, the
+    # residuals and the count at tau are those of a solve with no cut
+    import scipy.linalg as la
+
+    H = get_operator("single_field", DirichletGrid(2, 12, 8.0))
+    calls = count_calls(monkeypatch, la, "eigh")
+    cut = eigensolve(H, 3)
+    assert cut.blocks == (36,) * 4 and len(calls) > 4
+    monkeypatch.setattr(spectral, "_cut", lambda *args: None)
+    calls.clear()
+    whole = eigensolve(H, 3)
+    assert len(calls) == 4
+    assert np.array_equal(cut.eigenvalues, whole.eigenvalues)
+    assert np.array_equal(cut.residuals, whole.residuals)
+    assert cut.inertia == whole.inertia
+
+
 def test_spectrum_is_certified(monkeypatch):
     # Spectrum is eigensolve's full case: one np.linalg.eigh per parity
     # block (here two of side 16), then the same per-column residual gate,
@@ -350,14 +419,15 @@ def test_band_solve_matches_superlu_on_a_daho_block():
 
 @pytest.mark.parametrize("dense_limit,solver,whole", [
     pytest.param(4096, "scipy.linalg.eigh", True, id="4096-scipy.linalg.eigh"),
-    pytest.param(4096, "numpy.linalg.eigh", False, id="4096-numpy.linalg.eigh"),
+    pytest.param(4096, "scipy.linalg.eigh", False, id="4096-blocks-scipy.linalg.eigh"),
     pytest.param(16, "scipy.sparse.linalg.eigsh", False, id="16-scipy.sparse.linalg.eigsh")])
 def test_inertia_certificate_catches_a_missed_eigenvalue(monkeypatch, dense_limit, solver, whole):
     # a solver that silently drops its lowest pair returns genuine
     # eigenpairs that pass the residual gate; only the count catches it.
-    # The operator splits into two parity blocks, each decomposed by
-    # np.linalg.eigh, and each block loses its lowest pair; its bare CSR
-    # (whole) has no grid and goes to the one-block subset scipy eigh
+    # The operator splits into two parity blocks, each decomposed whole
+    # by scipy.linalg.eigh's evd, and each block loses its lowest pair;
+    # its bare CSR (whole) has no grid and goes to the one-block subset
+    # scipy eigh
     module, name = solver.rsplit(".", 1)
     module = importlib.import_module(module)
     orig = getattr(module, name)
@@ -420,14 +490,15 @@ def test_inertia_catches_a_pair_dropped_by_one_block(monkeypatch):
     assert len(solved) == 4 and len({id(A) for A in solved}) == 4
 
 
-@pytest.mark.parametrize("solver", ["numpy.linalg.eigh", "scipy.sparse.linalg.eigsh"])
+@pytest.mark.parametrize("solver", ["scipy.linalg.eigh", "scipy.sparse.linalg.eigsh"])
 def test_inertia_catches_a_pair_moved_between_blocks(monkeypatch, solver):
     # the first block solved loses its lowest pair and the second returns
     # its lowest pair twice: every pair is genuine and as many lie below
     # tau as the whole operator holds, so a count of the whole operator
     # passes this solve; the first block's own count at tau does not.
-    # Dense: the 1d oscillator's even and odd blocks (side 32); Lanczos:
-    # daho's four blocks of side 400
+    # Dense: the 1d oscillator's even and odd blocks (side 32), each
+    # decomposed whole by scipy.linalg.eigh; Lanczos: daho's four blocks
+    # of side 400
     module, name = solver.rsplit(".", 1)
     module = importlib.import_module(module)
     orig, calls = getattr(module, name), []
