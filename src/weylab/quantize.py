@@ -6,21 +6,18 @@ k = -N/2 .. N/2-1, and
 
     A[i, j] = N^{-n} sum_k s(p_ij, xi_k) e^{2 pi i (x_i - x_j) . xi_k},
 
-where p_ij = tau x_i + (1 - tau) x_j.  At tau = 1, 0 and 1/2 one routine
-serves both dimensions: per axis p_ij = nodes[at[i, j]] (the grid at
-tau = 1 or 0, the half-step grid at the midpoint) and the phase depends
-only on d = (i - j) mod N, so the inverse DFT G of the symbol on the
-nodes gives A = G[at, d].  G comes from one small DFT matrix per mode
+where p_ij = tau x_i + (1 - tau) x_j.  At tau = 1, 0 and 1/2 per axis
+p_ij = nodes[at[i, j]] (the grid at tau = 1 or 0, at[i, j] = i or j;
+the half-step grid at the midpoint, at[i, j] = i + j) and the phase
+depends only on d = (i - j) mod N, so the inverse DFT G of the symbol on
+the nodes gives A = G[at, d].  G comes from one small DFT matrix per mode
 axis (_dft_matrices), applied to the kept samples by one fixed-shape
-matrix product per sample row (_dft): no spectrum is expanded and no
-FFT taken.  A half-step row v reads only the d = v (mod 2), as
-i - j = i + j (mod 2), so at the midpoint its matrix has the N/2
-columns d = 2c + p of its parity p.  In 2-D, one symbol block and one
-transform per run of first-axis nodes, a run holding at most ROW_BLOCK
-(node pair, d) values counted over all N^2 d.  A real symbol's Weyl
-matrix is Hermitian to rounding, not exactly.  Other tau take one
-transform per row, in 1-D only.  The symbol is evaluated on per-axis
-node and mode arrays that broadcast, never on (rows, 2n) points.
+matrix product per sample row (_dft): no spectrum is expanded and no FFT
+taken.  A half-step row v reads only the d = v (mod 2), as i - j = i + j
+(mod 2), so at the midpoint its matrix has the N/2 columns d = 2c + p of
+its parity p.  In 1-D, A is that one gather.  Other tau take one
+transform per row, in 1-D only.  The symbol is evaluated on per-axis node
+and mode arrays that broadcast, never on (rows, 2n) points.
 
 The symbol is evaluated once per reflection orbit: on each axis where
 its tree is proven even (JetExpr.parity), a node and its mirror, or a
@@ -34,14 +31,22 @@ rounding, so the matrix moves by about 1e-16 of its largest entry where
 the nodes are not exact in binary; an axis without a proof keeps every
 sample and the unfolded matrix.
 
-weyl_blocks takes the same samples and transforms at tau = 1/2 straight
-into the reflection-parity blocks of the matrix, never forming it, in
-runs of kept half-step rows on every axis (the last innermost; sized as
-above, one row of each axis at least): a run copies its terms' values
-into term arrays and compares each with its mirror value for the seam,
-exactly 0 on a split axis, where a mirror pair's DFT columns are equal
-bit for bit; the term arrays then add into the blocks in place, so no
-bit depends on the run length.
+The phase table t[a] = e^{2 pi i a/N} is conjugate-symmetric bit for bit
+(t[N - a] = conj t[a], t[N/2] = -1) and a folded axis sums the same two
+cosines for d and -d.  Where the BLAS products round the transform's
+columns d and -d alike, as at every N the tests and the benchmark use, a
+real symbol's Weyl matrix and its parity blocks are exactly Hermitian
+and the seam is 0; not at every N (daho at N = 34..40 misses by 1e-16 of
+max|M|).
+
+In 2-D one run loop (_runs) builds the whole matrix at tau = 0, 1/2 or
+1, one block with nothing split, and weyl_blocks' reflection-parity
+blocks at 1/2, never forming the matrix: per run of kept rows on every
+axis (the last innermost; at most ROW_BLOCK (node pair, d) values over
+all N^n d, one row of each axis at least) one symbol block and one
+transform, copied into term arrays and, on a split axis, compared with
+their mirror values for the seam.  The term arrays then add into the
+blocks in place, so no bit depends on the run length.
 
 Quantizers return plain dense arrays, float64 or complex128, by the
 same proof: when the tree is real-typed and proven even on every xi
@@ -123,9 +128,9 @@ def kn_quantize(s, grid: Grid) -> np.ndarray:
 
 
 def weyl_quantize(s, grid: Grid) -> np.ndarray:
-    """Midpoint quantization (tau = 1/2); Hermitian to rounding for real
-    symbols, and real when the symbol is also proven even in xi
-    (tau_quantize)."""
+    """Midpoint quantization (tau = 1/2); Hermitian for real symbols (bit
+    for bit as the module docstring says), and real when the symbol is
+    also proven even in xi (tau_quantize)."""
     return tau_quantize(s, grid, 0.5)
 
 
@@ -141,50 +146,16 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
     side = grid.side()
     if side > DENSE_SIDE_LIMIT:
         raise ValueError(f"dense side {side} exceeds limit {DENSE_SIDE_LIMIT}")
-    N, n, ks = grid.N, grid.n, np.fft.ifftshift(grid.modes)  # FFT order
-    half, idx = tau == 0.5, np.arange(N)
-    d = (idx[:, None] - idx[None, :]) % N
-    col = d // 2 if half else d  # d's column: a half-step row of parity p reads d = 2c + p
-    # per axis, p_ij = nodes[at[i, j]]: half-step nodes at tau = 1/2
-    if half:
-        nodes, at = grid.points[0] + grid.h / 2.0 * np.arange(2 * N - 1), idx[:, None] + idx
-    elif tau == 1.0 or tau == 0.0:
-        nodes, at = grid.points, np.broadcast_to(idx[:, None] if tau else idx[None, :], (N, N))
-    elif grid.n == 2:
+    if tau in (0.0, 0.5, 1.0):
+        return _runs(s, grid, tau, [False] * grid.n)[1][0]
+    if grid.n == 2:
         raise ValueError("two dimensions: only tau = 0, 1/2 and 1")
-    else:
-        # generic tau: the point depends on both indices, one block per row
-        mode = _orbits(N, s, 1)
-        E, K = _dft_matrices([mode], N, False), ks[:mode.max() + 1][None, :]
-        p = tau * grid.points[:, None] + (1.0 - tau) * grid.points  # [i, j]
-        return _gather(((i, _dft(s.eval((p[i][:, None], K)), E, [0])[idx, d[i]]) for i in idx),
-                       (N, N))
-    # per symbol axis (x_1..x_n, xi_1..xi_n): map[j] is the row of index j
-    # among the kept samples, j itself or its mirror's (_orbits)
-    maps = [_orbits(len(nodes) if a < n else N, s, a) for a in range(2 * n)]
-    P = [nodes[:m.max() + 1] for m in maps[:n]] + [ks[:m.max() + 1] for m in maps[n:]]
-    E = _dft_matrices(maps[n:], N, half)
-    if n == 1:
-        return _dft(s.eval((P[0][:, None], P[1][None, :])), E, [0])[maps[0][at], col]
-
-    # runs of kept first-axis rows; one stable argsort orders every (i1, j1) by its row
-    C = col.max() + 1
-    cuts = list(range(0, len(P[0]), max(1, ROW_BLOCK // (len(P[1]) * N ** 2)))) + [len(P[0])]
-    key = maps[0][at].ravel()
-    order = np.argsort(key, kind="stable")
-    edges = np.searchsorted(key[order], cuts)
-    q = maps[1][at] * C + col  # each (i2, j2) in a [second-axis row, column] slab
-
-    def blocks():
-        # one symbol block and one transform G[row, row, column, column] per run;
-        # q gathers each (first-axis row, column) slab once, and (i1, j1) copies one
-        for lo, hi, a, b in zip(cuts, cuts[1:], edges, edges[1:]):
-            S = s.eval((P[0][lo:hi, None, None, None], P[1][:, None, None], P[2][:, None], P[3]))
-            G = _dft(S, E, [lo, 0]).transpose(0, 2, 1, 3).reshape(-1, len(P[1]) * C)
-            i1, j1 = np.divmod(order[a:b], N)
-            slab = (key[order[a:b]] - lo) * C + col[i1, j1]
-            yield (i1, slice(None), j1, slice(None)), np.take(G, q, axis=1)[slab]
-    return _gather(blocks(), (N, N, N, N)).reshape(side, side)  # [i1, i2, j1, j2]
+    # generic tau: the point depends on both indices, one transform per row
+    N, idx, mode = grid.N, np.arange(grid.N), _orbits(grid.N, s, 1)
+    E, K = _dft_matrices([mode], N, False), np.fft.ifftshift(grid.modes)[:mode.max() + 1]
+    p = tau * grid.points[:, None] + (1.0 - tau) * grid.points  # [i, j]
+    return np.stack([_dft(s.eval((p[i][:, None], K[None, :])), E, [0])[idx, (i - idx) % N]
+                     for i in idx])
 
 
 def weyl_blocks(s, grid: Grid, split) -> tuple:
@@ -196,40 +167,54 @@ def weyl_blocks(s, grid: Grid, split) -> tuple:
     N - 1 - b: U_c M U_c^T for eigensolve's rows (e_i +- e_m(i))/sqrt(2)
     when M = PMP, which the seam measures.  An axis that does not split
     keeps every node.  The blocks come in C order of their parities, not
-    symmetrized; the caller bounds their side (no whole-matrix side limit
-    applies).  Runs as in the module docstring; returns (seam, blocks)."""
+    symmetrized (Hermitian as the module docstring says); the caller
+    bounds their side (no whole-matrix side limit applies).  Runs as in
+    the module docstring; returns (seam, blocks)."""
     if grid.boundary != "periodic":
         raise ValueError("quantization needs a periodic grid")
-    N, n = grid.N, grid.n
-    if any(split_a and not s.expr.parity(a) == 1 == s.expr.parity(n + a)
+    if any(split_a and not s.expr.parity(a) == 1 == s.expr.parity(grid.n + a)
            for a, split_a in enumerate(split)):
         raise ValueError("a split axis needs the tree proven even in x_a and xi_a")
-    nodes = grid.points[0] + grid.h / 2.0 * np.arange(2 * N - 1)
+    return _runs(s, grid, 0.5, split)
+
+
+def _runs(s, grid: Grid, tau: float, split) -> tuple:
+    """weyl_blocks at tau in {0, 1/2, 1}, split only at 1/2 (seam 0 if none).
+    The whole 1-D matrix is one gather G[row, d]; its term tables would match its size."""
+    N, n, half = grid.N, grid.n, tau == 0.5
+    nodes = grid.points[0] + grid.h / 2.0 * np.arange(2 * N - 1) if half else grid.points
+    # per symbol axis (x_1..x_n, xi_1..xi_n): map[j], index j's kept row (_orbits)
     maps = [_orbits(len(nodes) if a < n else N, s, a) for a in range(2 * n)]
-    ks = np.fft.ifftshift(grid.modes)
+    ks = np.fft.ifftshift(grid.modes)  # FFT order
     P = [nodes[:m.max() + 1] for m in maps[:n]] + [ks[:m.max() + 1] for m in maps[n:]]
-    E = _dft_matrices(maps[n:], N, True)
+    E = _dft_matrices(maps[n:], N, half)
+    div = 2 if half else 1  # d's column d // 2: a half-step row of parity p reads d = 2c + p
     ts = [2 if split_a else 1 for split_a in split]
     shape = ts + [N // t for t in ts] * 2  # the term arrays [t..., row..., block column...]
     at = [int(np.prod(shape[k + 1:])) for k in range(3 * n)]
-    budget, cuts = ROW_BLOCK // N ** n, []
+    budget, steps = ROW_BLOCK // N ** n, []
     for p in reversed(P[:n]):
-        cuts.insert(0, list(range(0, len(p), max(1, min(len(p), budget)))) + [len(p)])
+        steps.insert(0, max(1, min(len(p), budget)))
         budget //= len(p)
-    terms = []  # per axis, by kept row: the row, the columns of d and of its mirror, the term
+    terms = []  # per axis, by run: the row, the columns of d and of its mirror, the term
     for a, split_a in enumerate(split):
         t, i, b = np.ix_(np.arange(ts[a]), np.arange(N // ts[a]), np.arange(N // ts[a]))
         j = np.where(t == 1, N - 1 - b, b)  # the column of M
-        row = maps[a][i + j].ravel()
-        o = np.argsort(row, kind="stable")
-        d, mirrored = (i - j) % N // 2, ((j - i) if split_a else (i - j)) % N // 2  # columns
+        d = (i - j) % N // div
+        row = maps[a][i + j if half else i if tau else j]  # p_ij's node
+        if n == 1 and not split_a:
+            return 0.0, [_dft(s.eval((P[0][:, None], P[1][None, :])), E, [0])[row, d][0]]
+        row = np.broadcast_to(row, d.shape).ravel()
+        key = row // steps[a]  # the run; terms keep their order within one
+        o = np.argsort(key, kind="stable")
         term = t * at[a] + i * at[n + a] + b * at[2 * n + a]
-        terms.append([row[o], *(x.ravel()[o] * (N // 2) ** (n - 1 - a) for x in (d, mirrored)),
-                      term.ravel()[o], np.searchsorted(row[o], cuts[a])])
+        mirrored = (j - i) % N // div if split_a else d
+        terms.append([row[o], *(x.ravel()[o] * (N // div) ** (n - 1 - a) for x in (d, mirrored)),
+                      term.ravel()[o], np.searchsorted(key[o], range(key.max() + 2))])
     T, seam, top = None, 0.0, 0.0
-    for run in np.ndindex(*(len(c) - 1 for c in cuts)):  # the last axis innermost
-        lo, hi = ([c[r + k] for c, r in zip(cuts, run)] for k in (0, 1))
-        pts = [p[l:h] for p, l, h in zip(P, lo, hi)] + P[n:]
+    for run in np.ndindex(*(len(e) - 1 for *_, e in terms)):  # the last axis innermost
+        lo = [r * step for r, step in zip(run, steps)]
+        pts = [p[l:l + step] for p, l, step in zip(P, lo, steps)] + P[n:]
         S = s.eval(tuple(p.reshape((-1,) + (1,) * (2 * n - 1 - a)) for a, p in enumerate(pts)))
         G = _dft(S, E, lo)
         T = np.empty(shape, G.dtype) if T is None else T
@@ -238,11 +223,13 @@ def weyl_blocks(s, grid: Grid, split) -> tuple:
                 for a, ((row, *_), l) in enumerate(zip(sel, lo))]
         # sum(np.ix_(...)): the flat index of every term of the run, one part per axis
         V = np.take(G, sum(np.ix_(*(r + d for r, (_, d, _, _) in zip(base, sel)))))
-        W = np.take(G, sum(np.ix_(*(r + m for r, (_, _, m, _) in zip(base, sel)))))
-        seam = max(seam, np.max(np.abs(V - W), initial=0.0))
-        top = max(top, np.max(np.abs(V), initial=0.0), np.max(np.abs(W), initial=0.0))
-        np.put(T, sum(np.ix_(*(term for *_, term in sel))), V)
-        del G, V, W  # a run's arrays go before the next run's are made
+        if any(split):
+            W = np.take(G, sum(np.ix_(*(r + m for r, (_, _, m, _) in zip(base, sel)))))
+            seam = max(seam, np.max(np.abs(V - W), initial=0.0))
+            top = max(top, np.max(np.abs(V), initial=0.0), np.max(np.abs(W), initial=0.0))
+            del W
+        T.reshape(-1)[sum(np.ix_(*(term for *_, term in sel)))] = V
+        del G, V  # a run's arrays go before the next run's are made
     flat = T.reshape(ts + [-1])
     for a in np.flatnonzero(split):  # (M[., b], M[., m(b)]) -> (even, odd), in place
         X = np.moveaxis(flat, a, 0)
@@ -251,7 +238,8 @@ def weyl_blocks(s, grid: Grid, split) -> tuple:
                 x, y = X[0][k][c:c + ROW_BLOCK], X[1][k][c:c + ROW_BLOCK]
                 x[...], y[...] = x + y, x - y
     side = int(np.prod(shape[n:2 * n]))
-    return float(seam / top), [T[e].reshape(side, side) for e in np.ndindex(*ts)]
+    seam = float(seam / top) if any(split) else 0.0
+    return seam, [T[e].reshape(side, side) for e in np.ndindex(*ts)]
 
 
 def _orbits(count: int, s, axis: int) -> np.ndarray:
@@ -272,15 +260,20 @@ def _dft_matrices(maps, N: int, half: bool) -> list:
     """Per mode axis with row map m (_orbits), the inverse DFT from its
     kept modes: E[p][kk, c] = N^{-1} sum over k with m[k] = kk of
     e^{2 pi i d k / N}, d = 2c + p when half (p = 0, 1), else d = c.
-    Each phase is read from one table at the integer angle dk mod N, so
-    columns d and -d sum the same phases, equal bit for bit; a folded
-    axis sums cosines and is real."""
+    Each phase is read at the integer angle dk mod N from one table t
+    with t[N - a] = conj t[a] bit for bit (t[0] = 1, t[N/2] = -1; the
+    e^{i pi} of np.exp is not real), so columns d and -d are conjugates
+    bit for bit; a folded axis sums the same two cosines for both and is
+    real."""
     k, out = np.arange(N, dtype=np.int32), []
     ds = k.reshape(-1, 2).T if half else k[None]
     angle, phase = ds[:, None, :] * k[:, None] % np.int32(N), 2.0 * np.pi / N * k  # [p, k, c]
+    t = np.exp(1j * phase[:N // 2 + 1])  # t[a] = e^{2 pi i a/N}, mirrored below
+    t[N // 2] = -1.0
+    t = np.concatenate([t, t[N // 2 - 1:0:-1].conj()])
     for m in maps:
         K = m.max() + 1
-        e = (np.cos(phase) if K < N else np.exp(1j * phase))[angle]
+        e = (np.cos(phase) if K < N else t)[angle]
         E = e[:, :K]  # the kept modes are a prefix; each adds its mirror, if it has one
         E[:, m[K:]] += e[:, K:]
         out.append(E / N)
@@ -306,17 +299,6 @@ def _dft(S, E, lo) -> np.ndarray:
     rows = tuple(slice(-l % len(e), None, len(e)) for l, e in zip(lo, E))  # column 0 is d = 0
     G[rows + zero] += S0[rows]
     return G
-
-
-def _gather(parts, shape: tuple) -> np.ndarray:
-    """A[dst] = V for each (dst, V) that parts yields; every part comes
-    from one tree, so A takes the value type of the first."""
-    A = None
-    for dst, V in parts:
-        if A is None:
-            A = np.empty(shape, V.dtype)
-        A[dst] = V
-    return A
 
 
 def identity_symbol_matrix(grid: Grid, tau: float = 1.0) -> np.ndarray:

@@ -708,17 +708,15 @@ def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
 
 
 def _parity_blocks(w: WeightEvaluator, g: Grid, split: Sequence[bool]) -> tuple:
-    """weyl_blocks(w, g, split), gated and symmetrized: a block reads only
-    M's lead rows, exact when M = PMP, so a seam max|M - PMP| / max|M|
-    above side eps is a SolverError; each block B becomes (B + B^*)/2."""
+    """weyl_blocks(w, g, split), gated: a block reads only M's lead rows,
+    exact when M = PMP, so a seam max|M - PMP| / max|M| above side eps is
+    a SolverError.  eigvalsh reads only a block's lower triangle, so none
+    is symmetrized (the blocks are Hermitian as quantize says)."""
     seam, blocks = weyl_blocks(w, g, split)
     gate = g.side() * np.finfo(float).eps
     if not seam <= gate:
         raise SolverError(f"parity blocks: the seam max|M - PMP| / max|M| = "
                           f"{seam:.3e} is above the gate side * eps = {gate:.3e}")
-    for B in blocks:
-        B += B.conj().T
-        B *= 0.5
     return seam, blocks
 
 
@@ -735,9 +733,9 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     S_r, and "diverges" only says the condition fails.  All ladders are
     reported raw.
     The cells share one quantization pass per N, straight into the parity
-    blocks of the Weyl matrix M, one certified eigvalsh per block
-    (m^{-mu}(M) has singular values (lam + shift)^{-mu}) and one m pass
-    per quadrature box.  M splits on each axis a where w's tree is proven
+    blocks of the Weyl matrix M, one certified eigvalsh per block, which
+    reads its lower triangle (m^{-mu}(M) has singular values
+    (lam + shift)^{-mu}), and one m pass per quadrature box.  M splits on each axis a where w's tree is proven
     even in x_a and xi_a (_parity_blocks) and is not formed: every node
     and its mirror are sampled, so lam are M's own, and the seam the
     blocks drop (seam_coupling) is gated at side eps.  Nothing proven: one

@@ -157,6 +157,35 @@ def test_weyl_of_real_symbol_is_hermitian():
     assert np.max(np.abs(op - op.conj().T)) < 1e-12
 
 
+def exactly_hermitian(A):
+    """A equals its conjugate transpose bit for bit, 256 rows at a time."""
+    return all(np.array_equal(A[r:r + 256], A[:, r:r + 256].conj().T)
+               for r in range(0, len(A), 256))
+
+
+@pytest.mark.parametrize("n, N", [(2, 8), (2, 24), (2, 48), (1, 32), (1, 256), (1, 1024)])
+def test_weyl_of_a_real_symbol_is_hermitian_bit_for_bit(n, N):
+    # an unproven mode axis reads e^{+-2 pi i dk/N} from one table with
+    # t[N - a] = conj t[a] exactly, so columns d and -d of the transform
+    # are conjugates bit for bit where the BLAS products round them alike,
+    # as at these N; a folded one sums the same two cosines.
+    # In 2-D odd_in_xi is x1 xi1 + xi1^2: complex, its x1 and xi1 unproven.
+    # The 1-D transform takes one product per row, seconds per symbol at
+    # N = 1024, so there only odd_in_xi, on the complex table
+    values = daho_weight() if n == 2 else harmonic_1d()
+    grid = sweep_grid(n, N)
+    symbols = [SymbolEvaluator(n, Unproven(values.expr), name="unproven"),
+               odd_in_xi(n), odd_in_x1(n)]
+    for s in symbols[1:2] if N == 1024 else symbols:
+        M = weyl_quantize(s, grid)
+        assert exactly_hermitian(M), (s.name, M.dtype)
+    if n == 2:
+        # the parity blocks of x1 xi1 + xi1^2, split on the second axis alone
+        seam, blocks = qz.weyl_blocks(odd_in_xi(2), grid, [False, True])
+        assert seam == 0.0 and len(blocks) == 2
+        assert all(B.dtype == np.complex128 and exactly_hermitian(B) for B in blocks)
+
+
 def test_kn_equals_weyl_for_separable_symbol():
     # no mixed x-xi monomials, so every ordering convention coincides
     g = Grid(1, 32, 6.0)
@@ -368,9 +397,10 @@ def test_daho_at_n24_evaluates_one_eighth_of_every_sample(monkeypatch):
     monkeypatch.setattr(s, "eval", counting)
     weyl_quantize(s, sweep_grid(2, 24))
     assert sum(sizes) == 24 ** 2 * 13 ** 2 <= 47 ** 2 * 24 ** 2 / 8
-    # one evaluation per run of kept first-axis nodes: a run, counted as
-    # run x 24 second-axis rows x 24^2 differences, holds at most ROW_BLOCK
-    # = 65536 of them, so the 24 kept nodes go in six runs of 4
+    # one evaluation per run of kept rows on both axes: a run, counted as
+    # its rows x 24^2 differences, holds at most ROW_BLOCK = 65536 of them,
+    # so all 24 kept second-axis rows share a run and the 24 kept
+    # first-axis rows go in six runs of 4
     assert qz.ROW_BLOCK // (24 * 24 ** 2) == 4
     assert sizes == [4 * 24 * 13 ** 2] * 6
 

@@ -1212,9 +1212,11 @@ def test_seam_gate_refuses_a_transform_that_is_not_reflection_symmetric(monkeypa
 def reference_blocks(M, g, split):
     """The parity blocks term by term, one block at a time: for each block
     and each run of its rows, every term's rows of M gathered and summed
-    (einsum over the terms, in term order), then the columns alike; then
-    symmetrized.  The plain U_c M U_c^T that the sweep's blocks, which read
-    only M's lead rows, must match to rounding."""
+    (einsum over the terms, in term order), then the columns alike; the
+    sums are Hermitian only to rounding, so the reference keeps their
+    Hermitian part.  The plain U_c M U_c^T that the sweep's blocks, which
+    are Hermitian as built and read only M's lead rows, must match to
+    rounding."""
     mirror, lead, pair, scale = spectral._reflection_indices(g)
     root = np.full(pair.size, np.sqrt(0.5))
     factors = [[[(lead, scale), (mirror[lead], scale)], [(pair, root), (mirror[pair], -root)]]
