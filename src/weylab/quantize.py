@@ -40,13 +40,13 @@ and the seam is 0; not at every N (daho at N = 34..40 misses by 1e-16 of
 max|M|).
 
 In 2-D one run loop (_runs) builds the whole matrix at tau = 0, 1/2 or
-1, one block with nothing split, and weyl_blocks' reflection-parity
-blocks at 1/2, never forming the matrix: per run of kept rows on every
-axis (the last innermost; at most ROW_BLOCK (node pair, d) values over
-all N^n d, one row of each axis at least) one symbol block and one
-transform, copied into term arrays and, on a split axis, compared with
-their mirror values for the seam.  The term arrays then add into the
-blocks in place, so no bit depends on the run length.
+1, one block with nothing split, and at 1/2 weyl_blocks' parity blocks
+on the axes of proven_split(s), never forming the matrix: per run of
+kept rows on every axis (the last innermost; at most ROW_BLOCK (node
+pair, d) values over all N^n d, one row of each axis at least) one
+symbol block and one transform, copied into term arrays and, on a split
+axis, compared with their mirror values for the seam.  The term arrays
+then add into the blocks in place, so no bit depends on the run length.
 
 Quantizers return plain dense arrays, float64 or complex128, by the
 same proof: when the tree is real-typed and proven even on every xi
@@ -67,7 +67,7 @@ from .symbols import ROW_BLOCK, SymbolEvaluator
 
 __all__ = [
     "Grid", "kn_quantize", "weyl_quantize", "tau_quantize",
-    "weyl_blocks", "identity_symbol_matrix", "sobolev_norm",
+    "weyl_blocks", "proven_split", "identity_symbol_matrix", "sobolev_norm",
 ]
 
 DENSE_SIDE_LIMIT = 4096
@@ -158,28 +158,30 @@ def tau_quantize(s, grid: Grid, tau: float) -> np.ndarray:
                      for i in idx])
 
 
-def weyl_blocks(s, grid: Grid, split) -> tuple:
+def proven_split(s) -> list:
+    """Per node axis a, s's tree proven even in x_a and xi_a (JetExpr.parity):
+    then weyl_quantize(s, grid) commutes with axis a's reflection."""
+    return [s.expr.parity(a) == 1 == s.expr.parity(s.n + a) for a in range(s.n)]
+
+
+def weyl_blocks(s, grid: Grid) -> tuple:
     """The reflection-parity blocks of M = weyl_quantize(s, grid), M never
-    formed, and M's seam max|M - PMP| / max|M|, P reflecting every axis a
-    with split[a] (s's tree proven even in x_a and xi_a).  A split axis
-    keeps its lead nodes i < N/2 as block rows and columns, and the block
-    of parity e (0 even, 1 odd) takes M[a, b] + (-1)^e M[a, m(b)], m(b) =
-    N - 1 - b: U_c M U_c^T for eigensolve's rows (e_i +- e_m(i))/sqrt(2)
-    when M = PMP, which the seam measures.  An axis that does not split
-    keeps every node.  The blocks come in C order of their parities, not
-    symmetrized (Hermitian as the module docstring says); the caller
-    bounds their side (no whole-matrix side limit applies).  Runs as in
-    the module docstring; returns (seam, blocks)."""
+    formed, and M's seam max|M - PMP| / max|M|, P reflecting every axis of
+    proven_split(s).  A split axis keeps its lead nodes i < N/2 as block rows
+    and columns, and the block of parity e (0 even, 1 odd) takes M[a, b] +
+    (-1)^e M[a, m(b)], m(b) = N - 1 - b: U_c M U_c^T for eigensolve's rows
+    (e_i +- e_m(i))/sqrt(2) when M = PMP, which the seam measures and the
+    sweep gates.  Other axes keep every node.  The blocks come in C order of
+    their parities, not symmetrized (Hermitian as the module docstring says);
+    the caller bounds their side (no whole-matrix side limit applies).  Runs
+    as in the module docstring; returns (seam, blocks)."""
     if grid.boundary != "periodic":
         raise ValueError("quantization needs a periodic grid")
-    if any(split_a and not s.expr.parity(a) == 1 == s.expr.parity(grid.n + a)
-           for a, split_a in enumerate(split)):
-        raise ValueError("a split axis needs the tree proven even in x_a and xi_a")
-    return _runs(s, grid, 0.5, split)
+    return _runs(s, grid, 0.5, proven_split(s))
 
 
 def _runs(s, grid: Grid, tau: float, split) -> tuple:
-    """weyl_blocks at tau in {0, 1/2, 1}, split only at 1/2 (seam 0 if none).
+    """weyl_blocks at tau in {0, 1/2, 1}, on the axes of split (none: one block, seam 0).
     The whole 1-D matrix is one gather G[row, d]; its term tables would match its size."""
     N, n, half = grid.N, grid.n, tau == 0.5
     nodes = grid.points[0] + grid.h / 2.0 * np.arange(2 * N - 1) if half else grid.points

@@ -9,8 +9,8 @@ matrix when none applies, each block on the dense or the shift-invert
 path by its own size, a partial solve on scipy's OpenBLAS only (numpy
 bundles another; ``_dense_pairs``).  The trend sweep takes the same split
 of its Weyl matrix straight from the quantizer (quantize.weyl_blocks), on
-each axis where the weight's tree is proven even, never forming the
-matrix, and certifies that it is reflection-symmetric to rounding there.
+the axes of quantize.proven_split, never forming the matrix, and gates
+its seam: it must be reflection-symmetric to rounding there.
 
 The trend experiment is the one place where a continuum question (does a
 negative power of the weight lie in a Schatten class) meets finite
@@ -34,7 +34,7 @@ import numpy as np
 
 from .hamiltonians import HamiltonianMatrix
 from .metric import WeightEvaluator
-from .quantize import Grid, weyl_blocks
+from .quantize import Grid, proven_split, weyl_blocks
 from .symbols import ROW_BLOCK
 
 __all__ = [
@@ -707,19 +707,6 @@ def _certified_eigvalsh(S: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _parity_blocks(w: WeightEvaluator, g: Grid, split: Sequence[bool]) -> tuple:
-    """weyl_blocks(w, g, split), gated: a block reads only M's lead rows,
-    exact when M = PMP, so a seam max|M - PMP| / max|M| above side eps is
-    a SolverError.  eigvalsh reads only a block's lower triangle, so none
-    is symmetrized (the blocks are Hermitian as quantize says)."""
-    seam, blocks = weyl_blocks(w, g, split)
-    gate = g.side() * np.finfo(float).eps
-    if not seam <= gate:
-        raise SolverError(f"parity blocks: the seam max|M - PMP| / max|M| = "
-                          f"{seam:.3e} is above the gate side * eps = {gate:.3e}")
-    return seam, blocks
-
-
 def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
                    matrix_N: Sequence[int] = (32, 48),
                    box_L: Sequence[float] = (8.0, 12.0, 16.0),
@@ -735,12 +722,12 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
     The cells share one quantization pass per N, straight into the parity
     blocks of the Weyl matrix M, one certified eigvalsh per block, which
     reads its lower triangle (m^{-mu}(M) has singular values
-    (lam + shift)^{-mu}), and one m pass per quadrature box.  M splits on each axis a where w's tree is proven
-    even in x_a and xi_a (_parity_blocks) and is not formed: every node
+    (lam + shift)^{-mu}), and one m pass per quadrature box.  M splits on
+    the axes of quantize.proven_split(w) and is not formed: every node
     and its mirror are sampled, so lam are M's own, and the seam the
-    blocks drop (seam_coupling) is gated at side eps.  Nothing proven: one
-    block, M, bit for bit.  Each block's side is checked against
-    DENSE_LIMIT for every N before anything is evaluated (ValueError).
+    blocks drop (seam_coupling) is gated here at side eps (SolverError).
+    Nothing proven: one block, M, bit for bit.  Each block's side is
+    checked against DENSE_LIMIT for every N before anything is evaluated (ValueError).
     A pass evaluates m only on the box folded by the reflections under
     which w's tree is proven even (_chunked_weight): about 1/2^{2n} of the nodes
     for every table weight, every node on an axis without a proof.
@@ -749,9 +736,8 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
         raise ValueError("mu must be positive and r at least 1")
     if not cells:
         return []
-    split = [w.expr.parity(a) == 1 == w.expr.parity(w.n + a) for a in range(w.n)]
     for N in map(int, matrix_N):
-        side = int(np.prod([N // 2 if s else N for s in split]))
+        side = int(np.prod([N // 2 if s else N for s in proven_split(w)]))
         if side > DENSE_LIMIT:
             raise ValueError(f"N = {N}: parity block side {side} exceeds the dense limit "
                              f"{DENSE_LIMIT}")
@@ -760,7 +746,11 @@ def schatten_sweep(w: WeightEvaluator, cells: Sequence[tuple], Q: float,
         # balanced box: x and xi extents both ~ sqrt(N)/2 starve neither end of the shells
         L = np.sqrt(N) / 2.0
         g = Grid(w.n, N, L)
-        seam, blocks = _parity_blocks(w, g, split)
+        seam, blocks = weyl_blocks(w, g)
+        gate = g.side() * np.finfo(float).eps  # blocks read M's lead rows: exact if M = PMP
+        if not seam <= gate:
+            raise SolverError(f"parity blocks: the seam max|M - PMP| / max|M| = "
+                              f"{seam:.3e} is above the gate side * eps = {gate:.3e}")
         lam = np.sort(np.concatenate(list(map(_certified_eigvalsh, blocks))))
         del blocks  # before the next N's are made
         ladder.append((N, L, lam, max(0.0, 1.0 - float(lam[0])), seam))  # PD floor at 1, as m

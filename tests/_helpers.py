@@ -105,18 +105,20 @@ def sympy_symbol(expr):
 
 
 class Unproven(JetExpr):
-    """The values and derivatives of tree with no parity proven on any
-    axis, so nothing folds; seen, when given, collects the broadcast shape
-    of each evaluation's points."""
+    """The values and derivatives of tree with no parity proven on the
+    phase axes in hidden (every axis by default), so nothing folds there;
+    seen, when given, collects the broadcast shape of each evaluation's
+    points."""
 
-    def __init__(self, tree, seen=None):
+    def __init__(self, tree, seen=None, hidden=None):
         self.nvars, self.tree, self.seen = tree.nvars, tree, seen
+        self.hidden = range(tree.nvars) if hidden is None else hidden
 
     def parity(self, axis):
-        return 0
+        return 0 if axis in self.hidden else self.tree.parity(axis)
 
     def diff(self, axis):
-        return Unproven(self.tree.diff(axis))
+        return Unproven(self.tree.diff(axis), hidden=self.hidden)
 
     def _eval(self, P):
         if self.seen is not None:

@@ -526,6 +526,21 @@ def test_subellipticity_growing_control(tmp_path):
     assert report["report"]["stable"] is False
 
 
+def test_subellipticity_stable_ladder_passes_its_check(tmp_path):
+    # the laplacian at tau = 1: the C1 ladder moves by 0.005 and 0.07, so
+    # the probe reads stable and the stability check runs and passes
+    code, out = run(tmp_path, "se.json", {
+        "schema": 1, "kind": "subellipticity", "seed": 0,
+        "operator": {"name": "laplacian"}, "tau": 1.0,
+        "N_list": [16, 24, 32], "trials": 6, "expect": "stable"})
+    assert code == 0
+    checks = read_json(os.path.join(out, "manifest.json"))["checks"]
+    assert checks == [{"name": "subellipticity-ladder", "passed": True},
+                      {"name": "stability", "passed": True}]
+    report = read_json(os.path.join(out, "report.json"))
+    assert report["report"]["stable"] is True
+
+
 def test_subellipticity_rejects_unknown_operator(tmp_path):
     code, _ = run(tmp_path, "se.json", {
         "schema": 1, "kind": "subellipticity", "seed": 0,
@@ -675,6 +690,25 @@ def test_reproduce_warns_on_tampered_config(tmp_path, capsys):
     capsys.readouterr()
     main(["reproduce", mpath])
     assert "not a reproduction" in capsys.readouterr().err
+
+
+def test_reproduce_of_another_versions_manifest_warns_and_matches(tmp_path, capsys):
+    code, out = run(tmp_path, "qi.json", {
+        "schema": 1, "kind": "quantize-identity",
+        "grid": {"n": 1, "N": 16, "L": 4.0}})
+    assert code == 0
+    mpath = os.path.join(out, "manifest.json")
+    manifest = read_json(mpath)
+    manifest["artifact_version"] = "0.0.0"
+    with open(mpath, "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert main(["reproduce", mpath]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (f"warning: manifest from version 0.0.0, running {__version__}; "
+                            "best effort\n")
+    lines = captured.out.splitlines()
+    assert lines and all(line.startswith("[match] ") for line in lines)
 
 
 def test_reproduce_rejects_broken_manifest(tmp_path):

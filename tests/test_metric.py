@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from _helpers import weight_values
+from _helpers import uni_table, weight_values
+from weylab._jets import JPowerSum, JSum, JUni
 from weylab.metric import (
     WeightEvaluator,
     bracket_sq,
@@ -176,6 +178,25 @@ def test_temperateness_frontier():
     # dual distance >= 1 after the shift, so constants cannot increase in J
     assert all(consts[j] <= consts[j - 1] + 1e-12 for j in range(1, len(consts)))
     assert rep.constant == pytest.approx(min(consts[:4]))
+
+
+def test_temperateness_failure_names_its_worst_pairs():
+    # m = e^{x1} + <X> changes by e^{|x1 - y1|}, faster than any power of
+    # the dual distance s: the check fails at C about 3e24 and names eight
+    # witness pairs in descending ratio / s^4, the first at the constant.
+    # s^J overflows to inf on the farthest pairs, whose ratio / s^J is 0
+    t = sp.Symbol("t")
+    x1 = JUni(JPowerSum.monomial(4, (1, 0, 0, 0)), uni_table(sp.exp(t), t))
+    w = WeightEvaluator(2, JSum([x1, JPowerSum.bracket_power(4, 1)]), name="exp-x1")
+    X, Y = pair_sample(2, 3000, 1)
+    with np.errstate(over="ignore"):
+        rep = pair_reports(w, X, Y)["temperateness"]
+    assert not rep.passed and rep.order == 4 and rep.constant > 1e24
+    ratios = [r for *_, r in rep.witnesses]
+    assert len(ratios) == 8 and ratios == sorted(ratios, reverse=True)
+    assert ratios[0] == rep.constant
+    assert all(len(x) == len(y) == 4 for x, y, _ in rep.witnesses)
+    assert "FAIL" in rep.summary()
 
 
 def test_gweight_admissible():

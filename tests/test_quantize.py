@@ -180,8 +180,8 @@ def test_weyl_of_a_real_symbol_is_hermitian_bit_for_bit(n, N):
         M = weyl_quantize(s, grid)
         assert exactly_hermitian(M), (s.name, M.dtype)
     if n == 2:
-        # the parity blocks of x1 xi1 + xi1^2, split on the second axis alone
-        seam, blocks = qz.weyl_blocks(odd_in_xi(2), grid, [False, True])
+        # the parity blocks of x1 xi1 + xi1^2, split on its one proven axis, the second
+        seam, blocks = qz.weyl_blocks(odd_in_xi(2), grid)
         assert seam == 0.0 and len(blocks) == 2
         assert all(B.dtype == np.complex128 and exactly_hermitian(B) for B in blocks)
 
@@ -484,7 +484,7 @@ def test_no_quantizer_takes_an_inverse_fft(monkeypatch):
     for s in (daho_weight(), odd_in_xi(2)):
         for A in (weyl_quantize(s, g2), kn_quantize(s, g2)):
             assert A.shape == (256, 256)
-    assert qz.weyl_blocks(daho_weight(), g2, [True, True])[0] == 0.0
+    assert qz.weyl_blocks(daho_weight(), g2)[0] == 0.0
     assert tau_quantize(harmonic_1d(), g1, 0.3).dtype == np.float64
     assert tau_quantize(odd_in_xi(1), g1, 0.3).dtype == np.complex128
     assert sobolev_norm(np.ones(16), g1, 1.0) > 0.0
