@@ -321,8 +321,6 @@ def subellipticity_probe(op_builder: Callable, tau: float,
                 phase = np.exp(2j * np.pi * (k1 * pts[:, None] + k2 * pts[None, :]) / (2.0 * L))
                 v = (env * phase).ravel()
                 nv = np.linalg.norm(v)
-                if nv == 0:
-                    continue
                 # sobolev_norm carries the continuum measure; the plain
                 # vector norms need the cell factor h to match it
                 ratio = sobolev_norm(v, grid, tau) / (h * (np.linalg.norm(P @ v) + nv))

@@ -192,7 +192,8 @@ def check_pairs(w: WeightEvaluator, X, Y) -> list:
     ratio = np.max(np.stack([rx, 1.0 / rx, rxi, 1.0 / rxi]), axis=0)
     wratio = np.maximum(mX / mY, mY / mX)
 
-    powers = [s**J for J in range(1, MAX_ORDER + 1)]
+    with np.errstate(over="ignore"):  # s^J = inf is the limit, and ratio / inf = 0
+        powers = [s**J for J in range(1, MAX_ORDER + 1)]
     frontier, best = _frontier(ratio, powers)
     wfrontier, wbest = _frontier(wratio, powers)
 

@@ -104,16 +104,17 @@ def eigensolve(H, k: int) -> SpectralResult:
     the solve was split; the count is taken per block.  p >= 1 extra
     pairs are computed (none when k = side), and SolverError is raised
     unless every residual |A q - lambda q|, with the sparse A, is at most
-    1e-8 |A|_2, |A|_2 = max(|lambda_1|, lambda_max) (lambda_max is the top
-    merged eigenvalue when every block is decomposed whole, a Lanczos
-    estimate on A otherwise), and the computed count is complete: tau goes
-    in the first gap at or after lambda_k wider than ``GAP_REL_TOL`` |A|_2
-    (p doubles until there is one), and for each block M_c = U_c A U_c^T
-    (A itself when none splits) the negative pivots of a sparse LDL^T of
-    M_c - tau I, which count M_c's eigenvalues below tau (Sylvester), must
-    equal the number of that block's own pairs computed below tau.  A
-    skipped eigenvalue passes the residual gate; it fails this count, also
-    when another block returns a pair twice and the merged total matches.
+    1e-8 rho, rho = max(|lambda_1|, max_i A_ii) <= |A|_2 (each A_ii is the
+    Rayleigh quotient of e_i, so no solve sets rho, and an underestimate
+    of |A|_2 only tightens the checks), and the computed count is complete:
+    tau goes in the first gap at or after lambda_k wider than
+    ``GAP_REL_TOL`` rho (p doubles until there is one), and for each block
+    M_c = U_c A U_c^T (A itself when none splits) the negative pivots of a
+    sparse LDL^T of M_c - tau I, which count M_c's eigenvalues below tau
+    (Sylvester), must equal the number of that block's own pairs computed
+    below tau.  A skipped eigenvalue passes the residual gate; it fails
+    this count, also when another block returns a pair twice and the
+    merged total matches.
 
     The block counts add up to A's because the split is checked on its
     basis: the block sides sum to the side and |U U^T - I|_max <= side eps
@@ -134,10 +135,11 @@ def eigensolve(H, k: int) -> SpectralResult:
 def _solve(H, S, k: int) -> tuple:
     """eigensolve of S, the symmetric part of H: the result, and its blocks
     (U_c or None, lambda_c, W_c) unless a count at tau was needed, which
-    a full spectrum never is.  Each block's sigma factor lives in its
-    pairs function and goes with it, before the residuals.  The count at
-    tau takes one LDL^T of each block matrix that ``_parity_pairs`` built,
-    against that block's own eigenvalues, and keeps only the count."""
+    a full spectrum never is.  rho is read from lambda_1 and S's diagonal.
+    The pairs function solves every block; its sigma factors go with it,
+    before the residuals.  The count at tau takes one LDL^T of each block
+    that ``_parity_pairs`` built, against that block's own eigenvalues,
+    and keeps only the count."""
     side = S.shape[0]
     if not 0 < k <= side:
         raise ValueError("k must lie between 1 and the dimension")
@@ -145,13 +147,12 @@ def _solve(H, S, k: int) -> tuple:
     U = _parity_basis(H, S)
     if U:
         _check_basis(U, side)
-    pairs, lam_max, mats = _parity_pairs(S, U, k + p)
-    if lam_max is None:
-        lam_max = _top_eigenvalue(S)
+    pairs, mats = _parity_pairs(S, U, k + p)
+    top = float(np.max(S.diagonal().real))  # a Rayleigh quotient: at most |A|_2
     while True:
         lam, blocks, solver, sigma = pairs(k + p)
-        normA = max(abs(float(lam[0])), lam_max)
-        cut = _first_gap(lam, k, GAP_REL_TOL * normA)
+        rho = max(abs(float(lam[0])), top)
+        cut = _first_gap(lam, k, GAP_REL_TOL * rho)
         if cut is not None or k + p == side:
             break
         p = min(2 * p, side - k)
@@ -159,7 +160,7 @@ def _solve(H, S, k: int) -> tuple:
     # one block at a time, then into the merged order: a stable sort
     res = np.concatenate([_residual_norms(S, _lift(Uc, W), w) for Uc, w, W in blocks])
     res = res[np.argsort(np.concatenate([w for _, w, _ in blocks]), kind="stable")]
-    _enforce_residuals(res[:cut], normA, solver)
+    _enforce_residuals(res[:cut], rho, solver)
     inertia = None
     if cut is not None:
         tau = 0.5 * (lam[cut - 1] + lam[cut])
@@ -263,15 +264,6 @@ def _first_gap(lam, k: int, width: float):
     return int(k + gaps[0]) if gaps.size else None
 
 
-def _top_eigenvalue(S) -> float:
-    """A Lanczos estimate of lambda_max, to tol=1e-4: a Ritz value never
-    exceeds lambda_max, so a loose estimate can only shrink |A|_2, and
-    with it the residual gate and the gap width; the checks only tighten."""
-    from scipy.sparse.linalg import eigsh
-    v0 = np.random.default_rng(START_SEED).normal(size=S.shape[0])
-    return float(eigsh(S, k=1, which="LA", v0=v0, tol=1e-4, return_eigenvectors=False)[0])
-
-
 def _krylov_size(count: int, side: int) -> int:
     return min(side, max(2 * count + 1, 20))
 
@@ -293,8 +285,9 @@ def _dense_pairs(S, spectrum: bool):
 
 
 def _cut(lam, W, count: int) -> None:
-    """Cut each W decomposed whole (all its eigenvalues in lam), in place, after the column of
-    its first eigenvalue above the count-th of lam: a merge of count pairs reads none past it."""
+    """Cut each W decomposed whole (all its eigenvalues in lam), in place, after the column of its
+    first eigenvalue above the count-th of every eigenvalue known so far: a merge of count pairs
+    reads none past it.  A block a cut left short is decomposed again, to the same bits."""
     merged = np.sort(np.concatenate(lam))
     top = merged[count - 1] if merged.size >= count else np.inf
     for b, w in enumerate(lam):
@@ -370,29 +363,28 @@ def _check_basis(U, side: int) -> None:
         raise SolverError(f"parity basis: |U U^T - I|_max = {defect:.3e} above {gate:.3e}")
 
 
-def _parity_pairs(S, U, count: Optional[int] = None):
+def _parity_pairs(S, U, count: int):
     """Pairs of S merged from one solver per block U_c S U_c^T (S itself
-    when U is empty), each routed by its side and the count first asked,
-    None for every pair.  Of a count, each of the B blocks first computes
-    ceil(count/B) + p pairs (at most count, at most its side).  A block
-    whose largest computed eigenvalue lies below the merged count-th one
-    may miss pairs, all above that largest one, so it is solved again for
-    p more plus one per merged eigenvalue above it; no block is solved
-    twice for one count.  Dense blocks use numpy's OpenBLAS only when
-    every pair of S is asked (``_dense_pairs``); each whole decomposition
-    cuts the whole blocks so far (``_cut``), and a later count past a cut
-    decomposes that block again, to the same bits.  A block above
-    ``DENSE_LIMIT`` that must be decomposed whole (all its pairs first
-    asked, or every pair of S), which shift-invert cannot do, is a
-    SolverError before any block is solved.  The eigenvalues merge by a
-    stable sort.  Returns the pairs function, which gives (the merged
-    eigenvalues, each block (U_c or None, lambda_c, W_c) cut to the pairs
-    it gave them, solver, the shifts or None), the largest eigenvalue of
-    S when every block is decomposed whole (no cut touches one), else
-    None, and the block matrices ([S] when U is empty).  A shift-invert
-    block's pairs function holds its one certified banded Cholesky
-    factor, (b + 1) x side numbers, until it is dropped."""
-    count = S.shape[0] if count is None else count
+    when U is empty), each routed by its side and the first count.  A
+    dense block is decomposed whole when S splits or when the first count
+    asks all its pairs; of a count, each other block of the B first
+    computes ceil(count/B) + p pairs (at most count, at most its side).
+    A block whose largest computed eigenvalue lies below the merged
+    count-th one may miss pairs, all above that largest one, so it is
+    solved again for p more plus one per merged eigenvalue above it; no
+    block is solved twice for one count, and a block's computed count is
+    lam[b].size.  Dense blocks use numpy's OpenBLAS only when every pair
+    of S is asked (``_dense_pairs``).  Each decomposition cuts the whole
+    blocks so far (``_cut``), and a block that a cut left short of the
+    pairs a later count merges is decomposed again, to the same bits.  A
+    block above ``DENSE_LIMIT`` that must be decomposed whole, which
+    shift-invert cannot do, is a SolverError before any block is routed.
+    The eigenvalues merge by a stable sort.  Returns the pairs function,
+    which solves every block and gives (the merged eigenvalues, each block
+    (U_c or None, lambda_c, W_c) cut to the pairs it gave them, solver,
+    the shifts or None), and the block matrices ([S] when U is empty).  A
+    shift-invert block's pairs function holds its one certified banded
+    Cholesky factor, (b + 1) x side numbers, until it is dropped."""
     mats = [Uc @ S @ Uc.T for Uc in U] or [S]
     sides = [M.shape[0] for M in mats]
 
@@ -403,9 +395,8 @@ def _parity_pairs(S, U, count: Optional[int] = None):
         if n > DENSE_LIMIT and (c == n or count == S.shape[0]):
             raise SolverError(f"a block of side {n} must be decomposed whole, "
                               f"above the dense limit {DENSE_LIMIT}")
-    solve, sigma, asked = [], [], []
-    lam, W = [np.empty(0)] * len(sides), [np.empty((n, 0)) for n in sides]
-    for b, (M, c) in enumerate(zip(mats, start(count))):
+    solve, sigma, whole = [], [], []
+    for M, c in zip(mats, start(count)):
         n = M.shape[0]
         if n <= DENSE_LIMIT and n < DENSE_KRYLOV_RATIO * _krylov_size(c, n):
             f, s = _dense_pairs(M, spectrum=count == S.shape[0]), None
@@ -413,40 +404,38 @@ def _parity_pairs(S, U, count: Optional[int] = None):
             f, s = _shift_invert_pairs(M)
         solve.append(f)
         sigma.append(s)
-        asked.append(n if s is None and (U or c == n) else 0)  # decomposed whole, for every count
-        if asked[b]:
-            lam[b], W[b] = f(n)
-            _cut(lam, W, count)
+        whole.append(s is None and (bool(U) or c == n))  # decomposed whole, for every count
     shifts = None if all(s is None for s in sigma) else tuple(sigma)
+    lam, W = [np.empty(0)] * len(sides), [np.empty((n, 0)) for n in sides]
 
     def pairs(count):
-        want = start(count)
+        def decompose(b, c):
+            lam[b], W[b] = solve[b](c)
+            _cut(lam, W, count)
+
+        want = [n if w else c for n, w, c in zip(sides, whole, start(count))]
         while True:
-            for b, f in enumerate(solve):
-                if asked[b] < want[b]:
-                    lam[b], W[b] = f(want[b])
-                    asked[b] = want[b]
+            for b, c in enumerate(want):
+                if lam[b].size < c:
+                    decompose(b, c)
             merged = np.concatenate(lam)
             take = np.argsort(merged, kind="stable")[:count]
             short = [b for b, w in enumerate(lam)
-                     if asked[b] < min(sides[b], count) and w[-1] < merged[take[-1]]]
+                     if w.size < min(sides[b], count) and w[-1] < merged[take[-1]]]
             if not short:
                 break
             for b in short:
                 above = int(np.count_nonzero(merged[take] > lam[b][-1]))
-                want[b] = min(sides[b], count, asked[b] + EXTRA_PAIRS + above)
+                want[b] = min(sides[b], count, lam[b].size + EXTRA_PAIRS + above)
         solver = "dense" if shifts is None else "shift-invert(m={})".format(max(
-            _krylov_size(a, n) for a, n, s in zip(asked, sides, sigma) if s is not None))
+            _krylov_size(w.size, n) for w, n, s in zip(lam, sides, sigma) if s is not None))
         used = np.bincount(np.repeat(np.arange(len(lam)), [w.size for w in lam])[take],
                            minlength=len(lam))
         for b in np.flatnonzero(used > [V.shape[1] for V in W]):  # cut short: whole again
-            W[b] = solve[b](sides[b])[1]
-        _cut(lam, W, count)
+            decompose(b, sides[b])
         blocks = [(Uc, w[:u], V[:, :u]) for Uc, w, V, u in zip(U or [None], lam, W, used)]
         return merged[take], blocks, solver, shifts
-    if all(a == n for a, n in zip(asked, sides)):
-        return pairs, float(max(w[-1] for w in lam)), mats
-    return pairs, None, mats
+    return pairs, mats
 
 
 def _shift_invert_pairs(S):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from weylab._output import (
     canonical_json,
     fmt_cell,
+    write_bytes_atomic,
     write_csv_atomic,
     write_json_atomic,
 )
@@ -201,6 +202,16 @@ def test_write_csv_atomic_is_deterministic(tmp_path):
     d1 = write_csv_atomic(tmp_path / "a.csv", ["i", "v"], rows)
     d2 = write_csv_atomic(tmp_path / "b.csv", ["i", "v"], rows)
     assert d1 == d2
+
+
+def test_write_bytes_atomic_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_bytes_atomic(tmp_path / "out.bin", b"data")
+    assert os.listdir(tmp_path) == []
 
 
 def test_canonical_json_sorts_keys(tmp_path):

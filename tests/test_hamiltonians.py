@@ -303,6 +303,12 @@ def test_validate_p2_needs_far_sample():
         validate_p2(quadratic_potential(g), g.mesh())
 
 
+def test_validate_p2_needs_one_value_per_sample_point():
+    g = far_grid()
+    with pytest.raises(ValueError, match="value/sample length mismatch"):
+        validate_p2(quadratic_potential(g).values[:-1], g.mesh())
+
+
 def test_hamiltonian_with_potential_gates():
     g = DirichletGrid(1, 64, 12.0)
     kin = get_operator("harmonic", g)

@@ -128,6 +128,8 @@ def test_grid_geometry():
     # quantization needs the FFT modes of a periodic grid
     with pytest.raises(ValueError, match="quantization needs a periodic grid"):
         weyl_quantize(harmonic_1d(), Grid(1, 16, 4.0, "dirichlet"))
+    with pytest.raises(ValueError, match="quantization needs a periodic grid"):
+        qz.weyl_blocks(harmonic_1d(), DirichletGrid(1, 16, 4.0))
 
 
 # -- identity and hermiticity ----------------------------------------------

@@ -128,20 +128,63 @@ def test_only_invariant_axes_split(operator, blocks):
     assert np.max(np.abs(res.eigenvalues / whole.eigenvalues - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["harmonic", "daho"])
-def test_split_path_takes_lam_max_from_its_blocks(name, monkeypatch):
-    # every block is decomposed whole, so the top of the merged spectrum
-    # is lambda_max: no Lanczos run on the split path, one without a split
-    H = get_operator(name, DirichletGrid(2, 24, 8.0))
+@pytest.mark.parametrize("case", ["harmonic", "daho", "harmonic-whole", "daho-whole",
+                                  "daho-noise-N40", "spectrum"])
+def test_no_solve_runs_lanczos_for_the_top_eigenvalue(monkeypatch, case):
+    # the residual gate and the gap width scale by rho = max(|lambda_1|,
+    # max A_ii), read without a solve: no eigsh run asks for the largest
+    # eigenvalue, split or not, on the dense or the shift-invert path
+    import scipy.sparse.linalg as sla
+
+    orig, which = sla.eigsh, []
+
+    def wrapper(*args, **kwargs):
+        which.append(kwargs.get("which", "LM"))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigsh", wrapper)
+    name, _, variant = case.partition("-")
+    if variant == "noise":
+        g = DirichletGrid(2, 40, 8.0)
+        H = hamiltonian_with_potential(get_operator("daho", g), bounded_noise_potential(g))
+        res = eigensolve(H, 10)
+        assert res.solver.startswith("shift-invert(m=") and res.blocks == (1600,)
+        assert which and set(which) == {"LM"}
+        return
+    H = get_operator("harmonic" if name == "spectrum" else name, DirichletGrid(2, 24, 8.0))
+    if name == "spectrum":
+        assert spectral.Spectrum(H).lam.shape == (576,)
+    else:
+        res = eigensolve(H.sparse if variant else H, 60)
+        assert res.blocks == ((576,) if variant else (144,) * 4)
+    assert which == []
+
+
+def test_residual_gate_scales_by_the_diagonal_and_lambda_1(monkeypatch):
+    # daho's four whole blocks, block 0's lowest eigenvalue returned 2e-6
+    # high: its residual is 2e-6, above 1e-8 rho = 1.75e-6 (rho = max A_ii
+    # = 174.80) though below 1e-8 lambda_max = 2.24e-6
+    import scipy.linalg as la
+
+    H = get_operator("daho", DirichletGrid(2, 24, 8.0))
     S = spectral._symmetric_part(H)
-    _, lam_max, _ = spectral._parity_pairs(S, spectral._parity_basis(H, S))
+    rho = max(abs(eigensolve(H, 1).eigenvalues[0]), float(np.max(S.diagonal())))
     top = eigsh(S, k=1, which="LA", return_eigenvectors=False)[0]
-    assert abs(lam_max - top) <= 1e-12 * abs(top)
-    calls = count_calls(monkeypatch, spectral, "_top_eigenvalue")
-    assert eigensolve(H, 60).blocks == (144,) * 4
-    assert calls == []
-    assert eigensolve(H.sparse, 60).blocks == (576,)
-    assert calls == [(576, 576)]
+    assert 1e-8 * rho < 2e-6 < 1e-8 * top
+    orig, calls = la.eigh, []
+
+    def raised(*args, **kwargs):
+        lam, V = orig(*args, **kwargs)
+        if not calls:
+            lam = lam.copy()
+            lam[0] += 2e-6
+        calls.append(lam.size)
+        return lam, V
+
+    monkeypatch.setattr(la, "eigh", raised)
+    with pytest.raises(SolverError, match=f"residual 2.000e-06 above {1e-8 * rho:.3e}"):
+        eigensolve(H, 60)
+    assert calls == [144] * 4
 
 
 def test_each_solve_stays_on_one_blas_runtime(monkeypatch):
@@ -184,7 +227,7 @@ def test_whole_blocks_hold_only_the_columns_the_merge_can_reach(monkeypatch):
     H = get_operator("harmonic", DirichletGrid(2, 24, 8.0))
     S = spectral._symmetric_part(H)
     held = held_columns(monkeypatch)
-    pairs, _, _ = spectral._parity_pairs(S, spectral._parity_basis(H, S), 64)
+    pairs, _ = spectral._parity_pairs(S, spectral._parity_basis(H, S), 64)
     lam, blocks, _, _ = pairs(64)
     assert lam.size == 64
     W = held[0]
@@ -417,6 +460,30 @@ def test_band_solve_matches_superlu_on_a_daho_block():
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def test_ldlt_refuses_a_singular_shift_and_an_off_diagonal_pivot():
+    with pytest.raises(SolverError, match="inertia: A - 2 I is singular"):
+        spectral._count_below(sparse.diags_array([1.0, 2.0, 3.0]), 2.0)
+    with pytest.raises(SolverError, match="pivoted off the diagonal"):
+        spectral._ldlt(sparse.csr_array([[0.0, 1.0], [1.0, 0.0]]), 0.0)
+
+
+def test_shift_invert_refuses_every_pair_and_maps_arpack_errors(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    A = sparse.diags_array(np.arange(1.0, 31.0)).tocsr()
+    pairs, sigma = spectral._shift_invert_pairs(A)
+    assert sigma == 0.0
+    with pytest.raises(SolverError, match="shift-invert: 30 pairs asked of dimension 30"):
+        pairs(30)
+
+    def fail(*args, **kwargs):
+        raise sla.ArpackError(-9999)
+
+    monkeypatch.setattr(sla, "eigsh", fail)
+    with pytest.raises(SolverError, match="shift-invert: ARPACK error -9999"):
+        spectral._shift_invert_pairs(A)[0](3)
+
+
 @pytest.mark.parametrize("dense_limit,solver,whole", [
     pytest.param(4096, "scipy.linalg.eigh", True, id="4096-scipy.linalg.eigh"),
     pytest.param(4096, "scipy.linalg.eigh", False, id="4096-blocks-scipy.linalg.eigh"),
@@ -433,10 +500,7 @@ def test_inertia_certificate_catches_a_missed_eigenvalue(monkeypatch, dense_limi
     orig = getattr(module, name)
 
     def drop_lowest(*args, **kwargs):
-        out = orig(*args, **kwargs)
-        if name == "eigsh" and kwargs.get("sigma") is None:
-            return out
-        lam, V = out
+        lam, V = orig(*args, **kwargs)
         i = int(np.argmin(lam))
         return np.delete(lam, i), np.delete(V, i, axis=1)
 
@@ -475,8 +539,6 @@ def test_inertia_catches_a_pair_dropped_by_one_block(monkeypatch):
 
     def drop_in_first_block(A, *args, **kwargs):
         out = orig(A, *args, **kwargs)
-        if kwargs.get("sigma") is None:
-            return out
         solved.append(A)
         if A is not solved[0]:
             return out
@@ -505,8 +567,6 @@ def test_inertia_catches_a_pair_moved_between_blocks(monkeypatch, solver):
 
     def fault(*args, **kwargs):
         out = orig(*args, **kwargs)
-        if name == "eigsh" and kwargs.get("sigma") is None:
-            return out
         lam, V = out
         calls.append(V.shape[0])
         if len(calls) == 1:

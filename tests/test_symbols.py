@@ -175,6 +175,22 @@ def test_evaluator_order_gate():
         s.derivative((3, 0), (0, 2), np.zeros((1, 4)))
 
 
+def test_evaluator_checks_its_coordinates_and_multi_indices():
+    s = get_a2("daho")
+    with pytest.raises(ValueError, match="3 coordinates given, the phase space has 4"):
+        s.eval(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="multi-index length must equal the dimension"):
+        s.derivative((1,), (0, 0), np.zeros((2, 4)))
+
+
+def test_profile_jets_stop_past_their_table():
+    # daho's coefficient is the squared cutoff profile of x1, tabulated to
+    # order 6: the x1-jet of order 7 builds, and its evaluation refuses
+    jet = get_a2("daho").jet((7, 0, 0, 0))
+    with pytest.raises(UnsupportedOrderError, match="profile jets stop at order 6"):
+        jet.eval(np.zeros((4, 3)))
+
+
 def test_with_confinement_adds_x_square_after_a2(rng):
     a = get_a2("harmonic", {"n": 2})
     Z = rand_phase(rng, count=10)
