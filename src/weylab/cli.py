@@ -31,7 +31,7 @@ from .hamiltonians import hamiltonian_with_potential
 from .metric import check_pairs, check_uncertainty, pair_sample
 from .quantize import Grid, identity_symbol_matrix, weyl_quantize
 from .spectral import eigensolve, growth_fit, schatten_sweep
-from .symbols import class_membership, with_confinement
+from .symbols import ROW_BLOCK, class_membership, with_confinement
 
 SCHEMA = 1
 
@@ -56,10 +56,13 @@ def _operator(cfg):
 
 def _run_metric_check(cfg):
     w = builders.get_weight(**cfg["weight"])
-    rng = np.random.default_rng(cfg["seed"])
-    Z = rng.uniform(-cfg["box"], cfg["box"], size=(cfg["n_points"], 2 * w.n))
+    rng, box, count = np.random.default_rng(cfg["seed"]), cfg["box"], cfg["n_points"]
+    # the uniform sample in runs of at most ROW_BLOCK rows, drawn in order:
+    # the one-shot draw's stream, never held whole
+    runs = (rng.uniform(-box, box, size=(min(ROW_BLOCK, count - lo), 2 * w.n))
+            for lo in range(0, count, ROW_BLOCK))
     X, Y = pair_sample(w.n, cfg["n_pairs"], cfg["seed"] + 1)
-    reports = [check_uncertainty(w, Z), *check_pairs(w, X, Y)]
+    reports = [check_uncertainty(w, runs), *check_pairs(w, X, Y)]
     checks = [(r.kind, r.passed, r.summary()) for r in reports]
     return checks, {"weight": w.name, "reports": [asdict(r) for r in reports]}, None, None
 

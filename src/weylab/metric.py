@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ._jets import JPowerSum, JSum, bracket_sq
-from .symbols import SymbolEvaluator, with_confinement
+from .symbols import ROW_BLOCK, SymbolEvaluator, with_confinement
 
 __all__ = [
     "WeightEvaluator", "MetricValues", "MetricCheckReport", "bracket_sq",
@@ -145,13 +145,23 @@ def pair_sample(n: int, n_pairs: int, seed: int = 0) -> tuple:
 
 
 def check_uncertainty(w: WeightEvaluator, Z) -> MetricCheckReport:
-    """Gate h <= 1 pointwise."""
-    h = planck(w, Z)
-    bad = np.nonzero(h > 1.0 + UNCERTAINTY_TOL)[0]
-    witnesses = [(np.asarray(Z)[i].tolist(), float(h[i])) for i in bad[:32]]
-    return MetricCheckReport(kind="uncertainty", passed=bad.size == 0,
-                             constant=float(np.max(h)), n_checked=len(h),
-                             witnesses=witnesses)
+    """Gate h <= 1 pointwise on a sample given as rows Z (an array, taken
+    in ROW_BLOCK-row slices, as views) or as an iterable of row runs in
+    sample order, such as a generator that draws them.  planck runs once
+    per run, and all that is kept across runs is the running maximum of
+    h, the row count and the first 32 violating rows in sample order: h
+    is pointwise, so any runs give the one-shot report bit for bit."""
+    runs = ((Z[lo:lo + ROW_BLOCK] for lo in range(0, len(Z), ROW_BLOCK))
+            if isinstance(Z, np.ndarray) else Z)
+    top, count, witnesses = -np.inf, 0, []
+    for run in runs:
+        h = planck(w, run)
+        top = np.max(h, initial=top)
+        bad = np.nonzero(h > 1.0 + UNCERTAINTY_TOL)[0][:32 - len(witnesses)]
+        witnesses += [(run[i].tolist(), float(h[i])) for i in bad]
+        count += len(h)
+    return MetricCheckReport(kind="uncertainty", passed=not witnesses, constant=float(top),
+                             n_checked=count, witnesses=witnesses)
 
 
 def _frontier(ratio, powers) -> tuple:

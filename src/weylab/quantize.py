@@ -11,13 +11,14 @@ p_ij = nodes[at[i, j]] (the grid at tau = 1 or 0, at[i, j] = i or j;
 the half-step grid at the midpoint, at[i, j] = i + j) and the phase
 depends only on d = (i - j) mod N, so the inverse DFT G of the symbol on
 the nodes gives A = G[at, d].  G comes from one small DFT matrix per mode
-axis (_dft_matrices), applied to the kept samples by one fixed-shape
-matrix product per sample row (_dft): no spectrum is expanded and no FFT
-taken.  A half-step row v reads only the d = v (mod 2), as i - j = i + j
-(mod 2), so at the midpoint its matrix has the N/2 columns d = 2c + p of
-its parity p.  In 1-D, A is that one gather.  Other tau take one
-transform per row, in 1-D only.  The symbol is evaluated on per-axis node
-and mode arrays that broadcast, never on (rows, 2n) points.
+axis (_dft_matrices), applied to the kept samples by fixed-shape matrix
+products (_dft), one per sample row in 2-D and one per BATCH sample rows
+in 1-D: no spectrum is expanded and no FFT taken.  A half-step row v
+reads only the d = v (mod 2), as i - j = i + j (mod 2), so at the
+midpoint its matrix has the N/2 columns d = 2c + p of its parity p.
+In 1-D, A is that one gather.  Other tau take one transform per row, in
+1-D only.  The symbol is evaluated on per-axis node and mode arrays that
+broadcast, never on (rows, 2n) points.
 
 The symbol is evaluated once per reflection orbit: on each axis where
 its tree is proven even (JetExpr.parity), a node and its mirror, or a
@@ -71,6 +72,11 @@ __all__ = [
 ]
 
 DENSE_SIDE_LIMIT = 4096
+# rows per 1-D transform product (_dft): every product has the one shape
+# (BATCH, kept modes) x (kept modes, columns), the last batch padded with
+# zero rows, so no bit depends on how rows are grouped into runs; a
+# product per row would stream the DFT matrix through the cache per row
+BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -285,19 +291,26 @@ def _dft_matrices(maps, N: int, half: bool) -> list:
 def _dft(S, E, lo) -> np.ndarray:
     """G[r, c] from samples S[r, kk] over n row axes and n kept-mode axes:
     on each mode axis a, last first, a row times E[a][(lo[a] + r_a) mod
-    len(E[a])], its parity's matrix (lo[a]: the first row's index).  One
-    fixed-shape matrix product per row, so no bit depends on which rows
-    share a call.  A row's zero-mode sample skips the products and goes
-    straight to d = 0, so a constant symbol gives the identity exactly."""
+    len(E[a])], its parity's matrix (lo[a]: the first row's index).  Every
+    matrix product has one fixed shape, so no bit depends on which rows
+    share a call: in 2-D one product per row pair, in 1-D one per BATCH
+    rows.  A row's zero-mode sample skips the products and goes straight
+    to d = 0, so a constant symbol gives the identity exactly."""
     n, zero = len(E), (slice(0, 1),) * len(E)
     S0 = S[(...,) + zero]
     G = np.empty(S.shape[:n] + tuple(e.shape[2] for e in E), np.result_type(S, *E))
     for ps in np.ndindex(*(len(e) for e in E)):
         rows = tuple(slice((p - l) % len(e), None, len(e)) for p, l, e in zip(ps, lo, E))
-        Y = S[rows] - S0[rows] if n == 2 else (S[rows] - S0[rows])[:, None]  # 1-D: 1 x K rows
-        for e, p in zip(E[::-1], ps[::-1]):
-            Y = (Y @ e[p]).swapaxes(-1, -2)
-        G[rows] = Y if n == 2 else Y[..., 0]
+        if n == 2:
+            Y = S[rows] - S0[rows]
+            for e, p in zip(E[::-1], ps[::-1]):
+                Y = (Y @ e[p]).swapaxes(-1, -2)
+            G[rows] = Y
+        else:  # the rows in batches of BATCH, the last padded with zero rows
+            count, (K, C) = len(S[rows]), E[0].shape[1:]
+            Y = np.zeros((-(-count // BATCH), BATCH, K), S.dtype)
+            np.subtract(S[rows], S0[rows], out=Y.reshape(-1, K)[:count])
+            G[rows] = (Y @ E[0][ps[0]]).reshape(-1, C)[:count]
     rows = tuple(slice(-l % len(e), None, len(e)) for l, e in zip(lo, E))  # column 0 is d = 0
     G[rows + zero] += S0[rows]
     return G

@@ -31,10 +31,11 @@ __all__ = [
 ]
 
 MAX_DERIV_ORDER = 4
-# rows per run of a 1-D batch (_by_rows): planck of the daho weight on
-# 2e5 rows then holds 8.7 MB beyond its input, not 31 MB.  Each run is one
-# more pass over a jet tree of hundreds of nodes, so a seminorm sample
-# (32,893 rows) stays one run: in runs of 8192 class-check took 1.5x as long
+# rows per run of a 1-D batch (_by_rows), and of metric-check's uncertainty
+# sample, which is drawn and checked one run at a time: planck of the daho
+# weight on a run holds 6.8 MB beyond its input.  Each run is one more pass
+# over a jet tree of hundreds of nodes, so a seminorm sample (32,893 rows)
+# stays one run: in runs of 8192 class-check took 1.5x as long
 ROW_BLOCK = 65536
 
 

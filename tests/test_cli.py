@@ -5,6 +5,8 @@ import json
 import os
 import sys
 import tempfile
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from scipy.sparse.linalg import expm_multiply
 from _helpers import count_calls
 from weylab import __version__, bounds, spectral
 from weylab.builders import get_operator, get_weight, read
-from weylab.cli import CONFIG, _hash_config, main
+from weylab.cli import CONFIG, _hash_config, main, run_config
 from weylab.hamiltonians import DirichletGrid
-from weylab.metric import WeightEvaluator
+from weylab.metric import WeightEvaluator, check_uncertainty
 from weylab.spectral import _band_fits
 from weylab.symbols import SymbolEvaluator
 
@@ -152,6 +154,54 @@ def test_metric_check_evaluates_the_weight_once_per_point(tmp_path, monkeypatch)
         "weight": {"name": "daho"}, "n_points": 500, "n_pairs": 300})
     assert code == 0
     assert rows == [500, 300, 300]
+
+
+@pytest.mark.parametrize("weight", ["daho", "broken_half_bracket"])
+def test_metric_check_streams_the_one_shot_sample(tmp_path, monkeypatch, weight):
+    # runs of 7 rows (ROW_BLOCK patched wherever it is read): 21 runs of 7
+    # and one of 3, drawn in order from the one generator, report what one
+    # check of the one-shot draw reports; broken_half_bracket's 32
+    # witnesses are rows 0..31, in five runs
+    cfg = {"seed": 5, "weight": {"name": weight}, "box": 6.0, "n_points": 150, "n_pairs": 60}
+    w = get_weight(weight)
+    Z = np.random.default_rng(5).uniform(-6.0, 6.0, (150, 4))
+    want = json.loads(json.dumps(asdict(check_uncertainty(w, Z))))
+    assert len(want["witnesses"]) == (0 if weight == "daho" else 32)
+    for module in [m for name, m in sys.modules.items() if name.startswith("weylab")]:
+        if hasattr(module, "ROW_BLOCK"):
+            monkeypatch.setattr(module, "ROW_BLOCK", 7)
+    rows = []
+    m_values = WeightEvaluator.m_values
+
+    def counted(self, Z):
+        rows.append(len(Z))
+        return m_values(self, Z)
+
+    monkeypatch.setattr(WeightEvaluator, "m_values", counted)
+    code, out = run(tmp_path, "mc.json", {"schema": 1, "kind": "metric-check", **cfg})
+    assert code == (0 if weight == "daho" else 1)
+    assert rows == [7] * 21 + [3, 60, 60]
+    got = read_json(os.path.join(out, "report.json"))["report"]["reports"][0]
+    assert got == want
+
+
+def test_metric_check_memory_does_not_grow_with_the_sample(tmp_path):
+    # the uncertainty sample is drawn and checked a run at a time: at 2e5
+    # and 1e6 points the traced peak is the same few runs (15.5 and 56.0 MB
+    # when the sample was drawn whole)
+    cfg = {"schema": 1, "kind": "metric-check", "seed": 0, "weight": {"name": "daho"},
+           "box": 6.0, "n_pairs": 600}
+    run_config({**cfg, "n_points": 1000}, str(tmp_path / "warm"))
+    peaks = []
+    for n_points in (200_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            run_config({**cfg, "n_points": n_points}, str(tmp_path / f"n{n_points}"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 12e6
+    assert max(peaks) <= 1.1 * min(peaks)
 
 
 def test_spectrum_csv(tmp_path):

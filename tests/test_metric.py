@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from _helpers import uni_table, weight_values
+from weylab import metric
 from weylab._jets import JPowerSum, JSum, JUni
 from weylab.metric import (
     WeightEvaluator,
@@ -93,9 +94,10 @@ def test_planck_never_exceeds_one(pt):
 
 
 def test_planck_working_set_is_bounded():
-    # metric-check's uncertainty bound on 2e5 points: the weight tree and
-    # the profile bridge run in row blocks, so what is held beyond the
-    # result is a few full-length arrays of bracket_sq (31 MB before)
+    # planck on 2e5 points at once (metric-check now hands it runs of at
+    # most ROW_BLOCK rows): the weight tree and the profile bridge run in
+    # row blocks, so what is held beyond the result is a few full-length
+    # arrays of bracket_sq (31 MB before)
     w = get_weight("daho")
     Z = np.random.default_rng(2).uniform(-6.0, 6.0, (200_000, 4))
     planck(w, Z[:10])
@@ -118,6 +120,22 @@ def test_uncertainty_passes_for_admissible_weight():
     assert rep.n_checked == len(Z)
     assert rep.witnesses == []
     assert "pass" in rep.summary()
+
+
+@pytest.mark.parametrize("weight", ["daho", "half-bracket"])
+def test_uncertainty_report_does_not_depend_on_the_runs(monkeypatch, weight):
+    # the same rows as one array, in ROW_BLOCK-row views of 5 rows, and as
+    # a list of unequal runs (one of a single row): the same maximum, count
+    # and witnesses; half-bracket's 32 witnesses span several runs
+    w = daho_weight() if weight == "daho" else WeightEvaluator.half_bracket(2)
+    Z = np.random.default_rng(3).uniform(-25.0, 25.0, (100, 4))
+    want = check_uncertainty(w, Z)
+    assert want.n_checked == 100 and want.passed == (weight == "daho")
+    assert len(want.witnesses) == (0 if weight == "daho" else 32)
+    cut = [0, 1, 8, 9, 30, 41, 100]
+    assert check_uncertainty(w, [Z[a:b] for a, b in zip(cut, cut[1:])]) == want
+    monkeypatch.setattr(metric, "ROW_BLOCK", 5)
+    assert check_uncertainty(w, Z) == want
 
 
 def test_uncertainty_flags_half_bracket():

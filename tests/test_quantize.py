@@ -171,14 +171,12 @@ def test_weyl_of_a_real_symbol_is_hermitian_bit_for_bit(n, N):
     # t[N - a] = conj t[a] exactly, so columns d and -d of the transform
     # are conjugates bit for bit where the BLAS products round them alike,
     # as at these N; a folded one sums the same two cosines.
-    # In 2-D odd_in_xi is x1 xi1 + xi1^2: complex, its x1 and xi1 unproven.
-    # The 1-D transform takes one product per row, seconds per symbol at
-    # N = 1024, so there only odd_in_xi, on the complex table
+    # In 2-D odd_in_xi is x1 xi1 + xi1^2: complex, its x1 and xi1 unproven
     values = daho_weight() if n == 2 else harmonic_1d()
     grid = sweep_grid(n, N)
     symbols = [SymbolEvaluator(n, Unproven(values.expr), name="unproven"),
                odd_in_xi(n), odd_in_x1(n)]
-    for s in symbols[1:2] if N == 1024 else symbols:
+    for s in symbols:
         M = weyl_quantize(s, grid)
         assert exactly_hermitian(M), (s.name, M.dtype)
     if n == 2:
@@ -417,6 +415,14 @@ def run_length_symbols():
             odd_in_xi(2), even_complex]
 
 
+def run_length_symbols_1d():
+    """Folded, real and split (harmonic), and complex with no proven axis:
+    (1 + i/2) xi^2 + i x xi."""
+    even_complex = poly(1, {(2,): JPowerSum.constant(2, 1.0 + 0.5j),
+                            (1,): JPowerSum.monomial(2, (1, 0), c=1j)})
+    return [harmonic_1d(), even_complex]
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
 def test_run_length_changes_no_bit(monkeypatch, tau):
     # the default runs (2 to 8 nodes here), one node a run, and runs of
@@ -429,6 +435,41 @@ def test_run_length_changes_no_bit(monkeypatch, tau):
         for s, A in zip(run_length_symbols(), want):
             got = tau_quantize(s, grid, tau)
             assert got.dtype == A.dtype and np.array_equal(got, A), (s.name, bound)
+
+
+@pytest.mark.parametrize("N", [48, 384])
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_run_length_changes_no_bit_in_1d(monkeypatch, tau, N):
+    # the 1-D transform takes BATCH rows a product: the whole matrix in one
+    # call (a row at its index mod BATCH in its batch), and at the midpoint
+    # the harmonic parity blocks in runs of every kept row (the default),
+    # of one row (ROW_BLOCK = N) and of seven (7N), a row at the head of
+    # its batch; the blocks are M[a, b] +- M[a, m(b)] of the whole matrix
+    grid = sweep_grid(1, N)
+    symbols = run_length_symbols_1d()
+    assert [qz.proven_split(s) for s in symbols] == [[True], [False]]
+
+    def everything():
+        return ([tau_quantize(s, grid, tau) for s in symbols],
+                [qz.weyl_blocks(s, grid) for s in symbols] if tau == 0.5 else [])
+
+    want = everything()
+    assert [A.dtype for A in want[0]] == [np.float64, np.complex128]
+    if tau == 0.5:
+        M, half = want[0][0], N // 2
+        mirrored = M[:half, ::-1][:, :half]  # M[a, m(b)] on the lead rows and columns
+        seam, blocks = want[1][0]
+        assert seam == 0.0 and len(blocks) == 2
+        assert np.array_equal(blocks[0], M[:half, :half] + mirrored)
+        assert np.array_equal(blocks[1], M[:half, :half] - mirrored)
+    for bound in (N, 7 * N):
+        monkeypatch.setattr(qz, "ROW_BLOCK", bound)
+        got = everything()
+        for s, A, B in zip(symbols, got[0], want[0]):
+            assert A.dtype == B.dtype and np.array_equal(A, B), (s.name, bound)
+        for s, (seam, blocks), (want_seam, want_blocks) in zip(symbols, got[1], want[1]):
+            assert seam == want_seam and len(blocks) == len(want_blocks)
+            assert all(np.array_equal(B, R) for B, R in zip(blocks, want_blocks)), (s.name, bound)
 
 
 # -- the transform ------------------------------------------------------------
