@@ -7,10 +7,11 @@ the fractional powers, and the trend sweep's eigenvalues.  ``eigensolve``
 solves one block per reflection parity of the operator's grid, the whole
 matrix when none applies, each block on the dense or the shift-invert
 path by its own size, a partial solve on scipy's OpenBLAS only (numpy
-bundles another; ``_dense_pairs``).  The trend sweep takes the same split
-of its Weyl matrix straight from the quantizer (quantize.weyl_blocks), on
-the axes of quantize.proven_split, never forming the matrix, and gates
-its seam: it must be reflection-symmetric to rounding there.
+bundles another; ``_dense_pairs``), each factorization on one band
+(``_rcm_band``).  The trend sweep takes the same split of its Weyl matrix
+straight from the quantizer (quantize.weyl_blocks), on the axes of
+quantize.proven_split, never forming the matrix, and gates its seam: it
+must be reflection-symmetric to rounding there.
 
 The trend experiment is the one place where a continuum question (does a
 negative power of the weight lie in a Schatten class) meets finite
@@ -82,23 +83,12 @@ def eigensolve(H, k: int) -> SpectralResult:
     mirror x -> -x leaves A invariant splits its nodes into even and odd
     combinations, and U A U^T is block diagonal for the orthogonal U built
     from them.  Each block is routed by its own side and the count asked
-    of it (``_parity_pairs``).  Dense when the side is at most
-    ``DENSE_LIMIT`` and below ``DENSE_KRYLOV_RATIO`` times the Krylov size
-    the Lanczos path would use: a split block whole, the whole matrix by a
-    subset ``scipy.linalg.eigh``, or whole when every pair is asked for
-    (k = side, the ``Spectrum`` case), on the OpenBLAS of the calls around
-    it (numpy and scipy bundle one each; ``_dense_pairs``), and cut to the
-    vectors the merge can reach (``_cut``).  Else shift-invert Lanczos
-    (``scipy.sparse.linalg.eigsh``, start vector drawn from
-    ``START_SEED``) around a shift sigma certified below the block's
-    spectrum, so that the eigenvalues nearest sigma are the lowest ones
-    whatever their sign.  The candidates are 0, then g/8, g/4, g/2 of the
-    block's Gershgorin lower bound g, then a point just below g; the first
-    whose banded Cholesky of A - sigma I succeeds (A - sigma I positive
-    definite) is taken, and that one factor is the solve.  The band is the
-    block's lower band in reverse Cuthill-McKee order, (b + 1) x side
-    numbers for its bandwidth b (``_rcm_band``).  The pairs merge by
-    eigenvalue.
+    of it (``_parity_pairs``): dense (``_dense_pairs``), or shift-invert
+    Lanczos around a shift sigma below the block's spectrum, so that the
+    eigenvalues nearest sigma are the lowest ones whatever their sign.
+    sigma is certified by a banded Cholesky of A - sigma I on the block's
+    reverse Cuthill-McKee band, and that factor is the solve
+    (``_shift_invert_pairs``).  The pairs merge by eigenvalue.
 
     The residuals see only A and the merged pairs, so they hold however
     the solve was split; the count is taken per block.  p >= 1 extra
@@ -110,11 +100,11 @@ def eigensolve(H, k: int) -> SpectralResult:
     tau goes in the first gap at or after lambda_k wider than
     ``GAP_REL_TOL`` rho (p doubles until there is one), and for each block
     M_c = U_c A U_c^T (A itself when none splits) the negative pivots of a
-    sparse LDL^T of M_c - tau I, which count M_c's eigenvalues below tau
-    (Sylvester), must equal the number of that block's own pairs computed
-    below tau.  A skipped eigenvalue passes the residual gate; it fails
-    this count, also when another block returns a pair twice and the
-    merged total matches.
+    block LDL^T of M_c - tau I on its band (``_count_below``), which count
+    M_c's eigenvalues below tau (Sylvester), must equal the number of that
+    block's own pairs computed below tau.  A skipped eigenvalue passes the
+    residual gate; it fails this count, also when another block returns a
+    pair twice and the merged total matches.
 
     The block counts add up to A's because the split is checked on its
     basis: the block sides sum to the side and |U U^T - I|_max <= side eps
@@ -122,7 +112,7 @@ def eigensolve(H, k: int) -> SpectralResult:
     inertia(A - tau I) = inertia(U (A - tau I) U^T) by Sylvester's law.
     U A U^T is the block diagonal of the M_c plus the coupling the split
     drops, which ``_parity_basis`` gates at side eps |A|_inf, and
-    tau U U^T is tau I within side eps |tau|; both are about the no-pivot
+    tau U U^T is tau I within side eps |tau|; both are about the
     LDL^T's own backward error.  By Weyl's inequality the block counts
     then sum to A's count for every tau farther from A's spectrum than
     those two perturbations.  The result carries the block sides, sigma
@@ -137,9 +127,9 @@ def _solve(H, S, k: int) -> tuple:
     (U_c or None, lambda_c, W_c) unless a count at tau was needed, which
     a full spectrum never is.  rho is read from lambda_1 and S's diagonal.
     The pairs function solves every block; its sigma factors go with it,
-    before the residuals.  The count at tau takes one LDL^T of each block
-    that ``_parity_pairs`` built, against that block's own eigenvalues,
-    and keeps only the count."""
+    before the residuals.  The count at tau takes one block LDL^T on the
+    band of each block that ``_parity_pairs`` built, against that block's
+    own eigenvalues, and keeps only the count."""
     side = S.shape[0]
     if not 0 < k <= side:
         raise ValueError("k must lie between 1 and the dimension")
@@ -441,12 +431,13 @@ def _parity_pairs(S, U, count: int):
 def _shift_invert_pairs(S):
     """Lanczos pairs around the first certified shift, and that shift.
 
-    The candidates run from 0 down to the Gershgorin floor, below which
-    A - sigma I is diagonally dominant; the first whose banded Cholesky
-    succeeds (so A - sigma I is positive definite) is used, and that
-    factor is the shift-invert solve.  A is ordered once by reverse
-    Cuthill-McKee and kept as its lower band (``_rcm_band``); a failing
-    candidate stops at its first non-positive pivot."""
+    The candidates are 0, g/8, g/4, g/2 of the Gershgorin lower bound g,
+    then a floor just below g, where A - sigma I is diagonally dominant;
+    the first whose banded Cholesky succeeds (A - sigma I positive
+    definite) is used, and that factor is eigsh's solve.  A is ordered
+    once by reverse Cuthill-McKee and kept as its lower band
+    (``_rcm_band``); a failing candidate stops at its first non-positive
+    pivot."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     side = S.shape[0]
@@ -518,30 +509,35 @@ def _band_cholesky(band, sigma: float):
     return lambda x: cho_solve_banded((factor, True), x, check_finite=False)
 
 
-def _ldlt(S, shift: float):
-    """Symmetric LU (LDL^T) of S - shift I: no off-diagonal pivoting, so
-    the signs of the pivots are the inertia of S - shift I."""
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    M = sparse.csc_array(S - shift * sparse.eye_array(S.shape[0]))
-    try:
-        lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolverError(f"inertia: A - {shift:.10g} I is singular: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError("inertia: the factorization pivoted off the diagonal")
-    return lu
-
-
 def _count_below(S, tau: float) -> int:
-    """Eigenvalues of S below tau, as the negative pivots of an LDL^T of
-    S - tau I: Sylvester's law of inertia.  eigensolve counts each parity
-    block this way, and the whole operator only when nothing splits; the
-    factorization and the L and U that reading its pivots builds go on
-    return."""
-    return int(np.count_nonzero(_ldlt(S, tau).U.diagonal().real < 0))
+    """Eigenvalues of S below tau, the negative pivots of a block LDL^T of
+    S - tau I (Sylvester).  In blocks of ``_rcm_band``'s bandwidth b it is
+    block tridiagonal, C_k on the diagonal and B_k upper triangular below,
+    so its inertia sums those of S_1 = C_1 - tau I, S_{k+1} = C_{k+1} -
+    tau I - B_k S_k^{-1} B_k^* (Haynsworth).  One sysv (hesv) per block, on
+    scipy's OpenBLAS (``_dense_pairs``), gives S_k's Bunch-Kaufman LDL^T,
+    of whose pivots each negative 1 x 1 and every 2 x 2 (det < 0) counts
+    one, and S_k^{-1} B_k^*.  SolverError at a zero pivot."""
+    from scipy.linalg import get_blas_funcs, get_lapack_funcs
+
+    band = _rcm_band(S)[2]
+    b, n = band.shape[0] - 1, band.shape[1]
+    m = max(b, 1)
+    solve = get_lapack_funcs("hesv" if np.iscomplexobj(band) else "sysv", (band,))
+    gemm = get_blas_funcs("gemm", (band,))
+    # S[i, j], 0 <= i - j <= b, is entry i + j b of the F-ordered band: S in an n x n view
+    low = np.lib.stride_tricks.as_strided(band.ravel(order="F"), (n, n),
+                                          (band.itemsize, b * band.itemsize), writeable=False)
+    negative, update = 0, 0.0
+    for s in range(0, n, m):
+        Bh = np.triu(low[s + m:s + 2 * m, s:s + m], m - b).conj().T  # B_k^*; none after the last
+        ldu, ipiv, X, info = solve(low[s:s + m, s:s + m] - tau * np.eye(min(m, n - s)) - update,
+                                   Bh, lower=1, lwork=64 * m)  # reads the lower triangle
+        if info > 0:
+            raise SolverError(f"inertia: A - {tau:.10g} I is singular: zero pivot {s + info}")
+        negative += int(np.count_nonzero(ldu.diagonal().real[ipiv > 0] < 0) + np.sum(ipiv < 0) // 2)
+        update = gemm(1.0, Bh, X, trans_a=2)
+    return negative
 
 
 @dataclass

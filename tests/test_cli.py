@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from _helpers import count_calls
-from weylab import __version__, bounds, spectral
+from weylab import __version__, bounds, cli, spectral
 from weylab.builders import get_operator, get_weight, read
 from weylab.cli import CONFIG, _hash_config, main, run_config
 from weylab.hamiltonians import DirichletGrid
 from weylab.metric import WeightEvaluator, check_uncertainty
+from weylab.quantize import Grid, identity_symbol_matrix
 from weylab.spectral import _band_fits
 from weylab.symbols import SymbolEvaluator
 
@@ -74,6 +75,38 @@ def test_quantize_identity_roundtrip(tmp_path):
     assert [o["path"] for o in manifest["outputs"]] == ["report.json"]
     report = read_json(os.path.join(out, "report.json"))
     assert report["report"]["identity_defect"] <= 1e-12
+
+
+def test_quantize_identity_defects_hold_no_side_squared_temporary(monkeypatch):
+    # the identity defect is taken in place on the quantized matrix and the
+    # Hermitian defect in runs of rows: at 2-D N = 32 (side 1024) the
+    # handler's traced peak stays within 10% of the identity's quantization
+    # alone (one - I, its abs and the identity itself were three more side^2
+    # arrays), and on a perturbed identity and a non-Hermitian A both
+    # defects equal the whole-matrix formulas bit for bit
+    cfg = {"grid": {"n": 2, "N": 32, "L": 6.0}, "tau": 0.5,
+           "symbol": {"name": "daho", "params": {}}}
+
+    def peak(f):
+        f()
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak(lambda: identity_symbol_matrix(Grid(**cfg["grid"]), tau=0.5))
+    assert peak(lambda: cli._run_quantize_identity(cfg)) <= 1.1 * alone
+    rng = np.random.default_rng(0)
+    noise = rng.normal(scale=1e-13, size=(1024, 1024))
+    A = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+    monkeypatch.setattr(cli, "identity_symbol_matrix", lambda grid, tau: np.eye(1024) + noise)
+    monkeypatch.setattr(cli, "weyl_quantize", lambda s, grid: A.copy())
+    _, report, *_ = cli._run_quantize_identity(cfg)
+    assert report == {"identity_defect": float(np.max(np.abs(np.eye(1024) + noise - np.eye(1024)))),
+                      "hermitian_defect": float(np.max(np.abs(A - A.conj().T)))}
+    assert report["identity_defect"] > 0.0 and report["hermitian_defect"] > 0.0
 
 
 def test_quantize_identity_2d_generic_tau_is_a_config_error(tmp_path, capsys):
@@ -365,7 +398,7 @@ def test_benchmark_heat_evolution_matches_expm_multiply(tmp_path):
 def test_evolve_above_the_dense_limit_is_refused_unfactored(tmp_path, capsys, monkeypatch):
     # daho at N=130 splits into four parity blocks of side 65^2 = 4225,
     # each of which a full spectrum needs whole
-    ldlt = count_calls(monkeypatch, spectral, "_ldlt")
+    ldlt = count_calls(monkeypatch, spectral, "_count_below")
     band = count_calls(monkeypatch, spectral, "_band_cholesky")
     code, out = run(tmp_path, "big.json", {
         "schema": 1, "kind": "evolve", "grid": {"n": 2, "N": 130, "L": 6.0},

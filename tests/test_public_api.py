@@ -59,34 +59,48 @@ def test_only_spectral_decomposes():
 
 def _reaches(node, names) -> bool:
     """node names one of names: a call or use of the bare name, an
-    attribute, or an import."""
+    attribute, an import, or a string (as get_lapack_funcs takes them)."""
     return ((isinstance(node, ast.Name) and node.id in names)
             or (isinstance(node, ast.Attribute) and node.attr in names)
-            or (isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)))
+            or (isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names))
+            or (isinstance(node, ast.Constant) and node.value in names))
 
 
 BAND_FACTORS = ("cholesky_banded", "cho_solve_banded")
+# the LDL^T of each count at tau, by LAPACK name, bare or with its type prefix
+LDLT_ROUTINES = ("sytrf", "hetrf", "sytrs", "hetrs", "sysv", "hesv")
+LDLT_NAMES = tuple(p + r for p in ("", "s", "d", "c", "z") for r in LDLT_ROUTINES)
+
+
+def _found_in_src(names, skip=()):
+    """file:line of every node of a src/weylab module outside skip that reaches one of names."""
+    root = os.path.dirname(os.path.abspath(weylab.__file__))
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py") or name in skip:
+            continue
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if _reaches(n, names)]
+    return found
 
 
 def test_only_spectral_factors():
     # one module owns every factorization, as it owns every
-    # eigendecomposition: no other module reaches splu or the banded
-    # Cholesky, by call, import or attribute
-    root = os.path.dirname(os.path.abspath(weylab.__file__))
-    found = []
-    for name in sorted(os.listdir(root)):
-        if not name.endswith(".py") or name == "spectral.py":
-            continue
-        with open(os.path.join(root, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        found += [f"{name}:{n.lineno}" for n in ast.walk(tree)
-                  if _reaches(n, ("splu",) + BAND_FACTORS)]
-    assert found == []
+    # eigendecomposition: no other module reaches the banded Cholesky or
+    # the LDL^T routines, by call, import, attribute or name string
+    assert _found_in_src(BAND_FACTORS + LDLT_NAMES, skip=("spectral.py",)) == []
+
+
+def test_no_module_reaches_superlu():
+    # every factorization is on LAPACK's band or its dense blocks: no
+    # module, spectral.py included, reaches splu
+    assert _found_in_src(("splu",)) == []
 
 
 def _reached_only_in(fn_name, names):
     """The lines of spectral.py outside fn_name that reach one of names,
-    and the calls inside fn_name to one of them, by name."""
+    and the calls and name strings inside fn_name that name one of them."""
     path = os.path.join(os.path.dirname(os.path.abspath(weylab.__file__)), "spectral.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
@@ -94,8 +108,10 @@ def _reached_only_in(fn_name, names):
     assert len(fn) == 1
     inside = {id(n) for n in ast.walk(fn[0])}
     outside = [n.lineno for n in ast.walk(tree) if _reaches(n, names) and id(n) not in inside]
-    calls = [n for n in ast.walk(fn[0]) if isinstance(n, ast.Call) and _reaches(n.func, names)]
-    return outside, sorted(_called_name(n) for n in calls)
+    calls = [_called_name(n) for n in ast.walk(fn[0])
+             if isinstance(n, ast.Call) and _reaches(n.func, names)]
+    strings = [n.value for n in ast.walk(fn[0]) if isinstance(n, ast.Constant) and n.value in names]
+    return outside, sorted(calls + strings)
 
 
 def _called_name(call):
@@ -103,14 +119,14 @@ def _called_name(call):
     return f.attr if isinstance(f, ast.Attribute) else f.id
 
 
-def test_spectral_factors_only_in_ldlt():
-    # _ldlt refuses off-diagonal pivoting and factors in symmetric mode,
-    # so its pivots are the inertia that certifies every count at tau; no
-    # other function of spectral.py may reach splu, by call, import or
-    # attribute
-    outside, calls = _reached_only_in("_ldlt", ("splu",))
+def test_spectral_ldlt_only_in_count_below():
+    # _count_below's block LDL^T gives the inertia that certifies every
+    # count at tau; no other function of spectral.py may reach sytrf,
+    # hetrf, sytrs, hetrs, or sysv and hesv, which factor and solve in one
+    # call, by call, import, attribute or name string
+    outside, names = _reached_only_in("_count_below", LDLT_NAMES)
     assert outside == []
-    assert calls == ["splu"]
+    assert names == ["hesv", "sysv"]
 
 
 def test_spectral_band_factors_only_in_band_cholesky():

@@ -286,23 +286,33 @@ def harmonic_tensor_oracle(g, k):
 
 
 def factor_shifts(monkeypatch, A):
-    """Wrap the banded Cholesky and splu; returns the list of the shifts s
-    of the factored A - s I, in call order.  A shift is read off the
-    least diagonal entry, which either storage holds in any order."""
+    """Wrap the banded Cholesky and the LDL^T of each count at tau; returns
+    the list of the shifts s of the factored A - s I, in call order.  The
+    Cholesky's shift is read off the least diagonal entry of its band; the
+    count's off the first entry of the first block it factors, A's lead
+    entry in reverse Cuthill-McKee order less s."""
     import scipy.linalg as la
-    import scipy.sparse.linalg as sla
     d, shifts = float(np.min(A.diagonal().real)), []
+    lead = float(A.diagonal().real[spectral._rcm_band(A)[0][0]])
+    cholesky, lapack = la.cholesky_banded, la.get_lapack_funcs
 
-    def wrap(module, name, diagonal):
-        orig = getattr(module, name)
+    def factor(ab, *args, **kwargs):
+        shifts.append(float(d - np.min(ab[0].real)))
+        return cholesky(ab, *args, **kwargs)
 
-        def factor(M, *args, **kwargs):
-            shifts.append(float(d - np.min(diagonal(M).real)))
-            return orig(M, *args, **kwargs)
-        monkeypatch.setattr(module, name, factor)
+    def funcs(name, *args, **kwargs):
+        solve, first = lapack(name, *args, **kwargs), [True]
+        assert solve.typecode + name in ("dsysv", "zhesv")
 
-    wrap(la, "cholesky_banded", lambda ab: ab[0])
-    wrap(sla, "splu", lambda M: M.diagonal())
+        def ldlt(a, *args, **kwargs):
+            if first:
+                first.pop()
+                shifts.append(float(lead - a[0, 0].real))
+            return solve(a, *args, **kwargs)
+        return ldlt
+
+    monkeypatch.setattr(la, "cholesky_banded", factor)
+    monkeypatch.setattr(la, "get_lapack_funcs", funcs)
     return shifts
 
 
@@ -326,7 +336,8 @@ def test_iterative_path_matches_tensor_oracle():
 
 def test_psd_shift_invert_factors_once_per_shift(monkeypatch):
     # one banded Cholesky at sigma = 0 is both the certificate and the
-    # solve; the only other factorization is the LDL^T of the count at tau
+    # solve; the only other factorization is the block LDL^T of the count
+    # at tau
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
     H = get_operator("harmonic", DirichletGrid(1, 64, 8.0)).sparse
     shifts = factor_shifts(monkeypatch, H)
@@ -411,12 +422,10 @@ def test_a_block_just_below_zero_rejects_sigma_zero(monkeypatch):
 def test_complex_hermitian_operator_certifies_on_the_shift_invert_path(monkeypatch):
     # D A D^* for a diagonal of unit phases: complex Hermitian, with the
     # eigenvalues of the real A.  Its shift is certified by the complex
-    # banded Cholesky (zpbtrf) and its count by the complex LDL^T
+    # banded Cholesky (zpbtrf) and its count by the complex LDL^T (zhesv)
     import scipy.linalg as la
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 16)
-    A = get_operator("harmonic", DirichletGrid(1, 64, 8.0)).sparse
-    phase = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 64))
-    Z = sparse.csr_array(sparse.diags_array(phase) @ A @ sparse.diags_array(phase.conj()))
+    A, Z = get_operator("harmonic", DirichletGrid(1, 64, 8.0)).sparse, phased_oscillator()
     assert np.iscomplexobj(Z) and abs(Z - Z.conj().T).max() <= 1e-13
     orig, dtypes = la.cholesky_banded, []
     monkeypatch.setattr(la, "cholesky_banded",
@@ -446,6 +455,21 @@ def test_periodic_operator_is_banded_by_rcm():
     assert np.max(np.abs(res.eigenvalues / split.eigenvalues - 1.0)) <= 1e-12
 
 
+def superlu_ldlt(M, shift):
+    """The oracle: SuperLU's LDL^T of M - shift I in its own (MMD) order,
+    pivoting on the diagonal only, so that the signs of U's diagonal are
+    the inertia of M - shift I."""
+    from scipy.sparse.linalg import splu
+    lu = splu(sparse.csc_array(M - shift * sparse.eye_array(M.shape[0])),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    return lu
+
+
+def superlu_count(M, tau):
+    return int(np.count_nonzero(superlu_ldlt(M, tau).U.diagonal().real < 0))
+
+
 def test_band_solve_matches_superlu_on_a_daho_block():
     # the banded Cholesky in RCM order and SuperLU's LDL^T in its own
     # order solve the same system of one daho E3 block to roundoff
@@ -456,15 +480,43 @@ def test_band_solve_matches_superlu_on_a_daho_block():
     perm, where, band = spectral._rcm_band(M)
     x = np.random.default_rng(7).normal(size=M.shape[0])
     got = spectral._band_cholesky(band, 0.0)(x[perm])[where]
-    want = spectral._ldlt(M, 0.0).solve(x)
+    want = superlu_ldlt(M, 0.0).solve(x)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_ldlt_refuses_a_singular_shift_and_an_off_diagonal_pivot():
+def test_count_refuses_a_singular_shift():
+    # tau on an eigenvalue of a diagonal operator: a zero pivot, in the
+    # second block of three (bandwidth 0) and in the eleventh of 64
     with pytest.raises(SolverError, match="inertia: A - 2 I is singular"):
         spectral._count_below(sparse.diags_array([1.0, 2.0, 3.0]), 2.0)
-    with pytest.raises(SolverError, match="pivoted off the diagonal"):
-        spectral._ldlt(sparse.csr_array([[0.0, 1.0], [1.0, 0.0]]), 0.0)
+    with pytest.raises(SolverError, match="inertia: A - 10 I is singular"):
+        spectral._count_below(sparse.diags_array(np.arange(64.0)).tocsr(), 10.0)
+
+
+def test_a_flipped_pivot_fails_the_count(monkeypatch):
+    # the LDL^T of the first Schur complement of block 0 returns one 1 x 1
+    # pivot with its sign flipped (its solve is the true one): that block's
+    # count at tau moves by one from its own computed pairs, and the
+    # certificate refuses the solve
+    import scipy.linalg as la
+    lapack, flipped = la.get_lapack_funcs, []
+
+    def funcs(name, *args, **kwargs):
+        solve = lapack(name, *args, **kwargs)
+
+        def ldlt(a, *args, **kwargs):
+            ldu, ipiv, X, info = solve(a, *args, **kwargs)
+            if not flipped:
+                j = int(np.flatnonzero(ipiv > 0)[0])
+                ldu[j, j] = -ldu[j, j]
+                flipped.append(j)
+            return ldu, ipiv, X, info
+        return ldlt
+
+    monkeypatch.setattr(la, "get_lapack_funcs", funcs)
+    with pytest.raises(SolverError, match="inertia of block 0"):
+        eigensolve(get_operator("daho", DirichletGrid(2, 40, 8.0)), 10)
+    assert len(flipped) == 1
 
 
 def test_shift_invert_refuses_every_pair_and_maps_arpack_errors(monkeypatch):
@@ -585,29 +637,42 @@ def test_inertia_catches_a_pair_moved_between_blocks(monkeypatch, solver):
     assert len(calls) >= 2
 
 
+def phased_oscillator():
+    """D A D^* for the 1d oscillator A and a diagonal D of unit phases:
+    complex Hermitian, with A's eigenvalues, and no grid to split on."""
+    A = get_operator("harmonic", DirichletGrid(1, 64, 8.0)).sparse
+    phase = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 64))
+    return sparse.csr_array(sparse.diags_array(phase) @ A @ sparse.diags_array(phase.conj()))
+
+
 @pytest.mark.parametrize("name,grid", [
     *[(name, DirichletGrid(2, N, 8.0)) for name in ("harmonic", "daho", "grushin_pure")
       for N in (40, 41)],
     ("daho", Grid(2, 32, 8.0)),
+    ("complex-hermitian", None),
 ], ids=lambda v: f"{v.boundary}-N{v.N}" if isinstance(v, Grid) else None)
 def test_block_counts_sum_to_the_whole_count(name, grid):
     # the certificate counts per block; with an orthogonal parity basis
     # the block counts at tau sum to the count on the whole operator
     # (Sylvester), at every tau midway between two adjacent ones of the
-    # lowest 41 eigenvalues further apart than the certificate's gap width
-    H = get_operator(name, grid)
+    # lowest 41 eigenvalues further apart than the certificate's gap width.
+    # Every count, of a block or of the whole, equals SuperLU's LDL^T's.
+    # The complex Hermitian operator has no grid, so it is counted whole
+    H = phased_oscillator() if grid is None else get_operator(name, grid)
     S = spectral._symmetric_part(H)
     U = spectral._parity_basis(H, S)
     mats = [Uc @ S @ Uc.T for Uc in U]
-    assert len(mats) == 4
-    lam = eigensolve(H.sparse, 41).eigenvalues
+    assert len(mats) == (0 if grid is None else 4)
+    lam = eigensolve(S, 41).eigenvalues
     width = spectral.GAP_REL_TOL * lam[-1]
     taus = [0.5 * (a + b) for a, b in zip(lam, lam[1:]) if b - a > width]
     assert len(taus) >= (8 if name == "harmonic" else 30)
     for tau in taus:
         whole = spectral._count_below(S, tau)
-        assert whole == np.count_nonzero(lam < tau)
-        assert sum(spectral._count_below(M, tau) for M in mats) == whole
+        assert whole == np.count_nonzero(lam < tau) == superlu_count(S, tau)
+        counts = [spectral._count_below(M, tau) for M in mats]
+        assert counts == [superlu_count(M, tau) for M in mats]
+        assert not mats or sum(counts) == whole
 
 
 @pytest.mark.parametrize("fault", ["drop", "scale"])
@@ -637,10 +702,10 @@ def test_a_broken_parity_basis_is_a_solver_error(monkeypatch, fault):
     ("harmonic", DirichletGrid(2, 24, 6.0), 10, "dense"),
 ], ids=["shift-invert", "dense"])
 def test_split_solve_factors_nothing_larger_than_a_block(monkeypatch, name, grid, k, path):
-    # the shifts sigma (banded Cholesky) and the count at tau (LDL^T)
-    # factor the block matrices, never the whole operator
+    # the shifts sigma (banded Cholesky) and the count at tau (block
+    # LDL^T) factor the block matrices, never the whole operator
     sides = []
-    for factor in ("_band_cholesky", "_ldlt"):
+    for factor in ("_band_cholesky", "_count_below"):
         orig = getattr(spectral, factor)
         monkeypatch.setattr(spectral, factor, lambda A, shift, orig=orig:
                             sides.append(A.shape[-1]) or orig(A, shift))
@@ -727,7 +792,7 @@ def test_full_spectrum_of_too_large_blocks_is_refused_unfactored(monkeypatch):
     # daho at N=130 splits into four parity blocks of side 65^2 = 4225:
     # each must be decomposed whole, none fits the dense path, and the
     # refusal comes before any factorization or eigendecomposition
-    ldlt = count_calls(monkeypatch, spectral, "_ldlt")
+    ldlt = count_calls(monkeypatch, spectral, "_count_below")
     band = count_calls(monkeypatch, spectral, "_band_cholesky")
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
     H = get_operator("daho", DirichletGrid(2, 130, 6.0))
